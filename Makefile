@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race smoke lint fuzz-smoke bench bench-short bench-trend bench-baseline experiments
+.PHONY: check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run bench-trend bench-baseline experiments
 
-check: vet build race smoke
+check: vet build race smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +67,19 @@ bench:
 # harness itself still runs; CI wires this next to `make check`.
 bench-short:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
+
+# bench/ is a module of its own (replace cardirect => ../) that `go build
+# ./...` and `go test ./...` at the root never compile, yet it imports
+# internal/query, serve, config, core, ...: vet and test it here so an API
+# change cannot break the repo's benchmark silently (< 1 s: fake clock, no
+# daemons).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The repo's benchmark (BENCHMARK.json): all four workloads on the real
+# cardirectd binary, ~2.5 min; builds into .bench_build/.
+bench-run:
+	bash bench/run.sh --seed 1
 
 # Regression gate over the raw-speed suite (E21), the query-planner
 # suite (E22), the huge-world tier (E23), the reasoning pipeline

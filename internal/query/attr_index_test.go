@@ -47,8 +47,8 @@ func TestAttrIndexMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range e.ids {
-		want := e.regs[id].Color
+	for _, id := range e.snap.ids {
+		want := e.snap.regs[id].Color
 		found := false
 		for _, got := range idx[want] {
 			if got == id {
@@ -81,8 +81,8 @@ func TestAttrIndexMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []string
-		for _, id := range e.ids {
-			if (e.regs[id].Color == tc.color) != tc.negated {
+		for _, id := range e.snap.ids {
+			if (e.snap.regs[id].Color == tc.color) != tc.negated {
 				want = append(want, id)
 			}
 		}
@@ -110,6 +110,31 @@ func TestAttrIndexRegisterInvalidates(t *testing.T) {
 	}
 	if got := len(e.attrIndex("zone")["west"]); got != 6 {
 		t.Errorf("zone=west bucket = %d ids, want 6", got)
+	}
+}
+
+// TestRegisterAttrStaysOnTheShell: evaluators sharing one snapshot do not see
+// each other's RegisterAttr — including an override of a built-in, which
+// must not touch the snapshot's own index.
+func TestRegisterAttrStaysOnTheShell(t *testing.T) {
+	snap := NewSnapshot(attrWorld(t, 6))
+	a, b := snap.Evaluator(), snap.Evaluator()
+	if got := len(a.attrIndex("color")["red"]); got != 2 {
+		t.Fatalf("color=red bucket = %d ids, want 2", got)
+	}
+	a.RegisterAttr("zone", func(r *config.Region) string { return "east" })
+	a.RegisterAttr("color", func(r *config.Region) string { return "red" })
+	if got := len(a.attrIndex("color")["red"]); got != 6 {
+		t.Errorf("overridden color=red bucket = %d ids, want 6", got)
+	}
+	if b.attrIndex("zone") != nil {
+		t.Error("RegisterAttr leaked through the shared snapshot")
+	}
+	if got := len(b.attrIndex("color")["red"]); got != 2 {
+		t.Errorf("sibling evaluator sees the color override: red bucket = %d ids, want 2", got)
+	}
+	if _, err := b.EvalString("q(x) :- zone(x) = east"); err == nil {
+		t.Error("sibling evaluator accepts an attribute it never registered")
 	}
 }
 

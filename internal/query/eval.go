@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
@@ -14,95 +15,134 @@ import (
 // Binding maps query variables to region ids — one query answer.
 type Binding map[string]string
 
-// Evaluator answers queries over one CARDIRECT configuration. Pairwise
-// relations are computed lazily with Compute-CDR and cached, so repeated
-// queries over the same configuration pay the geometry cost once per ordered
-// pair.
+// Snapshot is the immutable, goroutine-safe part of query evaluation: what
+// queries need from the document at one instant — sorted region ids, a copy
+// of every region's attributes (sharing the document's polygon storage: O(n)
+// words, no geometry copy) and the secondary attribute indexes. Any number
+// of Evaluator shells may share one; a server keeps one per store generation
+// (see Engine). The image is held only to read materialised Relation
+// elements in the no-store fallback.
+type Snapshot struct {
+	img   *config.Image
+	ids   []string
+	regs  map[string]*config.Region
+	attrs map[string]*attr
+}
+
+// attr is one thematic attribute: its accessor and the secondary hash index
+// value ↦ sorted region ids, built on first use — under a sync.Once because
+// the built-in attributes live on the shared snapshot.
+type attr struct {
+	fn   func(*config.Region) string
+	once sync.Once
+	idx  map[string][]string
+}
+
+// NewSnapshot captures the image WITHOUT validating it: one O(n) pass, no
+// geometry conversion. Callers that cannot vouch for the image go through
+// NewEvaluator; a config.Tracked image is valid by construction (Track
+// validates, and every edit method validates its geometry before applying).
+func NewSnapshot(img *config.Image) *Snapshot {
+	regions := make([]config.Region, len(img.Regions))
+	copy(regions, img.Regions)
+	s := &Snapshot{
+		img:  img,
+		ids:  make([]string, len(regions)),
+		regs: make(map[string]*config.Region, len(regions)),
+		attrs: map[string]*attr{
+			"color": {fn: func(r *config.Region) string { return r.Color }},
+			"name":  {fn: func(r *config.Region) string { return r.Name }},
+		},
+	}
+	for i := range regions {
+		// The copies stay valid if the image's Regions slice is reallocated
+		// by an append elsewhere.
+		s.ids[i] = regions[i].ID
+		s.regs[regions[i].ID] = &regions[i]
+	}
+	sort.Strings(s.ids)
+	return s
+}
+
+// Evaluator returns a fresh O(1) evaluator shell over the snapshot, with no
+// store, index or plan cache attached. Shells are single-goroutine; any
+// number may share one snapshot concurrently.
+func (s *Snapshot) Evaluator() *Evaluator { return &Evaluator{snap: s} }
+
+// Evaluator answers queries over one CARDIRECT configuration: a shared
+// immutable Snapshot plus the context-bound mutable state of one caller.
+// Pairwise relations come from the attached store when it holds the pair;
+// otherwise they are computed lazily with Compute-CDR from the snapshot and
+// memoised, so repeated queries pay the geometry cost once per ordered pair.
 type Evaluator struct {
-	img       *config.Image
-	geoms     map[string]geom.Region
-	regs      map[string]*config.Region
-	preps     map[string]*core.Prepared
-	sc        *core.Scratch
-	ids       []string
+	snap      *Snapshot
 	store     *core.RelationStore
 	live      *index.Live
 	plans     *PlanCache
 	noPlanner bool
-	cacheGen  uint64
-	relCache  map[[2]string]core.Relation
-	pctCache  map[[2]string]core.PercentMatrix
-	attrs     map[string]func(*config.Region) string
-	attrIdx   map[string]map[string][]string
+	attrs     map[string]*attr // RegisterAttr overlay; never the snapshot's map
+	fb        *fallback
 }
 
-// NewEvaluator prepares an evaluator for the configuration. The built-in
+// fallback is the no-store evaluation state, allocated on first use (a
+// request answered from the relation store never touches it). It derives
+// from the immutable snapshot, so it never goes stale; store-answered pairs
+// are deliberately not memoised — the store is the O(1) cache, and it is the
+// side that sees edits.
+type fallback struct {
+	sc    core.Scratch
+	preps map[string]*core.Prepared
+	rels  map[[2]string]core.Relation
+	pcts  map[[2]string]core.PercentMatrix
+}
+
+// NewEvaluator validates the configuration and prepares a one-shot evaluator
+// (snapshot + shell + a private 64-entry plan cache) for it. The built-in
 // thematic attributes are "color" and "name" (the paper's model allows any
 // attribute set C; RegisterAttr adds more).
 func NewEvaluator(img *config.Image) (*Evaluator, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
-		img:      img,
-		geoms:    make(map[string]geom.Region, len(img.Regions)),
-		regs:     make(map[string]*config.Region, len(img.Regions)),
-		preps:    make(map[string]*core.Prepared, len(img.Regions)),
-		sc:       &core.Scratch{},
-		plans:    NewPlanCache(64),
-		relCache: map[[2]string]core.Relation{},
-		pctCache: map[[2]string]core.PercentMatrix{},
-		attrs: map[string]func(*config.Region) string{
-			"color": func(r *config.Region) string { return r.Color },
-			"name":  func(r *config.Region) string { return r.Name },
-		},
-	}
-	for i := range img.Regions {
-		// Snapshot the region values alongside the geometries: attribute
-		// filters and the planner's selectivity counting then run as map
-		// lookups instead of linear FindRegion scans, and stay valid if
-		// the image's Regions slice is reallocated by an append elsewhere.
-		r := img.Regions[i]
-		e.geoms[r.ID] = r.Geometry()
-		e.regs[r.ID] = &r
-		e.ids = append(e.ids, r.ID)
-	}
-	sort.Strings(e.ids)
+	e := NewSnapshot(img).Evaluator()
+	e.plans = NewPlanCache(64)
 	return e, nil
 }
 
 // RegisterAttr adds a thematic attribute accessor usable in attribute
 // conditions. The accessor must be a pure function of the region (the
 // secondary attribute index memoises its values); re-registering a name
-// drops that attribute's index so the new accessor takes effect.
+// starts a fresh index so the new accessor takes effect. It writes to this
+// evaluator only — evaluators sharing the snapshot are unaffected.
 func (e *Evaluator) RegisterAttr(name string, fn func(*config.Region) string) {
-	e.attrs[name] = fn
-	delete(e.attrIdx, name)
+	if e.attrs == nil {
+		e.attrs = make(map[string]*attr)
+	}
+	e.attrs[name] = &attr{fn: fn}
 }
 
 // attrIndex returns the secondary hash index for one thematic attribute —
-// value ↦ sorted region ids — building it lazily on first use (one pass
-// over the configuration snapshot, then every attribute filter and planner
-// selectivity count is a map lookup). The evaluator's region snapshot is
-// immutable, so an index never goes stale; only RegisterAttr invalidates.
-// The caller must have checked that the attribute exists in e.attrs.
-func (e *Evaluator) attrIndex(attr string) map[string][]string {
-	if idx, ok := e.attrIdx[attr]; ok {
-		return idx
+// value ↦ sorted region ids — or nil for an unknown attribute. The index is
+// built on first use (one pass over the snapshot, then every attribute filter
+// and planner selectivity count is a map lookup) and, the snapshot being
+// immutable, never goes stale.
+func (e *Evaluator) attrIndex(name string) map[string][]string {
+	a := e.attrs[name]
+	if a == nil {
+		if a = e.snap.attrs[name]; a == nil {
+			return nil
+		}
 	}
-	fn := e.attrs[attr]
-	idx := make(map[string][]string)
-	// e.ids is sorted, so every bucket comes out sorted — the form
-	// intersectSorted/subtractSorted need.
-	for _, id := range e.ids {
-		v := fn(e.regs[id])
-		idx[v] = append(idx[v], id)
-	}
-	if e.attrIdx == nil {
-		e.attrIdx = make(map[string]map[string][]string)
-	}
-	e.attrIdx[attr] = idx
-	return idx
+	a.once.Do(func() {
+		a.idx = make(map[string][]string)
+		// ids is sorted, so every bucket comes out sorted — the form
+		// intersectSorted/subtractSorted need.
+		for _, id := range e.snap.ids {
+			v := a.fn(e.snap.regs[id])
+			a.idx[v] = append(a.idx[v], id)
+		}
+	})
+	return a.idx
 }
 
 // UseStore wires a maintained core.RelationStore into the evaluator:
@@ -143,56 +183,62 @@ func (e *Evaluator) SetPlanCache(c *PlanCache) {
 // disabled).
 func (e *Evaluator) PlanCacheHandle() *PlanCache { return e.plans }
 
-// freshenCaches drops the lazy relation/percent caches when the attached
-// store's generation has moved since they were filled: cached pairs reflect
-// the geometry at fill time, so serving them across an edit would answer
-// queries from stale state even though the store itself is fresh. Every
-// query entry point calls this; direct Relation/Percent callers on a
-// long-lived evaluator over an edited store should call query paths instead
-// or use a fresh evaluator.
-func (e *Evaluator) freshenCaches() {
-	gen := e.generation()
-	if gen == e.cacheGen {
-		return
+// fallbackState returns the no-store evaluation state, allocating it on
+// first use.
+func (e *Evaluator) fallbackState() *fallback {
+	if e.fb == nil {
+		e.fb = &fallback{
+			preps: map[string]*core.Prepared{},
+			rels:  map[[2]string]core.Relation{},
+			pcts:  map[[2]string]core.PercentMatrix{},
+		}
 	}
-	e.cacheGen = gen
-	clear(e.relCache)
-	clear(e.pctCache)
+	return e.fb
+}
+
+// geometry converts a snapshot region to the algorithms' representation, on
+// demand (an unknown id yields the empty region).
+func (e *Evaluator) geometry(id string) geom.Region {
+	if r := e.snap.regs[id]; r != nil {
+		return r.Geometry()
+	}
+	return nil
 }
 
 // prepared returns the region's Prepared form, building and caching it on
 // first use. All repeated-query geometry goes through this cache, so each
 // region is normalised and edge-flattened at most once per evaluator.
 func (e *Evaluator) prepared(id string) (*core.Prepared, error) {
-	if p, ok := e.preps[id]; ok {
+	fb := e.fallbackState()
+	if p, ok := fb.preps[id]; ok {
 		return p, nil
 	}
-	p, err := core.Prepare(id, e.geoms[id])
+	p, err := core.Prepare(id, e.geometry(id))
 	if err != nil {
 		return nil, err
 	}
-	e.preps[id] = p
+	fb.preps[id] = p
 	return p, nil
 }
 
 // Relation returns the cardinal direction relation of primary p versus
-// reference q, computing and caching it on first use. Materialised
-// relations in the configuration are trusted when present.
+// reference q: the store's cached value when it holds the pair, else a
+// materialised relation of the configuration (trusted when present), else
+// computed from geometry — the latter two memoised on first use.
 func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
-	key := [2]string{p, q}
-	if r, ok := e.relCache[key]; ok {
-		return r, nil
-	}
-	if e.store != nil && e.store.Has(p) && e.store.Has(q) {
+	if e.store != nil {
 		if r, err := e.store.Relation(p, q); err == nil {
-			e.relCache[key] = r
 			return r, nil
 		}
 	}
-	if entry, ok := e.img.RelationBetween(p, q); ok {
+	fb, key := e.fallbackState(), [2]string{p, q}
+	if r, ok := fb.rels[key]; ok {
+		return r, nil
+	}
+	if entry, ok := e.snap.img.RelationBetween(p, q); ok {
 		r, err := core.ParseRelation(entry.Type)
 		if err == nil {
-			e.relCache[key] = r
+			fb.rels[key] = r
 			return r, nil
 		}
 	}
@@ -204,26 +250,26 @@ func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
 	if err != nil {
 		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
 	}
-	r, err := core.Relate(pa, pb, e.sc)
+	r, err := core.Relate(pa, pb, &fb.sc)
 	if err != nil {
 		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
 	}
-	e.relCache[key] = r
+	fb.rels[key] = r
 	return r, nil
 }
 
-// Percent returns the percentage matrix of primary p versus reference q,
-// computing and caching it on first use.
+// Percent returns the percentage matrix of primary p versus reference q:
+// the store's cached matrix when it holds the pair, else computed from
+// geometry and memoised.
 func (e *Evaluator) Percent(p, q string) (core.PercentMatrix, error) {
-	key := [2]string{p, q}
-	if m, ok := e.pctCache[key]; ok {
-		return m, nil
-	}
-	if e.store != nil && e.store.Has(p) && e.store.Has(q) {
+	if e.store != nil {
 		if m, err := e.store.Percent(p, q); err == nil {
-			e.pctCache[key] = m
 			return m, nil
 		}
+	}
+	fb, key := e.fallbackState(), [2]string{p, q}
+	if m, ok := fb.pcts[key]; ok {
+		return m, nil
 	}
 	pa, err := e.prepared(p)
 	if err != nil {
@@ -233,11 +279,11 @@ func (e *Evaluator) Percent(p, q string) (core.PercentMatrix, error) {
 	if err != nil {
 		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
 	}
-	m, _, err := core.RelatePct(pa, pb, e.sc)
+	m, _, err := core.RelatePct(pa, pb, &fb.sc)
 	if err != nil {
 		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
 	}
-	e.pctCache[key] = m
+	fb.pcts[key] = m
 	return m, nil
 }
 
@@ -273,7 +319,6 @@ func (e *Evaluator) EvalCtx(ctx context.Context, q *Query) ([]Binding, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.freshenCaches()
 	if e.noPlanner {
 		return e.evalWrittenOrder(ctx, q)
 	}
@@ -296,7 +341,6 @@ func (e *Evaluator) evalWrittenOrder(ctx context.Context, q *Query) ([]Binding, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.freshenCaches()
 	// Pre-index conditions per variable for cheap unit propagation:
 	// bindings and attribute filters restrict candidate sets up-front.
 	candidates, err := e.buildCandidates(q)
@@ -323,7 +367,7 @@ func (e *Evaluator) evalWrittenOrder(ctx context.Context, q *Query) ([]Binding, 
 	// over geometry, so the filter only applies when the configuration
 	// carries none; any filter failure just falls back to the unpruned loop,
 	// which surfaces errors with their usual context.
-	if len(e.img.Relations) == 0 {
+	if len(e.snap.img.Relations) == 0 {
 		for _, rc := range rels {
 			if rc.Negated || rc.Left == rc.Right {
 				continue

@@ -112,7 +112,7 @@ func clampSel(s float64) float64 {
 // still pins its variable; a parameter attribute value gets a default
 // selectivity) so one plan serves every argument set.
 func (e *Evaluator) buildPlan(q *Query) *Plan {
-	n := len(e.ids)
+	n := len(e.snap.ids)
 	if n == 0 {
 		n = 1
 	}
@@ -133,10 +133,10 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 			}
 		case AttrCond:
 			sel := 0.5
-			if _, ok := e.attrs[cc.Attr]; ok && !isParam(cc.Value) {
+			if idx := e.attrIndex(cc.Attr); idx != nil && !isParam(cc.Value) {
 				// Exact count through the secondary attribute index: one
 				// map lookup instead of a scan over the configuration.
-				match := len(e.attrIndex(cc.Attr)[cc.Value])
+				match := len(idx[cc.Value])
 				sel = clampSel(float64(match) / float64(n))
 				if cc.Negated {
 					sel = 1 - sel
@@ -284,7 +284,7 @@ func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
 		}
 	}
 	if e.live != nil && pinnedIsRef && !cc.Negated && e.live.Has(pin) {
-		if g, ok := e.geoms[pin]; ok {
+		if g := e.geometry(pin); g != nil {
 			if st, err := index.EstimateSelect(e.live.Tree(), g, cc.Rels); err == nil && st.Total > 0 {
 				return clampSel(float64(st.MBBMatched) / float64(st.Total))
 			}
@@ -315,28 +315,36 @@ type execState struct {
 func (e *Evaluator) buildCandidates(q *Query) (map[string][]string, error) {
 	candidates := make(map[string][]string, len(q.Vars))
 	for _, v := range q.Vars {
-		cand := e.ids
+		cand := e.snap.ids
 		for _, c := range q.Conds {
 			switch cc := c.(type) {
 			case BindCond:
 				if cc.Var == v {
-					if e.regs[cc.RegionID] == nil {
+					if e.snap.regs[cc.RegionID] == nil {
 						return nil, fmt.Errorf("query: unknown region %q in %v", cc.RegionID, cc)
 					}
-					cand = intersectSorted(cand, []string{cc.RegionID})
+					// Pin by binary search in the (sorted) set narrowed so
+					// far, not an O(n) merge against a one-element slice.
+					i := sort.SearchStrings(cand, cc.RegionID)
+					if i < len(cand) && cand[i] == cc.RegionID {
+						cand = cand[i : i+1 : i+1]
+					} else {
+						cand = nil
+					}
 				}
 			case AttrCond:
 				if cc.Var != v {
 					continue
 				}
-				if _, ok := e.attrs[cc.Attr]; !ok {
+				idx := e.attrIndex(cc.Attr)
+				if idx == nil {
 					return nil, fmt.Errorf("query: unknown attribute %q in %v", cc.Attr, cc)
 				}
 				// The secondary attribute index answers the filter with one
 				// sorted-set operation: intersect with the matching bucket,
 				// or subtract it for a negated condition — identical to the
 				// per-region accessor scan it replaces.
-				match := e.attrIndex(cc.Attr)[cc.Value]
+				match := idx[cc.Value]
 				if cc.Negated {
 					cand = subtractSorted(cand, match)
 				} else {
@@ -408,7 +416,7 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 // pushdown never changes results.
 func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinnedIsRef bool, cand []string) ([]string, error) {
 	storeBacked := e.store != nil && e.store.Has(pinID)
-	if !storeBacked && pinnedIsRef && !rc.Negated && len(e.img.Relations) == 0 {
+	if !storeBacked && pinnedIsRef && !rc.Negated && len(e.snap.img.Relations) == 0 {
 		if keep, err := e.pushRTree(ctx, rc, pinID, cand); err == nil {
 			return keep, nil
 		} else if ctx.Err() != nil {
@@ -456,7 +464,7 @@ func (e *Evaluator) pushRTree(ctx context.Context, rc RelCond, refID string, can
 			}
 		}
 		if covered {
-			sel, _, err := e.live.SelectStatsCtx(ctx, e.geoms[refID], rc.Rels)
+			sel, _, err := e.live.SelectStatsCtx(ctx, e.geometry(refID), rc.Rels)
 			if err != nil {
 				return nil, err
 			}
@@ -473,9 +481,9 @@ func (e *Evaluator) pushRTree(ctx context.Context, rc RelCond, refID string, can
 			selfIn = true // handled by the l==r rule, not geometry
 			continue
 		}
-		named = append(named, core.NamedRegion{Name: id, Region: e.geoms[id]})
+		named = append(named, core.NamedRegion{Name: id, Region: e.geometry(id)})
 	}
-	keep, err := index.FindRelatedCtx(ctx, named, e.geoms[refID], rc.Rels)
+	keep, err := index.FindRelatedCtx(ctx, named, e.geometry(refID), rc.Rels)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,6 @@ func (e *Evaluator) Run(ctx context.Context, input string, args map[string]strin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.freshenCaches()
 	res := &Result{Generation: e.generation()}
 	if e.noPlanner {
 		q, err := Parse(input)
@@ -359,7 +358,6 @@ func (p *PreparedQuery) EvalCtx(ctx context.Context, args map[string]string) ([]
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p.ev.freshenCaches()
 	rq, err := p.q.resolve(args)
 	if err != nil {
 		return nil, err

@@ -494,6 +494,13 @@ func TestReplicaEpochRebootstrap(t *testing.T) {
 	if got := f.rep.Status().Epoch; got != p1.prim.Epoch() {
 		t.Fatalf("replica epoch %s, want %s", got, p1.prim.Epoch())
 	}
+	// Warm the replica's query snapshot and (parameter-free text) cached
+	// execution state on the first world.
+	everyRegion := []byte(`{"q":"q(x) :- color(x) != nosuch"}`)
+	oldGen := f.rep.Tracked().Store().Generation()
+	if _, _, body := post(t, f.ts.URL, "/v1/query", everyRegion); !bytes.Contains(body, []byte(`"first-epoch"`)) {
+		t.Fatalf("pre-swap query misses first-epoch: %s", body)
+	}
 
 	target.Store(p2.ts.URL) // "restart" the primary: new epoch, new world
 	deadline := time.Now().Add(15 * time.Second)
@@ -514,6 +521,15 @@ func TestReplicaEpochRebootstrap(t *testing.T) {
 	// The old epoch's region must be gone: the worlds were not merged.
 	if _, err := f.rep.Tracked().Store().Relation("first-epoch", "attica"); err == nil {
 		t.Fatal("replica still serves the old epoch's region after re-bootstrap")
+	}
+	// Both worlds sit at the same generation, so nothing but the tracked
+	// store's identity tells the query engine its snapshot is of a dead world.
+	if gen := f.rep.Tracked().Store().Generation(); gen != oldGen {
+		t.Fatalf("worlds at generations %d and %d: the swap no longer collides", oldGen, gen)
+	}
+	_, _, body := post(t, f.ts.URL, "/v1/query", everyRegion)
+	if !bytes.Contains(body, []byte(`"second-epoch"`)) || bytes.Contains(body, []byte(`"first-epoch"`)) {
+		t.Fatalf("post-swap query answered from the old world: %s", body)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"time"
@@ -552,12 +553,13 @@ type queryResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// handleQuery evaluates a conjunctive query of the paper's language over
-// the tracked configuration. The evaluator reads relations from the
-// delta-maintained store (never recomputing geometry for cached pairs),
-// plans the join through the server's shared plan cache, and honors the
-// request context. Responses carry the store generation as an ETag, so a
-// repeat reader holding If-None-Match skips evaluation with a 304.
+// handleQuery evaluates a conjunctive query of the paper's language through
+// the server's query engine: relations come from the delta-maintained store,
+// the join is planned through the shared plan cache, the document is read
+// from the current generation's query snapshot (the first query after an
+// edit rebuilds it, and says so on its access line), and the request context
+// is honored. Responses carry the store generation as an ETag, so a repeat
+// reader holding If-None-Match skips evaluation with a 304.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req queryRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -569,31 +571,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if done, err := s.conditional(w, r); done || err != nil {
 		return err
 	}
-	tr := s.tracked()
-	out := queryResponse{Bindings: []map[string]string{}}
-	err := tr.View(func(img *config.Image) error {
-		ev, err := query.NewEvaluator(img)
-		if err != nil {
-			return err
-		}
-		ev.UseStore(tr.Store())
-		ev.UseIndex(tr.Index())
-		ev.SetPlanCache(s.plans)
-		res, err := ev.Run(r.Context(), req.Q, req.Args)
-		if err != nil {
-			return err
-		}
-		out.Vars = res.Vars
-		out.Plan = res.Plan
-		out.Cache = res.Cache
-		out.Generation = res.Generation
-		for _, b := range res.Bindings {
-			out.Bindings = append(out.Bindings, map[string]string(b))
-		}
-		return nil
-	})
+	res, built, err := s.engine.Run(r.Context(), s.tracked(), req.Q, req.Args)
+	if sw, ok := w.(*statusWriter); ok && built > 0 {
+		sw.extra = slog.Int64("snapshot_build_ns", built.Nanoseconds())
+	}
 	if err != nil {
 		return err
+	}
+	out := queryResponse{Vars: res.Vars, Plan: res.Plan, Cache: res.Cache, Generation: res.Generation,
+		Bindings: make([]map[string]string, len(res.Bindings))}
+	for i, b := range res.Bindings {
+		out.Bindings[i] = b
 	}
 	return writeData(w, http.StatusOK, out)
 }

@@ -119,15 +119,16 @@ type Server struct {
 	opt    Options
 	log    *slog.Logger
 	mux    *http.ServeMux
-	plans  *query.PlanCache
+	engine *query.Engine // plan cache + per-generation query snapshot
 }
 
 // tracked resolves the store every request reads: the follower's live
 // tracked when this server is a replica (it is swapped wholesale on
 // re-bootstrap), the construction-time tracked otherwise. A swap resets the
-// plan cache — cached plans validate by generation alone, and a fresh store
+// query engine — cached plans validate by generation alone, and a fresh store
 // restarts its generation sequence, so stale entries could otherwise
-// collide with a new store at a coincidentally equal generation.
+// collide with a new store at a coincidentally equal generation (the query
+// snapshot is keyed on the tracked pointer too; the reset frees it early).
 func (s *Server) tracked() *config.Tracked {
 	tr := s.tr
 	if f := s.opt.Follower; f != nil {
@@ -135,7 +136,7 @@ func (s *Server) tracked() *config.Tracked {
 	}
 	if old := s.lastTr.Load(); old != tr {
 		if s.lastTr.CompareAndSwap(old, tr) && old != nil {
-			s.plans.Reset()
+			s.engine.Reset()
 		}
 	}
 	return tr
@@ -179,10 +180,10 @@ func New(tr *config.Tracked, opt Options) *Server {
 		opt.Logger = slog.Default()
 	}
 	s := &Server{tr: tr, edit: tr, opt: opt, log: opt.Logger, mux: http.NewServeMux(),
-		// One plan cache for the whole server: request-scoped evaluators
-		// share it, so repeated query texts skip parsing and planning.
-		// Entries self-invalidate against the store generation.
-		plans: query.NewPlanCache(256)}
+		// One engine for the whole server: requests share its plan cache
+		// (repeated query texts skip parsing and planning) and its query
+		// snapshot; both self-invalidate against the store generation.
+		engine: query.NewEngine(256)}
 	if opt.Persist != nil {
 		s.edit = opt.Persist
 	}
@@ -200,9 +201,11 @@ func New(tr *config.Tracked, opt Options) *Server {
 			"stats":      st.Stats(),
 		}
 	}))
-	metrics.Set("plan_cache_hits", expvar.Func(func() any { return s.plans.Stats().Hits }))
-	metrics.Set("plan_cache_misses", expvar.Func(func() any { return s.plans.Stats().Misses }))
-	metrics.Set("replans", expvar.Func(func() any { return s.plans.Stats().Replans }))
+	metrics.Set("plan_cache_hits", expvar.Func(func() any { return s.engine.Stats().Hits }))
+	metrics.Set("plan_cache_misses", expvar.Func(func() any { return s.engine.Stats().Misses }))
+	metrics.Set("replans", expvar.Func(func() any { return s.engine.Stats().Replans }))
+	metrics.Set("query_snapshot_builds", expvar.Func(func() any { return s.engine.Stats().SnapshotBuilds }))
+	metrics.Set("query_snapshot_reuses", expvar.Func(func() any { return s.engine.Stats().SnapshotReuses }))
 	if p := opt.Persist; p != nil {
 		metrics.Set("persist", expvar.Func(func() any {
 			st := p.Status()
@@ -362,10 +365,13 @@ func legacyAlias(h handlerFunc, deprecated bool) handlerFunc {
 // the status mapping and JSON error body to the instrument wrapper.
 type handlerFunc func(w http.ResponseWriter, r *http.Request) error
 
-// statusWriter records the status code for metrics and access logs.
+// statusWriter records the status code for metrics and access logs, plus
+// one attribute a handler may add to its access line (slog handlers drop
+// the zero Attr).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	extra  slog.Attr
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -405,6 +411,7 @@ func (s *Server) handleLimit(pattern, name string, bodyLimit int64, h handlerFun
 			slog.Int("status", sw.status),
 			slog.Duration("duration", elapsed),
 			slog.String("remote", r.RemoteAddr),
+			sw.extra,
 		)
 	}))
 }

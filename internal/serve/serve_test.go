@@ -534,8 +534,8 @@ func TestExpvarSurface(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsDuringEdits hammers relation reads and selections
-// against geometry edits over live HTTP — the end-to-end version of the
+// TestConcurrentReadsDuringEdits hammers relation reads, selections and
+// queries against geometry edits over live HTTP — the end-to-end version of the
 // store race test; meaningful under -race.
 func TestConcurrentReadsDuringEdits(t *testing.T) {
 	ts, tr := newGreeceServer(t, serve.Options{})
@@ -568,6 +568,44 @@ func TestConcurrentReadsDuringEdits(t *testing.T) {
 				}
 			}
 		}()
+	}
+	// Eight query readers share the per-generation query snapshot while the
+	// edits below keep invalidating it; every answer must still pin y.
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"q":"q(x, y) :- y = $ref, color(x) != none%d, x {N, NE, NW, N:NE, N:NW, B:N} y","args":{"ref":"crete"}}`, g%2)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				var out struct {
+					Data struct {
+						Bindings []map[string]string `json:"bindings"`
+					} `json:"data"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(out.Data.Bindings) == 0 {
+					t.Errorf("query status = %d, %d bindings, err %v", resp.StatusCode, len(out.Data.Bindings), err)
+					return
+				}
+				for _, b := range out.Data.Bindings {
+					if b["y"] != "crete" {
+						t.Errorf("query binding %v does not pin y to crete", b)
+						return
+					}
+				}
+			}
+		}(g)
 	}
 	for i := 0; i < 40; i++ {
 		if code := doJSON(t, "PUT", ts.URL+"/api/regions/crete", map[string]string{"wkt": crete}, nil); code != http.StatusOK {
