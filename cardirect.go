@@ -336,11 +336,11 @@ type (
 	// freed piecemeal; drop the whole arena (and every Prepared carved
 	// from it) together.
 	Arena = core.Arena
-	// RelationStore holds prepared regions plus cached all-pairs relation
-	// (and optionally percent) results, recomputing only the touched row
-	// and column on each region edit.
+	// RelationStore holds the prepared form of a set of named regions and
+	// answers any pair's relation (and optionally percent matrix) by running
+	// the kernels on demand; an edit re-prepares only the touched region.
 	RelationStore = core.RelationStore
-	// StoreOptions tunes a RelationStore (worker count, percent caching).
+	// StoreOptions tunes a RelationStore (worker count, percent answers).
 	StoreOptions = core.StoreOptions
 	// LoDWorld is the huge-world tier over a prepared region set: a
 	// coarse-tile relation summary answering clearly-single-tile pairs
@@ -357,7 +357,7 @@ type (
 	CoarseIndex = core.CoarseIndex
 	// BulkRegion is one entry of a streamed bulk ingest into a tracked
 	// configuration (Tracked.BulkAddRegions): the whole batch lands as
-	// one edit with a single batched recomputation.
+	// one edit.
 	BulkRegion = config.BulkRegion
 	// Tracked binds a configuration document to a maintained RelationStore
 	// and live R-tree: document edits drive store and index deltas.
@@ -404,8 +404,8 @@ var (
 	// ErrDegenerateRegion reports a region unusable by the algorithms
 	// (empty, or with no edges); matched with errors.Is.
 	ErrDegenerateRegion = core.ErrDegenerateRegion
-	// NewRelationStore builds a store over named regions, computing the
-	// initial all-pairs matrix through the batch engine.
+	// NewRelationStore builds a store over named regions: one Prepare per
+	// region, no pair computed.
 	NewRelationStore = core.NewRelationStore
 	// ErrUnknownRegion reports a store operation naming a region the store
 	// does not hold; matched with errors.Is.
@@ -420,10 +420,6 @@ var (
 	// Track binds a configuration to a maintained RelationStore and live
 	// index; subsequent Image edits update both incrementally.
 	Track = config.Track
-	// TrackSeeded is Track for documents whose materialised relations are
-	// trusted (snapshots the store itself wrote): the relation store is
-	// seeded from them instead of recomputing all pairs.
-	TrackSeeded = config.TrackSeeded
 	// NewLiveIndex builds a maintained R-tree over named regions.
 	NewLiveIndex = index.NewLive
 	// PrepareLoDWorld builds the huge-world tier over a named region set:

@@ -1,8 +1,8 @@
 // Command cardirectd serves a CARDIRECT configuration over HTTP/JSON: the
 // paper's interactive tool (§4) as a long-running service. It loads an
 // annotated image (the XML format of the paper's DTD, or the built-in
-// Fig. 11 Greece fixture), builds the delta-maintained relation store and
-// live R-tree behind it, and answers pair relations, directional
+// Fig. 11 Greece fixture), builds the relation store and live R-tree
+// behind it, and answers pair relations, directional
 // selections, conjunctive queries and region edits concurrently — see
 // internal/serve for the endpoint surface and API.md for schemas.
 //
@@ -30,7 +30,7 @@
 //
 // A primary serves GET /v1/replication/{snapshot,wal,status}; replicas
 // bootstrap from the snapshot, apply shipped records through the store's
-// delta path, reject writes with 421 not_primary, and honor the
+// edit methods, reject writes with 421 not_primary, and honor the
 // Cardirect-Min-Generation freshness contract. The router forwards writes
 // (and replication/admin/debug traffic) to the primary and round-robins
 // reads across healthy replicas. See the Scale-out section of README.md.
@@ -77,8 +77,8 @@ func run(args []string, stdout *os.File) error {
 		role            = fs.String("role", "primary", "process role: primary, replica or router")
 		configPath      = fs.String("config", "", "CARDIRECT XML configuration to serve")
 		greece          = fs.Bool("greece", false, "serve the built-in Fig. 11 Greece configuration")
-		pct             = fs.String("pct", "on", "percent-matrix tracking: on or off (off skips eager pct matrices; pct endpoints answer 422)")
-		workers         = fs.Int("workers", 0, "worker-pool size for batch and delta recomputation (0 = GOMAXPROCS)")
+		pct             = fs.String("pct", "on", "percent answers: on or off (on rejects zero-area regions at edit time; off makes pct endpoints answer 422; neither stores anything)")
+		workers         = fs.Int("workers", 0, "worker-pool size for batch and all-pairs computation (0 = GOMAXPROCS)")
 		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = none)")
 		maxBody         = fs.Int64("max-body", 1<<20, "request body size limit in bytes")
 		maxBulk         = fs.Int64("max-bulk", 64<<20, "POST /api/bulk body size limit in bytes (NDJSON streams)")
@@ -162,7 +162,7 @@ func run(args []string, stdout *os.File) error {
 		st := ps.Status()
 		logger.Info("data dir recovered",
 			"dir", st.Dir, "seq", st.Seq, "regions", st.Regions,
-			"seeded", st.SeededFromSnapshot, "replayed", st.ReplayedRecords,
+			"replayed", st.ReplayedRecords,
 			"recovery_ms", st.RecoveryNs/1e6, "fsync", policy.String())
 		if st.Corruption != "" {
 			logger.Warn("recovered past a torn WAL tail", "at", st.Corruption)

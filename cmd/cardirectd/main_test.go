@@ -212,15 +212,15 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 	var status struct {
 		Seq     uint64 `json:"seq"`
 		Err     string `json:"err"`
-		Seeded  bool   `json:"seeded_from_snapshot"`
+		From    string `json:"recovered_from"`
 		Skipped int    `json:"skipped_records"`
 	}
 	getJSON(t, base2, "/api/admin/status", &status)
 	if status.Err != "" || status.Skipped != 0 {
 		t.Fatalf("recovery not clean: %+v", status)
 	}
-	if !status.Seeded {
-		t.Error("recovery did not seed from the snapshot")
+	if status.From != "binary" {
+		t.Errorf("recovered from %q, want the binary snapshot", status.From)
 	}
 
 	var regions struct {

@@ -14,7 +14,7 @@
 //	E17    directions + topology + distance (future work #2)
 //	E18    all-pairs batch engine: sequential vs MBB-pruned vs parallel
 //	E19    zero-allocation percent batch × R-tree query pruning
-//	E20    incremental relation store: single-edit delta vs full recompute
+//	E20    relation store: single edit + re-read of touched pairs vs full recompute
 //	E21    raw-speed suite: SoA kernel, binary recovery, HTTP tail latency
 //	E22    cost-based query planner vs written order; plan cache warm vs cold
 //	E23    huge-world tier: LoD stack vs exact-only; streamed bulk ingest

@@ -100,63 +100,43 @@ func TestSaveDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestTrackSeededMatchesTrack checks the seeded fast path builds the same
-// store as the computing path, and that stale or incomplete relation lists
-// fall back to computing.
-func TestTrackSeededMatchesTrack(t *testing.T) {
+// TestTrackIgnoresMaterialisedRelations: a document's Relation list is
+// neither read nor trusted by Track — full, partial or wrong, the store
+// answers from geometry.
+func TestTrackIgnoresMaterialisedRelations(t *testing.T) {
 	opt := core.StoreOptions{Pct: true}
-
-	materialised := goldenImage(t)
-	trSeeded, seeded, err := TrackSeeded(materialised, opt)
+	bare := goldenImage(t)
+	bare.Relations = nil
+	reference, err := Track(bare, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seeded {
-		t.Fatal("fully materialised document did not seed")
-	}
-	reference, err := Track(goldenImage(t), opt)
+	wantPcts, err := reference.Store().PctPairs()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trSeeded.Store().Pairs(), reference.Store().Pairs()) {
-		t.Fatal("seeded tracked store differs from computed")
-	}
-	sp, err := trSeeded.Store().PctPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := reference.Store().PctPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sp {
-		if sp[i].Primary != rp[i].Primary || sp[i].Reference != rp[i].Reference || sp[i].Matrix != rp[i].Matrix {
-			t.Fatalf("pct pair %d differs: %+v vs %+v", i, sp[i], rp[i])
-		}
 	}
 
-	// Incomplete relation list: falls back to computing, same answers.
 	partial := goldenImage(t)
 	partial.Relations = partial.Relations[:2]
-	trPartial, seeded, err := TrackSeeded(partial, opt)
-	if err != nil {
-		t.Fatal(err)
+	wrong := goldenImage(t)
+	for i := range wrong.Relations {
+		wrong.Relations[i].Type = "B"
+		wrong.Relations[i].Pct = "100;0;0;0;0;0;0;0;0"
 	}
-	if seeded {
-		t.Fatal("partial relation list claimed the seeded path")
-	}
-	if !reflect.DeepEqual(trPartial.Store().Pairs(), reference.Store().Pairs()) {
-		t.Fatal("fallback tracked store differs from computed")
-	}
-
-	// Unparseable pct: also falls back.
-	broken := goldenImage(t)
-	broken.Relations[0].Pct = "not;a;matrix"
-	_, seeded, err = TrackSeeded(broken, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded {
-		t.Fatal("broken pct attribute claimed the seeded path")
+	for name, img := range map[string]*Image{"full": goldenImage(t), "partial": partial, "wrong": wrong} {
+		tr, err := Track(img, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(tr.Store().Pairs(), reference.Store().Pairs()) {
+			t.Errorf("%s relation list changed the tracked relations", name)
+		}
+		pcts, err := tr.Store().PctPairs()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(pcts, wantPcts) {
+			t.Errorf("%s relation list changed the tracked percentages", name)
+		}
 	}
 }

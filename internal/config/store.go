@@ -1,7 +1,6 @@
 package config
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -13,13 +12,14 @@ import (
 // Tracked couples an Image with a core.RelationStore and a maintained
 // index.Live R-tree, kept in sync with the image's edit methods through the
 // Watcher hooks: an AddRegion/RemoveRegion/RenameRegion/SetRegionGeometry
-// call updates the document, delta-updates the relation store (only the
-// touched row and column recompute) and moves the R-tree entry — no O(n²)
-// resweep, no index rebuild. This is the paper's interactive annotation
-// loop (§4) with an O(n) edit path.
+// call updates the document, prepares the touched region once — the store
+// and the index share that Prepared form — and moves the R-tree entry. No
+// pair is computed by an edit; relations are computed when they are read.
+// This is the paper's interactive annotation loop (§4) with an edit path
+// that does not depend on the number of regions.
 //
 // The watcher callbacks cannot reject an edit, so a failure while applying
-// a delta (it cannot arise from geometry the edit methods accept, since
+// one (it cannot arise from geometry the edit methods accept, since
 // they validate first — but a store fed out-of-band could diverge) is
 // latched into Err and every later edit is ignored until the caller
 // re-syncs.
@@ -43,7 +43,11 @@ type Tracked struct {
 
 // Track validates the image and builds the coupled relation store and live
 // index over its current regions (region ids are the store names), then
-// subscribes to the image's edits. Call Close to unsubscribe.
+// subscribes to the image's edits. Materialised Relation elements of the
+// document are dropped, neither read nor trusted: the store computes every
+// answer from geometry, and the Image edit methods would scan the O(n²)
+// list on every mutation (snapshots written before the store computed on
+// demand carry one). Call Close to unsubscribe.
 func Track(img *Image, opt core.StoreOptions) (*Tracked, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
@@ -56,93 +60,18 @@ func Track(img *Image, opt core.StoreOptions) (*Tracked, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := index.NewLive(regions)
+	ps := make([]*core.Prepared, len(regions))
+	for i, r := range regions {
+		ps[i], _ = store.Prepared(r.Name)
+	}
+	idx, err := index.NewLivePrepared(ps)
 	if err != nil {
 		return nil, err
 	}
+	img.Relations = nil
 	tr := &Tracked{img: img, store: store, idx: idx}
 	img.Watch(tr)
 	return tr, nil
-}
-
-// TrackSeeded is Track for documents whose materialised Relation list is
-// trusted: when the relations cover every ordered pair (with parseable pct
-// attributes when opt.Pct is set), the relation store is seeded from them
-// instead of recomputing all pairs — the recovery fast path of the
-// persistence subsystem, which only ever feeds back snapshots the store
-// itself wrote. An incomplete, stale or unparseable relation list silently
-// falls back to the computing path; the returned flag reports which path
-// was taken. Do not use on hand-edited documents: seeded relations are
-// served as-is, wrong values included.
-func TrackSeeded(img *Image, opt core.StoreOptions) (*Tracked, bool, error) {
-	if err := img.Validate(); err != nil {
-		return nil, false, err
-	}
-	seed, ok := seedFromRelations(img, opt.Pct)
-	if !ok {
-		tr, err := Track(img, opt)
-		return tr, false, err
-	}
-	regions := make([]core.NamedRegion, len(img.Regions))
-	for i := range img.Regions {
-		regions[i] = core.NamedRegion{Name: img.Regions[i].ID, Region: img.Regions[i].Geometry()}
-	}
-	store, err := core.NewRelationStoreSeeded(regions, seed, opt)
-	if errors.Is(err, core.ErrBadSeed) {
-		tr, err := Track(img, opt)
-		return tr, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	idx, err := index.NewLive(regions)
-	if err != nil {
-		return nil, false, err
-	}
-	// The seed has been consumed into the store; drop the O(n²) relation
-	// list from the live image, or every subsequent edit pays a full scan
-	// of it (Image edit methods filter the touched region's entries).
-	img.Relations = img.Relations[:0]
-	tr := &Tracked{img: img, store: store, idx: idx}
-	img.Watch(tr)
-	return tr, true, nil
-}
-
-// seedFromRelations converts the materialised Relation list into a store
-// seed, reporting false when the list cannot possibly cover all pairs or an
-// entry does not parse.
-func seedFromRelations(img *Image, withPct bool) (core.StoreSeed, bool) {
-	n := len(img.Regions)
-	want := n * (n - 1)
-	if len(img.Relations) != want {
-		return core.StoreSeed{}, false
-	}
-	seed := core.StoreSeed{Pairs: make([]core.PairRelation, 0, want)}
-	if withPct {
-		seed.Pcts = make([]core.PairPercent, 0, want)
-	}
-	for _, rel := range img.Relations {
-		r, err := core.ParseRelation(rel.Type)
-		if err != nil {
-			return core.StoreSeed{}, false
-		}
-		seed.Pairs = append(seed.Pairs, core.PairRelation{
-			Primary: rel.Primary, Reference: rel.Reference, Relation: r,
-		})
-		if withPct {
-			if rel.Pct == "" {
-				return core.StoreSeed{}, false
-			}
-			m, err := ParsePct(rel.Pct)
-			if err != nil {
-				return core.StoreSeed{}, false
-			}
-			seed.Pcts = append(seed.Pcts, core.PairPercent{
-				Primary: rel.Primary, Reference: rel.Reference, Matrix: m,
-			})
-		}
-	}
-	return seed, true
 }
 
 // Store returns the maintained relation store.
@@ -154,7 +83,7 @@ func (tr *Tracked) Index() *index.Live { return tr.idx }
 // Image returns the tracked document.
 func (tr *Tracked) Image() *Image { return tr.img }
 
-// Err returns the first delta-application failure, or nil. A non-nil value
+// Err returns the first edit-application failure, or nil. A non-nil value
 // means the store and index no longer reflect the image and must be rebuilt
 // with a fresh Track.
 func (tr *Tracked) Err() error {
@@ -185,7 +114,7 @@ func (tr *Tracked) View(fn func(img *Image) error) error {
 
 // AddRegion is Image.AddRegion under the write lock: the document, relation
 // store and live index all advance before any reader observes the new
-// region. A previously latched delta failure short-circuits.
+// region. A previously latched failure short-circuits.
 func (tr *Tracked) AddRegion(id, name, color string, g geom.Region) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -246,9 +175,9 @@ type BulkRegion struct {
 // BulkAddRegions ingests many regions as one edit: every region is
 // validated first (empty or duplicate id, invalid geometry — the same
 // checks as Image.AddRegion — leave everything unchanged), then the
-// relation store advances through ONE batched recomputation
-// (core.RelationStore.AddBulk) instead of per-region 2(n−1) deltas, and
-// the document and R-tree follow. The document mutation is applied
+// relation store takes them all in one generation bump
+// (core.RelationStore.AddBulk), and the document and R-tree follow. The
+// document mutation is applied
 // directly rather than through Image.AddRegion, so Image watchers other
 // than the Tracked itself are NOT notified per region — the store and
 // index are updated here, batched.
@@ -286,16 +215,26 @@ func (tr *Tracked) BulkAddRegions(regions []BulkRegion) error {
 		reg := Region{ID: r.ID, Name: r.Name, Color: r.Color}
 		reg.SetGeometry(r.Geometry)
 		tr.img.Regions = append(tr.img.Regions, reg)
-		tr.fail(tr.idx.Add(r.ID, r.Geometry))
+		tr.fail(tr.indexPrepared(r.ID, tr.idx.AddPrepared))
 	}
 	return tr.err
 }
 
-// fail latches the first delta failure.
+// fail latches the first failure.
 func (tr *Tracked) fail(err error) {
 	if tr.err == nil && err != nil {
 		tr.err = err
 	}
+}
+
+// indexPrepared hands the store's Prepared form of id to one of the index's
+// edit methods, so a region is prepared once per edit, not once per owner.
+func (tr *Tracked) indexPrepared(id string, edit func(*core.Prepared) error) error {
+	p, ok := tr.store.Prepared(id)
+	if !ok {
+		return fmt.Errorf("config: region %q: %w", id, core.ErrUnknownRegion)
+	}
+	return edit(p)
 }
 
 // RegionAdded implements Watcher.
@@ -307,7 +246,7 @@ func (tr *Tracked) RegionAdded(id string, g geom.Region) {
 		tr.fail(fmt.Errorf("config: tracking add %q: %w", id, err))
 		return
 	}
-	tr.fail(tr.idx.Add(id, g))
+	tr.fail(tr.indexPrepared(id, tr.idx.AddPrepared))
 }
 
 // RegionRemoved implements Watcher.
@@ -343,26 +282,24 @@ func (tr *Tracked) RegionGeometryChanged(id string, g geom.Region) {
 		tr.fail(fmt.Errorf("config: tracking geometry %q: %w", id, err))
 		return
 	}
-	tr.fail(tr.idx.SetGeometry(id, g))
+	tr.fail(tr.indexPrepared(id, tr.idx.SetPrepared))
 }
 
-// Materialize writes the store's cached relations into the image's Relation
-// list — the store-backed replacement for ComputeRelations after an edit
-// sequence, costing a copy instead of an O(n²) recompute. The list stays in
-// the live image and every subsequent edit pays a full scan of it; encoders
-// should prefer WithMaterialized, which strips it again.
+// Materialize computes every pair's relation from the store and writes the
+// result into the image's Relation list — the export path for the paper's
+// DTD document with its <Relation> elements. The list is O(n²), stays in
+// the live image, and every subsequent edit pays a full scan of it;
+// encoders should prefer WithMaterialized, which strips it again.
 func (tr *Tracked) Materialize(withPct bool) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.materializeLocked(withPct)
 }
 
-// WithMaterialized runs f over the image with the store's cached relations
+// WithMaterialized runs f over the image with every pair's relation
 // materialised into it, then strips the relation list again before
 // returning. The list is O(n²) and the Image edit methods filter it on
-// every mutation, so a live image must not keep it between encodes — a
-// snapshot taken on a 900-region world would otherwise slow every later
-// edit by two orders of magnitude.
+// every mutation, so a live image must not keep it between encodes.
 func (tr *Tracked) WithMaterialized(withPct bool, f func(*Image) error) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -370,7 +307,7 @@ func (tr *Tracked) WithMaterialized(withPct bool, f func(*Image) error) error {
 		return err
 	}
 	err := f(tr.img)
-	tr.img.Relations = tr.img.Relations[:0]
+	tr.img.Relations = nil
 	return err
 }
 

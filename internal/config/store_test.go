@@ -95,31 +95,30 @@ func TestTrackedFollowsEdits(t *testing.T) {
 	}
 }
 
-// TestTrackedDeltaGranularity: the edits arriving through the image drive
-// the store's delta path, not full recomputes.
-func TestTrackedDeltaGranularity(t *testing.T) {
+// TestTrackedEditsRunNoKernels: an edit arriving through the image prepares
+// the touched region and nothing else — no pair is computed until one is
+// read.
+func TestTrackedEditsRunNoKernels(t *testing.T) {
 	img := Greece()
-	n := len(img.Regions)
 	tr, err := Track(img, core.StoreOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if got := tr.Store().Stats().DeltaPairs; got != 0 {
-		t.Fatalf("initial DeltaPairs = %d, want 0", got)
-	}
 	if err := img.SetRegionGeometry("attica", sqRegion(24.5, 38.5, 25.0, 39.0)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.Store().Stats().DeltaPairs, 2*(n-1); got != want {
-		t.Errorf("geometry edit DeltaPairs = %d, want %d", got, want)
-	}
-	before := tr.Store().Stats().DeltaPairs
 	if err := img.RenameRegion("attica", "akte"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Store().Stats().DeltaPairs; got != before {
-		t.Errorf("rename recomputed pairs: DeltaPairs %d -> %d", before, got)
+	if got := tr.Store().Stats(); got != (core.StoreStats{}) {
+		t.Errorf("edits ran kernels: %+v", got)
+	}
+	if _, err := tr.Store().Relation("akte", "peloponnesos"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Store().Stats().Passes; got != 1 {
+		t.Errorf("one read answered %d pairs", got)
 	}
 }
 

@@ -12,11 +12,10 @@ package core
 // dropped.
 //
 // An Arena never frees individual regions: memory is reclaimed only when
-// every Prepared built from it becomes unreachable. Long-lived stores that
-// replace regions in place (RelationStore.SetGeometry) therefore prepare
-// replacements outside the arena; the store's bulk construction paths
-// (NewRelationStore, NewRelationStoreSeeded, the batch engines' self-prepare)
-// all draw from one.
+// every Prepared built from it becomes unreachable. A long-lived store
+// that replaces regions one by one (RelationStore) therefore prepares each
+// region on its own; the one-shot bulk paths (PrepareAll, the batch
+// engines' self-prepare, LoD worlds) draw from one.
 //
 // A nil *Arena is valid and falls back to plain per-call allocations, so
 // construction paths take an optional arena without branching at every site.

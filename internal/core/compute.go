@@ -27,15 +27,13 @@ type Stats struct {
 	PrunePctTile int // mbb(primary) strictly inside one tile → O(1) matrix
 	PrunePctPoly int // every polygon box strictly inside one tile → O(#polygons)
 
-	// DeltaPairs counts pair computations performed by RelationStore delta
-	// recomputations (2(n−1) per Add/SetGeometry edit); the initial build
-	// and the batch engines leave it zero.
+	// DeltaPairs is always zero: the RelationStore computes pairs on demand
+	// and an edit recomputes none. The field stays because the benchmark
+	// harness reports it (core.delta_pairs_per_edit).
 	DeltaPairs int
 
-	// BulkBatches counts batched recomputations performed by
-	// RelationStore.AddBulk — one per bulk ingest, regardless of how many
-	// regions arrive, where the per-region edit path would have paid a
-	// 2(n−1)-pair delta each (see DeltaPairs).
+	// BulkBatches counts RelationStore.AddBulk edits — one per bulk
+	// ingest, regardless of how many regions arrive.
 	BulkBatches int
 
 	// LoD-tier counters (see LoD, LoDWorld): pairs answered from the

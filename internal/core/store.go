@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,398 +17,177 @@ var ErrUnknownRegion = errors.New("core: unknown region")
 
 // StoreOptions configures a RelationStore.
 type StoreOptions struct {
-	// Workers is the worker-pool size used for the initial build and for
-	// every delta recomputation; values ≤ 0 mean GOMAXPROCS.
+	// Workers is the worker-pool size of the all-pairs reads (Pairs,
+	// PctPairs); values ≤ 0 mean GOMAXPROCS.
 	Workers int
-	// Pct additionally maintains the quantitative results (percent matrix
-	// and per-tile areas) for every ordered pair. It requires every region
-	// to have positive area, like the quantitative batch engine.
+	// Pct enables the quantitative reads (Percent, Areas, PctPairs). It
+	// requires every region to have positive area, like the quantitative
+	// batch engine, and the edit methods reject regions that do not.
 	Pct bool
 }
 
-// pctCell is one quantitative slot of the store's pair matrix.
-type pctCell struct {
-	matrix PercentMatrix
-	areas  TileAreas
-}
+// Kernel stages a served pair can be decided by: one counter each, bumped
+// once per answered pair.
+const (
+	stageSingleTile = iota // qualitative, mbb(primary) inside one tile
+	stageBand              // qualitative, mbb(primary) inside one row/column
+	stageExact             // qualitative, full edge pass
+	stagePctTile           // quantitative, mbb(primary) inside one tile
+	stagePctPoly           // quantitative, every polygon box inside one tile
+	stagePctExact          // quantitative, full edge pass
+	numStages
+)
 
 // RelationStore is the stateful heart of an interactive CARDIRECT session:
-// it owns the Prepared form of a set of named regions together with the
-// cached cardinal direction relation — and, with StoreOptions.Pct, the
-// percent matrix — of every ordered pair. Where the batch engines answer
-// "annotate this configuration once", the store answers "keep the all-pairs
-// network fresh while regions are added, moved, renamed and deleted": each
-// edit re-prepares only the touched region and recomputes only its row and
-// column (2(n−1) pairs, counted in Stats.DeltaPairs) through the same
-// MBB-pruned worker pool, instead of the O(n²) full sweep.
+// it owns the Prepared form of a set of named regions and answers the
+// cardinal direction relation — and, with StoreOptions.Pct, the percent
+// matrix — of any ordered pair by running the paper's linear-time kernels
+// on demand. A Prepared pair costs tens to hundreds of nanoseconds, less
+// than the cache miss of looking it up in an n² matrix, so nothing
+// quadratic is held: the store is O(n) in memory, an edit is one Prepare
+// plus a pointer swap, and every answer is by construction what a
+// from-scratch batch recompute over the current regions would give.
 //
-// A store is safe for concurrent use: an RWMutex lets any number of readers
-// (Relation, Percent, Pairs, Names, ...) overlap, while the edit methods
-// (Add, Remove, SetGeometry, Rename) take the write side, so readers never
-// observe a half-applied delta. All query results are deterministic and
-// identical to a from-scratch batch recompute over the current regions.
+// A store is safe for concurrent use. Reads fetch the Prepared pointers
+// they need under the read side of an RWMutex and run the kernel outside
+// it (Prepared values are immutable), so an edit waits for map lookups,
+// never for geometry; the edit methods (Add, AddBulk, Remove, SetGeometry,
+// Rename) take the write side.
 type RelationStore struct {
 	opt StoreOptions
 
-	// mu guards every field below: read methods take the read side, edits
-	// (and their delta recomputations) the write side. The delta worker
-	// pool runs entirely under the write lock, so its internal data races
-	// are impossible by construction.
-	mu sync.RWMutex
+	// mu guards ps and idx. Readers copy the pointers they need and drop
+	// the lock before computing.
+	mu  sync.RWMutex
+	ps  []*Prepared    // slot order: insertion order, compacted on Remove
+	idx map[string]int // region name → slot
 
-	ps   []*Prepared    // slot order: insertion order, compacted on Remove
-	idx  map[string]int // region name → slot
-	rels [][]Relation   // rels[i][j] = relation of ps[i] against ps[j]; diagonal unused
-	pcts [][]pctCell    // parallel quantitative matrix; nil unless opt.Pct
-
-	// gen counts successful edits (Add, Remove, SetGeometry, Rename). It is
-	// atomic so readers can poll it without taking mu: the query planner's
-	// plan cache re-plans when it moves, and the HTTP layer serves it as an
-	// ETag so repeat readers short-circuit to 304.
+	// gen counts successful edits (Add, AddBulk, Remove, SetGeometry,
+	// Rename). It is atomic so readers can poll it without taking mu: the
+	// query planner's plan cache re-plans when it moves, and the HTTP layer
+	// serves it as an ETag so repeat readers short-circuit to 304.
 	gen atomic.Uint64
 
-	stats Stats
+	// Readers run kernels concurrently, so the instrumentation is atomic.
+	served [numStages]atomic.Int64
+	bulks  atomic.Int64
 }
 
 // Generation returns the store's monotonic edit counter: 0 for a freshly
-// built store, +1 after every successful Add, Remove, SetGeometry or Rename.
-// Two reads returning the same value bracket a window with no edits, which
-// is what makes it usable as a cache validator (ETag, plan cache).
+// built store, +1 after every successful Add, AddBulk, Remove, SetGeometry
+// or Rename. Two reads returning the same value bracket a window with no
+// edits, which is what makes it usable as a cache validator (ETag, plan
+// cache).
 func (s *RelationStore) Generation() uint64 { return s.gen.Load() }
 
 // SetGeneration overwrites the edit counter. Replication uses it to align a
-// replica's generation with the primary's: a replica seeds its store from a
+// replica's generation with the primary's: a replica builds its store from a
 // snapshot (generation 0 locally, G on the primary) and adopts G so ETags
 // agree byte-for-byte at the same logical state. Outside replication the
 // counter should only ever move via edits.
 func (s *RelationStore) SetGeneration(v uint64) { s.gen.Store(v) }
 
-// NewRelationStore builds a store over the given regions, computing the full
-// all-pairs network once through the batch engines (MBB pruning, worker
-// pool). Region names must be unique and non-empty; every region must be
-// usable as a reference (non-degenerate bounding box), and with opt.Pct as a
-// quantitative primary (positive area).
+// NewRelationStore builds a store over the given regions: one Prepare per
+// region, no pair is computed. Region names must be unique and non-empty;
+// every region must be usable as a reference (non-degenerate bounding box),
+// and with opt.Pct as a quantitative primary (positive area).
 func NewRelationStore(regions []NamedRegion, opt StoreOptions) (*RelationStore, error) {
-	ps, err := PrepareAll(regions)
+	s := &RelationStore{opt: opt, idx: make(map[string]int, len(regions))}
+	ps, err := s.admit(regions)
 	if err != nil {
 		return nil, err
 	}
-	s := &RelationStore{opt: opt, idx: make(map[string]int, len(ps))}
-	// Name-sorted initial layout: the batch engines emit row-major
-	// (primary, reference) results over the sorted names, so their output
-	// scatters into the matrix with plain index arithmetic.
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
-	for i, p := range ps {
-		if err := s.usable(p); err != nil {
-			return nil, err
-		}
-		s.idx[p.Name] = i
-	}
-	s.ps = ps
-	n := len(ps)
-	s.rels = make([][]Relation, n)
-	for i := range s.rels {
-		s.rels[i] = make([]Relation, n)
-	}
-	if opt.Pct {
-		s.pcts = make([][]pctCell, n)
-		for i := range s.pcts {
-			s.pcts[i] = make([]pctCell, n)
-		}
-	}
-	if n < 2 {
-		return s, nil
-	}
-	pairs, st, err := ComputeAllPairsPrepared(ps, BatchOptions{Workers: opt.Workers})
-	if err != nil {
-		return nil, err
-	}
-	s.stats.Merge(st)
-	k := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			s.rels[i][j] = pairs[k].Relation
-			k++
-		}
-	}
-	if opt.Pct {
-		pcts, st, err := ComputeAllPairsPctPrepared(ps, BatchOptions{Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-		s.stats.Merge(st)
-		k = 0
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				s.pcts[i][j] = pctCell{matrix: pcts[k].Matrix, areas: pcts[k].Areas}
-				k++
-			}
-		}
-	}
+	s.install(ps)
 	return s, nil
 }
 
-// usable rejects regions the store cannot hold: degenerate bounding boxes
-// (unusable as a reference) always, zero total area when the store maintains
-// percentages.
-func (s *RelationStore) usable(p *Prepared) error {
+// admit validates and prepares regions about to enter the store: names
+// non-empty and unique among themselves and against the held regions,
+// geometry the store can answer for — a non-degenerate bounding box (usable
+// as a reference) always, positive area when the store answers percentages.
+// Each region is prepared on its own, not from a shared Arena: an arena
+// frees nothing until every region carved from it is gone, and a store's
+// regions are replaced one by one for as long as it lives. Callers that
+// edit hold the write lock.
+func (s *RelationStore) admit(regions []NamedRegion) ([]*Prepared, error) {
+	ps := make([]*Prepared, len(regions))
+	batch := make(map[string]bool, len(regions))
+	for i, r := range regions {
+		if r.Name == "" {
+			return nil, fmt.Errorf("core: empty region name")
+		}
+		if _, held := s.idx[r.Name]; held || batch[r.Name] {
+			return nil, fmt.Errorf("core: duplicate region name %q", r.Name)
+		}
+		batch[r.Name] = true
+		p, err := s.prepare(r.Name, r.Region)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
+	}
+	return ps, nil
+}
+
+// prepare prepares one region and rejects geometry the store cannot answer
+// for (see admit).
+func (s *RelationStore) prepare(name string, r geom.Region) (*Prepared, error) {
+	p, err := Prepare(name, r)
+	if err != nil {
+		return nil, err
+	}
 	if p.gridErr != nil {
-		return fmt.Errorf("core: region %q: %w", p.Name, p.gridErr)
+		return nil, fmt.Errorf("core: region %q: %w", name, p.gridErr)
 	}
 	if s.opt.Pct && p.totalArea <= 0 {
-		return fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
+		return nil, fmt.Errorf("core: region %q has zero area: %w", name, ErrDegenerateRegion)
 	}
-	return nil
+	return p, nil
 }
 
-// workers resolves the pool size for a delta touching n regions.
-func (s *RelationStore) workers(n int) int {
-	w := s.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// install appends admitted regions to the slot table.
+func (s *RelationStore) install(ps []*Prepared) {
+	for i, p := range ps {
+		s.idx[p.Name] = len(s.ps) + i
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	s.ps = append(s.ps, ps...)
 }
 
-// recompute refreshes slot i's row (i as primary) and column (i as
-// reference) against every other region — the store's delta unit, 2(n−1)
-// pairs on the worker pool. Pairs not involving slot i are untouched.
-func (s *RelationStore) recompute(i int) error {
-	n := len(s.ps)
-	if n < 2 {
-		return nil
-	}
-	a := s.ps[i]
-	var next atomic.Int64
-	var mu sync.Mutex
-	var total Stats
-	errs := make([]error, n)
-	work := func() {
-		sc := getScratch()
-		defer putScratch(sc)
-		var st Stats
-		for {
-			j := int(next.Add(1) - 1)
-			if j >= n {
-				break
-			}
-			if j == i {
-				continue
-			}
-			b := s.ps[j]
-			// Each worker writes only the cells of its claimed j — row cell
-			// (i, j) and column cell (j, i) — so no two workers race.
-			s.rels[i][j] = a.relate(b.grid, b.center, false, false, sc, &st)
-			s.rels[j][i] = b.relate(a.grid, a.center, false, false, sc, &st)
-			st.Passes += 2
-			st.DeltaPairs += 2
-			if s.pcts != nil {
-				cij := &s.pcts[i][j]
-				tot, err := a.relatePctAreasInto(&cij.areas, b.grid, false, false, sc, &st)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				percentInto(&cij.matrix, &cij.areas, tot)
-				cji := &s.pcts[j][i]
-				tot, err = b.relatePctAreasInto(&cji.areas, a.grid, false, false, sc, &st)
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				percentInto(&cji.matrix, &cji.areas, tot)
-			}
-		}
-		mu.Lock()
-		total.Merge(st)
-		mu.Unlock()
-	}
-	runPool(s.workers(n), work)
-	s.stats.Merge(total)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Add inserts a new region and computes its relations against every held
-// region — one Prepare plus 2(n−1) pair computations, not a full sweep. The
-// name must be unique and non-empty.
+// Add inserts a new region — one Prepare and a slot append. The name must
+// be unique and non-empty.
 func (s *RelationStore) Add(name string, r geom.Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if name == "" {
-		return fmt.Errorf("core: empty region name")
-	}
-	if _, ok := s.idx[name]; ok {
-		return fmt.Errorf("core: duplicate region name %q", name)
-	}
-	p, err := Prepare(name, r)
+	ps, err := s.admit([]NamedRegion{{Name: name, Region: r}})
 	if err != nil {
 		return err
 	}
-	if err := s.usable(p); err != nil {
-		return err
-	}
-	i := len(s.ps)
-	s.ps = append(s.ps, p)
-	s.idx[name] = i
-	for j := range s.rels {
-		s.rels[j] = append(s.rels[j], 0)
-	}
-	s.rels = append(s.rels, make([]Relation, i+1))
-	if s.pcts != nil {
-		for j := range s.pcts {
-			s.pcts[j] = append(s.pcts[j], pctCell{})
-		}
-		s.pcts = append(s.pcts, make([]pctCell, i+1))
-	}
+	s.install(ps)
 	s.gen.Add(1)
-	return s.recompute(i)
+	return nil
 }
 
 // AddBulk inserts many regions in one edit: every region is validated and
-// prepared up front (on failure the store is unchanged), the matrix grows
-// once, and the pairs touching new slots are recomputed in ONE batched
-// worker-pool sweep — counted as a single Stats.BulkBatches increment and
-// zero DeltaPairs, where the per-region Add path would have paid k
-// separate 2(n−1)-pair deltas. One generation bump for the whole batch.
+// prepared up front (on failure the store is unchanged), then all of them
+// become visible together under one generation bump, counted as one
+// Stats.BulkBatches.
 func (s *RelationStore) AddBulk(regions []NamedRegion) error {
 	if len(regions) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	added := make([]*Prepared, 0, len(regions))
-	batch := make(map[string]bool, len(regions))
-	for _, r := range regions {
-		if r.Name == "" {
-			return fmt.Errorf("core: empty region name")
-		}
-		if _, ok := s.idx[r.Name]; ok {
-			return fmt.Errorf("core: duplicate region name %q", r.Name)
-		}
-		if batch[r.Name] {
-			return fmt.Errorf("core: duplicate region name %q", r.Name)
-		}
-		batch[r.Name] = true
-		p, err := Prepare(r.Name, r.Region)
-		if err != nil {
-			return err
-		}
-		if err := s.usable(p); err != nil {
-			return err
-		}
-		added = append(added, p)
+	ps, err := s.admit(regions)
+	if err != nil {
+		return err
 	}
-	n0 := len(s.ps)
-	n := n0 + len(added)
-	for i, p := range added {
-		s.idx[p.Name] = n0 + i
-	}
-	s.ps = append(s.ps, added...)
-	for j := range s.rels {
-		s.rels[j] = append(s.rels[j], make([]Relation, len(added))...)
-	}
-	for i := n0; i < n; i++ {
-		s.rels = append(s.rels, make([]Relation, n))
-	}
-	if s.pcts != nil {
-		for j := range s.pcts {
-			s.pcts[j] = append(s.pcts[j], make([]pctCell, len(added))...)
-		}
-		for i := n0; i < n; i++ {
-			s.pcts = append(s.pcts, make([]pctCell, n))
-		}
-	}
+	s.install(ps)
 	s.gen.Add(1)
-	if n < 2 {
-		s.stats.BulkBatches++
-		return nil
-	}
-
-	// One sweep over the pairs a new slot participates in: each worker
-	// claims a new slot i and fills row i (i as primary against everyone,
-	// old and new) plus the old-region column cells (j, i) for j < n0; the
-	// (new j, i) column cells are row j's work, so no two workers race.
-	var next atomic.Int64
-	var mu sync.Mutex
-	var total Stats
-	errs := make([]error, len(added))
-	work := func() {
-		sc := getScratch()
-		defer putScratch(sc)
-		var st Stats
-		for {
-			k := int(next.Add(1) - 1)
-			if k >= len(added) {
-				break
-			}
-			i := n0 + k
-			a := s.ps[i]
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				b := s.ps[j]
-				s.rels[i][j] = a.relate(b.grid, b.center, false, false, sc, &st)
-				st.Passes++
-				if j < n0 {
-					s.rels[j][i] = b.relate(a.grid, a.center, false, false, sc, &st)
-					st.Passes++
-				}
-				if s.pcts != nil {
-					cij := &s.pcts[i][j]
-					tot, err := a.relatePctAreasInto(&cij.areas, b.grid, false, false, sc, &st)
-					if err != nil {
-						errs[k] = err
-						continue
-					}
-					percentInto(&cij.matrix, &cij.areas, tot)
-					if j < n0 {
-						cji := &s.pcts[j][i]
-						tot, err = b.relatePctAreasInto(&cji.areas, a.grid, false, false, sc, &st)
-						if err != nil {
-							errs[k] = err
-							continue
-						}
-						percentInto(&cji.matrix, &cji.areas, tot)
-					}
-				}
-			}
-		}
-		mu.Lock()
-		total.Merge(st)
-		mu.Unlock()
-	}
-	runPool(s.workers(len(added)), work)
-	total.BulkBatches++
-	s.stats.Merge(total)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	s.bulks.Add(1)
 	return nil
 }
 
-// Remove deletes a region and every cached pair mentioning it, shrinking the
-// matrix in O(n) with no recomputation: the surviving pairs are unaffected
-// by the deletion.
+// Remove deletes a region, moving the last slot into the vacated one.
 func (s *RelationStore) Remove(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -417,46 +195,21 @@ func (s *RelationStore) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("core: region %q: %w", name, ErrUnknownRegion)
 	}
-	n := len(s.ps)
-	last := n - 1
+	last := len(s.ps) - 1
 	if i != last {
-		// Compact: move the last slot into the vacated one.
 		s.ps[i] = s.ps[last]
 		s.idx[s.ps[i].Name] = i
-		s.rels[i] = s.rels[last]
-		if s.pcts != nil {
-			s.pcts[i] = s.pcts[last]
-		}
 	}
 	s.ps[last] = nil
 	s.ps = s.ps[:last]
-	s.rels[last] = nil
-	s.rels = s.rels[:last]
-	for j := range s.rels {
-		if i != last {
-			s.rels[j][i] = s.rels[j][last]
-		}
-		s.rels[j] = s.rels[j][:last]
-	}
-	if s.pcts != nil {
-		s.pcts[last] = nil
-		s.pcts = s.pcts[:last]
-		for j := range s.pcts {
-			if i != last {
-				s.pcts[j][i] = s.pcts[j][last]
-			}
-			s.pcts[j] = s.pcts[j][:last]
-		}
-	}
 	delete(s.idx, name)
 	s.gen.Add(1)
 	return nil
 }
 
-// SetGeometry replaces a region's geometry, re-preparing it and recomputing
-// exactly its row and column — the edit CARDIRECT's interactive move/resize
-// operations map to. On error (degenerate replacement) the store is
-// unchanged.
+// SetGeometry replaces a region's geometry — one Prepare and a pointer
+// swap, the edit CARDIRECT's interactive move/resize operations map to. On
+// error (degenerate replacement) the store is unchanged.
 func (s *RelationStore) SetGeometry(name string, r geom.Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -464,21 +217,17 @@ func (s *RelationStore) SetGeometry(name string, r geom.Region) error {
 	if !ok {
 		return fmt.Errorf("core: region %q: %w", name, ErrUnknownRegion)
 	}
-	p, err := Prepare(name, r)
+	p, err := s.prepare(name, r)
 	if err != nil {
-		return err
-	}
-	if err := s.usable(p); err != nil {
 		return err
 	}
 	s.ps[i] = p
 	s.gen.Add(1)
-	return s.recompute(i)
+	return nil
 }
 
-// Rename changes a region's name without touching geometry: every cached
-// relation survives, and Stats.DeltaPairs does not move. The new name must
-// be unique and non-empty.
+// Rename changes a region's name without touching geometry. The new name
+// must be unique and non-empty.
 func (s *RelationStore) Rename(oldName, newName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -545,171 +294,213 @@ func (s *RelationStore) Prepared(name string) (*Prepared, bool) {
 	return s.ps[i], true
 }
 
-// pair resolves an ordered pair's slots.
-func (s *RelationStore) pair(primary, reference string) (int, int, error) {
+// pair fetches the Prepared forms of an ordered pair under one lock
+// acquisition, so both sides belong to the same store state.
+func (s *RelationStore) pair(primary, reference string) (a, b *Prepared, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	i, ok := s.idx[primary]
 	if !ok {
-		return 0, 0, fmt.Errorf("core: region %q: %w", primary, ErrUnknownRegion)
+		return nil, nil, fmt.Errorf("core: region %q: %w", primary, ErrUnknownRegion)
 	}
 	j, ok := s.idx[reference]
 	if !ok {
-		return 0, 0, fmt.Errorf("core: region %q: %w", reference, ErrUnknownRegion)
+		return nil, nil, fmt.Errorf("core: region %q: %w", reference, ErrUnknownRegion)
 	}
 	if i == j {
-		return 0, 0, fmt.Errorf("core: relation of region %q against itself is not stored", primary)
+		return nil, nil, fmt.Errorf("core: relation of region %q against itself is not defined", primary)
 	}
-	return i, j, nil
+	return s.ps[i], s.ps[j], nil
 }
 
-// Relation returns the cached cardinal direction relation of primary against
-// reference — an O(1) lookup, never a recomputation.
+// pctPair is pair for the quantitative reads.
+func (s *RelationStore) pctPair(primary, reference string) (a, b *Prepared, err error) {
+	if !s.opt.Pct {
+		return nil, nil, errNoPct
+	}
+	return s.pair(primary, reference)
+}
+
+var errNoPct = errors.New("core: store does not answer percentages (StoreOptions.Pct)")
+
+// relate runs Compute-CDR on one pair and counts the stage that decided it.
+// The struct-of-arrays kernels keep their working set in registers and
+// never touch the Scratch, so a zero one on the stack satisfies them: no
+// pool round-trip per pair, and no allocation even where sync.Pool drops
+// items (under the race detector).
+func (s *RelationStore) relate(a, b *Prepared) Relation {
+	var st Stats
+	var sc Scratch
+	rel := a.relate(b.grid, b.center, false, false, &sc, &st)
+	switch {
+	case st.PruneSingleTile != 0:
+		s.served[stageSingleTile].Add(1)
+	case st.PruneBand != 0:
+		s.served[stageBand].Add(1)
+	default:
+		s.served[stageExact].Add(1)
+	}
+	return rel
+}
+
+// relatePct runs Compute-CDR% on one pair and counts the stage that decided
+// it.
+func (s *RelationStore) relatePct(a, b *Prepared) (PercentMatrix, TileAreas, error) {
+	var st Stats
+	var sc Scratch
+	m, areas, err := a.relatePct(b.grid, false, false, &sc, &st)
+	switch {
+	case st.PrunePctTile != 0:
+		s.served[stagePctTile].Add(1)
+	case st.PrunePctPoly != 0:
+		s.served[stagePctPoly].Add(1)
+	default:
+		s.served[stagePctExact].Add(1)
+	}
+	return m, areas, err
+}
+
+// Relation returns the cardinal direction relation of primary against
+// reference, computed from the held Prepared forms.
 func (s *RelationStore) Relation(primary, reference string) (Relation, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i, j, err := s.pair(primary, reference)
+	a, b, err := s.pair(primary, reference)
 	if err != nil {
 		return 0, err
 	}
-	return s.rels[i][j], nil
+	return s.relate(a, b), nil
 }
 
-// Percent returns the cached percent matrix of primary against reference.
-// The store must have been built with StoreOptions.Pct.
+// Percent returns the percent matrix of primary against reference. The
+// store must have been built with StoreOptions.Pct.
 func (s *RelationStore) Percent(primary, reference string) (PercentMatrix, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.pcts == nil {
-		return PercentMatrix{}, fmt.Errorf("core: store does not maintain percentages (StoreOptions.Pct)")
-	}
-	i, j, err := s.pair(primary, reference)
+	a, b, err := s.pctPair(primary, reference)
 	if err != nil {
 		return PercentMatrix{}, err
 	}
-	return s.pcts[i][j].matrix, nil
+	m, _, err := s.relatePct(a, b)
+	return m, err
+}
+
+// Areas returns the per-tile areas of primary against reference. The store
+// must have been built with StoreOptions.Pct.
+func (s *RelationStore) Areas(primary, reference string) (TileAreas, error) {
+	a, b, err := s.pctPair(primary, reference)
+	if err != nil {
+		return TileAreas{}, err
+	}
+	_, areas, err := s.relatePct(a, b)
+	return areas, err
+}
+
+// RelationPercent returns the relation and the percent matrix of one pair
+// computed from the same two Prepared forms, fetched once: an edit landing
+// between a Relation and a Percent call cannot pair one generation's
+// relation with the next one's matrix. The store must have been built with
+// StoreOptions.Pct.
+func (s *RelationStore) RelationPercent(primary, reference string) (Relation, PercentMatrix, error) {
+	a, b, err := s.pctPair(primary, reference)
+	if err != nil {
+		return 0, PercentMatrix{}, err
+	}
+	rel := s.relate(a, b)
+	m, _, err := s.relatePct(a, b)
+	return rel, m, err
 }
 
 // CountRelated counts, over every held region other than pinned, how many
-// have a cached relation in the allowed set against pinned — the region read
-// as primary and pinned as reference when pinnedIsRef, the transpose
-// otherwise. One row (or column) scan under the read lock, no geometry: the
-// query planner uses the (matched, total) pair as an exact selectivity for a
-// relation condition with one side pinned.
+// have a relation in the allowed set against pinned — the region read as
+// primary and pinned as reference when pinnedIsRef, the transpose
+// otherwise. One row (or column) of kernel runs: the query planner uses the
+// (matched, total) pair as an exact selectivity for a relation condition
+// with one side pinned.
 func (s *RelationStore) CountRelated(pinned string, allowed RelationSet, pinnedIsRef bool) (matched, total int, err error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	i, ok := s.idx[pinned]
+	ps := append([]*Prepared(nil), s.ps...)
+	s.mu.RUnlock()
 	if !ok {
 		return 0, 0, fmt.Errorf("core: region %q: %w", pinned, ErrUnknownRegion)
 	}
-	for j := range s.ps {
+	for j, p := range ps {
 		if j == i {
 			continue
 		}
 		total++
-		var rel Relation
+		a, b := ps[i], p
 		if pinnedIsRef {
-			rel = s.rels[j][i]
-		} else {
-			rel = s.rels[i][j]
+			a, b = p, ps[i]
 		}
-		if allowed.Contains(rel) {
+		if allowed.Contains(s.relate(a, b)) {
 			matched++
 		}
 	}
 	return matched, total, nil
 }
 
-// Areas returns the cached per-tile areas of primary against reference. The
-// store must have been built with StoreOptions.Pct.
-func (s *RelationStore) Areas(primary, reference string) (TileAreas, error) {
+// all copies the held Prepared pointers for an all-pairs read.
+func (s *RelationStore) all() []*Prepared {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.pcts == nil {
-		return TileAreas{}, fmt.Errorf("core: store does not maintain percentages (StoreOptions.Pct)")
-	}
-	i, j, err := s.pair(primary, reference)
-	if err != nil {
-		return TileAreas{}, err
-	}
-	return s.pcts[i][j].areas, nil
+	return append([]*Prepared(nil), s.ps...)
 }
 
-// sorted returns the slot indices in name order — the canonical output
-// order shared with the batch engines.
-func (s *RelationStore) sorted() []int {
-	ord := make([]int, len(s.ps))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return s.ps[ord[a]].Name < s.ps[ord[b]].Name })
-	return ord
-}
-
-// Pairs returns every cached qualitative pair sorted by (primary,
-// reference) — byte-for-byte the slice ComputeAllPairsParallel would produce
-// over the current regions.
+// Pairs returns every qualitative pair sorted by (primary, reference) —
+// the slice BatchCDR produces over the current regions, because it is that
+// engine run over the held Prepared forms.
 func (s *RelationStore) Pairs() []PairRelation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ord := s.sorted()
-	n := len(ord)
-	if n < 2 {
-		return nil
-	}
-	out := make([]PairRelation, 0, n*(n-1))
-	for _, i := range ord {
-		for _, j := range ord {
-			if i == j {
-				continue
-			}
-			out = append(out, PairRelation{
-				Primary:   s.ps[i].Name,
-				Reference: s.ps[j].Name,
-				Relation:  s.rels[i][j],
-			})
-		}
-	}
+	// Every held region passed usable, the only error the engine has
+	// without a context to cancel.
+	out, st, _ := ComputeAllPairsPrepared(s.all(), BatchOptions{Workers: s.opt.Workers})
+	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
+	s.served[stageBand].Add(int64(st.PruneBand))
+	s.served[stageExact].Add(int64(st.Passes - st.PruneSingleTile - st.PruneBand))
 	return out
 }
 
-// PctPairs returns every cached quantitative pair sorted by (primary,
-// reference), matching ComputeAllPairsPctParallel over the current regions.
-// The store must have been built with StoreOptions.Pct.
+// PctPairs returns every quantitative pair sorted by (primary, reference),
+// BatchPct over the current regions. The store must have been built with
+// StoreOptions.Pct.
 func (s *RelationStore) PctPairs() ([]PairPercent, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.pcts == nil {
-		return nil, fmt.Errorf("core: store does not maintain percentages (StoreOptions.Pct)")
+	if !s.opt.Pct {
+		return nil, errNoPct
 	}
-	ord := s.sorted()
-	n := len(ord)
-	if n < 2 {
-		return nil, nil
-	}
-	out := make([]PairPercent, 0, n*(n-1))
-	for _, i := range ord {
-		for _, j := range ord {
-			if i == j {
-				continue
-			}
-			c := &s.pcts[i][j]
-			out = append(out, PairPercent{
-				Primary:   s.ps[i].Name,
-				Reference: s.ps[j].Name,
-				Matrix:    c.matrix,
-				Areas:     c.areas,
-			})
-		}
-	}
-	return out, nil
+	out, st, err := ComputeAllPairsPctPrepared(s.all(), BatchOptions{Workers: s.opt.Workers})
+	s.served[stagePctTile].Add(int64(st.PrunePctTile))
+	s.served[stagePctPoly].Add(int64(st.PrunePctPoly))
+	s.served[stagePctExact].Add(int64(st.Passes - st.PrunePctTile - st.PrunePctPoly))
+	return out, err
 }
 
-// Stats returns the cumulative instrumentation of the initial build and
-// every delta since: DeltaPairs counts the pair computations performed by
-// Add/SetGeometry edits (2(n−1) each), the prune counters aggregate across
-// all recomputations.
-func (s *RelationStore) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stats
+// StoreStats is the RelationStore's instrumentation. The embedded Stats
+// keeps its field names: Passes is the number of pairs answered since the
+// store was built (single reads, rows and all-pairs sweeps alike), the
+// prune counters and the two exact counters say which kernel stage decided
+// them — the six sum to Passes — and BulkBatches counts AddBulk edits. The
+// per-edge counters and DeltaPairs stay zero. (The exact counters live here
+// rather than in Stats because the batch workers keep a Stats on their
+// stack, and growing it measurably slows the exact-kernel batch.)
+type StoreStats struct {
+	Stats
+	ExactPairs    int // qualitative pairs no fast path decided
+	ExactPctPairs int // quantitative pairs no fast path decided
+}
+
+// Stats returns the store's cumulative read instrumentation. The counters
+// are atomic and read one by one, so a snapshot taken beside running
+// readers may be a few pairs apart from itself.
+func (s *RelationStore) Stats() StoreStats {
+	st := StoreStats{
+		Stats: Stats{
+			PruneSingleTile: int(s.served[stageSingleTile].Load()),
+			PruneBand:       int(s.served[stageBand].Load()),
+			PrunePctTile:    int(s.served[stagePctTile].Load()),
+			PrunePctPoly:    int(s.served[stagePctPoly].Load()),
+			BulkBatches:     int(s.bulks.Load()),
+		},
+		ExactPairs:    int(s.served[stageExact].Load()),
+		ExactPctPairs: int(s.served[stagePctExact].Load()),
+	}
+	st.Passes = st.PruneSingleTile + st.PruneBand + st.ExactPairs +
+		st.PrunePctTile + st.PrunePctPoly + st.ExactPctPairs
+	return st
 }

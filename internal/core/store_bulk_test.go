@@ -14,9 +14,8 @@ func bulkSquare(i int) geom.Region {
 }
 
 // TestStoreAddBulk is the bulk-ingest acceptance at the store level: one
-// AddBulk of k regions must produce exactly the matrix k per-region Adds
-// would, while paying ONE batched recomputation (BulkBatches == 1) and
-// ZERO delta pairs.
+// AddBulk of k regions must answer exactly as k per-region Adds would,
+// as ONE edit (one generation bump, BulkBatches == 1).
 func TestStoreAddBulk(t *testing.T) {
 	const pre, k = 5, 120
 	seedRegions := make([]NamedRegion, pre)
@@ -43,9 +42,6 @@ func TestStoreAddBulk(t *testing.T) {
 	if st.BulkBatches != 1 {
 		t.Errorf("BulkBatches = %d, want 1", st.BulkBatches)
 	}
-	if st.DeltaPairs != 0 {
-		t.Errorf("DeltaPairs = %d, want 0 — bulk ingest must not take the per-region delta path", st.DeltaPairs)
-	}
 
 	// Reference store: same regions through the per-region path.
 	ref, err := NewRelationStore(seedRegions, StoreOptions{Pct: true})
@@ -56,9 +52,6 @@ func TestStoreAddBulk(t *testing.T) {
 		if err := ref.Add(r.Name, r.Region); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if rst := ref.Stats(); rst.DeltaPairs == 0 {
-		t.Fatal("reference store took no delta pairs — test is vacuous")
 	}
 	wantPairs := ref.Pairs()
 	gotPairs := s.Pairs()

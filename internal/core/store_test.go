@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -16,7 +17,7 @@ import (
 // from-scratch batch recompute would see after the same edit sequence.
 type storeWorld []NamedRegion
 
-// checkAgainstBatch asserts the store's cached contents — qualitative and
+// checkAgainstBatch asserts the store's answers — qualitative and
 // quantitative — are what a from-scratch batch recompute over the current
 // regions produces. This is the differential oracle of the acceptance
 // criteria.
@@ -77,7 +78,7 @@ func TestRelationStoreDifferential(t *testing.T) {
 			checkAgainstBatch(t, s, w)
 
 			// A deterministic pool of spare geometries for adds and moves.
-			spare := workload.New(seed + 1).Scatter(64, 8)
+			spare := workload.New(seed+1).Scatter(64, 8)
 			rng := rand.New(rand.NewSource(seed))
 			nextID := 1000
 			ops := 40
@@ -122,72 +123,178 @@ func TestRelationStoreDifferential(t *testing.T) {
 	}
 }
 
-// TestRelationStoreDeltaAccounting pins the invalidation granularity via
-// Stats.DeltaPairs: a geometry change recomputes exactly its row and column
-// (2(n−1) pairs), a rename recomputes nothing, a remove shrinks the matrix
-// with no recomputation.
-func TestRelationStoreDeltaAccounting(t *testing.T) {
+// clusterWorld is the benchmark's world shape: n regions of 16 edges in
+// groups of eight, so pairs inside a group run the exact kernel.
+func clusterWorld(seed int64, n int) []NamedRegion {
+	rs := workload.New(seed).Cluster(n, n/8, 16)
+	out := make([]NamedRegion, len(rs))
+	for i, r := range rs {
+		out[i] = NamedRegion{Name: fmt.Sprintf("c%04d", i), Region: r}
+	}
+	return out
+}
+
+// TestRelationStoreIsLinear pins the store's cost model: what it retains
+// grows with n, not n², and an edit costs the same whatever n is — no
+// allocation and no kernel run depends on how many other regions there are.
+func TestRelationStoreIsLinear(t *testing.T) {
+	alt := geom.Rgn(workload.Box(200, 200, 210, 208))
+	var allocs [2]float64
+	for k, n := range []int{100, 800} {
+		w := clusterWorld(7, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := NewRelationStore(w, StoreOptions{Workers: 1, Pct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); n == 800 && retained > 4<<20 {
+			t.Errorf("store over %d regions retains %d bytes, want < 4 MiB", n, retained)
+		}
+		st0 := s.Stats()
+		allocs[k] = testing.AllocsPerRun(20, func() {
+			if err := s.SetGeometry(w[3].Name, alt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st := s.Stats(); st != st0 {
+			t.Errorf("n=%d: SetGeometry ran kernels: stats %+v -> %+v", n, st0, st)
+		}
+		runtime.KeepAlive(s)
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("SetGeometry allocates %v times at n=100 and %v at n=800", allocs[0], allocs[1])
+	}
+}
+
+// TestRelationStoreStats: the counters count reads, one per answered pair,
+// under the stage that decided it; edits move only BulkBatches.
+func TestRelationStoreStats(t *testing.T) {
+	w := clusterWorld(7, 64)
+	n := len(w)
+	s, err := NewRelationStore(w, StoreOptions{Workers: 1, Pct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st != (StoreStats{}) {
+		t.Fatalf("fresh store has counted %+v", st)
+	}
+	_, want, err := ComputeAllPairsOpt(w, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantPct, err := ComputeAllPairsPctOpt(w, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same pairs one by one and as a sweep land on the same stages.
+	for _, a := range w {
+		for _, b := range w {
+			if a.Name == b.Name {
+				continue
+			}
+			if _, _, err := s.RelationPercent(a.Name, b.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	single := s.Stats()
+	s.Pairs()
+	if _, err := s.PctPairs(); err != nil {
+		t.Fatal(err)
+	}
+	both := s.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Passes", single.Passes, 2 * n * (n - 1)},
+		{"PruneSingleTile", single.PruneSingleTile, want.PruneSingleTile},
+		{"PruneBand", single.PruneBand, want.PruneBand},
+		{"ExactPairs", single.ExactPairs, n*(n-1) - want.PruneSingleTile - want.PruneBand},
+		{"PrunePctTile", single.PrunePctTile, wantPct.PrunePctTile},
+		{"PrunePctPoly", single.PrunePctPoly, wantPct.PrunePctPoly},
+		{"ExactPctPairs", single.ExactPctPairs, n*(n-1) - wantPct.PrunePctTile - wantPct.PrunePctPoly},
+		{"sweep Passes", both.Passes, 2 * single.Passes},
+		{"sweep ExactPairs", both.ExactPairs, 2 * single.ExactPairs},
+		{"sweep ExactPctPairs", both.ExactPctPairs, 2 * single.ExactPctPairs},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if single.ExactPairs == 0 || single.PruneSingleTile == 0 {
+		t.Errorf("world does not exercise both stages: %+v", single)
+	}
+	if m, tot, err := s.CountRelated(w[0].Name, NewRelationSet(N, S, E, W), true); err != nil || tot != n-1 || m > tot {
+		t.Errorf("CountRelated = %d/%d, %v", m, tot, err)
+	}
+	if got := s.Stats().Passes - both.Passes; got != n-1 {
+		t.Errorf("CountRelated answered %d pairs, want %d", got, n-1)
+	}
+}
+
+// TestRelationStoreReadsDoNotAllocate: a single-pair read on a warm scratch
+// pool is the kernel and two map lookups.
+func TestRelationStoreReadsDoNotAllocate(t *testing.T) {
+	w := clusterWorld(7, 64)
+	s, err := NewRelationStore(w, StoreOptions{Pct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pair inside one cluster group: the exact kernel, split buffer and all.
+	a, b := w[0].Name, w[1].Name
+	for name, read := range map[string]func() error{
+		"Relation":        func() error { _, err := s.Relation(a, b); return err },
+		"Percent":         func() error { _, err := s.Percent(a, b); return err },
+		"RelationPercent": func() error { _, _, err := s.RelationPercent(a, b); return err },
+	} {
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() { _ = read() }); got != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, got)
+		}
+	}
+}
+
+// TestRelationStoreEdits: a rename keeps every answer under the new name, a
+// remove drops exactly the removed region's pairs.
+func TestRelationStoreEdits(t *testing.T) {
 	w := batchWorkload(7, 12)
 	n := len(w)
 	s, err := NewRelationStore(w, StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().DeltaPairs; got != 0 {
-		t.Fatalf("initial build DeltaPairs = %d, want 0", got)
-	}
-
-	// Geometry change: exactly 2(n−1) pair computations.
-	before := s.Stats().DeltaPairs
-	if err := s.SetGeometry(w[3].Name, geom.Rgn(workload.Box(200, 200, 210, 208))); err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Stats().DeltaPairs - before; d != 2*(n-1) {
-		t.Errorf("SetGeometry DeltaPairs delta = %d, want %d", d, 2*(n-1))
-	}
-
-	// Rename: cache preserved, zero recomputation.
 	relBefore, err := s.Relation(w[0].Name, w[1].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = s.Stats().DeltaPairs
 	if err := s.Rename(w[0].Name, "renamed"); err != nil {
 		t.Fatal(err)
-	}
-	if d := s.Stats().DeltaPairs - before; d != 0 {
-		t.Errorf("Rename DeltaPairs delta = %d, want 0", d)
 	}
 	relAfter, err := s.Relation("renamed", w[1].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relAfter != relBefore {
-		t.Errorf("rename changed cached relation: %v -> %v", relBefore, relAfter)
+		t.Errorf("rename changed the relation: %v -> %v", relBefore, relAfter)
 	}
 	if s.Has(w[0].Name) {
 		t.Error("old name still present after rename")
 	}
-
-	// Remove: matrix shrinks to (n−1)(n−2) pairs, zero recomputation.
-	before = s.Stats().DeltaPairs
 	if err := s.Remove(w[5].Name); err != nil {
 		t.Fatal(err)
-	}
-	if d := s.Stats().DeltaPairs - before; d != 0 {
-		t.Errorf("Remove DeltaPairs delta = %d, want 0", d)
 	}
 	if got, want := len(s.Pairs()), (n-1)*(n-2); got != want {
 		t.Errorf("pairs after remove = %d, want %d", got, want)
 	}
-
-	// Add: exactly 2(n−1) new pair computations against the n−1 survivors.
-	before = s.Stats().DeltaPairs
-	if err := s.Add("fresh", geom.Rgn(workload.Box(-50, -50, -40, -44))); err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Stats().DeltaPairs - before; d != 2*(n-1) {
-		t.Errorf("Add DeltaPairs delta = %d, want %d", d, 2*(n-1))
+	if got := s.Stats().DeltaPairs; got != 0 {
+		t.Errorf("DeltaPairs = %d, want 0", got)
 	}
 }
 
@@ -317,8 +424,9 @@ func TestRelationStoreLookups(t *testing.T) {
 	}
 }
 
-// TestRelationStoreWorkerCounts: delta recomputation is deterministic across
-// pool sizes (run with -race this also exercises the delta pool for races).
+// TestRelationStoreWorkerCounts: the all-pairs read after an edit is
+// deterministic across pool sizes (run with -race this also exercises the
+// pool for races).
 func TestRelationStoreWorkerCounts(t *testing.T) {
 	w := batchWorkload(17, 20)
 	alt := geom.Rgn(workload.Box(3, 3, 40, 30))
@@ -353,9 +461,6 @@ func TestRelationStoreTiny(t *testing.T) {
 	}
 	if err := s.Add("a", geom.Rgn(workload.Box(0, 0, 4, 4))); err != nil {
 		t.Fatal(err)
-	}
-	if got := s.Stats().DeltaPairs; got != 0 {
-		t.Errorf("single-region add DeltaPairs = %d, want 0", got)
 	}
 	if err := s.Add("b", geom.Rgn(workload.Box(10, 0, 14, 4))); err != nil {
 		t.Fatal(err)

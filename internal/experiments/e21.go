@@ -30,14 +30,15 @@ import (
 //     struct-of-arrays percent kernel against the per-edge reference
 //     kernel, pruning off so every pair runs the full splitting loop — the
 //     ablation behind the ≥1.5x acceptance bar.
-//   - delta_edit_us: one SetGeometry through the incremental store
-//     (row+column recompute with percent matrices maintained).
+//   - store_edit_us: one SetGeometry through the relation store (one
+//     Prepare and a pointer swap; no pair is computed by an edit).
 //   - recovery_bin_ms / recovery_xml_ms / recovery_speedup: end-to-end
-//     persist.Open of the same generation from the binary snapshot versus
-//     the XML fallback — the ablation behind the ≥2x acceptance bar.
+//     persist.Open of the same generation (regions only — snapshots carry
+//     no relations) from the binary snapshot versus the XML fallback — the
+//     ablation behind the ≥2x acceptance bar.
 //   - http_relation_p50_us / http_relation_p99: latency of GET
-//     /api/relation?pct=1 through the full service stack (mux, store
-//     lookup, JSON encoding); the median is regression-gated, the tail
+//     /api/relation?pct=1 through the full service stack (mux, both
+//     kernels on the pair, JSON encoding); the median is regression-gated, the tail
 //     is tracked informationally.
 func E21RawSpeed(o Options) (Report, error) {
 	g := workload.New(o.Seed)
@@ -98,7 +99,7 @@ func E21RawSpeed(o Options) (Report, error) {
 	metrics["pct_kernel_ref_ms"] = nsRef / 1e6
 	metrics["pct_kernel_speedup"] = nsRef / nsSoA
 
-	// Incremental store: one real edit, percent matrices maintained.
+	// Relation store: one real edit on a store that answers percentages.
 	store, err := core.NewRelationStore(regions, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
 		return Report{}, err
@@ -106,17 +107,18 @@ func E21RawSpeed(o Options) (Report, error) {
 	spare := g.Cluster(2, 1, 8)
 	editID := regions[n/2].Name
 	flip := 0
-	nsDelta := benchBest(func() {
+	nsEdit := benchBest(func() {
 		flip++
 		if err := store.SetGeometry(editID, spare[flip&1]); err != nil {
 			panic(err)
 		}
 	})
-	metrics["delta_edit_us"] = nsDelta / 1e3
+	metrics["store_edit_us"] = nsEdit / 1e3
 
 	// Recovery ablation: one durable generation, recovered from each
 	// snapshot format. Timed as the best of three end-to-end Opens (the
-	// store-seeding work is identical on both sides; the delta is decode).
+	// validate-and-prepare work is identical on both sides; the delta is
+	// decode).
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	img := &config.Image{Name: "e21"}
 	for _, r := range regions {
@@ -240,7 +242,7 @@ func E21RawSpeed(o Options) (Report, error) {
 			{"percent kernel, SoA (no prune)", fmt.Sprintf("%.2f ms", nsSoA/1e6)},
 			{"percent kernel, reference (no prune)", fmt.Sprintf("%.2f ms", nsRef/1e6)},
 			{"SoA kernel speedup", fmt.Sprintf("%.2fx", nsRef/nsSoA)},
-			{"store delta edit (qual+pct)", fmt.Sprintf("%.1f µs", nsDelta/1e3)},
+			{"store edit (one Prepare, no pair computed)", fmt.Sprintf("%.1f µs", nsEdit/1e3)},
 			{"recovery from binary snapshot", fmt.Sprintf("%.1f ms", metrics["recovery_bin_ms"])},
 			{"recovery from XML snapshot", fmt.Sprintf("%.1f ms", metrics["recovery_xml_ms"])},
 			{"binary recovery speedup", fmt.Sprintf("%.2fx", metrics["recovery_speedup"])},

@@ -95,13 +95,16 @@ func e25WaitCaughtUp(c *e25Cluster, rep *replica.Replica, timeout time.Duration)
 //
 //   - WAL catch-up throughput: a bootstrapped replica is paused, the primary
 //     takes a burst of region edits, and the replica tails back to the head
-//     over HTTP — applying each shipped record through the store's O(n)
-//     delta path. The alternative a replica without WAL shipping has is a
-//     fresh snapshot bootstrap, which pays the O(n²) all-pairs rebuild; both
-//     are timed as the median of seven rounds (medians shrug off the 2–3x
-//     scheduling spikes of shared hardware that make min-of-N flicker) and
-//     the ratio is the gated speedup. Byte agreement (relations body and
-//     ETag against the primary) is asserted before any timing.
+//     over HTTP — applying each shipped record through the store's edit
+//     methods, one Prepare per edit. The alternative a replica without WAL
+//     shipping has is a fresh snapshot bootstrap, which validates and
+//     prepares every region again — O(n) since the store stopped caching
+//     pairs, so the ratio is O(n)/O(edits), not the O(n²)/O(edits·n) it
+//     was; both are timed as the median of seven rounds (medians shrug off
+//     the 2–3x scheduling spikes of shared hardware that make min-of-N
+//     flicker) and the ratio is the gated speedup. Byte agreement
+//     (relations body and ETag against the primary) is asserted before any
+//     timing.
 //   - Router read fan-out: two caught-up replicas behind the request router,
 //     read traffic round-robins across both (each replica's served share is
 //     asserted positive and reported).
@@ -113,8 +116,8 @@ func e25WaitCaughtUp(c *e25Cluster, rep *replica.Replica, timeout time.Duration)
 // Metric suffixes follow the trend-gate convention: *_ms may not grow and
 // *_speedup may not shrink beyond the threshold.
 func E25Replication(o Options) (Report, error) {
-	// Catch-up is O(edits·n) against the rebuild's O(n²): the full-mode
-	// sizes keep the ratio comfortably above the asserted floor.
+	// Catch-up is O(edits) against the re-track's O(n): the full-mode
+	// sizes keep the ratio above the asserted floor.
 	n, edits, reads := 900, 30, 200
 	if o.Quick {
 		n, edits, reads = 400, 20, 100
@@ -136,7 +139,7 @@ func E25Replication(o Options) (Report, error) {
 	defer rep.Close()
 
 	// The edit burst flips geometries of existing regions: world size and
-	// per-record delta cost stay constant across the timed rounds.
+	// per-record cost stay constant across the timed rounds.
 	burst := func(round int) error {
 		for i := 0; i < edits; i++ {
 			id := fmt.Sprintf("w%05d", (round*edits+i*7)%n)
@@ -215,9 +218,9 @@ func E25Replication(o Options) (Report, error) {
 	}
 	nsCatch := medianNS(catchSamples)
 
-	// The no-WAL alternative: bootstrap a fresh store from the snapshot —
-	// the full all-pairs rebuild every catch-up would otherwise pay. The
-	// first (untimed) round absorbs allocator and page-cache warmup.
+	// The no-WAL alternative: track a fresh store from the snapshot —
+	// validate and prepare every region again. The first (untimed) round
+	// absorbs allocator and page-cache warmup.
 	snap, _, _, err := cl.prim.Snapshot()
 	if err != nil {
 		return Report{}, err
@@ -233,7 +236,7 @@ func E25Replication(o Options) (Report, error) {
 		// lands inside whichever round the pacer picks.
 		runtime.GC()
 		t0 := time.Now()
-		seeded, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: 1})
+		seeded, err := config.Track(img, core.StoreOptions{Workers: 1})
 		if err != nil {
 			return Report{}, err
 		}
@@ -358,8 +361,8 @@ func E25Replication(o Options) (Report, error) {
 	body2 += Table(
 		[]string{"catch-up strategy", "wall-clock", "speedup"},
 		[][]string{
-			{"snapshot re-bootstrap (O(n²) rebuild)", fmt.Sprintf("%.1f ms", nsRebuild/1e6), "1.0x"},
-			{"WAL tail + delta apply", fmt.Sprintf("%.1f ms", nsCatch/1e6), fmt.Sprintf("%.1fx", speedup)},
+			{"snapshot re-bootstrap (re-track n regions)", fmt.Sprintf("%.1f ms", nsRebuild/1e6), "1.0x"},
+			{"WAL tail + apply", fmt.Sprintf("%.1f ms", nsCatch/1e6), fmt.Sprintf("%.1fx", speedup)},
 		},
 	)
 	body2 += fmt.Sprintf("\nrouter fan-out: %d reads split %d / %d across two replicas (%.0f reads/s);\n", reads, h0, h1, metrics["router_reads_per_sec"])

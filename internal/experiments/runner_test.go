@@ -150,12 +150,12 @@ func TestE20Report(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"store delta", "speedup", "single-region edit"} {
+	for _, frag := range []string{"re-read touched pairs", "speedup", "single-region edit"} {
 		if !strings.Contains(r.Body, frag) {
 			t.Errorf("E20 body missing %q:\n%s", frag, r.Body)
 		}
 	}
-	for _, key := range []string{"full_qual_ms", "delta_qual_us", "qual_speedup_1cpu", "delta_pairs"} {
+	for _, key := range []string{"full_qual_ms", "edit_us", "edit_reread_qual_us", "qual_speedup_1cpu", "touched_pairs"} {
 		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("E20 metrics missing %q: %v", key, r.Metrics)
 		}
@@ -180,7 +180,7 @@ func TestE21Report(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"batch_qual_ms", "batch_pct_ms", "pct_kernel_soa_ms",
-		"pct_kernel_ref_ms", "pct_kernel_speedup", "delta_edit_us",
+		"pct_kernel_ref_ms", "pct_kernel_speedup", "store_edit_us",
 		"recovery_bin_ms", "recovery_xml_ms", "recovery_speedup", "http_relation_p99"} {
 		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("E21 metrics missing %q: %v", key, r.Metrics)
@@ -239,8 +239,8 @@ func TestE22PlannerWins(t *testing.T) {
 // floor: the LoD stack must beat the exact-only sweep by ≥6x (the full
 // 10^5-region run asserts the ≥10x bar inside the experiment itself), the
 // coarse prefilter and strip stage must each actually decide pairs, and
-// bulk ingest must land in one batched recompute with zero delta pairs
-// (the experiment errors otherwise). Bit-identity of every LoD answer is
+// bulk ingest must land as one edit (one generation bump; the experiment
+// errors otherwise). Bit-identity of every LoD answer is
 // asserted by the experiment before any timing.
 func TestE23LoDWins(t *testing.T) {
 	if testing.Short() {
@@ -257,7 +257,7 @@ func TestE23LoDWins(t *testing.T) {
 	}
 	for _, key := range []string{"build_lod_ms", "exact_sweep_ms", "lod_sweep_ms",
 		"lod_speedup", "pairs_coarse", "pairs_strip", "bulk_ingest_ms",
-		"add_loop_ms", "bulk_ingest_speedup"} {
+		"add_loop_ms"} {
 		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("E23 metrics missing %q: %v", key, r.Metrics)
 		}
@@ -307,9 +307,11 @@ func TestE24Reasoning(t *testing.T) {
 
 // TestE25Replication runs the replication experiment in quick mode: byte
 // agreement with the primary, the staleness reject path and the router
-// fan-out are asserted inside the experiment; here the metric surface and a
-// noise-robust quick floor on the catch-up speedup are checked (full mode
-// asserts >= 1.2x inside the experiment).
+// fan-out are asserted inside the experiment; here the metric surface is
+// checked. The catch-up ratio has no quick floor: re-tracking a snapshot is
+// linear now, so at quick sizes (400 regions, 20 edits) both sides cost the
+// same (measured 0.9–1.0x); full mode still asserts >= 1.2x inside the
+// experiment, where 30 edits against 900 regions measure 1.8–2.3x.
 func TestE25Replication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")
@@ -318,7 +320,7 @@ func TestE25Replication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"WAL tail + delta apply", "snapshot re-bootstrap", "router fan-out", "bounded staleness"} {
+	for _, frag := range []string{"WAL tail + apply", "snapshot re-bootstrap", "router fan-out", "bounded staleness"} {
 		if !strings.Contains(r.Body, frag) {
 			t.Errorf("E25 body missing %q:\n%s", frag, r.Body)
 		}
@@ -328,9 +330,6 @@ func TestE25Replication(t *testing.T) {
 		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("E25 metrics missing %q: %v", key, r.Metrics)
 		}
-	}
-	if got := r.Metrics["catchup_speedup"]; got < 1 {
-		t.Errorf("WAL catch-up at %.2fx vs rebuild, want >= 1x (quick floor; full mode asserts 1.2x)", got)
 	}
 	if got := r.Metrics["router_fanout_min_share"]; got <= 0 {
 		t.Errorf("router fan-out min share %.2f, want > 0", got)

@@ -71,6 +71,29 @@ func DirectionalSelectStatsCtx(
 	reference geom.Region,
 	allowed core.RelationSet,
 ) ([]string, SelectStats, error) {
+	return directionalSelect(ctx, tree, func(id string) (*core.Prepared, error) {
+		g, ok := regions[id]
+		if !ok {
+			return nil, fmt.Errorf("index: no geometry for indexed id %q", id)
+		}
+		p, err := core.Prepare(id, g)
+		if err != nil {
+			return nil, fmt.Errorf("index: refining %q: %w", id, err)
+		}
+		return p, nil
+	}, reference, allowed)
+}
+
+// directionalSelect is the selection plan proper. prepared supplies the
+// Prepared form of a candidate that survived MBB refinement: a lookup for
+// Live, which holds them, a Prepare for the map-of-geometries entry points.
+func directionalSelect(
+	ctx context.Context,
+	tree *RTree,
+	prepared func(id string) (*core.Prepared, error),
+	reference geom.Region,
+	allowed core.RelationSet,
+) ([]string, SelectStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -115,13 +138,9 @@ func DirectionalSelectStatsCtx(
 		// Stage 3: exact refinement through the prepared-region engine —
 		// the reference grid is reused across survivors, the split buffer
 		// is recycled, and box-separable survivors take the MBB fast path.
-		g, ok := regions[it.ID]
-		if !ok {
-			return nil, st, fmt.Errorf("index: no geometry for indexed id %q", it.ID)
-		}
-		p, err := core.Prepare(it.ID, g)
+		p, err := prepared(it.ID)
 		if err != nil {
-			return nil, st, fmt.Errorf("index: refining %q: %w", it.ID, err)
+			return nil, st, err
 		}
 		st.Exact++
 		if allowed.Contains(p.RelateGrid(grid, sc)) {

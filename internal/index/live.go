@@ -11,36 +11,41 @@ import (
 // Live is an R-tree kept in sync with an edited region set: where BulkLoad
 // answers "index this configuration once", Live tracks the
 // add/remove/rename/set-geometry deltas of an interactive session and keeps
-// directional selection available between edits without rebuilding. It is
-// the index-layer twin of core.RelationStore and, like it, single-writer.
+// directional selection available between edits without rebuilding. It
+// holds the Prepared form of every indexed region — prepared once when the
+// region enters or changes, or handed over by an owner that already holds
+// it (config.Tracked shares the relation store's) — so a selection refines
+// its surviving candidates without preparing anything. It is the
+// index-layer twin of core.RelationStore and, unlike it, single-writer.
 type Live struct {
-	tree  *RTree
-	geoms map[string]geom.Region
-	boxes map[string]geom.Rect // the box each id is indexed under
+	tree *RTree
+	ps   map[string]*core.Prepared // by id; each is indexed under its Box
 }
 
 // NewLive bulk-loads a maintained index over the given regions. IDs must be
-// unique and non-empty; every region must have a non-empty bounding box.
+// unique and non-empty; every region must have edges.
 func NewLive(regions []core.NamedRegion) (*Live, error) {
-	l := &Live{
-		geoms: make(map[string]geom.Region, len(regions)),
-		boxes: make(map[string]geom.Rect, len(regions)),
+	ps, err := core.PrepareAll(regions)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	items := make([]Item, 0, len(regions))
-	for _, r := range regions {
-		if r.Name == "" {
+	return NewLivePrepared(ps)
+}
+
+// NewLivePrepared is NewLive over already-prepared regions, which the index
+// shares with the caller instead of preparing its own.
+func NewLivePrepared(ps []*core.Prepared) (*Live, error) {
+	l := &Live{ps: make(map[string]*core.Prepared, len(ps))}
+	items := make([]Item, len(ps))
+	for i, p := range ps {
+		if p.Name == "" {
 			return nil, fmt.Errorf("index: empty region id")
 		}
-		if _, ok := l.geoms[r.Name]; ok {
-			return nil, fmt.Errorf("index: duplicate region id %q", r.Name)
+		if _, ok := l.ps[p.Name]; ok {
+			return nil, fmt.Errorf("index: duplicate region id %q", p.Name)
 		}
-		box := r.Region.BoundingBox()
-		if box.IsEmpty() {
-			return nil, fmt.Errorf("index: region %q has an empty bounding box", r.Name)
-		}
-		l.geoms[r.Name] = r.Region
-		l.boxes[r.Name] = box
-		items = append(items, Item{ID: r.Name, Box: box})
+		l.ps[p.Name] = p
+		items[i] = Item{ID: p.Name, Box: p.Box}
 	}
 	tree, err := BulkLoad(items)
 	if err != nil {
@@ -55,7 +60,7 @@ func (l *Live) Len() int { return l.tree.Len() }
 
 // Has reports whether id is indexed.
 func (l *Live) Has(id string) bool {
-	_, ok := l.geoms[id]
+	_, ok := l.ps[id]
 	return ok
 }
 
@@ -64,41 +69,54 @@ func (l *Live) Has(id string) bool {
 func (l *Live) Tree() *RTree { return l.tree }
 
 // Add indexes a new region. The id must be unique and non-empty, the
-// region's bounding box non-empty.
+// region must have edges.
 func (l *Live) Add(id string, g geom.Region) error {
-	if id == "" {
+	p, err := core.Prepare(id, g)
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	return l.AddPrepared(p)
+}
+
+// AddPrepared is Add for a region the caller has already prepared; its
+// Name is the id.
+func (l *Live) AddPrepared(p *core.Prepared) error {
+	if p.Name == "" {
 		return fmt.Errorf("index: empty region id")
 	}
-	if _, ok := l.geoms[id]; ok {
-		return fmt.Errorf("index: duplicate region id %q", id)
+	if _, ok := l.ps[p.Name]; ok {
+		return fmt.Errorf("index: duplicate region id %q", p.Name)
 	}
-	box := g.BoundingBox()
-	if box.IsEmpty() {
-		return fmt.Errorf("index: region %q has an empty bounding box", id)
-	}
-	if err := l.tree.Insert(Item{ID: id, Box: box}); err != nil {
+	if err := l.tree.Insert(Item{ID: p.Name, Box: p.Box}); err != nil {
 		return err
 	}
-	l.geoms[id] = g
-	l.boxes[id] = box
+	l.ps[p.Name] = p
 	return nil
+}
+
+// take removes id's entry from the tree and returns its Prepared form; the
+// map entry is left for the caller to overwrite or delete.
+func (l *Live) take(id string) (*core.Prepared, error) {
+	p, ok := l.ps[id]
+	if !ok {
+		return nil, fmt.Errorf("index: region %q not indexed", id)
+	}
+	if !l.tree.Delete(Item{ID: id, Box: p.Box}) {
+		return nil, fmt.Errorf("index: region %q missing from tree (index corrupted)", id)
+	}
+	return p, nil
 }
 
 // Remove drops a region from the index.
 func (l *Live) Remove(id string) error {
-	box, ok := l.boxes[id]
-	if !ok {
-		return fmt.Errorf("index: region %q not indexed", id)
+	if _, err := l.take(id); err != nil {
+		return err
 	}
-	if !l.tree.Delete(Item{ID: id, Box: box}) {
-		return fmt.Errorf("index: region %q missing from tree (index corrupted)", id)
-	}
-	delete(l.geoms, id)
-	delete(l.boxes, id)
+	delete(l.ps, id)
 	return nil
 }
 
-// Rename relabels a region in place: same box, new id.
+// Rename relabels a region in place: same geometry, new id.
 func (l *Live) Rename(oldID, newID string) error {
 	if newID == "" {
 		return fmt.Errorf("index: empty region id")
@@ -106,45 +124,45 @@ func (l *Live) Rename(oldID, newID string) error {
 	if oldID == newID {
 		return nil
 	}
-	box, ok := l.boxes[oldID]
-	if !ok {
-		return fmt.Errorf("index: region %q not indexed", oldID)
-	}
-	if _, ok := l.geoms[newID]; ok {
+	if _, ok := l.ps[newID]; ok {
 		return fmt.Errorf("index: duplicate region id %q", newID)
 	}
-	if !l.tree.Delete(Item{ID: oldID, Box: box}) {
-		return fmt.Errorf("index: region %q missing from tree (index corrupted)", oldID)
-	}
-	if err := l.tree.Insert(Item{ID: newID, Box: box}); err != nil {
+	p, err := l.take(oldID)
+	if err != nil {
 		return err
 	}
-	l.geoms[newID] = l.geoms[oldID]
-	l.boxes[newID] = box
-	delete(l.geoms, oldID)
-	delete(l.boxes, oldID)
+	if err := l.tree.Insert(Item{ID: newID, Box: p.Box}); err != nil {
+		return err
+	}
+	// Prepared values are immutable; the renamed copy shares the geometry
+	// buffers.
+	np := *p
+	np.Name = newID
+	l.ps[newID] = &np
+	delete(l.ps, oldID)
 	return nil
 }
 
 // SetGeometry replaces a region's geometry, moving its index entry to the
 // new bounding box.
 func (l *Live) SetGeometry(id string, g geom.Region) error {
-	oldBox, ok := l.boxes[id]
-	if !ok {
-		return fmt.Errorf("index: region %q not indexed", id)
+	p, err := core.Prepare(id, g)
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
-	box := g.BoundingBox()
-	if box.IsEmpty() {
-		return fmt.Errorf("index: region %q has an empty bounding box", id)
-	}
-	if !l.tree.Delete(Item{ID: id, Box: oldBox}) {
-		return fmt.Errorf("index: region %q missing from tree (index corrupted)", id)
-	}
-	if err := l.tree.Insert(Item{ID: id, Box: box}); err != nil {
+	return l.SetPrepared(p)
+}
+
+// SetPrepared is SetGeometry for a replacement the caller has already
+// prepared; its Name is the id.
+func (l *Live) SetPrepared(p *core.Prepared) error {
+	if _, err := l.take(p.Name); err != nil {
 		return err
 	}
-	l.geoms[id] = g
-	l.boxes[id] = box
+	if err := l.tree.Insert(Item{ID: p.Name, Box: p.Box}); err != nil {
+		return err
+	}
+	l.ps[p.Name] = p
 	return nil
 }
 
@@ -152,16 +170,23 @@ func (l *Live) SetGeometry(id string, g geom.Region) error {
 // maintained index: window queries per constraint tile, MBB refinement,
 // exact Compute-CDR refinement. Results are sorted ids.
 func (l *Live) Select(reference geom.Region, allowed core.RelationSet) ([]string, error) {
-	return DirectionalSelect(l.tree, l.geoms, reference, allowed)
+	out, _, err := l.SelectStatsCtx(context.Background(), reference, allowed)
+	return out, err
 }
 
 // SelectStats is Select with instrumentation.
 func (l *Live) SelectStats(reference geom.Region, allowed core.RelationSet) ([]string, SelectStats, error) {
-	return DirectionalSelectStats(l.tree, l.geoms, reference, allowed)
+	return l.SelectStatsCtx(context.Background(), reference, allowed)
 }
 
 // SelectStatsCtx is SelectStats honoring a context: cancellation aborts the
 // selection at the next candidate refinement.
 func (l *Live) SelectStatsCtx(ctx context.Context, reference geom.Region, allowed core.RelationSet) ([]string, SelectStats, error) {
-	return DirectionalSelectStatsCtx(ctx, l.tree, l.geoms, reference, allowed)
+	return directionalSelect(ctx, l.tree, func(id string) (*core.Prepared, error) {
+		p, ok := l.ps[id]
+		if !ok {
+			return nil, fmt.Errorf("index: no geometry for indexed id %q", id)
+		}
+		return p, nil
+	}, reference, allowed)
 }

@@ -247,3 +247,53 @@ func TestLiveErrors(t *testing.T) {
 		t.Error("duplicate construction ids should fail")
 	}
 }
+
+// TestLiveSelectPreparesNothing: a selection over the live index refines
+// its survivors with the Prepared forms the index already holds. It must
+// return the ids and the SelectStats of the plan that prepares every
+// survivor from its geometry (DirectionalSelectStats over the same tree),
+// and allocate at least one object less per exact refinement than that plan
+// does — a Prepare allocates, a lookup does not.
+func TestLiveSelectPreparesNothing(t *testing.T) {
+	regions := liveWorkload(7, 200)
+	geoms := make(map[string]geom.Region, len(regions))
+	for _, r := range regions {
+		geoms[r.Name] = r.Region
+	}
+	l, err := NewLive(regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edits keep the held forms current.
+	moved := workload.New(8).Scatter(3, 8)
+	for i, g := range moved {
+		id := regions[i*17].Name
+		if err := l.SetGeometry(id, g); err != nil {
+			t.Fatal(err)
+		}
+		geoms[id] = g
+	}
+	ref := geom.Rgn(workload.Box(40, 40, 80, 80))
+	allowed := core.NewRelationSet(core.N, core.NE, core.E, core.Rel(core.TileN, core.TileNE))
+
+	wantIDs, wantSt, err := DirectionalSelectStats(l.Tree(), geoms, ref, allowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotIDs, gotSt, err := l.SelectStats(ref, allowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotIDs, wantIDs) || gotSt != wantSt {
+		t.Fatalf("live select %v %+v, preparing select %v %+v", gotIDs, gotSt, wantIDs, wantSt)
+	}
+	if wantSt.Exact == 0 {
+		t.Fatal("no candidate reached exact refinement; the test is vacuous")
+	}
+	live := testing.AllocsPerRun(10, func() { _, _, _ = l.SelectStats(ref, allowed) })
+	preparing := testing.AllocsPerRun(10, func() { _, _, _ = DirectionalSelectStats(l.Tree(), geoms, ref, allowed) })
+	if live > preparing-float64(wantSt.Exact) {
+		t.Errorf("live select allocates %v objects, the preparing plan %v for %d refinements: the index still prepares",
+			live, preparing, wantSt.Exact)
+	}
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestBulkAddRegions drives the durable bulk-ingest path end to end: one
-// BulkAddRegions call must cost one WAL fsync and one batched store
-// recomputation (zero delta pairs), and a recovery from the resulting log
+// BulkAddRegions call must cost one WAL fsync and one store edit
+// (BulkBatches == 1), and a recovery from the resulting log
 // must replay the run back through the bulk path, reproducing the exact
 // store state.
 func TestBulkAddRegions(t *testing.T) {

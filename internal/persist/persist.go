@@ -6,25 +6,26 @@
 //
 // Data directory layout:
 //
-//	snapshot-<seq>.xml   full configuration (regions + materialised
-//	                     relations with pct), written by the DTD writer in
-//	                     sorted-id order via temp file + atomic rename
+//	snapshot-<seq>.xml   the regions of the configuration, written by the
+//	                     DTD writer in sorted-id order via temp file +
+//	                     atomic rename; no Relation elements — relations
+//	                     are computed from geometry, never stored
 //	snapshot-<seq>.bin   the same document in the checksummed binary
 //	                     format (see binsnap.go), which recovery prefers
-//	                     because it decodes much faster than the XML
+//	                     because it decodes faster than the XML
 //	wal-<seq>.log        region edits applied after snapshot <seq>
 //	                     (see internal/wal for the framing)
 //
 // Exactly one (snapshot, wal) generation is live at a time; Snapshot()
 // writes generation seq+1 and removes generation seq, which truncates the
 // log. Recovery loads the newest readable snapshot — the binary file when
-// it is present and passes its CRC, the XML otherwise — seeds the relation
-// store from its materialised relations (no all-pairs recompute — see
-// config.TrackSeeded), and replays the WAL tail through the tracked
-// store's edit methods, so the delta engine rebuilds exactly the cached
-// pairs the edits touched. A torn or bit-flipped WAL tail is detected by
-// the log's CRC framing and discarded with a logged warning; it is never a
-// startup failure.
+// it is present and passes its CRC, the XML otherwise — tracks its regions
+// (config.Track: one Prepare per region, no pair computed) and replays the
+// WAL tail through the tracked store's edit methods. Snapshots written
+// before the store stopped caching relations carry the n² Relation list;
+// they still load, and config.Track drops the list. A torn or bit-flipped WAL tail
+// is detected by the log's CRC framing and discarded with a logged
+// warning; it is never a startup failure.
 //
 // Edit ordering is apply-then-log: an edit is validated and applied to the
 // in-memory store first, appended to the WAL second, and acknowledged to
@@ -59,10 +60,10 @@ var ErrEmptyWorld = errors.New("persist: cannot snapshot an empty configuration 
 type Options struct {
 	// Sync is the WAL fsync discipline; the zero value is wal.SyncAlways.
 	Sync wal.Options
-	// Workers is the worker-pool size for the relation store (initial
-	// build, replay deltas); values ≤ 0 mean GOMAXPROCS.
+	// Workers is the worker-pool size of the relation store's all-pairs
+	// reads; values ≤ 0 mean GOMAXPROCS.
 	Workers int
-	// Pct maintains percent matrices alongside the qualitative relations.
+	// Pct enables the relation store's percent reads (core.StoreOptions).
 	Pct bool
 	// Logger receives recovery and corruption warnings; nil means
 	// slog.Default().
@@ -89,11 +90,10 @@ type Store struct {
 	recoveryNs    int64
 	replayed      int
 	skipped       int
-	seeded        bool
 	recoveredFrom string
 	corruption    string
-	lastSnap   time.Time
-	err        error
+	lastSnap      time.Time
+	err           error
 }
 
 // Status is a point-in-time view of the store for the admin surface.
@@ -104,18 +104,14 @@ type Status struct {
 	// WAL are the cumulative log-writer counters (records, bytes, fsyncs)
 	// across all generations since Open.
 	WAL wal.Metrics `json:"wal"`
-	// RecoveryNs is the wall time Open spent loading the snapshot, seeding
-	// the store and replaying the WAL tail.
+	// RecoveryNs is the wall time Open spent loading the snapshot, tracking
+	// its regions and replaying the WAL tail.
 	RecoveryNs int64 `json:"recovery_ns"`
 	// ReplayedRecords counts WAL records applied during recovery.
 	ReplayedRecords int `json:"replayed_records"`
 	// SkippedRecords counts WAL records that failed to apply during
 	// recovery and were dropped with a warning.
 	SkippedRecords int `json:"skipped_records"`
-	// SeededFromSnapshot reports whether recovery filled the relation
-	// store from the snapshot's materialised relations (true) or had to
-	// recompute all pairs (false; also false for a fresh initialisation).
-	SeededFromSnapshot bool `json:"seeded_from_snapshot"`
 	// RecoveredFrom names the snapshot format recovery loaded: "binary"
 	// when the checksummed binary file was used, "xml" when recovery fell
 	// back to (or only found) the XML, "" for a fresh initialisation.
@@ -197,8 +193,8 @@ func (s *Store) scanSnapshots() ([]uint64, error) {
 	return seqs, nil
 }
 
-// initialise writes generation 1 from the seed document: full relation
-// computation, snapshot, fresh log.
+// initialise writes generation 1 from the seed document: tracked store,
+// snapshot, fresh log.
 func (s *Store) initialise(seed *config.Image) error {
 	tr, err := config.Track(seed, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
 	if err != nil {
@@ -256,15 +252,11 @@ func (s *Store) recover(seqs []uint64) error {
 		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates)", s.dir, len(seqs))
 	}
 
-	tr, seeded, err := config.TrackSeeded(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
+	tr, err := config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
 	if err != nil {
 		return fmt.Errorf("persist: building store from %s: %w", snapshotName(s.seq), err)
 	}
 	s.tr = tr
-	s.seeded = seeded
-	if !seeded {
-		s.log.Warn("persist: snapshot relations unusable as seed; recomputed all pairs", "snapshot", snapshotName(s.seq))
-	}
 
 	walPath := filepath.Join(s.dir, walName(s.seq))
 	recs, valid, corr, err := wal.ReplayFile(walPath)
@@ -275,10 +267,10 @@ func (s *Store) recover(seqs []uint64) error {
 		s.corruption = corr.String()
 		s.log.Warn("persist: discarding torn log tail", "log", walName(s.seq), "at", corr.String(), "intact_records", len(recs))
 	}
-	// Replay consecutive OpAdd runs through the bulk path: a log written by
-	// a bulk ingest replays with one batched recomputation instead of one
-	// 2(n−1)-pair delta per record. A failing run falls back to per-record
-	// replay so a single bad record still only loses itself.
+	// Replay consecutive OpAdd runs through the bulk path, so a log written
+	// by a bulk ingest replays as the one edit it was. A failing run falls
+	// back to per-record replay so a single bad record still only loses
+	// itself.
 	for i := 0; i < len(recs); {
 		j := i
 		for j < len(recs) && recs[j].Op == wal.OpAdd {
@@ -327,7 +319,7 @@ func (s *Store) recover(seqs []uint64) error {
 }
 
 // apply routes one log record through the tracked store's edit methods —
-// the same delta path live edits take.
+// the same path live edits take.
 func (s *Store) apply(rec wal.Record) error {
 	switch rec.Op {
 	case wal.OpAdd:
@@ -414,7 +406,7 @@ func (s *Store) SetRegionGeometry(id string, g geom.Region) error {
 }
 
 // BulkAddRegions applies and logs a streamed bulk ingest as one edit: the
-// tracked store advances through a single batched recomputation
+// tracked store advances by one generation
 // (config.Tracked.BulkAddRegions), and the WAL receives the whole batch as
 // one contiguous append with one fsync (wal.Writer.AppendBatch). The
 // apply-then-log ordering and the latched-failure contract match the
@@ -444,8 +436,7 @@ func (s *Store) BulkAddRegions(regions []config.BulkRegion) error {
 }
 
 // Snapshot writes the next snapshot generation and truncates the log:
-// materialise the cached relations into the document, write
-// snapshot-<seq+1>.xml via temp file + fsync + atomic rename, start
+// write snapshot-<seq+1> via temp file + fsync + atomic rename, start
 // wal-<seq+1>.log, then delete generation seq. A crash at any point leaves
 // either generation seq intact or generation seq+1 complete — never a
 // state recovery cannot load.
@@ -487,9 +478,11 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	return info, nil
 }
 
-// writeSnapshotFile materialises the tracked relations and writes the
-// document as snapshot-<seq> in both formats, each atomically (temp file,
-// fsync, rename). The binary file is installed first and the XML second:
+// writeSnapshotFile writes the tracked document as snapshot-<seq> in both
+// formats, each atomically (temp file, fsync, rename). The document is
+// encoded under the tracked read lock — s.mu already keeps edits out, and
+// reads carry on beside the encode. The binary file is installed first and
+// the XML second:
 // scanSnapshots keys generations off the XML name, so a generation only
 // becomes visible once both files are in place, and a crash between the two
 // renames leaves an orphaned .bin that the stale sweep removes.
@@ -498,7 +491,7 @@ func (s *Store) writeSnapshotFile(seq uint64) error {
 		return ErrEmptyWorld
 	}
 	var data, bin []byte
-	err := s.tr.WithMaterialized(s.opt.Pct, func(img *config.Image) error {
+	err := s.tr.View(func(img *config.Image) error {
 		var err error
 		data, err = img.Bytes()
 		bin = encodeBinarySnapshot(img)
@@ -593,17 +586,16 @@ func (s *Store) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Dir:                s.dir,
-		Seq:                s.seq,
-		Regions:            s.tr.Store().Len(),
-		WAL:                s.walCum,
-		RecoveryNs:         s.recoveryNs,
-		ReplayedRecords:    s.replayed,
-		SkippedRecords:     s.skipped,
-		SeededFromSnapshot: s.seeded,
-		RecoveredFrom:      s.recoveredFrom,
-		Corruption:         s.corruption,
-		LastSnapshot:       s.lastSnap,
+		Dir:             s.dir,
+		Seq:             s.seq,
+		Regions:         s.tr.Store().Len(),
+		WAL:             s.walCum,
+		RecoveryNs:      s.recoveryNs,
+		ReplayedRecords: s.replayed,
+		SkippedRecords:  s.skipped,
+		RecoveredFrom:   s.recoveredFrom,
+		Corruption:      s.corruption,
+		LastSnapshot:    s.lastSnap,
 	}
 	if s.w != nil {
 		st.WAL.Add(s.w.Metrics())

@@ -2,17 +2,19 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
-	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
@@ -84,9 +86,6 @@ func TestFreshInitAndRecovery(t *testing.T) {
 	r := openForTest(t, dir, nil)
 	defer r.Close()
 	st := r.Status()
-	if !st.SeededFromSnapshot {
-		t.Error("recovery did not seed from the snapshot's relations")
-	}
 	if st.ReplayedRecords != 4 {
 		t.Errorf("replayed %d records, want 4", st.ReplayedRecords)
 	}
@@ -172,7 +171,7 @@ func TestSnapshotRotation(t *testing.T) {
 	r := openForTest(t, dir, nil)
 	defer r.Close()
 	st := r.Status()
-	if st.Seq != 2 || st.ReplayedRecords != 0 || !st.SeededFromSnapshot {
+	if st.Seq != 2 || st.ReplayedRecords != 0 {
 		t.Fatalf("recovery after rotation: %+v", st)
 	}
 	gotPairs, _ := statePairs(t, r.Tracked())
@@ -315,105 +314,161 @@ func TestSnapshotRefusesEmptyWorld(t *testing.T) {
 	}
 }
 
-// TestSeededRecoveryBeatsRecompute is the acceptance benchmark of the
-// persistence subsystem: recovering a 500-region world from snapshot +
-// short WAL tail must be measurably faster than loading the same XML and
-// recomputing all pairs from scratch, because the snapshot carries the
-// materialised relations. Cluster geometry defeats the MBB fast paths, so
-// the recompute is honest work.
-func TestSeededRecoveryBeatsRecompute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf comparison skipped in -short")
+// legacyDir writes generation 1 the way the store did before relations
+// were computed on demand: both snapshot formats carry the full n²
+// Relation list with pct attributes, and there is no log yet.
+func legacyDir(t *testing.T, img *config.Image) string {
+	t.Helper()
+	if err := img.ComputeRelations(true); err != nil {
+		t.Fatal(err)
 	}
-	const n = 500
-	gen := workload.New(23)
-	// One dense cluster of many-edged polygons: the MBB fast paths prune
-	// almost nothing, so the all-pairs recompute does real
-	// polygon-clipping work on every one of the ~250k pairs.
-	regions := gen.Cluster(n, 1, 96)
-	edits := gen.Scatter(10, 12)
-
-	dir := t.TempDir()
-	s, err := Open(dir, buildImage(t, regions), Options{Pct: true, Sync: wal.Options{Policy: wal.SyncNever}})
+	xml, err := img.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range edits {
-		if err := s.AddRegion(fmt.Sprintf("edit%03d", i), "E", "", g); err != nil {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{snapshotName(1): xml, binSnapshotName(1): EncodeSnapshot(img)} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes, err := os.ReadFile(filepath.Join(dir, "snapshot-00000001.xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return dir
+}
 
-	// Seeded path: what Open does — XML load, seeded store, WAL replay.
-	start := time.Now()
-	r, err := Open(dir, nil, Options{Pct: true})
+// TestRecoveryLoadsLegacySnapshots: a data directory whose snapshots carry
+// the n² relation payload recovers, from either format, to a world that
+// answers exactly what a from-scratch batch over the regions answers — the
+// stored relations are dropped, not served — and the next rotation writes
+// regions only.
+func TestRecoveryLoadsLegacySnapshots(t *testing.T) {
+	regions := workload.New(23).Cluster(40, 5, 12)
+	named := make([]core.NamedRegion, len(regions))
+	for i, g := range regions {
+		named[i] = core.NamedRegion{Name: fmt.Sprintf("r%03d", i), Region: g}
+	}
+	want, err := core.BatchPct(context.Background(), named, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seededElapsed := time.Since(start)
-	defer r.Close()
-	st := r.Status()
-	if !st.SeededFromSnapshot {
-		t.Fatal("500-region recovery did not take the seeded path")
-	}
-	if st.ReplayedRecords != len(edits) {
-		t.Fatalf("replayed %d records, want %d", st.ReplayedRecords, len(edits))
-	}
-	if st.RecoveryNs <= 0 {
-		t.Fatal("recovery_ns not reported")
-	}
-
-	// Recompute path: same XML bytes, full all-pairs computation.
-	start = time.Now()
-	img, err := config.Parse(snapBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := config.Track(img, core.StoreOptions{Pct: true}); err != nil {
-		t.Fatal(err)
-	}
-	recomputeElapsed := time.Since(start)
-
-	t.Logf("seeded recovery %v (replayed %d edits) vs full recompute %v",
-		seededElapsed, st.ReplayedRecords, recomputeElapsed)
-	if seededElapsed >= recomputeElapsed {
-		t.Errorf("seeded recovery (%v) not faster than full recompute (%v)", seededElapsed, recomputeElapsed)
-	}
-
-	// And it is not just faster — it is the same answer. Rotate so the
-	// recovered state (snapshot + replayed edits) lands in one document,
-	// and recompute that from scratch.
-	info, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalBytes, err := os.ReadFile(info.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalImg, err := config.Parse(finalBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trFinal, err := config.Track(finalImg, core.StoreOptions{Pct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := trFinal.Store().Pairs()
-	seeded := r.Tracked().Store().Pairs()
-	if len(full) != len(seeded) {
-		t.Fatalf("pair count differs: %d vs %d", len(full), len(seeded))
-	}
-	for i := range full {
-		if full[i] != seeded[i] {
-			t.Fatalf("pair %d differs: %+v vs %+v", i, full[i], seeded[i])
+	for _, from := range []string{"binary", "xml"} {
+		img := buildImage(t, regions)
+		dir := legacyDir(t, img)
+		// Poison the stored answers: serving them would show.
+		for i := range img.Relations {
+			img.Relations[i].Type, img.Relations[i].Pct = "B", "100;0;0;0;0;0;0;0;0"
 		}
+		xml, err := img.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from == "xml" {
+			if err := os.Remove(filepath.Join(dir, binSnapshotName(1))); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), xml, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(filepath.Join(dir, binSnapshotName(1)), EncodeSnapshot(img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		legacyBytes := len(xml)
+
+		s := openForTest(t, dir, nil)
+		if got := s.Status().RecoveredFrom; got != from {
+			t.Errorf("recovered_from = %q, want %q", got, from)
+		}
+		_, pcts := statePairs(t, s.Tracked())
+		if !reflect.DeepEqual(pcts, want.Pairs) {
+			t.Errorf("%s: recovered world differs from a from-scratch BatchPct", from)
+		}
+		info, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Bytes*4 > int64(legacyBytes) {
+			t.Errorf("%s: rotated snapshot is %d bytes, legacy one was %d — relations still stored?", from, info.Bytes, legacyBytes)
+		}
+		rotated, err := loadBinarySnapshot(filepath.Join(dir, binSnapshotName(info.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rotated.Relations) != 0 {
+			t.Errorf("%s: rotated snapshot carries %d relations", from, len(rotated.Relations))
+		}
+		s.Close()
+	}
+}
+
+// TestSnapshotSizeIsLinear: the bytes a snapshot spends per region do not
+// grow with the number of regions.
+func TestSnapshotSizeIsLinear(t *testing.T) {
+	perRegion := func(n int) float64 {
+		s := openForTest(t, t.TempDir(), buildImage(t, workload.New(31).Scatter(n, 10)))
+		defer s.Close()
+		info, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(info.Bytes) / float64(info.Regions)
+	}
+	small, large := perRegion(50), perRegion(400)
+	if large > small*1.1 {
+		t.Errorf("snapshot bytes per region grew from %.0f (n=50) to %.0f (n=400)", small, large)
+	}
+}
+
+// TestSnapshotDoesNotBlockReads: Snapshot() of a 600-region world runs to
+// completion while one read is held open across it and another goroutine
+// keeps answering — it takes the tracked read lock, so no read ever waits
+// for a snapshot. (Needing the write lock would deadlock on the held read.)
+func TestSnapshotDoesNotBlockReads(t *testing.T) {
+	s := openForTest(t, t.TempDir(), buildImage(t, workload.New(37).Scatter(600, 10)))
+	defer s.Close()
+	tr := s.Tracked()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go tr.View(func(*config.Image) error {
+		close(held)
+		<-release
+		return nil
+	})
+	<-held
+	defer close(release)
+
+	var reads atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			err := tr.View(func(*config.Image) error {
+				_, err := tr.Store().Relation("r000", "r001")
+				return err
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+	for reads.Load() == 0 {
+		runtime.Gosched()
+	}
+	before := reads.Load()
+	info, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	during := reads.Load() - before
+	close(stop)
+	<-done
+	t.Logf("snapshot took %v with %d reads beside it", time.Duration(info.DurationNs), during)
+	if during == 0 {
+		t.Error("no read completed while the snapshot ran")
 	}
 }

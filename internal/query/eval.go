@@ -87,8 +87,8 @@ type Evaluator struct {
 // fallback is the no-store evaluation state, allocated on first use (a
 // request answered from the relation store never touches it). It derives
 // from the immutable snapshot, so it never goes stale; store-answered pairs
-// are deliberately not memoised — the store is the O(1) cache, and it is the
-// side that sees edits.
+// are deliberately not memoised — a store read is a kernel run of tens of
+// nanoseconds, and the store is the side that sees edits.
 type fallback struct {
 	sc    core.Scratch
 	preps map[string]*core.Prepared
@@ -146,9 +146,8 @@ func (e *Evaluator) attrIndex(name string) map[string][]string {
 }
 
 // UseStore wires a maintained core.RelationStore into the evaluator:
-// Relation and Percent answer from its delta-maintained cache — fresher
-// than any materialised Relation elements and never recomputing geometry —
-// falling back to the evaluator's own lazy computation for pairs the store
+// Relation and Percent answer from it — computed from the store's prepared
+// regions, so fresher than any materialised Relation elements — falling back to the evaluator's own lazy computation for pairs the store
 // does not hold. The store's region names must be the configuration's
 // region ids (as config.Track arranges). Pass nil to detach.
 func (e *Evaluator) UseStore(s *core.RelationStore) {
@@ -222,7 +221,7 @@ func (e *Evaluator) prepared(id string) (*core.Prepared, error) {
 }
 
 // Relation returns the cardinal direction relation of primary p versus
-// reference q: the store's cached value when it holds the pair, else a
+// reference q: the store's answer when it holds the pair, else a
 // materialised relation of the configuration (trusted when present), else
 // computed from geometry — the latter two memoised on first use.
 func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
@@ -259,7 +258,7 @@ func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
 }
 
 // Percent returns the percentage matrix of primary p versus reference q:
-// the store's cached matrix when it holds the pair, else computed from
+// the store's answer when it holds the pair, else computed from
 // geometry and memoised.
 func (e *Evaluator) Percent(p, q string) (core.PercentMatrix, error) {
 	if e.store != nil {

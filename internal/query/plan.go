@@ -19,7 +19,7 @@ import (
 //   - estimates per-condition selectivity — bindings pin to one region,
 //     attribute filters are counted exactly against the configuration,
 //     relation conditions with one side pinned are probed through the
-//     relation store's cached row (core.RelationStore.CountRelated) or the
+//     relation store's row of the pinned region (core.RelationStore.CountRelated) or the
 //     live R-tree (index.EstimateSelect), and percent conditions are
 //     heuristically the most expensive and always scheduled last;
 //   - orders variable binding smallest-candidate-set first, preferring
@@ -64,7 +64,7 @@ type planCond struct {
 // Plans are immutable after buildPlan returns and safe to share between
 // goroutines.
 type Plan struct {
-	order []string     // variable binding order
+	order []string // variable binding order
 	pos   map[string]int
 	steps [][]planCond // steps[d]: conds checkable once order[:d+1] is bound
 	rels  []planCond   // every relation condition, most selective first (pushdown order)
@@ -147,7 +147,7 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 	}
 
 	// Pass 2: relation conditions. With one side pinned to a known region
-	// the selectivity is probed — exactly through the store's cached row,
+	// the selectivity is probed — exactly through the store's row of the pin,
 	// or as an MBB upper bound through the live R-tree — and shrinks the
 	// free side's estimate; otherwise a tile-count heuristic orders the
 	// condition among its peers.
@@ -270,7 +270,7 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 }
 
 // probeSel estimates the selectivity of a relation condition whose pinned
-// side is the known region pin: exact through the store's cached row when
+// side is the known region pin: exact through the store's row of pin when
 // the store holds pin, an MBB upper bound through the live R-tree when the
 // pinned side is the reference, and the tile-count heuristic otherwise.
 func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
@@ -403,8 +403,8 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 // pushCond filters cand down to the ids satisfying the relation condition
 // against the pinned region, choosing the cheapest sound strategy:
 //
-//   - store present and holding pin → pairwise lookups through the cached
-//     relation matrix (O(1) each, handles negation and either pinned side);
+//   - store present and holding pin → pairwise reads through the store
+//     (one kernel run each, handles negation and either pinned side);
 //   - pinned reference, positive condition, no materialised relations →
 //     R-tree window queries with exact refinement, through the maintained
 //     live index when available, or a transient bulk-loaded tree;

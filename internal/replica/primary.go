@@ -37,9 +37,8 @@ type PrimaryOptions struct {
 	// followers further behind than this re-bootstrap from a snapshot.
 	// Values ≤ 0 mean 65536.
 	Retain int
-	// Pct controls whether streamed snapshots materialise percent
-	// matrices — it must match the primary store's StoreOptions.Pct so a
-	// replica seeding from the snapshot tracks the same state.
+	// Pct is the primary store's StoreOptions.Pct, announced to followers
+	// (HeaderPct) so a replica builds its store with the same option.
 	Pct bool
 }
 
@@ -96,7 +95,7 @@ func (p *Primary) Head() uint64 {
 // Generation returns the primary store's current generation.
 func (p *Primary) Generation() uint64 { return p.tr.Store().Generation() }
 
-// Pct reports whether streamed snapshots carry percent matrices.
+// Pct reports whether the primary's store answers percentages.
 func (p *Primary) Pct() bool { return p.opt.Pct }
 
 // append records one applied edit batch. Callers hold p.mu and have already
@@ -180,25 +179,22 @@ func (p *Primary) BulkAddRegions(regions []config.BulkRegion) error {
 	return nil
 }
 
-// Snapshot materialises and encodes the current world as a binary snapshot,
-// returning it with the replication coordinates a follower needs to seed
-// itself and resume the tail: the head sequence, the store generation, and
-// the epoch — all captured atomically with the snapshot under the edit
-// lock, so "snapshot at seq S, gen G" is exact, not racy.
+// Snapshot encodes the current world's regions as a binary snapshot,
+// returning it with the replication coordinates a follower needs to build
+// its store and resume the tail: the head sequence and the store generation
+// — captured atomically with the snapshot under the edit lock, so "snapshot
+// at seq S, gen G" is exact, not racy. Reads carry on beside the encode.
 func (p *Primary) Snapshot() (data []byte, seq, gen uint64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tr.Store().Len() == 0 {
 		return nil, 0, 0, persist.ErrEmptyWorld
 	}
-	err = p.tr.WithMaterialized(p.opt.Pct, func(img *config.Image) error {
+	err = p.tr.View(func(img *config.Image) error {
 		data = persist.EncodeSnapshot(img)
 		return nil
 	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return data, p.head, p.tr.Store().Generation(), nil
+	return data, p.head, p.tr.Store().Generation(), err
 }
 
 // Records returns the retained records with sequence ≥ from, plus the

@@ -211,8 +211,11 @@ func TestPrimarySnapshot(t *testing.T) {
 	if img.FindRegion("snap1") == nil {
 		t.Fatal("snapshot missing the added region")
 	}
-	// A replica seeded from it reproduces the primary's relations.
-	seeded, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: 1, Pct: true})
+	if len(img.Relations) != 0 {
+		t.Fatalf("snapshot carries %d relations, want regions only", len(img.Relations))
+	}
+	// A replica built from it reproduces the primary's relations.
+	seeded, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
 		t.Fatal(err)
 	}

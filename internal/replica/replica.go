@@ -33,8 +33,8 @@ const (
 	HeaderHead = "Cardirect-Repl-Head"
 	// HeaderGeneration carries the store generation of a snapshot.
 	HeaderGeneration = "Cardirect-Repl-Generation"
-	// HeaderPct reports whether the primary maintains percent matrices
-	// ("on" or "off"); a replica seeds its store to match.
+	// HeaderPct reports whether the primary's store answers percentages
+	// ("on" or "off"); a replica builds its store to match.
 	HeaderPct = "Cardirect-Repl-Pct"
 	// HeaderStaleness is stamped by replicas on read responses: the number
 	// of replication records known to be unapplied (0 = caught up as of the
@@ -73,7 +73,7 @@ type Options struct {
 	// record tail so a restarted replica resumes from its last applied
 	// sequence instead of re-downloading the world.
 	CacheDir string
-	// Workers sizes the store's recompute pool; ≤ 0 means GOMAXPROCS.
+	// Workers sizes the store's all-pairs read pool; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// PollWait is the long-poll duration hint sent to the primary; values
 	// ≤ 0 mean 10 seconds.
@@ -105,8 +105,7 @@ type Status struct {
 
 // Replica tails a primary's replication stream: it bootstraps a tracked
 // store from the primary's binary snapshot (or a local cache of it), then
-// applies shipped records through the store's delta path — cached relations
-// stay warm; an edit costs a row+column recompute, not O(n²). The tracked
+// applies shipped records through the store's edit methods. The tracked
 // store it exposes is swapped wholesale when the primary's epoch changes
 // (primary restart) or the tail falls behind the retained window.
 type Replica struct {
@@ -114,20 +113,20 @@ type Replica struct {
 	log   *slog.Logger
 	httpc *http.Client
 
-	mu          sync.Mutex
-	tr          *config.Tracked
-	epoch       string
-	pct         bool
-	applied     uint64
-	head        uint64
-	bootSeq     uint64
-	fromCache   bool
-	bootstraps  uint64
-	records     uint64
-	lastErr     string
-	caughtUpAt  time.Time
-	everCaught  bool
-	tail        *os.File
+	mu         sync.Mutex
+	tr         *config.Tracked
+	epoch      string
+	pct        bool
+	applied    uint64
+	head       uint64
+	bootSeq    uint64
+	fromCache  bool
+	bootstraps uint64
+	records    uint64
+	lastErr    string
+	caughtUpAt time.Time
+	everCaught bool
+	tail       *os.File
 }
 
 // current points expvar at the most recently opened replica (one per
@@ -213,7 +212,7 @@ func (r *Replica) Tracked() *config.Tracked {
 	return r.tr
 }
 
-// Pct reports whether the replicated store maintains percent matrices.
+// Pct reports whether the replicated store answers percentages.
 func (r *Replica) Pct() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -375,8 +374,8 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 	return nil
 }
 
-// applyLocked applies one record through the tracked store's delta path and
-// aligns the generation with the primary's.
+// applyLocked applies one record through the tracked store's edit methods
+// and aligns the generation with the primary's.
 func (r *Replica) applyLocked(rec StreamRecord) error {
 	edits, err := DecodeEdits(rec.Payload)
 	if err != nil {
@@ -391,8 +390,8 @@ func (r *Replica) applyLocked(rec StreamRecord) error {
 		}
 	default:
 		// Multi-edit records are bulk ingests: all adds, applied as ONE
-		// batched edit so the store recomputes once and the generation
-		// bumps once, exactly like the primary's AddBulk.
+		// edit so the generation bumps once, exactly like the primary's
+		// AddBulk.
 		bulk := make([]config.BulkRegion, len(edits))
 		for i, e := range edits {
 			if e.Op != wal.OpAdd {
@@ -427,7 +426,7 @@ func applyOne(tr *config.Tracked, rec wal.Record) error {
 	}
 }
 
-// bootstrap downloads the primary's snapshot and seeds a fresh tracked
+// bootstrap downloads the primary's snapshot and builds a fresh tracked
 // store from it, replacing the current one and resetting the cache.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opt.Primary+"/v1/replication/snapshot", nil)
@@ -480,14 +479,14 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// seedTracked decodes and validates a snapshot and seeds a tracked store at
+// seedTracked decodes and validates a snapshot and tracks its regions at
 // the primary's generation.
 func seedTracked(data []byte, meta cacheMeta, workers int) (*config.Tracked, error) {
 	img, err := DecodeSnapshotImage(data)
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: workers, Pct: meta.Pct})
+	tr, err := config.Track(img, core.StoreOptions{Workers: workers, Pct: meta.Pct})
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,7 @@
 // the write path and retains every edit as a framed replication record; an
 // HTTP layer streams a binary snapshot plus the record tail to followers;
 // a Replica bootstraps from the snapshot, tails the stream, and applies
-// records through the tracked store's delta path so cached relations stay
-// warm without an O(n²) recompute. A Router in front forwards writes to the
+// records through the tracked store's edit methods. A Router in front forwards writes to the
 // primary and round-robins reads across healthy replicas.
 //
 // Replication stream layout (all integers little-endian):

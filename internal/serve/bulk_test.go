@@ -23,8 +23,8 @@ func bulkNDJSON(t *testing.T, regions []geom.Region, prefix string) string {
 }
 
 // TestBulkIngest is the HTTP acceptance of the streamed bulk path: one
-// POST /api/bulk of a zipfian world lands every region with ONE batched
-// recomputation and ZERO delta pairs.
+// POST /api/bulk of a zipfian world lands every region as ONE store edit
+// (BulkBatches == 1).
 func TestBulkIngest(t *testing.T) {
 	ts, tr := newGreeceServer(t, serve.Options{})
 	pre := tr.Store().Len()

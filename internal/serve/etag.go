@@ -9,7 +9,7 @@ import (
 	"cardirect/internal/replica"
 )
 
-// The read endpoints over cached store state — /api/relation, /api/select
+// The read endpoints over store state — /api/relation, /api/select
 // and /api/query — are validatable: their responses depend only on the
 // request and the relation store's edit generation, so the generation
 // doubles as a strong ETag. A repeat reader sends If-None-Match with the

@@ -113,7 +113,7 @@ func pctJSON(m core.PercentMatrix) map[string]float64 {
 }
 
 // errPctDisabled is the percent surface's refusal when the store runs
-// without eager percent matrices (-pct=off, or a replica of such a primary).
+// without percentages (-pct=off, or a replica of such a primary).
 func errPctDisabled() error {
 	return failCode(http.StatusUnprocessableEntity, "pct_disabled", nil,
 		"serve: percent tracking is disabled on this node (start the primary with -pct=on)")
@@ -289,20 +289,24 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	store := s.tracked().Store()
-	rel, err := store.Relation(p, q)
-	if err != nil {
-		return err
-	}
-	out := relationResponse{Primary: p, Reference: q, Relation: rel.String()}
+	out := relationResponse{Primary: p, Reference: q}
 	if r.URL.Query().Get("pct") != "" {
 		if s.pctDisabled() {
 			return errPctDisabled()
 		}
-		m, err := store.Percent(p, q)
+		// One call, so relation and matrix come from the same two regions
+		// even when an edit lands mid-request.
+		rel, m, err := store.RelationPercent(p, q)
 		if err != nil {
 			return err
 		}
-		out.Pct = pctJSON(m)
+		out.Relation, out.Pct = rel.String(), pctJSON(m)
+	} else {
+		rel, err := store.Relation(p, q)
+		if err != nil {
+			return err
+		}
+		out.Relation = rel.String()
 	}
 	return writeData(w, http.StatusOK, out)
 }
@@ -421,9 +425,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 type bulkResponse struct {
 	// Added is the number of regions ingested.
 	Added int `json:"added"`
-	// Batches is the number of batched recomputations the ingest cost —
-	// one per request, versus one 2(n−1)-pair delta per region on the
-	// per-region edit path.
+	// Batches is the number of edits (generation bumps, WAL appends) the
+	// ingest cost — one per request.
 	Batches    int   `json:"batches"`
 	DurationNs int64 `json:"duration_ns"`
 }
@@ -431,8 +434,8 @@ type bulkResponse struct {
 // handleBulk ingests a stream of regions — NDJSON, one region object per
 // line in the POST /api/regions shape ({"id", "name", "color", "wkt" |
 // "geojson"}) — as ONE edit: the whole stream is decoded and validated,
-// then applied through Editor.BulkAddRegions, so the relation store pays a
-// single batched recomputation (and the durable store a single batched WAL
+// then applied through Editor.BulkAddRegions, so the relation store
+// advances one generation (and the durable store pays a single batched WAL
 // append with one fsync) regardless of how many regions arrive. The ingest
 // is atomic: any undecodable line, invalid geometry or duplicate id
 // rejects the whole stream with nothing applied. Oversized streams map to
@@ -554,7 +557,7 @@ type queryResponse struct {
 }
 
 // handleQuery evaluates a conjunctive query of the paper's language through
-// the server's query engine: relations come from the delta-maintained store,
+// the server's query engine: relations come from the tracked store,
 // the join is planned through the shared plan cache, the document is read
 // from the current generation's query snapshot (the first query after an
 // edit rebuilds it, and says so on its access line), and the request context
@@ -587,13 +590,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 }
 
 type statsResponse struct {
-	Regions int        `json:"regions"`
-	Indexed int        `json:"indexed"`
-	Store   core.Stats `json:"store"`
+	Regions int             `json:"regions"`
+	Indexed int             `json:"indexed"`
+	Store   core.StoreStats `json:"store"`
 }
 
 // handleAdminSnapshot rotates the durable store: write the next snapshot
-// generation (materialised relations included) and truncate the WAL. 404
+// generation and truncate the WAL. 404
 // when the server runs without persistence.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) error {
 	p := s.opt.Persist

@@ -1,9 +1,9 @@
 // Package serve implements the cardirectd HTTP/JSON API: the paper's
 // CARDIRECT tool (§4) as a network service over a tracked configuration.
-// One config.Tracked — document, delta-maintained core.RelationStore and
-// live R-tree — backs every endpoint, so pair-relation reads are O(1)
-// cache lookups, region edits recompute only the touched row and column,
-// and directional selections prune through R-tree window queries.
+// One config.Tracked — document, core.RelationStore and live R-tree —
+// backs every endpoint, so pair-relation reads are one kernel run on
+// prepared regions, region edits re-prepare only the touched region, and
+// directional selections prune through R-tree window queries.
 //
 // Production posture: every handler runs under a per-endpoint expvar
 // instrument (request count, error count, latency sum, global inflight
@@ -41,10 +41,9 @@ type Editor interface {
 	RemoveRegion(id string) error
 	RenameRegion(oldID, newID string) error
 	SetRegionGeometry(id string, g geom.Region) error
-	// BulkAddRegions ingests many regions as ONE edit — one batched
-	// relation recomputation (and, for the durable store, one batched WAL
-	// append with a single fsync) instead of a 2(n−1)-pair delta per
-	// region.
+	// BulkAddRegions ingests many regions as ONE edit — one generation
+	// bump (and, for the durable store, one batched WAL append with a
+	// single fsync) instead of one per region.
 	BulkAddRegions(regions []config.BulkRegion) error
 }
 
@@ -146,8 +145,8 @@ func (s *Server) tracked() *config.Tracked {
 func (s *Server) replicaRole() bool { return s.opt.Role == "replica" }
 
 // pctDisabled reports whether the percent surface is off: explicitly via
-// Options, or implicitly because the primary this replica follows does not
-// ship percent matrices.
+// Options, or implicitly because the primary this replica follows runs
+// with it off.
 func (s *Server) pctDisabled() bool {
 	if s.opt.PctDisabled {
 		return true
@@ -161,7 +160,8 @@ func (s *Server) pctDisabled() bool {
 // metrics is the process-wide expvar surface, published under "cardirectd":
 // per-endpoint "<route>.requests" / "<route>.errors" / "<route>.latency_ns"
 // counters, a global "inflight" gauge, and a "store" func reporting the
-// tracked store's cumulative Stats (DeltaPairs, prune hits, edge counts).
+// tracked store's cumulative read Stats (pairs answered, and by which
+// kernel stage).
 var metrics = expvar.NewMap("cardirectd")
 
 // New builds a server over the tracked configuration. The store behind tr
@@ -217,7 +217,6 @@ func New(tr *config.Tracked, opt Options) *Server {
 				"recovery_ns":      st.RecoveryNs,
 				"replayed_records": st.ReplayedRecords,
 				"skipped_records":  st.SkippedRecords,
-				"seeded":           st.SeededFromSnapshot,
 			}
 		}))
 	}

@@ -243,33 +243,11 @@ func (w *Writer) LastSeq() uint64 { return w.seq }
 
 // Append encodes and writes one record, fsyncing according to the policy.
 // When Append returns nil under SyncAlways, the record is on stable
-// storage.
+// storage. It is the one-record case of AppendBatch: frame and payload go
+// to the file in a single write, so a record is never split across two
+// syscalls.
 func (w *Writer) Append(rec Record) error {
-	payload := appendRecord(w.buf[:0], rec)
-	w.buf = payload // reuse the grown buffer next time
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxPayload)
-	}
-	var frame [frameSize]byte
-	frameLen(frame[:], payload)
-	if _, err := w.f.Write(frame[:]); err != nil {
-		return fmt.Errorf("wal: appending record: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: appending record: %w", err)
-	}
-	w.m.Records++
-	w.m.Bytes += int64(frameSize + len(payload))
-	w.seq++
-	switch w.opt.Policy {
-	case SyncAlways:
-		return w.Sync()
-	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opt.Interval {
-			return w.Sync()
-		}
-	}
-	return nil
+	return w.AppendBatch([]Record{rec})
 }
 
 // AppendBatch encodes and writes recs as one contiguous byte run — one
@@ -296,7 +274,7 @@ func (w *Writer) AppendBatch(recs []Record) error {
 	}
 	w.buf = buf // reuse the grown buffer next time
 	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: appending batch: %w", err)
+		return fmt.Errorf("wal: appending: %w", err)
 	}
 	w.m.Records += int64(len(recs))
 	w.m.Bytes += int64(len(buf))
