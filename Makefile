@@ -85,11 +85,12 @@ bench-run:
 # suite (E22), the huge-world tier (E23), the reasoning pipeline
 # (E24) and the replication tier (E25): re-measure and compare
 # against the committed baselines;
-# timing metrics may not grow — and speedups may not shrink — by more
-# than TREND_THRESHOLD (fraction). CI runs the quick flavour against
-# BENCH_*_quick.json; a full local run compares against the full
-# baselines. The default threshold leaves headroom for the timing jitter
-# of shared/virtualized hardware — the sub-millisecond metrics tail out
+# timing and size metrics (*_ms, *_bytes) may not grow — and speedups may
+# not shrink — by more than TREND_THRESHOLD (fraction). CI runs the quick
+# flavour against BENCH_*_quick.json; a full local run compares against
+# the full baselines. The default threshold leaves headroom for the
+# timing jitter of shared/virtualized hardware — the sub-millisecond
+# metrics tail out
 # past 35% there even as best-of-three measurements; tighten it on quiet
 # bare metal. The hard perf floors (SoA ≥1.5x, binary recovery ≥2x,
 # planner ≥5x) are enforced as noise-robust ratios by the test suite

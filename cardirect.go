@@ -331,11 +331,6 @@ type (
 	// BatchPctResult is the output of BatchPct: sorted percent matrices
 	// plus aggregated instrumentation.
 	BatchPctResult = core.BatchPctResult
-	// Arena is a bump allocator backing Prepared construction: one large
-	// slab per world instead of per-region allocations. An Arena is never
-	// freed piecemeal; drop the whole arena (and every Prepared carved
-	// from it) together.
-	Arena = core.Arena
 	// RelationStore holds the prepared form of a set of named regions and
 	// answers any pair's relation (and optionally percent matrix) by running
 	// the kernels on demand; an edit re-prepares only the touched region.
@@ -344,16 +339,15 @@ type (
 	StoreOptions = core.StoreOptions
 	// LoDWorld is the huge-world tier over a prepared region set: a
 	// coarse-tile relation summary answering clearly-single-tile pairs
-	// O(1), per-region level-of-detail geometry (strip indexes and
-	// error-bounded simplifications) for the rest, and the exact kernel
-	// as the fallback. Every answer is bit-identical to the exact kernel.
+	// O(1), level-of-detail geometry (strip indexes and error-bounded
+	// simplifications) for the big regions, and the exact kernel as the
+	// fallback. Every answer is bit-identical to the exact kernel.
 	LoDWorld = core.LoDWorld
 	// LoDOptions tunes LoDWorld construction (coarse grid resolution,
 	// simplification tolerances).
 	LoDOptions = core.LoDOptions
 	// CoarseIndex is the standalone coarse-tile summary: bounding boxes
-	// quantised to a cell grid, O(1) single-tile pair answers and planner
-	// selectivity estimates.
+	// quantised to a cell grid, O(1) single-tile pair answers.
 	CoarseIndex = core.CoarseIndex
 	// BulkRegion is one entry of a streamed bulk ingest into a tracked
 	// configuration (Tracked.BulkAddRegions): the whole batch lands as
@@ -380,13 +374,9 @@ var (
 	// Prepare preprocesses one region for repeated Relate calls.
 	Prepare = core.Prepare
 	// PrepareAll preprocesses a named batch, validating names. The batch
-	// shares one arena internally; see PrepareAllIn to supply it.
+	// is built in a few exact-size blocks and reclaimed as a whole; use
+	// Prepare for regions with independent lifetimes.
 	PrepareAll = core.PrepareAll
-	// PrepareAllIn is PrepareAll drawing backing storage from an explicit
-	// arena (nil falls back to per-region allocations).
-	PrepareAllIn = core.PrepareAllIn
-	// NewArena creates an empty arena for PrepareAllIn.
-	NewArena = core.NewArena
 	// Relate computes the relation between two prepared regions.
 	Relate = core.Relate
 	// RelatePct computes the relation with percentages between two prepared
@@ -423,12 +413,14 @@ var (
 	// NewLiveIndex builds a maintained R-tree over named regions.
 	NewLiveIndex = index.NewLive
 	// PrepareLoDWorld builds the huge-world tier over a named region set:
-	// packed grids and centers, a coarse-tile summary, and lazy per-region
-	// LoD geometry. Answers through LoDWorld.Relation / BatchRows are
+	// one slab of prepared regions, a coarse-tile summary, and LoD
+	// geometry for the few regions big enough to be simplified. It keeps
+	// references to the caller's rings (do not mutate them). Answers
+	// through LoDWorld.Relation / BatchRows are
 	// bit-identical to the exact kernel (fuzzed: FuzzLoDDifferential).
 	PrepareLoDWorld = core.PrepareLoDWorld
 	// NewCoarseIndex summarises bounding boxes on a cell grid for O(1)
-	// single-tile pair answers and planner selectivity probes.
+	// single-tile pair answers.
 	NewCoarseIndex = core.NewCoarseIndex
 	// SimplifyPolygon is anchored Douglas–Peucker simplification with a
 	// hard two-sided Hausdorff bound eps and the bounding box preserved

@@ -33,9 +33,9 @@
 // version, GOMAXPROCS, GOOS/GOARCH, VCS revision) for CI trend tracking.
 //
 // With -compare, each experiment's metrics are additionally checked against
-// the named baseline JSON: timing metrics (keys ending in _ns, _us or _ms)
-// may not regress by more than the threshold fraction, and speedup metrics
-// (keys ending in _speedup) may not shrink by more than it. Any violation
+// the named baseline JSON: timing and size metrics (keys ending in _ns, _us,
+// _ms or _bytes) may not grow by more than the threshold fraction, and
+// speedup metrics (keys ending in _speedup) may not shrink by more than it. Any violation
 // makes the run exit nonzero — the `make bench-trend` regression gate.
 package main
 
@@ -210,10 +210,10 @@ func vcsRevision() string {
 }
 
 // compareMetrics checks a run's metrics against a baseline and returns the
-// regressions found. Timing keys (suffix _ns, _us, _ms) regress when they
-// grow past baseline*(1+threshold); speedup keys (suffix _speedup) regress
-// when they shrink below baseline*(1-threshold). Other keys (counts, sizes,
-// percentiles without a unit suffix) are informational. Comparing runs of
+// regressions found. Timing and size keys (suffix _ns, _us, _ms, _bytes)
+// regress when they grow past baseline*(1+threshold); speedup keys (suffix
+// _speedup) regress when they shrink below baseline*(1-threshold). Other
+// keys (counts, percentiles without a unit suffix) are informational. Comparing runs of
 // different modes (quick vs full) is an error, not a silently meaningless
 // diff.
 func compareMetrics(stdout io.Writer, r experiments.Report, base *benchFile, quick bool, threshold float64) ([]string, error) {
@@ -228,10 +228,10 @@ func compareMetrics(stdout io.Writer, r experiments.Report, base *benchFile, qui
 	sort.Strings(keys)
 	var regressions []string
 	for _, k := range keys {
-		timing := hasSuffixAny(k, "_ns", "_us", "_ms")
+		cost := hasSuffixAny(k, "_ns", "_us", "_ms", "_bytes")
 		speedup := strings.HasSuffix(k, "_speedup")
-		if !timing && !speedup {
-			continue // informational metric (counts, sizes): not gated
+		if !cost && !speedup {
+			continue // informational metric (counts): not gated
 		}
 		baseVal := base.Metrics[k]
 		cur, ok := r.Metrics[k]
@@ -240,7 +240,7 @@ func compareMetrics(stdout io.Writer, r experiments.Report, base *benchFile, qui
 			continue
 		}
 		switch {
-		case timing:
+		case cost:
 			if baseVal > 0 && cur > baseVal*(1+threshold) {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s: %.3f vs baseline %.3f (+%.1f%%, limit +%.0f%%)",

@@ -107,9 +107,9 @@ func TestJSONFlagWritesMetrics(t *testing.T) {
 }
 
 // TestCompareMetrics covers the regression gate's classification rules:
-// timing keys fail upward, speedup keys fail downward, both pass within
-// the threshold, vanished metrics are flagged, and quick/full baselines
-// cannot be compared across modes.
+// timing and size keys fail upward, speedup keys fail downward, both pass
+// within the threshold, vanished metrics are flagged, and quick/full
+// baselines cannot be compared across modes.
 func TestCompareMetrics(t *testing.T) {
 	base := &benchFile{
 		ID: "E21", Quick: true, Revision: "abc",
@@ -138,6 +138,14 @@ func TestCompareMetrics(t *testing.T) {
 	if err != nil || len(got) != 1 || !strings.Contains(got[0], "pct_kernel_speedup") {
 		t.Errorf("speedup regression not caught: %v, %v", got, err)
 	}
+	base.Metrics["world_bytes"] = 1000
+	grown := report(10, 2)
+	grown.Metrics["world_bytes"] = 1200
+	got, err = compareMetrics(&out, grown, base, true, 0.15)
+	if err != nil || len(got) != 1 || !strings.Contains(got[0], "world_bytes") {
+		t.Errorf("size regression not caught: %v, %v", got, err)
+	}
+	delete(base.Metrics, "world_bytes")
 	if _, err := compareMetrics(&out, report(10, 2), base, false, 0.15); err == nil {
 		t.Error("quick baseline compared against full run without error")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,8 +99,8 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 		return nil, Stats{}, nil
 	}
 	for _, p := range ps {
-		if p.gridErr != nil {
-			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr)
+		if p.noGrid {
+			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
 		}
 	}
 	order := make([]*Prepared, n)
@@ -109,13 +108,7 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 	sort.Slice(order, func(i, j int) bool { return order[i].Name < order[j].Name })
 
 	out := make([]PairRelation, n*(n-1))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := poolSize(opt.Workers, n)
 
 	var next atomic.Int64
 	var mu sync.Mutex
@@ -143,7 +136,7 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 					continue
 				}
 				b := order[ri]
-				rel := a.relate(b.grid, b.center, opt.NoPrune, opt.NoSoA, sc, &st)
+				rel := a.relate(b.grid(), opt.NoPrune, opt.NoSoA, sc, &st)
 				st.Passes++
 				row[k] = PairRelation{Primary: a.Name, Reference: b.Name, Relation: rel}
 				k++
@@ -234,15 +227,8 @@ func findRelated(ctx context.Context, candidates []NamedRegion, reference geom.R
 	if err != nil {
 		return nil, err
 	}
-	center := grid.Box().Center()
-
 	n := len(candidates)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(workers, n)
 	matched := make([]bool, n)
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -263,7 +249,7 @@ func findRelated(ctx context.Context, candidates []NamedRegion, reference geom.R
 				errs[i] = err
 				continue
 			}
-			matched[i] = allowed.Contains(p.relate(grid, center, false, false, sc, nil))
+			matched[i] = allowed.Contains(p.relate(grid, false, false, sc, nil))
 		}
 	})
 	if err := ctx.Err(); err != nil {

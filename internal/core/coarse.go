@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"cardirect/internal/geom"
-)
+import "cardirect/internal/geom"
 
 // DefaultCoarseGrid is the default coarse-index resolution per axis.
 const DefaultCoarseGrid = 256
@@ -18,7 +14,7 @@ type cellSpan struct {
 
 // CoarseIndex is the coarse-tile relation summary of a world: every
 // region's bounding box quantised onto an S×S cell grid over the world
-// box, plus sorted box-coordinate arrays for planner selectivity probes.
+// box.
 //
 // The cell map v ↦ floor((v−min)/cellSize) is monotone non-decreasing even
 // under floating-point rounding (subtraction and division are monotone,
@@ -34,10 +30,6 @@ type CoarseIndex struct {
 	cells  int
 	cw, ch float64
 	spans  []cellSpan
-
-	// Sorted box-coordinate arrays: EstimateTiles answers planner probes
-	// with four binary searches instead of a scan.
-	minX, maxX, minY, maxY []float64
 }
 
 // NewCoarseIndex summarises the given bounding boxes on a cells×cells grid
@@ -58,10 +50,6 @@ func NewCoarseIndex(boxes []geom.Rect, cells int) *CoarseIndex {
 		box:   world,
 		cells: cells,
 		spans: make([]cellSpan, len(boxes)),
-		minX:  make([]float64, len(boxes)),
-		maxX:  make([]float64, len(boxes)),
-		minY:  make([]float64, len(boxes)),
-		maxY:  make([]float64, len(boxes)),
 	}
 	if len(boxes) > 0 {
 		ci.cw = world.Width() / float64(cells)
@@ -72,13 +60,7 @@ func NewCoarseIndex(boxes []geom.Rect, cells int) *CoarseIndex {
 			x0: ci.cellX(b.MinX), x1: ci.cellX(b.MaxX),
 			y0: ci.cellY(b.MinY), y1: ci.cellY(b.MaxY),
 		}
-		ci.minX[i], ci.maxX[i] = b.MinX, b.MaxX
-		ci.minY[i], ci.maxY[i] = b.MinY, b.MaxY
 	}
-	sort.Float64s(ci.minX)
-	sort.Float64s(ci.maxX)
-	sort.Float64s(ci.minY)
-	sort.Float64s(ci.maxY)
 	return ci
 }
 
@@ -189,67 +171,4 @@ func init() {
 			}
 		}
 	}
-}
-
-// EstimateTiles estimates, for each tile of the reference grid g, the
-// fraction of summarised regions whose relation is exactly that single
-// tile. Per-axis counts come from four binary searches over the sorted
-// box-coordinate arrays; the joint fraction is the independence product of
-// the axis fractions. covered is the estimated total single-tile mass
-// (≤ 1); the remaining 1−covered is multi-tile regions the caller must
-// weight by its own heuristic. Feeds planner selectivity for relation
-// conditions that neither the store nor the live R-tree can probe.
-func (ci *CoarseIndex) EstimateTiles(g Grid) (frac [3][3]float64, covered float64) {
-	n := len(ci.spans)
-	if n == 0 {
-		return frac, 0
-	}
-	fn := float64(n)
-	// count of values strictly below / strictly above a line.
-	below := func(sorted []float64, v float64) int { return sort.SearchFloat64s(sorted, v) }
-	above := func(sorted []float64, v float64) int {
-		return len(sorted) - sort.Search(len(sorted), func(i int) bool { return sorted[i] > v })
-	}
-	var colFrac, rowFrac [3]float64
-	colFrac[0] = float64(below(ci.maxX, g.M1)) / fn
-	colFrac[2] = float64(above(ci.minX, g.M2)) / fn
-	// Middle column needs MinX > M1 AND MaxX < M2 jointly; the per-axis
-	// arrays give only the marginals, so use the union lower bound
-	// #(MinX>M1) + #(MaxX<M2) − n, clamped — an underestimate, never an
-	// overestimate.
-	if mid := above(ci.minX, g.M1) + below(ci.maxX, g.M2) - n; mid > 0 {
-		colFrac[1] = float64(mid) / fn
-	}
-	rowFrac[0] = float64(below(ci.maxY, g.L1)) / fn
-	rowFrac[2] = float64(above(ci.minY, g.L2)) / fn
-	if mid := above(ci.minY, g.L1) + below(ci.maxY, g.L2) - n; mid > 0 {
-		rowFrac[1] = float64(mid) / fn
-	}
-	for c := 0; c < 3; c++ {
-		for r := 0; r < 3; r++ {
-			frac[c][r] = colFrac[c] * rowFrac[r]
-			covered += frac[c][r]
-		}
-	}
-	return frac, covered
-}
-
-// EstimateSel estimates the fraction of summarised regions whose relation
-// to a reference with grid g lies in rels: the single-tile mass that
-// matches, plus the ambiguous remainder weighted by the tile-count
-// heuristic rels.Len()/9.
-func (ci *CoarseIndex) EstimateSel(g Grid, rels RelationSet) float64 {
-	frac, covered := ci.EstimateTiles(g)
-	sel := 0.0
-	for c := 0; c < 3; c++ {
-		for r := 0; r < 3; r++ {
-			if rels.Contains(Rel(TileAt(c, r))) {
-				sel += frac[c][r]
-			}
-		}
-	}
-	if covered < 1 {
-		sel += (1 - covered) * float64(rels.Len()) / 9
-	}
-	return sel
 }

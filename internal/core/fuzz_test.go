@@ -113,7 +113,7 @@ func FuzzMBBFastPath(f *testing.F) {
 			t.Skip("no grid")
 		}
 		fast, ok := prep.relateFast(grid, nil)
-		full := prep.relateFull(grid, grid.Box().Center(), &Scratch{}, nil)
+		full := prep.relateFull(grid, &Scratch{}, nil)
 		if ok && fast != full {
 			t.Fatalf("fast path %v != full path %v\nprimary %v\nreference grid %+v", fast, full, a, grid)
 		}

@@ -122,34 +122,26 @@ func (o LoDOptions) minEdges() int {
 	return o.MinEdges
 }
 
-// LoD is one region of the level-of-detail tier: the simplified geometry
-// prepared for the kernels, the error band it was simplified under, the
-// original-geometry facts the fast paths must use (areas and the band-path
-// gate — boxes are shared exactly, see the file comment), and a lazily
-// prepared exact Prepared for pairs the simplified tier cannot decide.
-// Immutable after construction except for the exact cache, which is safe
-// for concurrent use.
+// LoD is the level-of-detail side of one region — kept only for the regions
+// that have one: those whose simplification dropped an edge (Eps > 0) and
+// those big enough for the strip stage. The world's Prepared for such a
+// region holds the SIMPLIFIED edges under the ORIGINAL's boxes, areas and
+// band-path gate (boxes are shared exactly, see the file comment), so the
+// box- and area-only fast paths answer for the original geometry; the exact
+// Prepared is built from the caller's ring only when a pair needs it.
+// Immutable after construction except for the two lazy caches, which are
+// safe for concurrent use.
 type LoD struct {
-	// Name identifies the region in results and errors.
-	Name string
-	// Eps is the simplification tolerance; 0 means Simp IS the exact
-	// preparation and every pair takes the exact path directly.
+	// Eps is the simplification tolerance; 0 means nothing was dropped and
+	// the world's Prepared IS the exact preparation.
 	Eps float64
 
-	simp       *Prepared   // simplified geometry (== exact when Eps == 0)
-	region     geom.Region // original, clockwise-normalised (for lazy exact prep)
-	origFastOK bool        // ORIGINAL region's band-path soundness
-	origAreas  []float64   // ORIGINAL per-polygon areas, prepareIn order
-	origTotal  float64     // ORIGINAL summed area, prepareIn accumulation order
-	origEdges  int         // ORIGINAL edge count (the strip-stage gate)
-	exact      atomic.Pointer[Prepared]
-	strip      atomic.Pointer[stripIndex]
+	simp      *Prepared   // the world's Prepared of this region
+	orig      geom.Region // the caller's region, by reference (for lazy exact prep)
+	origEdges int         // ORIGINAL edge count (the strip-stage gate)
+	exact     atomic.Pointer[Prepared]
+	strip     atomic.Pointer[stripIndex]
 }
-
-// Simplified returns the prepared simplified geometry (the exact
-// preparation when Eps is 0). Its Box, Grid and per-polygon boxes equal
-// the exact region's.
-func (l *LoD) Simplified() *Prepared { return l.simp }
 
 // SimplifiedEdges returns the simplified edge count — the cost unit of the
 // LoD kernel path.
@@ -162,10 +154,10 @@ func (l *LoD) Exact() *Prepared {
 	if p := l.exact.Load(); p != nil {
 		return p
 	}
-	p, err := Prepare(l.Name, l.region)
+	p, err := Prepare(l.simp.Name, l.orig)
 	if err != nil {
-		// Unreachable: PrepareLoD already prepared the same region once.
-		panic(fmt.Sprintf("core: exact re-preparation of %q failed: %v", l.Name, err))
+		// Unreachable: planLoD already counted the same region's edges.
+		panic(fmt.Sprintf("core: exact re-preparation of %q failed: %v", l.simp.Name, err))
 	}
 	if l.exact.CompareAndSwap(nil, p) {
 		return p
@@ -173,81 +165,63 @@ func (l *LoD) Exact() *Prepared {
 	return l.exact.Load()
 }
 
-// PrepareLoD builds the level-of-detail form of one region. The simplified
-// geometry is prepared into ar (nil means individual allocations); the
-// exact geometry is only prepared if a pair later needs it.
-func PrepareLoD(ar *Arena, name string, r geom.Region, opt LoDOptions) (*LoD, error) {
-	if len(r) == 0 {
-		return nil, fmt.Errorf("core: region %q is empty: %w", name, ErrDegenerateRegion)
+// planLoD decides whether a region gets a level-of-detail side and builds
+// it: nil for a region that is neither simplified nor strip-sized, whose
+// plain exact Prepared (from the world's slab) is then all there is.
+func planLoD(name string, r geom.Region, opt LoDOptions) (*LoD, error) {
+	edges := r.NumEdges()
+	if edges < opt.minEdges() && edges < stripMinEdges {
+		return nil, nil
 	}
 	norm := r.Clockwise()
-	l := &LoD{Name: name, region: norm, origFastOK: true, origEdges: norm.NumEdges()}
-
-	// Original-geometry facts, replicating prepareIn's loop so the values
-	// are bit-identical to what the exact Prepared would hold: the pct fast
-	// paths answer from these and must match the exact kernel exactly.
-	l.origAreas = make([]float64, len(norm))
-	for pi, poly := range norm {
-		area := poly.Area()
-		l.origAreas[pi] = area
-		l.origTotal += area
-		if area == 0 {
-			l.origFastOK = false
-		}
-		n := len(poly)
-		for i := 0; i < n; i++ {
-			j := i + 1
-			if j == n {
-				j = 0
-			}
-			if poly[i].Eq(poly[j]) {
-				l.origFastOK = false
-			}
-		}
-	}
-
-	eps := 0.0
+	simplified, eps := norm, 0.0
 	box := norm.BoundingBox()
-	if w, h := box.Width(), box.Height(); w > 0 && h > 0 && norm.NumEdges() >= opt.minEdges() {
-		d := w
-		if h < d {
-			d = h
+	if w, h := box.Width(), box.Height(); w > 0 && h > 0 && edges >= opt.minEdges() {
+		if e := opt.epsFrac() * min(w, h); e > 0 {
+			// Kept only when an edge was dropped (otherwise the tier
+			// degrades to exact for free) and — defensively — when every
+			// per-polygon box survived: the anchored simplifier guarantees
+			// that, and if it ever broke, every box-derived answer would be
+			// silently wrong.
+			s := geom.SimplifyRegion(norm, e)
+			kept := s.NumEdges() != edges
+			for i := range s {
+				kept = kept && s[i].BoundingBox() == norm[i].BoundingBox()
+			}
+			if kept {
+				simplified, eps = s, e
+			}
 		}
-		eps = opt.epsFrac() * d
 	}
-	simplified := norm
-	if eps > 0 {
-		simplified = geom.SimplifyRegion(norm, eps)
-		if simplified.NumEdges() == norm.NumEdges() {
-			eps = 0 // nothing dropped: the tier degrades to exact for free
-			simplified = norm
-		}
+	if eps == 0 && edges < stripMinEdges {
+		return nil, nil
 	}
-	simp, err := prepareIn(ar, name, simplified)
+	simp, err := Prepare(name, simplified)
 	if err != nil {
 		return nil, err
 	}
-	// Defensive: the anchored simplifier guarantees exact per-polygon box
-	// preservation; if that ever broke, every box-derived answer would be
-	// silently wrong, so degrade to exact instead.
-	if eps > 0 {
-		for i := range simp.polys {
-			if simp.polys[i].box != norm[i].BoundingBox() {
-				simp, err = prepareIn(ar, name, norm)
-				if err != nil {
-					return nil, err
-				}
-				eps = 0
-				break
+	l := &LoD{Eps: eps, simp: simp, orig: r, origEdges: edges}
+	if eps == 0 {
+		l.exact.Store(simp)
+		return l, nil
+	}
+	// The original's areas and band-path gate, replicating fill's
+	// arithmetic over the normalised rings so the values are bit-identical
+	// to what the exact Prepared holds: the fast paths answer from these
+	// and must match the exact kernel exactly.
+	simp.fastOK, simp.totalArea = true, 0
+	for pi, poly := range norm {
+		area := poly.Area()
+		simp.polys[pi].area = area
+		simp.totalArea += area
+		if area == 0 {
+			simp.fastOK = false
+		}
+		for i := range poly {
+			if e := poly.Edge(i); e.A.Eq(e.B) {
+				simp.fastOK = false
 			}
 		}
-	}
-	l.simp = simp
-	l.Eps = eps
-	if eps == 0 {
-		// The preparation was built from norm itself: it IS the exact
-		// Prepared, so seed the lazy cache.
-		l.exact.Store(simp)
 	}
 	return l, nil
 }
@@ -347,8 +321,7 @@ func (l *LoD) relateSimplified(g Grid, center geom.Point) (Relation, bool) {
 		// addCenterTile's rule over the simplified rings: sound under the
 		// 2·eps center clearance (fact 3), box gate exact (fact 1).
 		for i := range l.simp.polys {
-			pp := &l.simp.polys[i]
-			if pp.box.Contains(center) && pp.ring.Contains(center) {
+			if l.simp.polys[i].box.Contains(center) && l.simp.polyContains(i, center) {
 				rel = rel.With(TileB)
 				break
 			}
@@ -401,130 +374,4 @@ func distSqPointSeg(px, py, x0, y0, x1, y1 float64) float64 {
 	}
 	ex, ey := px-x0, py-y0
 	return ex*ex + ey*ey
-}
-
-// RelateLoD computes the relation of the primary a against the reference b
-// through the level-of-detail tier. The result is bit-identical to
-// Relate(a.Exact(), b.Exact(), sc) for every pair — the tier only changes
-// which geometry pays for it:
-//
-//   - the MBB fast path answers from boxes shared exactly with the
-//     original (gated on the original's band soundness);
-//   - when the certain/possible bracket pins the answer, the simplified
-//     edges decide the pair (Stats.LoDSimplified);
-//   - otherwise the strip stage classifies just the exact edges near the
-//     grid lines (Stats.LoDStrip);
-//   - otherwise the exact geometry is prepared (once, cached) and the
-//     full exact kernel runs (Stats.LoDExact).
-//
-// The reference side needs only its grid and center, which the simplified
-// preparation carries exactly. sc may be nil.
-func RelateLoD(a, b *LoD, sc *Scratch, st *Stats) (Relation, error) {
-	if b.simp.gridErr != nil {
-		return 0, b.simp.gridErr
-	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	return a.relateLoD(b.simp.grid, b.simp.center, sc, st), nil
-}
-
-// relateLoD is RelateLoD against a raw grid (LoDWorld's per-pair path).
-func (a *LoD) relateLoD(g Grid, center geom.Point, sc *Scratch, st *Stats) Relation {
-	if rel, ok := a.simp.relateFastWith(g, a.origFastOK, st); ok {
-		return rel
-	}
-	// Strip first: for the dominant ambiguous pair — a huge primary over a
-	// small reference — it classifies a handful of edges and is exact, so
-	// trying the bracket first would cost a simplified-kernel pass that
-	// rarely concludes there. The bracket earns its keep on the pairs the
-	// strip declines: comparable-size references whose band meets most of
-	// the primary's edges.
-	if a.origEdges >= stripMinEdges {
-		if rel, ok := a.relateStrip(g, center, sc); ok {
-			if st != nil {
-				st.LoDStrip++
-			}
-			return rel
-		}
-	}
-	if a.Eps > 0 {
-		if rel, ok := a.relateSimplified(g, center); ok {
-			if st != nil {
-				st.LoDSimplified++
-			}
-			return rel
-		}
-	}
-	if st != nil {
-		st.LoDExact++
-	}
-	return a.Exact().relate(g, center, false, false, sc, st)
-}
-
-// RelatePctLoD computes the percent matrix of the primary a against the
-// reference b through the level-of-detail tier, bit-identical to
-// RelatePct(a.Exact(), b.Exact(), sc). Simplified geometry cannot answer a
-// quantitative query (its areas differ), so the tier is the box/area fast
-// path — evaluated over the shared-exact boxes and the ORIGINAL areas — or
-// the exact kernel; the win is skipping the exact preparation for the
-// overwhelming fast-path majority. sc may be nil.
-func RelatePctLoD(a, b *LoD, sc *Scratch, st *Stats) (PercentMatrix, TileAreas, error) {
-	if b.simp.gridErr != nil {
-		return PercentMatrix{}, TileAreas{}, b.simp.gridErr
-	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	var areas TileAreas
-	total, err := a.relatePctLoDInto(&areas, b.simp.grid, sc, st)
-	if err != nil {
-		return PercentMatrix{}, areas, err
-	}
-	var m PercentMatrix
-	percentInto(&m, &areas, total)
-	return m, areas, nil
-}
-
-// relatePctLoDInto mirrors relatePctAreasInto's pruned half over the
-// original areas, falling through to the exact kernel.
-func (a *LoD) relatePctLoDInto(dst *TileAreas, g Grid, sc *Scratch, st *Stats) (float64, error) {
-	if a.origTotal > 0 {
-		if col, row := strictCol(a.simp.Box, g), strictRow(a.simp.Box, g); col >= 0 && row >= 0 {
-			*dst = TileAreas{}
-			dst[TileAt(col, row)] = a.origTotal
-			if st != nil {
-				st.PrunePctTile++
-			}
-			return a.origTotal, nil
-		}
-		*dst = TileAreas{}
-		ok := true
-		for i := range a.simp.polys {
-			b := a.simp.polys[i].box
-			col := strictCol(b, g)
-			if col < 0 {
-				ok = false
-				break
-			}
-			row := strictRow(b, g)
-			if row < 0 {
-				ok = false
-				break
-			}
-			dst[TileAt(col, row)] += a.origAreas[i]
-		}
-		if ok {
-			if st != nil {
-				st.PrunePctPoly++
-			}
-			return a.origTotal, nil
-		}
-	}
-	if st != nil {
-		st.LoDExact++
-	}
-	return a.Exact().relatePctAreasInto(dst, g, true, false, sc, st)
 }

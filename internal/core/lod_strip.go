@@ -62,14 +62,14 @@ type stripIndex struct {
 	// An edge spanning k buckets appears k times; queries de-duplicate
 	// with an epoch array. invXW is 1/bucketWidth (0 for a degenerate
 	// axis, which collapses to one bucket).
-	nbX        int
+	nbX         int
 	xorg, invXW float64
-	xoff       []int32
-	xids       []int32
-	nbY        int
+	xoff        []int32
+	xids        []int32
+	nbY         int
 	yorg, invYW float64
-	yoff       []int32
-	yids       []int32
+	yoff        []int32
+	yids        []int32
 
 	// Vertex staircases: vertices sorted by x with running extremes of y
 	// from the left (pre…) and from the right (suf…). existsNW(m1, l2) is
@@ -150,7 +150,7 @@ func buildStripIndex(p *Prepared) *stripIndex {
 	ix.polyOf = make([]int32, ne)
 	for pi := range p.polys {
 		id := int32(pi)
-		if len(p.polys[pi].ring) < 3 {
+		if p.polyOff[pi+1]-p.polyOff[pi] < 3 {
 			id = -1
 		}
 		for e := p.polyOff[pi]; e < p.polyOff[pi+1]; e++ {

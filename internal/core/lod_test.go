@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cardirect/internal/geom"
+	"cardirect/internal/workload"
 )
 
 // lodNoisyRegion builds a random region for differential testing: one to
@@ -73,7 +77,7 @@ func TestLoDDifferential(t *testing.T) {
 				t.Fatalf("LoD Relation(%d,%d): %v", i, j, err)
 			}
 			if got != want {
-				t.Fatalf("pair (%d,%d): LoD %v != exact %v (eps=%g)", i, j, got, want, w.LoD(i).Eps)
+				t.Fatalf("pair (%d,%d): LoD %v != exact %v", i, j, got, want)
 			}
 
 			wantM, wantA, err := RelatePct(exact[i], exact[j], sc)
@@ -107,8 +111,7 @@ func TestLoDSimplifies(t *testing.T) {
 	w, exact := lodTestWorld(t, 2, 20, LoDOptions{})
 	simplified := 0
 	for i := 0; i < w.Len(); i++ {
-		l := w.LoD(i)
-		if l.Eps > 0 {
+		if l := w.LoD(i); l != nil && l.Eps > 0 {
 			simplified++
 			if l.SimplifiedEdges() >= len(exact[i].ax) {
 				t.Errorf("region %d: eps=%g but %d simplified edges >= %d exact", i, l.Eps, l.SimplifiedEdges(), len(exact[i].ax))
@@ -183,7 +186,7 @@ func TestCoarsePairSingleTile(t *testing.T) {
 			w := 0.5 + rng.Float64()*10
 			h := 0.5 + rng.Float64()*10
 			regions[i] = NamedRegion{
-				Name:   string(rune('a' + i%26)) + string(rune('0' + i/26)),
+				Name:   string(rune('a'+i%26)) + string(rune('0'+i/26)),
 				Region: geom.Rgn(geom.Poly(geom.Pt(x, y), geom.Pt(x, y+h), geom.Pt(x+w, y+h), geom.Pt(x+w, y))),
 			}
 			boxes[i] = regions[i].Region.BoundingBox()
@@ -221,82 +224,114 @@ func TestCoarsePairSingleTile(t *testing.T) {
 	}
 }
 
-// TestCoarseEstimateSel sanity-checks the planner probe: estimates stay in
-// [0,1] and track the true single-tile fraction reasonably.
-func TestCoarseEstimateSel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 500
-	boxes := make([]geom.Rect, n)
-	for i := range boxes {
-		x := rng.Float64() * 100
-		y := rng.Float64() * 100
-		boxes[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 1 + rng.Float64()*5, MaxY: y + 1 + rng.Float64()*5}
-	}
-	ci := NewCoarseIndex(boxes, 128)
-	g, err := NewGrid(geom.Rect{MinX: 40, MinY: 40, MaxX: 60, MaxY: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All nine single-tile relations: sel = covered + (1−covered)·9/9 = 1.
-	var all RelationSet
-	for _, tile := range Tiles() {
-		all.Add(Rel(tile))
-	}
-	if sel := ci.EstimateSel(g, all); math.Abs(sel-1) > 1e-9 {
-		t.Errorf("EstimateSel(all single tiles) = %g, want 1", sel)
-	}
-	for _, tile := range []Tile{TileSW, TileB, TileNE} {
-		sel := ci.EstimateSel(g, NewRelationSet(Rel(tile)))
-		if sel < 0 || sel > 1 {
-			t.Errorf("EstimateSel(%v) = %g out of [0,1]", tile, sel)
-		}
-	}
-	// The SW corner tile must look much more selective than the full set.
-	if swSel := ci.EstimateSel(g, NewRelationSet(Rel(TileSW))); swSel > 0.5 {
-		t.Errorf("EstimateSel(SW) = %g, expected a small fraction", swSel)
-	}
-}
-
-// TestLoDZeroEpsDegrade checks tiny regions stay exact and still answer
-// correctly.
+// TestLoDZeroEpsDegrade checks tiny regions get no level-of-detail side —
+// their world Prepared is plainly exact — and still answer correctly, and
+// that a region too big to skip but with nothing to drop keeps one exact
+// preparation for both roles.
 func TestLoDZeroEpsDegrade(t *testing.T) {
-	tri := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(1, 0)))
-	l, err := PrepareLoD(nil, "tri", tri, LoDOptions{})
+	// 128 collinear-free vertices on a circle: strip-sized, and with
+	// simplification disabled nothing is dropped.
+	ring := make(geom.Polygon, stripMinEdges)
+	for i := range ring {
+		ang := -2 * math.Pi * float64(i) / float64(len(ring))
+		ring[i] = geom.Pt(10+math.Cos(ang), 10+math.Sin(ang))
+	}
+	w, err := PrepareLoDWorld([]NamedRegion{
+		{Name: "tri", Region: geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(1, 0)))},
+		{Name: "ref", Region: geom.Rgn(geom.Poly(geom.Pt(2, 2), geom.Pt(2, 3), geom.Pt(3, 3), geom.Pt(3, 2)))},
+		{Name: "disc", Region: geom.Rgn(ring)},
+	}, LoDOptions{EpsFrac: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Eps != 0 {
-		t.Fatalf("triangle got eps=%g, want 0", l.Eps)
+	if w.LoD(0) != nil || w.LoD(1) != nil {
+		t.Fatal("tiny regions got a level-of-detail side")
 	}
-	if l.Exact() != l.Simplified() {
+	l := w.LoD(2)
+	if l == nil || l.Eps != 0 {
+		t.Fatalf("strip-sized region: LoD = %+v, want a side with eps 0", l)
+	}
+	if l.Exact() != w.preps[2] {
 		t.Error("eps=0 LoD should share one preparation")
 	}
-	ref, err := PrepareLoD(nil, "ref", geom.Rgn(geom.Poly(geom.Pt(2, 2), geom.Pt(2, 3), geom.Pt(3, 3), geom.Pt(3, 2))), LoDOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := RelateLoD(l, ref, nil, nil)
+	rel, err := w.Relation(0, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := Rel(TileSW); rel != want {
-		t.Fatalf("RelateLoD = %v, want %v", rel, want)
+		t.Fatalf("Relation(tri, ref) = %v, want %v", rel, want)
 	}
+	if got, want := w.Index("disc"), 2; got != want {
+		t.Errorf("Index(disc) = %d, want %d", got, want)
+	}
+	if got := w.Index("nope"); got != -1 {
+		t.Errorf("Index(nope) = %d, want -1", got)
+	}
+}
+
+// TestLoDWorldFootprint pins what a huge world retains beyond its input:
+// the live-heap delta of PrepareLoDWorld over a 2·10^4-region zipfian world
+// (≈3 edges per region in the tail, so the fixed per-region cost dominates)
+// must stay within 500 bytes per region.
+func TestLoDWorldFootprint(t *testing.T) {
+	const n = 20000
+	rs := workload.New(1).Zipf(geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}, n, 4096)
+	regions := make([]NamedRegion, n)
+	for i, r := range rs {
+		regions[i] = NamedRegion{Name: fmt.Sprintf("z%06d", i), Region: r}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := PrepareLoDWorld(regions, LoDOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRegion := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.0f B/region retained beyond the input", perRegion)
+	if perRegion > 500 {
+		t.Errorf("LoD world retains %.0f B/region beyond its input, want ≤ 500", perRegion)
+	}
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(regions)
 }
 
 // FuzzLoDDifferential drives the bit-identity guarantee from fuzzed seeds:
 // random worlds of noisy multi-polygon regions, every pair cross-checked
-// against the exact kernel.
+// against the exact kernel. The top two bits of nn add the cases random
+// worlds almost never hit: bit 6 appends a reference whose box center lies
+// exactly on a vertex of region 0 (the boundary rule of the center test,
+// through every stage that replays it), bit 7 forces every simplified
+// region's Exact() after the caller's region slice is dropped and
+// collected, so the by-reference original rings are what it is built from.
 func FuzzLoDDifferential(f *testing.F) {
 	for s := int64(0); s < 8; s++ {
 		f.Add(s, uint8(10))
 	}
+	f.Add(int64(1), uint8(10|1<<6))
+	f.Add(int64(2), uint8(10|1<<7))
+	f.Add(int64(3), uint8(10|1<<6|1<<7))
 	f.Fuzz(func(t *testing.T, seed int64, nn uint8) {
-		n := 3 + int(nn%14)
+		n := 3 + int(nn&63%14)
 		rng := rand.New(rand.NewSource(seed))
 		regions := make([]NamedRegion, n)
 		for i := range regions {
-			regions[i] = NamedRegion{Name: string(rune('a' + i%26)) + string(rune('0' + i/26)), Region: lodNoisyRegion(rng)}
+			regions[i] = NamedRegion{Name: string(rune('a'+i%26)) + string(rune('0'+i/26)), Region: lodNoisyRegion(rng)}
+		}
+		if nn&(1<<6) != 0 {
+			// Snap one vertex to a 2^-10 lattice (far below the stars'
+			// vertex spacing, so the ring stays simple): v±1 and their mean
+			// are then exact, and the square's box center IS the vertex.
+			v := &regions[0].Region[0][0]
+			v.X, v.Y = math.Round(v.X*1024)/1024, math.Round(v.Y*1024)/1024
+			sq := geom.Poly(geom.Pt(v.X-1, v.Y+1), geom.Pt(v.X+1, v.Y+1), geom.Pt(v.X+1, v.Y-1), geom.Pt(v.X-1, v.Y-1))
+			if sq.BoundingBox().Center() != *v {
+				t.Fatalf("box center %v is not the vertex %v", sq.BoundingBox().Center(), *v)
+			}
+			regions = append(regions, NamedRegion{Name: "onvertex", Region: geom.Rgn(sq)})
+			n++
 		}
 		w, err := PrepareLoDWorld(regions, LoDOptions{})
 		if err != nil {
@@ -305,6 +340,20 @@ func FuzzLoDDifferential(f *testing.F) {
 		exact, err := PrepareAll(regions)
 		if err != nil {
 			t.Fatalf("PrepareAll: %v", err)
+		}
+		if nn&(1<<7) != 0 {
+			regions = nil
+			runtime.GC()
+			for i := 0; i < n; i++ {
+				l := w.LoD(i)
+				if l == nil || l.Eps == 0 {
+					continue
+				}
+				got := l.Exact()
+				if !reflect.DeepEqual(got.Edges(), exact[i].Edges()) || got.Box != exact[i].Box || got.totalArea != exact[i].totalArea {
+					t.Fatalf("seed %d region %d: lazily built exact preparation differs from PrepareAll's", seed, i)
+				}
+			}
 		}
 		sc := getScratch()
 		defer putScratch(sc)

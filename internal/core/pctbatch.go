@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,8 +70,8 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 		return nil, Stats{}, nil
 	}
 	for _, p := range ps {
-		if p.gridErr != nil {
-			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr)
+		if p.noGrid {
+			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
 		}
 		if p.totalArea <= 0 {
 			return nil, Stats{}, fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
@@ -86,13 +85,7 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 	sort.Slice(order, func(i, j int) bool { return order[i].Name < order[j].Name })
 
 	out := make([]PairPercent, n*(n-1))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := poolSize(opt.Workers, n)
 
 	var next atomic.Int64
 	var mu sync.Mutex
@@ -124,7 +117,7 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 				// straight into the output slice instead of copying 72-byte
 				// values through return paths.
 				slot := &row[k]
-				total, err := a.relatePctAreasInto(&slot.Areas, b.grid, opt.NoPrune, opt.NoSoA, sc, &st)
+				total, err := a.relatePctAreasInto(&slot.Areas, b.grid(), opt.NoPrune, opt.NoSoA, sc, &st)
 				if err != nil {
 					errs[pi] = err
 					break

@@ -126,14 +126,14 @@ func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 // paid at Prepare time. With a warmed Scratch the steady path performs zero
 // heap allocations. sc may be nil (a throwaway scratch is used).
 func RelatePct(a, b *Prepared, sc *Scratch) (PercentMatrix, TileAreas, error) {
-	if b.gridErr != nil {
-		return PercentMatrix{}, TileAreas{}, b.gridErr
+	if b.noGrid {
+		return PercentMatrix{}, TileAreas{}, b.gridErr()
 	}
 	if sc == nil {
 		sc = getScratch()
 		defer putScratch(sc)
 	}
-	return a.relatePct(b.grid, false, false, sc, nil)
+	return a.relatePct(b.grid(), false, false, sc, nil)
 }
 
 // RelatePctGrid computes the percent matrix of the primary region against an

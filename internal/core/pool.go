@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"cardirect/internal/geom"
@@ -25,6 +26,15 @@ func runPool(workers int, work func()) {
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize resolves a Workers option against the number of work items:
+// ≤0 means GOMAXPROCS, and never more workers than items.
+func poolSize(workers, items int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, items)
 }
 
 // scratchPool recycles Scratch values for the one-shot convenience paths

@@ -13,21 +13,21 @@ import (
 var ErrDegenerateRegion = errors.New("core: degenerate region")
 
 // Prepared is a region preprocessed once for repeated cardinal direction
-// computation. It holds everything Compute-CDR needs on either side of a
-// relation — the canonical clockwise orientation, the edges flattened into a
-// struct-of-arrays coordinate layout (four flat float64 slices the split and
-// trapezoid kernels stream through), per-polygon bounding boxes (the MBB
-// fast path), and the reference-side grid — so the O(n²) all-pairs batch
-// pays the per-region preprocessing exactly once per region instead of once
-// per pair. A Prepared value is immutable after construction and safe to
-// share across goroutines.
+// computation. It holds each fact Compute-CDR needs on either side of a
+// relation exactly once: the edges of the canonical clockwise orientation,
+// flattened into a struct-of-arrays coordinate layout (four flat float64
+// slices the split and trapezoid kernels stream through), per-polygon
+// bounding boxes and areas (the MBB fast paths), and the region box — whose
+// four numbers ARE the reference-side grid. The input rings are not
+// retained: polygon k's vertices are ax/ay[polyOff[k]:polyOff[k+1]], and
+// Region materialises them on demand. The O(n²) all-pairs batch thus pays
+// the per-region preprocessing exactly once per region instead of once per
+// pair. A Prepared value is immutable after construction and safe to share
+// across goroutines.
 type Prepared struct {
 	// Name identifies the region in batch results and error messages.
 	Name string
-	// Region is the input region, normalised to the canonical clockwise
-	// orientation. Callers must not mutate it.
-	Region geom.Region
-	// Box is mbb(Region).
+	// Box is the region's minimum bounding box.
 	Box geom.Rect
 
 	// Struct-of-arrays edge layout: edge i runs from (ax[i], ay[i]) to
@@ -35,126 +35,184 @@ type Prepared struct {
 	// accumulation iterate these flat slices instead of a []geom.Segment,
 	// which keeps the hot loops in registers and lets one cache line carry
 	// eight coordinates of the same stream. The four slices are sub-slices
-	// of one backing block (see Arena), so a whole region's edges are one
-	// allocation, not k.
+	// of one backing block, so a whole region's edges are one allocation —
+	// and a whole PrepareAll batch's are one, too.
 	ax, ay, bx, by []float64
 	// polyOff delimits each polygon's edges: polygon k owns edge indices
 	// polyOff[k] up to polyOff[k+1]. len(polyOff) == len(polys)+1.
 	polyOff []int32
 
-	polys     []preparedPoly // per-polygon metadata, parallel to Region
-	grid      Grid           // tile grid when the region is a reference
-	gridErr   error          // non-nil when Box is degenerate (unusable as reference)
-	center    geom.Point     // Box.Center(), hoisted out of the pair loop
+	polys     []preparedPoly // per-polygon metadata, in input order
+	noGrid    bool           // Box is degenerate: unusable as a reference
 	fastOK    bool           // polygons are sound enough for the band fast path
 	totalArea float64        // summed polygon areas, for the percent fast path
 }
 
 type preparedPoly struct {
-	ring geom.Polygon
 	box  geom.Rect
 	area float64 // the polygon's area, cached for the percent fast path
 }
 
-// Prepare preprocesses a region for repeated relation computation. It fails
-// with a wrapped ErrDegenerateRegion when the region has no polygons or no
-// edges — inputs for which Compute-CDR has no answer.
-func Prepare(name string, r geom.Region) (*Prepared, error) {
-	return prepareIn(nil, name, r)
+// countEdges returns r's total edge count — the size of the coordinate
+// block its preparation needs — or a wrapped ErrDegenerateRegion when the
+// region has no polygons or no edges, inputs for which Compute-CDR has no
+// answer.
+func countEdges(name string, r geom.Region) (int, error) {
+	if len(r) == 0 {
+		return 0, fmt.Errorf("core: region %q is empty: %w", name, ErrDegenerateRegion)
+	}
+	total := r.NumEdges()
+	if total == 0 {
+		return 0, fmt.Errorf("core: region %q has no edges: %w", name, ErrDegenerateRegion)
+	}
+	return total, nil
 }
 
-// prepareIn is Prepare with the backing storage taken from ar; a nil arena
-// falls back to individual allocations.
-func prepareIn(ar *Arena, name string, r geom.Region) (*Prepared, error) {
-	if len(r) == 0 {
-		return nil, fmt.Errorf("core: region %q is empty: %w", name, ErrDegenerateRegion)
+// Prepare preprocesses a region for repeated relation computation. It fails
+// with a wrapped ErrDegenerateRegion when the region has no polygons or no
+// edges. The result owns its storage, so it is reclaimed on its own — what
+// a store that replaces regions one by one needs; PrepareAll is the bulk
+// form.
+func Prepare(name string, r geom.Region) (*Prepared, error) {
+	total, err := countEdges(name, r)
+	if err != nil {
+		return nil, err
 	}
-	norm := r.Clockwise()
-	total := norm.NumEdges()
-	if total == 0 {
-		return nil, fmt.Errorf("core: region %q has no edges: %w", name, ErrDegenerateRegion)
-	}
-	p := &Prepared{
-		Name:   name,
-		Region: norm,
-		fastOK: true,
-	}
-	// One coordinate block per region, sub-sliced four ways. The capped
-	// three-index slices keep an append on one stream from bleeding into the
-	// next (and into a neighbouring region's block when ar is shared).
-	coords := ar.float64s(4 * total)
+	p := new(Prepared)
+	p.fill(name, r, make([]float64, 4*total), make([]int32, len(r)+1), make([]preparedPoly, len(r)))
+	return p, nil
+}
+
+// fill builds p over r (already counted by countEdges) in the storage
+// handed to it: coords holds four float64s per edge, polyOff one int32 per
+// polygon plus one, polys one entry per polygon. Each ring is written
+// straight into the coordinate block in the canonical clockwise orientation
+// — following geom.Polygon.Clockwise's rule, without materialising the
+// reversed ring — and the per-polygon facts are then computed from the block
+// in ring order, so they are bit-identical to what the geom methods return
+// for the normalised ring.
+func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []int32, polys []preparedPoly) {
+	total := len(coords) / 4
+	p.Name = name
+	p.fastOK = true
+	// The capped three-index slices keep an append on one stream from
+	// bleeding into the next (and into a neighbouring region's block when
+	// the storage is a shared slab).
 	p.ax = coords[0:total:total]
 	p.ay = coords[total : 2*total : 2*total]
 	p.bx = coords[2*total : 3*total : 3*total]
 	p.by = coords[3*total : 4*total : 4*total]
-	p.polyOff = ar.int32s(len(norm) + 1)
-	p.polys = ar.polySlab(len(norm))
+	p.polyOff = polyOff
+	p.polys = polys
 
 	box := geom.EmptyRect()
 	k := 0
-	for pi, poly := range norm {
-		p.polyOff[pi] = int32(k)
-		pb := poly.BoundingBox()
-		area := poly.Area()
-		box = box.Union(pb)
-		p.polys[pi] = preparedPoly{ring: poly, box: pb, area: area}
-		p.totalArea += area
+	for pi, poly := range r {
+		polyOff[pi] = int32(k)
 		n := len(poly)
-		for i := 0; i < n; i++ {
+		ax, ay, bx, by := p.ax[k:k+n], p.ay[k:k+n], p.bx[k:k+n], p.by[k:k+n]
+		if sa := poly.SignedArea(); n < 3 || sa > 0 || sa == 0 {
+			for i, v := range poly {
+				ax[i], ay[i] = v.X, v.Y
+			}
+		} else {
+			for i, v := range poly {
+				ax[n-1-i], ay[n-1-i] = v.X, v.Y
+			}
+		}
+		var area float64
+		pb := geom.EmptyRect()
+		for i := range ax {
 			j := i + 1
 			if j == n {
 				j = 0
 			}
-			a, b := poly[i], poly[j]
-			if a.Eq(b) {
+			bx[i], by[i] = ax[j], ay[j]
+			if ax[i] == bx[i] && ay[i] == by[i] {
 				p.fastOK = false // zero-length edges break the band derivation
 			}
-			p.ax[k], p.ay[k] = a.X, a.Y
-			p.bx[k], p.by[k] = b.X, b.Y
-			k++
+			area += (bx[i] - ax[i]) * (ay[i] + by[i]) / 2
+			pb = pb.ExtendPoint(geom.Point{X: ax[i], Y: ay[i]})
 		}
+		area = abs(area)
 		if area == 0 {
 			p.fastOK = false // degenerate rings violate the orientation invariant
 		}
+		box = box.Union(pb)
+		polys[pi] = preparedPoly{box: pb, area: area}
+		p.totalArea += area
+		k += n
 	}
-	p.polyOff[len(norm)] = int32(k)
+	polyOff[len(r)] = int32(k)
 	p.Box = box
-	p.grid, p.gridErr = NewGrid(box)
-	if p.gridErr == nil {
-		p.center = p.grid.Box().Center()
-	}
-	return p, nil
+	_, err := NewGrid(box)
+	p.noGrid = err != nil
 }
 
 // PrepareAll preprocesses a batch of named regions, enforcing the batch
-// naming contract (non-empty, unique names). The prepared regions share one
-// arena (a handful of large backing slices), so a 10^5-region world costs a
-// few slab allocations instead of per-region GC churn; see PrepareAllIn to
-// supply — and reuse — the arena explicitly.
+// naming contract (non-empty, unique names). The batch is counted first and
+// built in four exact-size blocks — the Prepared values, the coordinates,
+// the polygon metadata, the offsets — so a 10^5-region world costs a
+// constant number of allocations and not a byte of slack. The flip side:
+// the batch is reclaimed only as a whole, once every Prepared of it is
+// unreachable; prepare regions with independent lifetimes through Prepare.
 func PrepareAll(regions []NamedRegion) ([]*Prepared, error) {
-	return PrepareAllIn(NewArena(), regions)
-}
-
-// PrepareAllIn is PrepareAll with the backing storage drawn from ar. A nil
-// arena falls back to per-region allocations.
-func PrepareAllIn(ar *Arena, regions []NamedRegion) ([]*Prepared, error) {
-	seen := make(map[string]bool, len(regions))
+	if _, err := indexNames(len(regions), func(i int) string { return regions[i].Name }); err != nil {
+		return nil, err
+	}
 	out := make([]*Prepared, len(regions))
-	for i, r := range regions {
-		if r.Name == "" {
-			return nil, fmt.Errorf("core: region %d has empty name", i)
-		}
-		if seen[r.Name] {
-			return nil, fmt.Errorf("core: duplicate region name %q", r.Name)
-		}
-		seen[r.Name] = true
-		p, err := prepareIn(ar, r.Name, r.Region)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
+	if err := prepareSlab(regions, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// prepareSlab prepares regions[i] into out[i] for every i whose out[i] is
+// still nil, all of them from one exact-size set of blocks.
+func prepareSlab(regions []NamedRegion, out []*Prepared) error {
+	var nRegions, nPolys, nEdges int
+	for i, r := range regions {
+		if out[i] != nil {
+			continue
+		}
+		edges, err := countEdges(r.Name, r.Region)
+		if err != nil {
+			return err
+		}
+		nRegions++
+		nPolys += len(r.Region)
+		nEdges += edges
+	}
+	preps := make([]Prepared, nRegions)
+	coords := make([]float64, 4*nEdges)
+	polys := make([]preparedPoly, nPolys)
+	offs := make([]int32, nPolys+nRegions)
+	for i, r := range regions {
+		if out[i] != nil {
+			continue
+		}
+		np, nc := len(r.Region), 4*r.Region.NumEdges()
+		p := &preps[0]
+		p.fill(r.Name, r.Region, coords[:nc:nc], offs[:np+1:np+1], polys[:np:np])
+		preps, coords, offs, polys = preps[1:], coords[nc:], offs[np+1:], polys[np:]
+		out[i] = p
+	}
+	return nil
+}
+
+// Region materialises the region in the canonical clockwise orientation
+// from the coordinate streams, as fresh slices.
+func (p *Prepared) Region() geom.Region {
+	out := make(geom.Region, len(p.polys))
+	for k := range out {
+		lo, hi := p.polyOff[k], p.polyOff[k+1]
+		ring := make(geom.Polygon, hi-lo)
+		for i := range ring {
+			ring[i] = geom.Point{X: p.ax[int(lo)+i], Y: p.ay[int(lo)+i]}
+		}
+		out[k] = ring
+	}
+	return out
 }
 
 // NumEdges returns the region's total edge count (k in the paper's bounds).
@@ -186,7 +244,26 @@ func (p *Prepared) edge(i int) geom.Segment {
 // Grid returns the nine-tile grid induced by the region's bounding box, or
 // an error when the box is degenerate and the region cannot serve as a
 // reference (it can still be a primary).
-func (p *Prepared) Grid() (Grid, error) { return p.grid, p.gridErr }
+func (p *Prepared) Grid() (Grid, error) { return p.grid(), p.gridErr() }
+
+// grid is the reference-side grid. Meaningful only when noGrid is unset.
+func (p *Prepared) grid() Grid { return boxGrid(p.Box) }
+
+// boxGrid is NewGrid without the validation: the four lines of a box known
+// to be non-degenerate, which is all NewGrid copies out of it.
+func boxGrid(b geom.Rect) Grid {
+	return Grid{M1: b.MinX, M2: b.MaxX, L1: b.MinY, L2: b.MaxY}
+}
+
+// gridErr is NewGrid's complaint about a degenerate Box, rebuilt on this
+// cold path instead of carried by every region; nil for a usable reference.
+func (p *Prepared) gridErr() error {
+	if !p.noGrid {
+		return nil
+	}
+	_, err := NewGrid(p.Box)
+	return err
+}
 
 // Scratch holds the reusable buffers of one computation thread: the
 // edge-split buffer shared by Relate and RelatePct, and the per-tile signed
@@ -214,14 +291,14 @@ type Scratch struct {
 // when a's bounding box permits it. sc may be nil (a throwaway scratch is
 // used).
 func Relate(a, b *Prepared, sc *Scratch) (Relation, error) {
-	if b.gridErr != nil {
-		return 0, b.gridErr
+	if b.noGrid {
+		return 0, b.gridErr()
 	}
 	if sc == nil {
 		sc = getScratch()
 		defer putScratch(sc)
 	}
-	return a.relate(b.grid, b.center, false, false, sc, nil), nil
+	return a.relate(b.grid(), false, false, sc, nil), nil
 }
 
 // RelateGrid computes the relation of the primary region against an
@@ -231,7 +308,7 @@ func (p *Prepared) RelateGrid(g Grid, sc *Scratch) Relation {
 		sc = getScratch()
 		defer putScratch(sc)
 	}
-	return p.relate(g, g.Box().Center(), false, false, sc, nil)
+	return p.relate(g, false, false, sc, nil)
 }
 
 // relate dispatches between the MBB fast path and the full edge-splitting
@@ -239,16 +316,16 @@ func (p *Prepared) RelateGrid(g Grid, sc *Scratch) Relation {
 // kept for differential tests and benchmark ablations). The result is
 // always a valid (non-empty) relation: Prepare guarantees at least one edge
 // exists.
-func (p *Prepared) relate(g Grid, center geom.Point, noPrune, ref bool, sc *Scratch, st *Stats) Relation {
+func (p *Prepared) relate(g Grid, noPrune, ref bool, sc *Scratch, st *Stats) Relation {
 	if !noPrune {
 		if rel, ok := p.relateFast(g, st); ok {
 			return rel
 		}
 	}
 	if ref {
-		return p.relateFullRef(g, center, sc, st)
+		return p.relateFullRef(g, sc, st)
 	}
-	return p.relateFull(g, center, sc, st)
+	return p.relateFull(g, sc, st)
 }
 
 // strictCol returns the grid column strictly containing the box — the box
@@ -301,16 +378,6 @@ func strictRow(b geom.Rect, g Grid) int {
 // unset) skip the band path, because they break that argument; the
 // single-tile path needs no such invariant.
 func (p *Prepared) relateFast(g Grid, st *Stats) (Relation, bool) {
-	return p.relateFastWith(g, p.fastOK, st)
-}
-
-// relateFastWith is relateFast with the band-path soundness gate supplied
-// by the caller. The fast path reads only the region and per-polygon
-// bounding boxes, so a LoD region — whose simplified geometry shares those
-// boxes exactly with the original — reuses it by passing the ORIGINAL
-// region's fastOK: the answer is then exact for the original geometry even
-// though p holds the simplified ring.
-func (p *Prepared) relateFastWith(g Grid, fastOK bool, st *Stats) (Relation, bool) {
 	col := strictCol(p.Box, g)
 	row := strictRow(p.Box, g)
 	if col >= 0 && row >= 0 {
@@ -319,7 +386,7 @@ func (p *Prepared) relateFastWith(g Grid, fastOK bool, st *Stats) (Relation, boo
 		}
 		return Rel(TileAt(col, row)), true
 	}
-	if !fastOK {
+	if !p.fastOK {
 		return 0, false
 	}
 	if col >= 0 {
@@ -369,7 +436,7 @@ func (p *Prepared) relateFastWith(g Grid, fastOK bool, st *Stats) (Relation, boo
 // kernel in relateFull (asserted by TestSoAKernelDifferential) and exists
 // for exactly that comparison — and as the BatchOptions.NoSoA ablation
 // baseline. Do not use on hot paths.
-func (p *Prepared) relateFullRef(g Grid, center geom.Point, sc *Scratch, st *Stats) Relation {
+func (p *Prepared) relateFullRef(g Grid, sc *Scratch, st *Stats) Relation {
 	var rel Relation
 	buf := sc.buf
 	for i := 0; i < len(p.ax); i++ {
@@ -385,7 +452,7 @@ func (p *Prepared) relateFullRef(g Grid, center geom.Point, sc *Scratch, st *Sta
 		}
 	}
 	sc.buf = buf
-	return p.addCenterTile(rel, center, st)
+	return p.addCenterTile(rel, g, st)
 }
 
 // relateFull is the paper's Compute-CDR over the struct-of-arrays edge
@@ -396,7 +463,7 @@ func (p *Prepared) relateFullRef(g Grid, center geom.Point, sc *Scratch, st *Sta
 // polygons enclosing the reference box's center. The no-split case — the
 // overwhelming majority of edges in batch workloads — runs branch-light
 // with no Segment materialisation and no buffer traffic.
-func (p *Prepared) relateFull(g Grid, center geom.Point, sc *Scratch, st *Stats) Relation {
+func (p *Prepared) relateFull(g Grid, sc *Scratch, st *Stats) Relation {
 	var rel Relation
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
 	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
@@ -436,29 +503,58 @@ func (p *Prepared) relateFull(g Grid, center geom.Point, sc *Scratch, st *Stats)
 		st.EdgesOut += outCount
 		st.Intersections += outCount - len(ax)
 	}
-	return p.addCenterTile(rel, center, st)
+	return p.addCenterTile(rel, g, st)
 }
 
 // addCenterTile adds tile B for polygons enclosing the reference box's
 // center — the shared tail of the full kernels. The center test is skipped
 // once B is present and rejected early through the per-polygon bounding box.
-func (p *Prepared) addCenterTile(rel Relation, center geom.Point, st *Stats) Relation {
-	if !rel.Has(TileB) {
-		for i := range p.polys {
-			pp := &p.polys[i]
-			if !pp.box.Contains(center) {
-				continue
-			}
-			if st != nil {
-				st.PointInPoly++
-			}
-			if pp.ring.Contains(center) {
-				rel = rel.With(TileB)
-				break
-			}
+func (p *Prepared) addCenterTile(rel Relation, g Grid, st *Stats) Relation {
+	if rel.Has(TileB) {
+		return rel
+	}
+	center := g.Box().Center()
+	for i := range p.polys {
+		if !p.polys[i].box.Contains(center) {
+			continue
+		}
+		if st != nil {
+			st.PointInPoly++
+		}
+		if p.polyContains(i, center) {
+			return rel.With(TileB)
 		}
 	}
 	return rel
+}
+
+// polyContains is geom.Polygon.Contains for polygon k, read from the
+// coordinate streams: q lies inside the ring or on its boundary, by the
+// even–odd ray rule with points on an edge or vertex reported as contained.
+// Every expression mirrors the geom method, so the two agree bit for bit
+// (TestPolyContainsDifferential).
+func (p *Prepared) polyContains(k int, q geom.Point) bool {
+	lo, hi := p.polyOff[k], p.polyOff[k+1]
+	if hi-lo < 3 {
+		return false
+	}
+	inside := false
+	for i := lo; i < hi; i++ {
+		x0, y0, x1, y1 := p.ax[i], p.ay[i], p.bx[i], p.by[i]
+		// Boundary first: collinear and within the edge's box.
+		if geom.Orient(geom.Point{X: x0, Y: y0}, geom.Point{X: x1, Y: y1}, q) == 0 &&
+			min(x0, x1) <= q.X && q.X <= max(x0, x1) &&
+			min(y0, y1) <= q.Y && q.Y <= max(y0, y1) {
+			return true
+		}
+		// Even–odd crossing of the horizontal ray from q to +∞.
+		if (y0 > q.Y) != (y1 > q.Y) {
+			if xAt := x0 + (q.Y-y0)/(y1-y0)*(x1-x0); xAt > q.X {
+				inside = !inside
+			}
+		}
+	}
+	return inside
 }
 
 // splitEdgeInto cuts the edge (x0,y0)→(x1,y1) at its proper crossings with

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"cardirect/internal/geom"
 )
@@ -66,7 +69,7 @@ func TestPreparedFlattensEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Region[0].IsClockwise() {
+	if !q.Region()[0].IsClockwise() {
 		t.Error("prepared region not clockwise-normalised")
 	}
 }
@@ -109,7 +112,7 @@ func TestRelateMatchesComputeCDR(t *testing.T) {
 		if got != want {
 			t.Errorf("case %d: Relate = %v, ComputeCDR = %v", i, got, want)
 		}
-		if gg := p.RelateGrid(refP.grid, sc); gg != want {
+		if gg := p.RelateGrid(refP.grid(), sc); gg != want {
 			t.Errorf("case %d: RelateGrid = %v, want %v", i, gg, want)
 		}
 	}
@@ -139,7 +142,7 @@ func TestFastPathHits(t *testing.T) {
 	}
 	for _, c := range cases {
 		var st Stats
-		rel, ok := c.a.relateFast(ref.grid, &st)
+		rel, ok := c.a.relateFast(ref.grid(), &st)
 		if c.singleTile || c.band {
 			if !ok {
 				t.Errorf("%s: fast path did not fire", c.name)
@@ -155,7 +158,7 @@ func TestFastPathHits(t *testing.T) {
 			t.Errorf("%s: fast path fired unexpectedly with %v", c.name, rel)
 		}
 		// Whatever the path, the public answer must match ComputeCDR.
-		want, err := ComputeCDR(c.a.Region, ref.Region)
+		want, err := ComputeCDR(c.a.Region(), ref.Region())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +193,10 @@ func TestFastPathDegenerateGuard(t *testing.T) {
 	if p.fastOK {
 		t.Error("degenerate ring should clear fastOK")
 	}
-	if _, ok := p.relateFast(ref.grid, nil); ok {
+	if _, ok := p.relateFast(ref.grid(), nil); ok {
 		t.Error("band path must not fire for degenerate rings")
 	}
-	want, err := ComputeCDR(r, ref.Region)
+	want, err := ComputeCDR(r, ref.Region())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +216,107 @@ func TestFastPathDegenerateGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, ok := fp.relateFast(ref.grid, nil)
+	rel, ok := fp.relateFast(ref.grid(), nil)
 	if !ok || rel != NE {
 		t.Errorf("single-tile path = %v (fired %v), want NE", rel, ok)
+	}
+}
+
+// TestPreparedSize pins the Prepared header: 10^5 of them are the largest
+// single block of a huge world, so a new field is a decision, not an
+// accident.
+func TestPreparedSize(t *testing.T) {
+	if got := unsafe.Sizeof(Prepared{}); got > 224 {
+		t.Errorf("unsafe.Sizeof(Prepared{}) = %d, want ≤ 224", got)
+	}
+}
+
+// TestPrepareAllAllocs pins the slab build: a batch costs a constant
+// number of allocations (the name table, the result slice and four
+// blocks), not a few per region.
+func TestPrepareAllAllocs(t *testing.T) {
+	regions := clusterWorkload(7, 1000)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := PrepareAll(regions); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("PrepareAll over %d regions: %v allocations, want ≤ 8", len(regions), allocs)
+	}
+}
+
+// TestPolyContainsDifferential checks the center-in-polygon test that reads
+// the coordinate streams against geom.Polygon.Contains on the normalised
+// ring, over convex, star and rectilinear rings of both orientations at
+// three magnitudes, with the query points where the two could part ways: on
+// vertices, on edges, collinear with horizontal edges beyond their ends,
+// and around the box.
+func TestPolyContainsDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ring := func(kind int, scale float64) geom.Polygon {
+		n := 3 + rng.Intn(20)
+		out := make(geom.Polygon, 0, 2*n)
+		cx, cy := float64(rng.Intn(200)-100), float64(rng.Intn(200)-100)
+		for i := 0; i < n; i++ {
+			ang := -2 * math.Pi * float64(i) / float64(n)
+			rad := 40.0
+			if kind > 0 {
+				rad = float64(10 + rng.Intn(40))
+			}
+			v := geom.Pt(cx+math.Round(rad*math.Cos(ang)), cy+math.Round(rad*math.Sin(ang)))
+			if kind == 2 && len(out) > 0 { // rectilinear: step in x, then in y
+				out = append(out, geom.Pt(v.X, out[len(out)-1].Y))
+			}
+			out = append(out, v)
+		}
+		if rng.Intn(2) == 0 {
+			for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+				out[i], out[j] = out[j], out[i]
+			}
+		}
+		for i := range out {
+			out[i] = out[i].Scale(scale)
+		}
+		return out
+	}
+	checked, inside := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		scale := []float64{1, 1e15, 1e-15}[trial%3]
+		var r geom.Region
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			r = append(r, ring(trial/3%3, scale))
+		}
+		p, err := Prepare("r", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, poly := range r.Clockwise() {
+			box := poly.BoundingBox()
+			qs := []geom.Point{box.Center(), {X: box.MinX, Y: box.MinY}, {X: box.MaxX + scale, Y: box.Center().Y}}
+			for i := range poly {
+				e := poly.Edge(i)
+				qs = append(qs, e.A, e.A.Mid(e.B), geom.Pt(e.A.X, e.B.Y))
+				if e.A.Y == e.B.Y { // beyond both ends of a horizontal edge
+					qs = append(qs, geom.Pt(math.Min(e.A.X, e.B.X)-scale, e.A.Y), geom.Pt(math.Max(e.A.X, e.B.X)+scale, e.A.Y))
+				}
+			}
+			for i := 0; i < 8; i++ {
+				qs = append(qs, geom.Pt(box.MinX+rng.Float64()*box.Width(), box.MinY+rng.Float64()*box.Height()))
+			}
+			for _, q := range qs {
+				want := poly.Contains(q)
+				if got := p.polyContains(k, q); got != want {
+					t.Fatalf("trial %d polygon %d: polyContains(%v) = %v, Polygon.Contains = %v\nring %v", trial, k, q, got, want, poly)
+				}
+				checked++
+				if want {
+					inside++
+				}
+			}
+		}
+	}
+	if inside == 0 || inside == checked {
+		t.Fatalf("degenerate sample: %d of %d points inside", inside, checked)
 	}
 }

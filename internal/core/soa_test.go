@@ -126,16 +126,16 @@ func TestBatchRowZeroAllocs(t *testing.T) {
 	var areas TileAreas
 	// Warm the split buffer once.
 	for _, b := range refs {
-		a.relate(b.grid, b.center, false, false, sc, nil)
-		if _, err := a.relatePctAreasInto(&areas, b.grid, false, false, sc, nil); err != nil {
+		a.relate(b.grid(), false, false, sc, nil)
+		if _, err := a.relatePctAreasInto(&areas, b.grid(), false, false, sc, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, noPrune := range []bool{false, true} {
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, b := range refs {
-				a.relate(b.grid, b.center, noPrune, false, sc, nil)
-				if _, err := a.relatePctAreasInto(&areas, b.grid, noPrune, false, sc, nil); err != nil {
+				a.relate(b.grid(), noPrune, false, sc, nil)
+				if _, err := a.relatePctAreasInto(&areas, b.grid(), noPrune, false, sc, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -146,79 +146,24 @@ func TestBatchRowZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestArenaCarving exercises the bump allocator directly: lengths and
-// capacities are exact (appends cannot bleed into a neighbour's block),
-// blocks are disjoint, contents start zeroed, and chunk growth is geometric
-// rather than per-call.
-func TestArenaCarving(t *testing.T) {
-	a := NewArena()
-	x := a.float64s(10)
-	y := a.float64s(20)
-	if len(x) != 10 || cap(x) != 10 || len(y) != 20 || cap(y) != 20 {
-		t.Fatalf("len/cap mismatch: %d/%d, %d/%d", len(x), cap(x), len(y), cap(y))
-	}
-	for i := range x {
-		x[i] = 1
-	}
-	for _, v := range y {
-		if v != 0 {
-			t.Fatal("blocks overlap: writes to x visible in y")
+// TestPrepareAllEquivalence asserts slab-backed preparation produces
+// regions identical to individually-prepared ones — same normalised rings,
+// same metadata, same answers — and that the slab is carved exactly: every
+// stream's capacity is its length, so an append cannot bleed into a
+// neighbour's block.
+func TestPrepareAllEquivalence(t *testing.T) {
+	regions := clusterWorkload(5, 40)
+	// A counter-clockwise member, so the slab path normalises in place.
+	ccw := regions[3].Region.Clone()
+	for _, ring := range ccw {
+		for i, j := 0, len(ring)-1; i < j; i, j = i+1, j-1 {
+			ring[i], ring[j] = ring[j], ring[i]
 		}
 	}
-	// Both blocks fit the first chunk.
-	if st := a.Stats(); st.Chunks != 1 {
-		t.Fatalf("chunks = %d, want 1", st.Chunks)
-	}
-	// An oversized request gets its own chunk of at least that size.
-	big := a.float64s(arenaMaxChunk + 5)
-	if len(big) != arenaMaxChunk+5 {
-		t.Fatalf("big block len = %d", len(big))
-	}
-	if st := a.Stats(); st.Chunks != 2 {
-		t.Fatalf("chunks = %d, want 2", st.Chunks)
-	}
-	// Other element types carve independently.
-	off := a.int32s(4)
-	if len(off) != 4 || cap(off) != 4 {
-		t.Fatalf("int32 block len/cap = %d/%d", len(off), cap(off))
-	}
-	ps := a.polySlab(3)
-	if len(ps) != 3 || cap(ps) != 3 {
-		t.Fatalf("poly slab len/cap = %d/%d", len(ps), cap(ps))
-	}
-	if st := a.Stats(); st.Bytes == 0 {
-		t.Fatal("stats report zero bytes after allocations")
-	}
-}
-
-// TestArenaNilFallback pins that a nil arena behaves like plain make: every
-// construction path can take an optional arena without nil checks.
-func TestArenaNilFallback(t *testing.T) {
-	var a *Arena
-	x := a.float64s(7)
-	if len(x) != 7 {
-		t.Fatalf("len = %d", len(x))
-	}
-	if st := a.Stats(); st != (ArenaStats{}) {
-		t.Fatalf("nil arena stats = %+v", st)
-	}
-	if len(a.int32s(3)) != 3 || len(a.polySlab(2)) != 2 {
-		t.Fatal("nil arena fallback sizes wrong")
-	}
-}
-
-// TestPrepareAllInEquivalence asserts arena-backed preparation produces
-// regions that relate identically to individually-prepared ones, and that
-// the arena actually coalesces the world into few chunks.
-func TestPrepareAllInEquivalence(t *testing.T) {
-	regions := clusterWorkload(5, 40)
-	ar := NewArena()
-	inArena, err := PrepareAllIn(ar, regions)
+	regions[3].Region = ccw
+	slab, err := PrepareAll(regions)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st := ar.Stats(); st.Chunks == 0 || st.Chunks > 8 {
-		t.Errorf("40-region world used %d chunks, want few but nonzero", st.Chunks)
 	}
 	sc := &Scratch{}
 	for i, r := range regions {
@@ -226,18 +171,35 @@ func TestPrepareAllInEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := inArena[i]
-		if p.NumEdges() != plain.NumEdges() || p.Box != plain.Box {
-			t.Fatalf("%s: prepared metadata differs in arena", r.Name)
+		p := slab[i]
+		if p.NumEdges() != plain.NumEdges() || p.Box != plain.Box ||
+			p.fastOK != plain.fastOK || p.totalArea != plain.totalArea {
+			t.Fatalf("%s: prepared metadata differs in the slab", r.Name)
 		}
-		b := inArena[(i+1)%len(inArena)]
+		if got, want := p.Region(), r.Region.Clockwise(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Region() = %v, want the clockwise-normalised input %v", r.Name, got, want)
+		}
+		for k, poly := range r.Region.Clockwise() {
+			if p.polys[k].area != poly.Area() || p.polys[k].box != poly.BoundingBox() {
+				t.Fatalf("%s polygon %d: area/box differ from the geom methods", r.Name, k)
+			}
+		}
+		for _, st := range [][]float64{p.ax, p.ay, p.bx, p.by} {
+			if cap(st) != len(st) {
+				t.Fatalf("%s: stream len %d cap %d, want equal", r.Name, len(st), cap(st))
+			}
+		}
+		if cap(p.polyOff) != len(p.polyOff) || cap(p.polys) != len(p.polys) {
+			t.Fatalf("%s: metadata blocks not capped", r.Name)
+		}
+		b := slab[(i+1)%len(slab)]
 		relA, errA := Relate(p, b, sc)
 		relB, errB := Relate(plain, b, sc)
 		if errA != nil || errB != nil {
 			t.Fatalf("%s: relate errors %v / %v", r.Name, errA, errB)
 		}
 		if relA != relB {
-			t.Fatalf("%s: arena-prepared relation %v != plain %v", r.Name, relA, relB)
+			t.Fatalf("%s: slab-prepared relation %v != plain %v", r.Name, relA, relB)
 		}
 		mA, aA, errA := RelatePct(p, b, sc)
 		mB, aB, errB := RelatePct(plain, b, sc)
@@ -245,7 +207,7 @@ func TestPrepareAllInEquivalence(t *testing.T) {
 			t.Fatalf("%s: relatePct errors %v / %v", r.Name, errA, errB)
 		}
 		if mA != mB || aA != aB {
-			t.Fatalf("%s: arena-prepared percent result differs", r.Name)
+			t.Fatalf("%s: slab-prepared percent result differs", r.Name)
 		}
 	}
 }

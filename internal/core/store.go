@@ -105,10 +105,10 @@ func NewRelationStore(regions []NamedRegion, opt StoreOptions) (*RelationStore, 
 // non-empty and unique among themselves and against the held regions,
 // geometry the store can answer for — a non-degenerate bounding box (usable
 // as a reference) always, positive area when the store answers percentages.
-// Each region is prepared on its own, not from a shared Arena: an arena
-// frees nothing until every region carved from it is gone, and a store's
-// regions are replaced one by one for as long as it lives. Callers that
-// edit hold the write lock.
+// Each region is prepared on its own (Prepare), not from a PrepareAll
+// slab: a slab is reclaimed only once every region carved from it is gone,
+// and a store's regions are replaced one by one for as long as it lives.
+// Callers that edit hold the write lock.
 func (s *RelationStore) admit(regions []NamedRegion) ([]*Prepared, error) {
 	ps := make([]*Prepared, len(regions))
 	batch := make(map[string]bool, len(regions))
@@ -136,8 +136,8 @@ func (s *RelationStore) prepare(name string, r geom.Region) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.gridErr != nil {
-		return nil, fmt.Errorf("core: region %q: %w", name, p.gridErr)
+	if p.noGrid {
+		return nil, fmt.Errorf("core: region %q: %w", name, p.gridErr())
 	}
 	if s.opt.Pct && p.totalArea <= 0 {
 		return nil, fmt.Errorf("core: region %q has zero area: %w", name, ErrDegenerateRegion)
@@ -331,7 +331,7 @@ var errNoPct = errors.New("core: store does not answer percentages (StoreOptions
 func (s *RelationStore) relate(a, b *Prepared) Relation {
 	var st Stats
 	var sc Scratch
-	rel := a.relate(b.grid, b.center, false, false, &sc, &st)
+	rel := a.relate(b.grid(), false, false, &sc, &st)
 	switch {
 	case st.PruneSingleTile != 0:
 		s.served[stageSingleTile].Add(1)
@@ -348,7 +348,7 @@ func (s *RelationStore) relate(a, b *Prepared) Relation {
 func (s *RelationStore) relatePct(a, b *Prepared) (PercentMatrix, TileAreas, error) {
 	var st Stats
 	var sc Scratch
-	m, areas, err := a.relatePct(b.grid, false, false, &sc, &st)
+	m, areas, err := a.relatePct(b.grid(), false, false, &sc, &st)
 	switch {
 	case st.PrunePctTile != 0:
 		s.served[stagePctTile].Add(1)

@@ -122,7 +122,7 @@ func TestRelationStoreConcurrentReadsDuringEdits(t *testing.T) {
 		if !ok {
 			t.Fatalf("Prepared(%s) missing", name)
 		}
-		final = append(final, NamedRegion{Name: name, Region: p.Region})
+		final = append(final, NamedRegion{Name: name, Region: p.Region()})
 	}
 	want, err := ComputeAllPairs(final)
 	if err != nil {

@@ -53,7 +53,7 @@ func E21RawSpeed(o Options) (Report, error) {
 	}
 	metrics := map[string]float64{"n": float64(n)}
 
-	// Prepared once (arena-backed): the batch timings measure the engines,
+	// Prepared once (one slab): the batch timings measure the engines,
 	// not region preprocessing.
 	ps, err := core.PrepareAll(regions)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"cardirect/internal/core"
@@ -31,9 +32,10 @@ import (
 //     above the store, one WAL append and fsync — against the loop's k.
 //     That is asserted, not just reported.
 //
-// Metric suffixes follow the trend-gate convention: *_ms may not grow and
-// *_speedup may not shrink beyond the threshold; the tier-stack counters
-// (coarse/strip/simplified/exact pair counts) are informational.
+// Metric suffixes follow the trend-gate convention: *_ms and *_bytes may
+// not grow and *_speedup may not shrink beyond the threshold; the
+// tier-stack counters (coarse/strip/simplified/exact pair counts), the
+// build's allocation count and the per-region footprint are informational.
 func E23HugeWorld(o Options) (Report, error) {
 	g := workload.New(o.Seed)
 	n := 100000
@@ -49,12 +51,28 @@ func E23HugeWorld(o Options) (Report, error) {
 	for i, r := range g.Zipf(window, n, 4096) {
 		regions[i] = core.NamedRegion{Name: fmt.Sprintf("z%06d", i), Region: r}
 	}
+	// What the world costs to build and to keep: allocations during the
+	// build, and the live heap it retains beyond its input (after a forced
+	// collection on both sides of the build).
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 	w, err := core.PrepareLoDWorld(regions, core.LoDOptions{})
 	if err != nil {
 		return Report{}, err
 	}
 	metrics["build_lod_ms"] = float64(time.Since(t0).Nanoseconds()) / 1e6
+	runtime.ReadMemStats(&after)
+	metrics["lod_build_allocs"] = float64(after.Mallocs - before.Mallocs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	metrics["lod_world_bytes"] = float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	metrics["lod_bytes_per_region"] = metrics["lod_world_bytes"] / float64(n)
+	// The world references the input rings of only its simplified regions;
+	// without this the collection above would credit it with freeing the rest.
+	runtime.KeepAlive(regions)
 
 	// Sampled rows: every giant (zipf rank order puts them first) plus an
 	// even stride through the tail. The giants are where all-pairs cost
@@ -176,7 +194,8 @@ func E23HugeWorld(o Options) (Report, error) {
 	metrics["add_loop_ms"] = loopBest / 1e6
 
 	decided := lodSt.CoarseSingleTile + lodSt.LoDStrip + lodSt.LoDSimplified + lodSt.LoDExact
-	body := fmt.Sprintf("zipfian world, %d regions (max 4096 edges), %d sampled all-pairs rows,\nresults asserted bit-identical to the exact kernel before timing:\n", n, len(rows))
+	body := fmt.Sprintf("zipfian world, %d regions (max 4096 edges): built in %.1f ms and %.0f allocations,\nretaining %.0f B/region beyond its input; %d sampled all-pairs rows,\nresults asserted bit-identical to the exact kernel before timing:\n",
+		n, metrics["build_lod_ms"], metrics["lod_build_allocs"], metrics["lod_bytes_per_region"], len(rows))
 	body += Table(
 		[]string{"sweep", "wall-clock", "speedup"},
 		[][]string{

@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"cardirect/internal/core"
@@ -26,12 +25,12 @@ type SelectStats struct {
 // the reference region is a member of the allowed set, using a three-stage
 // plan a spatial database would use:
 //
-//  1. R-tree window queries — one per tile mentioned by any allowed
-//     relation ("north of b" → the half-plane strip above mbb(b)); a
-//     matching region lies inside the union of its relation's tiles, so its
-//     bounding box must intersect at least one queried window. Only when
-//     the allowed tiles cover the whole plane does the plan fall back to a
-//     full scan.
+//  1. one R-tree traversal pruned by the windows of the tiles mentioned by
+//     any allowed relation ("north of b" → the half-plane strip above
+//     mbb(b)); a matching region lies inside the union of its relation's
+//     tiles, so its bounding box must intersect at least one window. Only
+//     when the allowed tiles cover the whole plane does the plan fall back
+//     to a full scan.
 //  2. MBB refinement — the bounding-box relation over-approximates the
 //     exact relation (exact tiles ⊆ MBB tiles), so a candidate survives
 //     only when some allowed relation is a subset of its MBB relation;
@@ -84,106 +83,182 @@ func DirectionalSelectStatsCtx(
 	}, reference, allowed)
 }
 
-// directionalSelect is the selection plan proper. prepared supplies the
-// Prepared form of a candidate that survived MBB refinement: a lookup for
-// Live, which holds them, a Prepare for the map-of-geometries entry points.
+// directionalSelect is the selection plan proper, run as one traversal of
+// the tree. prepare supplies the Prepared form of a survivor of MBB
+// refinement whose leaf item does not carry one (Live's items do).
 func directionalSelect(
 	ctx context.Context,
 	tree *RTree,
-	prepared func(id string) (*core.Prepared, error),
+	prepare func(id string) (*core.Prepared, error),
 	reference geom.Region,
 	allowed core.RelationSet,
 ) ([]string, SelectStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var st SelectStats
-	st.Total = tree.Len()
-	if allowed.IsEmpty() {
-		return nil, st, fmt.Errorf("index: empty allowed relation set")
+	s := selection{ctx: ctx, allowed: allowed, prepare: prepare, exact: true}
+	if err := s.run(tree, reference); err != nil {
+		return nil, s.st, err
 	}
-	grid, err := core.NewGrid(reference.BoundingBox())
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Stage 1: one window query per constraint tile, deduplicated by id.
-	var tiles core.Relation
-	for _, r := range allowed.Relations() {
-		tiles = tiles.Union(r)
-	}
-	candidates := searchTiles(tree, grid, tiles, &st)
-	st.Candidates = len(candidates)
-	allowedRels := allowed.Relations()
-
-	var out []string
-	sc := &core.Scratch{}
-	for _, it := range candidates {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
-		// Stage 2: MBB-level pruning.
-		mbbRel := mbbRelation(grid, it.Box)
-		possible := false
-		for _, r := range allowedRels {
-			if r.Intersect(mbbRel) == r {
-				possible = true
-				break
-			}
-		}
-		if !possible {
-			continue
-		}
-		st.MBBMatched++
-		// Stage 3: exact refinement through the prepared-region engine —
-		// the reference grid is reused across survivors, the split buffer
-		// is recycled, and box-separable survivors take the MBB fast path.
-		p, err := prepared(it.ID)
-		if err != nil {
-			return nil, st, err
-		}
-		st.Exact++
-		if allowed.Contains(p.RelateGrid(grid, sc)) {
-			out = append(out, it.ID)
-		}
-	}
-	sort.Strings(out)
-	st.Matched = len(out)
-	return out, st, nil
+	sort.Strings(s.out)
+	s.st.Matched = len(s.out)
+	return s.out, s.st, nil
 }
 
 // EstimateSelect runs only the cheap stages of the directional-selection
-// plan — R-tree window queries and MBB refinement, never exact geometry —
+// plan — the window traversal and MBB refinement, never exact geometry —
 // and returns the instrumentation (Exact and Matched stay zero). The query
 // planner reads MBBMatched/Total off the result as a sound upper-bound
-// selectivity estimate for a pinned-reference relation condition, paying a
-// few window queries instead of the selection itself.
+// selectivity estimate for a pinned-reference relation condition, paying
+// one pruned traversal instead of the selection itself.
 func EstimateSelect(tree *RTree, reference geom.Region, allowed core.RelationSet) (SelectStats, error) {
-	var st SelectStats
-	st.Total = tree.Len()
-	if allowed.IsEmpty() {
-		return st, fmt.Errorf("index: empty allowed relation set")
+	s := selection{ctx: context.Background(), allowed: allowed}
+	err := s.run(tree, reference)
+	return s.st, err
+}
+
+// selection is the state of one directional selection: the reference grid,
+// the allowed relations in the two forms the stages test against, and the
+// results so far.
+type selection struct {
+	ctx     context.Context
+	grid    core.Grid
+	allowed core.RelationSet
+	rels    []core.Relation // allowed, materialised once
+	// rowCols[r] has bit c set when some allowed relation mentions the tile
+	// in column c of row r: the union of the constraint tiles' windows.
+	rowCols [3]uint8
+	prepare func(id string) (*core.Prepared, error)
+	exact   bool // run stage 3; EstimateSelect stops after stage 2
+	sc      core.Scratch
+	st      SelectStats
+	out     []string
+}
+
+// run executes the plan against the tree.
+func (s *selection) run(tree *RTree, reference geom.Region) error {
+	s.st.Total = tree.Len()
+	if err := s.plan(reference); err != nil {
+		return err
 	}
-	grid, err := core.NewGrid(reference.BoundingBox())
-	if err != nil {
-		return st, err
+	return s.walk(tree.root)
+}
+
+// plan derives what the stages test against from the reference and the
+// allowed set. Stage 1 is the traversal itself: a matching region lies
+// inside the union of its relation's tiles, so its bounding box — and every
+// node box above it — must meet the union of the constraint tiles' windows
+// ("north of b" → the strip above mbb(b)). When the tiles cover all nine
+// cells the union is the whole plane, no subtree can be dismissed, and
+// FullScan is recorded.
+func (s *selection) plan(reference geom.Region) error {
+	if s.allowed.IsEmpty() {
+		return fmt.Errorf("index: empty allowed relation set")
 	}
+	var err error
+	if s.grid, err = core.NewGrid(reference.BoundingBox()); err != nil {
+		return err
+	}
+	s.rels = s.allowed.Relations()
 	var tiles core.Relation
-	for _, r := range allowed.Relations() {
+	for _, r := range s.rels {
 		tiles = tiles.Union(r)
 	}
-	candidates := searchTiles(tree, grid, tiles, &st)
-	st.Candidates = len(candidates)
-	for _, it := range candidates {
-		mbbRel := mbbRelation(grid, it.Box)
-		for _, r := range allowed.Relations() {
-			if r.Intersect(mbbRel) == r {
-				st.MBBMatched++
-				break
+	for _, t := range tiles.Tiles() {
+		s.rowCols[t.Row()] |= 1 << t.Col()
+	}
+	s.st.FullScan = tiles == core.RelationMask
+	return nil
+}
+
+// axisBits packs which of the three grid intervals (−∞,g1], [g1,g2], [g2,+∞)
+// the interval [lo,hi] meets (closed) or overlaps with positive length
+// (strict) into bits 0–2.
+func axisBits(lo, hi, g1, g2 float64, strict bool) uint8 {
+	if strict {
+		return b2u(lo < g1) | b2u(lo < g2 && hi > g1)<<1 | b2u(hi > g2)<<2
+	}
+	return b2u(lo <= g1) | b2u(lo <= g2 && hi >= g1)<<1 | b2u(hi >= g2)<<2
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// meets reports whether a box intersects the window of any constraint tile
+// — what one R-tree window query per tile would test, in one pass.
+func (s *selection) meets(b geom.Rect) bool {
+	cols := axisBits(b.MinX, b.MaxX, s.grid.M1, s.grid.M2, false)
+	rows := axisBits(b.MinY, b.MaxY, s.grid.L1, s.grid.L2, false)
+	for r, rc := range s.rowCols {
+		if rows>>r&1 != 0 && cols&rc != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *selection) walk(n *node) error {
+	if !s.meets(n.box) {
+		return nil
+	}
+	for _, c := range n.children {
+		if err := s.walk(c); err != nil {
+			return err
+		}
+	}
+	for i := range n.items {
+		if it := &n.items[i]; s.meets(it.Box) {
+			if err := s.refine(it); err != nil {
+				return err
 			}
 		}
 	}
-	return st, nil
+	return nil
+}
+
+// refine takes one candidate through stages 2 and 3.
+func (s *selection) refine(it *Item) error {
+	s.st.Candidates++
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	// Stage 2: MBB-level pruning. The bounding-box relation
+	// over-approximates the exact relation (exact tiles ⊆ MBB tiles), so a
+	// candidate survives only when some allowed relation fits inside it.
+	mbbRel := mbbRelation(s.grid, it.Box)
+	possible := false
+	for _, r := range s.rels {
+		if r.Intersect(mbbRel) == r {
+			possible = true
+			break
+		}
+	}
+	if !possible {
+		return nil
+	}
+	s.st.MBBMatched++
+	if !s.exact {
+		return nil
+	}
+	// Stage 3: exact refinement through the prepared-region engine — the
+	// reference grid is reused across survivors and box-separable survivors
+	// take the MBB fast path.
+	p := it.Prepared
+	if p == nil {
+		var err error
+		if p, err = s.prepare(it.ID); err != nil {
+			return err
+		}
+	}
+	s.st.Exact++
+	if s.allowed.Contains(p.RelateGrid(s.grid, &s.sc)) {
+		s.out = append(s.out, it.ID)
+	}
+	return nil
 }
 
 // FindRelated is the index-driven counterpart of core.FindRelated: it
@@ -229,67 +304,25 @@ func FindRelatedCtx(ctx context.Context, candidates []core.NamedRegion, referenc
 	return DirectionalSelect(tree, regions, reference, allowed)
 }
 
-// searchTiles runs one R-tree window query per constraint tile,
-// deduplicating items that fall in several windows (windows of adjacent
-// tiles share their boundary lines). When the tiles cover all nine cells
-// the union is the whole plane — no window can dismiss anything — so a
-// single full traversal is used instead and FullScan is recorded.
-func searchTiles(tree *RTree, g core.Grid, tiles core.Relation, st *SelectStats) []Item {
-	if tiles == core.RelationMask {
-		st.FullScan = true
-		everything := geom.Rect{
-			MinX: math.Inf(-1), MinY: math.Inf(-1),
-			MaxX: math.Inf(1), MaxY: math.Inf(1),
-		}
-		return tree.Search(everything, nil)
-	}
-	var out []Item
-	seen := make(map[string]bool)
-	for _, t := range tiles.Tiles() {
-		for _, it := range tree.Search(tileRect(g, t), nil) {
-			if !seen[it.ID] {
-				seen[it.ID] = true
-				out = append(out, it)
+// tileBlocks maps the column and row bits of axisBits to the relation made
+// of every tile in those columns and rows.
+var tileBlocks = func() (tb [8][8]core.Relation) {
+	for cols := range tb {
+		for rows := range tb[cols] {
+			for _, t := range core.Tiles() {
+				if cols>>t.Col()&1 != 0 && rows>>t.Row()&1 != 0 {
+					tb[cols][rows] = tb[cols][rows].With(t)
+				}
 			}
 		}
 	}
-	return out
-}
-
-// tileRect returns a tile's extent, with ±Inf for unbounded sides.
-func tileRect(g core.Grid, t core.Tile) geom.Rect {
-	r := geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
-	switch t.Col() {
-	case 0:
-		r.MaxX = g.M1
-	case 1:
-		r.MinX, r.MaxX = g.M1, g.M2
-	case 2:
-		r.MinX = g.M2
-	}
-	switch t.Row() {
-	case 0:
-		r.MaxY = g.L1
-	case 1:
-		r.MinY, r.MaxY = g.L1, g.L2
-	case 2:
-		r.MinY = g.L2
-	}
-	return r
-}
+	return tb
+}()
 
 // mbbRelation computes the tile relation of a bounding box against the
-// grid: the tiles the box overlaps with positive area. It equals the exact
-// relation of the box viewed as a region, and over-approximates the exact
-// relation of anything inside the box.
+// grid: the tiles the box overlaps with positive area, from eight
+// comparisons. It equals the exact relation of the box viewed as a region,
+// and over-approximates the exact relation of anything inside the box.
 func mbbRelation(g core.Grid, box geom.Rect) core.Relation {
-	var rel core.Relation
-	for _, t := range core.Tiles() {
-		tr := tileRect(g, t)
-		if math.Min(tr.MaxX, box.MaxX) > math.Max(tr.MinX, box.MinX) &&
-			math.Min(tr.MaxY, box.MaxY) > math.Max(tr.MinY, box.MinY) {
-			rel = rel.With(t)
-		}
-	}
-	return rel
+	return tileBlocks[axisBits(box.MinX, box.MaxX, g.M1, g.M2, true)][axisBits(box.MinY, box.MaxY, g.L1, g.L2, true)]
 }

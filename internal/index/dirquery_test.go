@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cardirect/internal/core"
@@ -138,23 +139,11 @@ func TestMBBRelationAgainstCore(t *testing.T) {
 
 func TestTileWindowsCoverMatches(t *testing.T) {
 	ref := workload.BoxRegion(0, 0, 10, 6)
-	grid, err := core.NewGrid(ref.BoundingBox())
-	if err != nil {
+	sel := selection{allowed: core.NewRelationSet(core.SW, core.Rel(core.TileS, core.TileSW))}
+	if err := sel.plan(ref); err != nil {
 		t.Fatal(err)
 	}
-	allowed := core.NewRelationSet(core.SW, core.Rel(core.TileS, core.TileSW))
-	var tiles core.Relation
-	for _, r := range allowed.Relations() {
-		tiles = tiles.Union(r)
-	}
-	anyWindowHits := func(box geom.Rect) bool {
-		for _, tile := range tiles.Tiles() {
-			if tileRect(grid, tile).Intersects(box) {
-				return true
-			}
-		}
-		return false
-	}
+	anyWindowHits := sel.meets
 	// Some window must contain any box realising an allowed relation.
 	sw := workload.BoxRegion(-5, -5, -1, -1)
 	if !anyWindowHits(sw.BoundingBox()) {
@@ -322,5 +311,35 @@ func TestDirectionalSelectRandomSetsProperty(t *testing.T) {
 				t.Fatalf("trial %d: mismatch %v vs %v", trial, got, want)
 			}
 		}
+	}
+}
+
+// TestDirectionalSelectLineRegion: a candidate whose bounding box has no
+// width (a vertical line region) is a legitimate primary; the MBB stage
+// must place it in the column it lies strictly inside and leave the verdict
+// to the exact kernel, as the naive scan does, instead of dismissing it for
+// overlapping no tile with positive area.
+func TestDirectionalSelectLineRegion(t *testing.T) {
+	tree, regions, ref := buildWorld(t, 30, 5)
+	line := geom.Rgn(geom.Poly(geom.Pt(-20, 0), geom.Pt(-20, 5), geom.Pt(-20, 10)))
+	regions["line"] = line
+	if err := tree.Insert(Item{ID: "line", Box: line.BoundingBox()}); err != nil {
+		t.Fatal(err)
+	}
+	allowed := core.NewRelationSet(core.SW, core.W, core.Rel(core.TileW, core.TileSW))
+	got, err := DirectionalSelect(tree, regions, ref, allowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naiveSelect(t, regions, ref, allowed)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("select %v, naive scan %v", got, want)
+	}
+	found := false
+	for _, id := range got {
+		found = found || id == "line"
+	}
+	if !found {
+		t.Fatalf("the line region is missing from %v", got)
 	}
 }

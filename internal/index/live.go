@@ -45,7 +45,7 @@ func NewLivePrepared(ps []*core.Prepared) (*Live, error) {
 			return nil, fmt.Errorf("index: duplicate region id %q", p.Name)
 		}
 		l.ps[p.Name] = p
-		items[i] = Item{ID: p.Name, Box: p.Box}
+		items[i] = liveItem(p)
 	}
 	tree, err := BulkLoad(items)
 	if err != nil {
@@ -54,6 +54,10 @@ func NewLivePrepared(ps []*core.Prepared) (*Live, error) {
 	l.tree = tree
 	return l, nil
 }
+
+// liveItem is the tree entry of a held region: indexed under its Box,
+// carrying the Prepared form for selections to refine with.
+func liveItem(p *core.Prepared) Item { return Item{ID: p.Name, Box: p.Box, Prepared: p} }
 
 // Len returns the number of indexed regions.
 func (l *Live) Len() int { return l.tree.Len() }
@@ -87,7 +91,7 @@ func (l *Live) AddPrepared(p *core.Prepared) error {
 	if _, ok := l.ps[p.Name]; ok {
 		return fmt.Errorf("index: duplicate region id %q", p.Name)
 	}
-	if err := l.tree.Insert(Item{ID: p.Name, Box: p.Box}); err != nil {
+	if err := l.tree.Insert(liveItem(p)); err != nil {
 		return err
 	}
 	l.ps[p.Name] = p
@@ -131,13 +135,13 @@ func (l *Live) Rename(oldID, newID string) error {
 	if err != nil {
 		return err
 	}
-	if err := l.tree.Insert(Item{ID: newID, Box: p.Box}); err != nil {
-		return err
-	}
 	// Prepared values are immutable; the renamed copy shares the geometry
 	// buffers.
 	np := *p
 	np.Name = newID
+	if err := l.tree.Insert(liveItem(&np)); err != nil {
+		return err
+	}
 	l.ps[newID] = &np
 	delete(l.ps, oldID)
 	return nil
@@ -159,7 +163,7 @@ func (l *Live) SetPrepared(p *core.Prepared) error {
 	if _, err := l.take(p.Name); err != nil {
 		return err
 	}
-	if err := l.tree.Insert(Item{ID: p.Name, Box: p.Box}); err != nil {
+	if err := l.tree.Insert(liveItem(p)); err != nil {
 		return err
 	}
 	l.ps[p.Name] = p
@@ -182,11 +186,5 @@ func (l *Live) SelectStats(reference geom.Region, allowed core.RelationSet) ([]s
 // SelectStatsCtx is SelectStats honoring a context: cancellation aborts the
 // selection at the next candidate refinement.
 func (l *Live) SelectStatsCtx(ctx context.Context, reference geom.Region, allowed core.RelationSet) ([]string, SelectStats, error) {
-	return directionalSelect(ctx, l.tree, func(id string) (*core.Prepared, error) {
-		p, ok := l.ps[id]
-		if !ok {
-			return nil, fmt.Errorf("index: no geometry for indexed id %q", id)
-		}
-		return p, nil
-	}, reference, allowed)
+	return directionalSelect(ctx, l.tree, nil, reference, allowed)
 }

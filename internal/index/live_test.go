@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -251,9 +252,10 @@ func TestLiveErrors(t *testing.T) {
 // TestLiveSelectPreparesNothing: a selection over the live index refines
 // its survivors with the Prepared forms the index already holds. It must
 // return the ids and the SelectStats of the plan that prepares every
-// survivor from its geometry (DirectionalSelectStats over the same tree),
-// and allocate at least one object less per exact refinement than that plan
-// does — a Prepare allocates, a lookup does not.
+// survivor from its geometry (DirectionalSelectStats over a tree of the
+// same boxes whose items carry no Prepared), and allocate at least one
+// object less per exact refinement than that plan does — a Prepare
+// allocates, reading the leaf item does not.
 func TestLiveSelectPreparesNothing(t *testing.T) {
 	regions := liveWorkload(7, 200)
 	geoms := make(map[string]geom.Region, len(regions))
@@ -276,7 +278,15 @@ func TestLiveSelectPreparesNothing(t *testing.T) {
 	ref := geom.Rgn(workload.Box(40, 40, 80, 80))
 	allowed := core.NewRelationSet(core.N, core.NE, core.E, core.Rel(core.TileN, core.TileNE))
 
-	wantIDs, wantSt, err := DirectionalSelectStats(l.Tree(), geoms, ref, allowed)
+	var bare []Item
+	for id, g := range geoms {
+		bare = append(bare, Item{ID: id, Box: g.BoundingBox()})
+	}
+	plain, err := BulkLoad(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDs, wantSt, err := DirectionalSelectStats(plain, geoms, ref, allowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +301,47 @@ func TestLiveSelectPreparesNothing(t *testing.T) {
 		t.Fatal("no candidate reached exact refinement; the test is vacuous")
 	}
 	live := testing.AllocsPerRun(10, func() { _, _, _ = l.SelectStats(ref, allowed) })
-	preparing := testing.AllocsPerRun(10, func() { _, _, _ = DirectionalSelectStats(l.Tree(), geoms, ref, allowed) })
+	preparing := testing.AllocsPerRun(10, func() { _, _, _ = DirectionalSelectStats(plain, geoms, ref, allowed) })
 	if live > preparing-float64(wantSt.Exact) {
 		t.Errorf("live select allocates %v objects, the preparing plan %v for %d refinements: the index still prepares",
 			live, preparing, wantSt.Exact)
 	}
 }
+
+// BenchmarkLiveSelect is one /v1/select of the read-mix benchmark world,
+// in-process: a Cluster(800, 100, 16) world, the reference cycling through
+// its regions and the allowed set through the eight sets bench/ops.go asks
+// for.
+func BenchmarkLiveSelect(b *testing.B) {
+	var regions []core.NamedRegion
+	for i, r := range workload.New(1).Cluster(800, 100, 16) {
+		regions = append(regions, core.NamedRegion{Name: fmt.Sprintf("r%04d", i), Region: r})
+	}
+	l, err := NewLive(regions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sets []core.RelationSet
+	for _, s := range []string{
+		"{N, NW:N, N:NE}", "{S, S:SW, S:SE}", "{E, NE:E, E:SE}", "{W, W:NW, SW:W}",
+		"{NE}", "{SW}", "{N, NE, NW}", "{B:N, B:S, B:E, B:W}",
+	} {
+		rs, err := core.ParseRelationSet(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets = append(sets, rs)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, _, err := l.SelectStatsCtx(ctx, regions[i*7%len(regions)].Region, sets[i%len(sets)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		selectSink = ids
+	}
+}
+
+var selectSink []string

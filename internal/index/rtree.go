@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cardirect/internal/core"
 	"cardirect/internal/geom"
 )
 
@@ -26,6 +27,10 @@ const (
 type Item struct {
 	Box geom.Rect
 	ID  string
+	// Prepared optionally carries the object's prepared form, so a
+	// directional selection refines a surviving candidate without looking
+	// it up or preparing it. Live sets it; the tree itself never reads it.
+	Prepared *core.Prepared
 }
 
 // RTree is an in-memory R-tree with quadratic-split insertion and

@@ -448,6 +448,13 @@ func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinn
 			keep = append(keep, id)
 		}
 	}
+	// The plan cache retains the result of a parameter-free query: a
+	// selective condition must not pin a cand-sized backing array per
+	// cached plan (12.5 KiB at n = 800 for a few dozen ids). The copy goes
+	// through make, not a reslice, so an empty result lets the array go too.
+	if len(keep) < cap(keep)/2 {
+		keep = append(make([]string, 0, len(keep)), keep...)
+	}
 	return keep, nil
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -155,5 +156,54 @@ func TestEvalStorePartialCoverage(t *testing.T) {
 	// Percent on a qualitative-only store falls back too.
 	if _, err := ev.Percent("attica", "crete"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPushdownResultIsRightSized: the plan cache retains the pushed-down
+// candidate lists of parameter-free queries, so a selective condition must
+// come back in a backing array of its own size — not the candidate set's —
+// and an answer through the plan cache stays what the uncached one is.
+func TestPushdownResultIsRightSized(t *testing.T) {
+	img := config.Greece()
+	store, err := trackStore(t, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.UseStore(store)
+	cand := e.snap.ids
+	for _, set := range []string{"{N}", "{B:S:SW:W}", "{N, NE, E, SE, S, SW, W, NW}"} {
+		rels, err := core.ParseRelationSet(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, negated := range []bool{false, true} {
+			rc := RelCond{Left: "x", Rels: rels, Right: "y", Negated: negated}
+			keep, err := e.pushCond(context.Background(), rc, "attica", true, cand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keep) < len(cand)/2 && cap(keep) != len(keep) {
+				t.Errorf("%v: %d ids kept of %d in a backing array of %d", rc, len(keep), len(cand), cap(keep))
+			}
+			var want []string
+			for _, id := range cand {
+				rel := core.B
+				if id != "attica" {
+					if rel, err = e.Relation(id, "attica"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rels.Contains(rel) != negated {
+					want = append(want, id)
+				}
+			}
+			if len(keep) != len(want) || (len(want) > 0 && !reflect.DeepEqual(keep, want)) {
+				t.Errorf("%v: kept %v, want %v", rc, keep, want)
+			}
+		}
 	}
 }
