@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -26,8 +27,8 @@ type StoreOptions struct {
 	Pct bool
 }
 
-// Kernel stages a served pair can be decided by: one counter each, bumped
-// once per answered pair.
+// Kernel stages a served pair can be decided by: one counter each, counting
+// every answered pair (a row or a sweep adds its pairs in one step).
 const (
 	stageSingleTile = iota // qualitative, mbb(primary) inside one tile
 	stageBand              // qualitative, mbb(primary) inside one row/column
@@ -407,34 +408,60 @@ func (s *RelationStore) RelationPercent(primary, reference string) (Relation, Pe
 	return rel, m, err
 }
 
-// CountRelated counts, over every held region other than pinned, how many
-// have a relation in the allowed set against pinned — the region read as
-// primary and pinned as reference when pinnedIsRef, the transpose
-// otherwise. One row (or column) of kernel runs: the query planner uses the
-// (matched, total) pair as an exact selectivity for a relation condition
-// with one side pinned.
-func (s *RelationStore) CountRelated(pinned string, allowed RelationSet, pinnedIsRef bool) (matched, total int, err error) {
+// PreparedAll returns the held Prepared forms of names, in that order and of
+// one store state (one lock acquisition). The values are shared and must not
+// be mutated.
+func (s *RelationStore) PreparedAll(names []string) ([]*Prepared, error) {
+	out := make([]*Prepared, len(names))
 	s.mu.RLock()
-	i, ok := s.idx[pinned]
-	ps := append([]*Prepared(nil), s.ps...)
-	s.mu.RUnlock()
-	if !ok {
-		return 0, 0, fmt.Errorf("core: region %q: %w", pinned, ErrUnknownRegion)
+	defer s.mu.RUnlock()
+	for k, name := range names {
+		i, ok := s.idx[name]
+		if !ok {
+			return nil, fmt.Errorf("core: region %q: %w", name, ErrUnknownRegion)
+		}
+		out[k] = s.ps[i]
 	}
-	for j, p := range ps {
-		if j == i {
+	return out, nil
+}
+
+// rowStride is how many pairs RelateRow runs between context polls: an
+// MBB-decided pair costs about what ctx.Err() does.
+const rowStride = 256
+
+// RelateRow is the row (or column) read: it fills out[k] with the relation of
+// cands[k] against pin — cands[k] as primary and pin as reference when
+// pinnedIsRef, the transpose otherwise; B, without a kernel run, where
+// cands[k] is pin (a region is only B of itself). The caller hands in forms
+// it holds (PreparedAll), so the row takes no lock and looks up no name; it
+// adds its pairs to the stage counters once and polls ctx every rowStride
+// pairs. Each answer is what Relation gives for the same two forms.
+func (s *RelationStore) RelateRow(ctx context.Context, pin *Prepared, pinnedIsRef bool, cands []*Prepared, out []Relation) error {
+	var st Stats
+	var sc Scratch
+	var err error
+	pairs, g := 0, pin.grid()
+	for k, c := range cands {
+		if k%rowStride == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+		}
+		switch {
+		case c == pin:
+			out[k] = B
 			continue
+		case pinnedIsRef:
+			out[k] = c.relate(g, false, false, &sc, &st)
+		default:
+			out[k] = pin.relate(c.grid(), false, false, &sc, &st)
 		}
-		total++
-		a, b := ps[i], p
-		if pinnedIsRef {
-			a, b = p, ps[i]
-		}
-		if allowed.Contains(s.relate(a, b)) {
-			matched++
-		}
+		pairs++
 	}
-	return matched, total, nil
+	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
+	s.served[stageBand].Add(int64(st.PruneBand))
+	s.served[stageExact].Add(int64(pairs - st.PruneSingleTile - st.PruneBand))
+	return err
 }
 
 // all copies the held Prepared pointers for an all-pairs read.
@@ -473,7 +500,7 @@ func (s *RelationStore) PctPairs() ([]PairPercent, error) {
 
 // StoreStats is the RelationStore's instrumentation. The embedded Stats
 // keeps its field names: Passes is the number of pairs answered since the
-// store was built (single reads, rows and all-pairs sweeps alike), the
+// store was built (single reads, RelateRow and all-pairs sweeps alike), the
 // prune counters and the two exact counters say which kernel stage decided
 // them — the six sum to Passes — and BulkBatches counts AddBulk edits. The
 // per-edge counters and DeltaPairs stay zero. (The exact counters live here

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -37,6 +38,7 @@ func checkAgainstBatch(t *testing.T, s *RelationStore, w storeWorld) {
 	if !reflect.DeepEqual(gotRel, wantRel) {
 		t.Fatalf("store pairs diverged from batch recompute:\n got %v\nwant %v", gotRel, wantRel)
 	}
+	checkRows(t, s)
 	wantPct, _, err := ComputeAllPairsPctOpt(w, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("oracle quantitative batch: %v", err)
@@ -62,6 +64,68 @@ func checkAgainstBatch(t *testing.T, s *RelationStore, w storeWorld) {
 			}
 		}
 	}
+}
+
+// checkRows asserts the row read equals single reads: for every pin, on
+// either side, over the whole world and over a subset, in sorted-name order
+// (which the edits of the differential test make differ from slot order),
+// RelateRow gives B for the pin itself and what Relation gives for every
+// other candidate — and moves the stage counters exactly as those single
+// reads do.
+func checkRows(t *testing.T, s *RelationStore) {
+	t.Helper()
+	names := s.Names()
+	all, err := s.PreparedAll(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subNames []string
+	var sub []*Prepared
+	for k := 0; k < len(names); k += 2 {
+		subNames, sub = append(subNames, names[k]), append(sub, all[k])
+	}
+	for k, pin := range names {
+		if p, ok := s.Prepared(pin); !ok || p != all[k] {
+			t.Fatalf("PreparedAll[%d] is not the held form of %s", k, pin)
+		}
+		for _, pinnedIsRef := range []bool{true, false} {
+			for _, c := range []struct {
+				names []string
+				row   []*Prepared
+			}{{names, all}, {subNames, sub}} {
+				before := s.Stats()
+				got := make([]Relation, len(c.row))
+				if err := s.RelateRow(context.Background(), all[k], pinnedIsRef, c.row, got); err != nil {
+					t.Fatal(err)
+				}
+				row := s.Stats()
+				for j, name := range c.names {
+					want := B
+					if name != pin {
+						a, b := name, pin
+						if !pinnedIsRef {
+							a, b = pin, name
+						}
+						if want, err = s.Relation(a, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got[j] != want {
+						t.Fatalf("row of %s (pinnedIsRef %v): %s is %v, single read says %v", pin, pinnedIsRef, name, got[j], want)
+					}
+				}
+				if r, single := statsDelta(row, before), statsDelta(s.Stats(), row); r != single {
+					t.Fatalf("row of %s counted %v, the same single reads %v", pin, r, single)
+				}
+			}
+		}
+	}
+}
+
+// statsDelta is the qualitative stage counters' movement between two reads.
+func statsDelta(after, before StoreStats) [4]int {
+	return [4]int{after.Passes - before.Passes, after.PruneSingleTile - before.PruneSingleTile,
+		after.PruneBand - before.PruneBand, after.ExactPairs - before.ExactPairs}
 }
 
 // TestRelationStoreDifferential drives a store through a long seeded edit
@@ -229,12 +293,56 @@ func TestRelationStoreStats(t *testing.T) {
 	if single.ExactPairs == 0 || single.PruneSingleTile == 0 {
 		t.Errorf("world does not exercise both stages: %+v", single)
 	}
-	if m, tot, err := s.CountRelated(w[0].Name, NewRelationSet(N, S, E, W), true); err != nil || tot != n-1 || m > tot {
-		t.Errorf("CountRelated = %d/%d, %v", m, tot, err)
+	// A row — the pin among its own candidates — counts what the same n−1
+	// single reads count, stage by stage, on a world that has both stages.
+	checkRows(t, s)
+}
+
+// TestRelateRowPollsPerStride: a row polls its context once per rowStride
+// pairs — before any kernel when it is already cancelled, within one stride
+// when it is cancelled on the way — and counts only the pairs it ran.
+func TestRelateRowPollsPerStride(t *testing.T) {
+	w := clusterWorld(3, 2*rowStride+40)
+	n := len(w)
+	s, err := NewRelationStore(w, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Stats().Passes - both.Passes; got != n-1 {
-		t.Errorf("CountRelated answered %d pairs, want %d", got, n-1)
+	ps, err := s.PreparedAll(s.Names())
+	if err != nil {
+		t.Fatal(err)
 	}
+	out := make([]Relation, n)
+	for _, c := range []struct{ cancelAt, wantPolls, wantPairs int }{
+		{0, 3, n - 1},         // live: ⌈n/rowStride⌉ polls
+		{1, 1, 0},             // already cancelled: no kernel runs
+		{2, 2, rowStride - 1}, // cancelled after the first stride (the pin is in it)
+	} {
+		ctx := &countingCtx{Context: context.Background(), cancelAt: c.cancelAt}
+		before := s.Stats().Passes
+		err := s.RelateRow(ctx, ps[0], true, ps, out)
+		if (c.cancelAt == 0) != (err == nil) || (err != nil && !errors.Is(err, context.Canceled)) {
+			t.Errorf("cancelAt %d: err = %v", c.cancelAt, err)
+		}
+		if pairs := s.Stats().Passes - before; ctx.polls != c.wantPolls || pairs != c.wantPairs {
+			t.Errorf("cancelAt %d: %d polls and %d pairs, want %d and %d", c.cancelAt, ctx.polls, pairs, c.wantPolls, c.wantPairs)
+		}
+	}
+}
+
+// countingCtx counts Err calls and reports context.Canceled from the
+// cancelAt-th one on (never, when cancelAt is 0).
+type countingCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *countingCtx) Err() error {
+	c.polls++
+	if c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestRelationStoreReadsDoNotAllocate: a single-pair read on a warm scratch

@@ -50,7 +50,8 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 //     PRIMARY side, which the old single-shot pre-filter cannot push. The
 //     written-order join binds x and y before the bound z, paying n² percent
 //     checks; the planner binds z first and pushes both relation conditions
-//     through the store's cached rows, shrinking x and y before the join.
+//     down as one store row read each (n kernel runs over the held Prepared
+//     forms — the store caches no rows), shrinking x and y before the join.
 //     Results are asserted identical (sorted bindings) before timing.
 //   - planner_speedup: the smaller of the two worlds' ratios — the
 //     regression-gated floor behind TestE22PlannerWins (≥5x).
@@ -258,7 +259,7 @@ func E22QueryPlanner(o Options) (Report, error) {
 			{"cold / warm", fmt.Sprintf("%.2fx", coldP50/warmP50)},
 		},
 	)
-	body += "\nthe planner binds the pinned variable first and pushes both relation\nconditions through the store's cached rows before the join; written order\npays the full n-squared percent sweep (results asserted identical).\n`make bench-trend` gates these numbers against the committed baseline\n"
+	body += "\nthe planner binds the pinned variable first and pushes both relation\nconditions down as one store row read each before the join; written order\npays the full n-squared percent sweep (results asserted identical).\n`make bench-trend` gates these numbers against the committed baseline\n"
 	return Report{
 		ID:      "E22",
 		Title:   "Cost-based query planner: selectivity-ordered joins and plan cache",

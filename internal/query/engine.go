@@ -66,6 +66,7 @@ func (g *Engine) Run(ctx context.Context, tr *config.Tracked, input string, args
 		if g.tr != tr || g.gen != gen {
 			start := time.Now()
 			g.tr, g.gen, g.snap = tr, gen, NewSnapshot(img)
+			g.snap.preps, _ = tr.Store().PreparedAll(g.snap.ids) // a tracked store holds them all
 			built = time.Since(start)
 			g.builds++
 		} else {
@@ -73,7 +74,8 @@ func (g *Engine) Run(ctx context.Context, tr *config.Tracked, input string, args
 		}
 		ev := g.snap.Evaluator()
 		g.mu.Unlock()
-		ev.store, ev.live, ev.plans = tr.Store(), tr.Index(), g.plans
+		ev.store, ev.preps, ev.prepsGen = tr.Store(), ev.snap.preps, gen
+		ev.live, ev.plans = tr.Index(), g.plans
 		res, err = ev.Run(ctx, input, args)
 		return err
 	})

@@ -25,6 +25,7 @@ type Binding map[string]string
 type Snapshot struct {
 	img   *config.Image
 	ids   []string
+	preps []*core.Prepared // the Engine's store's forms, aligned with ids (Evaluator.storeRow)
 	regs  map[string]*config.Region
 	attrs map[string]*attr
 }
@@ -77,6 +78,8 @@ func (s *Snapshot) Evaluator() *Evaluator { return &Evaluator{snap: s} }
 type Evaluator struct {
 	snap      *Snapshot
 	store     *core.RelationStore
+	preps     []*core.Prepared // the store's forms aligned with snap.ids, see storeRow
+	prepsGen  uint64           // store generation preps was fetched at
 	live      *index.Live
 	plans     *PlanCache
 	noPlanner bool
@@ -151,7 +154,37 @@ func (e *Evaluator) attrIndex(name string) map[string][]string {
 // does not hold. The store's region names must be the configuration's
 // region ids (as config.Track arranges). Pass nil to detach.
 func (e *Evaluator) UseStore(s *core.RelationStore) {
-	e.store = s
+	e.store, e.preps = s, nil
+}
+
+// storeRow returns the store's Prepared forms of the pinned region and of
+// cand — a sorted subset of snap.ids, aligned with it by one merge walk — for
+// core.RelationStore.RelateRow, or nils when there is no store or it lacks a
+// snapshot region. The forms are fetched under one store lock per store
+// generation (by the Engine, when it builds its snapshot), so a pushdown
+// takes no lock and looks up no name per candidate.
+func (e *Evaluator) storeRow(pinID string, cand []string) (pin *core.Prepared, row []*core.Prepared) {
+	if e.store == nil {
+		return nil, nil
+	}
+	if gen := e.store.Generation(); e.preps == nil || e.prepsGen != gen {
+		e.preps, _ = e.store.PreparedAll(e.snap.ids)
+		e.prepsGen = gen
+	}
+	ids := e.snap.ids
+	k := sort.SearchStrings(ids, pinID)
+	if e.preps == nil || k == len(ids) || ids[k] != pinID {
+		return nil, nil
+	}
+	if row = e.preps; len(cand) != len(ids) {
+		row = make([]*core.Prepared, len(cand))
+		for i, j := 0, 0; i < len(cand); j++ {
+			if ids[j] == cand[i] {
+				row[i], i = e.preps[j], i+1
+			}
+		}
+	}
+	return e.preps[k], row
 }
 
 // UseIndex wires a maintained index.Live into the evaluator: the planner's

@@ -19,8 +19,8 @@ import (
 //   - estimates per-condition selectivity — bindings pin to one region,
 //     attribute filters are counted exactly against the configuration,
 //     relation conditions with one side pinned are probed through the
-//     relation store's row of the pinned region (core.RelationStore.CountRelated) or the
-//     live R-tree (index.EstimateSelect), and percent conditions are
+//     relation store's row read of the pin (core.RelationStore.RelateRow) or
+//     the live R-tree (index.EstimateSelect), and percent conditions are
 //     heuristically the most expensive and always scheduled last;
 //   - orders variable binding smallest-candidate-set first, preferring
 //     variables connected to already-ordered ones (joins over cross
@@ -30,9 +30,9 @@ import (
 //     bindings are cut off as high in the search tree as possible;
 //   - generalises the single-shot indexed pre-filter into pushdown: every
 //     relation condition with one side pinned to a single region filters
-//     the other side's candidate set before the join starts, through the
-//     store row, the live R-tree, or pairwise lookups — including negated
-//     and pinned-primary conditions the old pre-filter skipped.
+//     the other side's candidate set before the join starts, through one
+//     store row read, the live R-tree, or pairwise lookups — including
+//     negated and pinned-primary conditions the old pre-filter skipped.
 //
 // Plans depend only on the query text and the store generation, so they are
 // cacheable (see PlanCache); the per-execution candidate state lives in
@@ -57,6 +57,7 @@ type planCond struct {
 	pct     PctCond
 	condIdx int     // index into Query.Conds, keys execState.enforced
 	sel     float64 // estimated fraction of pairs passing
+	text    string  // the condition as written; parameters never reach it
 }
 
 // Plan is the reusable result of planning one query against one store
@@ -170,9 +171,9 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 			if free != "" {
 				est[free] *= sel
 			}
-			conds = append(conds, planCond{rel: cc, condIdx: i, sel: sel})
+			conds = append(conds, planCond{rel: cc, condIdx: i, sel: sel, text: cc.String()})
 		case PctCond:
-			conds = append(conds, planCond{isPct: true, pct: cc, condIdx: i, sel: selHeuristicPct(cc)})
+			conds = append(conds, planCond{isPct: true, pct: cc, condIdx: i, sel: selHeuristicPct(cc), text: cc.String()})
 		}
 	}
 
@@ -259,24 +260,27 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 	info := PlanInfo{Order: order}
 	for _, step := range steps {
 		for _, pc := range step {
-			if pc.isPct {
-				info.Conds = append(info.Conds, pc.pct.String())
-			} else {
-				info.Conds = append(info.Conds, pc.rel.String())
-			}
+			info.Conds = append(info.Conds, pc.text)
 		}
 	}
 	return &Plan{order: order, pos: pos, steps: steps, rels: rels, info: info}
 }
 
 // probeSel estimates the selectivity of a relation condition whose pinned
-// side is the known region pin: exact through the store's row of pin when
-// the store holds pin, an MBB upper bound through the live R-tree when the
-// pinned side is the reference, and the tile-count heuristic otherwise.
+// side is the known region pin: exact through the store's row read of pin
+// when the store holds the regions, an MBB upper bound through the live R-tree
+// when the pinned side is the reference, and the tile-count heuristic otherwise.
 func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
-	if e.store != nil && e.store.Has(pin) {
-		if matched, total, err := e.store.CountRelated(pin, cc.Rels, pinnedIsRef); err == nil && total > 0 {
-			sel := float64(matched) / float64(total)
+	if p, row := e.storeRow(pin, e.snap.ids); len(row) > 1 {
+		rels := make([]core.Relation, len(row))
+		if e.store.RelateRow(context.TODO(), p, pinnedIsRef, row, rels) == nil {
+			matched := 0
+			for k, rel := range rels {
+				if row[k] != p && cc.Rels.Contains(rel) {
+					matched++
+				}
+			}
+			sel := float64(matched) / float64(len(row)-1)
 			if cc.Negated {
 				sel = 1 - sel
 			}
@@ -395,7 +399,7 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 		}
 		candidates[freeVar] = keep
 		ex.enforced[pc.condIdx] = true
-		ex.pushed = append(ex.pushed, rc.String())
+		ex.pushed = append(ex.pushed, pc.text)
 	}
 	return ex, nil
 }
@@ -403,8 +407,8 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 // pushCond filters cand down to the ids satisfying the relation condition
 // against the pinned region, choosing the cheapest sound strategy:
 //
-//   - store present and holding pin → pairwise reads through the store
-//     (one kernel run each, handles negation and either pinned side);
+//   - the store holds the regions → one row read over the forms storeRow
+//     aligns with cand (n kernel runs, handles negation and either side);
 //   - pinned reference, positive condition, no materialised relations →
 //     R-tree window queries with exact refinement, through the maintained
 //     live index when available, or a transient bulk-loaded tree;
@@ -415,8 +419,8 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 // (the l==r candidate follows the "a region is only B of itself" rule), so
 // pushdown never changes results.
 func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinnedIsRef bool, cand []string) ([]string, error) {
-	storeBacked := e.store != nil && e.store.Has(pinID)
-	if !storeBacked && pinnedIsRef && !rc.Negated && len(e.snap.img.Relations) == 0 {
+	pin, row := e.storeRow(pinID, cand)
+	if pin == nil && pinnedIsRef && !rc.Negated && len(e.snap.img.Relations) == 0 {
 		if keep, err := e.pushRTree(ctx, rc, pinID, cand); err == nil {
 			return keep, nil
 		} else if ctx.Err() != nil {
@@ -425,35 +429,42 @@ func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinn
 		// R-tree failure (degenerate geometry) falls through to the
 		// pairwise path, which reports the error in join form.
 	}
-	keep := make([]string, 0, len(cand))
-	for _, id := range cand {
-		if err := ctx.Err(); err != nil {
+	rels := make([]core.Relation, len(cand))
+	if pin != nil {
+		if err := e.store.RelateRow(ctx, pin, pinnedIsRef, row, rels); err != nil {
 			return nil, err
 		}
-		var rel core.Relation
-		if id == pinID {
-			rel = core.B
-		} else {
-			var err error
-			if pinnedIsRef {
-				rel, err = e.Relation(id, pinID)
-			} else {
-				rel, err = e.Relation(pinID, id)
+	} else {
+		for k, id := range cand {
+			err := ctx.Err()
+			switch {
+			case err != nil:
+			case id == pinID:
+				rels[k] = core.B
+			case pinnedIsRef:
+				rels[k], err = e.Relation(id, pinID)
+			default:
+				rels[k], err = e.Relation(pinID, id)
 			}
 			if err != nil {
 				return nil, err
 			}
 		}
+	}
+	// The plan cache retains the result of a parameter-free query, so it is
+	// counted first and built at its own size: a selective condition must not
+	// pin a cand-sized array per cached plan (12.5 KiB at n = 800).
+	n := 0
+	for _, rel := range rels {
 		if rc.Rels.Contains(rel) != rc.Negated {
-			keep = append(keep, id)
+			n++
 		}
 	}
-	// The plan cache retains the result of a parameter-free query: a
-	// selective condition must not pin a cand-sized backing array per
-	// cached plan (12.5 KiB at n = 800 for a few dozen ids). The copy goes
-	// through make, not a reslice, so an empty result lets the array go too.
-	if len(keep) < cap(keep)/2 {
-		keep = append(make([]string, 0, len(keep)), keep...)
+	keep := make([]string, 0, n)
+	for k, rel := range rels {
+		if rc.Rels.Contains(rel) != rc.Negated {
+			keep = append(keep, cand[k])
+		}
 	}
 	return keep, nil
 }

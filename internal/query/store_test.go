@@ -2,12 +2,14 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
+	"cardirect/internal/workload"
 )
 
 // storeQueries is a mix of qualitative, quantitative and attribute queries
@@ -204,6 +206,228 @@ func TestPushdownResultIsRightSized(t *testing.T) {
 			if len(keep) != len(want) || (len(want) > 0 && !reflect.DeepEqual(keep, want)) {
 				t.Errorf("%v: kept %v, want %v", rc, keep, want)
 			}
+		}
+	}
+}
+
+// editedTrackedWorld tracks a clustered world, colors cycling c0..c3, and
+// edits it so that the store's slot order differs from sorted id order:
+// removals compact slots, renames move ids to both ends of the order, an
+// add lands in the middle, a geometry change swaps a held form.
+func editedTrackedWorld(t *testing.T, n int) *config.Tracked {
+	t.Helper()
+	g := workload.New(5)
+	img := &config.Image{Name: "row"}
+	for i, r := range g.Cluster(n, n/8, 8) {
+		id := fmt.Sprintf("w%04d", i)
+		if err := img.AddRegion(id, id, fmt.Sprintf("c%d", i%4), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := config.Track(img, core.StoreOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	for _, err := range []error{
+		tr.RemoveRegion("w0002"),
+		tr.RemoveRegion("w0010"),
+		tr.RenameRegion("w0005", "a-first"),
+		tr.RenameRegion("w0007", "zz-last"),
+		tr.AddRegion("m-mid", "", "c1", geom.Rgn(g.StarPolygon(40, 40, 2, 4, 8))),
+		tr.SetRegionGeometry("w0020", geom.Rgn(g.StarPolygon(10, 70, 2, 4, 8))),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// TestPushdownRowEqualsPairwise: a store-backed pushdown is one row read,
+// and keeps exactly the ids n single store reads keep — pinned as reference
+// and as primary, positive and negated, over the whole world and over
+// attribute-filtered candidate sets, with the pin inside the candidates and
+// outside them, on a store whose slot order is not the sorted id order.
+func TestPushdownRowEqualsPairwise(t *testing.T) {
+	tr := editedTrackedWorld(t, 64)
+	store := tr.Store()
+	_ = tr.View(func(img *config.Image) error {
+		e := NewSnapshot(img).Evaluator()
+		e.UseStore(store)
+		color := e.attrIndex("color")
+		rels := core.NewRelationSet(core.N, core.NE, core.E, core.B, core.S|core.SW, core.W|core.NW)
+		for _, cand := range [][]string{e.snap.ids, color["c1"], subtractSorted(e.snap.ids, color["c1"])} {
+			for _, pin := range []string{"a-first", "m-mid", "w0020", "w0033", "zz-last"} {
+				for _, pinnedIsRef := range []bool{true, false} {
+					for _, negated := range []bool{false, true} {
+						var want []string
+						inCand := 0
+						for _, id := range cand {
+							rel := core.B
+							if id == pin {
+								inCand = 1
+							} else {
+								a, b := id, pin
+								if !pinnedIsRef {
+									a, b = pin, id
+								}
+								var err error
+								if rel, err = store.Relation(a, b); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if rels.Contains(rel) != negated {
+								want = append(want, id)
+							}
+						}
+						before := store.Stats().Passes
+						rc := RelCond{Left: "x", Rels: rels, Right: "y", Negated: negated}
+						keep, err := e.pushCond(context.Background(), rc, pin, pinnedIsRef, cand)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(keep) != len(want) || (len(want) > 0 && !reflect.DeepEqual(keep, want)) {
+							t.Errorf("pin %s (ref %v, negated %v) over %d candidates: kept %v, single reads keep %v", pin, pinnedIsRef, negated, len(cand), keep, want)
+						}
+						if cap(keep) != len(keep) {
+							t.Errorf("pin %s: %d ids kept in a backing array of %d", pin, len(keep), cap(keep))
+						}
+						if got := store.Stats().Passes - before; got != len(cand)-inCand {
+							t.Errorf("pin %s over %d candidates (pin among them: %d): the pushdown ran %d pairs", pin, len(cand), inCand, got)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestPushdownOutsideTheStore: a pin or a candidate the store does not hold
+// sends the pushdown down the pairwise path, which answers held pairs from
+// the store and the rest from geometry.
+func TestPushdownOutsideTheStore(t *testing.T) {
+	img := config.Greece()
+	full, err := trackStore(t, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEvaluator(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.UseStore(full)
+	partial, err := core.NewRelationStore([]core.NamedRegion{
+		{Name: "attica", Region: img.FindRegion("attica").Geometry()},
+		{Name: "crete", Region: img.FindRegion("crete").Geometry()},
+	}, core.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewEvaluator(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.UseStore(partial)
+	if pin, row := got.storeRow("attica", got.snap.ids); pin != nil || row != nil {
+		t.Fatal("a store holding two of the regions offered a row over all of them")
+	}
+	for _, qs := range []string{
+		"q(x, y) :- y = attica, not x {N, NE, E} y", // pin held, candidates not
+		"q(x, y) :- x = macedonia, x {N, NW, W} y",  // pin not held
+		"q(x, y) :- y = nowhere, x {N} y",           // the error text stays the candidates'
+	} {
+		w, wantErr := want.EvalString(qs)
+		g, gotErr := got.EvalString(qs)
+		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) || (wantErr == nil && !reflect.DeepEqual(g, w)) {
+			t.Errorf("%s: partial store answers %v (%v), full store %v (%v)", qs, g, gotErr, w, wantErr)
+		}
+	}
+}
+
+// TestEngineSnapshotHoldsStorePrepared: at every generation the engine's
+// snapshot holds, aligned with its sorted ids, the very Prepared forms the
+// store holds — fetched when the snapshot is built, never copied or
+// re-prepared — and a replaced store (a replica re-bootstrap) is never
+// answered from the previous store's forms.
+func TestEngineSnapshotHoldsStorePrepared(t *testing.T) {
+	tr := editedTrackedWorld(t, 32)
+	g := NewEngine(16)
+	check := func(tr *config.Tracked) {
+		t.Helper()
+		res, _, err := g.Run(context.Background(), tr, "q(x, y) :- y = $ref, not x {N, NE} y", map[string]string{"ref": "m-mid"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Plan.Pushed) != 1 {
+			t.Fatalf("plan %+v: the pinned condition was not pushed", res.Plan)
+		}
+		snap := g.snap
+		if len(snap.preps) != len(snap.ids) || len(snap.ids) != tr.Store().Len() {
+			t.Fatalf("snapshot holds %d forms for %d ids, store %d regions", len(snap.preps), len(snap.ids), tr.Store().Len())
+		}
+		for k, id := range snap.ids {
+			if p, ok := tr.Store().Prepared(id); !ok || p != snap.preps[k] {
+				t.Fatalf("generation %d: snapshot form %d is not the store's form of %s", tr.Store().Generation(), k, id)
+			}
+		}
+	}
+	check(tr)
+	w := workload.New(9)
+	for step, edit := range []func() error{
+		func() error { return tr.SetRegionGeometry("m-mid", geom.Rgn(w.StarPolygon(30, 30, 2, 4, 8))) },
+		func() error { return tr.RemoveRegion("w0001") },
+		func() error { return tr.RenameRegion("w0003", "b-second") },
+		func() error { return tr.AddRegion("late", "", "c0", geom.Rgn(w.StarPolygon(70, 20, 2, 4, 8))) },
+	} {
+		if err := edit(); err != nil {
+			t.Fatalf("edit %d: %v", step, err)
+		}
+		check(tr)
+	}
+	// Another tracked world at a generation the engine has seen.
+	other := editedTrackedWorld(t, 32)
+	other.Store().SetGeneration(tr.Store().Generation())
+	check(other)
+}
+
+// BenchmarkStoreRow is one store-backed pushdown of a pinned-reference
+// condition over the whole read-mix world (Cluster(800, 100, 16)): the pin
+// rotates over the regions and the relation set over the eight of the
+// benchmark's repeated query texts.
+func BenchmarkStoreRow(b *testing.B) {
+	img := &config.Image{Name: "row-bench"}
+	for i, r := range workload.New(1).Cluster(800, 100, 16) {
+		id := fmt.Sprintf("w%04d", i)
+		if err := img.AddRegion(id, id, "", r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tr, err := config.Track(img, core.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	var conds []RelCond
+	for _, set := range []string{
+		"{N, NW:N, N:NE, NW:N:NE}", "{S, S:SW, S:SE, S:SW:SE}", "{E, NE:E, E:SE, NE:E:SE}", "{W, W:NW, SW:W, SW:W:NW}",
+		"{N, NE, NW}", "{S, SE, SW}", "{E, NE:E, E:SE}", "{NW, W, SW}",
+	} {
+		rels, err := core.ParseRelationSet(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		conds = append(conds, RelCond{Left: "x", Rels: rels, Right: "y"})
+	}
+	e := NewSnapshot(img).Evaluator()
+	e.UseStore(tr.Store())
+	ids, ctx := e.snap.ids, context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.pushCond(ctx, conds[i%len(conds)], ids[i%len(ids)], true, ids); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

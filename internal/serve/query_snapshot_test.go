@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,7 +83,9 @@ func snapshotCounters(tb testing.TB, h http.Handler) (builds, reuses int) {
 // and ETag a from-scratch evaluator at that generation produces — the body
 // re-encoded here, independently of the handler's own response type. The
 // reference shares a mirror plan cache fed the same texts, so the cache
-// outcome (hit/miss/replan) is part of the comparison.
+// outcome (hit/miss/replan) is part of the comparison; its bindings are in
+// turn held to the pairwise oracle — written-order evaluation, which reads
+// the store pair by pair and never through the row read pushdown uses.
 func TestQuerySnapshotDifferential(t *testing.T) {
 	gen := workload.New(7)
 	tr := trackedWorld(t, gen.Cluster(40, 6, 8), core.StoreOptions{Workers: 1, Pct: true})
@@ -109,6 +112,14 @@ func TestQuerySnapshotDifferential(t *testing.T) {
 			res, err = ev.Run(context.Background(), text, args)
 			if err != nil {
 				return err
+			}
+			ev.SetPlanner(false)
+			pairwise, err := ev.Run(context.Background(), text, args)
+			if err != nil {
+				return err
+			}
+			if len(pairwise.Bindings) != len(res.Bindings) || (len(res.Bindings) > 0 && !reflect.DeepEqual(pairwise.Bindings, res.Bindings)) {
+				t.Fatalf("%q %v: planned bindings differ from pair-by-pair evaluation\n got %v\nwant %v", text, args, res.Bindings, pairwise.Bindings)
 			}
 			out := wire{Vars: res.Vars, Bindings: res.Bindings, Plan: res.Plan, Cache: res.Cache, Generation: res.Generation}
 			if out.Bindings == nil {
@@ -156,7 +167,7 @@ func TestQuerySnapshotDifferential(t *testing.T) {
 			var text string
 			args := map[string]string{"ref": pick(), "c": snapColors[rng.Intn(len(snapColors))]}
 			set := relSets[rng.Intn(len(relSets))]
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0:
 				text = "q(x, y) :- y = $ref, x " + set + " y"
 			case 1:
@@ -170,6 +181,10 @@ func TestQuerySnapshotDifferential(t *testing.T) {
 			case 5: // a removed or renamed-away region: the error path
 				args["ref"] = "w9999"
 				text = "q(x, y) :- y = $ref, x " + set + " y"
+			case 6: // pinned primary over an attribute-filtered reference side
+				text = "q(x, y) :- x = $ref, color(y) = $c, x " + set + " y"
+			case 7:
+				text = "q(x, y) :- x = $ref, color(y) != $c, not x " + set + " y"
 			}
 			queries++
 			want, ref, refErr := reference(text, args)
