@@ -92,8 +92,8 @@ bench-run:
 # timing jitter of shared/virtualized hardware — the sub-millisecond
 # metrics tail out
 # past 35% there even as best-of-three measurements; tighten it on quiet
-# bare metal. The hard perf floors (SoA ≥1.5x, binary recovery ≥2x,
-# planner ≥5x) are enforced as noise-robust ratios by the test suite
+# bare metal. The hard perf floors (binary recovery ≥2x, planner ≥5x)
+# are enforced as noise-robust ratios by the test suite
 # regardless, so the trend gate's job is catching gross drift, not 10%
 # creep.
 TREND_THRESHOLD ?= 0.5

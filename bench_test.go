@@ -529,12 +529,12 @@ func benchmarkAllPairs(b *testing.B, n int, opt core.BatchOptions) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := core.ComputeAllPairsOpt(regions, opt)
+		res, err := core.BatchCDR(nil, regions, &opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) != n*(n-1) {
-			b.Fatalf("pairs = %d, want %d", len(out), n*(n-1))
+		if len(res.Pairs) != n*(n-1) {
+			b.Fatalf("pairs = %d, want %d", len(res.Pairs), n*(n-1))
 		}
 	}
 	b.ReportMetric(float64(n*(n-1)), "pairs/op")
@@ -553,7 +553,7 @@ func BenchmarkAllPairsPruned(b *testing.B) {
 }
 
 // BenchmarkAllPairsParallel is the production path: pruning plus the
-// GOMAXPROCS worker pool (ComputeAllPairsParallel).
+// GOMAXPROCS worker pool (BatchCDR defaults).
 func BenchmarkAllPairsParallel(b *testing.B) {
 	benchmarkAllPairs(b, 200, core.BatchOptions{})
 }
@@ -574,14 +574,14 @@ func TestE18ParallelWins(t *testing.T) {
 	regions := allPairsWorkload(200)
 	seq := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{Workers: 1, NoPrune: true}); err != nil {
+			if _, err := core.BatchCDR(nil, regions, &core.BatchOptions{Workers: 1, NoPrune: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	par := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{}); err != nil {
+			if _, err := core.BatchCDR(nil, regions, &core.BatchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -716,12 +716,12 @@ func benchmarkAllPairsPct(b *testing.B, regions []core.NamedRegion, opt core.Bat
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := core.ComputeAllPairsPctOpt(regions, opt)
+		res, err := core.BatchPct(nil, regions, &opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) != n*(n-1) {
-			b.Fatalf("pairs = %d, want %d", len(out), n*(n-1))
+		if len(res.Pairs) != n*(n-1) {
+			b.Fatalf("pairs = %d, want %d", len(res.Pairs), n*(n-1))
 		}
 	}
 	b.ReportMetric(float64(n*(n-1)), "pairs/op")
@@ -745,7 +745,7 @@ func BenchmarkAllPairsPctPruned(b *testing.B) {
 }
 
 // BenchmarkAllPairsPctParallel is the production path: fast path plus the
-// GOMAXPROCS worker pool (ComputeAllPairsPctParallel).
+// GOMAXPROCS worker pool (BatchPct defaults).
 func BenchmarkAllPairsPctParallel(b *testing.B) {
 	benchmarkAllPairsPct(b, allPairsWorkload(200), core.BatchOptions{})
 }
@@ -777,7 +777,7 @@ func TestE19PctBatchWins(t *testing.T) {
 	})
 	batch := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.ComputeAllPairsPctOpt(regions, core.BatchOptions{}); err != nil {
+			if _, err := core.BatchPct(nil, regions, &core.BatchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -862,7 +862,7 @@ func BenchmarkStoreFullRecompute(b *testing.B) {
 	regions, _, _ := storeEditWorkload(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{Workers: 1}); err != nil {
+		if _, err := core.BatchCDR(nil, regions, &core.BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -932,7 +932,7 @@ func TestE20StoreDeltaWins(t *testing.T) {
 	regions, editID, alts := storeEditWorkload(500)
 	full := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{Workers: 1}); err != nil {
+			if _, err := core.BatchCDR(nil, regions, &core.BatchOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

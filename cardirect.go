@@ -304,11 +304,9 @@ var NewGenerator = workload.New
 // SaveImage writes a configuration as XML.
 func SaveImage(img *Image, w io.Writer) error { return img.Save(w) }
 
-// Streaming and batch computation (beyond-paper conveniences that preserve
-// the algorithms' single-pass structure).
+// Batch computation (beyond-paper conveniences that preserve the
+// algorithms' single-pass structure).
 type (
-	// Accumulator streams primary-region edges through Compute-CDR(%).
-	Accumulator = core.Accumulator
 	// NamedRegion pairs a region with an identifier for batch APIs.
 	NamedRegion = core.NamedRegion
 	// PairRelation is one batch result entry.
@@ -320,7 +318,8 @@ type (
 	// clockwise-normalised, edges flattened, bounding box and tile grid
 	// precomputed. Immutable after Prepare; safe for concurrent use.
 	Prepared = core.Prepared
-	// Scratch holds reusable per-goroutine buffers for Relate.
+	// Scratch holds reusable per-goroutine buffers for the LoD tier; Relate
+	// and RelatePct accept one but need none (pass nil).
 	Scratch = core.Scratch
 	// BatchOptions tunes the all-pairs batch engines (worker count,
 	// disabling the MBB prune fast path, pre-prepared regions).
@@ -362,8 +361,6 @@ type (
 )
 
 var (
-	// NewAccumulator prepares a streaming computation against a reference box.
-	NewAccumulator = core.NewAccumulator
 	// BatchCDR is the consolidated all-pairs batch entry point: every
 	// ordered pair's qualitative relation under a context, with options for
 	// worker count, pruning and pre-prepared regions.
@@ -380,17 +377,12 @@ var (
 	// Relate computes the relation between two prepared regions.
 	Relate = core.Relate
 	// RelatePct computes the relation with percentages between two prepared
-	// regions; with a warmed Scratch the steady path is allocation-free.
+	// regions, allocation-free.
 	RelatePct = core.RelatePct
-	// FindRelated filters candidates by their relation to a reference,
-	// pruning through R-tree window queries derived from the allowed tiles.
+	// FindRelated filters candidates by their relation to a reference under
+	// a context, pruning through R-tree window queries derived from the
+	// allowed tiles.
 	FindRelated = index.FindRelated
-	// FindRelatedParallel is FindRelated on a worker pool, with identical
-	// output.
-	FindRelatedParallel = core.FindRelatedParallel
-	// FindRelatedCtx is the context-aware candidate filter behind the
-	// directional-selection endpoints.
-	FindRelatedCtx = core.FindRelatedCtx
 	// ErrDegenerateRegion reports a region unusable by the algorithms
 	// (empty, or with no edges); matched with errors.Is.
 	ErrDegenerateRegion = core.ErrDegenerateRegion

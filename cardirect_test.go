@@ -145,36 +145,18 @@ func TestFacadeWKTAndDecompose(t *testing.T) {
 	}
 }
 
-func TestFacadeStreaming(t *testing.T) {
-	ref := BoxRegion(0, 0, 10, 6)
-	ac, err := NewAccumulator(ref.BoundingBox())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ac.AddRegion(BoxRegion(12, 2, 14, 10)); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := ac.Relation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel != Rel(TileNE, TileE) {
-		t.Errorf("streamed relation = %v", rel)
-	}
-}
-
 func TestFacadeBatchAndIndex(t *testing.T) {
 	regions := []NamedRegion{
 		{Name: "ref", Region: BoxRegion(0, 0, 10, 6)},
 		{Name: "sw", Region: BoxRegion(-5, -5, -1, -1)},
 		{Name: "ne", Region: BoxRegion(12, 8, 14, 10)},
 	}
-	pairs, err := ComputeAllPairs(regions)
+	res, err := BatchCDR(nil, regions, &BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != 6 {
-		t.Fatalf("pairs = %d", len(pairs))
+	if len(res.Pairs) != 6 {
+		t.Fatalf("pairs = %d", len(res.Pairs))
 	}
 	items := make([]IndexItem, 0, len(regions))
 	geoms := map[string]Region{}

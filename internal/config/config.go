@@ -23,6 +23,7 @@
 package config
 
 import (
+	"context"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -217,7 +218,8 @@ func (img *Image) ComputeRelations(withPct bool) error {
 	if err != nil {
 		return fmt.Errorf("config: computing relations: %w", err)
 	}
-	pairs, _, err := core.ComputeAllPairsPrepared(ps, core.BatchOptions{})
+	opt := &core.BatchOptions{Prepared: ps}
+	qual, err := core.BatchCDR(context.Background(), nil, opt)
 	if err != nil {
 		return fmt.Errorf("config: computing relations: %w", err)
 	}
@@ -226,13 +228,14 @@ func (img *Image) ComputeRelations(withPct bool) error {
 	// the qualitative ones by index.
 	var pcts []core.PairPercent
 	if withPct {
-		pcts, _, err = core.ComputeAllPairsPctPrepared(ps, core.BatchOptions{})
+		pct, err := core.BatchPct(context.Background(), nil, opt)
 		if err != nil {
 			return fmt.Errorf("config: computing percentages: %w", err)
 		}
+		pcts = pct.Pairs
 	}
 	img.Relations = img.Relations[:0]
-	for i, pr := range pairs {
+	for i, pr := range qual.Pairs {
 		entry := Relation{Type: pr.Relation.String(), Primary: pr.Primary, Reference: pr.Reference}
 		if withPct {
 			entry.Pct = encodePct(pcts[i].Matrix)

@@ -32,11 +32,6 @@ type BatchOptions struct {
 	// NoPrune disables the MBB tile-pruning fast path, forcing full
 	// edge-splitting for every pair. Used by benchmarks and ablations.
 	NoPrune bool
-	// NoSoA routes the full kernels through the per-edge reference
-	// implementation instead of the struct-of-arrays kernels. Used by
-	// differential tests and benchmark ablations; results are bit-identical
-	// either way.
-	NoSoA bool
 	// Prepared, when non-nil, supplies already-prepared regions: the engine
 	// skips preparation and ignores the regions argument, letting callers
 	// that hold Prepared values (indexes, configuration stores) pay the
@@ -114,8 +109,6 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 	var mu sync.Mutex
 	var total Stats
 	runPool(workers, func() {
-		sc := getScratch()
-		defer putScratch(sc)
 		var st Stats
 		for {
 			pi := int(next.Add(1) - 1)
@@ -136,7 +129,7 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 					continue
 				}
 				b := order[ri]
-				rel := a.relate(b.grid(), opt.NoPrune, opt.NoSoA, sc, &st)
+				rel := a.relate(b.grid(), opt.NoPrune, &st)
 				st.Passes++
 				row[k] = PairRelation{Primary: a.Name, Reference: b.Name, Relation: rel}
 				k++
@@ -152,71 +145,18 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 	return out, total, nil
 }
 
-// ComputeAllPairs computes every ordered pair's relation sequentially.
-//
-// Deprecated: use BatchCDR with BatchOptions{Workers: 1}.
-func ComputeAllPairs(regions []NamedRegion) ([]PairRelation, error) {
-	out, _, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: 1})
-	return out, err
-}
-
-// ComputeAllPairsParallel is ComputeAllPairs over a GOMAXPROCS-sized worker
-// pool.
-//
-// Deprecated: use BatchCDR.
-func ComputeAllPairsParallel(regions []NamedRegion) ([]PairRelation, error) {
-	out, _, err := ComputeAllPairsOpt(regions, BatchOptions{})
-	return out, err
-}
-
-// ComputeAllPairsOpt is the configurable batch engine with instrumentation.
-//
-// Deprecated: use BatchCDR, which also reports Stats.
-func ComputeAllPairsOpt(regions []NamedRegion, opt BatchOptions) ([]PairRelation, Stats, error) {
-	res, err := BatchCDR(context.Background(), regions, &opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
-}
-
-// ComputeAllPairsPrepared runs the batch over already-prepared regions.
-//
-// Deprecated: use BatchCDR with BatchOptions.Prepared.
-func ComputeAllPairsPrepared(ps []*Prepared, opt BatchOptions) ([]PairRelation, Stats, error) {
-	opt.Prepared = ps
-	res, err := BatchCDR(context.Background(), nil, &opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
-}
-
 // FindRelated returns the names of the candidate regions whose relation to
 // the reference region is a member of the allowed set — the primitive
 // behind "retrieve combinations of interesting regions" queries when only
-// one side varies. A candidate with no usable geometry yields an error
+// one side varies. It fans out over a GOMAXPROCS-sized worker pool with
+// sorted, deterministic output; cancellation is observed once per claimed
+// candidate and returned as the context's error (a nil ctx means
+// context.Background). A candidate with no usable geometry yields an error
 // wrapping ErrDegenerateRegion rather than a silent non-match.
-func FindRelated(candidates []NamedRegion, reference geom.Region, allowed RelationSet) ([]string, error) {
-	return findRelated(context.Background(), candidates, reference, allowed, 1)
-}
-
-// FindRelatedParallel is FindRelated over a GOMAXPROCS-sized worker pool,
-// with identical (sorted, deterministic) output.
-func FindRelatedParallel(candidates []NamedRegion, reference geom.Region, allowed RelationSet) ([]string, error) {
-	return findRelated(context.Background(), candidates, reference, allowed, 0)
-}
-
-// FindRelatedCtx is FindRelatedParallel honoring a context: cancellation is
-// observed once per claimed candidate and returned as the context's error.
-func FindRelatedCtx(ctx context.Context, candidates []NamedRegion, reference geom.Region, allowed RelationSet) ([]string, error) {
+func FindRelated(ctx context.Context, candidates []NamedRegion, reference geom.Region, allowed RelationSet) ([]string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return findRelated(ctx, candidates, reference, allowed, 0)
-}
-
-func findRelated(ctx context.Context, candidates []NamedRegion, reference geom.Region, allowed RelationSet, workers int) ([]string, error) {
 	if allowed.IsEmpty() {
 		return nil, fmt.Errorf("core: empty allowed relation set")
 	}
@@ -228,13 +168,10 @@ func findRelated(ctx context.Context, candidates []NamedRegion, reference geom.R
 		return nil, err
 	}
 	n := len(candidates)
-	workers = poolSize(workers, n)
 	matched := make([]bool, n)
 	errs := make([]error, n)
 	var next atomic.Int64
-	runPool(workers, func() {
-		sc := getScratch()
-		defer putScratch(sc)
+	runPool(poolSize(0, n), func() {
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= n {
@@ -249,7 +186,7 @@ func findRelated(ctx context.Context, candidates []NamedRegion, reference geom.R
 				errs[i] = err
 				continue
 			}
-			matched[i] = allowed.Contains(p.relate(grid, false, false, sc, nil))
+			matched[i] = allowed.Contains(p.relate(grid, false, nil))
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -58,87 +58,10 @@ func TestFindRelatedCtxCancelled(t *testing.T) {
 	regions := scatterRegions(t, 9, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := FindRelatedCtx(ctx, regions[1:], regions[0].Region, NewRelationSet(N, S))
+	_, err := FindRelated(ctx, regions[1:], regions[0].Region, NewRelationSet(N, S))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindRelatedCtx on cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("FindRelated on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-}
-
-// TestDeprecatedBatchWrappersDelegate asserts the api_redesign acceptance
-// criterion: the legacy 8-way entry-point fan delegates to BatchCDR /
-// BatchPct with zero behavior change.
-func TestDeprecatedBatchWrappersDelegate(t *testing.T) {
-	regions := scatterRegions(t, 11, 48)
-	ps, err := PrepareAll(regions)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := BatchCDR(context.Background(), regions, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPct, err := BatchPct(context.Background(), regions, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	checkQual := func(name string, got []PairRelation, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(want.Pairs) {
-			t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want.Pairs))
-		}
-		for i := range got {
-			if got[i] != want.Pairs[i] {
-				t.Fatalf("%s: pair %d = %+v, want %+v", name, i, got[i], want.Pairs[i])
-			}
-		}
-	}
-	checkPct := func(name string, got []PairPercent, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(wantPct.Pairs) {
-			t.Fatalf("%s: %d pairs, want %d", name, len(got), len(wantPct.Pairs))
-		}
-		for i := range got {
-			if got[i] != wantPct.Pairs[i] {
-				t.Fatalf("%s: pair %d differs", name, i)
-			}
-		}
-	}
-
-	got, err := ComputeAllPairs(regions)
-	checkQual("ComputeAllPairs", got, err)
-	got, err = ComputeAllPairsParallel(regions)
-	checkQual("ComputeAllPairsParallel", got, err)
-	got, st, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: 2})
-	checkQual("ComputeAllPairsOpt", got, err)
-	if st.Passes == 0 {
-		t.Error("ComputeAllPairsOpt: zero Passes in stats")
-	}
-	got, _, err = ComputeAllPairsPrepared(ps, BatchOptions{})
-	checkQual("ComputeAllPairsPrepared", got, err)
-
-	gotPct, err := ComputeAllPairsPct(regions)
-	checkPct("ComputeAllPairsPct", gotPct, err)
-	gotPct, err = ComputeAllPairsPctParallel(regions)
-	checkPct("ComputeAllPairsPctParallel", gotPct, err)
-	gotPct, _, err = ComputeAllPairsPctOpt(regions, BatchOptions{Workers: 2})
-	checkPct("ComputeAllPairsPctOpt", gotPct, err)
-	gotPct, _, err = ComputeAllPairsPctPrepared(ps, BatchOptions{})
-	checkPct("ComputeAllPairsPctPrepared", gotPct, err)
-
-	// BatchOptions.Prepared must match the regions path exactly.
-	res, err := BatchCDR(context.Background(), nil, &BatchOptions{Prepared: ps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkQual("BatchCDR(Prepared)", res.Pairs, nil)
 }
 
 // TestBatchCDRNilOptions: nil options and nil context take the defaults.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -24,37 +26,36 @@ func batchWorkload(seed int64, n int) []NamedRegion {
 	return out
 }
 
+// batchCDR is BatchCDR for tests that expect success: the pairs and the
+// aggregated stats of one run.
+func batchCDR(t testing.TB, regions []NamedRegion, opt BatchOptions) ([]PairRelation, Stats) {
+	t.Helper()
+	res, err := BatchCDR(context.Background(), regions, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Pairs, res.Stats
+}
+
 // TestComputeAllPairsDifferential asserts the three implementations agree
 // exactly: parallel ≡ sequential ≡ unpruned ≡ pairwise ComputeCDR, over
 // several seeds.
 func TestComputeAllPairsDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 20040314, 777} {
 		regions := batchWorkload(seed, 40)
-		seq, err := ComputeAllPairs(regions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := ComputeAllPairsParallel(regions)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq, _ := batchCDR(t, regions, BatchOptions{Workers: 1})
+		par, _ := batchCDR(t, regions, BatchOptions{})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("seed %d: parallel output differs from sequential", seed)
 		}
-		noPrune, st, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: 1, NoPrune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		noPrune, st := batchCDR(t, regions, BatchOptions{Workers: 1, NoPrune: true})
 		if !reflect.DeepEqual(seq, noPrune) {
 			t.Fatalf("seed %d: pruned output differs from unpruned", seed)
 		}
 		if st.PruneSingleTile != 0 || st.PruneBand != 0 {
 			t.Fatalf("seed %d: NoPrune recorded prune hits: %+v", seed, st)
 		}
-		_, stPruned, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, stPruned := batchCDR(t, regions, BatchOptions{Workers: 1})
 		if stPruned.PruneSingleTile+stPruned.PruneBand == 0 {
 			t.Errorf("seed %d: scattered workload should hit the prune path", seed)
 		}
@@ -81,10 +82,7 @@ func TestComputeAllPairsDifferential(t *testing.T) {
 // races.
 func TestComputeAllPairsWorkerCounts(t *testing.T) {
 	regions := batchWorkload(42, 30)
-	want, err := ComputeAllPairs(regions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := batchCDR(t, regions, BatchOptions{Workers: 1})
 	if len(want) != 30*29 {
 		t.Fatalf("pairs = %d, want %d", len(want), 30*29)
 	}
@@ -95,10 +93,7 @@ func TestComputeAllPairsWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 4, 7, 16, 64} {
-		got, _, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := batchCDR(t, regions, BatchOptions{Workers: workers})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: output differs from sequential", workers)
 		}
@@ -115,10 +110,7 @@ func TestContainedMBBPairs(t *testing.T) {
 		{Name: "small", Region: geom.Rgn(workload.Box(8, 8, 12, 12))},
 		{Name: "west", Region: geom.Rgn(workload.Box(-30, 5, -25, 15))},
 	}
-	got, st, err := ComputeAllPairsOpt(regions, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := batchCDR(t, regions, BatchOptions{Workers: 1})
 	if st.PruneSingleTile == 0 {
 		t.Errorf("contained pair should hit the single-tile path: %+v", st)
 	}
@@ -151,54 +143,42 @@ func TestFindRelatedDegenerateCandidate(t *testing.T) {
 		{Name: "ok", Region: geom.Rgn(workload.Box(2, -5, 8, -1))},
 		{Name: "empty", Region: geom.Region{}},
 	}
-	_, err := FindRelated(candidates, ref, NewRelationSet(S))
+	_, err := FindRelated(context.Background(), candidates, ref, NewRelationSet(S))
 	if !errors.Is(err, ErrDegenerateRegion) {
 		t.Errorf("FindRelated err = %v, want ErrDegenerateRegion", err)
 	}
-	_, err = FindRelatedParallel(candidates, ref, NewRelationSet(S))
-	if !errors.Is(err, ErrDegenerateRegion) {
-		t.Errorf("FindRelatedParallel err = %v, want ErrDegenerateRegion", err)
-	}
 	// A region of edgeless polygons is just as degenerate.
 	candidates[1].Region = geom.Region{geom.Polygon{}}
-	if _, err := FindRelated(candidates, ref, NewRelationSet(S)); !errors.Is(err, ErrDegenerateRegion) {
+	if _, err := FindRelated(context.Background(), candidates, ref, NewRelationSet(S)); !errors.Is(err, ErrDegenerateRegion) {
 		t.Errorf("edgeless candidate err = %v, want ErrDegenerateRegion", err)
 	}
 }
 
 // TestFindRelatedParallelMatchesSequential: the worker pool must not change
-// the answer.
+// the answer — the pooled FindRelated returns exactly the names a
+// sequential scan through the paper's ComputeCDR selects.
 func TestFindRelatedParallelMatchesSequential(t *testing.T) {
 	regions := batchWorkload(9, 60)
 	ref := regions[0].Region
 	candidates := regions[1:]
 	allowed := NewRelationSet(S, N, W, E, Rel(TileS, TileSW), Rel(TileN, TileNE))
-	seq, err := FindRelated(candidates, ref, allowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FindRelatedParallel(candidates, ref, allowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel %v != sequential %v", par, seq)
-	}
-	// And each must agree with direct computation.
+	var seq []string
 	for _, c := range candidates {
 		rel, err := ComputeCDR(c.Region, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inSeq := false
-		for _, name := range seq {
-			if name == c.Name {
-				inSeq = true
-			}
+		if allowed.Contains(rel) {
+			seq = append(seq, c.Name)
 		}
-		if allowed.Contains(rel) != inSeq {
-			t.Errorf("%s: allowed=%v, in result=%v", c.Name, allowed.Contains(rel), inSeq)
-		}
+	}
+	sort.Strings(seq)
+	par, err := FindRelated(context.Background(), candidates, ref, allowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("parallel %v != sequential %v", par, seq)
 	}
 }
 
@@ -206,18 +186,12 @@ func TestFindRelatedParallelMatchesSequential(t *testing.T) {
 // same results without re-preparation.
 func TestComputeAllPairsPreparedReuse(t *testing.T) {
 	regions := batchWorkload(5, 20)
-	want, err := ComputeAllPairs(regions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := batchCDR(t, regions, BatchOptions{Workers: 1})
 	ps, err := PrepareAll(regions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ComputeAllPairsPrepared(ps, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := batchCDR(t, nil, BatchOptions{Prepared: ps})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("prepared-reuse output differs")
 	}
@@ -226,8 +200,94 @@ func TestComputeAllPairsPreparedReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ComputeAllPairsPrepared(append(ps, line), BatchOptions{}); err == nil {
+	if _, err := BatchCDR(context.Background(), nil, &BatchOptions{Prepared: append(ps, line)}); err == nil {
 		t.Error("degenerate reference should fail the prepared batch")
+	}
+}
+
+func TestComputeAllPairs(t *testing.T) {
+	regions := []NamedRegion{
+		{Name: "b", Region: refB()},
+		{Name: "a", Region: box(2, -5, 8, -1)},
+		{Name: "c", Region: box(12, 2, 14, 10)},
+	}
+	got, _ := batchCDR(t, regions, BatchOptions{Workers: 1})
+	if len(got) != 6 {
+		t.Fatalf("pairs = %d, want 6", len(got))
+	}
+	// Sorted by (primary, reference).
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Primary > got[i].Primary ||
+			(got[i-1].Primary == got[i].Primary && got[i-1].Reference > got[i].Reference) {
+			t.Fatalf("not sorted at %d: %v", i, got)
+		}
+	}
+	// Every entry equals a direct computation.
+	byName := map[string]geom.Region{}
+	for _, r := range regions {
+		byName[r.Name] = r.Region
+	}
+	for _, pr := range got {
+		want, err := ComputeCDR(byName[pr.Primary], byName[pr.Reference])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Relation != want {
+			t.Errorf("%s vs %s: batch %v != direct %v", pr.Primary, pr.Reference, pr.Relation, want)
+		}
+	}
+	// a vs b must be S (Fig. 1b).
+	for _, pr := range got {
+		if pr.Primary == "a" && pr.Reference == "b" && pr.Relation != S {
+			t.Errorf("a vs b = %v, want S", pr.Relation)
+		}
+	}
+}
+
+func TestComputeAllPairsErrors(t *testing.T) {
+	batch := func(regions ...NamedRegion) ([]PairRelation, error) {
+		res, err := BatchCDR(context.Background(), regions, &BatchOptions{Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		return res.Pairs, nil
+	}
+	if got, err := batch(); err != nil || got != nil {
+		t.Error("empty input should be a no-op")
+	}
+	if _, err := batch(NamedRegion{Name: "", Region: refB()}, NamedRegion{Name: "x", Region: refB()}); err == nil {
+		t.Error("empty name should fail")
+	}
+	if _, err := batch(NamedRegion{Name: "x", Region: refB()}, NamedRegion{Name: "x", Region: refB()}); err == nil {
+		t.Error("duplicate name should fail")
+	}
+	if _, err := batch(NamedRegion{Name: "x", Region: refB()}, NamedRegion{Name: "y", Region: geom.Region{}}); err == nil {
+		t.Error("empty region should fail")
+	}
+}
+
+func TestFindRelated(t *testing.T) {
+	ctx := context.Background()
+	b := refB()
+	candidates := []NamedRegion{
+		{Name: "south", Region: box(2, -5, 8, -1)},
+		{Name: "east", Region: box(12, 2, 14, 5)},
+		{Name: "northish", Region: box(2, 7, 8, 9)},
+		{Name: "farnorthwest", Region: box(-9, 8, -6, 10)},
+	}
+	got, err := FindRelated(ctx, candidates, b, NewRelationSet(S, N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "northish" || got[1] != "south" {
+		t.Errorf("FindRelated = %v", got)
+	}
+	if _, err := FindRelated(ctx, candidates, b, RelationSet{}); err == nil {
+		t.Error("empty allowed set should fail")
+	}
+	line := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)))
+	if _, err := FindRelated(ctx, candidates, line, NewRelationSet(S)); err == nil {
+		t.Error("degenerate reference should fail")
 	}
 }
 

@@ -75,7 +75,7 @@ func (st *Stats) Merge(other Stats) {
 // The algorithm makes a single pass over the edges of a: each edge is split
 // at its proper crossings with the four lines of mbb(b) so that every
 // sub-segment lies in exactly one tile, and the tile of each sub-segment
-// (decided by its midpoint, with on-line segments resolved to the interior
+// (decided by its extent, with on-line segments resolved to the interior
 // side) is tile-unioned into R. Finally, for each polygon of a containing
 // the center of mbb(b), tile B is added — this catches polygons that strictly
 // enclose the whole bounding box and therefore have no edge inside it.

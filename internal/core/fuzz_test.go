@@ -53,57 +53,69 @@ func FuzzParseRelationSet(f *testing.F) {
 	})
 }
 
-// FuzzMBBFastPath cross-checks the batch engine's MBB tile-pruning fast
-// path against full edge-splitting on randomly placed primaries (up to two
-// rectangles and a triangle) versus a rectangular reference. Coordinates
-// are quantized to a 1/4 lattice so exact on-line contact — the tie-break
-// territory — occurs constantly, without manufacturing sub-ulp slivers the
-// floating-point split could misround.
-func FuzzMBBFastPath(f *testing.F) {
+// fuzzSeeds are the shared seeds of FuzzMBBFastPath and FuzzMBBFastPathPct.
+func fuzzSeeds(f *testing.F) {
 	f.Add(0.0, 0.0, 2.0, 2.0, 4.0, 0.0, 6.0, 2.0, uint8(1))
 	f.Add(-3.0, 1.0, 0.0, 5.0, 0.0, 0.0, 10.0, 6.0, uint8(1))   // touching x = m1
 	f.Add(2.0, 2.0, 8.0, 4.0, 0.0, 0.0, 10.0, 6.0, uint8(3))    // contained
 	f.Add(-4.0, -2.0, -1.0, 8.0, 0.0, 0.0, 10.0, 6.0, uint8(7)) // west column
 	f.Add(1.0, -9.0, 3.0, -1.0, 0.0, 0.0, 4.0, 4.0, uint8(5))   // touching y = l1
-	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) {
-		q := func(v float64) (float64, bool) {
-			if v != v || v > 64 || v < -64 {
-				return 0, false
-			}
-			return mathRound4(v), true
+	// The 1-ulp sliver of TestSliverStagesAgree: raw coordinates, triangle.
+	f.Add(0.30000000000000004, 0.19999999999999998, 0.5, 0.4, -0.1, 0.2, 0.3, 0.6, uint8(24))
+}
+
+// fuzzPair builds the fast-path fuzzers' pair from raw fuzz input: a
+// rectangular reference b, and a primary a of up to two rectangles and a
+// triangle. Coordinates are quantized to a 1/4 lattice so exact on-line
+// contact — the tie-break territory — occurs constantly; shape bit 8 takes
+// them raw instead, which is where vertices 1 ulp across a line come from,
+// and bit 16 cuts the base rectangle to its north-west triangle. Inputs
+// that form no pair skip the run.
+func fuzzPair(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) (a, b geom.Region) {
+	for _, c := range []*float64{&ax0, &ay0, &ax1, &ay1, &bx0, &by0, &bx1, &by1} {
+		if v := *c; v != v || v > 64 || v < -64 {
+			t.Skip("out of range")
 		}
-		coords := []*float64{&ax0, &ay0, &ax1, &ay1, &bx0, &by0, &bx1, &by1}
-		for _, c := range coords {
-			v, ok := q(*c)
-			if !ok {
-				t.Skip("out of range")
-			}
-			*c = v
+		if shape&8 == 0 {
+			*c = mathRound4(*c)
 		}
-		if bx1 <= bx0 || by1 <= by0 {
-			t.Skip("degenerate reference")
-		}
-		if ax1 <= ax0 || ay1 <= ay0 {
-			t.Skip("degenerate primary")
-		}
-		b := geom.Rgn(geom.Poly(
-			geom.Pt(bx0, by1), geom.Pt(bx1, by1), geom.Pt(bx1, by0), geom.Pt(bx0, by0),
+	}
+	if bx1 <= bx0 || by1 <= by0 {
+		t.Skip("degenerate reference")
+	}
+	if ax1 <= ax0 || ay1 <= ay0 {
+		t.Skip("degenerate primary")
+	}
+	b = geom.Rgn(geom.Poly(
+		geom.Pt(bx0, by1), geom.Pt(bx1, by1), geom.Pt(bx1, by0), geom.Pt(bx0, by0),
+	))
+	a = geom.Region{geom.Poly(
+		geom.Pt(ax0, ay1), geom.Pt(ax1, ay1), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0),
+	)}
+	if shape&16 != 0 {
+		a = geom.Region{geom.Poly(geom.Pt(ax1, ay1), geom.Pt(ax0, ay1), geom.Pt(ax0, ay0)).Clockwise()}
+	}
+	if shape&1 != 0 { // second rectangle, offset east
+		w, h := ax1-ax0, ay1-ay0
+		a = append(a, geom.Poly(
+			geom.Pt(ax0+2*w, ay1+h), geom.Pt(ax1+2*w, ay1+h), geom.Pt(ax1+2*w, ay0+h), geom.Pt(ax0+2*w, ay0+h),
 		))
-		a := geom.Region{geom.Poly(
-			geom.Pt(ax0, ay1), geom.Pt(ax1, ay1), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0),
-		)}
-		if shape&1 != 0 { // second rectangle, offset east
-			w, h := ax1-ax0, ay1-ay0
-			a = append(a, geom.Poly(
-				geom.Pt(ax0+2*w, ay1+h), geom.Pt(ax1+2*w, ay1+h), geom.Pt(ax1+2*w, ay0+h), geom.Pt(ax0+2*w, ay0+h),
-			))
+	}
+	if shape&2 != 0 { // triangle hanging south-west
+		tri := geom.Poly(geom.Pt(ax0, ay0), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0-(ay1-ay0)))
+		if tri.SignedArea() != 0 {
+			a = append(a, tri.Clockwise())
 		}
-		if shape&2 != 0 { // triangle hanging south-west
-			tri := geom.Poly(geom.Pt(ax0, ay0), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0-(ay1-ay0)))
-			if tri.SignedArea() != 0 {
-				a = append(a, tri.Clockwise())
-			}
-		}
+	}
+	return a, b
+}
+
+// FuzzMBBFastPath cross-checks the batch engine's MBB tile-pruning fast
+// path against full edge-splitting on the fuzzPair workload.
+func FuzzMBBFastPath(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) {
+		a, b := fuzzPair(t, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1, shape)
 		prep, err := Prepare("a", a)
 		if err != nil {
 			t.Skip("unpreparable primary")
@@ -113,7 +125,7 @@ func FuzzMBBFastPath(f *testing.F) {
 			t.Skip("no grid")
 		}
 		fast, ok := prep.relateFast(grid, nil)
-		full := prep.relateFull(grid, &Scratch{}, nil)
+		full := prep.relateFull(grid, nil)
 		if ok && fast != full {
 			t.Fatalf("fast path %v != full path %v\nprimary %v\nreference grid %+v", fast, full, a, grid)
 		}
@@ -137,54 +149,13 @@ func FuzzMBBFastPath(f *testing.F) {
 }
 
 // FuzzMBBFastPathPct is the quantitative sibling of FuzzMBBFastPath: on the
-// same quarter-lattice rectangle workload it cross-checks the cached-area
-// percent fast path against the full Compute-CDR% accumulation, and the
-// whole RelatePct pipeline against the reference ComputeCDRPct.
+// same workload it cross-checks the cached-area percent fast path against
+// the full Compute-CDR% accumulation, and the whole RelatePct pipeline
+// against the reference ComputeCDRPct.
 func FuzzMBBFastPathPct(f *testing.F) {
-	f.Add(0.0, 0.0, 2.0, 2.0, 4.0, 0.0, 6.0, 2.0, uint8(1))
-	f.Add(-3.0, 1.0, 0.0, 5.0, 0.0, 0.0, 10.0, 6.0, uint8(1))   // touching x = m1
-	f.Add(2.0, 2.0, 8.0, 4.0, 0.0, 0.0, 10.0, 6.0, uint8(3))    // contained
-	f.Add(-4.0, -2.0, -1.0, 8.0, 0.0, 0.0, 10.0, 6.0, uint8(7)) // west column
-	f.Add(1.0, -9.0, 3.0, -1.0, 0.0, 0.0, 4.0, 4.0, uint8(5))   // touching y = l1
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) {
-		q := func(v float64) (float64, bool) {
-			if v != v || v > 64 || v < -64 {
-				return 0, false
-			}
-			return mathRound4(v), true
-		}
-		coords := []*float64{&ax0, &ay0, &ax1, &ay1, &bx0, &by0, &bx1, &by1}
-		for _, c := range coords {
-			v, ok := q(*c)
-			if !ok {
-				t.Skip("out of range")
-			}
-			*c = v
-		}
-		if bx1 <= bx0 || by1 <= by0 {
-			t.Skip("degenerate reference")
-		}
-		if ax1 <= ax0 || ay1 <= ay0 {
-			t.Skip("degenerate primary")
-		}
-		b := geom.Rgn(geom.Poly(
-			geom.Pt(bx0, by1), geom.Pt(bx1, by1), geom.Pt(bx1, by0), geom.Pt(bx0, by0),
-		))
-		a := geom.Region{geom.Poly(
-			geom.Pt(ax0, ay1), geom.Pt(ax1, ay1), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0),
-		)}
-		if shape&1 != 0 { // second rectangle, offset east
-			w, h := ax1-ax0, ay1-ay0
-			a = append(a, geom.Poly(
-				geom.Pt(ax0+2*w, ay1+h), geom.Pt(ax1+2*w, ay1+h), geom.Pt(ax1+2*w, ay0+h), geom.Pt(ax0+2*w, ay0+h),
-			))
-		}
-		if shape&2 != 0 { // triangle hanging south-west
-			tri := geom.Poly(geom.Pt(ax0, ay0), geom.Pt(ax1, ay0), geom.Pt(ax0, ay0-(ay1-ay0)))
-			if tri.SignedArea() != 0 {
-				a = append(a, tri.Clockwise())
-			}
-		}
+		a, b := fuzzPair(t, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1, shape)
 		prep, err := Prepare("a", a)
 		if err != nil {
 			t.Skip("unpreparable primary")
@@ -195,7 +166,7 @@ func FuzzMBBFastPathPct(f *testing.F) {
 		}
 		fastAreas, ok := prep.relatePctFast(grid, nil)
 		var fullAreas TileAreas
-		_, err = prep.relatePctFullInto(&fullAreas, grid, &Scratch{}, nil)
+		_, err = prep.relatePctFullInto(&fullAreas, grid, nil)
 		if err != nil {
 			t.Skip("zero-area primary")
 		}

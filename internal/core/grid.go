@@ -66,58 +66,76 @@ func (g Grid) Row(y float64) int {
 
 // ClassifyPoint returns the tile containing p, resolving on-line points
 // toward the middle column/row. It is exact for points strictly inside a
-// tile, which is the common case for split-segment midpoints.
+// tile.
 func (g Grid) ClassifyPoint(p geom.Point) Tile {
 	return TileAt(g.Col(p.X), g.Row(p.Y))
 }
 
 // ClassifySegment returns the tile of a segment that is known not to cross
 // any grid line (the invariant Compute-CDR establishes by splitting edges at
-// line crossings). The midpoint decides the tile; when the segment lies
+// line crossings). The segment's extent decides the tile, per axis: reaching
+// west of x = m1 puts it in the west column, east of x = m2 in the east
+// column, else the middle — the extent, not the midpoint, because the
+// midpoint of a piece 1 ulp long rounds onto the line while the piece,
+// however small, still belongs to the far side. When the segment lies
 // exactly on a grid line — where the closed tiles overlap — the tile on the
-// side of the polygon's interior is chosen. With the package's canonical
-// clockwise (y-up) orientation the interior lies to the right of the
-// directed segment, i.e. in direction (dy, −dx).
-//
-// This tie-break is what keeps the qualitative algorithm exact for regions
-// that touch mbb(b) lines: a region lying entirely west of b and sharing the
-// line x = m1 is W of b, not B:W.
+// side of the polygon's interior is chosen: with the canonical clockwise
+// (y-up) orientation, to the right of the directed segment, (dy, −dx). That
+// keeps the algorithm exact for regions that touch mbb(b) lines: a region
+// lying entirely west of b and sharing the line x = m1 is W of b, not B:W.
 func (g Grid) ClassifySegment(s geom.Segment) Tile {
-	mid := s.Mid()
 	dx := s.B.X - s.A.X
 	dy := s.B.Y - s.A.Y
 
-	col := g.Col(mid.X)
-	if mid.X == g.M1 && dy != 0 {
-		// Segment lies on the west line. Interior x-direction is sign(dy):
-		// dy > 0 (northbound) puts the interior east of the line.
-		if dy > 0 {
-			col = 1
-		} else {
+	west, east := s.A.X, s.B.X
+	if west > east {
+		west, east = east, west
+	}
+	col := 1
+	if west < g.M1 {
+		col = 0
+	} else if east > g.M2 {
+		col = 2
+	}
+	if west == east && dy != 0 {
+		if west == g.M1 {
+			// Segment lies on the west line. Interior x-direction is
+			// sign(dy): dy > 0 (northbound) puts the interior east of it.
 			col = 0
-		}
-	} else if mid.X == g.M2 && dy != 0 {
-		if dy > 0 {
-			col = 2
-		} else {
+			if dy > 0 {
+				col = 1
+			}
+		} else if west == g.M2 {
 			col = 1
+			if dy > 0 {
+				col = 2
+			}
 		}
 	}
 
-	row := g.Row(mid.Y)
-	if mid.Y == g.L1 && dx != 0 {
-		// Segment lies on the south line. Interior y-direction is sign(−dx):
-		// dx > 0 (eastbound) puts the interior south of the line.
-		if dx > 0 {
-			row = 0
-		} else {
+	south, north := s.A.Y, s.B.Y
+	if south > north {
+		south, north = north, south
+	}
+	row := 1
+	if south < g.L1 {
+		row = 0
+	} else if north > g.L2 {
+		row = 2
+	}
+	if south == north && dx != 0 {
+		if south == g.L1 {
+			// Segment lies on the south line. Interior y-direction is
+			// sign(−dx): dx > 0 (eastbound) puts the interior south of it.
 			row = 1
-		}
-	} else if mid.Y == g.L2 && dx != 0 {
-		if dx > 0 {
-			row = 1
-		} else {
+			if dx > 0 {
+				row = 0
+			}
+		} else if south == g.L2 {
 			row = 2
+			if dx > 0 {
+				row = 1
+			}
 		}
 	}
 

@@ -39,11 +39,10 @@ import (
 //         lies within eps of the witness, hence strictly inside the open
 //         cell; and an original boundary point strictly inside an open
 //         cell always marks it: its crossing-free sub-segment stays in
-//         the closed cell, and that sub-segment's midpoint is strictly
-//         inside (a segment touching a grid line only at an interior
-//         point would have to lie along the line, contradicting strict
-//         interiority), where classifyCol/Row need no tie-break. Hence
-//         certain ⊆ marks(O).
+//         the closed cell, so its coordinate span lies within the
+//         cell's closed range and not along a line of it (a segment
+//         along a line has no point strictly inside), where
+//         classifyCol/Row need no tie-break. Hence certain ⊆ marks(O).
 //
 //       - possible: cells whose eps-expansion the sub-segment meets,
 //         found by the same clipping against the cell expanded by eps

@@ -279,12 +279,13 @@ func (l *LoD) relateStrip(g Grid, center geom.Point, sc *Scratch) (Relation, boo
 		}
 		if (hix <= m1 || lox >= m1) && (hix <= m2 || lox >= m2) &&
 			(hiy <= l1 || loy >= l1) && (hiy <= l2 || loy >= l2) {
-			rel |= 1 << tileGrid[classifyRow(l1, l2, (y0+y1)/2, x1-x0)][classifyCol(m1, m2, (x0+x1)/2, y1-y0)]
+			rel |= 1 << tileGrid[classifyRow(l1, l2, loy, hiy, x1-x0)][classifyCol(m1, m2, lox, hix, y1-y0)]
 			continue
 		}
 		cnt := splitEdgeInto(m1, m2, l1, l2, x0, y0, x1, y1, &qx, &qy)
 		for k := 0; k < cnt; k++ {
-			rel |= 1 << tileGrid[classifyRow(l1, l2, (qy[k]+qy[k+1])/2, qx[k+1]-qx[k])][classifyCol(m1, m2, (qx[k]+qx[k+1])/2, qy[k+1]-qy[k])]
+			sx0, sy0, sx1, sy1 := qx[k], qy[k], qx[k+1], qy[k+1]
+			rel |= 1 << tileGrid[classifyRow(l1, l2, min(sy0, sy1), max(sy0, sy1), sx1-sx0)][classifyCol(m1, m2, min(sx0, sx1), max(sx0, sx1), sy1-sy0)]
 		}
 	}
 

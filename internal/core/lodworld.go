@@ -181,7 +181,7 @@ func relateLoD(a *Prepared, l *LoD, g Grid, sc *Scratch, st *Stats) Relation {
 		a = l.Exact()
 	}
 	st.LoDExact++
-	return a.relateFull(g, sc, st)
+	return a.relateFull(g, st)
 }
 
 // RelationPct answers the percent matrix of primary i against reference j,
@@ -189,9 +189,9 @@ func relateLoD(a *Prepared, l *LoD, g Grid, sc *Scratch, st *Stats) Relation {
 // cannot answer a quantitative query (its areas differ), so the tier is the
 // box/area fast path — over the shared-exact boxes and the ORIGINAL areas
 // the world's Prepared carries — or the exact kernel; the win is skipping
-// the exact preparation for the overwhelming fast-path majority. sc may be
-// nil.
-func (w *LoDWorld) RelationPct(i, j int, sc *Scratch, st *Stats) (PercentMatrix, TileAreas, error) {
+// the exact preparation for the overwhelming fast-path majority. The
+// Scratch is not used and may be nil.
+func (w *LoDWorld) RelationPct(i, j int, _ *Scratch, st *Stats) (PercentMatrix, TileAreas, error) {
 	b := w.preps[j]
 	if b.noGrid {
 		return PercentMatrix{}, TileAreas{}, b.gridErr()
@@ -206,12 +206,8 @@ func (w *LoDWorld) RelationPct(i, j int, sc *Scratch, st *Stats) (PercentMatrix,
 		if l := w.lods[int32(i)]; l != nil {
 			a = l.Exact()
 		}
-		if sc == nil {
-			sc = getScratch()
-			defer putScratch(sc)
-		}
 		var err error
-		if total, err = a.relatePctFullInto(&areas, b.grid(), sc, st); err != nil {
+		if total, err = a.relatePctFullInto(&areas, b.grid(), st); err != nil {
 			return PercentMatrix{}, areas, err
 		}
 	}
@@ -271,7 +267,7 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 						continue
 					}
 					// the boxes are exact (anchored), so the grids are
-					row[j] = a.relate(boxGrid(b), false, false, sc, &st)
+					row[j] = a.relate(boxGrid(b), false, &st)
 					st.Passes++
 				}
 				continue

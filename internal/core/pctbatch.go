@@ -92,8 +92,6 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 	var total Stats
 	errs := make([]error, n)
 	runPool(workers, func() {
-		sc := getScratch()
-		defer putScratch(sc)
 		var st Stats
 		for {
 			pi := int(next.Add(1) - 1)
@@ -117,7 +115,7 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 				// straight into the output slice instead of copying 72-byte
 				// values through return paths.
 				slot := &row[k]
-				total, err := a.relatePctAreasInto(&slot.Areas, b.grid(), opt.NoPrune, opt.NoSoA, sc, &st)
+				total, err := a.relatePctAreasInto(&slot.Areas, b.grid(), opt.NoPrune, &st)
 				if err != nil {
 					errs[pi] = err
 					break
@@ -142,47 +140,4 @@ func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]
 		}
 	}
 	return out, total, nil
-}
-
-// ComputeAllPairsPct computes every ordered pair's percent matrix
-// sequentially.
-//
-// Deprecated: use BatchPct with BatchOptions{Workers: 1}.
-func ComputeAllPairsPct(regions []NamedRegion) ([]PairPercent, error) {
-	out, _, err := ComputeAllPairsPctOpt(regions, BatchOptions{Workers: 1})
-	return out, err
-}
-
-// ComputeAllPairsPctParallel is ComputeAllPairsPct over a GOMAXPROCS-sized
-// worker pool.
-//
-// Deprecated: use BatchPct.
-func ComputeAllPairsPctParallel(regions []NamedRegion) ([]PairPercent, error) {
-	out, _, err := ComputeAllPairsPctOpt(regions, BatchOptions{})
-	return out, err
-}
-
-// ComputeAllPairsPctOpt is the configurable quantitative batch engine with
-// instrumentation.
-//
-// Deprecated: use BatchPct, which also reports Stats.
-func ComputeAllPairsPctOpt(regions []NamedRegion, opt BatchOptions) ([]PairPercent, Stats, error) {
-	res, err := BatchPct(context.Background(), regions, &opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
-}
-
-// ComputeAllPairsPctPrepared runs the quantitative batch over
-// already-prepared regions.
-//
-// Deprecated: use BatchPct with BatchOptions.Prepared.
-func ComputeAllPairsPctPrepared(ps []*Prepared, opt BatchOptions) ([]PairPercent, Stats, error) {
-	opt.Prepared = ps
-	res, err := BatchPct(context.Background(), nil, &opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -78,6 +79,17 @@ func pairsPctEqual(t *testing.T, label string, got, want []PairPercent) {
 	}
 }
 
+// batchPct is BatchPct for tests that expect success: the pairs and the
+// aggregated stats of one run.
+func batchPct(t testing.TB, regions []NamedRegion, opt BatchOptions) ([]PairPercent, Stats) {
+	t.Helper()
+	res, err := BatchPct(context.Background(), regions, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Pairs, res.Stats
+}
+
 // TestComputeAllPairsPctDifferential asserts the quantitative batch engine
 // reproduces pairwise ComputeCDRPct on scatter and clustered workloads, for
 // every worker count, with and without pruning.
@@ -94,10 +106,7 @@ func TestComputeAllPairsPctDifferential(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 0} {
 			for _, noPrune := range []bool{false, true} {
 				label := fmt.Sprintf("%s/workers=%d/noPrune=%v", w.name, workers, noPrune)
-				got, st, err := ComputeAllPairsPctOpt(w.regions, BatchOptions{Workers: workers, NoPrune: noPrune})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+				got, st := batchPct(t, w.regions, BatchOptions{Workers: workers, NoPrune: noPrune})
 				pairsPctEqual(t, label, got, want)
 				if noPrune && st.PrunePctTile+st.PrunePctPoly != 0 {
 					t.Errorf("%s: NoPrune recorded prune hits: %+v", label, st)
@@ -105,14 +114,8 @@ func TestComputeAllPairsPctDifferential(t *testing.T) {
 			}
 		}
 		// Sequential and parallel entry points are bitwise identical.
-		seq, err := ComputeAllPairsPct(w.regions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := ComputeAllPairsPctParallel(w.regions)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq, _ := batchPct(t, w.regions, BatchOptions{Workers: 1})
+		par, _ := batchPct(t, w.regions, BatchOptions{})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("%s: parallel output differs from sequential", w.name)
 		}
@@ -124,10 +127,7 @@ func TestComputeAllPairsPctDifferential(t *testing.T) {
 // full path still runs for straddling pairs.
 func TestPctFastPathHitRate(t *testing.T) {
 	regions := batchWorkload(7, 40)
-	_, st, err := ComputeAllPairsPctOpt(regions, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := batchPct(t, regions, BatchOptions{Workers: 1})
 	if st.PrunePctTile == 0 {
 		t.Error("scatter workload should hit the single-tile percent fast path")
 	}
@@ -137,9 +137,8 @@ func TestPctFastPathHitRate(t *testing.T) {
 	t.Logf("stats: %+v", st)
 }
 
-// TestRelatePctZeroAllocs verifies the tentpole acceptance criterion: with a
-// warmed Scratch the steady RelatePct path performs zero heap allocations,
-// on both the fast path and the full edge-splitting path.
+// TestRelatePctZeroAllocs verifies the steady RelatePct path performs zero
+// heap allocations, on both the fast path and the full edge-splitting path.
 func TestRelatePctZeroAllocs(t *testing.T) {
 	g := workload.New(3)
 	// Overlapping pair: boxes straddle grid lines → full path.
@@ -210,7 +209,7 @@ func TestComputeCDRPctDegenerateSentinel(t *testing.T) {
 		{Name: "ok", Region: ok},
 		{Name: "line", Region: line},
 	}
-	if _, err := ComputeAllPairsPct(regions); !errors.Is(err, ErrDegenerateRegion) {
+	if _, err := BatchPct(context.Background(), regions, &BatchOptions{Workers: 1}); !errors.Is(err, ErrDegenerateRegion) {
 		t.Errorf("batch: %v does not wrap ErrDegenerateRegion", err)
 	}
 }

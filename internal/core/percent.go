@@ -64,14 +64,12 @@ func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 		return PercentMatrix{}, areas, st, err
 	}
 
-	// The accumulators and split buffer live in a pooled Scratch, so repeated
-	// one-shot calls stop allocating once the pool is warm.
+	// The split buffer lives in a pooled Scratch, so repeated one-shot calls
+	// stop allocating once the pool is warm.
 	sc := getScratch()
 	defer putScratch(sc)
-	for i := range sc.acc {
-		sc.acc[i] = 0
-	}
-	sc.accBN = 0
+	var acc [NumTiles]float64 // per-tile trapezoid accumulators
+	var accBN float64         // B∪N slab accumulator against y = l1
 
 	for _, p := range a {
 		p = p.Clockwise()
@@ -85,16 +83,16 @@ func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 				t := grid.ClassifySegment(s)
 				switch t {
 				case TileNW, TileW, TileSW:
-					sc.acc[t] += Em(s.A, s.B, grid.M1)
+					acc[t] += Em(s.A, s.B, grid.M1)
 				case TileNE, TileE, TileSE:
-					sc.acc[t] += Em(s.A, s.B, grid.M2)
+					acc[t] += Em(s.A, s.B, grid.M2)
 				case TileS:
-					sc.acc[t] += El(s.A, s.B, grid.L1)
+					acc[t] += El(s.A, s.B, grid.L1)
 				case TileN:
-					sc.acc[t] += El(s.A, s.B, grid.L2)
+					acc[t] += El(s.A, s.B, grid.L2)
 				}
 				if t == TileN || t == TileB {
-					sc.accBN += El(s.A, s.B, grid.L1)
+					accBN += El(s.A, s.B, grid.L1)
 				}
 			}
 		}
@@ -105,10 +103,10 @@ func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 		if t == TileB {
 			continue
 		}
-		areas[t] = abs(sc.acc[t])
+		areas[t] = abs(acc[t])
 	}
 	// area(B) = |area(B+N)| − |area(N)|; clamp tiny negative float residue.
-	if bArea := abs(sc.accBN) - areas[TileN]; bArea > 0 {
+	if bArea := abs(accBN) - areas[TileN]; bArea > 0 {
 		areas[TileB] = bArea
 	}
 
@@ -123,34 +121,20 @@ func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 // primary a against the reference b — equivalent to
 // ComputeCDRPct(a.Region, b.Region) but with all per-region work
 // (normalisation, edge flattening, grid construction, polygon areas) already
-// paid at Prepare time. With a warmed Scratch the steady path performs zero
-// heap allocations. sc may be nil (a throwaway scratch is used).
-func RelatePct(a, b *Prepared, sc *Scratch) (PercentMatrix, TileAreas, error) {
+// paid at Prepare time; it performs zero heap allocations. The Scratch is
+// not used and may be nil.
+func RelatePct(a, b *Prepared, _ *Scratch) (PercentMatrix, TileAreas, error) {
 	if b.noGrid {
 		return PercentMatrix{}, TileAreas{}, b.gridErr()
 	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	return a.relatePct(b.grid(), false, false, sc, nil)
-}
-
-// RelatePctGrid computes the percent matrix of the primary region against an
-// arbitrary reference grid. sc may be nil.
-func (p *Prepared) RelatePctGrid(g Grid, sc *Scratch) (PercentMatrix, TileAreas, error) {
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	return p.relatePct(g, false, false, sc, nil)
+	return a.relatePct(b.grid(), false, nil)
 }
 
 // relatePct dispatches between the cached-area fast path and the full
 // edge-splitting quantitative algorithm.
-func (p *Prepared) relatePct(g Grid, noPrune, ref bool, sc *Scratch, st *Stats) (PercentMatrix, TileAreas, error) {
+func (p *Prepared) relatePct(g Grid, noPrune bool, st *Stats) (PercentMatrix, TileAreas, error) {
 	var areas TileAreas
-	total, err := p.relatePctAreasInto(&areas, g, noPrune, ref, sc, st)
+	total, err := p.relatePctAreasInto(&areas, g, noPrune, st)
 	if err != nil {
 		return PercentMatrix{}, areas, err
 	}
@@ -163,9 +147,8 @@ func (p *Prepared) relatePct(g Grid, noPrune, ref bool, sc *Scratch, st *Stats) 
 // total — the batch engine's entry point, writing straight into the output
 // slot instead of copying 72-byte values through three return frames. The
 // O(1) single-tile case is checked here, one call deep, because it answers
-// over 90% of scatter-batch pairs. ref selects the per-edge reference
-// kernel instead of the SoA kernel (differential tests, ablations).
-func (p *Prepared) relatePctAreasInto(dst *TileAreas, g Grid, noPrune, ref bool, sc *Scratch, st *Stats) (float64, error) {
+// over 90% of scatter-batch pairs.
+func (p *Prepared) relatePctAreasInto(dst *TileAreas, g Grid, noPrune bool, st *Stats) (float64, error) {
 	if !noPrune && p.totalArea > 0 {
 		if col, row := strictCol(p.Box, g), strictRow(p.Box, g); col >= 0 && row >= 0 {
 			*dst = TileAreas{}
@@ -179,10 +162,7 @@ func (p *Prepared) relatePctAreasInto(dst *TileAreas, g Grid, noPrune, ref bool,
 			return p.totalArea, nil
 		}
 	}
-	if ref {
-		return p.relatePctFullIntoRef(dst, g, sc, st)
-	}
-	return p.relatePctFullInto(dst, g, sc, st)
+	return p.relatePctFullInto(dst, g, st)
 }
 
 // pctIdx maps a tile to its (row, col) cell of the printed PercentMatrix.
@@ -254,69 +234,17 @@ func (p *Prepared) relatePctPolyInto(dst *TileAreas, g Grid, st *Stats) bool {
 	return true
 }
 
-// relatePctFullIntoRef is the per-edge reference implementation of
-// Compute-CDR% over Prepared edges: materialise each edge, split it with
-// Grid.SplitEdge, classify and accumulate every sub-segment through the
-// Scratch accumulator array. It computes bit-identical results to the SoA
-// kernel in relatePctFullInto (asserted by TestSoAKernelDifferential) and
-// exists for that comparison — and as the BatchOptions.NoSoA ablation
-// baseline. Do not use on hot paths.
-func (p *Prepared) relatePctFullIntoRef(dst *TileAreas, g Grid, sc *Scratch, st *Stats) (float64, error) {
-	for i := range sc.acc {
-		sc.acc[i] = 0
-	}
-	sc.accBN = 0
-	buf := sc.buf
-	for i := 0; i < len(p.ax); i++ {
-		buf = g.SplitEdge(p.edge(i), buf[:0])
-		if st != nil {
-			st.EdgesIn++
-			st.EdgeVisits++
-			st.EdgesOut += len(buf)
-			st.Intersections += len(buf) - 1
-		}
-		for _, s := range buf {
-			t := g.ClassifySegment(s)
-			switch t {
-			case TileNW, TileW, TileSW:
-				sc.acc[t] += Em(s.A, s.B, g.M1)
-			case TileNE, TileE, TileSE:
-				sc.acc[t] += Em(s.A, s.B, g.M2)
-			case TileS:
-				sc.acc[t] += El(s.A, s.B, g.L1)
-			case TileN:
-				sc.acc[t] += El(s.A, s.B, g.L2)
-			}
-			if t == TileN || t == TileB {
-				sc.accBN += El(s.A, s.B, g.L1)
-			}
-		}
-	}
-	sc.buf = buf
-
-	*dst = TileAreas{}
-	for _, t := range Tiles() {
-		if t == TileB {
-			continue
-		}
-		dst[t] = abs(sc.acc[t])
-	}
-	if bArea := abs(sc.accBN) - dst[TileN]; bArea > 0 {
-		dst[TileB] = bArea
-	}
-	return p.pctTotal(dst)
-}
-
 // relatePctFullInto is the paper's Compute-CDR% over the struct-of-arrays
 // edge layout: one pass over the flat coordinate slices, accumulating the
 // trapezoid expressions into nine locals the compiler keeps in registers.
 // An edge is split only when its coordinate span actually straddles a grid
 // line (four compares, no divisions); the no-split majority accumulates
 // straight from the raw coordinates with no Segment materialisation and no
-// buffer traffic. Accumulation order per tile matches the reference kernel
-// exactly, so results are bit-identical. It writes the per-tile areas into
+// buffer traffic. Accumulation order per tile matches the one-shot
+// ComputeCDRPct exactly, so results are bit-identical
+// (TestKernelsMatchPaperTranscription). It writes the per-tile areas into
 // dst and returns their total.
-func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, sc *Scratch, st *Stats) (float64, error) {
+func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, st *Stats) (float64, error) {
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
 	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
 	var accS, accSW, accW, accNW, accN, accNE, accE, accSE, accBN float64
@@ -340,7 +268,7 @@ func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, sc *Scratch, st *St
 		if (hix <= m1 || lox >= m1) && (hix <= m2 || lox >= m2) &&
 			(hiy <= l1 || loy >= l1) && (hiy <= l2 || loy >= l2) {
 			outCount++
-			switch tileGrid[classifyRow(l1, l2, (y0+y1)/2, x1-x0)][classifyCol(m1, m2, (x0+x1)/2, y1-y0)] {
+			switch tileGrid[classifyRow(l1, l2, loy, hiy, x1-x0)][classifyCol(m1, m2, lox, hix, y1-y0)] {
 			case TileNW:
 				accNW += (y1 - y0) * (x0 + x1 - 2*m1) / 2
 			case TileW:
@@ -367,7 +295,7 @@ func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, sc *Scratch, st *St
 		outCount += cnt
 		for k := 0; k < cnt; k++ {
 			sx0, sy0, sx1, sy1 := qx[k], qy[k], qx[k+1], qy[k+1]
-			switch tileGrid[classifyRow(l1, l2, (sy0+sy1)/2, sx1-sx0)][classifyCol(m1, m2, (sx0+sx1)/2, sy1-sy0)] {
+			switch tileGrid[classifyRow(l1, l2, min(sy0, sy1), max(sy0, sy1), sx1-sx0)][classifyCol(m1, m2, min(sx0, sx1), max(sx0, sx1), sy1-sy0)] {
 			case TileNW:
 				accNW += (sy1 - sy0) * (sx0 + sx1 - 2*m1) / 2
 			case TileW:
@@ -409,16 +337,6 @@ func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, sc *Scratch, st *St
 	dst[TileNE], dst[TileE], dst[TileSE] = aNE, aE, aSE
 	// Summed in tile index order, matching TileAreas.Total bit for bit.
 	total := aB + aS + aSW + aW + aNW + aN + aNE + aE + aSE
-	if total <= 0 {
-		return 0, fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
-	}
-	return total, nil
-}
-
-// pctTotal finalises a full-kernel area computation: the shared tail of the
-// SoA and reference kernels.
-func (p *Prepared) pctTotal(dst *TileAreas) (float64, error) {
-	total := dst.Total()
 	if total <= 0 {
 		return 0, fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
 	}

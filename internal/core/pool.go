@@ -37,11 +37,11 @@ func poolSize(workers, items int) int {
 	return min(workers, items)
 }
 
-// scratchPool recycles Scratch values for the one-shot convenience paths
-// (ComputeCDR, ComputeCDRPct, Relate with a nil scratch): callers outside the
-// batch engine stop paying one split-buffer allocation per call. Batch
-// workers still own a private Scratch for their whole run — a pool get/put
-// per pair would be pure overhead there.
+// scratchPool recycles Scratch values for the one-shot paths (ComputeCDR,
+// ComputeCDRPct) and the LoD tier's strip stage, so callers stop paying one
+// split-buffer allocation per call. A LoD batch worker still owns a private
+// Scratch for its whole run — a pool get/put per pair would be pure
+// overhead there.
 var scratchPool = sync.Pool{
 	New: func() any {
 		return &Scratch{buf: make([]geom.Segment, 0, 8)}

@@ -135,8 +135,10 @@ func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []
 			pb = pb.ExtendPoint(geom.Point{X: ax[i], Y: ay[i]})
 		}
 		area = abs(area)
-		if area == 0 {
-			p.fastOK = false // degenerate rings violate the orientation invariant
+		if area == 0 || pb.MinX == pb.MaxX || pb.MinY == pb.MaxY {
+			// Degenerate rings violate the orientation invariant; a flat
+			// ring is one whatever float residue its area sum carries.
+			p.fastOK = false
 		}
 		box = box.Union(pb)
 		polys[pi] = preparedPoly{box: pb, area: area}
@@ -233,14 +235,6 @@ func (p *Prepared) Edges() []geom.Segment {
 	return out
 }
 
-// edge materialises edge i from the coordinate slices.
-func (p *Prepared) edge(i int) geom.Segment {
-	return geom.Segment{
-		A: geom.Point{X: p.ax[i], Y: p.ay[i]},
-		B: geom.Point{X: p.bx[i], Y: p.by[i]},
-	}
-}
-
 // Grid returns the nine-tile grid induced by the region's bounding box, or
 // an error when the box is degenerate and the region cannot serve as a
 // reference (it can still be a primary).
@@ -266,14 +260,13 @@ func (p *Prepared) gridErr() error {
 }
 
 // Scratch holds the reusable buffers of one computation thread: the
-// edge-split buffer shared by Relate and RelatePct, and the per-tile signed
-// accumulators of the quantitative algorithm. Each worker of a parallel
-// batch owns its own Scratch; sharing one across goroutines is a data race.
-// The zero value is ready to use.
+// edge-split buffer of the one-shot ComputeCDR/ComputeCDRPct and the
+// strip-stage scratch of the LoD tier. The exact kernels behind Relate and
+// RelatePct need none. Each worker of a parallel LoD batch owns its own
+// Scratch; sharing one across goroutines is a data race. The zero value is
+// ready to use.
 type Scratch struct {
-	buf   []geom.Segment
-	acc   [NumTiles]float64 // per-tile trapezoid accumulators (reference kernel)
-	accBN float64           // B∪N slab accumulator against y = l1 (reference kernel)
+	buf []geom.Segment
 
 	// Strip-stage scratch (lod_strip.go): epoch-stamped candidate
 	// de-duplication, the gathered edge ids, and per-polygon parity
@@ -288,44 +281,31 @@ type Scratch struct {
 // Relate computes the cardinal direction relation a R b of the primary a
 // against the reference b — equivalent to ComputeCDR(a.Region, b.Region) but
 // with all per-region work already paid, and with the MBB fast path applied
-// when a's bounding box permits it. sc may be nil (a throwaway scratch is
-// used).
-func Relate(a, b *Prepared, sc *Scratch) (Relation, error) {
+// when a's bounding box permits it. The Scratch is not used — the kernel
+// keeps its working set in registers — and may be nil.
+func Relate(a, b *Prepared, _ *Scratch) (Relation, error) {
 	if b.noGrid {
 		return 0, b.gridErr()
 	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	return a.relate(b.grid(), false, false, sc, nil), nil
+	return a.relate(b.grid(), false, nil), nil
 }
 
 // RelateGrid computes the relation of the primary region against an
-// arbitrary reference grid. sc may be nil.
-func (p *Prepared) RelateGrid(g Grid, sc *Scratch) Relation {
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	return p.relate(g, false, false, sc, nil)
+// arbitrary reference grid. The Scratch is not used and may be nil.
+func (p *Prepared) RelateGrid(g Grid, _ *Scratch) Relation {
+	return p.relate(g, false, nil)
 }
 
 // relate dispatches between the MBB fast path and the full edge-splitting
-// algorithm (the SoA kernel, or with ref the per-edge reference kernel —
-// kept for differential tests and benchmark ablations). The result is
-// always a valid (non-empty) relation: Prepare guarantees at least one edge
-// exists.
-func (p *Prepared) relate(g Grid, noPrune, ref bool, sc *Scratch, st *Stats) Relation {
+// algorithm. The result is always a valid (non-empty) relation: Prepare
+// guarantees at least one edge exists.
+func (p *Prepared) relate(g Grid, noPrune bool, st *Stats) Relation {
 	if !noPrune {
 		if rel, ok := p.relateFast(g, st); ok {
 			return rel
 		}
 	}
-	if ref {
-		return p.relateFullRef(g, sc, st)
-	}
-	return p.relateFull(g, sc, st)
+	return p.relateFull(g, st)
 }
 
 // strictCol returns the grid column strictly containing the box — the box
@@ -430,40 +410,15 @@ func (p *Prepared) relateFast(g Grid, st *Stats) (Relation, bool) {
 	return 0, false
 }
 
-// relateFullRef is the per-edge reference implementation of Compute-CDR
-// over Prepared edges: materialise each edge, split it with Grid.SplitEdge,
-// classify every sub-segment. It computes bit-identical results to the SoA
-// kernel in relateFull (asserted by TestSoAKernelDifferential) and exists
-// for exactly that comparison — and as the BatchOptions.NoSoA ablation
-// baseline. Do not use on hot paths.
-func (p *Prepared) relateFullRef(g Grid, sc *Scratch, st *Stats) Relation {
-	var rel Relation
-	buf := sc.buf
-	for i := 0; i < len(p.ax); i++ {
-		buf = g.SplitEdge(p.edge(i), buf[:0])
-		if st != nil {
-			st.EdgesIn++
-			st.EdgeVisits++
-			st.EdgesOut += len(buf)
-			st.Intersections += len(buf) - 1
-		}
-		for _, s := range buf {
-			rel = rel.With(g.ClassifySegment(s))
-		}
-	}
-	sc.buf = buf
-	return p.addCenterTile(rel, g, st)
-}
-
 // relateFull is the paper's Compute-CDR over the struct-of-arrays edge
 // layout: one pass over the flat coordinate slices, splitting an edge on
 // the grid lines only when its coordinate span actually straddles one
 // (detected with four compares, no divisions), classifying each sub-segment
-// by its midpoint with interior-side tie-breaking, and adding tile B for
+// by its endpoint span with interior-side tie-breaking, and adding tile B for
 // polygons enclosing the reference box's center. The no-split case — the
 // overwhelming majority of edges in batch workloads — runs branch-light
 // with no Segment materialisation and no buffer traffic.
-func (p *Prepared) relateFull(g Grid, sc *Scratch, st *Stats) Relation {
+func (p *Prepared) relateFull(g Grid, st *Stats) Relation {
 	var rel Relation
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
 	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
@@ -486,13 +441,14 @@ func (p *Prepared) relateFull(g Grid, sc *Scratch, st *Stats) Relation {
 		if (hix <= m1 || lox >= m1) && (hix <= m2 || lox >= m2) &&
 			(hiy <= l1 || loy >= l1) && (hiy <= l2 || loy >= l2) {
 			outCount++
-			rel |= 1 << tileGrid[classifyRow(l1, l2, (y0+y1)/2, x1-x0)][classifyCol(m1, m2, (x0+x1)/2, y1-y0)]
+			rel |= 1 << tileGrid[classifyRow(l1, l2, loy, hiy, x1-x0)][classifyCol(m1, m2, lox, hix, y1-y0)]
 			continue
 		}
 		cnt := splitEdgeInto(m1, m2, l1, l2, x0, y0, x1, y1, &qx, &qy)
 		outCount += cnt
 		for k := 0; k < cnt; k++ {
-			rel |= 1 << tileGrid[classifyRow(l1, l2, (qy[k]+qy[k+1])/2, qx[k+1]-qx[k])][classifyCol(m1, m2, (qx[k]+qx[k+1])/2, qy[k+1]-qy[k])]
+			sx0, sy0, sx1, sy1 := qx[k], qy[k], qx[k+1], qy[k+1]
+			rel |= 1 << tileGrid[classifyRow(l1, l2, min(sy0, sy1), max(sy0, sy1), sx1-sx0)][classifyCol(m1, m2, min(sx0, sx1), max(sx0, sx1), sy1-sy0)]
 		}
 	}
 	if st != nil {
@@ -639,66 +595,61 @@ func splitEdgeInto(m1, m2, l1, l2, x0, y0, x1, y1 float64, qx, qy *[6]float64) i
 	return cnt
 }
 
-// classifyTile is Grid.ClassifySegment over raw coordinates: the tile of a
-// segment known not to cross any grid line, decided by its midpoint, with
-// on-line segments resolved to the side of the polygon's interior (to the
-// right of A→B under the canonical clockwise orientation). It must mirror
-// Grid.ClassifySegment exactly — the SoA kernels promise bit-identical
-// results to the reference path.
-func classifyTile(m1, m2, l1, l2, x0, y0, x1, y1 float64) Tile {
-	col := classifyCol(m1, m2, (x0+x1)/2, y1-y0)
-	row := classifyRow(l1, l2, (y0+y1)/2, x1-x0)
-	return tileGrid[row][col]
-}
-
-// classifyCol is the column half of classifyTile: Grid.Col of the midpoint
-// x, with the on-line override applied first. It is small enough for the
-// inliner, which keeps the per-sub-segment classification call-free inside
-// the SoA kernels. The on-line cases: a segment on the west line has its
-// interior east of the line exactly when it runs northbound (dy > 0), and
-// symmetrically on the east line.
-func classifyCol(m1, m2, midx, dy float64) int {
-	if midx == m1 && dy != 0 {
-		if dy > 0 {
+// classifyCol returns the grid column of a sub-segment known not to cross a
+// vertical grid line, from its x-span [lo, hi] and its y-direction dy — what
+// Grid.ClassifySegment decides, over raw coordinates, small enough for the
+// inliner. A segment lying on a line (lo == hi == m) goes to the side of the
+// polygon's interior, to the right of A→B under the canonical clockwise
+// orientation: on the west line that is east exactly when the segment runs
+// northbound (dy > 0), and symmetrically on the east line. Any other segment
+// is decided by its span, not its rounded midpoint: a piece reaching 1 ulp
+// across a line belongs to the far side, however small.
+func classifyCol(m1, m2, lo, hi, dy float64) int {
+	if lo == hi && dy != 0 {
+		if lo == m1 {
+			if dy > 0 {
+				return 1
+			}
+			return 0
+		}
+		if lo == m2 {
+			if dy > 0 {
+				return 2
+			}
 			return 1
 		}
+	}
+	if lo < m1 {
 		return 0
 	}
-	if midx == m2 && dy != 0 {
-		if dy > 0 {
-			return 2
-		}
-		return 1
-	}
-	if midx < m1 {
-		return 0
-	}
-	if midx > m2 {
+	if hi > m2 {
 		return 2
 	}
 	return 1
 }
 
-// classifyRow is the row half of classifyTile: a segment on the south line
-// has its interior south of the line exactly when it runs eastbound
+// classifyRow is the row analogue of classifyCol: a segment on the south
+// line has its interior south of the line exactly when it runs eastbound
 // (dx > 0), and symmetrically on the north line.
-func classifyRow(l1, l2, midy, dx float64) int {
-	if midy == l1 && dx != 0 {
-		if dx > 0 {
-			return 0
-		}
-		return 1
-	}
-	if midy == l2 && dx != 0 {
-		if dx > 0 {
+func classifyRow(l1, l2, lo, hi, dx float64) int {
+	if lo == hi && dx != 0 {
+		if lo == l1 {
+			if dx > 0 {
+				return 0
+			}
 			return 1
 		}
-		return 2
+		if lo == l2 {
+			if dx > 0 {
+				return 1
+			}
+			return 2
+		}
 	}
-	if midy < l1 {
+	if lo < l1 {
 		return 0
 	}
-	if midy > l2 {
+	if hi > l2 {
 		return 2
 	}
 	return 1

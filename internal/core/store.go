@@ -325,14 +325,9 @@ func (s *RelationStore) pctPair(primary, reference string) (a, b *Prepared, err 
 var errNoPct = errors.New("core: store does not answer percentages (StoreOptions.Pct)")
 
 // relate runs Compute-CDR on one pair and counts the stage that decided it.
-// The struct-of-arrays kernels keep their working set in registers and
-// never touch the Scratch, so a zero one on the stack satisfies them: no
-// pool round-trip per pair, and no allocation even where sync.Pool drops
-// items (under the race detector).
 func (s *RelationStore) relate(a, b *Prepared) Relation {
 	var st Stats
-	var sc Scratch
-	rel := a.relate(b.grid(), false, false, &sc, &st)
+	rel := a.relate(b.grid(), false, &st)
 	switch {
 	case st.PruneSingleTile != 0:
 		s.served[stageSingleTile].Add(1)
@@ -348,8 +343,7 @@ func (s *RelationStore) relate(a, b *Prepared) Relation {
 // it.
 func (s *RelationStore) relatePct(a, b *Prepared) (PercentMatrix, TileAreas, error) {
 	var st Stats
-	var sc Scratch
-	m, areas, err := a.relatePct(b.grid(), false, false, &sc, &st)
+	m, areas, err := a.relatePct(b.grid(), false, &st)
 	switch {
 	case st.PrunePctTile != 0:
 		s.served[stagePctTile].Add(1)
@@ -438,7 +432,6 @@ const rowStride = 256
 // pairs. Each answer is what Relation gives for the same two forms.
 func (s *RelationStore) RelateRow(ctx context.Context, pin *Prepared, pinnedIsRef bool, cands []*Prepared, out []Relation) error {
 	var st Stats
-	var sc Scratch
 	var err error
 	pairs, g := 0, pin.grid()
 	for k, c := range cands {
@@ -452,9 +445,9 @@ func (s *RelationStore) RelateRow(ctx context.Context, pin *Prepared, pinnedIsRe
 			out[k] = B
 			continue
 		case pinnedIsRef:
-			out[k] = c.relate(g, false, false, &sc, &st)
+			out[k] = c.relate(g, false, &st)
 		default:
-			out[k] = pin.relate(c.grid(), false, false, &sc, &st)
+			out[k] = pin.relate(c.grid(), false, &st)
 		}
 		pairs++
 	}
@@ -477,7 +470,7 @@ func (s *RelationStore) all() []*Prepared {
 func (s *RelationStore) Pairs() []PairRelation {
 	// Every held region passed usable, the only error the engine has
 	// without a context to cancel.
-	out, st, _ := ComputeAllPairsPrepared(s.all(), BatchOptions{Workers: s.opt.Workers})
+	out, st, _ := batchPrepared(context.Background(), s.all(), BatchOptions{Workers: s.opt.Workers})
 	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
 	s.served[stageBand].Add(int64(st.PruneBand))
 	s.served[stageExact].Add(int64(st.Passes - st.PruneSingleTile - st.PruneBand))
@@ -491,7 +484,7 @@ func (s *RelationStore) PctPairs() ([]PairPercent, error) {
 	if !s.opt.Pct {
 		return nil, errNoPct
 	}
-	out, st, err := ComputeAllPairsPctPrepared(s.all(), BatchOptions{Workers: s.opt.Workers})
+	out, st, err := batchPctPrepared(context.Background(), s.all(), BatchOptions{Workers: s.opt.Workers})
 	s.served[stagePctTile].Add(int64(st.PrunePctTile))
 	s.served[stagePctPoly].Add(int64(st.PrunePctPoly))
 	s.served[stagePctExact].Add(int64(st.Passes - st.PrunePctTile - st.PrunePctPoly))

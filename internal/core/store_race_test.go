@@ -124,10 +124,7 @@ func TestRelationStoreConcurrentReadsDuringEdits(t *testing.T) {
 		}
 		final = append(final, NamedRegion{Name: name, Region: p.Region()})
 	}
-	want, err := ComputeAllPairs(final)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := batchCDR(t, final, BatchOptions{Workers: 1})
 	got := st.Pairs()
 	if len(got) != len(want) {
 		t.Fatalf("pairs: got %d, want %d", len(got), len(want))

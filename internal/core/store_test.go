@@ -27,10 +27,7 @@ func checkAgainstBatch(t *testing.T, s *RelationStore, w storeWorld) {
 	if s.Len() != len(w) {
 		t.Fatalf("store holds %d regions, world has %d", s.Len(), len(w))
 	}
-	wantRel, _, err := ComputeAllPairsOpt(w, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("oracle qualitative batch: %v", err)
-	}
+	wantRel, _ := batchCDR(t, w, BatchOptions{Workers: 1})
 	gotRel := s.Pairs()
 	if len(wantRel) == 0 {
 		wantRel = nil
@@ -39,10 +36,7 @@ func checkAgainstBatch(t *testing.T, s *RelationStore, w storeWorld) {
 		t.Fatalf("store pairs diverged from batch recompute:\n got %v\nwant %v", gotRel, wantRel)
 	}
 	checkRows(t, s)
-	wantPct, _, err := ComputeAllPairsPctOpt(w, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("oracle quantitative batch: %v", err)
-	}
+	wantPct, _ := batchPct(t, w, BatchOptions{Workers: 1})
 	gotPct, err := s.PctPairs()
 	if err != nil {
 		t.Fatal(err)
@@ -246,14 +240,8 @@ func TestRelationStoreStats(t *testing.T) {
 	if st := s.Stats(); st != (StoreStats{}) {
 		t.Fatalf("fresh store has counted %+v", st)
 	}
-	_, want, err := ComputeAllPairsOpt(w, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantPct, err := ComputeAllPairsPctOpt(w, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := batchCDR(t, w, BatchOptions{Workers: 1})
+	_, wantPct := batchPct(t, w, BatchOptions{Workers: 1})
 	// The same pairs one by one and as a sweep land on the same stages.
 	for _, a := range w {
 		for _, b := range w {

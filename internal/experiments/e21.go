@@ -26,10 +26,8 @@ import (
 //
 //   - batch_qual_ms / batch_pct_ms: the headline all-pairs batch engines on
 //     a cluster world (pruning on, one worker).
-//   - pct_kernel_soa_ms / pct_kernel_ref_ms / pct_kernel_speedup: the
-//     struct-of-arrays percent kernel against the per-edge reference
-//     kernel, pruning off so every pair runs the full splitting loop — the
-//     ablation behind the ≥1.5x acceptance bar.
+//   - pct_kernel_soa_ms: the struct-of-arrays percent kernel, pruning off
+//     so every pair runs the full splitting loop.
 //   - store_edit_us: one SetGeometry through the relation store (one
 //     Prepare and a pointer swap; no pair is computed by an edit).
 //   - recovery_bin_ms / recovery_xml_ms / recovery_speedup: end-to-end
@@ -88,16 +86,9 @@ func E21RawSpeed(o Options) (Report, error) {
 			panic(err)
 		}
 	})
-	nsRef := benchBest(func() {
-		if _, err := core.BatchPct(nil, nil, &core.BatchOptions{Workers: 1, NoPrune: true, NoSoA: true, Prepared: ps}); err != nil {
-			panic(err)
-		}
-	})
 	metrics["batch_qual_ms"] = nsQual / 1e6
 	metrics["batch_pct_ms"] = nsPct / 1e6
 	metrics["pct_kernel_soa_ms"] = nsSoA / 1e6
-	metrics["pct_kernel_ref_ms"] = nsRef / 1e6
-	metrics["pct_kernel_speedup"] = nsRef / nsSoA
 
 	// Relation store: one real edit on a store that answers percentages.
 	store, err := core.NewRelationStore(regions, core.StoreOptions{Workers: 1, Pct: true})
@@ -240,8 +231,6 @@ func E21RawSpeed(o Options) (Report, error) {
 			{"all-pairs qualitative batch", fmt.Sprintf("%.2f ms", nsQual/1e6)},
 			{"all-pairs percent batch", fmt.Sprintf("%.2f ms", nsPct/1e6)},
 			{"percent kernel, SoA (no prune)", fmt.Sprintf("%.2f ms", nsSoA/1e6)},
-			{"percent kernel, reference (no prune)", fmt.Sprintf("%.2f ms", nsRef/1e6)},
-			{"SoA kernel speedup", fmt.Sprintf("%.2fx", nsRef/nsSoA)},
 			{"store edit (one Prepare, no pair computed)", fmt.Sprintf("%.1f µs", nsEdit/1e3)},
 			{"recovery from binary snapshot", fmt.Sprintf("%.1f ms", metrics["recovery_bin_ms"])},
 			{"recovery from XML snapshot", fmt.Sprintf("%.1f ms", metrics["recovery_xml_ms"])},
@@ -249,7 +238,7 @@ func E21RawSpeed(o Options) (Report, error) {
 			{"HTTP /api/relation p50 / p99", fmt.Sprintf("%.0f µs / %.0f µs", p50, p99)},
 		},
 	)
-	body += "\nthe SoA and recovery rows are the ablations behind the kernel-overhaul\nacceptance bars (SoA ≥1.5x, binary recovery ≥2x); `make bench-trend`\ncompares this experiment's JSON against the committed baseline\n"
+	body += "\nthe recovery rows are the ablation behind the binary-snapshot acceptance\nbar (binary recovery ≥2x); `make bench-trend` compares this experiment's\nJSON against the committed baseline\n"
 	return Report{
 		ID:      "E21",
 		Title:   "Raw-speed suite: SoA kernel, arena worlds, binary recovery, HTTP tail",

@@ -563,7 +563,7 @@ func E18BatchScaling(o Options) (Report, error) {
 	}
 	run := func(regions []core.NamedRegion, opt core.BatchOptions) float64 {
 		return bench(func() {
-			if _, _, err := core.ComputeAllPairsOpt(regions, opt); err != nil {
+			if _, err := core.BatchCDR(nil, regions, &opt); err != nil {
 				panic(err)
 			}
 		})
@@ -576,12 +576,12 @@ func E18BatchScaling(o Options) (Report, error) {
 		nsSeq := run(regions, core.BatchOptions{Workers: 1, NoPrune: true})
 		nsPruned := run(regions, core.BatchOptions{Workers: 1})
 		nsPar := run(regions, core.BatchOptions{})
-		_, st, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{Workers: 1})
+		res, err := core.BatchCDR(nil, regions, &core.BatchOptions{Workers: 1})
 		if err != nil {
 			return Report{}, err
 		}
 		pairs := c.regions * (c.regions - 1)
-		pruned := st.PruneSingleTile + st.PruneBand
+		pruned := res.Stats.PruneSingleTile + res.Stats.PruneBand
 		rows = append(rows, []string{
 			fmt.Sprintf("%d×%d", c.regions, c.edges),
 			fmt.Sprint(pairs),
@@ -615,7 +615,7 @@ func E18BatchScaling(o Options) (Report, error) {
 	}
 	body += "\nworker-count sweep (" + fmt.Sprintf("%d regions, GOMAXPROCS=%d", len(largest), maxProcs) + "):\n"
 	body += Table([]string{"workers", "ms", "speedup vs 1 worker"}, wrows)
-	body += "\nthe prune and pool compose: pruned+parallel is the production path (ComputeAllPairsParallel)\n"
+	body += "\nthe prune and pool compose: pruned+parallel is the production path (BatchCDR)\n"
 	return Report{ID: "E18", Title: "All-pairs batch engine: MBB pruning × worker pool", Body: body}, nil
 }
 
@@ -662,21 +662,21 @@ func E19PctBatchAndQueryPruning(o Options) (Report, error) {
 			}
 		})
 		nsPruned, allocsPruned := benchmem(func() {
-			if _, _, err := core.ComputeAllPairsPctOpt(c.regions, core.BatchOptions{Workers: 1}); err != nil {
+			if _, err := core.BatchPct(nil, c.regions, &core.BatchOptions{Workers: 1}); err != nil {
 				panic(err)
 			}
 		})
 		nsPar := bench(func() {
-			if _, _, err := core.ComputeAllPairsPctOpt(c.regions, core.BatchOptions{}); err != nil {
+			if _, err := core.BatchPct(nil, c.regions, nil); err != nil {
 				panic(err)
 			}
 		})
-		_, st, err := core.ComputeAllPairsPctOpt(c.regions, core.BatchOptions{Workers: 1})
+		res, err := core.BatchPct(nil, c.regions, &core.BatchOptions{Workers: 1})
 		if err != nil {
 			return Report{}, err
 		}
 		pairs := len(c.regions) * (len(c.regions) - 1)
-		pruneRate := 100 * float64(st.PrunePctTile+st.PrunePctPoly) / float64(pairs)
+		pruneRate := 100 * float64(res.Stats.PrunePctTile+res.Stats.PrunePctPoly) / float64(pairs)
 		rows = append(rows, []string{
 			fmt.Sprintf("%s %d×8", c.name, len(c.regions)),
 			fmt.Sprintf("%.2f", nsNaive/1e6),
@@ -699,18 +699,17 @@ func E19PctBatchAndQueryPruning(o Options) (Report, error) {
 		rows,
 	)
 
-	// Per-pair steady state: RelatePct with a warmed Scratch allocates
-	// nothing; the naive call pays the full per-pair setup.
+	// Per-pair steady state: RelatePct allocates nothing; the naive call
+	// pays the full per-pair setup.
 	ps, err := core.PrepareAll(cfgs[0].regions[:2])
 	if err != nil {
 		return Report{}, err
 	}
-	sc := &core.Scratch{}
-	if _, _, err := core.RelatePct(ps[0], ps[1], sc); err != nil {
+	if _, _, err := core.RelatePct(ps[0], ps[1], nil); err != nil {
 		return Report{}, err
 	}
 	nsPair, allocsPair := benchmem(func() {
-		if _, _, err := core.RelatePct(ps[0], ps[1], sc); err != nil {
+		if _, _, err := core.RelatePct(ps[0], ps[1], nil); err != nil {
 			panic(err)
 		}
 	})
@@ -799,12 +798,12 @@ func E20StoreDelta(o Options) (Report, error) {
 	alts := [2]geom.Region{spare[0], spare[1]}
 
 	nsFullQual := bench(func() {
-		if _, _, err := core.ComputeAllPairsOpt(regions, core.BatchOptions{Workers: 1}); err != nil {
+		if _, err := core.BatchCDR(nil, regions, &core.BatchOptions{Workers: 1}); err != nil {
 			panic(err)
 		}
 	})
 	nsFullPct := nsFullQual + bench(func() {
-		if _, _, err := core.ComputeAllPairsPctOpt(regions, core.BatchOptions{Workers: 1}); err != nil {
+		if _, err := core.BatchPct(nil, regions, &core.BatchOptions{Workers: 1}); err != nil {
 			panic(err)
 		}
 	})

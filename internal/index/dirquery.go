@@ -130,7 +130,6 @@ type selection struct {
 	rowCols [3]uint8
 	prepare func(id string) (*core.Prepared, error)
 	exact   bool // run stage 3; EstimateSelect stops after stage 2
-	sc      core.Scratch
 	st      SelectStats
 	out     []string
 }
@@ -255,7 +254,7 @@ func (s *selection) refine(it *Item) error {
 		}
 	}
 	s.st.Exact++
-	if s.allowed.Contains(p.RelateGrid(s.grid, &s.sc)) {
+	if s.allowed.Contains(p.RelateGrid(s.grid, nil)) {
 		s.out = append(s.out, it.ID)
 	}
 	return nil
@@ -267,14 +266,9 @@ func (s *selection) refine(it *Item) error {
 // candidates are dismissed by window queries without their geometry ever
 // being touched. Results are identical to core.FindRelated (sorted names);
 // a candidate with no usable geometry yields a wrapped
-// core.ErrDegenerateRegion like the scan path does.
-func FindRelated(candidates []core.NamedRegion, reference geom.Region, allowed core.RelationSet) ([]string, error) {
-	return FindRelatedCtx(context.Background(), candidates, reference, allowed)
-}
-
-// FindRelatedCtx is FindRelated honoring a context: cancellation is observed
+// core.ErrDegenerateRegion like the scan path does. Cancellation is observed
 // once per candidate refinement, like DirectionalSelectStatsCtx.
-func FindRelatedCtx(ctx context.Context, candidates []core.NamedRegion, reference geom.Region, allowed core.RelationSet) ([]string, error) {
+func FindRelated(ctx context.Context, candidates []core.NamedRegion, reference geom.Region, allowed core.RelationSet) ([]string, error) {
 	if allowed.IsEmpty() {
 		return nil, fmt.Errorf("core: empty allowed relation set")
 	}

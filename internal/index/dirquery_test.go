@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -227,11 +228,11 @@ func TestFindRelatedMatchesCore(t *testing.T) {
 		core.NewRelationSet(core.B),
 		core.NewRelationSet(core.NE, core.E, core.Rel(core.TileNE, core.TileE)),
 	} {
-		want, err := core.FindRelated(candidates, ref, allowed)
+		want, err := core.FindRelated(context.Background(), candidates, ref, allowed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FindRelated(candidates, ref, allowed)
+		got, err := FindRelated(context.Background(), candidates, ref, allowed)
 		if err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
@@ -242,7 +243,7 @@ func TestFindRelatedMatchesCore(t *testing.T) {
 	// A degenerate candidate errors with the wrapped sentinel, like the scan.
 	bad := append([]core.NamedRegion{}, candidates...)
 	bad = append(bad, core.NamedRegion{Name: "empty", Region: geom.Region{}})
-	if _, err := FindRelated(bad, ref, core.NewRelationSet(core.B)); !errorsIsDegenerate(err) {
+	if _, err := FindRelated(context.Background(), bad, ref, core.NewRelationSet(core.B)); !errorsIsDegenerate(err) {
 		t.Errorf("degenerate candidate: got %v, want wrapped ErrDegenerateRegion", err)
 	}
 }

@@ -93,7 +93,6 @@ type Evaluator struct {
 // are deliberately not memoised — a store read is a kernel run of tens of
 // nanoseconds, and the store is the side that sees edits.
 type fallback struct {
-	sc    core.Scratch
 	preps map[string]*core.Prepared
 	rels  map[[2]string]core.Relation
 	pcts  map[[2]string]core.PercentMatrix
@@ -282,7 +281,7 @@ func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
 	if err != nil {
 		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
 	}
-	r, err := core.Relate(pa, pb, &fb.sc)
+	r, err := core.Relate(pa, pb, nil)
 	if err != nil {
 		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
 	}
@@ -311,7 +310,7 @@ func (e *Evaluator) Percent(p, q string) (core.PercentMatrix, error) {
 	if err != nil {
 		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
 	}
-	m, _, err := core.RelatePct(pa, pb, &fb.sc)
+	m, _, err := core.RelatePct(pa, pb, nil)
 	if err != nil {
 		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
 	}

@@ -501,7 +501,7 @@ func (e *Evaluator) pushRTree(ctx context.Context, rc RelCond, refID string, can
 		}
 		named = append(named, core.NamedRegion{Name: id, Region: e.geometry(id)})
 	}
-	keep, err := index.FindRelatedCtx(ctx, named, e.geometry(refID), rc.Rels)
+	keep, err := index.FindRelated(ctx, named, e.geometry(refID), rc.Rels)
 	if err != nil {
 		return nil, err
 	}

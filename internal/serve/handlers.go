@@ -352,7 +352,6 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) error {
 
 type batchRequest struct {
 	Pct     bool `json:"pct,omitempty"`
-	NoPrune bool `json:"noprune,omitempty"`
 	Workers int  `json:"workers,omitempty"`
 }
 
@@ -396,7 +395,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if workers <= 0 {
 		workers = s.opt.Workers
 	}
-	opt := &core.BatchOptions{Workers: workers, NoPrune: req.NoPrune}
+	opt := &core.BatchOptions{Workers: workers}
 	var out batchResponse
 	if req.Pct {
 		res, err := core.BatchPct(r.Context(), regions, opt)
