@@ -17,7 +17,7 @@
 // With -data the service is durable: edits are write-ahead logged before
 // they are acknowledged (-fsync picks the discipline), the directory is
 // recovered on startup (newest snapshot + WAL tail; -config/-greece only
-// seed a directory that holds no snapshot yet), and /api/admin/snapshot
+// seed a directory that holds no snapshot yet), and /v1/admin/snapshot
 // rotates the generation. See the Durability section of README.md.
 //
 // The process is role-aware (-role):
@@ -81,7 +81,7 @@ func run(args []string, stdout *os.File) error {
 		workers         = fs.Int("workers", 0, "worker-pool size for batch and all-pairs computation (0 = GOMAXPROCS)")
 		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = none)")
 		maxBody         = fs.Int64("max-body", 1<<20, "request body size limit in bytes")
-		maxBulk         = fs.Int64("max-bulk", 64<<20, "POST /api/bulk body size limit in bytes (NDJSON streams)")
+		maxBulk         = fs.Int64("max-bulk", 64<<20, "POST /v1/bulk body size limit in bytes (NDJSON streams)")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
 		jsonLogs        = fs.Bool("log-json", false, "emit JSON logs instead of text")
 		dataDir         = fs.String("data", "", "data directory for durable operation (snapshot + write-ahead log)")

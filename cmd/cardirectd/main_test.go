@@ -122,16 +122,6 @@ func TestCardirectdSmoke(t *testing.T) {
 		t.Fatal("empty relation")
 	}
 
-	// The legacy alias answers identically but flags its deprecation.
-	resp, err := http.Get(base + "/api/relation?primary=attica&reference=peloponnesos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /api path missing Deprecation header")
-	}
-
 	// Graceful shutdown: SIGTERM drains to exit code 0.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -188,14 +178,14 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 			"wkt": fmt.Sprintf("POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))", x, y, x+20, y, x+20, y+20, x, y+20, x, y),
 		})
 		issued = append(issued, id)
-		resp, err := http.Post(base+"/api/regions", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(base+"/v1/regions", "application/json", bytes.NewReader(body))
 		if err != nil {
 			break // the kill landed mid-request
 		}
 		code := resp.StatusCode
 		resp.Body.Close()
 		if code != http.StatusCreated {
-			t.Fatalf("POST /api/regions %s: status %d", id, code)
+			t.Fatalf("POST /v1/regions %s: status %d", id, code)
 		}
 		acked.Add(1)
 	}
@@ -215,7 +205,7 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 		From    string `json:"recovered_from"`
 		Skipped int    `json:"skipped_records"`
 	}
-	getJSON(t, base2, "/api/admin/status", &status)
+	getJSON(t, base2, "/v1/admin/status", &status)
 	if status.Err != "" || status.Skipped != 0 {
 		t.Fatalf("recovery not clean: %+v", status)
 	}
@@ -228,7 +218,7 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 			ID string `json:"id"`
 		} `json:"regions"`
 	}
-	getJSON(t, base2, "/api/regions", &regions)
+	getJSON(t, base2, "/v1/regions", &regions)
 	recovered := make(map[string]bool, len(regions.Regions))
 	for _, r := range regions.Regions {
 		recovered[r.ID] = true
@@ -263,7 +253,7 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 		var detail struct {
 			WKT string `json:"wkt"`
 		}
-		getJSON(t, base2, "/api/regions/"+r.ID, &detail)
+		getJSON(t, base2, "/v1/regions/"+r.ID, &detail)
 		g, err := geom.ParseWKT(detail.WKT)
 		if err != nil {
 			t.Fatalf("parsing recovered geometry of %s: %v", r.ID, err)
@@ -287,7 +277,7 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 			Pct       map[string]float64 `json:"pct"`
 		} `json:"pairs"`
 	}
-	getJSON(t, base2, "/api/relations", &served)
+	getJSON(t, base2, "/v1/relations", &served)
 	if len(served.Pairs) != len(wantCDR.Pairs) {
 		t.Fatalf("served %d pairs, recomputed %d", len(served.Pairs), len(wantCDR.Pairs))
 	}
@@ -299,7 +289,7 @@ func TestCardirectdCrashRecovery(t *testing.T) {
 		}
 	}
 
-	getJSON(t, base2, "/api/relations?pct=1", &served)
+	getJSON(t, base2, "/v1/relations?pct=1", &served)
 	if len(served.Pairs) != len(wantPct.Pairs) {
 		t.Fatalf("served %d pct pairs, recomputed %d", len(served.Pairs), len(wantPct.Pairs))
 	}

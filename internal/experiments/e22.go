@@ -1,22 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"sort"
-	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
 	"cardirect/internal/query"
-	"cardirect/internal/serve"
 	"cardirect/internal/workload"
 )
 
@@ -41,8 +32,9 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 }
 
 // E22QueryPlanner measures the cost-based query planner (plan.go) against
-// written-order evaluation, and the plan cache hit path against cold
-// parse+plan, on 500-region scatter and cluster worlds:
+// written-order evaluation on 500-region scatter and cluster worlds (the
+// plan cache's hit and miss costs are bench/'s query.run_hit_us and
+// query.run_miss_us):
 //
 //   - written_ms_* / planner_ms_*: an adversarially-ordered three-variable
 //     query — the percent condition written first, the binding that pins
@@ -55,19 +47,9 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 //     Results are asserted identical (sorted bindings) before timing.
 //   - planner_speedup: the smaller of the two worlds' ratios — the
 //     regression-gated floor behind TestE22PlannerWins (≥5x).
-//   - query_cold_p50_us / query_warm_p50_us: POST /api/query through the
-//     full service stack; cold varies the query text every request (plan
-//     cache miss: parse, plan, selectivity probes, pushdown), warm repeats
-//     one text (plan cache hit: cached plan plus cached candidate state,
-//     straight to the join). Both run at one generation, so the gap is
-//     pure planning overhead.
 func E22QueryPlanner(o Options) (Report, error) {
 	g := workload.New(o.Seed)
 	const n = 500 // the acceptance bar is pinned to a 500-region world
-	httpReqs := 400
-	if o.Quick {
-		httpReqs = 100
-	}
 	metrics := map[string]float64{"n": float64(n)}
 
 	worlds := []struct {
@@ -90,23 +72,14 @@ func E22QueryPlanner(o Options) (Report, error) {
 	}
 
 	var rows [][]string
-	var scatterTr *config.Tracked
-	var scatterMid string
 	plannerSpeedup := 0.0
 	for _, w := range worlds {
 		tr, img, ids, err := e22World(w.prefix, w.geoms)
 		if err != nil {
 			return Report{}, err
 		}
-		if w.name == "scatter" {
-			scatterTr = tr
-		} else {
-			defer tr.Close()
-		}
+		defer tr.Close()
 		mid := ids[n/2]
-		if w.name == "scatter" {
-			scatterMid = mid
-		}
 		// Adversarial ordering: the expensive percent condition leads, the
 		// pinning bind trails, and both relation conditions pin their
 		// primary side (z), which the written-order pre-filter skips. The
@@ -163,106 +136,17 @@ func E22QueryPlanner(o Options) (Report, error) {
 			fmt.Sprint(len(want)),
 		})
 	}
-	defer scatterTr.Close()
 	metrics["planner_speedup"] = plannerSpeedup
-
-	// Plan cache: warm hits versus cold parse+plan through the service.
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv := serve.New(scatterTr, serve.Options{Logger: quiet})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
-	post := func(q string) (time.Duration, error) {
-		body, err := json.Marshal(map[string]string{"q": q})
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		resp, err := client.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return 0, err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("POST /api/query: %d", resp.StatusCode)
-		}
-		return time.Since(start), nil
-	}
-	// A plan-heavy, join-light shape: the bind pins the reference, the
-	// relation condition is pushed down, the attribute filter is counted
-	// during planning — all work the warm path skips.
-	warmQ := fmt.Sprintf("q(x, y) :- y = %s, x {N, N:NE, NE} y, color(x) = c1, pct(x N y) >= 40", scatterMid)
-	// coldSeq makes every cold query text unique across ALL passes — reusing
-	// texts between passes would silently turn the second cold pass into a
-	// warm one (the first pass populated the cache).
-	coldSeq := 0
-	coldQ := func() string {
-		coldSeq++
-		return fmt.Sprintf("q(x, y) :- y = %s, x {N, N:NE, NE} y, color(x) = c1, pct(x N y) >= 40.%06d",
-			scatterMid, coldSeq)
-	}
-	pass := func(cold bool) (float64, error) {
-		lats := make([]float64, 0, httpReqs)
-		for i := 0; i < httpReqs; i++ {
-			q := warmQ
-			if cold {
-				q = coldQ()
-			}
-			d, err := post(q)
-			if err != nil {
-				return 0, err
-			}
-			lats = append(lats, float64(d.Nanoseconds())/1e3)
-		}
-		sort.Float64s(lats)
-		return lats[len(lats)/2], nil
-	}
-	// Two passes each, keeping the better median; the first warm pass also
-	// primes the cache entry the later passes hit.
-	coldP50, warmP50 := 0.0, 0.0
-	for i := 0; i < 2; i++ {
-		c, err := pass(true)
-		if err != nil {
-			return Report{}, err
-		}
-		w, err := pass(false)
-		if err != nil {
-			return Report{}, err
-		}
-		if i == 0 || c < coldP50 {
-			coldP50 = c
-		}
-		if i == 0 || w < warmP50 {
-			warmP50 = w
-		}
-	}
-	metrics["query_cold_p50_us"] = coldP50
-	metrics["query_warm_p50_us"] = warmP50
-	// The ratio is informational (no unit suffix): both medians are gated
-	// individually, and the ratio on a quiet machine is the headline.
-	metrics["plan_cache_cold_over_warm"] = coldP50 / warmP50
 
 	body := fmt.Sprintf("adversarially-ordered 3-variable query, %d-region worlds, store on one worker:\n", n)
 	body += Table(
 		[]string{"world", "written order", "planner", "speedup", "bindings"},
 		rows,
 	)
-	body += fmt.Sprintf("\nplan cache over HTTP (%d requests/pass, one generation):\n", httpReqs)
-	body += Table(
-		[]string{"path", "p50"},
-		[][]string{
-			{"cold (unique text per request)", fmt.Sprintf("%.0f µs", coldP50)},
-			{"warm (cached plan + candidates)", fmt.Sprintf("%.0f µs", warmP50)},
-			{"cold / warm", fmt.Sprintf("%.2fx", coldP50/warmP50)},
-		},
-	)
-	body += "\nthe planner binds the pinned variable first and pushes both relation\nconditions down as one store row read each before the join; written order\npays the full n-squared percent sweep (results asserted identical).\n`make bench-trend` gates these numbers against the committed baseline\n"
+	body += "\nthe planner binds the pinned variable first and pushes both relation\nconditions down as one store row read each before the join; written order\npays the full n-squared percent sweep (results asserted identical).\n"
 	return Report{
 		ID:      "E22",
-		Title:   "Cost-based query planner: selectivity-ordered joins and plan cache",
+		Title:   "Cost-based query planner: selectivity-ordered joins vs written order",
 		Body:    body,
 		Metrics: metrics,
 	}, nil

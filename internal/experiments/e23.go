@@ -221,7 +221,7 @@ func E23HugeWorld(o Options) (Report, error) {
 			{"per-region Add loop", fmt.Sprintf("%.1f ms", loopBest/1e6), fmt.Sprint(loopGens)},
 		},
 	)
-	body += "\nevery LoD-tier answer is bit-identical to the exact kernel (also fuzzed:\nFuzzLoDDifferential); `make bench-trend` gates these numbers against the\ncommitted baseline\n"
+	body += "\nevery LoD-tier answer is bit-identical to the exact kernel (also fuzzed:\nFuzzLoDDifferential)\n"
 	return Report{
 		ID:      "E23",
 		Title:   "Huge-world tier: LoD stack vs exact-only, streamed bulk ingest",

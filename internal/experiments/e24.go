@@ -263,7 +263,7 @@ func E24Reasoning(o Options) (Report, error) {
 		},
 	)
 	body += "\njoint directional+RCC-8: {a N b} is satisfiable alone, adding a TPP|NTPP b\nrejects the network in the combined closure (Refine alone cannot see it)\n"
-	body += "\nthe parallel win is search-order diversification (first witness cancels the\nbarren branches), so it holds even on one core; `make bench-trend` gates\nthese numbers against the committed baseline\n"
+	body += "\nthe parallel win is search-order diversification (first witness cancels the\nbarren branches), so it holds even on one core\n"
 	return Report{
 		ID:      "E24",
 		Title:   "Reasoning pipeline: parallel solver, fragment fast path, joint RCC-8",

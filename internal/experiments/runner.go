@@ -44,8 +44,8 @@ func (o Options) pairCount() int {
 }
 
 // Report is one experiment's printable result. Metrics carries the headline
-// numbers in machine-readable form for the -json benchmark export; it is nil
-// for purely qualitative experiments.
+// numbers in machine-readable form for the tests that assert floors on them;
+// it is nil for purely qualitative experiments.
 type Report struct {
 	ID      string
 	Title   string
@@ -908,11 +908,9 @@ func Entries(o Options) []Entry {
 		{"E18", func() (Report, error) { return E18BatchScaling(o) }},
 		{"E19", func() (Report, error) { return E19PctBatchAndQueryPruning(o) }},
 		{"E20", func() (Report, error) { return E20StoreDelta(o) }},
-		{"E21", func() (Report, error) { return E21RawSpeed(o) }},
 		{"E22", func() (Report, error) { return E22QueryPlanner(o) }},
 		{"E23", func() (Report, error) { return E23HugeWorld(o) }},
 		{"E24", func() (Report, error) { return E24Reasoning(o) }},
-		{"E25", func() (Report, error) { return E25Replication(o) }},
 	}
 }
 

@@ -1,9 +1,23 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestMain shortens every testing.Benchmark call the experiments make from
+// the default 1 s to 100 ms: the floors asserted here are ratios of
+// best-of-three measurements and hold at that length, and the package runs
+// in seconds instead of minutes. cdrbench keeps the default.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if err := flag.Set("test.benchtime", "100ms"); err != nil {
+		panic(err)
+	}
+	os.Exit(m.Run())
+}
 
 var quickOpts = Options{Quick: true, Seed: 1}
 
@@ -162,40 +176,12 @@ func TestE20Report(t *testing.T) {
 	}
 }
 
-// TestE21Report runs the raw-speed suite in quick mode and enforces the
-// acceptance bar on its ablation metric: binary-snapshot recovery must beat
-// the XML path by ≥2x.
-func TestE21Report(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
-	r, err := E21RawSpeed(quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"percent kernel, SoA", "binary recovery speedup", "p50 / p99"} {
-		if !strings.Contains(r.Body, frag) {
-			t.Errorf("E21 body missing %q:\n%s", frag, r.Body)
-		}
-	}
-	for _, key := range []string{"batch_qual_ms", "batch_pct_ms", "pct_kernel_soa_ms", "store_edit_us",
-		"recovery_bin_ms", "recovery_xml_ms", "recovery_speedup", "http_relation_p99"} {
-		if _, ok := r.Metrics[key]; !ok {
-			t.Errorf("E21 metrics missing %q: %v", key, r.Metrics)
-		}
-	}
-	if got := r.Metrics["recovery_speedup"]; got < 2 {
-		t.Errorf("binary recovery speedup %.2fx, want >= 2x", got)
-	}
-}
-
 // TestE22PlannerWins runs the planner experiment in quick mode and enforces
 // the acceptance bar: on the adversarially-ordered three-variable query over
 // the 500-region worlds (store on one worker), the cost-based planner must
 // beat written-order evaluation by at least 5x on both worlds — the metric is
 // the smaller of the two ratios — while producing identical bindings (the
-// experiment itself errors on any mismatch). The plan cache's warm p50 over
-// HTTP must also sit below the cold parse+plan p50.
+// experiment itself errors on any mismatch).
 func TestE22PlannerWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")
@@ -204,14 +190,13 @@ func TestE22PlannerWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"written order", "planner", "speedup", "plan cache"} {
+	for _, frag := range []string{"written order", "planner", "speedup"} {
 		if !strings.Contains(r.Body, frag) {
 			t.Errorf("E22 body missing %q:\n%s", frag, r.Body)
 		}
 	}
 	for _, key := range []string{"written_ms_scatter", "planner_ms_scatter",
-		"written_ms_cluster", "planner_ms_cluster", "planner_speedup",
-		"query_cold_p50_us", "query_warm_p50_us"} {
+		"written_ms_cluster", "planner_ms_cluster", "planner_speedup"} {
 		if _, ok := r.Metrics[key]; !ok {
 			t.Errorf("E22 metrics missing %q: %v", key, r.Metrics)
 		}
@@ -223,9 +208,6 @@ func TestE22PlannerWins(t *testing.T) {
 		if r.Metrics["bindings_"+w] == 0 {
 			t.Errorf("E22 %s: adversarial query produced no bindings — differential is vacuous", w)
 		}
-	}
-	if cold, warm := r.Metrics["query_cold_p50_us"], r.Metrics["query_warm_p50_us"]; warm >= cold {
-		t.Errorf("warm plan-cache p50 %.0fµs not below cold p50 %.0fµs", warm, cold)
 	}
 }
 
@@ -300,41 +282,10 @@ func TestE24Reasoning(t *testing.T) {
 	}
 }
 
-// TestE25Replication runs the replication experiment in quick mode: byte
-// agreement with the primary, the staleness reject path and the router
-// fan-out are asserted inside the experiment; here the metric surface is
-// checked. The catch-up ratio has no quick floor: re-tracking a snapshot is
-// linear now, so at quick sizes (400 regions, 20 edits) both sides cost the
-// same (measured 0.9–1.0x); full mode still asserts >= 1.2x inside the
-// experiment, where 30 edits against 900 regions measure 1.8–2.3x.
-func TestE25Replication(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
-	r, err := E25Replication(quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"WAL tail + apply", "snapshot re-bootstrap", "router fan-out", "bounded staleness"} {
-		if !strings.Contains(r.Body, frag) {
-			t.Errorf("E25 body missing %q:\n%s", frag, r.Body)
-		}
-	}
-	for _, key := range []string{"catchup_ms", "rebuild_ms", "catchup_speedup",
-		"router_reads", "router_fanout_min_share", "router_reads_per_sec"} {
-		if _, ok := r.Metrics[key]; !ok {
-			t.Errorf("E25 metrics missing %q: %v", key, r.Metrics)
-		}
-	}
-	if got := r.Metrics["router_fanout_min_share"]; got <= 0 {
-		t.Errorf("router fan-out min share %.2f, want > 0", got)
-	}
-}
-
 func TestEntriesAndIDs(t *testing.T) {
 	entries := Entries(quickOpts)
-	if len(entries) != 21 {
-		t.Fatalf("entries = %d, want 21 (E1-E3 … E25)", len(entries))
+	if len(entries) != 19 {
+		t.Fatalf("entries = %d, want 19 (E1-E3 … E20, E22 … E24)", len(entries))
 	}
 	seen := map[string]bool{}
 	for _, e := range entries {

@@ -162,12 +162,28 @@ func TestStaleTempSweep(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("orphaned binary snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Files the store did not write must survive the sweep, however much
+	// their names resemble a generation's (Sscanf matches on a prefix).
+	var foreign []string
+	for _, name := range []string{"snapshot-00000001.xml.bak", "wal-00000001.log.bak",
+		"wal-7.log.old", "snapshot-9.binary-notes", "notes.tmp"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("operator's file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		foreign = append(foreign, path)
+	}
 
 	r := openForTest(t, dir, nil)
 	defer r.Close()
 	for _, stale := range []string{tmp, orphan} {
 		if _, err := os.Stat(stale); !os.IsNotExist(err) {
 			t.Errorf("stale file survived recovery: %s", stale)
+		}
+	}
+	for _, kept := range foreign {
+		if _, err := os.Stat(kept); err != nil {
+			t.Errorf("foreign file swept: %v", err)
 		}
 	}
 	for _, live := range []string{xmlPath, binPath, filepath.Join(dir, walName(1))} {

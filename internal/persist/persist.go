@@ -556,21 +556,35 @@ func (s *Store) removeGeneration(seq uint64) {
 }
 
 // removeStale clears leftovers of interrupted rotations after recovery:
-// snapshot temp files and any generation other than the live one.
+// writeFileAtomic's temp files and the snapshot and log files of any
+// generation other than the live one. Only names this package produces
+// are touched — a name must round-trip through snapshotName,
+// binSnapshotName or walName (Sscanf alone accepts a prefix match), so an
+// operator's snapshot-00000001.xml.bak or notes.tmp in the directory
+// survives a restart.
 func (s *Store) removeStale() {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
+	owned := []struct {
+		format string
+		name   func(uint64) string
+	}{
+		{"snapshot-%d.xml", snapshotName},
+		{"snapshot-%d.bin", binSnapshotName},
+		{"wal-%d.log", walName},
+	}
 	for _, e := range entries {
 		name := e.Name()
-		keep := name == snapshotName(s.seq) || name == binSnapshotName(s.seq) || name == walName(s.seq)
-		var seq uint64
-		isSnap, _ := fmt.Sscanf(name, "snapshot-%d.xml", &seq)
-		isBin, _ := fmt.Sscanf(name, "snapshot-%d.bin", &seq)
-		isWal, _ := fmt.Sscanf(name, "wal-%d.log", &seq)
-		isTmp := len(name) > 4 && name[len(name)-4:] == ".tmp"
-		if keep || (isSnap == 0 && isBin == 0 && isWal == 0 && !isTmp) {
+		stale, _ := filepath.Match("snapshot-*.tmp", name)
+		for _, f := range owned {
+			var seq uint64
+			if n, _ := fmt.Sscanf(name, f.format, &seq); n == 1 && seq != s.seq && name == f.name(seq) {
+				stale = true
+			}
+		}
+		if !stale {
 			continue
 		}
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {

@@ -159,8 +159,8 @@ func isWrite(r *http.Request) bool {
 	}
 	p := r.URL.Path
 	for _, read := range []string{
-		"/v1/query", "/api/query",
-		"/v1/batch", "/api/batch",
+		"/v1/query",
+		"/v1/batch",
 		"/v1/reason/",
 	} {
 		if p == read || (strings.HasSuffix(read, "/") && strings.HasPrefix(p, read)) {
@@ -175,7 +175,6 @@ func isWrite(r *http.Request) bool {
 func mustPrimary(p string) bool {
 	return strings.HasPrefix(p, "/v1/replication/") ||
 		strings.HasPrefix(p, "/v1/admin/") ||
-		strings.HasPrefix(p, "/api/admin/") ||
 		strings.HasPrefix(p, "/debug/")
 }
 

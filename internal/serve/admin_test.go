@@ -39,11 +39,11 @@ func newDurableServer(t *testing.T) (*httptest.Server, *persist.Store) {
 // TestAdminDisabled: without -data the admin endpoints answer 404.
 func TestAdminDisabled(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{})
-	if got := doJSON(t, "GET", ts.URL+"/api/admin/status", nil, nil); got != http.StatusNotFound {
-		t.Errorf("GET /api/admin/status without persistence: %d, want 404", got)
+	if got := doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, nil); got != http.StatusNotFound {
+		t.Errorf("GET /v1/admin/status without persistence: %d, want 404", got)
 	}
-	if got := doJSON(t, "POST", ts.URL+"/api/admin/snapshot", nil, nil); got != http.StatusNotFound {
-		t.Errorf("POST /api/admin/snapshot without persistence: %d, want 404", got)
+	if got := doJSON(t, "POST", ts.URL+"/v1/admin/snapshot", nil, nil); got != http.StatusNotFound {
+		t.Errorf("POST /v1/admin/snapshot without persistence: %d, want 404", got)
 	}
 }
 
@@ -54,29 +54,29 @@ func TestAdminStatusAndSnapshot(t *testing.T) {
 	ts, _ := newDurableServer(t)
 
 	var st persist.Status
-	if got := doJSON(t, "GET", ts.URL+"/api/admin/status", nil, &st); got != http.StatusOK {
-		t.Fatalf("GET /api/admin/status: %d", got)
+	if got := doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &st); got != http.StatusOK {
+		t.Fatalf("GET /v1/admin/status: %d", got)
 	}
 	if st.Seq != 1 || st.WAL.Records != 0 || st.Err != "" {
 		t.Fatalf("fresh status: %+v", st)
 	}
 
 	add := map[string]any{"id": "box", "wkt": "POLYGON ((300 300, 340 300, 340 340, 300 340, 300 300))"}
-	if got := doJSON(t, "POST", ts.URL+"/api/regions", add, nil); got != http.StatusCreated {
-		t.Fatalf("POST /api/regions: %d", got)
+	if got := doJSON(t, "POST", ts.URL+"/v1/regions", add, nil); got != http.StatusCreated {
+		t.Fatalf("POST /v1/regions: %d", got)
 	}
-	if doJSON(t, "GET", ts.URL+"/api/admin/status", nil, &st); st.WAL.Records != 1 {
+	if doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &st); st.WAL.Records != 1 {
 		t.Fatalf("edit not write-ahead logged: %+v", st)
 	}
 
 	var info persist.SnapshotInfo
-	if got := doJSON(t, "POST", ts.URL+"/api/admin/snapshot", nil, &info); got != http.StatusOK {
-		t.Fatalf("POST /api/admin/snapshot: %d", got)
+	if got := doJSON(t, "POST", ts.URL+"/v1/admin/snapshot", nil, &info); got != http.StatusOK {
+		t.Fatalf("POST /v1/admin/snapshot: %d", got)
 	}
 	if info.Seq != 2 || info.Bytes <= 0 {
 		t.Fatalf("snapshot info: %+v", info)
 	}
-	if doJSON(t, "GET", ts.URL+"/api/admin/status", nil, &st); st.Seq != 2 {
+	if doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &st); st.Seq != 2 {
 		t.Fatalf("status after rotation: %+v", st)
 	}
 
@@ -101,8 +101,8 @@ func TestAdminStatusRecoveredFrom(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		var raw map[string]any
-		if got := doJSON(t, "GET", ts.URL+"/api/admin/status", nil, &raw); got != http.StatusOK {
-			t.Fatalf("GET /api/admin/status: %d", got)
+		if got := doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &raw); got != http.StatusOK {
+			t.Fatalf("GET /v1/admin/status: %d", got)
 		}
 		return raw
 	}
@@ -152,11 +152,11 @@ func TestAdminStatusRecoveredFrom(t *testing.T) {
 func TestAdminSnapshotEmptyWorld(t *testing.T) {
 	ts, ps := newDurableServer(t)
 	for _, r := range ps.Tracked().Store().Names() {
-		if got := doJSON(t, "DELETE", ts.URL+"/api/regions/"+r, nil, nil); got != http.StatusNoContent {
+		if got := doJSON(t, "DELETE", ts.URL+"/v1/regions/"+r, nil, nil); got != http.StatusNoContent {
 			t.Fatalf("DELETE %s: %d", r, got)
 		}
 	}
-	if got := doJSON(t, "POST", ts.URL+"/api/admin/snapshot", nil, nil); got != http.StatusUnprocessableEntity {
+	if got := doJSON(t, "POST", ts.URL+"/v1/admin/snapshot", nil, nil); got != http.StatusUnprocessableEntity {
 		t.Errorf("snapshot of empty world: %d, want 422", got)
 	}
 }

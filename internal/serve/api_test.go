@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -17,61 +16,6 @@ import (
 	"cardirect/internal/geom"
 	"cardirect/internal/serve"
 )
-
-// TestV1LegacyDifferential: every legacy route answers bit-identically on
-// its /v1 successor; deprecated legacy paths carry the Deprecation header
-// and a successor-version Link, canonical paths carry neither.
-func TestV1LegacyDifferential(t *testing.T) {
-	ts, _ := newGreeceServer(t, serve.Options{})
-	get := func(path string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, body
-	}
-	cases := []struct {
-		legacy, v1 string
-		deprecated bool
-	}{
-		{"/healthz", "/v1/healthz", false},
-		{"/api/regions", "/v1/regions", true},
-		{"/api/regions/crete", "/v1/regions/crete", true},
-		{"/api/relation?primary=attica&reference=crete", "/v1/relation?primary=attica&reference=crete", true},
-		{"/api/relations", "/v1/relations", true},
-		{"/api/select?reference=attica&relation=" + url.QueryEscape("{N, NE}"), "/v1/select?reference=attica&relation=" + url.QueryEscape("{N, NE}"), true},
-		{"/api/stats", "/v1/stats", true},
-		{"/api/admin/status", "/v1/admin/status", true}, // 404 without -data, still identical
-	}
-	for _, c := range cases {
-		lr, lb := get(c.legacy)
-		vr, vb := get(c.v1)
-		if lr.StatusCode != vr.StatusCode {
-			t.Errorf("%s: status %d, successor %s: %d", c.legacy, lr.StatusCode, c.v1, vr.StatusCode)
-		}
-		if !bytes.Equal(lb, vb) {
-			t.Errorf("%s and %s answer different bodies:\n%s\nvs\n%s", c.legacy, c.v1, lb, vb)
-		}
-		if got := lr.Header.Get("Deprecation"); (got == "true") != c.deprecated {
-			t.Errorf("%s: Deprecation header = %q, want deprecated=%v", c.legacy, got, c.deprecated)
-		}
-		if c.deprecated {
-			wantPath := strings.Replace(strings.SplitN(c.legacy, "?", 2)[0], "/api/", "/v1/", 1)
-			if link := lr.Header.Get("Link"); !strings.Contains(link, wantPath) || !strings.Contains(link, "successor-version") {
-				t.Errorf("%s: Link header = %q, want successor %s", c.legacy, link, wantPath)
-			}
-		}
-		if vr.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: canonical path carries a Deprecation header", c.v1)
-		}
-	}
-}
 
 // TestRouteInventory: API.md documents every mounted route — the doc and
 // the route table cannot drift apart silently.
@@ -94,16 +38,11 @@ func TestRouteInventory(t *testing.T) {
 		if rt.Method == "" || rt.Path == "" || rt.Name == "" {
 			t.Errorf("incomplete route entry: %+v", rt)
 		}
-		if !strings.HasPrefix(rt.Path, "/v1/") && !strings.HasPrefix(rt.Path, "/debug/") {
-			t.Errorf("canonical path %s is not under /v1 or /debug", rt.Path)
+		if !strings.HasPrefix(rt.Path, "/v1/") && !strings.HasPrefix(rt.Path, "/debug/") && rt.Path != "/healthz" {
+			t.Errorf("path %s is not under /v1 or /debug", rt.Path)
 		}
 		if want := rt.Method + " " + rt.Path; !bytes.Contains(doc, []byte(want)) {
 			t.Errorf("API.md does not document %q", want)
-		}
-		if rt.Legacy != "" {
-			if want := rt.Method + " " + rt.Legacy; !bytes.Contains(doc, []byte(want)) {
-				t.Errorf("API.md does not document legacy alias %q", want)
-			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func bulkNDJSON(t *testing.T, regions []geom.Region, prefix string) string {
 }
 
 // TestBulkIngest is the HTTP acceptance of the streamed bulk path: one
-// POST /api/bulk of a zipfian world lands every region as ONE store edit
+// POST /v1/bulk of a zipfian world lands every region as ONE store edit
 // (BulkBatches == 1).
 func TestBulkIngest(t *testing.T) {
 	ts, tr := newGreeceServer(t, serve.Options{})
@@ -37,7 +37,7 @@ func TestBulkIngest(t *testing.T) {
 		Batches    int   `json:"batches"`
 		DurationNs int64 `json:"duration_ns"`
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/bulk", body, &out); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/bulk", body, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if out.Added != k || out.Batches != 1 {
@@ -57,7 +57,7 @@ func TestBulkIngest(t *testing.T) {
 	var rel struct {
 		Relation string `json:"relation"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/relation?primary=z0001&reference=z0002", nil, &rel); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relation?primary=z0001&reference=z0002", nil, &rel); code != http.StatusOK {
 		t.Fatalf("relation status = %d", code)
 	}
 	if rel.Relation == "" {
@@ -77,14 +77,14 @@ func TestBulkIngestAtomic(t *testing.T) {
 		good + "not json\n",
 		good + "{\"id\":\"b\"}\n", // no geometry
 	} {
-		if code := doJSON(t, "POST", ts.URL+"/api/bulk", bad, nil); code == http.StatusOK {
+		if code := doJSON(t, "POST", ts.URL+"/v1/bulk", bad, nil); code == http.StatusOK {
 			t.Errorf("bad stream accepted")
 		}
 		if tr.Store().Len() != pre {
 			t.Fatalf("rejected stream mutated the store")
 		}
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/bulk", "", nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "POST", ts.URL+"/v1/bulk", "", nil); code != http.StatusBadRequest {
 		t.Errorf("empty stream: status %d, want 400", code)
 	}
 }
@@ -98,7 +98,7 @@ func TestBulkIngestBodyCap(t *testing.T) {
 	if len(mid) <= 512 || len(mid) >= 16<<10 {
 		t.Fatalf("fixture sized %d, want between the caps", len(mid))
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/bulk", mid, nil); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/bulk", mid, nil); code != http.StatusOK {
 		t.Fatalf("mid-size bulk: status %d", code)
 	}
 	pre := tr.Store().Len()
@@ -107,7 +107,7 @@ func TestBulkIngestBodyCap(t *testing.T) {
 	if len(big) < 16<<10 {
 		t.Fatalf("fixture sized %d, want over the bulk cap", len(big))
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/bulk", big, nil); code != http.StatusRequestEntityTooLarge {
+	if code := doJSON(t, "POST", ts.URL+"/v1/bulk", big, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized bulk: status %d, want 413", code)
 	}
 	if tr.Store().Len() != pre {

@@ -9,8 +9,8 @@ import (
 	"cardirect/internal/replica"
 )
 
-// The read endpoints over store state — /api/relation, /api/select
-// and /api/query — are validatable: their responses depend only on the
+// The read endpoints over store state — /v1/relation, /v1/select
+// and /v1/query — are validatable: their responses depend only on the
 // request and the relation store's edit generation, so the generation
 // doubles as a strong ETag. A repeat reader sends If-None-Match with the
 // tag it last saw and, while no edit has landed, gets 304 Not Modified

@@ -48,11 +48,11 @@ func TestETagRevalidation(t *testing.T) {
 		name, method, url string
 		body              []byte
 	}{
-		{"relation", "GET", ts.URL + "/api/relation?primary=attica&reference=crete", nil},
-		{"select", "GET", ts.URL + "/api/select?reference=peloponnesos&relation=N", nil},
-		{"query", "POST", ts.URL + "/api/query", queryBody},
-		{"relations", "GET", ts.URL + "/api/relations", nil},
-		{"stats", "GET", ts.URL + "/api/stats", nil},
+		{"relation", "GET", ts.URL + "/v1/relation?primary=attica&reference=crete", nil},
+		{"select", "GET", ts.URL + "/v1/select?reference=peloponnesos&relation=N", nil},
+		{"query", "POST", ts.URL + "/v1/query", queryBody},
+		{"relations", "GET", ts.URL + "/v1/relations", nil},
+		{"stats", "GET", ts.URL + "/v1/stats", nil},
 		{"v1.relation", "GET", ts.URL + "/v1/relation?primary=attica&reference=crete", nil},
 		{"v1.relations", "GET", ts.URL + "/v1/relations", nil},
 		{"v1.stats", "GET", ts.URL + "/v1/stats", nil},
@@ -103,7 +103,7 @@ func TestETagRevalidation(t *testing.T) {
 	wkt := geom.FormatWKT(geom.Rgn(geom.Poly(
 		geom.Pt(5000, 5100), geom.Pt(5100, 5100), geom.Pt(5100, 5000), geom.Pt(5000, 5000),
 	)))
-	if code := doJSON(t, "POST", ts.URL+"/api/regions", map[string]string{"id": "etag-probe", "wkt": wkt}, nil); code != http.StatusCreated {
+	if code := doJSON(t, "POST", ts.URL+"/v1/regions", map[string]string{"id": "etag-probe", "wkt": wkt}, nil); code != http.StatusCreated {
 		t.Fatalf("edit: status = %d", code)
 	}
 	for _, ep := range endpoints {
@@ -125,7 +125,7 @@ func TestQueryPlanCacheOverHTTP(t *testing.T) {
 	post := func(body any) (int, map[string]any) {
 		t.Helper()
 		var out map[string]any
-		code := doJSON(t, "POST", ts.URL+"/api/query", body, &out)
+		code := doJSON(t, "POST", ts.URL+"/v1/query", body, &out)
 		return code, out
 	}
 	q := map[string]string{"q": "q(x, y) :- y = peloponnesos, x {N, NE, E} y"}

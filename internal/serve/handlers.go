@@ -431,7 +431,7 @@ type bulkResponse struct {
 }
 
 // handleBulk ingests a stream of regions — NDJSON, one region object per
-// line in the POST /api/regions shape ({"id", "name", "color", "wkt" |
+// line in the POST /v1/regions shape ({"id", "name", "color", "wkt" |
 // "geojson"}) — as ONE edit: the whole stream is decoded and validated,
 // then applied through Editor.BulkAddRegions, so the relation store
 // advances one generation (and the durable store pays a single batched WAL

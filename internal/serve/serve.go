@@ -21,7 +21,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -51,7 +50,7 @@ type Editor interface {
 type Options struct {
 	// MaxBodyBytes caps request body size; values ≤ 0 mean 1 MiB.
 	MaxBodyBytes int64
-	// MaxBulkBytes caps the POST /api/bulk request body, which carries
+	// MaxBulkBytes caps the POST /v1/bulk request body, which carries
 	// whole worlds and needs more room than ordinary edits; values ≤ 0
 	// mean 64 MiB. Oversized streams map to 413 like every other body.
 	MaxBulkBytes int64
@@ -227,17 +226,14 @@ func New(tr *config.Tracked, opt Options) *Server {
 // (expvar) and /debug/pprof.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Route describes one mounted API route: the canonical /v1 path, the
-// metrics/log name, and — for routes that predate versioning — the legacy
-// alias still served for compatibility. Deprecated aliases answer with a
-// Deprecation header and a Link to the successor path; /healthz stays
-// undeprecated because operations probes conventionally live there.
+// Route describes one mounted API route: the /v1 path and the metrics/log
+// name. The one unversioned path is the bare /healthz probe, which shares
+// the handler and name of /v1/healthz because operations probes
+// conventionally live there.
 type Route struct {
-	Method     string `json:"method"`
-	Path       string `json:"path"`
-	Name       string `json:"name"`
-	Legacy     string `json:"legacy,omitempty"`
-	Deprecated bool   `json:"deprecated,omitempty"` // the legacy alias is
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	Name   string `json:"name"`
 }
 
 // routeTable is the single source of truth for the API surface; routes()
@@ -252,32 +248,33 @@ func (s *Server) routeTable() []struct {
 		limit int64
 		h     handlerFunc
 	}
-	rt := func(method, path, legacy, name string, deprecated bool, limit int64, h handlerFunc) entry {
-		return entry{Route: Route{Method: method, Path: path, Name: name, Legacy: legacy, Deprecated: deprecated}, limit: limit, h: h}
+	rt := func(method, path, name string, limit int64, h handlerFunc) entry {
+		return entry{Route: Route{Method: method, Path: path, Name: name}, limit: limit, h: h}
 	}
 	return []entry{
-		rt("GET", "/v1/healthz", "/healthz", "healthz", false, 0, s.handleHealthz),
-		rt("GET", "/v1/regions", "/api/regions", "regions.list", true, 0, s.handleRegionsList),
-		rt("POST", "/v1/regions", "/api/regions", "regions.add", true, 0, s.handleRegionAdd),
-		rt("GET", "/v1/regions/{id}", "/api/regions/{id}", "regions.get", true, 0, s.handleRegionGet),
-		rt("PUT", "/v1/regions/{id}", "/api/regions/{id}", "regions.set", true, 0, s.handleRegionSet),
-		rt("POST", "/v1/regions/{id}/rename", "/api/regions/{id}/rename", "regions.rename", true, 0, s.handleRegionRename),
-		rt("DELETE", "/v1/regions/{id}", "/api/regions/{id}", "regions.delete", true, 0, s.handleRegionDelete),
-		rt("GET", "/v1/relation", "/api/relation", "relation", true, 0, s.handleRelation),
-		rt("GET", "/v1/relations", "/api/relations", "relations", true, 0, s.handleRelations),
-		rt("POST", "/v1/batch", "/api/batch", "batch", true, 0, s.handleBatch),
-		rt("POST", "/v1/bulk", "/api/bulk", "bulk", true, s.opt.MaxBulkBytes, s.handleBulk),
-		rt("GET", "/v1/select", "/api/select", "select", true, 0, s.handleSelect),
-		rt("POST", "/v1/query", "/api/query", "query", true, 0, s.handleQuery),
-		rt("GET", "/v1/stats", "/api/stats", "stats", true, 0, s.handleStats),
-		rt("POST", "/v1/admin/snapshot", "/api/admin/snapshot", "admin.snapshot", true, 0, s.handleAdminSnapshot),
-		rt("GET", "/v1/admin/status", "/api/admin/status", "admin.status", true, 0, s.handleAdminStatus),
-		rt("POST", "/v1/reason/check", "", "reason.check", false, 0, s.handleReasonCheck),
-		rt("POST", "/v1/reason/entail", "", "reason.entail", false, 0, s.handleReasonEntail),
-		rt("POST", "/v1/reason/compose", "", "reason.compose", false, 0, s.handleReasonCompose),
-		rt("GET", "/v1/replication/snapshot", "", "replication.snapshot", false, 0, s.handleReplSnapshot),
-		rt("GET", "/v1/replication/wal", "", "replication.wal", false, 0, s.handleReplWAL),
-		rt("GET", "/v1/replication/status", "", "replication.status", false, 0, s.handleReplStatus),
+		rt("GET", "/v1/healthz", "healthz", 0, s.handleHealthz),
+		rt("GET", "/healthz", "healthz", 0, s.handleHealthz),
+		rt("GET", "/v1/regions", "regions.list", 0, s.handleRegionsList),
+		rt("POST", "/v1/regions", "regions.add", 0, s.handleRegionAdd),
+		rt("GET", "/v1/regions/{id}", "regions.get", 0, s.handleRegionGet),
+		rt("PUT", "/v1/regions/{id}", "regions.set", 0, s.handleRegionSet),
+		rt("POST", "/v1/regions/{id}/rename", "regions.rename", 0, s.handleRegionRename),
+		rt("DELETE", "/v1/regions/{id}", "regions.delete", 0, s.handleRegionDelete),
+		rt("GET", "/v1/relation", "relation", 0, s.handleRelation),
+		rt("GET", "/v1/relations", "relations", 0, s.handleRelations),
+		rt("POST", "/v1/batch", "batch", 0, s.handleBatch),
+		rt("POST", "/v1/bulk", "bulk", s.opt.MaxBulkBytes, s.handleBulk),
+		rt("GET", "/v1/select", "select", 0, s.handleSelect),
+		rt("POST", "/v1/query", "query", 0, s.handleQuery),
+		rt("GET", "/v1/stats", "stats", 0, s.handleStats),
+		rt("POST", "/v1/admin/snapshot", "admin.snapshot", 0, s.handleAdminSnapshot),
+		rt("GET", "/v1/admin/status", "admin.status", 0, s.handleAdminStatus),
+		rt("POST", "/v1/reason/check", "reason.check", 0, s.handleReasonCheck),
+		rt("POST", "/v1/reason/entail", "reason.entail", 0, s.handleReasonEntail),
+		rt("POST", "/v1/reason/compose", "reason.compose", 0, s.handleReasonCompose),
+		rt("GET", "/v1/replication/snapshot", "replication.snapshot", 0, s.handleReplSnapshot),
+		rt("GET", "/v1/replication/wal", "replication.wal", 0, s.handleReplWAL),
+		rt("GET", "/v1/replication/status", "replication.status", 0, s.handleReplStatus),
 	}
 }
 
@@ -309,8 +306,7 @@ func (s *Server) gateWrites(h handlerFunc) handlerFunc {
 	}
 }
 
-// Routes returns the mounted API routes (canonical paths plus legacy
-// aliases), including the debug surface.
+// Routes returns the mounted API routes, including the debug surface.
 func (s *Server) Routes() []Route {
 	var out []Route
 	for _, e := range s.routeTable() {
@@ -334,9 +330,6 @@ func (s *Server) routes() {
 			h = s.gateWrites(h)
 		}
 		s.handleLimit(e.Method+" "+e.Path, e.Name, limit, h)
-		if e.Legacy != "" {
-			s.handleLimit(e.Method+" "+e.Legacy, e.Name, limit, legacyAlias(h, e.Deprecated))
-		}
 	}
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -344,20 +337,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// legacyAlias serves a pre-versioning path through the same handler as its
-// /v1 successor (bodies are bit-identical — the differential test asserts
-// it), stamping deprecated aliases with the Deprecation header (RFC 9745)
-// and a successor-version Link so clients can migrate mechanically.
-func legacyAlias(h handlerFunc, deprecated bool) handlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		if deprecated {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+strings.Replace(r.URL.Path, "/api/", "/v1/", 1)+`>; rel="successor-version"`)
-		}
-		return h(w, r)
-	}
 }
 
 // handlerFunc is the internal handler shape: returning an error delegates

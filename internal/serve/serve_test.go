@@ -110,7 +110,7 @@ func TestRegionsList(t *testing.T) {
 			Edges    int    `json:"edges"`
 		} `json:"regions"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/regions", nil, &out); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/regions", nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if len(out.Regions) != len(config.Greece().Regions) {
@@ -135,7 +135,7 @@ func TestRegionGetRoundtrip(t *testing.T) {
 		WKT     string          `json:"wkt"`
 		GeoJSON json.RawMessage `json:"geojson"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/regions/crete", nil, &out); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/regions/crete", nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if out.ID != "crete" {
@@ -164,7 +164,7 @@ func TestRegionGetRoundtrip(t *testing.T) {
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/regions/atlantis", nil, &errOut); code != http.StatusNotFound {
+	if code := doJSON(t, "GET", ts.URL+"/v1/regions/atlantis", nil, &errOut); code != http.StatusNotFound {
 		t.Fatalf("unknown region: status = %d", code)
 	}
 	if errOut.Error.Code != "unknown_region" || errOut.Error.Message == "" {
@@ -191,7 +191,7 @@ func TestRelationDifferential(t *testing.T) {
 				Relation string             `json:"relation"`
 				Pct      map[string]float64 `json:"pct"`
 			}
-			url := fmt.Sprintf("%s/api/relation?primary=%s&reference=%s&pct=1", ts.URL, a.ID, b.ID)
+			url := fmt.Sprintf("%s/v1/relation?primary=%s&reference=%s&pct=1", ts.URL, a.ID, b.ID)
 			if code := doJSON(t, "GET", url, nil, &out); code != http.StatusOK {
 				t.Fatalf("%s vs %s: status = %d", a.ID, b.ID, code)
 			}
@@ -213,10 +213,10 @@ func TestRelationDifferential(t *testing.T) {
 	}
 
 	// Parameter and lookup errors.
-	if code := doJSON(t, "GET", ts.URL+"/api/relation?primary=attica", nil, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relation?primary=attica", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("missing reference: status = %d", code)
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/relation?primary=attica&reference=atlantis", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relation?primary=attica&reference=atlantis", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown reference: status = %d", code)
 	}
 }
@@ -230,7 +230,7 @@ func TestRelationsMatchesStore(t *testing.T) {
 			Relation  string `json:"relation"`
 		} `json:"pairs"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/relations", nil, &out); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relations", nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	want := tr.Store().Pairs()
@@ -265,7 +265,7 @@ func TestBatchEndpoint(t *testing.T) {
 		Stats core.Stats `json:"stats"`
 	}
 	// Empty body selects the defaults.
-	if code := doJSON(t, "POST", ts.URL+"/api/batch", nil, &out); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/batch", nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if len(out.Pairs) != len(want.Pairs) {
@@ -287,7 +287,7 @@ func TestBatchEndpoint(t *testing.T) {
 			Pct map[string]float64 `json:"pct"`
 		} `json:"pairs"`
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/batch", `{"pct":true,"workers":2}`, &pctOut); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/batch", `{"pct":true,"workers":2}`, &pctOut); code != http.StatusOK {
 		t.Fatalf("pct batch: status = %d", code)
 	}
 	if len(pctOut.Pairs) != len(want.Pairs) {
@@ -295,7 +295,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	// Malformed body is a 400, unknown fields included.
-	if code := doJSON(t, "POST", ts.URL+"/api/batch", `{"pct":`, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "POST", ts.URL+"/v1/batch", `{"pct":`, nil); code != http.StatusBadRequest {
 		t.Errorf("truncated body: status = %d", code)
 	}
 }
@@ -308,7 +308,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestBatchTimeout(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{RequestTimeout: time.Nanosecond})
 	start := time.Now()
-	code := doJSON(t, "POST", ts.URL+"/api/batch", nil, nil)
+	code := doJSON(t, "POST", ts.URL+"/v1/batch", nil, nil)
 	elapsed := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", code)
@@ -327,7 +327,7 @@ func TestSelectEndpoint(t *testing.T) {
 		} `json:"stats"`
 	}
 	const relSet = "{N, N:NE, NE, N:NW, NW}"
-	if code := doJSON(t, "GET", ts.URL+"/api/select?reference=attica&relation="+url.QueryEscape(relSet), nil, &out); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/select?reference=attica&relation="+url.QueryEscape(relSet), nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	// Differential: same answer as the direct live-index selection.
@@ -357,10 +357,10 @@ func TestSelectEndpoint(t *testing.T) {
 		}
 	}
 
-	if code := doJSON(t, "GET", ts.URL+"/api/select?reference=atlantis&relation=N", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, "GET", ts.URL+"/v1/select?reference=atlantis&relation=N", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown reference: status = %d", code)
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/select?reference=attica&relation=XYZ", nil, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "GET", ts.URL+"/v1/select?reference=attica&relation=XYZ", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("bad relation: status = %d", code)
 	}
 }
@@ -382,7 +382,7 @@ func TestQueryEndpoint(t *testing.T) {
 		Vars     []string            `json:"vars"`
 		Bindings []map[string]string `json:"bindings"`
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/query", map[string]string{"q": q}, &out); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/query", map[string]string{"q": q}, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if len(out.Vars) != 2 || out.Vars[0] != "x" || out.Vars[1] != "y" {
@@ -399,10 +399,10 @@ func TestQueryEndpoint(t *testing.T) {
 		}
 	}
 
-	if code := doJSON(t, "POST", ts.URL+"/api/query", map[string]string{"q": "q(x) :- x $ y"}, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "POST", ts.URL+"/v1/query", map[string]string{"q": "q(x) :- x $ y"}, nil); code != http.StatusBadRequest {
 		t.Errorf("unparsable query: status = %d", code)
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/query", map[string]string{}, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "POST", ts.URL+"/v1/query", map[string]string{}, nil); code != http.StatusBadRequest {
 		t.Errorf("missing q: status = %d", code)
 	}
 }
@@ -422,7 +422,7 @@ func TestRegionCRUD(t *testing.T) {
 		ID       string `json:"id"`
 		Polygons int    `json:"polygons"`
 	}
-	if code := doJSON(t, "POST", ts.URL+"/api/regions", add, &created); code != http.StatusCreated {
+	if code := doJSON(t, "POST", ts.URL+"/v1/regions", add, &created); code != http.StatusCreated {
 		t.Fatalf("add: status = %d", code)
 	}
 	if created.ID != "outpost" || created.Polygons != 1 {
@@ -433,7 +433,7 @@ func TestRegionCRUD(t *testing.T) {
 	}
 
 	// Duplicate id conflicts.
-	if code := doJSON(t, "POST", ts.URL+"/api/regions", add, nil); code != http.StatusConflict {
+	if code := doJSON(t, "POST", ts.URL+"/v1/regions", add, nil); code != http.StatusConflict {
 		t.Errorf("duplicate add: status = %d", code)
 	}
 
@@ -441,7 +441,7 @@ func TestRegionCRUD(t *testing.T) {
 	var rel struct {
 		Relation string `json:"relation"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/relation?primary=outpost&reference=crete", nil, &rel); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relation?primary=outpost&reference=crete", nil, &rel); code != http.StatusOK {
 		t.Fatalf("relation after add: status = %d", code)
 	}
 	if rel.Relation == "" {
@@ -456,13 +456,13 @@ func TestRegionCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := map[string]json.RawMessage{"geojson": gj}
-	if code := doJSON(t, "PUT", ts.URL+"/api/regions/outpost", upd, nil); code != http.StatusOK {
+	if code := doJSON(t, "PUT", ts.URL+"/v1/regions/outpost", upd, nil); code != http.StatusOK {
 		t.Fatalf("set geometry: status = %d", code)
 	}
 	var rel2 struct {
 		Relation string `json:"relation"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/relation?primary=outpost&reference=crete", nil, &rel2); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/v1/relation?primary=outpost&reference=crete", nil, &rel2); code != http.StatusOK {
 		t.Fatalf("relation after move: status = %d", code)
 	}
 	if rel2.Relation == rel.Relation {
@@ -470,15 +470,15 @@ func TestRegionCRUD(t *testing.T) {
 	}
 
 	// Rename, then the old id is gone.
-	if code := doJSON(t, "POST", ts.URL+"/api/regions/outpost/rename", map[string]string{"new_id": "frontier"}, nil); code != http.StatusOK {
+	if code := doJSON(t, "POST", ts.URL+"/v1/regions/outpost/rename", map[string]string{"new_id": "frontier"}, nil); code != http.StatusOK {
 		t.Fatalf("rename: status = %d", code)
 	}
-	if code := doJSON(t, "GET", ts.URL+"/api/regions/outpost", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, "GET", ts.URL+"/v1/regions/outpost", nil, nil); code != http.StatusNotFound {
 		t.Errorf("old id after rename: status = %d", code)
 	}
 
 	// Delete; gone from document and store.
-	req, _ := http.NewRequest("DELETE", ts.URL+"/api/regions/frontier", nil)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/regions/frontier", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestRegionCRUD(t *testing.T) {
 	if tr.Store().Len() != n0 {
 		t.Fatalf("store Len after delete = %d, want %d", tr.Store().Len(), n0)
 	}
-	if code := doJSON(t, "DELETE", ts.URL+"/api/regions/frontier", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/regions/frontier", nil, nil); code != http.StatusNotFound {
 		t.Errorf("double delete: status = %d", code)
 	}
 	if err := tr.Err(); err != nil {
@@ -501,7 +501,7 @@ func TestRegionCRUD(t *testing.T) {
 func TestBodyLimit(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{MaxBodyBytes: 64})
 	big := `{"q": "` + strings.Repeat("x", 200) + `"}`
-	if code := doJSON(t, "POST", ts.URL+"/api/query", big, nil); code != http.StatusRequestEntityTooLarge {
+	if code := doJSON(t, "POST", ts.URL+"/v1/query", big, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status = %d, want 413", code)
 	}
 }
@@ -510,7 +510,7 @@ func TestExpvarSurface(t *testing.T) {
 	ts, tr := newGreeceServer(t, serve.Options{})
 	// Generate some traffic first.
 	doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
-	doJSON(t, "GET", ts.URL+"/api/relation?primary=attica&reference=crete", nil, nil)
+	doJSON(t, "GET", ts.URL+"/v1/relation?primary=attica&reference=crete", nil, nil)
 
 	var vars struct {
 		Cardirectd map[string]json.RawMessage `json:"cardirectd"`
@@ -556,11 +556,11 @@ func TestConcurrentReadsDuringEdits(t *testing.T) {
 				var code int
 				switch i % 3 {
 				case 0:
-					code = doJSON(t, "GET", ts.URL+"/api/relation?primary=attica&reference=crete", nil, nil)
+					code = doJSON(t, "GET", ts.URL+"/v1/relation?primary=attica&reference=crete", nil, nil)
 				case 1:
-					code = doJSON(t, "GET", ts.URL+"/api/select?reference=crete&relation="+url.QueryEscape("{N, N:NE, N:NW}"), nil, nil)
+					code = doJSON(t, "GET", ts.URL+"/v1/select?reference=crete&relation="+url.QueryEscape("{N, N:NE, N:NW}"), nil, nil)
 				case 2:
-					code = doJSON(t, "GET", ts.URL+"/api/relations", nil, nil)
+					code = doJSON(t, "GET", ts.URL+"/v1/relations", nil, nil)
 				}
 				if code != http.StatusOK {
 					t.Errorf("read status = %d", code)
@@ -608,7 +608,7 @@ func TestConcurrentReadsDuringEdits(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 40; i++ {
-		if code := doJSON(t, "PUT", ts.URL+"/api/regions/crete", map[string]string{"wkt": crete}, nil); code != http.StatusOK {
+		if code := doJSON(t, "PUT", ts.URL+"/v1/regions/crete", map[string]string{"wkt": crete}, nil); code != http.StatusOK {
 			t.Fatalf("edit %d: status = %d", i, code)
 		}
 	}
