@@ -302,6 +302,7 @@ func runRouter(ctx context.Context, stdout *os.File, logger *slog.Logger, addr, 
 	if err != nil {
 		return err
 	}
+	defer rtr.Close()
 	go rtr.Run(ctx)
 	logger.Info("routing", "primary", primary, "replicas", len(urls))
 	if err := serveHTTP(ctx, stdout, logger, addr, rtr.Handler(), shutdownTimeout); err != nil {

@@ -48,6 +48,16 @@ const (
 // maxFetchBytes caps one wal fetch's body.
 const maxFetchBytes = 256 << 20
 
+// cacheSyncInterval is the longest a cached record waits for its fsync (the
+// default of cardirectd's -fsync-interval). The primary's WAL is the record
+// of every edit; the cache only spares a restarted replica the download, a
+// SIGKILL leaves its written pages in place, and what a power loss tears
+// off the tail is cut at restart and fetched again.
+const cacheSyncInterval = time.Second
+
+// maxKeptFrame is the largest framing buffer ingest keeps between batches.
+const maxKeptFrame = 1 << 20
+
 // Cache file names under Options.CacheDir.
 const (
 	cacheSnapshotName = "snapshot.bin"
@@ -101,6 +111,17 @@ type Status struct {
 	Bootstraps       uint64 `json:"bootstraps"`
 	RecordsApplied   uint64 `json:"records_applied"`
 	LastError        string `json:"last_error,omitempty"`
+	// CacheSyncedSeq is the last record known to be fsynced in the local
+	// cache (0 without one); it trails LastAppliedSeq by at most
+	// cacheSyncInterval.
+	CacheSyncedSeq uint64 `json:"cache_synced_seq"`
+}
+
+// tailFile is the cache's record log as the replica uses it; an *os.File
+// outside tests.
+type tailFile interface {
+	io.WriteCloser
+	Sync() error
 }
 
 // Replica tails a primary's replication stream: it bootstraps a tracked
@@ -113,20 +134,34 @@ type Replica struct {
 	log   *slog.Logger
 	httpc *http.Client
 
+	// What a served read needs is atomic, so that a read never waits for
+	// mu, which the tail loop holds while it applies a batch. Only the tail
+	// goroutine stores — Open before the replica is shared, Run under mu.
+	tr      atomic.Pointer[config.Tracked]
+	pct     atomic.Bool
+	applied atomic.Uint64
+	head    atomic.Uint64
+
 	mu         sync.Mutex
-	tr         *config.Tracked
 	epoch      string
-	pct        bool
-	applied    uint64
-	head       uint64
 	bootSeq    uint64
 	fromCache  bool
 	bootstraps uint64
 	records    uint64
 	lastErr    string
+	failed     error // what stopped the tail loop for good
 	caughtUpAt time.Time
 	everCaught bool
-	tail       *os.File
+
+	// The cache's record log. It has a lock of its own, never held together
+	// with work on the store: the tail goroutine appends before it takes mu,
+	// a timer syncs.
+	tailMu    sync.Mutex
+	tail      tailFile
+	frame     []byte // framing buffer, reused between batches
+	written   uint64 // last record handed to tail
+	syncArmed bool   // a cacheSync is scheduled
+	synced    atomic.Uint64
 }
 
 // current points expvar at the most recently opened replica (one per
@@ -172,9 +207,9 @@ func Open(ctx context.Context, opt Options) (*Replica, error) {
 			return nil, fmt.Errorf("replica: cache dir: %w", err)
 		}
 		if err := r.bootstrapFromCache(); err == nil {
-			r.bootSeq = r.applied
+			r.bootSeq = r.applied.Load()
 			r.fromCache = true
-			r.log.Info("replica: resumed from cache", "seq", r.applied, "generation", r.generationLocked())
+			r.log.Info("replica: resumed from cache", "seq", r.bootSeq, "generation", r.generationLocked())
 			current.Store(r)
 			publishExpvars()
 			return r, nil
@@ -198,7 +233,7 @@ func Open(ctx context.Context, opt Options) (*Replica, error) {
 			return nil, ctx.Err()
 		}
 	}
-	r.bootSeq = r.applied
+	r.bootSeq = r.applied.Load()
 	current.Store(r)
 	publishExpvars()
 	return r, nil
@@ -206,24 +241,17 @@ func Open(ctx context.Context, opt Options) (*Replica, error) {
 
 // Tracked returns the replica's current tracked store. Callers must
 // re-fetch it per use — it is swapped on re-bootstrap.
-func (r *Replica) Tracked() *config.Tracked {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tr
-}
+func (r *Replica) Tracked() *config.Tracked { return r.tr.Load() }
 
 // Pct reports whether the replicated store answers percentages.
-func (r *Replica) Pct() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pct
-}
+func (r *Replica) Pct() bool { return r.pct.Load() }
 
 func (r *Replica) generationLocked() uint64 {
-	if r.tr == nil {
+	tr := r.tr.Load()
+	if tr == nil {
 		return 0
 	}
-	return r.tr.Store().Generation()
+	return tr.Store().Generation()
 }
 
 // Status reports the replica's replication position.
@@ -232,44 +260,55 @@ func (r *Replica) Status() Status {
 	defer r.mu.Unlock()
 	st := Status{
 		Epoch:            r.epoch,
-		LastAppliedSeq:   r.applied,
-		HeadSeq:          r.head,
+		LastAppliedSeq:   r.applied.Load(),
+		HeadSeq:          r.head.Load(),
+		LagRecords:       r.Lag(),
 		Generation:       r.generationLocked(),
 		BootSeq:          r.bootSeq,
 		ResumedFromCache: r.fromCache,
 		Bootstraps:       r.bootstraps,
 		RecordsApplied:   r.records,
 		LastError:        r.lastErr,
+		CacheSyncedSeq:   r.synced.Load(),
 	}
-	if r.head > r.applied {
-		st.LagRecords = r.head - r.applied
-		if r.everCaught {
-			st.LagNS = time.Since(r.caughtUpAt).Nanoseconds()
-		}
+	if st.LagRecords > 0 && r.everCaught {
+		st.LagNS = time.Since(r.caughtUpAt).Nanoseconds()
 	}
 	return st
 }
 
 // Lag returns the last observed record lag (head - applied).
 func (r *Replica) Lag() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.head > r.applied {
-		return r.head - r.applied
+	// applied first: read the other way round, a batch applied between the
+	// two loads would show as lag that was never there.
+	applied, head := r.applied.Load(), r.head.Load()
+	if head > applied {
+		return head - applied
 	}
 	return 0
 }
 
-// Close releases the cache file handle; the tracked store stays readable.
-func (r *Replica) Close() error {
+// Err returns what stopped the tail loop for good — a shipped record the
+// store refused — or nil while replication is alive. A replica that
+// reports an error serves a world that no longer moves.
+func (r *Replica) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tail != nil {
-		err := r.tail.Close()
-		r.tail = nil
-		return err
+	return r.failed
+}
+
+// Close syncs and releases the cache's record log; the tracked store stays
+// readable.
+func (r *Replica) Close() error {
+	r.tailMu.Lock()
+	defer r.tailMu.Unlock()
+	r.syncTailLocked()
+	if r.tail == nil { // no cache, closed already, or the sync just gave it up
+		return nil
 	}
-	return nil
+	err := r.tail.Close()
+	r.tail = nil
+	return err
 }
 
 // Run tails the primary until ctx is done, applying records as they
@@ -284,8 +323,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		from := func() uint64 { r.mu.Lock(); defer r.mu.Unlock(); return r.applied + 1 }()
-		recs, head, epoch, status, err := r.fetchWAL(ctx, from)
+		recs, head, epoch, status, err := r.fetchWAL(ctx, r.applied.Load()+1)
 		switch {
 		case err != nil:
 			if ctx.Err() != nil {
@@ -339,35 +377,33 @@ func (r *Replica) noteErr(err error) {
 	r.log.Warn("replica: tail error", "err", err)
 }
 
-// ingest durably caches then applies a fetched record batch. The cache
-// write comes first (log-then-apply): a crash between the two replays the
-// cached record on restart, whereas the reverse order would lose an applied
-// edit from the cache.
+// ingest caches then applies a fetched record batch. The cache write comes
+// first (log-then-apply): a crash between the two replays the cached
+// records on restart, whereas the reverse order would lose an applied edit
+// from the cache. It is one write for the batch, made before mu is taken.
 func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
+	// Keep the contiguous prefix: a gap means the fetch raced a trim; the
+	// next poll will 410 and re-bootstrap.
+	next, n := r.applied.Load()+1, 0
+	for n < len(recs) && recs[n].Seq == next+uint64(n) {
+		n++
+	}
+	if recs = recs[:n]; n > 0 {
+		r.cacheAppend(recs)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.head = head
+	r.head.Store(head)
 	for _, rec := range recs {
-		if rec.Seq != r.applied+1 {
-			// A gap means the fetch raced a trim; the next poll will 410
-			// and re-bootstrap.
-			break
-		}
-		if r.tail != nil {
-			if err := r.cacheAppendLocked(rec); err != nil {
-				r.log.Warn("replica: cache append failed; disabling cache", "err", err)
-				r.tail.Close()
-				r.tail = nil
-			}
-		}
 		if err := r.applyLocked(rec); err != nil {
 			r.lastErr = err.Error()
-			return fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)
+			r.failed = fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)
+			return r.failed
 		}
-		r.applied = rec.Seq
+		r.applied.Store(rec.Seq)
 		r.records++
 	}
-	if r.applied == r.head {
+	if r.applied.Load() == head {
 		r.caughtUpAt = time.Now()
 		r.everCaught = true
 	}
@@ -377,6 +413,7 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 // applyLocked applies one record through the tracked store's edit methods
 // and aligns the generation with the primary's.
 func (r *Replica) applyLocked(rec StreamRecord) error {
+	tr := r.tr.Load()
 	edits, err := DecodeEdits(rec.Payload)
 	if err != nil {
 		return err
@@ -385,7 +422,7 @@ func (r *Replica) applyLocked(rec StreamRecord) error {
 	case len(edits) == 0:
 		return nil
 	case len(edits) == 1:
-		if err := applyOne(r.tr, edits[0]); err != nil {
+		if err := applyOne(tr, edits[0]); err != nil {
 			return err
 		}
 	default:
@@ -399,14 +436,14 @@ func (r *Replica) applyLocked(rec StreamRecord) error {
 			}
 			bulk[i] = config.BulkRegion{ID: e.ID, Name: e.Name, Color: e.Color, Geometry: e.Geometry}
 		}
-		if err := r.tr.BulkAddRegions(bulk); err != nil {
+		if err := tr.BulkAddRegions(bulk); err != nil {
 			return err
 		}
 	}
 	// Edits bump the local generation by exactly the primary's stride, so
 	// this is normally a no-op; it re-aligns defensively either way because
 	// ETag agreement rides on it.
-	r.tr.Store().SetGeneration(rec.Gen)
+	tr.Store().SetGeneration(rec.Gen)
 	return nil
 }
 
@@ -457,24 +494,23 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tr != nil {
-		r.tr.Close()
-	}
-	r.tr = tr
-	r.epoch = meta.Epoch
-	r.pct = meta.Pct
-	r.applied = meta.Seq
-	r.head = meta.Seq
-	r.bootstraps++
-	r.caughtUpAt = time.Now()
-	r.everCaught = true
 	if r.opt.CacheDir != "" {
-		if err := r.cacheResetLocked(data, meta); err != nil {
+		if err := r.cacheReset(data, meta); err != nil {
 			r.log.Warn("replica: cache reset failed; continuing without cache", "err", err)
 		}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old := r.tr.Swap(tr); old != nil {
+		old.Close()
+	}
+	r.epoch = meta.Epoch
+	r.pct.Store(meta.Pct)
+	r.applied.Store(meta.Seq)
+	r.head.Store(meta.Seq)
+	r.bootstraps++
+	r.caughtUpAt = time.Now()
+	r.everCaught = true
 	r.log.Info("replica: bootstrapped", "seq", meta.Seq, "generation", meta.Generation, "epoch", meta.Epoch)
 	return nil
 }
@@ -535,9 +571,11 @@ func (r *Replica) fetchWAL(ctx context.Context, from uint64) (recs []StreamRecor
 
 // --- local cache -----------------------------------------------------------
 
-// cacheResetLocked atomically installs a fresh checkpoint: snapshot bytes,
-// an empty tail, and last the meta file that references them.
-func (r *Replica) cacheResetLocked(snapshot []byte, meta cacheMeta) error {
+// cacheReset atomically installs a fresh checkpoint: snapshot bytes, an
+// empty tail, and last the meta file that references them — each synced.
+func (r *Replica) cacheReset(snapshot []byte, meta cacheMeta) error {
+	r.tailMu.Lock()
+	defer r.tailMu.Unlock()
 	if r.tail != nil {
 		r.tail.Close()
 		r.tail = nil
@@ -569,16 +607,60 @@ func (r *Replica) cacheResetLocked(snapshot []byte, meta cacheMeta) error {
 		return err
 	}
 	r.tail = f
+	r.written = meta.Seq
+	r.synced.Store(meta.Seq)
 	return nil
 }
 
-// cacheAppendLocked frames one received record onto the tail log and
-// fsyncs, so a SIGKILLed replica finds it again at restart.
-func (r *Replica) cacheAppendLocked(rec StreamRecord) error {
-	if _, err := r.tail.Write(AppendStreamRecord(nil, rec)); err != nil {
-		return err
+// cacheAppend frames a batch onto the tail log with one write — what a
+// SIGKILLed replica finds again at restart — and schedules the sync that a
+// power loss would want, unless one is already on its way.
+func (r *Replica) cacheAppend(recs []StreamRecord) {
+	r.tailMu.Lock()
+	defer r.tailMu.Unlock()
+	if r.tail == nil {
+		return
 	}
-	return r.tail.Sync()
+	frame := r.frame[:0]
+	for _, rec := range recs {
+		frame = AppendStreamRecord(frame, rec)
+	}
+	if cap(frame) <= maxKeptFrame {
+		r.frame = frame
+	}
+	if _, err := r.tail.Write(frame); err != nil {
+		r.cacheFailedLocked(err)
+		return
+	}
+	r.written = recs[len(recs)-1].Seq
+	if !r.syncArmed {
+		r.syncArmed = true
+		time.AfterFunc(cacheSyncInterval, func() {
+			r.tailMu.Lock()
+			defer r.tailMu.Unlock()
+			r.syncArmed = false
+			r.syncTailLocked()
+		})
+	}
+}
+
+func (r *Replica) syncTailLocked() {
+	if r.tail == nil {
+		return
+	}
+	if err := r.tail.Sync(); err != nil {
+		r.cacheFailedLocked(err)
+		return
+	}
+	r.synced.Store(r.written)
+}
+
+// cacheFailedLocked gives the cache up for this run: the replica tails on
+// without it, and the next start cuts the log at its last intact record.
+func (r *Replica) cacheFailedLocked(err error) {
+	r.log.Warn("replica: cache write failed; disabling cache", "err", err)
+	r.tail.Close()
+	r.tail = nil
 }
 
 // bootstrapFromCache seeds the replica from the local checkpoint: decode
@@ -607,42 +689,50 @@ func (r *Replica) bootstrapFromCache() error {
 	if err != nil {
 		return err
 	}
-	recs, valid, corr := DecodeStream(tailData)
-	if corr != nil {
-		// A torn tail is expected after a crash: keep the intact prefix.
-		if err := os.Truncate(tailPath, valid); err != nil {
-			return err
-		}
-	}
-	r.tr = tr
+	// A torn tail is expected after a crash or a power loss (records are
+	// synced up to cacheSyncInterval late): keep the intact prefix, which
+	// DecodeStream ends at the first frame that fails its CRC.
+	recs, _, _ := DecodeStream(tailData)
+	r.tr.Store(tr)
 	r.epoch = meta.Epoch
-	r.pct = meta.Pct
-	r.applied = meta.Seq
-	r.head = meta.Seq
+	r.pct.Store(meta.Pct)
 	r.bootstraps++
+	applied, valid := meta.Seq, int64(len(StreamMagic))
 	for _, rec := range recs {
-		if rec.Seq != r.applied+1 {
-			if rec.Seq <= r.applied {
-				continue // duplicate from an overlapping fetch; already applied pre-crash
-			}
-			return fmt.Errorf("replica: cache tail gap: have %d, next record is %d", r.applied, rec.Seq)
+		if rec.Seq != applied+1 {
+			break // the CRC does not cover the sequence: out of order is damage too
 		}
 		if err := r.applyLocked(rec); err != nil {
 			return fmt.Errorf("replica: replaying cached record %d: %w", rec.Seq, err)
 		}
-		r.applied = rec.Seq
-		r.head = rec.Seq
+		applied = rec.Seq
+		valid += int64(streamFrameSize + len(rec.Payload))
 		r.records++
 	}
+	r.applied.Store(applied)
+	r.head.Store(applied)
+	// Cut the log to what was replayed (header included, should even that
+	// be damaged) and make it durable before appending after it.
 	f, err := os.OpenFile(tailPath, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err = f.Truncate(valid); err == nil {
+		_, err = f.WriteAt([]byte(StreamMagic), 0)
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
 	r.tail = f
+	r.written = applied
+	r.synced.Store(applied)
 	r.caughtUpAt = time.Now()
 	r.everCaught = true
 	return nil

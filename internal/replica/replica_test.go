@@ -36,6 +36,13 @@ type primaryFixture struct {
 
 func newPrimaryFixture(t *testing.T, pct bool) *primaryFixture {
 	t.Helper()
+	return newWrappedPrimaryFixture(t, pct, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedPrimaryFixture serves the primary's handler through wrap, for
+// tests that watch or disturb what reaches it.
+func newWrappedPrimaryFixture(t *testing.T, pct bool, wrap func(http.Handler) http.Handler) *primaryFixture {
+	t.Helper()
 	tr, err := config.Track(config.Greece(), core.StoreOptions{Workers: 1, Pct: pct})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +55,7 @@ func newPrimaryFixture(t *testing.T, pct bool) *primaryFixture {
 		Editor:      prim,
 		PctDisabled: !pct,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
 	return &primaryFixture{tr: tr, prim: prim, ts: ts}
 }
@@ -94,8 +101,16 @@ func newReplicaFixture(t *testing.T, primaryURL, cacheDir string) *replicaFixtur
 		}
 		h.ServeHTTP(w, r)
 	}))
-	t.Cleanup(func() { f.stop(); f.ts.Close(); rep.Close() })
+	t.Cleanup(f.shutdown)
 	return f
+}
+
+// shutdown stops the tail loop, the server and the cache, in that order
+// (idempotent: tests that shut down early leave the cleanup a no-op).
+func (f *replicaFixture) shutdown() {
+	f.stop()
+	f.ts.Close()
+	f.rep.Close()
 }
 
 // stop cancels the tail loop and waits for it to exit (idempotent).

@@ -136,6 +136,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 			return failf(http.StatusInternalServerError, "serve: persistence failed: %s", st.Err)
 		}
 	}
+	if f := s.opt.Follower; f != nil {
+		// A replica whose tail loop gave up serves a frozen world with a
+		// small staleness: failing the probe takes it out of a router's
+		// rotation.
+		if err := f.Err(); err != nil {
+			return failf(http.StatusInternalServerError, "serve: replication stopped: %v", err)
+		}
+	}
 	return writeData(w, http.StatusOK, healthResponse{Status: "ok", Regions: tr.Store().Len()})
 }
 
