@@ -49,15 +49,20 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only"; \
 	fi
 
-# Short fuzz runs of the crash-surface decoders — WAL replay and the
-# snapshot pct attribute — plus the planner differential: random queries
-# over a fixed world must bind identically with the planner on and off.
-# CI runs these; locally, crank -fuzztime.
+# Short fuzz runs, 10 s per target. Two decoders of crash-damaged or remote
+# input (WAL replay, the replication stream), the snapshot pct attribute,
+# and five differentials against a reference: the SoA kernels against the
+# paper's transcription (relation and percent — their corpus carries the
+# 1-ulp sliver reproducer), the huge-world tier stack against the exact
+# kernel, the planner on against off, the parallel solver against the
+# sequential one. CI runs these; locally, crank -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzParsePct -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPathPct$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolverDifferential -fuzztime=10s ./internal/reason
 	$(GO) test -run='^$$' -fuzz=FuzzReplicationStream -fuzztime=10s ./internal/replica
 

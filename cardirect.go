@@ -338,12 +338,12 @@ type (
 	StoreOptions = core.StoreOptions
 	// LoDWorld is the huge-world tier over a prepared region set: a
 	// coarse-tile relation summary answering clearly-single-tile pairs
-	// O(1), level-of-detail geometry (strip indexes and error-bounded
-	// simplifications) for the big regions, and the exact kernel as the
-	// fallback. Every answer is bit-identical to the exact kernel.
+	// O(1), a strip index over the edges near the reference's four lines
+	// for the big regions, and the exact kernel as the fallback. Every
+	// answer is bit-identical to the exact kernel.
 	LoDWorld = core.LoDWorld
 	// LoDOptions tunes LoDWorld construction (coarse grid resolution,
-	// simplification tolerances).
+	// sweep workers).
 	LoDOptions = core.LoDOptions
 	// CoarseIndex is the standalone coarse-tile summary: bounding boxes
 	// quantised to a cell grid, O(1) single-tile pair answers.
@@ -405,22 +405,14 @@ var (
 	// NewLiveIndex builds a maintained R-tree over named regions.
 	NewLiveIndex = index.NewLive
 	// PrepareLoDWorld builds the huge-world tier over a named region set:
-	// one slab of prepared regions, a coarse-tile summary, and LoD
-	// geometry for the few regions big enough to be simplified. It keeps
-	// references to the caller's rings (do not mutate them). Answers
-	// through LoDWorld.Relation / BatchRows are
-	// bit-identical to the exact kernel (fuzzed: FuzzLoDDifferential).
+	// one slab of prepared regions and a coarse-tile summary. It copies
+	// what it needs; the caller's rings are not referenced afterwards.
+	// Answers through LoDWorld.Relation / BatchRows are bit-identical to
+	// the exact kernel (fuzzed: FuzzLoDDifferential).
 	PrepareLoDWorld = core.PrepareLoDWorld
 	// NewCoarseIndex summarises bounding boxes on a cell grid for O(1)
 	// single-tile pair answers.
 	NewCoarseIndex = core.NewCoarseIndex
-	// SimplifyPolygon is anchored Douglas–Peucker simplification with a
-	// hard two-sided Hausdorff bound eps and the bounding box preserved
-	// exactly (extreme vertices are anchored).
-	SimplifyPolygon = geom.SimplifyPolygon
-	// SimplifyRegion applies SimplifyPolygon to each polygon of a region;
-	// the guarantees are per-polygon.
-	SimplifyRegion = geom.SimplifyRegion
 )
 
 // Durable persistence (write-ahead log + snapshots + crash recovery).

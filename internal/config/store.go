@@ -196,7 +196,9 @@ func (tr *Tracked) BulkAddRegions(regions []BulkRegion) error {
 		if r.ID == "" {
 			return fmt.Errorf("config: empty region id")
 		}
-		if batch[r.ID] || tr.img.FindRegion(r.ID) != nil {
+		// The store is keyed by region id and in step with the document
+		// (tr.err is nil): one map lookup where FindRegion scans.
+		if batch[r.ID] || tr.store.Has(r.ID) {
 			return fmt.Errorf("config: region %q: %w", r.ID, ErrDuplicateRegion)
 		}
 		batch[r.ID] = true

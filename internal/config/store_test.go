@@ -1,8 +1,11 @@
 package config
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
@@ -166,5 +169,57 @@ func TestTrackedCloseUnsubscribes(t *testing.T) {
 	// Tracking an invalid document fails up front.
 	if _, err := Track(&Image{}, core.StoreOptions{}); err == nil {
 		t.Error("Track of an invalid image should fail")
+	}
+}
+
+// TestBulkAddRegionsDuplicates: an id repeated within the batch or already
+// held fails with ErrDuplicateRegion and leaves document, store and index
+// untouched.
+func TestBulkAddRegionsDuplicates(t *testing.T) {
+	tr, err := Track(Greece(), core.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n := len(tr.Image().Regions)
+	for name, bulk := range map[string][]BulkRegion{
+		"within the batch":  {{ID: "x", Geometry: sqRegion(0, 0, 1, 1)}, {ID: "x", Geometry: sqRegion(2, 2, 3, 3)}},
+		"against a held id": {{ID: "x", Geometry: sqRegion(0, 0, 1, 1)}, {ID: "attica", Geometry: sqRegion(2, 2, 3, 3)}},
+	} {
+		if err := tr.BulkAddRegions(bulk); !errors.Is(err, ErrDuplicateRegion) {
+			t.Errorf("duplicate %s: err = %v, want ErrDuplicateRegion", name, err)
+		}
+		if len(tr.Image().Regions) != n || tr.Store().Len() != n || tr.Index().Len() != n {
+			t.Errorf("duplicate %s: rejected batch changed the world", name)
+		}
+	}
+}
+
+// TestBulkAddRegionsScales: the duplicate check is one lookup per incoming
+// region, so the second 10 000 of a 2 × 10 000 ingest must not cost a
+// multiple of the first (a scan of the document per id made it 12×).
+func TestBulkAddRegionsScales(t *testing.T) {
+	tr, err := Track(tinyImage(), core.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const k = 10000
+	var cost [2]time.Duration
+	for half := range cost {
+		bulk := make([]BulkRegion, k)
+		for i := range bulk {
+			x, y := float64(i%100)*3, float64(half*k+i)/100*3
+			bulk[i] = BulkRegion{ID: fmt.Sprintf("b%d-%05d", half, i), Geometry: sqRegion(x, y, x+2, y+2)}
+		}
+		start := time.Now()
+		if err := tr.BulkAddRegions(bulk); err != nil {
+			t.Fatal(err)
+		}
+		cost[half] = time.Since(start)
+	}
+	t.Logf("first %v, second %v", cost[0], cost[1])
+	if cost[1] > 4*cost[0] {
+		t.Errorf("second half of the ingest took %v, first half %v: bulk ingest is not linear", cost[1], cost[0])
 	}
 }

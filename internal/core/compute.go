@@ -36,14 +36,16 @@ type Stats struct {
 	// ingest, regardless of how many regions arrive.
 	BulkBatches int
 
-	// LoD-tier counters (see LoD, LoDWorld): pairs answered from the
-	// coarse cell-span summary in O(1), from the simplified geometry under
-	// the error-band clearance proof, and pairs that fell through to the
-	// exact kernel.
+	// Huge-world tier counters (see LoDWorld): pairs answered from the
+	// coarse cell-span summary in O(1), from the edges near the grid lines,
+	// and pairs that fell through to the full kernel.
 	CoarseSingleTile int // coarse cell spans decided a single-tile pair
-	LoDSimplified    int // simplified boundary decided the pair (bracket held)
-	LoDStrip         int // strip-localised exact stage decided the pair
-	LoDExact         int // both LoD stages passed: full exact-kernel fallback
+	LoDStrip         int // strip stage decided the pair
+	LoDExact         int // strip stage absent or declined: full kernel
+	// Always zero: the simplified-geometry tier this counted is gone. The
+	// field stays because the benchmark harness sums it into its tier
+	// shares (bench/probes.go).
+	LoDSimplified int
 }
 
 // Merge adds the counters of other into st; the batch engine uses it to

@@ -2,30 +2,30 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"cardirect/internal/geom"
 )
 
-// Strip-localised exact stage of the level-of-detail tier: classify ONLY
-// the original edges whose coordinate intervals meet the reference grid's
-// band [m1,m2] (x) or [l1,l2] (y), recover the corner cells from vertex
-// dominance, and tile B's parity from a bucketed line query. The stage is
-// pure exact geometry — no epsilon reasoning — and its answer is
-// bit-identical to the full kernel's whenever it reports ok. It is the
-// stage that decides the canonical huge-world pair: a giant primary whose
-// bounding box straddles a tiny reference, where the bracket can never
-// certify (middle cells need grid spans > 2·eps) and the full kernel would
-// stream thousands of edges for a handful of grid-line crossings.
+// Strip stage of the huge-world tier stack: classify ONLY the edges whose
+// coordinate intervals meet the reference grid's band [m1,m2] (x) or [l1,l2]
+// (y), recover the corner cells from vertex dominance, and tile B's parity
+// from a bucketed line query. It is the paper's pass restricted to the edges
+// that can matter — exact geometry, no tolerance anywhere — and its answer is
+// bit-identical to the full kernel's whenever it reports ok. It decides the
+// canonical huge-world pair: a giant primary whose bounding box straddles a
+// tiny reference, where the full kernel would stream thousands of edges for
+// a handful of grid-line crossings.
 //
-// Exactness: partition the original edges into E* (x-interval ∩ [m1,m2] ≠ ∅
-// or y-interval ∩ [l1,l2] ≠ ∅) and the rest. A non-E* edge has its
-// x-interval strictly left of m1 or right of m2 AND its y-interval strictly
-// below l1 or above l2 — it lies wholly inside one OPEN corner quadrant, is
-// never split, and its midpoint marks exactly that corner. Conversely a
-// vertex strictly inside an open corner quadrant always makes the kernel
-// mark that corner: the crossing-free sub-segment incident to it stays in
-// the closed quadrant and its midpoint is strictly inside (the midpoint
-// argument of lod.go fact 2). So
+// Exactness: partition the edges into E* (x-interval ∩ [m1,m2] ≠ ∅ or
+// y-interval ∩ [l1,l2] ≠ ∅) and the rest. A non-E* edge has its x-interval
+// strictly left of m1 or right of m2 AND its y-interval strictly below l1 or
+// above l2 — it lies wholly inside one OPEN corner quadrant, is never split,
+// and its midpoint marks exactly that corner. Conversely a vertex strictly
+// inside an open corner quadrant always makes the kernel mark that corner:
+// the crossing-free sub-segment incident to it stays in the closed quadrant
+// and is not along one of its lines (it has a point strictly inside), so
+// classifyCol/Row place it there with no tie-break. So
 //
 //	kernel boundary marks = classify(E*) ∪ { corner c : some vertex lies
 //	                        strictly inside c's open quadrant }
@@ -42,20 +42,20 @@ import (
 // edge changes nothing.
 //
 // A reference whose band meets more than half the edges (giant-vs-giant)
-// is declined — the full kernel's sequential streaming wins there, and the
-// bracket has usually answered it already.
+// is declined — the full kernel's sequential streaming wins there.
 
-// stripMinEdges is the original-edge count below which the strip stage is
-// not attempted: the full kernel over a few dozen edges is cheaper than
+// stripMinEdges is the edge count below which the strip stage is not
+// attempted: the full kernel over a few dozen edges is cheaper than
 // building and probing the index.
 const stripMinEdges = 128
 
-// stripIndex is the lazily-built per-region acceleration structure of the
-// strip stage: interval buckets over each axis, vertex staircases for the
+// stripIndex is the per-region acceleration structure of the strip stage:
+// interval buckets over each axis, vertex staircases for the
 // corner-quadrant queries, and the edge→polygon map for the parity query.
-// Immutable after construction.
+// Everything but p is built by the first relateStrip and immutable after.
 type stripIndex struct {
-	p *Prepared // the exact preparation the index answers for
+	p    *Prepared // the world's preparation the index answers for
+	once sync.Once // guards build
 
 	// Interval buckets: bucket b of the x axis lists (in xids[xoff[b]:
 	// xoff[b+1]]) every edge whose x-interval overlaps the bucket's range.
@@ -83,23 +83,10 @@ type stripIndex struct {
 	polyOf []int32
 }
 
-// stripIdx returns the region's strip index, building it on first use.
-// Concurrent first calls may build twice; one result wins and both are
-// correct.
-func (l *LoD) stripIdx() *stripIndex {
-	if ix := l.strip.Load(); ix != nil {
-		return ix
-	}
-	ix := buildStripIndex(l.Exact())
-	if l.strip.CompareAndSwap(nil, ix) {
-		return ix
-	}
-	return l.strip.Load()
-}
-
-func buildStripIndex(p *Prepared) *stripIndex {
+// build fills the index from ix.p; relateStrip runs it once.
+func (ix *stripIndex) build() {
+	p := ix.p
 	ne := len(p.ax)
-	ix := &stripIndex{p: p}
 	ix.nbX, ix.xorg, ix.invXW, ix.xoff, ix.xids =
 		buildIntervalBuckets(p.ax, p.bx, p.Box.MinX, p.Box.MaxX)
 	ix.nbY, ix.yorg, ix.invYW, ix.yoff, ix.yids =
@@ -157,7 +144,6 @@ func buildStripIndex(p *Prepared) *stripIndex {
 			ix.polyOf[e] = id
 		}
 	}
-	return ix
 }
 
 // buildIntervalBuckets lays the edges' per-axis intervals into uniform
@@ -238,9 +224,8 @@ func bucketSpan(u, v, org, invW float64, nb int) (int, int) {
 
 // relateStrip answers the pair from the strip index, or reports !ok when
 // the candidate set exceeds half the edges (the full kernel wins there).
-// The caller gates on origEdges ≥ stripMinEdges.
-func (l *LoD) relateStrip(g Grid, center geom.Point, sc *Scratch) (Relation, bool) {
-	ix := l.stripIdx()
+func (ix *stripIndex) relateStrip(g Grid, sc *Scratch) (Relation, bool) {
+	ix.once.Do(ix.build)
 	p := ix.p
 	ne := len(p.ax)
 	if len(sc.stripSeen) < ne {
@@ -309,7 +294,7 @@ func (l *LoD) relateStrip(g Grid, center geom.Point, sc *Scratch) (Relation, boo
 		}
 	}
 
-	return ix.addCenterTileStrip(rel, center, sc), true
+	return ix.addCenterTileStrip(rel, g, sc), true
 }
 
 // collect gathers the de-duplicated ids of every edge whose x-interval
@@ -368,11 +353,12 @@ func (ix *stripIndex) collect(ids []int32, seen []uint32, epoch uint32, g Grid, 
 // replays Polygon.Contains' per-edge rule (boundary hit or ray toggle)
 // over the bucket provably holding every edge that straddles the center's
 // y, accumulating per polygon under the same bounding-box gate.
-func (ix *stripIndex) addCenterTileStrip(rel Relation, center geom.Point, sc *Scratch) Relation {
+func (ix *stripIndex) addCenterTileStrip(rel Relation, g Grid, sc *Scratch) Relation {
 	if rel.Has(TileB) {
 		return rel
 	}
 	p := ix.p
+	center := g.Box().Center()
 	if !p.Box.Contains(center) {
 		return rel // no polygon box can pass the gate either
 	}

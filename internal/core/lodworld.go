@@ -9,21 +9,32 @@ import (
 	"cardirect/internal/geom"
 )
 
-// LoDWorld is a world prepared for huge-scale relation computation: one
-// Prepared per region, all but a few of them carved from one exact-size
-// slab (see prepareSlab); a sparse level-of-detail side (simplified edges,
-// error band, lazy exact and strip caches) for just the regions that have
-// one; and the coarse cell-span summary answering clearly single-tile pairs
-// in O(1). At 10^5 regions an eagerly materialised relation matrix is off
-// the table (10^10 cells), so the world answers pairs and row sweeps on
-// demand instead; every answer is bit-identical to the exact kernel's
-// (differential-tested, fuzzed).
+// LoDOptions configures PrepareLoDWorld.
+type LoDOptions struct {
+	// Grid is the coarse-index resolution per axis; 0 means
+	// DefaultCoarseGrid.
+	Grid int
+	// Workers sizes the worker pool of LoDWorld batch sweeps; ≤0 means
+	// GOMAXPROCS.
+	Workers int
+}
+
+// LoDWorld is a world prepared for huge-scale relation computation (10^5+
+// regions with zipfian edge counts): one exact Prepared per region, all
+// carved from one exact-size slab (see PrepareAll); the coarse cell-span
+// summary answering clearly single-tile pairs in O(1); and, for the few
+// regions of at least stripMinEdges edges, a strip index that classifies
+// only the edges near the reference's four lines. At 10^5 regions an eagerly
+// materialised relation matrix is off the table (10^10 cells), so the world
+// answers pairs and row sweeps on demand instead; every answer is
+// bit-identical to the exact kernel's (differential-tested, fuzzed).
 //
-// Immutable after construction except for the lazy caches; safe for
-// concurrent use.
+// The world copies what it needs out of the caller's regions and keeps no
+// reference to them. Immutable after construction except for the lazily
+// built strip indexes; safe for concurrent use.
 type LoDWorld struct {
-	preps   []*Prepared    // per region; lods[i].simp where region i has a LoD side
-	lods    map[int32]*LoD // only the regions planLoD kept
+	preps   []*Prepared
+	strips  map[int32]*stripIndex // only the regions of ≥ stripMinEdges edges
 	coarse  *CoarseIndex
 	workers int
 	// boxes[i] is preps[i].Box, packed: a row sweep reads every region as a
@@ -37,57 +48,24 @@ type LoDWorld struct {
 	names     nameIndex // built by the first Index call
 }
 
-// PrepareLoDWorld builds the level-of-detail world: names must be
-// non-empty and unique (the batch naming contract). Regions are planned
-// (and the few big ones simplified) on the worker pool; everything else is
-// counted and built from one slab. Exact geometry of a simplified region is
-// prepared lazily, only when a pair needs it, from the caller's rings —
-// which the world therefore references and the caller must not mutate.
+// PrepareLoDWorld builds the huge-world tier: names must be non-empty and
+// unique (the batch naming contract).
 func PrepareLoDWorld(regions []NamedRegion, opt LoDOptions) (*LoDWorld, error) {
-	if _, err := indexNames(len(regions), func(i int) string { return regions[i].Name }); err != nil {
+	preps, err := PrepareAll(regions)
+	if err != nil {
 		return nil, err
 	}
 	w := &LoDWorld{
-		preps:   make([]*Prepared, len(regions)),
-		lods:    map[int32]*LoD{},
+		preps:   preps,
+		strips:  map[int32]*stripIndex{},
 		workers: opt.Workers,
+		boxes:   make([]geom.Rect, len(preps)),
 	}
-	var mu sync.Mutex
-	var firstErr error
-	var next atomic.Int64
-	runPool(poolSize(opt.Workers, len(regions)), func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(regions) {
-				return
-			}
-			l, err := planLoD(regions[i].Name, regions[i].Region, opt)
-			if l == nil && err == nil {
-				continue
-			}
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				w.preps[i], w.lods[int32(i)] = l.simp, l
-			}
-			mu.Unlock()
-			if err != nil {
-				return
-			}
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := prepareSlab(regions, w.preps); err != nil {
-		return nil, err
-	}
-	w.boxes = make([]geom.Rect, len(w.preps))
-	for i, p := range w.preps {
+	for i, p := range preps {
 		w.boxes[i] = p.Box
+		if len(p.ax) >= stripMinEdges {
+			w.strips[int32(i)] = &stripIndex{p: p}
+		}
 	}
 	w.coarse = NewCoarseIndex(w.boxes, opt.Grid)
 	return w, nil
@@ -107,19 +85,28 @@ func (w *LoDWorld) Index(name string) int {
 	return w.names.lookup(name, nameAt)
 }
 
-// LoD returns region i's level-of-detail side, or nil when it has none:
-// the region was neither simplified nor is it big enough for the strip
-// stage, and its Prepared is plainly exact.
-func (w *LoDWorld) LoD(i int) *LoD { return w.lods[int32(i)] }
+// checkIndex rejects a region index outside the world.
+func (w *LoDWorld) checkIndex(i int) error {
+	if i < 0 || i >= len(w.preps) {
+		return fmt.Errorf("core: row index %d out of range [0,%d)", i, len(w.preps))
+	}
+	return nil
+}
 
 // Coarse returns the world's coarse cell-span summary.
 func (w *LoDWorld) Coarse() *CoarseIndex { return w.coarse }
 
 // Relation answers the relation of primary i against reference j through
-// the tier stack: coarse cell spans in O(1), then the stages of relate.
+// the tier stack: coarse cell spans in O(1), then the stages of relateLoD.
 // Bit-identical to Relate(exact_i, exact_j, sc) including the
 // degenerate-reference error. sc may be nil.
 func (w *LoDWorld) Relation(i, j int, sc *Scratch, st *Stats) (Relation, error) {
+	if err := w.checkIndex(i); err != nil {
+		return 0, err
+	}
+	if err := w.checkIndex(j); err != nil {
+		return 0, err
+	}
 	b := w.preps[j]
 	if b.noGrid {
 		return 0, b.gridErr()
@@ -138,89 +125,38 @@ func (w *LoDWorld) Relation(i, j int, sc *Scratch, st *Stats) (Relation, error) 
 	if st == nil {
 		st = &discard
 	}
-	return relateLoD(w.preps[i], w.lods[int32(i)], b.grid(), sc, st), nil
+	return relateLoD(w.preps[i], w.strips[int32(i)], b.grid(), sc, st), nil
 }
 
-// relateLoD computes the relation of a primary — its world Prepared a and
-// its level-of-detail side l, nil when it has none — against a reference
-// grid. The result is bit-identical to the exact kernel's for every pair;
-// the stages only change which geometry pays for it:
+// relateLoD computes the relation of a primary — its Prepared a and its
+// strip index ix, nil when it is too small to have one — against a
+// reference grid. The result is bit-identical to a.relate's for every pair;
+// the stages only change how many edges pay for it:
 //
-//   - the MBB fast path answers from boxes shared exactly with the
-//     original (gated on the original's band soundness);
-//   - the strip stage classifies just the exact edges near the grid lines
-//     (Stats.LoDStrip);
-//   - when the certain/possible bracket pins the answer, the simplified
-//     edges decide the pair (Stats.LoDSimplified);
-//   - otherwise the full exact kernel runs (Stats.LoDExact), over the
-//     exact geometry prepared once and cached.
-func relateLoD(a *Prepared, l *LoD, g Grid, sc *Scratch, st *Stats) Relation {
+//   - the MBB fast path answers from boxes alone;
+//   - the strip stage classifies just the edges near the grid lines
+//     (Stats.LoDStrip), declining when that is more than half of them;
+//   - otherwise the full kernel runs (Stats.LoDExact).
+func relateLoD(a *Prepared, ix *stripIndex, g Grid, sc *Scratch, st *Stats) Relation {
 	if rel, ok := a.relateFast(g, st); ok {
 		return rel
 	}
-	if l != nil {
-		center := g.Box().Center()
-		// Strip first: for the dominant ambiguous pair — a huge primary
-		// over a small reference — it classifies a handful of edges and is
-		// exact, so trying the bracket first would cost a simplified-kernel
-		// pass that rarely concludes there. The bracket earns its keep on
-		// the pairs the strip declines: comparable-size references whose
-		// band meets most of the primary's edges.
-		if l.origEdges >= stripMinEdges {
-			if rel, ok := l.relateStrip(g, center, sc); ok {
-				st.LoDStrip++
-				return rel
-			}
+	if ix != nil {
+		if rel, ok := ix.relateStrip(g, sc); ok {
+			st.LoDStrip++
+			return rel
 		}
-		if l.Eps > 0 {
-			if rel, ok := l.relateSimplified(g, center); ok {
-				st.LoDSimplified++
-				return rel
-			}
-		}
-		a = l.Exact()
 	}
 	st.LoDExact++
 	return a.relateFull(g, st)
 }
 
-// RelationPct answers the percent matrix of primary i against reference j,
-// bit-identical to RelatePct(exact_i, exact_j, sc). Simplified geometry
-// cannot answer a quantitative query (its areas differ), so the tier is the
-// box/area fast path — over the shared-exact boxes and the ORIGINAL areas
-// the world's Prepared carries — or the exact kernel; the win is skipping
-// the exact preparation for the overwhelming fast-path majority. The
-// Scratch is not used and may be nil.
-func (w *LoDWorld) RelationPct(i, j int, _ *Scratch, st *Stats) (PercentMatrix, TileAreas, error) {
-	b := w.preps[j]
-	if b.noGrid {
-		return PercentMatrix{}, TileAreas{}, b.gridErr()
-	}
-	a := w.preps[i]
-	areas, ok := a.relatePctFast(b.grid(), st)
-	total := a.totalArea
-	if !ok {
-		if st != nil {
-			st.LoDExact++
-		}
-		if l := w.lods[int32(i)]; l != nil {
-			a = l.Exact()
-		}
-		var err error
-		if total, err = a.relatePctFullInto(&areas, b.grid(), st); err != nil {
-			return PercentMatrix{}, areas, err
-		}
-	}
-	var m PercentMatrix
-	percentInto(&m, &areas, total)
-	return m, areas, nil
-}
-
 // BatchRows computes, for each requested primary row, its relation to
 // every other region of the world — the sampled-row flavour of all-pairs
 // that huge worlds use in place of the infeasible full matrix. exact
-// routes every pair through the exact-geometry engine instead of the LoD
-// tiers (the E23 comparison baseline; results are identical either way).
+// routes every pair through the plain engine (MBB fast path, then the full
+// kernel) instead of the tier stack — the E23 comparison baseline; results
+// are identical either way.
 // out[r][j] is rows[r]'s relation to region j, with out[r][rows[r]] left
 // zero. The context is checked once per claimed row.
 func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]Relation, Stats, error) {
@@ -235,8 +171,8 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 	}
 	out := make([][]Relation, len(rows))
 	for r := range out {
-		if rows[r] < 0 || rows[r] >= n {
-			return nil, Stats{}, fmt.Errorf("core: row index %d out of range [0,%d)", rows[r], n)
+		if err := w.checkIndex(rows[r]); err != nil {
+			return nil, Stats{}, err
 		}
 		out[r] = make([]Relation, n)
 	}
@@ -257,16 +193,12 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 			}
 			pi := rows[r]
 			row := out[r]
-			a, l := w.preps[pi], w.lods[int32(pi)]
+			a, ix := w.preps[pi], w.strips[int32(pi)]
 			if exact {
-				if l != nil {
-					a = l.Exact()
-				}
 				for j, b := range w.boxes {
 					if j == pi {
 						continue
 					}
-					// the boxes are exact (anchored), so the grids are
 					row[j] = a.relate(boxGrid(b), false, &st)
 					st.Passes++
 				}
@@ -294,7 +226,7 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 					row[j] = rel
 					continue
 				}
-				row[j] = relateLoD(a, l, boxGrid(w.boxes[j]), sc, &st)
+				row[j] = relateLoD(a, ix, boxGrid(w.boxes[j]), sc, &st)
 				st.Passes++
 			}
 		}

@@ -162,44 +162,27 @@ func PrepareAll(regions []NamedRegion) ([]*Prepared, error) {
 	if _, err := indexNames(len(regions), func(i int) string { return regions[i].Name }); err != nil {
 		return nil, err
 	}
-	out := make([]*Prepared, len(regions))
-	if err := prepareSlab(regions, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// prepareSlab prepares regions[i] into out[i] for every i whose out[i] is
-// still nil, all of them from one exact-size set of blocks.
-func prepareSlab(regions []NamedRegion, out []*Prepared) error {
-	var nRegions, nPolys, nEdges int
-	for i, r := range regions {
-		if out[i] != nil {
-			continue
-		}
+	var nPolys, nEdges int
+	for _, r := range regions {
 		edges, err := countEdges(r.Name, r.Region)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		nRegions++
 		nPolys += len(r.Region)
 		nEdges += edges
 	}
-	preps := make([]Prepared, nRegions)
+	out := make([]*Prepared, len(regions))
+	preps := make([]Prepared, len(regions))
 	coords := make([]float64, 4*nEdges)
 	polys := make([]preparedPoly, nPolys)
-	offs := make([]int32, nPolys+nRegions)
+	offs := make([]int32, nPolys+len(regions))
 	for i, r := range regions {
-		if out[i] != nil {
-			continue
-		}
 		np, nc := len(r.Region), 4*r.Region.NumEdges()
-		p := &preps[0]
-		p.fill(r.Name, r.Region, coords[:nc:nc], offs[:np+1:np+1], polys[:np:np])
-		preps, coords, offs, polys = preps[1:], coords[nc:], offs[np+1:], polys[np:]
-		out[i] = p
+		out[i] = &preps[i]
+		out[i].fill(r.Name, r.Region, coords[:nc:nc], offs[:np+1:np+1], polys[:np:np])
+		coords, offs, polys = coords[nc:], offs[np+1:], polys[np:]
 	}
-	return nil
+	return out, nil
 }
 
 // Region materialises the region in the canonical clockwise orientation

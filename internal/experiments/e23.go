@@ -19,11 +19,11 @@ import (
 //     all-pairs rows — the 16 giants plus an even stride — through
 //     LoDWorld.BatchRows twice: exact-only (every pair through the exact
 //     SoA kernel) and the LoD tier stack (coarse single-tile O(1) answers,
-//     the strip-localised exact stage, the error-bounded simplified
-//     bracket, exact fallback). The outputs are asserted bit-identical
-//     cell by cell BEFORE any timing; lod_speedup is exact wall-clock over
-//     LoD wall-clock, best of three sweeps each. In full mode the
-//     experiment itself errors below the 10x acceptance floor.
+//     the strip-localised exact stage, exact fallback). The outputs are
+//     asserted bit-identical cell by cell BEFORE any timing; lod_speedup is
+//     exact wall-clock over LoD wall-clock, best of three sweeps each. In
+//     full mode the experiment itself errors below the 10x acceptance
+//     floor.
 //   - An urban/rural clustered world ingested into a live RelationStore
 //     two ways: one streamed AddBulk call versus the per-region Add loop.
 //     The store computes pairs on demand, so both are k Prepares and cost
@@ -34,7 +34,7 @@ import (
 //
 // Metric suffixes follow the trend-gate convention: *_ms and *_bytes may
 // not grow and *_speedup may not shrink beyond the threshold; the
-// tier-stack counters (coarse/strip/simplified/exact pair counts), the
+// tier-stack counters (coarse/strip/exact pair counts), the
 // build's allocation count and the per-region footprint are informational.
 func E23HugeWorld(o Options) (Report, error) {
 	g := workload.New(o.Seed)
@@ -70,8 +70,8 @@ func E23HugeWorld(o Options) (Report, error) {
 	runtime.ReadMemStats(&after)
 	metrics["lod_world_bytes"] = float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	metrics["lod_bytes_per_region"] = metrics["lod_world_bytes"] / float64(n)
-	// The world references the input rings of only its simplified regions;
-	// without this the collection above would credit it with freeing the rest.
+	// The world references none of the input; without this the collection
+	// above would credit it with freeing the rings.
 	runtime.KeepAlive(regions)
 
 	// Sampled rows: every giant (zipf rank order puts them first) plus an
@@ -110,8 +110,8 @@ func E23HugeWorld(o Options) (Report, error) {
 	// shared hardware a multi-second CPU-steal burst would otherwise land
 	// entirely inside one side's (much shorter) measurement window and
 	// wreck the ratio; alternating makes correlated noise hit both sides.
-	// The equality pass above already warmed the lazy strip indexes and
-	// exact-fallback caches — the steady state a long-lived world serves.
+	// The equality pass above already built the lazy strip indexes — the
+	// steady state a long-lived world serves.
 	sweep := func(exact bool) float64 {
 		t := time.Now()
 		if _, _, err := w.BatchRows(ctx, rows, exact); err != nil {
@@ -134,7 +134,6 @@ func E23HugeWorld(o Options) (Report, error) {
 	metrics["lod_speedup"] = speedup
 	metrics["pairs_coarse"] = float64(lodSt.CoarseSingleTile)
 	metrics["pairs_strip"] = float64(lodSt.LoDStrip)
-	metrics["pairs_simplified"] = float64(lodSt.LoDSimplified)
 	metrics["pairs_exact_fallback"] = float64(lodSt.LoDExact)
 	if !o.Quick && speedup < 10 {
 		return Report{}, fmt.Errorf(
@@ -193,7 +192,7 @@ func E23HugeWorld(o Options) (Report, error) {
 	metrics["bulk_ingest_ms"] = bulkBest / 1e6
 	metrics["add_loop_ms"] = loopBest / 1e6
 
-	decided := lodSt.CoarseSingleTile + lodSt.LoDStrip + lodSt.LoDSimplified + lodSt.LoDExact
+	decided := lodSt.CoarseSingleTile + lodSt.LoDStrip + lodSt.LoDExact
 	body := fmt.Sprintf("zipfian world, %d regions (max 4096 edges): built in %.1f ms and %.0f allocations,\nretaining %.0f B/region beyond its input; %d sampled all-pairs rows,\nresults asserted bit-identical to the exact kernel before timing:\n",
 		n, metrics["build_lod_ms"], metrics["lod_build_allocs"], metrics["lod_bytes_per_region"], len(rows))
 	body += Table(
@@ -209,7 +208,6 @@ func E23HugeWorld(o Options) (Report, error) {
 		[][]string{
 			{"coarse single-tile (O(1))", fmt.Sprint(lodSt.CoarseSingleTile), fmt.Sprintf("%.2f%%", 100*float64(lodSt.CoarseSingleTile)/float64(decided))},
 			{"strip-localised exact", fmt.Sprint(lodSt.LoDStrip), fmt.Sprintf("%.2f%%", 100*float64(lodSt.LoDStrip)/float64(decided))},
-			{"simplified bracket", fmt.Sprint(lodSt.LoDSimplified), fmt.Sprintf("%.2f%%", 100*float64(lodSt.LoDSimplified)/float64(decided))},
 			{"exact fallback", fmt.Sprint(lodSt.LoDExact), fmt.Sprintf("%.2f%%", 100*float64(lodSt.LoDExact)/float64(decided))},
 		},
 	)

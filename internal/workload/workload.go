@@ -58,9 +58,9 @@ func (g *Generator) StarPolygon(cx, cy, rMin, rMax float64, n int) geom.Polygon 
 // edges: a low-frequency harmonic radius profile around (cx, cy) bounded to
 // [0.37r, 0.98r] with only tiny per-vertex jitter. Unlike StarPolygon, whose
 // independent per-vertex radii put high-frequency noise on every edge, the
-// boundary here is smooth at the vertex scale, so densely-digitised regions
-// respond to error-bounded simplification the way real administrative
-// geometry does (thousands of raw vertices, dozens of significant ones).
+// boundary here is smooth at the vertex scale, the way densely-digitised
+// administrative geometry is (thousands of raw vertices, dozens of
+// significant ones).
 // Star-shapedness about the centre (radius is always positive, angles
 // strictly increasing) guarantees simplicity.
 func (g *Generator) smoothStar(cx, cy, r float64, n int) geom.Polygon {
@@ -284,7 +284,7 @@ func (g *Generator) Cluster(n, groups, edgesPerRegion int) []geom.Region {
 // detailed than the median — above a long tail of small simple ones. This
 // is the huge-world shape (administrative areas, lakes, land cover) the
 // level-of-detail tier exists for: all-pairs cost concentrates in the few
-// giant primaries, exactly where simplification pays. Every region is a
+// giant primaries, exactly where the strip stage pays. Every region is a
 // single star polygon fully contained in the window; equal seeds produce
 // identical worlds.
 func (g *Generator) Zipf(window geom.Rect, n, maxEdges int) []geom.Region {
@@ -310,8 +310,8 @@ func (g *Generator) Zipf(window geom.Rect, n, maxEdges int) []geom.Region {
 		}
 		cx := g.uniform(window.MinX+r, window.MaxX-r)
 		cy := g.uniform(window.MinY+r, window.MaxY-r)
-		// Giants carry smooth, over-digitised coastlines (the shapes the
-		// LoD tier simplifies); the simple tail keeps the noisy stars.
+		// Giants carry smooth, over-digitised coastlines; the simple tail
+		// keeps the noisy stars.
 		if edges >= 64 {
 			out = append(out, geom.Rgn(g.smoothStar(cx, cy, r, edges)))
 		} else {
