@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments
+.PHONY: check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments loc
 
 check: vet build race smoke bench-check
 
@@ -93,3 +93,10 @@ bench-run:
 # internal/experiments, and bench/ is the one performance gate.
 experiments:
 	$(GO) run ./cmd/cdrbench -quick
+
+# The size figure simplicity PRs quote: non-test Go lines outside bench/
+# (a module of its own, bounded by its own README), in total and per
+# internal/ package.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs printf '%6d  total (non-test Go outside bench/)\n'
+	@for d in internal/*/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs printf "%6d  $$d\n"; done

@@ -264,7 +264,10 @@ type (
 	Query = query.Query
 	// Binding is one query answer (variable → region id).
 	Binding = query.Binding
-	// Evaluator answers queries over a configuration.
+	// Evaluator answers queries over a configuration, reading every relation
+	// from a RelationStore over the regions' geometry: the maintained one
+	// UseStore attaches, or its own. The document's Relation elements are
+	// never consulted.
 	Evaluator = query.Evaluator
 	// PreparedQuery is a parse-once/plan-once statement with $-parameters.
 	PreparedQuery = query.PreparedQuery
@@ -379,10 +382,6 @@ var (
 	// RelatePct computes the relation with percentages between two prepared
 	// regions, allocation-free.
 	RelatePct = core.RelatePct
-	// FindRelated filters candidates by their relation to a reference under
-	// a context, pruning through R-tree window queries derived from the
-	// allowed tiles.
-	FindRelated = index.FindRelated
 	// ErrDegenerateRegion reports a region unusable by the algorithms
 	// (empty, or with no edges); matched with errors.Is.
 	ErrDegenerateRegion = core.ErrDegenerateRegion

@@ -84,6 +84,33 @@ func TestCLIQuery(t *testing.T) {
 	}
 }
 
+// TestStaleMaterialisedRelationsIgnored: `cardirect query` answers from the
+// regions' geometry, as the daemon does, not from Relation elements the
+// document happens to carry.
+func TestStaleMaterialisedRelationsIgnored(t *testing.T) {
+	computed, err := runCLI(t, greeceXML(t), "compute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := `<Relation type="B:S:SW:W" primary="peloponnesos" reference="attica">`
+	if !strings.Contains(computed, fresh) {
+		t.Fatalf("compute did not emit %s", fresh)
+	}
+	stale := strings.Replace(computed, fresh, `<Relation type="N" primary="peloponnesos" reference="attica">`, 1)
+	for qs, want := range map[string]string{
+		"q(a, b) :- a = peloponnesos, b = attica, a B:S:SW:W b": "1 answer(s)",
+		"q(a, b) :- a = peloponnesos, b = attica, a N b":        "0 answer(s)",
+	} {
+		out, err := runCLI(t, stale, "query", qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("%s over a document claiming N: %q, want %s", qs, out, want)
+		}
+	}
+}
+
 func TestCLIDescribe(t *testing.T) {
 	xml := greeceXML(t)
 	out, err := runCLI(t, xml, "describe")

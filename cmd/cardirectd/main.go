@@ -70,45 +70,61 @@ func main() {
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+// flags holds the value of every command-line flag of cardirectd.
+type flags struct {
+	addr, role, configPath, pct, dataDir, fsyncPolicy, follow, replicaData *string
+	primaryURL, replicaURLs                                                *string
+	greece, jsonLogs, snapOnExit                                           *bool
+	workers, solveWorkers, maxNetwork, replRetain                          *int
+	maxBody, maxBulk                                                       *int64
+	requestTimeout, shutdownTimeout, fsyncInterval                         *time.Duration
+}
+
+// newFlagSet declares the command's flags; API.md's flag list is tested
+// against it (TestFlagsDocumented).
+func newFlagSet() (*flag.FlagSet, flags) {
 	fs := flag.NewFlagSet("cardirectd", flag.ContinueOnError)
-	var (
-		addr            = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		role            = fs.String("role", "primary", "process role: primary, replica or router")
-		configPath      = fs.String("config", "", "CARDIRECT XML configuration to serve")
-		greece          = fs.Bool("greece", false, "serve the built-in Fig. 11 Greece configuration")
-		pct             = fs.String("pct", "on", "percent answers: on or off (on rejects zero-area regions at edit time; off makes pct endpoints answer 422; neither stores anything)")
-		workers         = fs.Int("workers", 0, "worker-pool size for batch and all-pairs computation (0 = GOMAXPROCS)")
-		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = none)")
-		maxBody         = fs.Int64("max-body", 1<<20, "request body size limit in bytes")
-		maxBulk         = fs.Int64("max-bulk", 64<<20, "POST /v1/bulk body size limit in bytes (NDJSON streams)")
-		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
-		jsonLogs        = fs.Bool("log-json", false, "emit JSON logs instead of text")
-		dataDir         = fs.String("data", "", "data directory for durable operation (snapshot + write-ahead log)")
-		fsyncPolicy     = fs.String("fsync", "always", "WAL fsync policy with -data: always, interval or never")
-		fsyncInterval   = fs.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval")
-		snapOnExit      = fs.Bool("snapshot-on-exit", true, "with -data, write a final snapshot during graceful shutdown")
-		solveWorkers    = fs.Int("solve-workers", 0, "parallel consistency-solver fan width for /v1/reason/check (0 = reason default)")
-		maxNetwork      = fs.Int("max-network", 64, "max variables a /v1/reason request may declare (oversized networks get 413)")
-		replRetain      = fs.Int("repl-retain", 0, "replication records the primary retains in memory (0 = 65536); lagging followers re-bootstrap")
-		follow          = fs.String("follow", "", "with -role replica: the primary's base URL to tail")
-		replicaData     = fs.String("replica-data", "", "with -role replica: cache directory so a restart resumes from the last applied sequence")
-		primaryURL      = fs.String("primary", "", "with -role router: the primary's base URL (writes go here)")
-		replicaURLs     = fs.String("replicas", "", "with -role router: comma-separated replica base URLs (reads round-robin across healthy ones)")
-	)
+	return fs, flags{
+		addr:            fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)"),
+		role:            fs.String("role", "primary", "process role: primary, replica or router"),
+		configPath:      fs.String("config", "", "CARDIRECT XML configuration to serve"),
+		greece:          fs.Bool("greece", false, "serve the built-in Fig. 11 Greece configuration"),
+		pct:             fs.String("pct", "on", "percent answers: on or off (on rejects zero-area regions at edit time; off makes pct endpoints answer 422; neither stores anything)"),
+		workers:         fs.Int("workers", 0, "worker-pool size for all-pairs reads (0 = GOMAXPROCS)"),
+		requestTimeout:  fs.Duration("request-timeout", 30*time.Second, "per-request timeout (0 = none)"),
+		maxBody:         fs.Int64("max-body", 1<<20, "request body size limit in bytes"),
+		maxBulk:         fs.Int64("max-bulk", 64<<20, "POST /v1/bulk body size limit in bytes (NDJSON streams)"),
+		shutdownTimeout: fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget"),
+		jsonLogs:        fs.Bool("log-json", false, "emit JSON logs instead of text"),
+		dataDir:         fs.String("data", "", "data directory for durable operation (snapshot + write-ahead log)"),
+		fsyncPolicy:     fs.String("fsync", "always", "WAL fsync policy with -data: always, interval or never"),
+		fsyncInterval:   fs.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval"),
+		snapOnExit:      fs.Bool("snapshot-on-exit", true, "with -data, write a final snapshot during graceful shutdown"),
+		solveWorkers:    fs.Int("solve-workers", 0, "parallel consistency-solver fan width for /v1/reason/check (0 = reason default)"),
+		maxNetwork:      fs.Int("max-network", 64, "max variables a /v1/reason request may declare (oversized networks get 413)"),
+		replRetain:      fs.Int("repl-retain", 0, "replication records the primary retains in memory (0 = 65536); lagging followers re-bootstrap"),
+		follow:          fs.String("follow", "", "with -role replica: the primary's base URL to tail"),
+		replicaData:     fs.String("replica-data", "", "with -role replica: cache directory so a restart resumes from the last applied sequence"),
+		primaryURL:      fs.String("primary", "", "with -role router: the primary's base URL (writes go here)"),
+		replicaURLs:     fs.String("replicas", "", "with -role router: comma-separated replica base URLs (reads round-robin across healthy ones)"),
+	}
+}
+
+func run(args []string, stdout *os.File) error {
+	fs, f := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var handler slog.Handler
-	if *jsonLogs {
+	if *f.jsonLogs {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	} else {
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler)
 
-	pctOn, err := parseOnOff("pct", *pct)
+	pctOn, err := parseOnOff("pct", *f.pct)
 	if err != nil {
 		return err
 	}
@@ -116,41 +132,36 @@ func run(args []string, stdout *os.File) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	switch *role {
+	switch *f.role {
 	case "router":
-		return runRouter(ctx, stdout, logger, *addr, *primaryURL, *replicaURLs, *shutdownTimeout)
+		return runRouter(ctx, stdout, logger, *f.addr, *f.primaryURL, *f.replicaURLs, *f.shutdownTimeout)
 	case "replica":
-		return runReplica(ctx, stdout, logger, replicaParams{
-			addr: *addr, follow: *follow, cacheDir: *replicaData,
-			workers: *workers, maxBody: *maxBody, maxBulk: *maxBulk,
-			requestTimeout: *requestTimeout, shutdownTimeout: *shutdownTimeout,
-			solveWorkers: *solveWorkers, maxNetwork: *maxNetwork,
-		})
+		return runReplica(ctx, stdout, logger, f)
 	case "", "primary":
 		// fall through to the primary path below
 	default:
-		return fmt.Errorf("unknown -role %q (want primary, replica or router)", *role)
+		return fmt.Errorf("unknown -role %q (want primary, replica or router)", *f.role)
 	}
 
 	var (
 		tr *config.Tracked
 		ps *persist.Store
 	)
-	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
+	if *f.dataDir != "" {
+		policy, err := wal.ParseSyncPolicy(*f.fsyncPolicy)
 		if err != nil {
 			return err
 		}
 		// With a data directory the durable state is the source of truth:
 		// -config/-greece only seed a directory holding no snapshot yet,
 		// and may be omitted entirely when one does.
-		seed, err := loadConfigOptional(*configPath, *greece)
+		seed, err := loadConfigOptional(*f.configPath, *f.greece)
 		if err != nil {
 			return err
 		}
-		ps, err = persist.Open(*dataDir, seed, persist.Options{
-			Sync:    wal.Options{Policy: policy, Interval: *fsyncInterval},
-			Workers: *workers,
+		ps, err = persist.Open(*f.dataDir, seed, persist.Options{
+			Sync:    wal.Options{Policy: policy, Interval: *f.fsyncInterval},
+			Workers: *f.workers,
 			Pct:     pctOn,
 			Logger:  logger,
 		})
@@ -168,11 +179,11 @@ func run(args []string, stdout *os.File) error {
 			logger.Warn("recovered past a torn WAL tail", "at", st.Corruption)
 		}
 	} else {
-		img, err := loadConfig(*configPath, *greece)
+		img, err := loadConfig(*f.configPath, *f.greece)
 		if err != nil {
 			return err
 		}
-		tr, err = config.Track(img, core.StoreOptions{Workers: *workers, Pct: pctOn})
+		tr, err = config.Track(img, core.StoreOptions{Workers: *f.workers, Pct: pctOn})
 		if err != nil {
 			return fmt.Errorf("building relation store: %w", err)
 		}
@@ -189,28 +200,27 @@ func run(args []string, stdout *os.File) error {
 	if ps != nil {
 		under = ps
 	}
-	prim := replica.NewPrimary(tr, under, replica.PrimaryOptions{Retain: *replRetain, Pct: pctOn})
+	prim := replica.NewPrimary(tr, under, replica.PrimaryOptions{Retain: *f.replRetain, Pct: pctOn})
 
 	srv := serve.New(tr, serve.Options{
-		MaxBodyBytes:   *maxBody,
-		MaxBulkBytes:   *maxBulk,
-		RequestTimeout: *requestTimeout,
-		Workers:        *workers,
+		MaxBodyBytes:   *f.maxBody,
+		MaxBulkBytes:   *f.maxBulk,
+		RequestTimeout: *f.requestTimeout,
 		Logger:         logger,
 		Persist:        ps,
-		SolveWorkers:   *solveWorkers,
-		MaxNetwork:     *maxNetwork,
+		SolveWorkers:   *f.solveWorkers,
+		MaxNetwork:     *f.maxNetwork,
 		Repl:           prim,
 		Editor:         prim,
 		PctDisabled:    !pctOn,
 	})
 
-	if err := serveHTTP(ctx, stdout, logger, *addr, srv.Handler(), *shutdownTimeout); err != nil {
+	if err := serveHTTP(ctx, stdout, logger, *f.addr, srv.Handler(), *f.shutdownTimeout); err != nil {
 		return err
 	}
 	// The listener is drained: no more edits can arrive, so the final
 	// snapshot captures everything that was acknowledged.
-	if ps != nil && *snapOnExit {
+	if ps != nil && *f.snapOnExit {
 		if info, err := ps.Snapshot(); err != nil {
 			logger.Warn("final snapshot failed; the WAL still holds every edit", "err", err)
 		} else {
@@ -221,26 +231,16 @@ func run(args []string, stdout *os.File) error {
 	return nil
 }
 
-// replicaParams carries the replica-role flag subset.
-type replicaParams struct {
-	addr, follow, cacheDir   string
-	workers                  int
-	maxBody, maxBulk         int64
-	requestTimeout           time.Duration
-	shutdownTimeout          time.Duration
-	solveWorkers, maxNetwork int
-}
-
 // runReplica bootstraps from the primary (or the local cache), starts the
 // tail loop, and serves the read surface; writes answer 421 not_primary.
-func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, p replicaParams) error {
-	if p.follow == "" {
+func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, f flags) error {
+	if *f.follow == "" {
 		return fmt.Errorf("-role replica requires -follow <primary-url>")
 	}
 	rep, err := replica.Open(ctx, replica.Options{
-		Primary:  p.follow,
-		CacheDir: p.cacheDir,
-		Workers:  p.workers,
+		Primary:  *f.follow,
+		CacheDir: *f.replicaData,
+		Workers:  *f.workers,
 		Logger:   logger,
 	})
 	if err != nil {
@@ -249,7 +249,7 @@ func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, p rep
 	defer rep.Close()
 	st := rep.Status()
 	logger.Info("replica bootstrapped",
-		"primary", p.follow, "epoch", st.Epoch, "seq", st.LastAppliedSeq,
+		"primary", *f.follow, "epoch", st.Epoch, "seq", st.LastAppliedSeq,
 		"generation", st.Generation, "from_cache", st.ResumedFromCache)
 
 	tailDone := make(chan struct{})
@@ -261,18 +261,17 @@ func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, p rep
 	}()
 
 	srv := serve.New(rep.Tracked(), serve.Options{
-		MaxBodyBytes:   p.maxBody,
-		MaxBulkBytes:   p.maxBulk,
-		RequestTimeout: p.requestTimeout,
-		Workers:        p.workers,
+		MaxBodyBytes:   *f.maxBody,
+		MaxBulkBytes:   *f.maxBulk,
+		RequestTimeout: *f.requestTimeout,
 		Logger:         logger,
-		SolveWorkers:   p.solveWorkers,
-		MaxNetwork:     p.maxNetwork,
+		SolveWorkers:   *f.solveWorkers,
+		MaxNetwork:     *f.maxNetwork,
 		Role:           "replica",
-		PrimaryURL:     p.follow,
+		PrimaryURL:     *f.follow,
 		Follower:       rep,
 	})
-	err = serveHTTP(ctx, stdout, logger, p.addr, srv.Handler(), p.shutdownTimeout)
+	err = serveHTTP(ctx, stdout, logger, *f.addr, srv.Handler(), *f.shutdownTimeout)
 	<-tailDone
 	if err != nil {
 		return err

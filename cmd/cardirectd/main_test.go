@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -325,6 +327,35 @@ func TestRunFlagErrors(t *testing.T) {
 		if err := run(args, os.Stdout); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestFlagsDocumented: API.md's "Flags:" paragraphs, between its "Start it
+// with:" line and its first section heading, name every flag of the command
+// and nothing that is not one.
+func TestFlagsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, running, ok := strings.Cut(string(doc), "Start it with:")
+	running, _, ok2 := strings.Cut(running, "\n## ")
+	if !ok || !ok2 {
+		t.Fatal("API.md lost its \"Start it with:\" paragraph or the section after it")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`-([a-z-]+)[ `]").FindAllStringSubmatch(running, -1) {
+		documented[m[1]] = true
+	}
+	fs, _ := newFlagSet()
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("API.md does not document the -%s flag", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("API.md documents a -%s flag the command does not have", name)
 	}
 }
 

@@ -80,15 +80,15 @@ func (img *Image) RenameRegion(oldID, newID string) error {
 	if newID == "" {
 		return fmt.Errorf("config: empty new region id")
 	}
+	r := img.FindRegion(oldID)
+	if r == nil {
+		return fmt.Errorf("config: region %q: %w", oldID, ErrUnknownRegion)
+	}
 	if oldID == newID {
 		return nil
 	}
 	if img.FindRegion(newID) != nil {
 		return fmt.Errorf("config: region %q: %w", newID, ErrDuplicateRegion)
-	}
-	r := img.FindRegion(oldID)
-	if r == nil {
-		return fmt.Errorf("config: region %q: %w", oldID, ErrUnknownRegion)
 	}
 	r.ID = newID
 	for i := range r.Polygons {

@@ -68,6 +68,7 @@ func TestEditUnknownRegionSentinel(t *testing.T) {
 	for _, err := range []error{
 		img.RemoveRegion("ghost"),
 		img.RenameRegion("ghost", "x"),
+		img.RenameRegion("ghost", "ghost"), // a self-rename is a no-op only of a region that exists
 		img.SetRegionGeometry("ghost", sqRegion(0, 0, 1, 1)),
 	} {
 		if !errors.Is(err, ErrUnknownRegion) {

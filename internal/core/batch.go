@@ -144,63 +144,3 @@ func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]Pai
 	}
 	return out, total, nil
 }
-
-// FindRelated returns the names of the candidate regions whose relation to
-// the reference region is a member of the allowed set — the primitive
-// behind "retrieve combinations of interesting regions" queries when only
-// one side varies. It fans out over a GOMAXPROCS-sized worker pool with
-// sorted, deterministic output; cancellation is observed once per claimed
-// candidate and returned as the context's error (a nil ctx means
-// context.Background). A candidate with no usable geometry yields an error
-// wrapping ErrDegenerateRegion rather than a silent non-match.
-func FindRelated(ctx context.Context, candidates []NamedRegion, reference geom.Region, allowed RelationSet) ([]string, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if allowed.IsEmpty() {
-		return nil, fmt.Errorf("core: empty allowed relation set")
-	}
-	if len(reference) == 0 {
-		return nil, fmt.Errorf("core: reference region is empty")
-	}
-	grid, err := NewGrid(reference.BoundingBox())
-	if err != nil {
-		return nil, err
-	}
-	n := len(candidates)
-	matched := make([]bool, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	runPool(poolSize(0, n), func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			c := candidates[i]
-			p, err := Prepare(c.Name, c.Region)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			matched[i] = allowed.Contains(p.relate(grid, false, nil))
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []string
-	for i := range candidates {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if matched[i] {
-			out = append(out, candidates[i].Name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}

@@ -53,17 +53,6 @@ func TestBatchCDRDeadline(t *testing.T) {
 	}
 }
 
-// TestFindRelatedCtxCancelled covers the candidate-filter engine's check.
-func TestFindRelatedCtxCancelled(t *testing.T) {
-	regions := scatterRegions(t, 9, 50)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := FindRelated(ctx, regions[1:], regions[0].Region, NewRelationSet(N, S))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindRelated on cancelled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
 // TestBatchCDRNilOptions: nil options and nil context take the defaults.
 func TestBatchCDRNilOptions(t *testing.T) {
 	regions := scatterRegions(t, 12, 10)

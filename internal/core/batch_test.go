@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -134,54 +132,6 @@ func TestContainedMBBPairs(t *testing.T) {
 	}
 }
 
-// TestFindRelatedDegenerateCandidate is the regression test for the silent
-// invalid-relation bug: a degenerate candidate must surface as a named
-// error, not as a silent non-match.
-func TestFindRelatedDegenerateCandidate(t *testing.T) {
-	ref := geom.Rgn(workload.Box(0, 0, 10, 6))
-	candidates := []NamedRegion{
-		{Name: "ok", Region: geom.Rgn(workload.Box(2, -5, 8, -1))},
-		{Name: "empty", Region: geom.Region{}},
-	}
-	_, err := FindRelated(context.Background(), candidates, ref, NewRelationSet(S))
-	if !errors.Is(err, ErrDegenerateRegion) {
-		t.Errorf("FindRelated err = %v, want ErrDegenerateRegion", err)
-	}
-	// A region of edgeless polygons is just as degenerate.
-	candidates[1].Region = geom.Region{geom.Polygon{}}
-	if _, err := FindRelated(context.Background(), candidates, ref, NewRelationSet(S)); !errors.Is(err, ErrDegenerateRegion) {
-		t.Errorf("edgeless candidate err = %v, want ErrDegenerateRegion", err)
-	}
-}
-
-// TestFindRelatedParallelMatchesSequential: the worker pool must not change
-// the answer — the pooled FindRelated returns exactly the names a
-// sequential scan through the paper's ComputeCDR selects.
-func TestFindRelatedParallelMatchesSequential(t *testing.T) {
-	regions := batchWorkload(9, 60)
-	ref := regions[0].Region
-	candidates := regions[1:]
-	allowed := NewRelationSet(S, N, W, E, Rel(TileS, TileSW), Rel(TileN, TileNE))
-	var seq []string
-	for _, c := range candidates {
-		rel, err := ComputeCDR(c.Region, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allowed.Contains(rel) {
-			seq = append(seq, c.Name)
-		}
-	}
-	sort.Strings(seq)
-	par, err := FindRelated(context.Background(), candidates, ref, allowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel %v != sequential %v", par, seq)
-	}
-}
-
 // TestComputeAllPairsPreparedReuse: callers holding Prepared values get the
 // same results without re-preparation.
 func TestComputeAllPairsPreparedReuse(t *testing.T) {
@@ -263,31 +213,6 @@ func TestComputeAllPairsErrors(t *testing.T) {
 	}
 	if _, err := batch(NamedRegion{Name: "x", Region: refB()}, NamedRegion{Name: "y", Region: geom.Region{}}); err == nil {
 		t.Error("empty region should fail")
-	}
-}
-
-func TestFindRelated(t *testing.T) {
-	ctx := context.Background()
-	b := refB()
-	candidates := []NamedRegion{
-		{Name: "south", Region: box(2, -5, 8, -1)},
-		{Name: "east", Region: box(12, 2, 14, 5)},
-		{Name: "northish", Region: box(2, 7, 8, 9)},
-		{Name: "farnorthwest", Region: box(-9, 8, -6, 10)},
-	}
-	got, err := FindRelated(ctx, candidates, b, NewRelationSet(S, N))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "northish" || got[1] != "south" {
-		t.Errorf("FindRelated = %v", got)
-	}
-	if _, err := FindRelated(ctx, candidates, b, RelationSet{}); err == nil {
-		t.Error("empty allowed set should fail")
-	}
-	line := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)))
-	if _, err := FindRelated(ctx, candidates, line, NewRelationSet(S)); err == nil {
-		t.Error("degenerate reference should fail")
 	}
 }
 

@@ -317,12 +317,14 @@ func (s *RelationStore) pair(primary, reference string) (a, b *Prepared, err err
 // pctPair is pair for the quantitative reads.
 func (s *RelationStore) pctPair(primary, reference string) (a, b *Prepared, err error) {
 	if !s.opt.Pct {
-		return nil, nil, errNoPct
+		return nil, nil, ErrNoPct
 	}
 	return s.pair(primary, reference)
 }
 
-var errNoPct = errors.New("core: store does not answer percentages (StoreOptions.Pct)")
+// ErrNoPct is returned by the quantitative reads of a store built without
+// StoreOptions.Pct.
+var ErrNoPct = errors.New("core: store does not answer percentages (StoreOptions.Pct)")
 
 // relate runs Compute-CDR on one pair and counts the stage that decided it.
 func (s *RelationStore) relate(a, b *Prepared) Relation {
@@ -470,21 +472,33 @@ func (s *RelationStore) all() []*Prepared {
 func (s *RelationStore) Pairs() []PairRelation {
 	// Every held region passed usable, the only error the engine has
 	// without a context to cancel.
-	out, st, _ := batchPrepared(context.Background(), s.all(), BatchOptions{Workers: s.opt.Workers})
+	out, _ := s.PairsCtx(context.Background())
+	return out
+}
+
+// PairsCtx is Pairs honoring a context: the sweep polls it once per primary
+// row and returns the context's error.
+func (s *RelationStore) PairsCtx(ctx context.Context) ([]PairRelation, error) {
+	out, st, err := batchPrepared(ctx, s.all(), BatchOptions{Workers: s.opt.Workers})
 	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
 	s.served[stageBand].Add(int64(st.PruneBand))
 	s.served[stageExact].Add(int64(st.Passes - st.PruneSingleTile - st.PruneBand))
-	return out
+	return out, err
 }
 
 // PctPairs returns every quantitative pair sorted by (primary, reference),
 // BatchPct over the current regions. The store must have been built with
 // StoreOptions.Pct.
 func (s *RelationStore) PctPairs() ([]PairPercent, error) {
+	return s.PctPairsCtx(context.Background())
+}
+
+// PctPairsCtx is PctPairs honoring a context, like PairsCtx.
+func (s *RelationStore) PctPairsCtx(ctx context.Context) ([]PairPercent, error) {
 	if !s.opt.Pct {
-		return nil, errNoPct
+		return nil, ErrNoPct
 	}
-	out, st, err := batchPctPrepared(context.Background(), s.all(), BatchOptions{Workers: s.opt.Workers})
+	out, st, err := batchPctPrepared(ctx, s.all(), BatchOptions{Workers: s.opt.Workers})
 	s.served[stagePctTile].Add(int64(st.PrunePctTile))
 	s.served[stagePctPoly].Add(int64(st.PrunePctPoly))
 	s.served[stagePctExact].Add(int64(st.Passes - st.PrunePctTile - st.PrunePctPoly))

@@ -39,12 +39,12 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 //   - written_ms_* / planner_ms_*: an adversarially-ordered three-variable
 //     query — the percent condition written first, the binding that pins
 //     the join written last, and both relation conditions pinned on their
-//     PRIMARY side, which the old single-shot pre-filter cannot push. The
-//     written-order join binds x and y before the bound z, paying n² percent
-//     checks; the planner binds z first and pushes both relation conditions
-//     down as one store row read each (n kernel runs over the held Prepared
-//     forms — the store caches no rows), shrinking x and y before the join.
-//     Results are asserted identical (sorted bindings) before timing.
+//     PRIMARY side. The written-order join pushes nothing down and binds x
+//     and y before the bound z, paying n² percent checks; the planner binds
+//     z first and pushes both relation conditions down as one store row
+//     read each (n kernel runs over the held Prepared forms — the store
+//     caches no rows), shrinking x and y before the join. Results are
+//     asserted identical (sorted bindings) before timing.
 //   - planner_speedup: the smaller of the two worlds' ratios — the
 //     regression-gated floor behind TestE22PlannerWins (≥5x).
 func E22QueryPlanner(o Options) (Report, error) {
@@ -82,9 +82,9 @@ func E22QueryPlanner(o Options) (Report, error) {
 		mid := ids[n/2]
 		// Adversarial ordering: the expensive percent condition leads, the
 		// pinning bind trails, and both relation conditions pin their
-		// primary side (z), which the written-order pre-filter skips. The
-		// shape is satisfiable: z north of x and south of y puts x south of
-		// y, so x lands in y's SW tile for the western half of the pairs.
+		// primary side (z). The shape is satisfiable: z north of x and south
+		// of y puts x south of y, so x lands in y's SW tile for the western
+		// half of the pairs.
 		adversarial := fmt.Sprintf(
 			"q(x, y, z) :- pct(x SW y) >= 40, z {N, N:NE, NE} x, z {S, S:SW, SW} y, z = %s", mid)
 
@@ -94,7 +94,6 @@ func E22QueryPlanner(o Options) (Report, error) {
 				return nil, err
 			}
 			ev.UseStore(tr.Store())
-			ev.UseIndex(tr.Index())
 			ev.SetPlanner(planner)
 			return ev.EvalString(adversarial)
 		}

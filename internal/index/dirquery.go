@@ -96,25 +96,13 @@ func directionalSelect(
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := selection{ctx: ctx, allowed: allowed, prepare: prepare, exact: true}
+	s := selection{ctx: ctx, allowed: allowed, prepare: prepare}
 	if err := s.run(tree, reference); err != nil {
 		return nil, s.st, err
 	}
 	sort.Strings(s.out)
 	s.st.Matched = len(s.out)
 	return s.out, s.st, nil
-}
-
-// EstimateSelect runs only the cheap stages of the directional-selection
-// plan — the window traversal and MBB refinement, never exact geometry —
-// and returns the instrumentation (Exact and Matched stay zero). The query
-// planner reads MBBMatched/Total off the result as a sound upper-bound
-// selectivity estimate for a pinned-reference relation condition, paying
-// one pruned traversal instead of the selection itself.
-func EstimateSelect(tree *RTree, reference geom.Region, allowed core.RelationSet) (SelectStats, error) {
-	s := selection{ctx: context.Background(), allowed: allowed}
-	err := s.run(tree, reference)
-	return s.st, err
 }
 
 // selection is the state of one directional selection: the reference grid,
@@ -129,7 +117,6 @@ type selection struct {
 	// in column c of row r: the union of the constraint tiles' windows.
 	rowCols [3]uint8
 	prepare func(id string) (*core.Prepared, error)
-	exact   bool // run stage 3; EstimateSelect stops after stage 2
 	st      SelectStats
 	out     []string
 }
@@ -240,9 +227,6 @@ func (s *selection) refine(it *Item) error {
 		return nil
 	}
 	s.st.MBBMatched++
-	if !s.exact {
-		return nil
-	}
 	// Stage 3: exact refinement through the prepared-region engine — the
 	// reference grid is reused across survivors and box-separable survivors
 	// take the MBB fast path.
@@ -258,44 +242,6 @@ func (s *selection) refine(it *Item) error {
 		s.out = append(s.out, it.ID)
 	}
 	return nil
-}
-
-// FindRelated is the index-driven counterpart of core.FindRelated: it
-// bulk-loads the candidates' bounding boxes into a transient R-tree and
-// answers through DirectionalSelect, so on scatter-like inputs most
-// candidates are dismissed by window queries without their geometry ever
-// being touched. Results are identical to core.FindRelated (sorted names);
-// a candidate with no usable geometry yields a wrapped
-// core.ErrDegenerateRegion like the scan path does. Cancellation is observed
-// once per candidate refinement, like DirectionalSelectStatsCtx.
-func FindRelated(ctx context.Context, candidates []core.NamedRegion, reference geom.Region, allowed core.RelationSet) ([]string, error) {
-	if allowed.IsEmpty() {
-		return nil, fmt.Errorf("core: empty allowed relation set")
-	}
-	if len(reference) == 0 {
-		return nil, fmt.Errorf("core: reference region is empty")
-	}
-	items := make([]Item, 0, len(candidates))
-	regions := make(map[string]geom.Region, len(candidates))
-	for _, c := range candidates {
-		box := c.Region.BoundingBox()
-		if box.IsEmpty() {
-			// Preserve the scan path's contract: degenerate candidates are
-			// an error, not a silent non-match. Prepare produces the
-			// canonical wrapped sentinel.
-			if _, err := core.Prepare(c.Name, c.Region); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: region %q has empty bounding box: %w", c.Name, core.ErrDegenerateRegion)
-		}
-		items = append(items, Item{Box: box, ID: c.Name})
-		regions[c.Name] = c.Region
-	}
-	tree, err := BulkLoad(items)
-	if err != nil {
-		return nil, err
-	}
-	return DirectionalSelect(tree, regions, reference, allowed)
 }
 
 // tileBlocks maps the column and row bits of axisBits to the relation made

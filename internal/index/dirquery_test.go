@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -210,59 +209,6 @@ func TestDirectionalSelectStatsPrunes(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("full-scan results diverge: %v vs %v", got, want)
 	}
-}
-
-// TestFindRelatedMatchesCore checks the index-driven FindRelated against the
-// core scan implementation on a scatter workload, including the degenerate
-// candidate contract.
-func TestFindRelatedMatchesCore(t *testing.T) {
-	g := workload.New(41)
-	scattered := g.Scatter(150, 8)
-	candidates := make([]core.NamedRegion, len(scattered))
-	for i, r := range scattered {
-		candidates[i] = core.NamedRegion{Name: fmt.Sprintf("r%04d", i), Region: r}
-	}
-	ref := workload.BoxRegion(30, 30, 50, 50)
-	for i, allowed := range []core.RelationSet{
-		core.NewRelationSet(core.SW, core.Rel(core.TileS, core.TileSW)),
-		core.NewRelationSet(core.B),
-		core.NewRelationSet(core.NE, core.E, core.Rel(core.TileNE, core.TileE)),
-	} {
-		want, err := core.FindRelated(context.Background(), candidates, ref, allowed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FindRelated(context.Background(), candidates, ref, allowed)
-		if err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("set %d: indexed %v != scan %v", i, got, want)
-		}
-	}
-	// A degenerate candidate errors with the wrapped sentinel, like the scan.
-	bad := append([]core.NamedRegion{}, candidates...)
-	bad = append(bad, core.NamedRegion{Name: "empty", Region: geom.Region{}})
-	if _, err := FindRelated(context.Background(), bad, ref, core.NewRelationSet(core.B)); !errorsIsDegenerate(err) {
-		t.Errorf("degenerate candidate: got %v, want wrapped ErrDegenerateRegion", err)
-	}
-}
-
-func errorsIsDegenerate(err error) bool {
-	for ; err != nil; err = unwrap(err) {
-		if err == core.ErrDegenerateRegion {
-			return true
-		}
-	}
-	return false
-}
-
-func unwrap(err error) error {
-	u, ok := err.(interface{ Unwrap() error })
-	if !ok {
-		return nil
-	}
-	return u.Unwrap()
 }
 
 func BenchmarkDirectionalSelect(b *testing.B) {

@@ -62,16 +62,6 @@ func liveItem(p *core.Prepared) Item { return Item{ID: p.Name, Box: p.Box, Prepa
 // Len returns the number of indexed regions.
 func (l *Live) Len() int { return l.tree.Len() }
 
-// Has reports whether id is indexed.
-func (l *Live) Has(id string) bool {
-	_, ok := l.ps[id]
-	return ok
-}
-
-// Tree exposes the underlying R-tree for window queries and structural
-// assertions; callers must not mutate it.
-func (l *Live) Tree() *RTree { return l.tree }
-
 // Add indexes a new region. The id must be unique and non-empty, the
 // region must have edges.
 func (l *Live) Add(id string, g geom.Region) error {

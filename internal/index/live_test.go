@@ -146,7 +146,7 @@ func TestLiveMatchesBulkLoad(t *testing.T) {
 
 	check := func(op int) {
 		t.Helper()
-		if err := l.Tree().checkInvariants(); err != nil {
+		if err := l.tree.checkInvariants(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		got, err := l.Select(ref, allowed)

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,6 +121,26 @@ func TestFreshInitAndRecovery(t *testing.T) {
 	defer r3.Close()
 	if got := r3.Tracked().Store().Len(); got != len(wantPairsRegions(wantPairs)) {
 		t.Errorf("seed overrode durable state: %d regions", got)
+	}
+}
+
+// TestRefusedEditLogsNothing: an edit the tracked store refuses — the
+// self-rename of a region that does not exist included — appends no record.
+func TestRefusedEditLogsNothing(t *testing.T) {
+	s := openForTest(t, t.TempDir(), buildImage(t, workload.New(3).Scatter(4, 6)))
+	defer s.Close()
+	before := s.Status().WAL.Records
+	for name, err := range map[string]error{
+		"rename ghost→ghost": s.RenameRegion("ghost", "ghost"),
+		"rename ghost→x":     s.RenameRegion("ghost", "x"),
+		"remove ghost":       s.RemoveRegion("ghost"),
+	} {
+		if !errors.Is(err, config.ErrUnknownRegion) {
+			t.Errorf("%s: err = %v, want ErrUnknownRegion", name, err)
+		}
+	}
+	if after := s.Status().WAL.Records; after != before {
+		t.Errorf("refused edits appended %d WAL record(s)", after-before)
 	}
 }
 

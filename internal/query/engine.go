@@ -75,7 +75,7 @@ func (g *Engine) Run(ctx context.Context, tr *config.Tracked, input string, args
 		ev := g.snap.Evaluator()
 		g.mu.Unlock()
 		ev.store, ev.preps, ev.prepsGen = tr.Store(), ev.snap.preps, gen
-		ev.live, ev.plans = tr.Index(), g.plans
+		ev.plans = g.plans
 		res, err = ev.Run(ctx, input, args)
 		return err
 	})

@@ -8,7 +8,6 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
-	"cardirect/internal/geom"
 	"cardirect/internal/index"
 )
 
@@ -20,10 +19,9 @@ type Binding map[string]string
 // of every region's attributes (sharing the document's polygon storage: O(n)
 // words, no geometry copy) and the secondary attribute indexes. Any number
 // of Evaluator shells may share one; a server keeps one per store generation
-// (see Engine). The image is held only to read materialised Relation
-// elements in the no-store fallback.
+// (see Engine). The document's materialised Relation elements are not read:
+// relations come from a store over the regions' geometry (see UseStore).
 type Snapshot struct {
-	img   *config.Image
 	ids   []string
 	preps []*core.Prepared // the Engine's store's forms, aligned with ids (Evaluator.storeRow)
 	regs  map[string]*config.Region
@@ -47,7 +45,6 @@ func NewSnapshot(img *config.Image) *Snapshot {
 	regions := make([]config.Region, len(img.Regions))
 	copy(regions, img.Regions)
 	s := &Snapshot{
-		img:  img,
 		ids:  make([]string, len(regions)),
 		regs: make(map[string]*config.Region, len(regions)),
 		attrs: map[string]*attr{
@@ -66,36 +63,23 @@ func NewSnapshot(img *config.Image) *Snapshot {
 }
 
 // Evaluator returns a fresh O(1) evaluator shell over the snapshot, with no
-// store, index or plan cache attached. Shells are single-goroutine; any
+// store or plan cache attached. Shells are single-goroutine; any
 // number may share one snapshot concurrently.
 func (s *Snapshot) Evaluator() *Evaluator { return &Evaluator{snap: s} }
 
 // Evaluator answers queries over one CARDIRECT configuration: a shared
 // immutable Snapshot plus the context-bound mutable state of one caller.
-// Pairwise relations come from the attached store when it holds the pair;
-// otherwise they are computed lazily with Compute-CDR from the snapshot and
-// memoised, so repeated queries pay the geometry cost once per ordered pair.
+// Every relation and percent matrix is read from one core.RelationStore —
+// the one UseStore attached, or a private one the evaluator builds over the
+// snapshot's regions the first time it needs a relation.
 type Evaluator struct {
 	snap      *Snapshot
-	store     *core.RelationStore
-	preps     []*core.Prepared // the store's forms aligned with snap.ids, see storeRow
-	prepsGen  uint64           // store generation preps was fetched at
-	live      *index.Live
+	store     *core.RelationStore // attached (UseStore) or private, see relations
+	preps     []*core.Prepared    // the store's forms aligned with snap.ids, see storeRow
+	prepsGen  uint64              // store generation preps was fetched at
 	plans     *PlanCache
 	noPlanner bool
 	attrs     map[string]*attr // RegisterAttr overlay; never the snapshot's map
-	fb        *fallback
-}
-
-// fallback is the no-store evaluation state, allocated on first use (a
-// request answered from the relation store never touches it). It derives
-// from the immutable snapshot, so it never goes stale; store-answered pairs
-// are deliberately not memoised — a store read is a kernel run of tens of
-// nanoseconds, and the store is the side that sees edits.
-type fallback struct {
-	preps map[string]*core.Prepared
-	rels  map[[2]string]core.Relation
-	pcts  map[[2]string]core.PercentMatrix
 }
 
 // NewEvaluator validates the configuration and prepares a one-shot evaluator
@@ -147,35 +131,59 @@ func (e *Evaluator) attrIndex(name string) map[string][]string {
 	return a.idx
 }
 
-// UseStore wires a maintained core.RelationStore into the evaluator:
-// Relation and Percent answer from it — computed from the store's prepared
-// regions, so fresher than any materialised Relation elements — falling back to the evaluator's own lazy computation for pairs the store
-// does not hold. The store's region names must be the configuration's
-// region ids (as config.Track arranges). Pass nil to detach.
+// UseStore makes s the store Relation, Percent and the pushdown row reads
+// answer from — computed from the store's prepared regions, so an edited
+// store is seen at once. The store must hold every region of the snapshot
+// under its id, as config.Track arranges; a region it lacks fails the query
+// with core.ErrUnknownRegion. Pass nil to go back to the private store.
 func (e *Evaluator) UseStore(s *core.RelationStore) {
 	e.store, e.preps = s, nil
 }
 
-// storeRow returns the store's Prepared forms of the pinned region and of
-// cand — a sorted subset of snap.ids, aligned with it by one merge walk — for
-// core.RelationStore.RelateRow, or nils when there is no store or it lacks a
-// snapshot region. The forms are fetched under one store lock per store
-// generation (by the Engine, when it builds its snapshot), so a pushdown
-// takes no lock and looks up no name per candidate.
-func (e *Evaluator) storeRow(pinID string, cand []string) (pin *core.Prepared, row []*core.Prepared) {
+// relations returns the store the evaluator reads from, building the private
+// one — one Prepare per snapshot region, no pair computed — when none is
+// attached. It is never edited, so its generation stays 0.
+func (e *Evaluator) relations() (*core.RelationStore, error) {
 	if e.store == nil {
-		return nil, nil
+		regions := make([]core.NamedRegion, len(e.snap.ids))
+		for i, id := range e.snap.ids {
+			regions[i] = core.NamedRegion{Name: id, Region: e.snap.regs[id].Geometry()}
+		}
+		s, err := core.NewRelationStore(regions, core.StoreOptions{Pct: true})
+		if err != nil {
+			return nil, err
+		}
+		e.store = s
 	}
-	if gen := e.store.Generation(); e.preps == nil || e.prepsGen != gen {
-		e.preps, _ = e.store.PreparedAll(e.snap.ids)
+	return e.store, nil
+}
+
+// storeRow is the row read behind pushdown and selectivity probes: the
+// relation of every cand[k] — a sorted subset of snap.ids — against the
+// pinned region (cand[k] as primary when pinnedIsRef, the transpose
+// otherwise; B where cand[k] is the pin), through
+// core.RelationStore.RelateRow. The store's Prepared forms are fetched under
+// one store lock per store generation (by the Engine, when it builds its
+// snapshot) and aligned with cand by one merge walk, so a row takes no lock
+// and looks up no name per candidate.
+func (e *Evaluator) storeRow(ctx context.Context, pinID string, pinnedIsRef bool, cand []string) ([]core.Relation, error) {
+	s, err := e.relations()
+	if err != nil {
+		return nil, err
+	}
+	if gen := s.Generation(); e.preps == nil || e.prepsGen != gen {
+		if e.preps, err = s.PreparedAll(e.snap.ids); err != nil {
+			return nil, err
+		}
 		e.prepsGen = gen
 	}
 	ids := e.snap.ids
 	k := sort.SearchStrings(ids, pinID)
-	if e.preps == nil || k == len(ids) || ids[k] != pinID {
-		return nil, nil
+	if k == len(ids) || ids[k] != pinID {
+		return nil, fmt.Errorf("query: region %q: %w", pinID, core.ErrUnknownRegion)
 	}
-	if row = e.preps; len(cand) != len(ids) {
+	row := e.preps
+	if len(cand) != len(ids) {
 		row = make([]*core.Prepared, len(cand))
 		for i, j := 0, 0; i < len(cand); j++ {
 			if ids[j] == cand[i] {
@@ -183,16 +191,15 @@ func (e *Evaluator) storeRow(pinID string, cand []string) (pin *core.Prepared, r
 			}
 		}
 	}
-	return e.preps[k], row
+	rels := make([]core.Relation, len(cand))
+	return rels, s.RelateRow(ctx, e.preps[k], pinnedIsRef, row, rels)
 }
 
-// UseIndex wires a maintained index.Live into the evaluator: the planner's
-// selectivity probes and relation pushdown run window queries against it
-// instead of bulk-loading transient trees. The index must cover the
-// evaluator's configuration (as config.Track arranges). Pass nil to detach.
-func (e *Evaluator) UseIndex(l *index.Live) {
-	e.live = l
-}
+// UseIndex does nothing: relation pushdown reads store rows, not R-tree
+// windows. The method remains only because bench/replay.go:299 calls it and
+// bench/ changes in `benchmark` PRs alone; the next one drops the call and
+// this method with it.
+func (e *Evaluator) UseIndex(*index.Live) {}
 
 // SetPlanner toggles cost-based planning (on by default). With the planner
 // off, Eval and Run bind variables and check conditions in written order —
@@ -214,108 +221,25 @@ func (e *Evaluator) SetPlanCache(c *PlanCache) {
 // disabled).
 func (e *Evaluator) PlanCacheHandle() *PlanCache { return e.plans }
 
-// fallbackState returns the no-store evaluation state, allocating it on
-// first use.
-func (e *Evaluator) fallbackState() *fallback {
-	if e.fb == nil {
-		e.fb = &fallback{
-			preps: map[string]*core.Prepared{},
-			rels:  map[[2]string]core.Relation{},
-			pcts:  map[[2]string]core.PercentMatrix{},
-		}
-	}
-	return e.fb
-}
-
-// geometry converts a snapshot region to the algorithms' representation, on
-// demand (an unknown id yields the empty region).
-func (e *Evaluator) geometry(id string) geom.Region {
-	if r := e.snap.regs[id]; r != nil {
-		return r.Geometry()
-	}
-	return nil
-}
-
-// prepared returns the region's Prepared form, building and caching it on
-// first use. All repeated-query geometry goes through this cache, so each
-// region is normalised and edge-flattened at most once per evaluator.
-func (e *Evaluator) prepared(id string) (*core.Prepared, error) {
-	fb := e.fallbackState()
-	if p, ok := fb.preps[id]; ok {
-		return p, nil
-	}
-	p, err := core.Prepare(id, e.geometry(id))
-	if err != nil {
-		return nil, err
-	}
-	fb.preps[id] = p
-	return p, nil
-}
-
 // Relation returns the cardinal direction relation of primary p versus
-// reference q: the store's answer when it holds the pair, else a
-// materialised relation of the configuration (trusted when present), else
-// computed from geometry — the latter two memoised on first use.
+// reference q, read from the store.
 func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
-	if e.store != nil {
-		if r, err := e.store.Relation(p, q); err == nil {
-			return r, nil
-		}
-	}
-	fb, key := e.fallbackState(), [2]string{p, q}
-	if r, ok := fb.rels[key]; ok {
-		return r, nil
-	}
-	if entry, ok := e.snap.img.RelationBetween(p, q); ok {
-		r, err := core.ParseRelation(entry.Type)
-		if err == nil {
-			fb.rels[key] = r
-			return r, nil
-		}
-	}
-	pa, err := e.prepared(p)
+	s, err := e.relations()
 	if err != nil {
-		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
+		return 0, err
 	}
-	pb, err := e.prepared(q)
-	if err != nil {
-		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
-	}
-	r, err := core.Relate(pa, pb, nil)
-	if err != nil {
-		return 0, fmt.Errorf("query: relation %s vs %s: %w", p, q, err)
-	}
-	fb.rels[key] = r
-	return r, nil
+	return s.Relation(p, q)
 }
 
-// Percent returns the percentage matrix of primary p versus reference q:
-// the store's answer when it holds the pair, else computed from
-// geometry and memoised.
+// Percent returns the percentage matrix of primary p versus reference q,
+// read from the store (an attached store must answer percentages,
+// core.StoreOptions.Pct).
 func (e *Evaluator) Percent(p, q string) (core.PercentMatrix, error) {
-	if e.store != nil {
-		if m, err := e.store.Percent(p, q); err == nil {
-			return m, nil
-		}
-	}
-	fb, key := e.fallbackState(), [2]string{p, q}
-	if m, ok := fb.pcts[key]; ok {
-		return m, nil
-	}
-	pa, err := e.prepared(p)
+	s, err := e.relations()
 	if err != nil {
-		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
+		return core.PercentMatrix{}, err
 	}
-	pb, err := e.prepared(q)
-	if err != nil {
-		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
-	}
-	m, _, err := core.RelatePct(pa, pb, nil)
-	if err != nil {
-		return core.PercentMatrix{}, fmt.Errorf("query: percentages %s vs %s: %w", p, q, err)
-	}
-	fb.pcts[key] = m
-	return m, nil
+	return s.Percent(p, q)
 }
 
 // EvalString parses and evaluates a query in one step, through the planner
@@ -387,38 +311,6 @@ func (e *Evaluator) evalWrittenOrder(ctx context.Context, q *Query) ([]Binding, 
 			rels = append(rels, cc)
 		case PctCond:
 			pcts = append(pcts, cc)
-		}
-	}
-
-	// Indexed pre-filter: a relation condition whose reference side is
-	// already pinned to one region is a directional selection, so its
-	// primary side can be pruned through R-tree window queries before the
-	// join loop ever binds it. The exact refinement inside FindRelated makes
-	// the filter precise, not just sound. Materialised relations are trusted
-	// over geometry, so the filter only applies when the configuration
-	// carries none; any filter failure just falls back to the unpruned loop,
-	// which surfaces errors with their usual context.
-	if len(e.snap.img.Relations) == 0 {
-		for _, rc := range rels {
-			if rc.Negated || rc.Left == rc.Right {
-				continue
-			}
-			refCand := candidates[rc.Right]
-			if len(refCand) != 1 || len(candidates[rc.Left]) < 2 {
-				continue
-			}
-			// pushRTree prefers the maintained live index over bulk-loading
-			// a transient tree, and honors the context; a filter failure
-			// just falls back to the unpruned loop, which surfaces errors
-			// with their usual context.
-			keep, err := e.pushRTree(ctx, rc, refCand[0], candidates[rc.Left])
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				continue
-			}
-			candidates[rc.Left] = keep
 		}
 	}
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"cardirect/internal/core"
-	"cardirect/internal/index"
 )
 
 // This file implements the cost-based query planner. Written-order
@@ -19,20 +18,18 @@ import (
 //   - estimates per-condition selectivity — bindings pin to one region,
 //     attribute filters are counted exactly against the configuration,
 //     relation conditions with one side pinned are probed through the
-//     relation store's row read of the pin (core.RelationStore.RelateRow) or
-//     the live R-tree (index.EstimateSelect), and percent conditions are
-//     heuristically the most expensive and always scheduled last;
+//     relation store's row read of the pin (core.RelationStore.RelateRow),
+//     and percent conditions are heuristically the most expensive and always
+//     scheduled last;
 //   - orders variable binding smallest-candidate-set first, preferring
 //     variables connected to already-ordered ones (joins over cross
 //     products);
 //   - schedules each relation/percent condition at the earliest join depth
 //     where its variables are bound, most selective first, so failing
 //     bindings are cut off as high in the search tree as possible;
-//   - generalises the single-shot indexed pre-filter into pushdown: every
-//     relation condition with one side pinned to a single region filters
-//     the other side's candidate set before the join starts, through one
-//     store row read, the live R-tree, or pairwise lookups — including
-//     negated and pinned-primary conditions the old pre-filter skipped.
+//   - pushes down every relation condition with one side pinned to a single
+//     region: one store row read filters the other side's candidate set
+//     before the join starts, negated and pinned-primary conditions included.
 //
 // Plans depend only on the query text and the store generation, so they are
 // cacheable (see PlanCache); the per-execution candidate state lives in
@@ -76,8 +73,8 @@ type Plan struct {
 // execution-dependent Pushed/Candidates fields are empty).
 func (p *Plan) Info() PlanInfo { return p.info }
 
-// selHeuristicRel is the fallback selectivity of a relation condition when
-// neither the store row nor the R-tree can be probed: proportional to how
+// selHeuristicRel is the selectivity of a relation condition with no side
+// pinned to a known region, so no store row to probe: proportional to how
 // many of the nine single-tile relations the allowed set admits.
 func selHeuristicRel(rels core.RelationSet) float64 {
 	return clampSel(float64(rels.Len()) / 9)
@@ -148,10 +145,9 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 	}
 
 	// Pass 2: relation conditions. With one side pinned to a known region
-	// the selectivity is probed — exactly through the store's row of the pin,
-	// or as an MBB upper bound through the live R-tree — and shrinks the
-	// free side's estimate; otherwise a tile-count heuristic orders the
-	// condition among its peers.
+	// the selectivity is probed, exactly, through the store's row of the pin
+	// and shrinks the free side's estimate; otherwise a tile-count heuristic
+	// orders the condition among its peers.
 	var conds []planCond
 	for i, c := range q.Conds {
 		switch cc := c.(type) {
@@ -267,38 +263,25 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 }
 
 // probeSel estimates the selectivity of a relation condition whose pinned
-// side is the known region pin: exact through the store's row read of pin
-// when the store holds the regions, an MBB upper bound through the live R-tree
-// when the pinned side is the reference, and the tile-count heuristic otherwise.
+// side is the region pin: exact through the store's row read of pin, the
+// tile-count heuristic when there is no such row (an unknown pin, a world of
+// one region).
 func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
-	if p, row := e.storeRow(pin, e.snap.ids); len(row) > 1 {
-		rels := make([]core.Relation, len(row))
-		if e.store.RelateRow(context.TODO(), p, pinnedIsRef, row, rels) == nil {
-			matched := 0
-			for k, rel := range rels {
-				if row[k] != p && cc.Rels.Contains(rel) {
-					matched++
-				}
-			}
-			sel := float64(matched) / float64(len(row)-1)
-			if cc.Negated {
-				sel = 1 - sel
-			}
-			return clampSel(sel)
-		}
-	}
-	if e.live != nil && pinnedIsRef && !cc.Negated && e.live.Has(pin) {
-		if g := e.geometry(pin); g != nil {
-			if st, err := index.EstimateSelect(e.live.Tree(), g, cc.Rels); err == nil && st.Total > 0 {
-				return clampSel(float64(st.MBBMatched) / float64(st.Total))
-			}
-		}
-	}
+	ids := e.snap.ids
 	sel := selHeuristicRel(cc.Rels)
-	if cc.Negated {
-		sel = clampSel(1 - sel)
+	if rels, err := e.storeRow(context.TODO(), pin, pinnedIsRef, ids); err == nil && len(ids) > 1 {
+		matched := 0
+		for k, rel := range rels {
+			if ids[k] != pin && cc.Rels.Contains(rel) {
+				matched++
+			}
+		}
+		sel = float64(matched) / float64(len(ids)-1)
 	}
-	return sel
+	if cc.Negated {
+		sel = 1 - sel
+	}
+	return clampSel(sel)
 }
 
 // execState is the per-execution companion of a Plan: the post-pushdown
@@ -405,51 +388,14 @@ func (e *Evaluator) prepareExec(ctx context.Context, q *Query, plan *Plan) (*exe
 }
 
 // pushCond filters cand down to the ids satisfying the relation condition
-// against the pinned region, choosing the cheapest sound strategy:
-//
-//   - the store holds the regions → one row read over the forms storeRow
-//     aligns with cand (n kernel runs, handles negation and either side);
-//   - pinned reference, positive condition, no materialised relations →
-//     R-tree window queries with exact refinement, through the maintained
-//     live index when available, or a transient bulk-loaded tree;
-//   - otherwise → pairwise lookups through Relation, which prefers
-//     materialised relations and caches geometry per ordered pair.
-//
-// All strategies return exactly the ids the join's own checks would keep
-// (the l==r candidate follows the "a region is only B of itself" rule), so
-// pushdown never changes results.
+// against the pinned region with one store row read (storeRow: len(cand)
+// kernel runs, either side pinned, negation included). It returns exactly
+// the ids the join's own checks would keep (the l==r candidate follows the
+// "a region is only B of itself" rule), so pushdown never changes results.
 func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinnedIsRef bool, cand []string) ([]string, error) {
-	pin, row := e.storeRow(pinID, cand)
-	if pin == nil && pinnedIsRef && !rc.Negated && len(e.snap.img.Relations) == 0 {
-		if keep, err := e.pushRTree(ctx, rc, pinID, cand); err == nil {
-			return keep, nil
-		} else if ctx.Err() != nil {
-			return nil, err
-		}
-		// R-tree failure (degenerate geometry) falls through to the
-		// pairwise path, which reports the error in join form.
-	}
-	rels := make([]core.Relation, len(cand))
-	if pin != nil {
-		if err := e.store.RelateRow(ctx, pin, pinnedIsRef, row, rels); err != nil {
-			return nil, err
-		}
-	} else {
-		for k, id := range cand {
-			err := ctx.Err()
-			switch {
-			case err != nil:
-			case id == pinID:
-				rels[k] = core.B
-			case pinnedIsRef:
-				rels[k], err = e.Relation(id, pinID)
-			default:
-				rels[k], err = e.Relation(pinID, id)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
+	rels, err := e.storeRow(ctx, pinID, pinnedIsRef, cand)
+	if err != nil {
+		return nil, err
 	}
 	// The plan cache retains the result of a parameter-free query, so it is
 	// counted first and built at its own size: a selective condition must not
@@ -465,49 +411,6 @@ func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinn
 		if rc.Rels.Contains(rel) != rc.Negated {
 			keep = append(keep, cand[k])
 		}
-	}
-	return keep, nil
-}
-
-// pushRTree answers a positive pinned-reference pushdown through window
-// queries: the maintained live index when it covers every candidate, a
-// transient bulk-loaded tree otherwise.
-func (e *Evaluator) pushRTree(ctx context.Context, rc RelCond, refID string, cand []string) ([]string, error) {
-	if e.live != nil && e.live.Has(refID) {
-		covered := true
-		for _, id := range cand {
-			if !e.live.Has(id) {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			sel, _, err := e.live.SelectStatsCtx(ctx, e.geometry(refID), rc.Rels)
-			if err != nil {
-				return nil, err
-			}
-			// The live index holds every region; narrow to the candidates.
-			// The reference is B of itself, so refID's membership in sel
-			// already matches the l==r rule.
-			return intersectSorted(cand, sel), nil
-		}
-	}
-	named := make([]core.NamedRegion, 0, len(cand))
-	selfIn := false
-	for _, id := range cand {
-		if id == refID {
-			selfIn = true // handled by the l==r rule, not geometry
-			continue
-		}
-		named = append(named, core.NamedRegion{Name: id, Region: e.geometry(id)})
-	}
-	keep, err := index.FindRelated(ctx, named, e.geometry(refID), rc.Rels)
-	if err != nil {
-		return nil, err
-	}
-	if selfIn && rc.Rels.Contains(core.B) {
-		keep = append(keep, refID)
-		sort.Strings(keep)
 	}
 	return keep, nil
 }

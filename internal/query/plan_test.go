@@ -13,7 +13,7 @@ import (
 )
 
 // planWorld is one differential-test configuration: an image, and (for the
-// tracked flavours) the maintained store and live index behind it.
+// tracked flavours) the maintained store behind it.
 type planWorld struct {
 	name string
 	img  *config.Image
@@ -23,7 +23,7 @@ type planWorld struct {
 // buildPlanWorlds returns the three worlds the planner is differentially
 // tested on: a scattered and a clustered synthetic configuration (tracked,
 // so the planner's store probes and pushdown run against real maintained
-// state) and the Greece fixture (untracked — the lazy-compute path).
+// state) and the Greece fixture (untracked — the evaluator's private store).
 func buildPlanWorlds(t *testing.T) []planWorld {
 	t.Helper()
 	g := workload.New(7)
@@ -61,17 +61,15 @@ func (w planWorld) evaluator(t *testing.T, planner bool) *Evaluator {
 	}
 	if w.tr != nil {
 		ev.UseStore(w.tr.Store())
-		ev.UseIndex(w.tr.Index())
 	}
 	ev.SetPlanner(planner)
 	return ev
 }
 
 // planDifferentialQueries covers every planner code path: pinned-reference
-// pushdown (the old pre-filter case), pinned-primary pushdown (new),
-// negated conditions, disjunctive relation sets, attribute and percentage
-// conditions, self-referencing conditions, and multi-variable joins. %s is
-// a region id of the world under test.
+// and pinned-primary pushdown, negated conditions, disjunctive relation
+// sets, attribute and percentage conditions, self-referencing conditions,
+// and multi-variable joins. %s is a region id of the world under test.
 var planDifferentialQueries = []string{
 	"q(x, y) :- x {N, N:NE, NE} y",
 	"q(x, y) :- y = %s, x {N, N:NE, NE, E} y",
@@ -332,7 +330,6 @@ func TestPreparedQueryReplansOnEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev.UseStore(tr.Store())
-	ev.UseIndex(tr.Index())
 	p, err := ev.Prepare(qs)
 	if err != nil {
 		t.Fatal(err)

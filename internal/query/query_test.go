@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -243,7 +245,10 @@ func TestEvalDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestEvalUsesMaterialisedRelations(t *testing.T) {
+// TestEvalRelationFromGeometry: on a document that carries computed Relation
+// elements the evaluator still reads its own store, and the two agree — the
+// paper's Fig. 12 pair included.
+func TestEvalRelationFromGeometry(t *testing.T) {
 	img := config.Greece()
 	if err := img.ComputeRelations(false); err != nil {
 		t.Fatal(err)
@@ -252,12 +257,97 @@ func TestEvalUsesMaterialisedRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Relation("peloponnesos", "attica")
+	for _, entry := range img.Relations {
+		r, err := e.Relation(entry.Primary, entry.Reference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.String() != entry.Type {
+			t.Errorf("%s vs %s: evaluator %v, computed document %s", entry.Primary, entry.Reference, r, entry.Type)
+		}
+	}
+	if r, _ := e.Relation("peloponnesos", "attica"); r.String() != "B:S:SW:W" {
+		t.Errorf("peloponnesos vs attica = %v, want B:S:SW:W (Fig. 12)", r)
+	}
+}
+
+// staleGreece returns the Greece fixture with a Relation element for every
+// ordered pair, each one wrong: NE where the geometry says anything else, SW
+// where it says NE.
+func staleGreece(t *testing.T) *config.Image {
+	t.Helper()
+	img := config.Greece()
+	if err := img.ComputeRelations(false); err != nil {
+		t.Fatal(err)
+	}
+	for i := range img.Relations {
+		if img.Relations[i].Type == "NE" {
+			img.Relations[i].Type = "SW"
+		} else {
+			img.Relations[i].Type = "NE"
+		}
+	}
+	return img
+}
+
+// TestStaleMaterialisedRelationsIgnored: a document whose Relation elements
+// contradict its geometry is answered from geometry — by an evaluator with a
+// store attached and by one left to build its own, planner on and off,
+// through the join, the pushdown and the single read.
+func TestStaleMaterialisedRelationsIgnored(t *testing.T) {
+	img := staleGreece(t)
+	ne := func(p, q string) bool {
+		rel, err := core.ComputeCDR(img.FindRegion(p).Geometry(), img.FindRegion(q).Geometry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel == core.NE
+	}
+	var wantAll, wantPinned []Binding
+	for _, x := range img.Regions {
+		for _, y := range img.Regions {
+			if x.ID != y.ID && ne(x.ID, y.ID) {
+				wantAll = append(wantAll, Binding{"x": x.ID, "y": y.ID})
+				if y.ID == "pylos" {
+					wantPinned = append(wantPinned, Binding{"x": x.ID, "y": y.ID})
+				}
+			}
+		}
+	}
+	sortBindings(wantAll, []string{"x", "y"})
+	sortBindings(wantPinned, []string{"x", "y"})
+	if len(wantPinned) == 0 || len(wantAll) == len(img.Relations) {
+		t.Fatalf("fixture: %d of %d pairs are NE, %d against pylos", len(wantAll), len(img.Relations), len(wantPinned))
+	}
+	store, err := trackStore(t, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.String() != "B:S:SW:W" {
-		t.Errorf("materialised relation = %v", r)
+	for _, attached := range []*core.RelationStore{nil, store} {
+		for _, planner := range []bool{true, false} {
+			ev, err := NewEvaluator(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.UseStore(attached)
+			ev.SetPlanner(planner)
+			name := fmt.Sprintf("store attached %v, planner %v", attached != nil, planner)
+			for qs, want := range map[string][]Binding{
+				"q(x, y) :- x NE y":            wantAll,
+				"q(x, y) :- y = pylos, x NE y": wantPinned,
+			} {
+				got, err := ev.EvalString(qs)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, qs, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %s answered %d bindings %v, geometry says %v", name, qs, len(got), got[:min(len(got), 3)], want)
+				}
+			}
+			if rel, err := ev.Relation("peloponnesos", "attica"); err != nil || rel.String() != "B:S:SW:W" {
+				t.Errorf("%s: peloponnesos vs attica = %v (%v), geometry says B:S:SW:W", name, rel, err)
+			}
+		}
 	}
 }
 

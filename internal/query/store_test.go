@@ -23,8 +23,8 @@ var storeQueries = []string{
 }
 
 // TestEvalWithStoreEquivalence: wiring a RelationStore into the evaluator
-// must not change any query answer — it only changes where cached relations
-// come from.
+// must not change any query answer — it only replaces the private store the
+// evaluator would build over the same regions.
 func TestEvalWithStoreEquivalence(t *testing.T) {
 	img := config.Greece()
 	store, err := trackStore(t, img)
@@ -118,46 +118,6 @@ func TestEvalStoreSeesEdits(t *testing.T) {
 	}
 	if !m.ApproxEqual(wantM, 1e-9) {
 		t.Error("store-backed percent matrix diverged from fresh computation")
-	}
-}
-
-// TestEvalStorePartialCoverage: pairs outside the store fall back to the
-// evaluator's own lazy computation.
-func TestEvalStorePartialCoverage(t *testing.T) {
-	img := config.Greece()
-	// A store over a subset of the regions only.
-	sub := []core.NamedRegion{
-		{Name: "attica", Region: img.FindRegion("attica").Geometry()},
-		{Name: "crete", Region: img.FindRegion("crete").Geometry()},
-	}
-	store, err := core.NewRelationStore(sub, core.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.UseStore(store)
-	// In-store pair.
-	if _, err := ev.Relation("attica", "crete"); err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-store pair falls back to computation.
-	rel, err := ev.Relation("macedonia", "crete")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ComputeCDR(img.FindRegion("macedonia").Geometry(), img.FindRegion("crete").Geometry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel != want {
-		t.Errorf("fallback relation = %v, want %v", rel, want)
-	}
-	// Percent on a qualitative-only store falls back too.
-	if _, err := ev.Percent("attica", "crete"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -302,48 +262,6 @@ func TestPushdownRowEqualsPairwise(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestPushdownOutsideTheStore: a pin or a candidate the store does not hold
-// sends the pushdown down the pairwise path, which answers held pairs from
-// the store and the rest from geometry.
-func TestPushdownOutsideTheStore(t *testing.T) {
-	img := config.Greece()
-	full, err := trackStore(t, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewEvaluator(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.UseStore(full)
-	partial, err := core.NewRelationStore([]core.NamedRegion{
-		{Name: "attica", Region: img.FindRegion("attica").Geometry()},
-		{Name: "crete", Region: img.FindRegion("crete").Geometry()},
-	}, core.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewEvaluator(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.UseStore(partial)
-	if pin, row := got.storeRow("attica", got.snap.ids); pin != nil || row != nil {
-		t.Fatal("a store holding two of the regions offered a row over all of them")
-	}
-	for _, qs := range []string{
-		"q(x, y) :- y = attica, not x {N, NE, E} y", // pin held, candidates not
-		"q(x, y) :- x = macedonia, x {N, NW, W} y",  // pin not held
-		"q(x, y) :- y = nowhere, x {N} y",           // the error text stays the candidates'
-	} {
-		w, wantErr := want.EvalString(qs)
-		g, gotErr := got.EvalString(qs)
-		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) || (wantErr == nil && !reflect.DeepEqual(g, w)) {
-			t.Errorf("%s: partial store answers %v (%v), full store %v (%v)", qs, g, gotErr, w, wantErr)
-		}
-	}
 }
 
 // TestEngineSnapshotHoldsStorePrepared: at every generation the engine's

@@ -568,9 +568,18 @@ func TestReplicaPctDisabled(t *testing.T) {
 		if code, _ := errorCode(t, body); code != "pct_disabled" {
 			t.Fatalf("%s: code %q, want pct_disabled", base, code)
 		}
-		// The qualitative read still works.
+		// A query reads the same store, so its percent conditions are
+		// refused the same way.
+		status, _, body = post(t, base, "/v1/query", []byte(`{"q":"q(x, y) :- y = attica, pct(x N y) > 50"}`))
+		if code, _ := errorCode(t, body); status != http.StatusUnprocessableEntity || code != "pct_disabled" {
+			t.Fatalf("%s: pct query on a pct-off node: %d %q, want 422 pct_disabled", base, status, code)
+		}
+		// The qualitative reads still work.
 		if status, _, _ := get(t, base, "/v1/relation?primary=attica&reference=peloponnesos", nil); status != http.StatusOK {
 			t.Fatalf("%s: qualitative read broken on a pct-off node", base)
+		}
+		if status, _, body := post(t, base, "/v1/query", []byte(`{"q":"q(x, y) :- y = attica, x N y"}`)); status != http.StatusOK {
+			t.Fatalf("%s: qualitative query on a pct-off node: %d: %s", base, status, body)
 		}
 	}
 	if !f.rep.Pct() == false {

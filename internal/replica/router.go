@@ -470,7 +470,7 @@ func (rt *Router) probe(ctx context.Context) {
 }
 
 // isWrite classifies a request as one that must reach the primary. Reads
-// include the POSTed query/batch/reason bodies — they mutate nothing.
+// include the POSTed query/reason bodies — they mutate nothing.
 func isWrite(r *http.Request) bool {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead, http.MethodOptions:
@@ -479,7 +479,6 @@ func isWrite(r *http.Request) bool {
 	p := r.URL.Path
 	for _, read := range []string{
 		"/v1/query",
-		"/v1/batch",
 		"/v1/reason/",
 	} {
 		if p == read || (strings.HasSuffix(read, "/") && strings.HasPrefix(p, read)) {

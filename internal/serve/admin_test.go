@@ -47,6 +47,26 @@ func TestAdminDisabled(t *testing.T) {
 	}
 }
 
+// TestGhostSelfRenameLogsNothing: renaming a missing region onto its own id
+// answers 404 without a WAL record — the 404 used to come from the response
+// lookup, after the no-op had been logged and shipped.
+func TestGhostSelfRenameLogsNothing(t *testing.T) {
+	ts, ps := newDurableServer(t)
+	before := ps.Status().WAL.Records
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	code := doJSON(t, "POST", ts.URL+"/v1/regions/ghost/rename", map[string]string{"new_id": "ghost"}, &env)
+	if code != http.StatusNotFound || env.Error.Code != "unknown_region" {
+		t.Errorf("ghost self-rename: %d %q, want 404 unknown_region", code, env.Error.Code)
+	}
+	if after := ps.Status().WAL.Records; after != before {
+		t.Errorf("a 404 appended %d WAL record(s)", after-before)
+	}
+}
+
 // TestAdminStatusAndSnapshot exercises the durable shape: edits through
 // the HTTP surface land in the WAL, status reports them, snapshot rotates
 // the generation and resets the tail.

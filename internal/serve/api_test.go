@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,10 @@ import (
 	"cardirect/internal/serve"
 )
 
-// TestRouteInventory: API.md documents every mounted route — the doc and
-// the route table cannot drift apart silently.
+// TestRouteInventory: API.md documents every mounted route, and documents
+// no route that is not mounted — every "### `METHOD /path`" heading and
+// every row of its inventory table names one — so the doc and the route
+// table cannot drift apart silently, in either direction.
 func TestRouteInventory(t *testing.T) {
 	tr, err := config.Track(config.Greece(), core.StoreOptions{})
 	if err != nil {
@@ -34,6 +37,7 @@ func TestRouteInventory(t *testing.T) {
 	if len(routes) == 0 {
 		t.Fatal("Routes() is empty")
 	}
+	mounted := map[string]bool{}
 	for _, rt := range routes {
 		if rt.Method == "" || rt.Path == "" || rt.Name == "" {
 			t.Errorf("incomplete route entry: %+v", rt)
@@ -44,6 +48,26 @@ func TestRouteInventory(t *testing.T) {
 		if want := rt.Method + " " + rt.Path; !bytes.Contains(doc, []byte(want)) {
 			t.Errorf("API.md does not document %q", want)
 		}
+		mounted[rt.Method+" "+rt.Path] = true
+	}
+	// A documented route: a code span opening with a method and a path, cut
+	// at its query string or optional part; "/debug/pprof/*" is the subtree
+	// mounted at "/debug/pprof/".
+	span := regexp.MustCompile("`((?:GET|POST|PUT|DELETE) /[^`?\\[ ]*)")
+	documented := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "### ") && !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		for _, m := range span.FindAllStringSubmatch(line, -1) {
+			documented++
+			if route := strings.TrimSuffix(m[1], "*"); !mounted[route] {
+				t.Errorf("API.md documents %q, which is not a mounted route: %s", route, line)
+			}
+		}
+	}
+	if documented < len(routes) {
+		t.Errorf("found %d documented routes in API.md headings and tables for %d mounted ones — the pattern rotted", documented, len(routes))
 	}
 }
 

@@ -60,6 +60,7 @@ var sentinelTable = []struct {
 	{core.ErrUnknownRegion, http.StatusNotFound, "unknown_region"},
 	{config.ErrDuplicateRegion, http.StatusConflict, "duplicate_region"},
 	{core.ErrDegenerateRegion, http.StatusUnprocessableEntity, "degenerate_region"},
+	{core.ErrNoPct, http.StatusUnprocessableEntity, "pct_disabled"},
 	{persist.ErrEmptyWorld, http.StatusUnprocessableEntity, "empty_world"},
 	{reason.ErrInconsistent, http.StatusUnprocessableEntity, "inconsistent_network"},
 	{reason.ErrSearchLimit, http.StatusGatewayTimeout, "search_limit"},

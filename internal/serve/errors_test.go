@@ -24,6 +24,7 @@ func TestStatusOfSentinels(t *testing.T) {
 		{core.ErrUnknownRegion, http.StatusNotFound, "unknown_region"},
 		{config.ErrDuplicateRegion, http.StatusConflict, "duplicate_region"},
 		{core.ErrDegenerateRegion, http.StatusUnprocessableEntity, "degenerate_region"},
+		{core.ErrNoPct, http.StatusUnprocessableEntity, "pct_disabled"},
 		{persist.ErrEmptyWorld, http.StatusUnprocessableEntity, "empty_world"},
 		{reason.ErrInconsistent, http.StatusUnprocessableEntity, "inconsistent_network"},
 		{reason.ErrSearchLimit, http.StatusGatewayTimeout, "search_limit"},
@@ -54,7 +55,7 @@ func TestStatusOfSentinels(t *testing.T) {
 		}
 	}
 	// Every sentinel-table entry is exercised above.
-	if len(sentinelTable) != 8 {
-		t.Errorf("sentinelTable has %d entries, test covers 8", len(sentinelTable))
+	if len(sentinelTable) != 9 {
+		t.Errorf("sentinelTable has %d entries, test covers 9", len(sentinelTable))
 	}
 }

@@ -330,6 +330,9 @@ type relationsResponse struct {
 	Pairs []pairJSON `json:"pairs"`
 }
 
+// handleRelations sweeps every ordered pair over the store's held forms,
+// under the request context: a server timeout or a client disconnect aborts
+// the sweep within one primary row of work.
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) error {
 	if done, err := s.conditional(w, r); done || err != nil {
 		return err
@@ -340,7 +343,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) error {
 		if s.pctDisabled() {
 			return errPctDisabled()
 		}
-		pairs, err := store.PctPairs()
+		pairs, err := store.PctPairsCtx(r.Context())
 		if err != nil {
 			return err
 		}
@@ -349,80 +352,12 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) error {
 			out.Pairs = append(out.Pairs, pairJSON{Primary: p.Primary, Reference: p.Reference, Pct: pctJSON(p.Matrix)})
 		}
 	} else {
-		pairs := store.Pairs()
+		pairs, err := store.PairsCtx(r.Context())
+		if err != nil {
+			return err
+		}
 		out.Pairs = make([]pairJSON, 0, len(pairs))
 		for _, p := range pairs {
-			out.Pairs = append(out.Pairs, pairJSON{Primary: p.Primary, Reference: p.Reference, Relation: p.Relation.String()})
-		}
-	}
-	return writeData(w, http.StatusOK, out)
-}
-
-type batchRequest struct {
-	Pct     bool `json:"pct,omitempty"`
-	Workers int  `json:"workers,omitempty"`
-}
-
-type batchResponse struct {
-	Pairs []pairJSON `json:"pairs"`
-	Stats core.Stats `json:"stats"`
-}
-
-// handleBatch recomputes every pair from scratch through the consolidated
-// batch entry points — the "annotate this configuration" bulk operation,
-// run under the request context so server timeouts and client disconnects
-// abort it within one primary row of work.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
-	var req batchRequest
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return failf(http.StatusRequestEntityTooLarge, "serve: request body over %d bytes", tooLarge.Limit)
-		}
-		return failf(http.StatusBadRequest, "serve: reading request body: %v", err)
-	}
-	// An empty body means default options.
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return failf(http.StatusBadRequest, "serve: decoding request body: %v", err)
-		}
-	}
-	var regions []core.NamedRegion
-	err = s.tracked().View(func(img *config.Image) error {
-		regions = make([]core.NamedRegion, len(img.Regions))
-		for i := range img.Regions {
-			regions[i] = core.NamedRegion{Name: img.Regions[i].ID, Region: img.Regions[i].Geometry()}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opt.Workers
-	}
-	opt := &core.BatchOptions{Workers: workers}
-	var out batchResponse
-	if req.Pct {
-		res, err := core.BatchPct(r.Context(), regions, opt)
-		if err != nil {
-			return err
-		}
-		out.Stats = res.Stats
-		out.Pairs = make([]pairJSON, 0, len(res.Pairs))
-		for _, p := range res.Pairs {
-			out.Pairs = append(out.Pairs, pairJSON{Primary: p.Primary, Reference: p.Reference, Pct: pctJSON(p.Matrix)})
-		}
-	} else {
-		res, err := core.BatchCDR(r.Context(), regions, opt)
-		if err != nil {
-			return err
-		}
-		out.Stats = res.Stats
-		out.Pairs = make([]pairJSON, 0, len(res.Pairs))
-		for _, p := range res.Pairs {
 			out.Pairs = append(out.Pairs, pairJSON{Primary: p.Primary, Reference: p.Reference, Relation: p.Relation.String()})
 		}
 	}

@@ -107,7 +107,6 @@ func TestQuerySnapshotDifferential(t *testing.T) {
 				return err
 			}
 			ev.UseStore(tr.Store())
-			ev.UseIndex(tr.Index())
 			ev.SetPlanCache(refPlans)
 			res, err = ev.Run(context.Background(), text, args)
 			if err != nil {

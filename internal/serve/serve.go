@@ -55,12 +55,9 @@ type Options struct {
 	// mean 64 MiB. Oversized streams map to 413 like every other body.
 	MaxBulkBytes int64
 	// RequestTimeout, when positive, bounds every request's context; work
-	// that honors the context (batch recompute, query joins, selections)
+	// that honors the context (all-pairs sweeps, query joins, selections)
 	// aborts with 504 when it expires.
 	RequestTimeout time.Duration
-	// Workers is the worker-pool size handed to the batch engines by the
-	// recompute endpoint; values ≤ 0 mean GOMAXPROCS.
-	Workers int
 	// Logger receives structured access logs; nil means slog.Default().
 	Logger *slog.Logger
 	// Persist, when set, makes the server durable: region edits are routed
@@ -262,7 +259,6 @@ func (s *Server) routeTable() []struct {
 		rt("DELETE", "/v1/regions/{id}", "regions.delete", 0, s.handleRegionDelete),
 		rt("GET", "/v1/relation", "relation", 0, s.handleRelation),
 		rt("GET", "/v1/relations", "relations", 0, s.handleRelations),
-		rt("POST", "/v1/batch", "batch", 0, s.handleBatch),
 		rt("POST", "/v1/bulk", "bulk", s.opt.MaxBulkBytes, s.handleBulk),
 		rt("GET", "/v1/select", "select", 0, s.handleSelect),
 		rt("POST", "/v1/query", "query", 0, s.handleQuery),

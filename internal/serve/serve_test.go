@@ -244,7 +244,11 @@ func TestRelationsMatchesStore(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
+// TestRelationsMatchFromScratch: /v1/relations and /v1/relations?pct=1 serve
+// what the batch engines compute from scratch over the document's regions —
+// the answer the deleted POST /v1/batch recompute gave — and that route is
+// gone.
+func TestRelationsMatchFromScratch(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{})
 	img := config.Greece()
 	regions := make([]core.NamedRegion, len(img.Regions))
@@ -255,21 +259,27 @@ func TestBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var out struct {
-		Pairs []struct {
-			Primary   string `json:"primary"`
-			Reference string `json:"reference"`
-			Relation  string `json:"relation"`
-		} `json:"pairs"`
-		Stats core.Stats `json:"stats"`
+	wantPct, err := core.BatchPct(nil, regions, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Empty body selects the defaults.
-	if code := doJSON(t, "POST", ts.URL+"/v1/batch", nil, &out); code != http.StatusOK {
+	type pairs struct {
+		Pairs []struct {
+			Primary   string             `json:"primary"`
+			Reference string             `json:"reference"`
+			Relation  string             `json:"relation"`
+			Pct       map[string]float64 `json:"pct"`
+		} `json:"pairs"`
+	}
+	var out, pctOut pairs
+	if code := doJSON(t, "GET", ts.URL+"/v1/relations", nil, &out); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	if len(out.Pairs) != len(want.Pairs) {
-		t.Fatalf("served %d pairs, computed %d", len(out.Pairs), len(want.Pairs))
+	if code := doJSON(t, "GET", ts.URL+"/v1/relations?pct=1", nil, &pctOut); code != http.StatusOK {
+		t.Fatalf("pct: status = %d", code)
+	}
+	if len(out.Pairs) != len(want.Pairs) || len(pctOut.Pairs) != len(wantPct.Pairs) {
+		t.Fatalf("served %d and %d pairs, computed %d and %d", len(out.Pairs), len(pctOut.Pairs), len(want.Pairs), len(wantPct.Pairs))
 	}
 	for i, p := range out.Pairs {
 		w := want.Pairs[i]
@@ -277,44 +287,39 @@ func TestBatchEndpoint(t *testing.T) {
 			t.Fatalf("pair %d: served %+v, computed %+v", i, p, w)
 		}
 	}
-	if out.Stats.Passes == 0 {
-		t.Error("batch stats not populated")
+	for i, p := range pctOut.Pairs {
+		w := wantPct.Pairs[i]
+		if p.Primary != w.Primary || p.Reference != w.Reference {
+			t.Fatalf("pct pair %d: served %s/%s, computed %s/%s", i, p.Primary, p.Reference, w.Primary, w.Reference)
+		}
+		for _, tile := range core.Tiles() {
+			if got := p.Pct[tile.String()]; got != w.Matrix.Get(tile) {
+				t.Fatalf("pct pair %d tile %v: served %v, computed %v", i, tile, got, w.Matrix.Get(tile))
+			}
+		}
 	}
-
-	// Percent variant with explicit options.
-	var pctOut struct {
-		Pairs []struct {
-			Pct map[string]float64 `json:"pct"`
-		} `json:"pairs"`
-	}
-	if code := doJSON(t, "POST", ts.URL+"/v1/batch", `{"pct":true,"workers":2}`, &pctOut); code != http.StatusOK {
-		t.Fatalf("pct batch: status = %d", code)
-	}
-	if len(pctOut.Pairs) != len(want.Pairs) {
-		t.Fatalf("pct batch: %d pairs", len(pctOut.Pairs))
-	}
-
-	// Malformed body is a 400, unknown fields included.
-	if code := doJSON(t, "POST", ts.URL+"/v1/batch", `{"pct":`, nil); code != http.StatusBadRequest {
-		t.Errorf("truncated body: status = %d", code)
+	if code := doJSON(t, "POST", ts.URL+"/v1/batch", nil, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/batch: status = %d, want 404", code)
 	}
 }
 
-// TestBatchTimeout: a server-side request timeout expires the handler
-// context; the batch engines notice within one primary row and the error
+// TestRelationsTimeout: a server-side request timeout expires the handler
+// context; the all-pairs sweep notices within one primary row and the error
 // maps to 504. The deadline is generous enough to pass the router but far
 // too short for the sweep to matter — the overshoot bound is the abort
 // check, not luck.
-func TestBatchTimeout(t *testing.T) {
+func TestRelationsTimeout(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{RequestTimeout: time.Nanosecond})
-	start := time.Now()
-	code := doJSON(t, "POST", ts.URL+"/v1/batch", nil, nil)
-	elapsed := time.Since(start)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", code)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("timed-out batch took %v", elapsed)
+	for _, path := range []string{"/v1/relations", "/v1/relations?pct=1"} {
+		start := time.Now()
+		code := doJSON(t, "GET", ts.URL+path, nil, nil)
+		elapsed := time.Since(start)
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d, want 504", path, code)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("timed-out %s took %v", path, elapsed)
+		}
 	}
 }
 
