@@ -269,8 +269,6 @@ type (
 	// UseStore attaches, or its own. The document's Relation elements are
 	// never consulted.
 	Evaluator = query.Evaluator
-	// PreparedQuery is a parse-once/plan-once statement with $-parameters.
-	PreparedQuery = query.PreparedQuery
 	// QueryResult is a planned evaluation's full outcome: bindings plus the
 	// executed plan, cache outcome and store generation.
 	QueryResult = query.Result
@@ -356,7 +354,9 @@ type (
 	// one edit.
 	BulkRegion = config.BulkRegion
 	// Tracked binds a configuration document to a maintained RelationStore
-	// and live R-tree: document edits drive store and index deltas.
+	// and live R-tree and applies every edit to all three (AddRegion,
+	// RemoveRegion, RenameRegion, SetRegionGeometry, BulkAddRegions); a
+	// refused edit changes none of them.
 	Tracked = config.Tracked
 	// LiveIndex is an R-tree kept in sync under region edits
 	// (add/remove/rename/geometry change).
@@ -392,10 +392,10 @@ var (
 	// does not hold; matched with errors.Is.
 	ErrUnknownRegion = core.ErrUnknownRegion
 	// ErrUnknownConfigRegion is the configuration-layer counterpart for
-	// Image edit methods; it wraps ErrUnknownRegion, so one errors.Is
+	// the Tracked edit methods; it wraps ErrUnknownRegion, so one errors.Is
 	// check covers both layers.
 	ErrUnknownConfigRegion = config.ErrUnknownRegion
-	// ErrDuplicateRegion reports an Image edit reusing an existing region
+	// ErrDuplicateRegion reports a Tracked edit reusing an existing region
 	// id; matched with errors.Is.
 	ErrDuplicateRegion = config.ErrDuplicateRegion
 	// Track binds a configuration to a maintained RelationStore and live

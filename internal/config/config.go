@@ -44,39 +44,6 @@ type Image struct {
 	File      string     `xml:"file,attr,omitempty"`
 	Regions   []Region   `xml:"Region"`
 	Relations []Relation `xml:"Relation"`
-
-	// watchers are notified after every successful edit-method mutation;
-	// unexported, so encoding/xml round-trips ignore it.
-	watchers []Watcher
-}
-
-// Watcher observes the edit methods of an Image: each callback fires after
-// the corresponding mutation succeeded, with the already-validated new state.
-// Because Image.Validate and the edit methods guarantee simple positive-area
-// polygons, downstream Prepare of a delivered geometry cannot fail — the
-// callbacks therefore return nothing, and observers that maintain fallible
-// state (a RelationStore, an R-tree) record their first error for the owner
-// to inspect (see Tracked.Err).
-type Watcher interface {
-	RegionAdded(id string, g geom.Region)
-	RegionRemoved(id string)
-	RegionRenamed(oldID, newID string)
-	RegionGeometryChanged(id string, g geom.Region)
-}
-
-// Watch subscribes a watcher to this image's edit notifications.
-func (img *Image) Watch(w Watcher) {
-	img.watchers = append(img.watchers, w)
-}
-
-// Unwatch removes a previously subscribed watcher (comparison by identity).
-func (img *Image) Unwatch(w Watcher) {
-	for i, x := range img.watchers {
-		if x == w {
-			img.watchers = append(img.watchers[:i], img.watchers[i+1:]...)
-			return
-		}
-	}
 }
 
 // Region is a named, coloured REG* region given as a set of polygons.
@@ -341,4 +308,42 @@ func (img *Image) Bytes() ([]byte, error) {
 		return nil, err
 	}
 	return []byte(sb.String()), nil
+}
+
+// Summary aggregates document statistics for describe-style output.
+type Summary struct {
+	Regions      int
+	Polygons     int
+	Edges        int
+	Relations    int
+	Colors       []string // distinct colors, sorted
+	TotalArea    float64
+	BoundingBox  geom.Rect
+	MultiPolygon int // regions with more than one polygon (REG* composites)
+}
+
+// Summarize computes the document statistics.
+func (img *Image) Summarize() Summary {
+	s := Summary{Relations: len(img.Relations), BoundingBox: geom.EmptyRect()}
+	colors := map[string]bool{}
+	for i := range img.Regions {
+		r := &img.Regions[i]
+		g := r.Geometry()
+		s.Regions++
+		s.Polygons += len(r.Polygons)
+		s.Edges += g.NumEdges()
+		s.TotalArea += g.Area()
+		s.BoundingBox = s.BoundingBox.Union(g.BoundingBox())
+		if len(r.Polygons) > 1 {
+			s.MultiPolygon++
+		}
+		if r.Color != "" {
+			colors[r.Color] = true
+		}
+	}
+	for c := range colors {
+		s.Colors = append(s.Colors, c)
+	}
+	sort.Strings(s.Colors)
+	return s
 }

@@ -124,6 +124,13 @@ func TestValidateRules(t *testing.T) {
 	if err := img5.Validate(); err == nil {
 		t.Error("bowtie polygon should fail")
 	}
+	// Finite vertices, overflowing area (the XML-load path of the ring
+	// geom's Validate refuses).
+	img7 := tinyImage()
+	img7.Regions[0].Polygons[0].Edges = []Edge{{-1e200, 1e200}, {1e200, 1e200}, {1e200, -1e200}, {-1e200, -1e200}}
+	if err := img7.Validate(); err == nil {
+		t.Error("polygon with an overflowing area should fail")
+	}
 	// Region without polygons.
 	img6 := tinyImage()
 	img6.Regions[0].Polygons = nil

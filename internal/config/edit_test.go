@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"cardirect/internal/core"
 	"cardirect/internal/geom"
 )
 
@@ -13,50 +14,60 @@ func sqRegion(minX, minY, maxX, maxY float64) geom.Region {
 	))
 }
 
-func TestAddRegion(t *testing.T) {
-	img := tinyImage()
-	if err := img.AddRegion("c", "Gamma", "green", sqRegion(10, 10, 12, 12)); err != nil {
+// trackTiny tracks the two-region fixture.
+func trackTiny(t *testing.T) *Tracked {
+	t.Helper()
+	tr, err := Track(tinyImage(), core.StoreOptions{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if img.FindRegion("c") == nil {
+	return tr
+}
+
+// hasRegion reports whether the tracked document holds a region id.
+func hasRegion(tr *Tracked, id string) (found bool) {
+	tr.View(func(img *Image) error {
+		found = img.FindRegion(id) != nil
+		return nil
+	})
+	return found
+}
+
+func TestAddRegion(t *testing.T) {
+	tr := trackTiny(t)
+	if err := tr.AddRegion("c", "Gamma", "green", sqRegion(10, 10, 12, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if !hasRegion(tr, "c") {
 		t.Fatal("added region not found")
 	}
-	if err := img.Validate(); err != nil {
+	if err := tr.View((*Image).Validate); err != nil {
 		t.Fatalf("image invalid after add: %v", err)
 	}
 	// Duplicate id.
-	if err := img.AddRegion("c", "", "", sqRegion(0, 0, 1, 1)); err == nil {
+	if err := tr.AddRegion("c", "", "", sqRegion(0, 0, 1, 1)); err == nil {
 		t.Error("duplicate id should fail")
 	}
 	// Empty id.
-	if err := img.AddRegion("", "", "", sqRegion(0, 0, 1, 1)); err == nil {
+	if err := tr.AddRegion("", "", "", sqRegion(0, 0, 1, 1)); err == nil {
 		t.Error("empty id should fail")
 	}
 	// Invalid geometry.
 	bowtie := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(2, 2), geom.Pt(2, 0), geom.Pt(0, 2)))
-	if err := img.AddRegion("d", "", "", bowtie); err == nil {
+	if err := tr.AddRegion("d", "", "", bowtie); err == nil {
 		t.Error("invalid geometry should fail")
 	}
 }
 
 func TestRemoveRegion(t *testing.T) {
-	img := tinyImage()
-	if err := img.ComputeRelations(false); err != nil {
-		t.Fatal(err)
-	}
-	if len(img.Relations) != 2 {
-		t.Fatalf("relations = %d", len(img.Relations))
-	}
-	if err := img.RemoveRegion("a"); err != nil {
+	tr := trackTiny(t)
+	if err := tr.RemoveRegion("a"); err != nil {
 		t.Fatalf("RemoveRegion failed for existing region: %v", err)
 	}
-	if img.FindRegion("a") != nil {
+	if hasRegion(tr, "a") {
 		t.Error("region still present after removal")
 	}
-	if len(img.Relations) != 0 {
-		t.Errorf("stale relations kept: %v", img.Relations)
-	}
-	if err := img.RemoveRegion("a"); !errors.Is(err, ErrUnknownRegion) {
+	if err := tr.RemoveRegion("a"); !errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("second removal err = %v, want ErrUnknownRegion", err)
 	}
 }
@@ -64,82 +75,76 @@ func TestRemoveRegion(t *testing.T) {
 // TestEditUnknownRegionSentinel pins the error contract: every edit method
 // addressing a missing region reports the wrapped sentinel.
 func TestEditUnknownRegionSentinel(t *testing.T) {
-	img := tinyImage()
+	tr := trackTiny(t)
 	for _, err := range []error{
-		img.RemoveRegion("ghost"),
-		img.RenameRegion("ghost", "x"),
-		img.RenameRegion("ghost", "ghost"), // a self-rename is a no-op only of a region that exists
-		img.SetRegionGeometry("ghost", sqRegion(0, 0, 1, 1)),
+		tr.RemoveRegion("ghost"),
+		tr.RenameRegion("ghost", "x"),
+		tr.RenameRegion("ghost", "ghost"), // a self-rename is a no-op only of a region that exists
+		tr.SetRegionGeometry("ghost", sqRegion(0, 0, 1, 1)),
 	} {
 		if !errors.Is(err, ErrUnknownRegion) {
 			t.Errorf("err = %v, want ErrUnknownRegion", err)
 		}
 	}
 	// Non-"unknown region" failures must NOT wear the sentinel.
-	if err := img.RenameRegion("a", "b"); errors.Is(err, ErrUnknownRegion) {
+	if err := tr.RenameRegion("a", "b"); errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("collision err should not wrap ErrUnknownRegion: %v", err)
 	}
 	bad := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 1)))
-	if err := img.SetRegionGeometry("a", bad); errors.Is(err, ErrUnknownRegion) {
+	if err := tr.SetRegionGeometry("a", bad); errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("bad-geometry err should not wrap ErrUnknownRegion: %v", err)
 	}
 }
 
 func TestRenameRegion(t *testing.T) {
-	img := tinyImage()
-	if err := img.ComputeRelations(false); err != nil {
+	tr := trackTiny(t)
+	if err := tr.RenameRegion("a", "alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if err := img.RenameRegion("a", "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if img.FindRegion("a") != nil || img.FindRegion("alpha") == nil {
+	if hasRegion(tr, "a") || !hasRegion(tr, "alpha") {
 		t.Error("rename did not take")
 	}
-	for _, rel := range img.Relations {
-		if rel.Primary == "a" || rel.Reference == "a" {
-			t.Errorf("stale relation id: %+v", rel)
-		}
-	}
-	if err := img.Validate(); err != nil {
+	if err := tr.View((*Image).Validate); err != nil {
 		t.Fatalf("image invalid after rename: %v", err)
 	}
 	// No-op rename.
-	if err := img.RenameRegion("alpha", "alpha"); err != nil {
+	gen := tr.Store().Generation()
+	if err := tr.RenameRegion("alpha", "alpha"); err != nil {
 		t.Errorf("self-rename should be a no-op: %v", err)
 	}
-	// Collision and missing source.
-	if err := img.RenameRegion("alpha", "b"); err == nil {
-		t.Error("rename onto existing id should fail")
+	if tr.Store().Generation() != gen {
+		t.Error("self-rename moved the generation")
 	}
-	if err := img.RenameRegion("ghost", "x"); err == nil {
+	// Collision and missing source.
+	if err := tr.RenameRegion("alpha", "b"); !errors.Is(err, ErrDuplicateRegion) {
+		t.Errorf("rename onto existing id: err = %v, want ErrDuplicateRegion", err)
+	}
+	if err := tr.RenameRegion("ghost", "x"); err == nil {
 		t.Error("renaming a missing region should fail")
 	}
-	if err := img.RenameRegion("alpha", ""); err == nil {
+	if err := tr.RenameRegion("alpha", ""); err == nil {
 		t.Error("empty new id should fail")
 	}
 }
 
 func TestSetRegionGeometry(t *testing.T) {
-	img := tinyImage()
-	if err := img.ComputeRelations(false); err != nil {
+	tr := trackTiny(t)
+	if err := tr.SetRegionGeometry("a", sqRegion(100, 100, 101, 101)); err != nil {
 		t.Fatal(err)
 	}
-	if err := img.SetRegionGeometry("a", sqRegion(100, 100, 101, 101)); err != nil {
-		t.Fatal(err)
+	var box geom.Rect
+	tr.View(func(img *Image) error {
+		box = img.FindRegion("a").Geometry().BoundingBox()
+		return nil
+	})
+	if box != (geom.Rect{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}) {
+		t.Errorf("geometry not replaced: %v", box)
 	}
-	if len(img.Relations) != 0 {
-		t.Errorf("stale relations survive geometry change: %v", img.Relations)
-	}
-	g := img.FindRegion("a").Geometry()
-	if g.BoundingBox() != (geom.Rect{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}) {
-		t.Errorf("geometry not replaced: %v", g.BoundingBox())
-	}
-	if err := img.SetRegionGeometry("ghost", sqRegion(0, 0, 1, 1)); err == nil {
+	if err := tr.SetRegionGeometry("ghost", sqRegion(0, 0, 1, 1)); err == nil {
 		t.Error("missing region should fail")
 	}
 	bad := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 1)))
-	if err := img.SetRegionGeometry("a", bad); err == nil {
+	if err := tr.SetRegionGeometry("a", bad); err == nil {
 		t.Error("invalid geometry should fail")
 	}
 }

@@ -15,8 +15,11 @@ func TestErrUnknownRegionWrapsCore(t *testing.T) {
 	if !errors.Is(ErrUnknownRegion, core.ErrUnknownRegion) {
 		t.Fatal("config.ErrUnknownRegion does not wrap core.ErrUnknownRegion")
 	}
-	img := tinyImage()
-	err := img.RemoveRegion("no-such")
+	tr, err := Track(Greece(), core.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tr.RemoveRegion("no-such")
 	if !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("RemoveRegion err = %v, want config.ErrUnknownRegion", err)
 	}
@@ -24,16 +27,11 @@ func TestErrUnknownRegionWrapsCore(t *testing.T) {
 		t.Fatalf("RemoveRegion err = %v, should chain to core.ErrUnknownRegion", err)
 	}
 	// Store-layer misses chain the same way.
-	tr, err := Track(Greece(), core.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
 	if _, err := tr.Store().Relation("attica", "no-such"); !errors.Is(err, core.ErrUnknownRegion) {
 		t.Fatalf("store miss err = %v, want core.ErrUnknownRegion", err)
 	}
 	// Duplicate ids are distinguishable from unknown ones.
-	err = img.AddRegion(img.Regions[0].ID, "", "", sqRegion(0, 0, 1, 1))
+	err = tr.AddRegion("attica", "", "", sqRegion(0, 0, 1, 1))
 	if !errors.Is(err, ErrDuplicateRegion) {
 		t.Fatalf("duplicate add err = %v, want ErrDuplicateRegion", err)
 	}

@@ -31,9 +31,9 @@ func goldenImage(t *testing.T) *Image {
 		{"alpha", "Alpha", "#ff0000", box(0, 0, 4, 4)},
 		{"mu", "Mu", "", box(2, 6, 8, 11)},
 	} {
-		if err := img.AddRegion(r.id, r.name, r.color, r.g); err != nil {
-			t.Fatal(err)
-		}
+		reg := Region{ID: r.id, Name: r.name, Color: r.color}
+		reg.SetGeometry(r.g)
+		img.Regions = append(img.Regions, reg)
 	}
 	if err := img.ComputeRelations(true); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -9,30 +10,34 @@ import (
 	"cardirect/internal/index"
 )
 
+// ErrUnknownRegion is returned (wrapped, with the offending id) by the edit
+// methods when the addressed region does not exist, so callers maintaining
+// derived state — relation stores, spatial indexes — can branch on
+// errors.Is instead of parsing messages. It wraps core.ErrUnknownRegion, so
+// a single errors.Is(err, core.ErrUnknownRegion) test covers both the
+// configuration layer and the relation store beneath it.
+var ErrUnknownRegion = fmt.Errorf("config: unknown region: %w", core.ErrUnknownRegion)
+
+// ErrDuplicateRegion is returned (wrapped, with the offending id) by
+// AddRegion and RenameRegion when the requested id is already taken —
+// the conflict case HTTP servers map to 409.
+var ErrDuplicateRegion = errors.New("config: duplicate region id")
+
 // Tracked couples an Image with a core.RelationStore and a maintained
-// index.Live R-tree, kept in sync with the image's edit methods through the
-// Watcher hooks: an AddRegion/RemoveRegion/RenameRegion/SetRegionGeometry
-// call updates the document, prepares the touched region once — the store
-// and the index share that Prepared form — and moves the R-tree entry. No
-// pair is computed by an edit; relations are computed when they are read.
-// This is the paper's interactive annotation loop (§4) with an edit path
-// that does not depend on the number of regions.
-//
-// The watcher callbacks cannot reject an edit, so a failure while applying
-// one (it cannot arise from geometry the edit methods accept, since
-// they validate first — but a store fed out-of-band could diverge) is
-// latched into Err and every later edit is ignored until the caller
-// re-syncs.
+// index.Live R-tree and is the one place an edit is applied: an
+// AddRegion/RemoveRegion/RenameRegion/SetRegionGeometry call validates
+// against the document, prepares the touched region once in the store (the
+// only step that can still refuse, and a refusal leaves everything
+// untouched), moves the R-tree entry with that same Prepared form, and
+// updates the document last. No pair is computed by an edit; relations are
+// computed when they are read. This is the paper's interactive annotation
+// loop (§4) with an edit path that does not depend on the number of regions.
 //
 // Concurrency: Tracked carries an RWMutex so many readers overlap one
-// writer — the contract cardirectd relies on. Mutations must go through
-// Tracked's own edit methods (AddRegion, RemoveRegion, RenameRegion,
-// SetRegionGeometry, Materialize), which take the write side; document
-// reads go through View, which takes the read side. The maintained
-// RelationStore has its own internal lock and stays safe to query directly
-// at any time. Editing the underlying Image directly remains possible (the
-// watcher keeps firing) but forfeits the concurrency guarantee — it is
-// only safe single-threaded, as in the seed's interactive examples.
+// writer — the contract cardirectd relies on. The edit methods take the
+// write side; document reads go through View, which takes the read side.
+// The maintained RelationStore has its own internal lock and stays safe to
+// query directly at any time.
 type Tracked struct {
 	mu    sync.RWMutex
 	img   *Image
@@ -42,12 +47,12 @@ type Tracked struct {
 }
 
 // Track validates the image and builds the coupled relation store and live
-// index over its current regions (region ids are the store names), then
-// subscribes to the image's edits. Materialised Relation elements of the
-// document are dropped, neither read nor trusted: the store computes every
-// answer from geometry, and the Image edit methods would scan the O(n²)
-// list on every mutation (snapshots written before the store computed on
-// demand carry one). Call Close to unsubscribe.
+// index over its current regions (region ids are the store names), taking
+// ownership of the document: from here on it changes only through the
+// Tracked's edit methods. Materialised Relation elements of the document
+// are dropped, neither read nor trusted: the store computes every answer
+// from geometry (snapshots written before the store computed on demand
+// carry an O(n²) list of them).
 func Track(img *Image, opt core.StoreOptions) (*Tracked, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
@@ -69,9 +74,7 @@ func Track(img *Image, opt core.StoreOptions) (*Tracked, error) {
 		return nil, err
 	}
 	img.Relations = nil
-	tr := &Tracked{img: img, store: store, idx: idx}
-	img.Watch(tr)
-	return tr, nil
+	return &Tracked{img: img, store: store, idx: idx}, nil
 }
 
 // Store returns the maintained relation store.
@@ -80,25 +83,20 @@ func (tr *Tracked) Store() *core.RelationStore { return tr.store }
 // Index returns the maintained live R-tree index.
 func (tr *Tracked) Index() *index.Live { return tr.idx }
 
-// Image returns the tracked document.
-func (tr *Tracked) Image() *Image { return tr.img }
-
-// Err returns the first edit-application failure, or nil. A non-nil value
-// means the store and index no longer reflect the image and must be rebuilt
-// with a fresh Track.
+// Err reports a fault, or nil: the live index disagreed with the store
+// about which regions exist while an edit the store had accepted was being
+// applied. No input, accepted or refused, can cause that; a non-nil value
+// means index and document no longer reflect the store, every later edit
+// is turned away, and the world must be rebuilt with a fresh Track.
 func (tr *Tracked) Err() error {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	return tr.err
 }
 
-// Close unsubscribes from the image's edits; the store and index stay
-// readable at their final state.
-func (tr *Tracked) Close() {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.img.Unwatch(tr)
-}
+// Close is a no-op, kept for the callers that pair it with Track: a
+// Tracked holds nothing to release, and the store and index stay readable.
+func (tr *Tracked) Close() {}
 
 // View runs fn with the tracked document under the read lock, so it can
 // overlap other readers but never an edit. fn must not mutate the image or
@@ -112,57 +110,100 @@ func (tr *Tracked) View(fn func(img *Image) error) error {
 	return fn(tr.img)
 }
 
-// AddRegion is Image.AddRegion under the write lock: the document, relation
-// store and live index all advance before any reader observes the new
-// region. A previously latched failure short-circuits.
+// AddRegion appends a new region: the id must be unique and non-empty
+// (ErrDuplicateRegion otherwise) and the geometry must validate. Store,
+// live index and document all advance under the write lock, before any
+// reader observes the new region.
 func (tr *Tracked) AddRegion(id, name, color string, g geom.Region) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.err != nil {
 		return tr.err
 	}
-	if err := tr.img.AddRegion(id, name, color, g); err != nil {
+	if err := tr.admissible(id, g); err != nil {
 		return err
 	}
+	if err := tr.store.Add(id, g); err != nil {
+		return err
+	}
+	tr.install(BulkRegion{ID: id, Name: name, Color: color, Geometry: g})
 	return tr.err
 }
 
-// RemoveRegion is Image.RemoveRegion under the write lock.
+// RemoveRegion deletes the region with the given id; a missing region
+// yields a wrapped ErrUnknownRegion.
 func (tr *Tracked) RemoveRegion(id string) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.err != nil {
 		return tr.err
 	}
-	if err := tr.img.RemoveRegion(id); err != nil {
+	i, err := tr.find(id)
+	if err != nil {
 		return err
 	}
+	if err := tr.store.Remove(id); err != nil {
+		return err
+	}
+	tr.fail(tr.idx.Remove(id))
+	tr.img.Regions = append(tr.img.Regions[:i], tr.img.Regions[i+1:]...)
 	return tr.err
 }
 
-// RenameRegion is Image.RenameRegion under the write lock.
+// RenameRegion changes a region's id. The new id must be non-empty and
+// unique (ErrDuplicateRegion otherwise); a missing region yields a wrapped
+// ErrUnknownRegion, and renaming a region to its own id is a no-op.
 func (tr *Tracked) RenameRegion(oldID, newID string) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.err != nil {
 		return tr.err
 	}
-	if err := tr.img.RenameRegion(oldID, newID); err != nil {
+	if newID == "" {
+		return fmt.Errorf("config: empty new region id")
+	}
+	i, err := tr.find(oldID)
+	if err != nil {
 		return err
+	}
+	if oldID == newID {
+		return nil
+	}
+	if tr.store.Has(newID) {
+		return fmt.Errorf("config: region %q: %w", newID, ErrDuplicateRegion)
+	}
+	if err := tr.store.Rename(oldID, newID); err != nil {
+		return err
+	}
+	tr.fail(tr.idx.Rename(oldID, newID))
+	r := &tr.img.Regions[i]
+	r.ID = newID
+	for j := range r.Polygons {
+		r.Polygons[j].ID = fmt.Sprintf("%s-p%d", newID, j)
 	}
 	return tr.err
 }
 
-// SetRegionGeometry is Image.SetRegionGeometry under the write lock.
+// SetRegionGeometry replaces a region's polygons. The geometry must
+// validate; a missing region yields a wrapped ErrUnknownRegion.
 func (tr *Tracked) SetRegionGeometry(id string, g geom.Region) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.err != nil {
 		return tr.err
 	}
-	if err := tr.img.SetRegionGeometry(id, g); err != nil {
+	i, err := tr.find(id)
+	if err != nil {
 		return err
 	}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("config: region %q: %w", id, err)
+	}
+	if err := tr.store.SetGeometry(id, g); err != nil {
+		return err
+	}
+	tr.fail(tr.indexPrepared(id, tr.idx.SetPrepared))
+	tr.img.Regions[i].SetGeometry(g)
 	return tr.err
 }
 
@@ -173,14 +214,10 @@ type BulkRegion struct {
 }
 
 // BulkAddRegions ingests many regions as one edit: every region is
-// validated first (empty or duplicate id, invalid geometry — the same
-// checks as Image.AddRegion — leave everything unchanged), then the
-// relation store takes them all in one generation bump
-// (core.RelationStore.AddBulk), and the document and R-tree follow. The
-// document mutation is applied
-// directly rather than through Image.AddRegion, so Image watchers other
-// than the Tracked itself are NOT notified per region — the store and
-// index are updated here, batched.
+// checked first (empty or duplicate id, invalid geometry — the same checks
+// as AddRegion — leave everything unchanged), then the relation store
+// takes them all in one generation bump (core.RelationStore.AddBulk), and
+// the R-tree and the document follow.
 func (tr *Tracked) BulkAddRegions(regions []BulkRegion) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -193,36 +230,63 @@ func (tr *Tracked) BulkAddRegions(regions []BulkRegion) error {
 	batch := make(map[string]bool, len(regions))
 	named := make([]core.NamedRegion, len(regions))
 	for i, r := range regions {
-		if r.ID == "" {
-			return fmt.Errorf("config: empty region id")
-		}
-		// The store is keyed by region id and in step with the document
-		// (tr.err is nil): one map lookup where FindRegion scans.
-		if batch[r.ID] || tr.store.Has(r.ID) {
+		if batch[r.ID] {
 			return fmt.Errorf("config: region %q: %w", r.ID, ErrDuplicateRegion)
 		}
-		batch[r.ID] = true
-		if err := r.Geometry.Validate(); err != nil {
-			return fmt.Errorf("config: region %q: %w", r.ID, err)
+		if err := tr.admissible(r.ID, r.Geometry); err != nil {
+			return err
 		}
+		batch[r.ID] = true
 		named[i] = core.NamedRegion{Name: r.ID, Region: r.Geometry}
 	}
-	// Store first: it is the only step that can still reject (e.g. zero
-	// area under StoreOptions.Pct), and a rejection must leave the
-	// document untouched.
 	if err := tr.store.AddBulk(named); err != nil {
 		return err
 	}
 	for _, r := range regions {
-		reg := Region{ID: r.ID, Name: r.Name, Color: r.Color}
-		reg.SetGeometry(r.Geometry)
-		tr.img.Regions = append(tr.img.Regions, reg)
-		tr.fail(tr.indexPrepared(r.ID, tr.idx.AddPrepared))
+		tr.install(r)
 	}
 	return tr.err
 }
 
-// fail latches the first failure.
+// admissible checks a region about to be added: a non-empty id nobody
+// holds and a valid geometry. The store is keyed by region id and in step
+// with the document (tr.err is nil): one map lookup where FindRegion scans.
+func (tr *Tracked) admissible(id string, g geom.Region) error {
+	if id == "" {
+		return fmt.Errorf("config: empty region id")
+	}
+	if tr.store.Has(id) {
+		return fmt.Errorf("config: region %q: %w", id, ErrDuplicateRegion)
+	}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("config: region %q: %w", id, err)
+	}
+	return nil
+}
+
+// install makes index and document follow the store, which has just
+// accepted r (the only step that can refuse an admissible region, e.g. zero
+// area under StoreOptions.Pct). The R-tree takes the store's Prepared form,
+// so a region is prepared once per edit, not once per owner.
+func (tr *Tracked) install(r BulkRegion) {
+	tr.fail(tr.indexPrepared(r.ID, tr.idx.AddPrepared))
+	reg := Region{ID: r.ID, Name: r.Name, Color: r.Color}
+	reg.SetGeometry(r.Geometry)
+	tr.img.Regions = append(tr.img.Regions, reg)
+}
+
+// find returns the document position of the region with the given id, or a
+// wrapped ErrUnknownRegion.
+func (tr *Tracked) find(id string) (int, error) {
+	for i := range tr.img.Regions {
+		if tr.img.Regions[i].ID == id {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("config: region %q: %w", id, ErrUnknownRegion)
+}
+
+// fail latches the first fault (see Err).
 func (tr *Tracked) fail(err error) {
 	if tr.err == nil && err != nil {
 		tr.err = err
@@ -230,7 +294,7 @@ func (tr *Tracked) fail(err error) {
 }
 
 // indexPrepared hands the store's Prepared form of id to one of the index's
-// edit methods, so a region is prepared once per edit, not once per owner.
+// edit methods.
 func (tr *Tracked) indexPrepared(id string, edit func(*core.Prepared) error) error {
 	p, ok := tr.store.Prepared(id)
 	if !ok {
@@ -239,81 +303,14 @@ func (tr *Tracked) indexPrepared(id string, edit func(*core.Prepared) error) err
 	return edit(p)
 }
 
-// RegionAdded implements Watcher.
-func (tr *Tracked) RegionAdded(id string, g geom.Region) {
-	if tr.err != nil {
-		return
-	}
-	if err := tr.store.Add(id, g); err != nil {
-		tr.fail(fmt.Errorf("config: tracking add %q: %w", id, err))
-		return
-	}
-	tr.fail(tr.indexPrepared(id, tr.idx.AddPrepared))
-}
-
-// RegionRemoved implements Watcher.
-func (tr *Tracked) RegionRemoved(id string) {
-	if tr.err != nil {
-		return
-	}
-	if err := tr.store.Remove(id); err != nil {
-		tr.fail(fmt.Errorf("config: tracking remove %q: %w", id, err))
-		return
-	}
-	tr.fail(tr.idx.Remove(id))
-}
-
-// RegionRenamed implements Watcher.
-func (tr *Tracked) RegionRenamed(oldID, newID string) {
-	if tr.err != nil {
-		return
-	}
-	if err := tr.store.Rename(oldID, newID); err != nil {
-		tr.fail(fmt.Errorf("config: tracking rename %q: %w", oldID, err))
-		return
-	}
-	tr.fail(tr.idx.Rename(oldID, newID))
-}
-
-// RegionGeometryChanged implements Watcher.
-func (tr *Tracked) RegionGeometryChanged(id string, g geom.Region) {
-	if tr.err != nil {
-		return
-	}
-	if err := tr.store.SetGeometry(id, g); err != nil {
-		tr.fail(fmt.Errorf("config: tracking geometry %q: %w", id, err))
-		return
-	}
-	tr.fail(tr.indexPrepared(id, tr.idx.SetPrepared))
-}
-
-// Materialize computes every pair's relation from the store and writes the
-// result into the image's Relation list — the export path for the paper's
-// DTD document with its <Relation> elements. The list is O(n²), stays in
-// the live image, and every subsequent edit pays a full scan of it;
-// encoders should prefer WithMaterialized, which strips it again.
-func (tr *Tracked) Materialize(withPct bool) error {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.materializeLocked(withPct)
-}
-
 // WithMaterialized runs f over the image with every pair's relation
-// materialised into it, then strips the relation list again before
-// returning. The list is O(n²) and the Image edit methods filter it on
-// every mutation, so a live image must not keep it between encodes.
+// materialised into it — the export path for the paper's DTD document with
+// its <Relation> elements — then strips the relation list again before
+// returning: the list is O(n²), and a tracked image holds none outside
+// this call, which owns the write lock.
 func (tr *Tracked) WithMaterialized(withPct bool, f func(*Image) error) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if err := tr.materializeLocked(withPct); err != nil {
-		return err
-	}
-	err := f(tr.img)
-	tr.img.Relations = nil
-	return err
-}
-
-func (tr *Tracked) materializeLocked(withPct bool) error {
 	if tr.err != nil {
 		return tr.err
 	}
@@ -326,13 +323,15 @@ func (tr *Tracked) materializeLocked(withPct bool) error {
 			return err
 		}
 	}
-	tr.img.Relations = tr.img.Relations[:0]
+	tr.img.Relations = make([]Relation, len(pairs))
 	for i, pr := range pairs {
 		entry := Relation{Type: pr.Relation.String(), Primary: pr.Primary, Reference: pr.Reference}
 		if withPct {
 			entry.Pct = encodePct(pcts[i].Matrix)
 		}
-		tr.img.Relations = append(tr.img.Relations, entry)
+		tr.img.Relations[i] = entry
 	}
-	return nil
+	err := f(tr.img)
+	tr.img.Relations = nil
+	return err
 }

@@ -1,9 +1,12 @@
 package config
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,107 +14,168 @@ import (
 	"cardirect/internal/geom"
 )
 
+// docIDs returns the tracked document's region ids, sorted.
+func docIDs(tr *Tracked) (ids []string) {
+	tr.View(func(img *Image) error {
+		ids = img.RegionIDs()
+		return nil
+	})
+	sort.Strings(ids)
+	return ids
+}
+
+// checkInStep asserts that document, store and live index hold the same
+// regions, and that the maintained index answers a selection like a freshly
+// tracked copy of the document.
+func checkInStep(t *testing.T, stage string, tr *Tracked) {
+	t.Helper()
+	if err := tr.Err(); err != nil {
+		t.Fatalf("%s: tracked error: %v", stage, err)
+	}
+	var doc *Image
+	tr.View(func(img *Image) error {
+		doc = &Image{Regions: append([]Region(nil), img.Regions...)}
+		return nil
+	})
+	ids := doc.RegionIDs()
+	sort.Strings(ids)
+	if !reflect.DeepEqual(ids, tr.Store().Names()) {
+		t.Fatalf("%s: document ids %v != store names %v", stage, ids, tr.Store().Names())
+	}
+	ref := doc.Regions[0].Geometry()
+	all, err := tr.Index().Select(ref, core.Universe())
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	if !reflect.DeepEqual(ids, all) || tr.Index().Len() != len(ids) {
+		t.Fatalf("%s: document ids %v != index ids %v (Len %d)", stage, ids, all, tr.Index().Len())
+	}
+	fresh, err := Track(doc, core.StoreOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	allowed := core.NewRelationSet(core.N, core.NE, core.NW, core.W, core.E)
+	live, err := tr.Index().Select(ref, allowed)
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	want, err := fresh.Index().Select(ref, allowed)
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	if !reflect.DeepEqual(live, want) {
+		t.Fatalf("%s: live index select %v != fresh %v", stage, live, want)
+	}
+}
+
 // TestTrackedFollowsEdits drives a tracked image through every edit method
 // and asserts, after each one, that the maintained store and index agree
-// with a from-scratch ComputeRelations / Track over the same document.
+// with a from-scratch ComputeRelations / Track over the same document —
+// then does the same over a seeded random sequence of valid and invalid
+// edits.
 func TestTrackedFollowsEdits(t *testing.T) {
-	img := Greece()
-	tr, err := Track(img, core.StoreOptions{Workers: 2, Pct: true})
+	tr, err := Track(Greece(), core.StoreOptions{Workers: 2, Pct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-
 	check := func(stage string) {
 		t.Helper()
-		if err := tr.Err(); err != nil {
-			t.Fatalf("%s: tracked error: %v", stage, err)
-		}
-		if tr.Store().Len() != len(img.Regions) || tr.Index().Len() != len(img.Regions) {
-			t.Fatalf("%s: store %d / index %d regions, image has %d",
-				stage, tr.Store().Len(), tr.Index().Len(), len(img.Regions))
-		}
-		// Materialize from the store must equal a full batch recompute.
-		if err := tr.Materialize(true); err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		got := append([]Relation(nil), img.Relations...)
-		if err := img.ComputeRelations(true); err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if !reflect.DeepEqual(got, img.Relations) {
-			t.Fatalf("%s: store materialisation differs from batch recompute", stage)
-		}
-		// The maintained index answers like a freshly tracked one.
-		ref := img.Regions[0].Geometry()
-		allowed := core.NewRelationSet(core.N, core.NE, core.NW, core.W, core.E)
-		live, err := tr.Index().Select(ref, allowed)
+		checkInStep(t, stage, tr)
+		// Materialising from the store must equal a full batch recompute.
+		err := tr.WithMaterialized(true, func(img *Image) error {
+			batch := &Image{Regions: img.Regions}
+			if err := batch.ComputeRelations(true); err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(img.Relations, batch.Relations) {
+				t.Fatalf("%s: store materialisation differs from batch recompute", stage)
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
-		}
-		fresh, err := Track(img, core.StoreOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		defer fresh.Close()
-		want, err := fresh.Index().Select(ref, allowed)
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if !reflect.DeepEqual(live, want) {
-			t.Fatalf("%s: live index select %v != fresh %v", stage, live, want)
 		}
 	}
 	check("initial")
-
-	if err := img.AddRegion("delos", "Delos", "gold", sqRegion(25.2, 37.3, 25.35, 37.45)); err != nil {
+	if err := tr.AddRegion("delos", "Delos", "gold", sqRegion(25.2, 37.3, 25.35, 37.45)); err != nil {
 		t.Fatal(err)
 	}
 	check("add")
-
-	if err := img.SetRegionGeometry("delos", sqRegion(20.0, 39.0, 20.3, 39.3)); err != nil {
+	if err := tr.SetRegionGeometry("delos", sqRegion(20.0, 39.0, 20.3, 39.3)); err != nil {
 		t.Fatal(err)
 	}
 	check("setgeometry")
-
-	if err := img.RenameRegion("delos", "corcyra"); err != nil {
+	if err := tr.RenameRegion("delos", "corcyra"); err != nil {
 		t.Fatal(err)
 	}
 	check("rename")
-
-	if err := img.RemoveRegion("corcyra"); err != nil {
+	if err := tr.RemoveRegion("corcyra"); err != nil {
 		t.Fatal(err)
 	}
 	check("remove")
 
-	// Rejected edits must not reach the store or index.
-	before := tr.Store().Len()
-	if err := img.AddRegion("attica", "", "", sqRegion(0, 0, 1, 1)); err == nil {
-		t.Fatal("duplicate AddRegion should fail")
+	// 600 random edits over a pool of 16 ids, about a third of them
+	// refused (unknown or duplicate id, degenerate ring): every accepted
+	// one moves the generation by exactly one, every refused one by none.
+	rng := rand.New(rand.NewSource(7))
+	pick := func() string { return fmt.Sprintf("r%02d", rng.Intn(16)) }
+	shape := func() geom.Region {
+		x, y := rng.Float64()*20+15, rng.Float64()*10+30
+		if rng.Intn(8) == 0 {
+			return geom.Rgn(geom.Poly(geom.Pt(x, y), geom.Pt(x+1, y+1), geom.Pt(x+2, y+2)))
+		}
+		return sqRegion(x, y, x+rng.Float64()+0.1, y+rng.Float64()+0.1)
 	}
-	bad := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 1)))
-	if err := img.SetRegionGeometry("attica", bad); err == nil {
-		t.Fatal("invalid SetRegionGeometry should fail")
+	accepted := 0
+	for i := 0; i < 600; i++ {
+		gen := tr.Store().Generation()
+		var err error
+		var stage string
+		selfRename := false
+		switch id := pick(); rng.Intn(5) {
+		case 0, 1:
+			stage = "add " + id
+			err = tr.AddRegion(id, "", "", shape())
+		case 2:
+			stage = "set " + id
+			err = tr.SetRegionGeometry(id, shape())
+		case 3:
+			to := pick()
+			stage = "rename " + id + "→" + to
+			err = tr.RenameRegion(id, to)
+			selfRename = id == to // of a held region: succeeds and is no edit
+		case 4:
+			stage = "remove " + id
+			err = tr.RemoveRegion(id)
+		}
+		want := gen
+		if err == nil {
+			accepted++
+			if !selfRename {
+				want++
+			}
+		}
+		if got := tr.Store().Generation(); got != want {
+			t.Fatalf("step %d (%s, err %v): generation %d → %d", i, stage, err, gen, got)
+		}
+		checkInStep(t, fmt.Sprintf("step %d (%s)", i, stage), tr)
 	}
-	if tr.Store().Len() != before || tr.Err() != nil {
-		t.Fatalf("rejected edits leaked into the store: len=%d err=%v", tr.Store().Len(), tr.Err())
+	if accepted < 150 || accepted > 450 {
+		t.Errorf("random walk accepted %d of 600 edits: not a mix", accepted)
 	}
 }
 
-// TestTrackedEditsRunNoKernels: an edit arriving through the image prepares
-// the touched region and nothing else — no pair is computed until one is
-// read.
+// TestTrackedEditsRunNoKernels: an edit prepares the touched region and
+// nothing else — no pair is computed until one is read.
 func TestTrackedEditsRunNoKernels(t *testing.T) {
-	img := Greece()
-	tr, err := Track(img, core.StoreOptions{Workers: 1})
+	tr, err := Track(Greece(), core.StoreOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	if err := img.SetRegionGeometry("attica", sqRegion(24.5, 38.5, 25.0, 39.0)); err != nil {
+	if err := tr.SetRegionGeometry("attica", sqRegion(24.5, 38.5, 25.0, 39.0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := img.RenameRegion("attica", "akte"); err != nil {
+	if err := tr.RenameRegion("attica", "akte"); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Store().Stats(); got != (core.StoreStats{}) {
@@ -125,50 +189,114 @@ func TestTrackedEditsRunNoKernels(t *testing.T) {
 	}
 }
 
-// TestTrackedLatchesErrors: an out-of-band notification that cannot be
-// applied latches Err and freezes further deltas instead of corrupting the
-// maintained state.
-func TestTrackedLatchesErrors(t *testing.T) {
-	img := tinyImage()
-	tr, err := Track(img, core.StoreOptions{Workers: 1})
+// TestRefusedEditChangesNothing: an edit of any kind that is turned away —
+// by the document checks or by the store — leaves document bytes, store,
+// index and generation as they were and does not latch Err, so the next
+// edit is served. Tracking an invalid document fails up front the same way.
+func TestRefusedEditChangesNothing(t *testing.T) {
+	tr, err := Track(Greece(), core.StoreOptions{Pct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	tr.RegionRemoved("ghost") // simulates store/image divergence
-	if tr.Err() == nil {
-		t.Fatal("unappliable delta should latch an error")
+	ok := sqRegion(0, 0, 1, 1)
+	bowtie := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(2, 2), geom.Pt(2, 0), geom.Pt(0, 2)))
+	// Finite vertices, infinite shoelace sum.
+	overflow := sqRegion(-1e200, -1e200, 1e200, 1e200)
+	bulk := func(rs ...BulkRegion) func() error {
+		return func() error { return tr.BulkAddRegions(rs) }
 	}
-	lenBefore := tr.Store().Len()
-	if err := img.AddRegion("c", "", "", sqRegion(8, 8, 9, 9)); err != nil {
-		t.Fatal(err) // the document edit itself still succeeds
+	invalid := errors.New("any error that is neither sentinel")
+	for _, c := range []struct {
+		name string
+		edit func() error
+		want error
+	}{
+		{"add duplicate id", func() error { return tr.AddRegion("attica", "", "", ok) }, ErrDuplicateRegion},
+		{"add empty id", func() error { return tr.AddRegion("", "", "", ok) }, invalid},
+		{"add invalid ring", func() error { return tr.AddRegion("x", "", "", bowtie) }, invalid},
+		{"add overflow ring", func() error { return tr.AddRegion("x", "", "", overflow) }, invalid},
+		{"add empty region", func() error { return tr.AddRegion("x", "", "", nil) }, invalid},
+		{"remove unknown id", func() error { return tr.RemoveRegion("ghost") }, ErrUnknownRegion},
+		{"remove empty id", func() error { return tr.RemoveRegion("") }, ErrUnknownRegion},
+		{"rename unknown id", func() error { return tr.RenameRegion("ghost", "x") }, ErrUnknownRegion},
+		{"rename ghost to itself", func() error { return tr.RenameRegion("ghost", "ghost") }, ErrUnknownRegion},
+		{"rename onto held id", func() error { return tr.RenameRegion("attica", "crete") }, ErrDuplicateRegion},
+		{"rename to empty id", func() error { return tr.RenameRegion("attica", "") }, invalid},
+		{"set unknown id", func() error { return tr.SetRegionGeometry("ghost", ok) }, ErrUnknownRegion},
+		{"set invalid ring", func() error { return tr.SetRegionGeometry("attica", bowtie) }, invalid},
+		{"set overflow ring", func() error { return tr.SetRegionGeometry("attica", overflow) }, invalid},
+		{"bulk duplicate in batch", bulk(BulkRegion{ID: "x", Geometry: ok}, BulkRegion{ID: "x", Geometry: ok}), ErrDuplicateRegion},
+		{"bulk duplicate of held id", bulk(BulkRegion{ID: "x", Geometry: ok}, BulkRegion{ID: "attica", Geometry: ok}), ErrDuplicateRegion},
+		{"bulk empty id", bulk(BulkRegion{ID: "x", Geometry: ok}, BulkRegion{Geometry: ok}), invalid},
+		{"bulk invalid ring", bulk(BulkRegion{ID: "x", Geometry: ok}, BulkRegion{ID: "y", Geometry: bowtie}), invalid},
+		{"bulk overflow ring", bulk(BulkRegion{ID: "x", Geometry: ok}, BulkRegion{ID: "y", Geometry: overflow}), invalid},
+	} {
+		var doc []byte
+		tr.View(func(img *Image) (err error) { doc, err = img.Bytes(); return })
+		names, gen, n := tr.Store().Names(), tr.Store().Generation(), tr.Index().Len()
+
+		err := c.edit()
+		switch {
+		case err == nil:
+			t.Fatalf("%s: accepted", c.name)
+		case c.want != invalid && !errors.Is(err, c.want):
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		case c.want == invalid && (errors.Is(err, ErrUnknownRegion) || errors.Is(err, ErrDuplicateRegion)):
+			t.Errorf("%s: err = %v wears a sentinel it should not", c.name, err)
+		}
+		var after []byte
+		tr.View(func(img *Image) (err error) { after, err = img.Bytes(); return })
+		if !bytes.Equal(doc, after) {
+			t.Errorf("%s: refused edit changed the document", c.name)
+		}
+		if !reflect.DeepEqual(names, tr.Store().Names()) || gen != tr.Store().Generation() {
+			t.Errorf("%s: refused edit changed the store (generation %d → %d)", c.name, gen, tr.Store().Generation())
+		}
+		if tr.Index().Len() != n {
+			t.Errorf("%s: refused edit changed the index", c.name)
+		}
+		if err := tr.Err(); err != nil {
+			t.Fatalf("%s: refused edit latched %v", c.name, err)
+		}
 	}
-	if tr.Store().Len() != lenBefore {
-		t.Error("latched tracker kept applying deltas")
+	checkInStep(t, "after the refusals", tr)
+	if err := tr.AddRegion("x", "", "", ok); err != nil {
+		t.Errorf("edit after the refusals: %v", err)
 	}
-	if err := tr.Materialize(false); err == nil {
-		t.Error("Materialize on a latched tracker should fail")
+
+	if _, err := Track(&Image{}, core.StoreOptions{}); err == nil {
+		t.Error("Track of an invalid image should fail")
 	}
 }
 
-// TestTrackedCloseUnsubscribes: after Close, image edits no longer reach
-// the store.
-func TestTrackedCloseUnsubscribes(t *testing.T) {
-	img := tinyImage()
-	tr, err := Track(img, core.StoreOptions{Workers: 1})
-	if err != nil {
+// TestTrackedDetectsDisagreement: Err is fault detection, reachable only by
+// editing the store or the index behind the Tracked's back. A store that
+// refuses what the document allows returns its error with nothing changed
+// and nothing latched; an index that cannot follow an edit the store has
+// accepted latches Err, and every later edit is turned away.
+func TestTrackedDetectsDisagreement(t *testing.T) {
+	tr := trackTiny(t)
+	if err := tr.Store().Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	tr.Close()
-	if err := img.AddRegion("c", "", "", sqRegion(8, 8, 9, 9)); err != nil {
+	if err := tr.RemoveRegion("a"); !errors.Is(err, core.ErrUnknownRegion) {
+		t.Fatalf("store refusal: err = %v, want core.ErrUnknownRegion", err)
+	}
+	if !hasRegion(tr, "a") || tr.Index().Len() != 2 || tr.Err() != nil {
+		t.Fatalf("store refusal changed document or index, or latched %v", tr.Err())
+	}
+
+	if err := tr.Index().Remove("b"); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Store().Len() != 2 {
-		t.Errorf("closed tracker still receives edits: len = %d", tr.Store().Len())
+	if err := tr.RenameRegion("b", "beta"); err == nil || tr.Err() == nil {
+		t.Fatalf("index disagreement: err = %v, Err() = %v, want both set", err, tr.Err())
 	}
-	// Tracking an invalid document fails up front.
-	if _, err := Track(&Image{}, core.StoreOptions{}); err == nil {
-		t.Error("Track of an invalid image should fail")
+	if err := tr.AddRegion("c", "", "", sqRegion(8, 8, 9, 9)); err == nil || tr.Store().Has("c") {
+		t.Errorf("edit after a latched fault: err = %v, store has c = %v", err, tr.Store().Has("c"))
+	}
+	if err := tr.WithMaterialized(false, func(*Image) error { return nil }); err == nil {
+		t.Error("WithMaterialized after a latched fault should fail")
 	}
 }
 
@@ -180,8 +308,7 @@ func TestBulkAddRegionsDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	n := len(tr.Image().Regions)
+	n := len(docIDs(tr))
 	for name, bulk := range map[string][]BulkRegion{
 		"within the batch":  {{ID: "x", Geometry: sqRegion(0, 0, 1, 1)}, {ID: "x", Geometry: sqRegion(2, 2, 3, 3)}},
 		"against a held id": {{ID: "x", Geometry: sqRegion(0, 0, 1, 1)}, {ID: "attica", Geometry: sqRegion(2, 2, 3, 3)}},
@@ -189,7 +316,7 @@ func TestBulkAddRegionsDuplicates(t *testing.T) {
 		if err := tr.BulkAddRegions(bulk); !errors.Is(err, ErrDuplicateRegion) {
 			t.Errorf("duplicate %s: err = %v, want ErrDuplicateRegion", name, err)
 		}
-		if len(tr.Image().Regions) != n || tr.Store().Len() != n || tr.Index().Len() != n {
+		if len(docIDs(tr)) != n || tr.Store().Len() != n || tr.Index().Len() != n {
 			t.Errorf("duplicate %s: rejected batch changed the world", name)
 		}
 	}

@@ -20,9 +20,9 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 	for i, r := range regions {
 		id := fmt.Sprintf("%s%04d", prefix, i)
 		ids[i] = id
-		if err := img.AddRegion(id, id, fmt.Sprintf("c%d", i%6), r); err != nil {
-			return nil, nil, nil, err
-		}
+		reg := config.Region{ID: id, Name: id, Color: fmt.Sprintf("c%d", i%6)}
+		reg.SetGeometry(r)
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 )
 
 // Polygon is a simple polygon stored as its vertex ring, without repeating
@@ -168,7 +169,9 @@ func (p Polygon) IsSimple() bool {
 }
 
 // Validate checks that the polygon is usable as a region component: finite
-// coordinates, simple, and of positive area. It returns a descriptive error
+// coordinates, simple, and of positive finite area (from about 1e154 up the
+// shoelace products overflow, and every area-derived answer — percent
+// matrices above all — would be Inf or NaN). It returns a descriptive error
 // for the first violation found.
 func (p Polygon) Validate() error {
 	if len(p) < 3 {
@@ -184,8 +187,11 @@ func (p Polygon) Validate() error {
 			return fmt.Errorf("geom: polygon edge %d is degenerate at %v", i, p[i])
 		}
 	}
-	if p.SignedArea() == 0 {
+	switch a := p.SignedArea(); {
+	case a == 0:
 		return fmt.Errorf("geom: polygon has zero area")
+	case math.IsNaN(a) || math.IsInf(a, 0):
+		return fmt.Errorf("geom: polygon area is not finite (coordinates overflow)")
 	}
 	// The naive quadratic check wins on small rings; the sweep wins once
 	// rings get large (the GIS-scale inputs §3 of the paper anticipates).

@@ -174,6 +174,15 @@ func TestPolygonValidate(t *testing.T) {
 	if err := Poly(Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2)).Validate(); err == nil {
 		t.Error("bowtie should fail validation")
 	}
+	// Finite vertices whose shoelace sum overflows: SignedArea is +Inf,
+	// which is != 0, and every percent matrix over the ring would be NaN.
+	huge := Poly(Pt(-1e200, -1e200), Pt(-1e200, 1e200), Pt(1e200, 1e200), Pt(1e200, -1e200))
+	if err := huge.Validate(); err == nil {
+		t.Error("ring with an overflowing area should fail validation")
+	}
+	if err := Rgn(unitSquareCW(), huge).Validate(); err == nil {
+		t.Error("region holding a ring with an overflowing area should fail validation")
+	}
 }
 
 func TestTranslateScaleClone(t *testing.T) {

@@ -25,9 +25,9 @@ func buildImage(t testing.TB, regions []geom.Region) *config.Image {
 	img := &config.Image{Name: "persist-test", File: "persist.png"}
 	for i, g := range regions {
 		id := fmt.Sprintf("r%03d", i)
-		if err := img.AddRegion(id, "Region "+id, "", g); err != nil {
-			t.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: "Region " + id}
+		reg.SetGeometry(g)
+		img.Regions = append(img.Regions, reg)
 	}
 	return img
 }

@@ -18,12 +18,12 @@ func attrWorld(t *testing.T, n int) *config.Image {
 	colors := []string{"red", "green", "blue"}
 	for i := 0; i < n; i++ {
 		cx, cy := float64(i%8)*10, float64(i/8)*10
-		if err := img.AddRegion(fmt.Sprintf("a%02d", i), fmt.Sprintf("a%02d", i),
-			colors[i%len(colors)], geom.Rgn(geom.Polygon{
-				geom.Pt(cx, cy), geom.Pt(cx+4, cy), geom.Pt(cx+4, cy+4), geom.Pt(cx, cy+4),
-			}.Clockwise())); err != nil {
-			t.Fatal(err)
-		}
+		id := fmt.Sprintf("a%02d", i)
+		reg := config.Region{ID: id, Name: id, Color: colors[i%len(colors)]}
+		reg.SetGeometry(geom.Rgn(geom.Polygon{
+			geom.Pt(cx, cy), geom.Pt(cx+4, cy), geom.Pt(cx+4, cy+4), geom.Pt(cx, cy+4),
+		}.Clockwise()))
+		img.Regions = append(img.Regions, reg)
 	}
 	return img
 }

@@ -82,9 +82,9 @@ func TestPushdownPollsContextPerStride(t *testing.T) {
 			x, y = 2*float64(i), 10+3*float64(i)
 		}
 		id := fmt.Sprintf("w%04d", i)
-		if err := img.AddRegion(id, id, "", workload.BoxRegion(x, y, x+side, y+side)); err != nil {
-			t.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id}
+		reg.SetGeometry(workload.BoxRegion(x, y, x+side, y+side))
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{})
 	if err != nil {

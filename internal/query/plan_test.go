@@ -38,9 +38,9 @@ func buildPlanWorlds(t *testing.T) []planWorld {
 		img := &config.Image{Name: w.name}
 		for i, r := range w.geoms {
 			id := fmt.Sprintf("w%04d", i)
-			if err := img.AddRegion(id, id, fmt.Sprintf("c%d", i%5), r); err != nil {
-				t.Fatal(err)
-			}
+			reg := config.Region{ID: id, Name: id, Color: fmt.Sprintf("c%d", i%5)}
+			reg.SetGeometry(r)
+			img.Regions = append(img.Regions, reg)
 		}
 		tr, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 		if err != nil {
@@ -260,20 +260,19 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
-// TestPreparedQuery: parse-once/plan-once execution with $-parameters, and
-// replanning when the store generation moves between executions.
+// TestPreparedQuery: one $-parameterised text run many times through the
+// plan cache — parsed and planned once, bound per execution.
 func TestPreparedQuery(t *testing.T) {
 	w := buildPlanWorlds(t)[0]
 	ev := w.evaluator(t, true)
-	p, err := ev.Prepare("q(x, y) :- y = $ref, x {N, N:NE, NE, E} y, color(x) = $c")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev.SetPlanCache(NewPlanCache(8))
+	const text = "q(x, y) :- y = $ref, x {N, N:NE, NE, E} y, color(x) = $c"
 	pin := w.img.Regions[10].ID
-	got, err := p.Eval(map[string]string{"ref": pin, "c": "c1"})
+	first, err := ev.Run(nil, text, map[string]string{"ref": pin, "c": "c1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := first.Bindings
 	want, err := w.evaluator(t, false).EvalString(
 		fmt.Sprintf("q(x, y) :- y = %s, x {N, N:NE, NE, E} y, color(x) = c1", pin))
 	if err != nil {
@@ -284,10 +283,14 @@ func TestPreparedQuery(t *testing.T) {
 	}
 	// Different parameters, same statement.
 	other := w.img.Regions[40].ID
-	got2, err := p.Eval(map[string]string{"ref": other, "c": "c2"})
+	second, err := ev.Run(nil, text, map[string]string{"ref": other, "c": "c2"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if first.Cache != "miss" || second.Cache != "hit" {
+		t.Errorf("cache = %q then %q, want miss then hit", first.Cache, second.Cache)
+	}
+	got2 := second.Bindings
 	want2, err := w.evaluator(t, false).EvalString(
 		fmt.Sprintf("q(x, y) :- y = %s, x {N, N:NE, NE, E} y, color(x) = c2", other))
 	if err != nil {
@@ -297,25 +300,25 @@ func TestPreparedQuery(t *testing.T) {
 		t.Errorf("re-parameterised bindings diverged: %d vs %d", len(got2), len(want2))
 	}
 	// Unbound parameter is an error, not a silent empty result.
-	if _, err := p.Eval(map[string]string{"ref": pin}); err == nil {
+	if _, err := ev.Run(nil, text, map[string]string{"ref": pin}); err == nil {
 		t.Error("missing parameter should error")
 	}
-	if info := p.Plan(); len(info.Order) != 2 {
+	if info := second.Plan; len(info.Order) != 2 {
 		t.Errorf("prepared plan order = %v", info.Order)
 	}
 }
 
-// TestPreparedQueryReplansOnEdit: a prepared statement held across a region
-// edit rebuilds its plan (and drops cached execution state) instead of
-// answering from the stale candidate sets.
+// TestPreparedQueryReplansOnEdit: a parameter-free text whose plan and
+// execution state are cached across a region edit is replanned instead of
+// answered from the stale candidate sets.
 func TestPreparedQueryReplansOnEdit(t *testing.T) {
 	g := workload.New(11)
 	img := &config.Image{Name: "prep-edit"}
 	for i, r := range g.Scatter(60, 8) {
 		id := fmt.Sprintf("w%04d", i)
-		if err := img.AddRegion(id, id, "", r); err != nil {
-			t.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id}
+		reg.SetGeometry(r)
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
@@ -330,21 +333,23 @@ func TestPreparedQueryReplansOnEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev.UseStore(tr.Store())
-	p, err := ev.Prepare(qs)
-	if err != nil {
-		t.Fatal(err)
+	ev.SetPlanCache(NewPlanCache(8))
+	run := func() *Result {
+		t.Helper()
+		res, err := ev.Run(nil, qs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	before, err := p.Eval(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := run().Bindings
 	// Move the pinned region: every x-relation against it changes.
 	moved := img.FindRegion(pin).Geometry().Translate(geom.Pt(400, -400))
 	if err := tr.SetRegionGeometry(pin, moved); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh evaluator sees the new geometry; the prepared statement's
-	// evaluator predates the edit but reads relations through the store, so
+	// A fresh evaluator sees the new geometry; the caching evaluator
+	// predates the edit but reads relations through the store, so
 	// replanning is what keeps its pushed candidate sets honest.
 	ev2, err := NewEvaluator(img)
 	if err != nil {
@@ -355,9 +360,10 @@ func TestPreparedQueryReplansOnEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := p.Eval(nil)
-	if err != nil {
-		t.Fatal(err)
+	res := run()
+	after := res.Bindings
+	if res.Cache != "replan" {
+		t.Errorf("post-edit cache = %q, want replan", res.Cache)
 	}
 	if !reflect.DeepEqual(after, want) {
 		t.Errorf("post-edit prepared bindings diverged from fresh evaluation: %d vs %d", len(after), len(want))

@@ -304,87 +304,3 @@ func (e *Evaluator) generation() uint64 {
 	}
 	return e.store.Generation()
 }
-
-// PreparedQuery is a query parsed and checked once, replanned only when the
-// store generation moves, and executable many times with different
-// $-parameter bindings — the query-layer analogue of a prepared statement.
-// It is safe for concurrent use as long as the owning Evaluator is (the
-// Evaluator's lazy caches are not synchronised, so share a PreparedQuery
-// across goroutines only over a store-backed evaluator you do not mutate).
-type PreparedQuery struct {
-	ev   *Evaluator
-	text string
-	q    *Query
-
-	mu   sync.Mutex
-	plan *Plan
-	gen  uint64
-	exec *execState // parameter-free queries only
-}
-
-// Prepare parses and plans a query for repeated execution. The input may
-// bind regions or attribute values to $-parameters:
-//
-//	q(x, y) :- x = $start, y {N, NE} x, color(y) = $c
-//
-// supplied per execution via EvalCtx's args.
-func (e *Evaluator) Prepare(input string) (*PreparedQuery, error) {
-	q, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{ev: e, text: input, q: q, plan: e.buildPlan(q), gen: e.generation()}, nil
-}
-
-// Text returns the query text the statement was prepared from.
-func (p *PreparedQuery) Text() string { return p.text }
-
-// Plan returns the current plan's static description.
-func (p *PreparedQuery) Plan() PlanInfo {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.plan.Info()
-}
-
-// Eval executes the prepared query with the given parameter bindings (nil
-// for a parameter-free query).
-func (p *PreparedQuery) Eval(args map[string]string) ([]Binding, error) {
-	return p.EvalCtx(context.Background(), args)
-}
-
-// EvalCtx is Eval honoring a context. The plan is rebuilt first when the
-// store generation has moved since the last (re)plan.
-func (p *PreparedQuery) EvalCtx(ctx context.Context, args map[string]string) ([]Binding, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rq, err := p.q.resolve(args)
-	if err != nil {
-		return nil, err
-	}
-	if p.ev.noPlanner {
-		return p.ev.evalWrittenOrder(ctx, rq)
-	}
-	p.mu.Lock()
-	if gen := p.ev.generation(); gen != p.gen {
-		p.plan = p.ev.buildPlan(p.q)
-		p.gen = gen
-		p.exec = nil
-	}
-	plan, ex := p.plan, p.exec
-	p.mu.Unlock()
-	if ex == nil {
-		ex, err = p.ev.prepareExec(ctx, rq, plan)
-		if err != nil {
-			return nil, err
-		}
-		if !p.q.hasParams() {
-			p.mu.Lock()
-			if p.plan == plan { // not replanned concurrently
-				p.exec = ex
-			}
-			p.mu.Unlock()
-		}
-	}
-	return p.ev.runJoin(ctx, rq, plan, ex)
-}

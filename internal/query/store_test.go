@@ -83,7 +83,7 @@ func TestEvalStoreSeesEdits(t *testing.T) {
 	}
 	g := img.FindRegion("attica").Geometry()
 	moved := g.Translate(geom.Pt(-30, 30))
-	if err := img.SetRegionGeometry("attica", moved); err != nil {
+	if err := tr.SetRegionGeometry("attica", moved); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Err() != nil {
@@ -180,9 +180,9 @@ func editedTrackedWorld(t *testing.T, n int) *config.Tracked {
 	img := &config.Image{Name: "row"}
 	for i, r := range g.Cluster(n, n/8, 8) {
 		id := fmt.Sprintf("w%04d", i)
-		if err := img.AddRegion(id, id, fmt.Sprintf("c%d", i%4), r); err != nil {
-			t.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id, Color: fmt.Sprintf("c%d", i%4)}
+		reg.SetGeometry(r)
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{Workers: 1})
 	if err != nil {
@@ -318,9 +318,9 @@ func BenchmarkStoreRow(b *testing.B) {
 	img := &config.Image{Name: "row-bench"}
 	for i, r := range workload.New(1).Cluster(800, 100, 16) {
 		id := fmt.Sprintf("w%04d", i)
-		if err := img.AddRegion(id, id, "", r); err != nil {
-			b.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id}
+		reg.SetGeometry(r)
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{})
 	if err != nil {

@@ -146,10 +146,17 @@ func writeData(w http.ResponseWriter, status int, v any) error {
 	return writeJSON(w, status, dataEnvelope{Data: v})
 }
 
-// writeJSON emits a JSON response with the given status.
+// writeJSON emits a JSON response with the given status. The body is
+// marshalled before the status is written, so a value encoding/json refuses
+// (a NaN, say) is a 500 from the caller's error path and never a 200 with
+// an error body behind it.
 func writeJSON(w http.ResponseWriter, status int, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return failf(http.StatusInternalServerError, "encoding response: %v", err)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	return enc.Encode(v)
+	_, err = w.Write(append(body, '\n'))
+	return err
 }

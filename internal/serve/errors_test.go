@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"cardirect/internal/config"
@@ -57,5 +60,23 @@ func TestStatusOfSentinels(t *testing.T) {
 	// Every sentinel-table entry is exercised above.
 	if len(sentinelTable) != 9 {
 		t.Errorf("sentinelTable has %d entries, test covers 9", len(sentinelTable))
+	}
+}
+
+// TestWriteDataEncodeFailure: a value encoding/json refuses must not put a
+// 200 on the wire — nothing is written, and the returned error maps to
+// 500 internal for the handler wrapper to send.
+func TestWriteDataEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	err := writeData(rec, http.StatusOK, map[string]float64{"pct": math.NaN()})
+	if err == nil {
+		t.Fatal("NaN encoded without error")
+	}
+	if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+		t.Errorf("failed encode wrote %q, headers %v", rec.Body, rec.Header())
+	}
+	writeError(rec, err)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"code":"internal"`) {
+		t.Errorf("encode failure answered %d %s, want 500 internal", rec.Code, rec.Body)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"cardirect/internal/config"
 	"cardirect/internal/geom"
 	"cardirect/internal/serve"
 )
@@ -152,7 +153,7 @@ func TestQueryPlanCacheOverHTTP(t *testing.T) {
 
 	// Same text, edited store: the plan must be rebuilt, not served stale.
 	if err := tr.SetRegionGeometry("attica",
-		tr.Image().FindRegion("attica").Geometry().Translate(geom.Pt(0.1, 0))); err != nil {
+		config.Greece().FindRegion("attica").Geometry().Translate(geom.Pt(0.1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	code, third := post(q)
@@ -207,4 +208,44 @@ func jsonEqual(a, b any) bool {
 		return false
 	}
 	return bytes.Equal(ja, jb)
+}
+
+// TestOverflowGeometryRefused: a ring of finite vertices whose area sum
+// overflows (SignedArea = +Inf, which is != 0) used to be admitted, and a
+// percent read over it answered NaN. Every ingest path refuses it as any
+// invalid ring, and the refusals leave listing, ETag and health alone.
+func TestOverflowGeometryRefused(t *testing.T) {
+	ts, tr := newGreeceServer(t, serve.Options{})
+	_, tag, listing := etagDo(t, "GET", ts.URL+"/v1/relations", "", nil)
+	_, _, regions := etagDo(t, "GET", ts.URL+"/v1/regions", "", nil)
+
+	const wkt = "POLYGON((-1e200 -1e200, -1e200 1e200, 1e200 1e200, 1e200 -1e200, -1e200 -1e200))"
+	ring := json.RawMessage(`{"type":"Polygon","coordinates":[[[-1e200,-1e200],[-1e200,1e200],[1e200,1e200],[1e200,-1e200],[-1e200,-1e200]]]}`)
+	for name, do := range map[string]func() int{
+		"POST wkt": func() int {
+			return doJSON(t, "POST", ts.URL+"/v1/regions", map[string]string{"id": "huge", "wkt": wkt}, nil)
+		},
+		"POST geojson": func() int {
+			return doJSON(t, "POST", ts.URL+"/v1/regions", map[string]any{"id": "huge", "geojson": ring}, nil)
+		},
+		"PUT wkt": func() int { return doJSON(t, "PUT", ts.URL+"/v1/regions/attica", map[string]string{"wkt": wkt}, nil) },
+		"bulk":    func() int { return doJSON(t, "POST", ts.URL+"/v1/bulk", `{"id":"huge","wkt":"`+wkt+`"}`+"\n", nil) },
+	} {
+		if code := do(); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, code)
+		}
+	}
+	if tr.Store().Has("huge") || tr.Err() != nil {
+		t.Fatalf("overflow ring admitted (Err %v)", tr.Err())
+	}
+	code, tag2, listing2 := etagDo(t, "GET", ts.URL+"/v1/relations", "", nil)
+	if code != http.StatusOK || tag2 != tag || !bytes.Equal(listing, listing2) {
+		t.Errorf("refused edits moved /v1/relations: %d, ETag %s → %s", code, tag, tag2)
+	}
+	if _, _, regions2 := etagDo(t, "GET", ts.URL+"/v1/regions", "", nil); !bytes.Equal(regions, regions2) {
+		t.Error("refused edits changed the /v1/regions listing")
+	}
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, nil); code != http.StatusOK {
+		t.Errorf("healthz after refused edits: %d", code)
+	}
 }

@@ -100,9 +100,9 @@ func TestLegacySnapshotsServeComputedRelations(t *testing.T) {
 	for i, g := range regions {
 		id := fmt.Sprintf("r%03d", i)
 		named[i] = core.NamedRegion{Name: id, Region: g}
-		if err := img.AddRegion(id, id, "", g); err != nil {
-			t.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id}
+		reg.SetGeometry(g)
+		img.Regions = append(img.Regions, reg)
 	}
 	if err := img.ComputeRelations(true); err != nil {
 		t.Fatal(err)

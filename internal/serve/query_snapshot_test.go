@@ -30,9 +30,9 @@ func trackedWorld(tb testing.TB, regions []geom.Region, opt core.StoreOptions) *
 	img := &config.Image{Name: "snapshot-test"}
 	for i, g := range regions {
 		id := fmt.Sprintf("w%04d", i)
-		if err := img.AddRegion(id, id, snapColors[i%len(snapColors)], g); err != nil {
-			tb.Fatal(err)
-		}
+		reg := config.Region{ID: id, Name: id, Color: snapColors[i%len(snapColors)]}
+		reg.SetGeometry(g)
+		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, opt)
 	if err != nil {

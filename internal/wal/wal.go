@@ -143,12 +143,6 @@ type Options struct {
 	Policy SyncPolicy
 	// Interval is the SyncInterval deadline; values ≤ 0 mean one second.
 	Interval time.Duration
-	// BaseSeq is the sequence number already consumed before this writer's
-	// first record: the next Append is record BaseSeq+1. Records in a log
-	// are numbered 1..n from the header, so a writer continuing an existing
-	// log passes BaseSeq = number of records already in the file (as
-	// counted by ReplayFile). The zero value starts a fresh numbering at 1.
-	BaseSeq uint64
 }
 
 // Metrics counts a writer's work; read them through Writer.Metrics.
@@ -176,7 +170,6 @@ type Writer struct {
 	buf      []byte
 	m        Metrics
 	lastSync time.Time
-	seq      uint64 // sequence of the last appended record (opt.BaseSeq before any)
 }
 
 // Create creates (or truncates) a fresh log at path, writing the header.
@@ -229,17 +222,8 @@ func newWriter(f *os.File, opt Options) *Writer {
 	if opt.Interval <= 0 {
 		opt.Interval = time.Second
 	}
-	return &Writer{f: f, opt: opt, lastSync: time.Now(), seq: opt.BaseSeq}
+	return &Writer{f: f, opt: opt, lastSync: time.Now()}
 }
-
-// NextSeq reports the sequence number the next appended record will carry.
-// Sequences are explicit so a replication reader can resume mid-log: record
-// k of a log whose writer started at BaseSeq b has sequence b+k.
-func (w *Writer) NextSeq() uint64 { return w.seq + 1 }
-
-// LastSeq reports the sequence number of the most recently appended record,
-// or Options.BaseSeq when nothing has been appended yet.
-func (w *Writer) LastSeq() uint64 { return w.seq }
 
 // Append encodes and writes one record, fsyncing according to the policy.
 // When Append returns nil under SyncAlways, the record is on stable
@@ -278,7 +262,6 @@ func (w *Writer) AppendBatch(recs []Record) error {
 	}
 	w.m.Records += int64(len(recs))
 	w.m.Bytes += int64(len(buf))
-	w.seq += uint64(len(recs))
 	switch w.opt.Policy {
 	case SyncAlways:
 		return w.Sync()
@@ -357,18 +340,6 @@ func ReplayFile(path string) (recs []Record, validSize int64, corr *Corruption, 
 
 // Replay decodes the intact prefix of a log image. See ReplayFile.
 func Replay(data []byte) (recs []Record, validSize int64, corr *Corruption) {
-	return ReplayFrom(data, 0)
-}
-
-// ReplayFrom decodes the intact prefix of a log image like Replay, but only
-// returns records with sequence number ≥ fromSeq, where record k of the log
-// (counting from 1 after the header) has sequence k. Every frame of the
-// prefix is still CRC-verified and decoded — skipping is about what is
-// returned, not what is checked — so validSize and corr are identical to
-// Replay's for the same input. A writer that continued a log at
-// Options.BaseSeq b numbers its records b+1..; callers resuming against
-// such a log pass fromSeq-b here. fromSeq ≤ 1 returns every record.
-func ReplayFrom(data []byte, fromSeq uint64) (recs []Record, validSize int64, corr *Corruption) {
 	if len(data) == 0 {
 		return nil, 0, nil
 	}
@@ -377,7 +348,6 @@ func ReplayFrom(data []byte, fromSeq uint64) (recs []Record, validSize int64, co
 	}
 	off := int64(len(Magic))
 	rest := data[len(Magic):]
-	seq := uint64(0)
 	for len(rest) > 0 {
 		if len(rest) < frameSize {
 			return recs, off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn frame: %d trailing bytes", len(rest))}
@@ -401,10 +371,7 @@ func ReplayFrom(data []byte, fromSeq uint64) (recs []Record, validSize int64, co
 			// handled the same way: keep the intact prefix.
 			return recs, off, &Corruption{Offset: off, Reason: err.Error()}
 		}
-		seq++
-		if seq >= fromSeq {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		step := int64(frameSize) + int64(n)
 		off += step
 		rest = rest[step:]

@@ -297,3 +297,23 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatal("oversize record accepted")
 	}
 }
+
+// TestEncodeDecodeRecord round-trips every sample record through the
+// exported payload codec replication ships over its own framing.
+func TestEncodeDecodeRecord(t *testing.T) {
+	for i, rec := range sampleRecords() {
+		got, err := DecodeRecord(EncodeRecord(rec))
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got, rec)
+		}
+	}
+	if _, err := DecodeRecord(nil); err == nil {
+		t.Fatal("empty payload decoded without error")
+	}
+	if _, err := DecodeRecord([]byte{0xff, 0x01, 0x02}); err == nil {
+		t.Fatal("garbage payload decoded without error")
+	}
+}
