@@ -1,7 +1,7 @@
 # CARDIRECT reproduction — developer targets.
 #
-# `make check` is the gate every change must pass: vet, a full build, the
-# test suite under the race detector (the parallel batch engine in
+# `make check` is the gate every change must pass: gofmt, vet, a full
+# build, the test suite under the race detector (the parallel batch engine in
 # internal/core is exercised with real worker pools, so -race is not
 # optional), the cardirectd smoke tests and the bench/ module's own tests.
 # Performance is gated in one place: `make bench-run` (BENCHMARK.json),
@@ -9,9 +9,15 @@
 
 GO ?= go
 
-.PHONY: check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments loc
+.PHONY: check fmt-check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments loc
 
-check: vet build race smoke bench-check
+check: fmt-check vet build race smoke bench-check
+
+# Fails listing every Go file of the root module (bench/ is its own) that
+# gofmt would rewrite.
+fmt-check:
+	@out=$$(find . -name '*.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -w these files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

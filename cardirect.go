@@ -319,8 +319,9 @@ type (
 	// clockwise-normalised, edges flattened, bounding box and tile grid
 	// precomputed. Immutable after Prepare; safe for concurrent use.
 	Prepared = core.Prepared
-	// Scratch holds reusable per-goroutine buffers for the LoD tier; Relate
-	// and RelatePct accept one but need none (pass nil).
+	// Scratch holds reusable per-goroutine buffers for the LoD tier and the
+	// one-shot ComputeCDR/ComputeCDRPct (which take theirs from a pool);
+	// Relate and RelatePct accept one but need none (pass nil).
 	Scratch = core.Scratch
 	// BatchOptions tunes the all-pairs batch engines (worker count,
 	// disabling the MBB prune fast path, pre-prepared regions).

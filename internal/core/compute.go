@@ -14,7 +14,7 @@ type Stats struct {
 	EdgesOut      int // segments after splitting on the mbb lines
 	EdgeVisits    int // number of edge traversals (EdgesIn × passes)
 	Passes        int // scans over the primary region's edge list (1 for Compute-CDR)
-	PointInPoly   int // point-in-polygon tests performed
+	PointInPoly   int // center tests run: B still open, polygon box holds the center
 	Intersections int // intersection points computed (each costs a division)
 
 	// Batch-engine prune counters: pairs answered by the MBB fast path
@@ -83,7 +83,11 @@ func (st *Stats) Merge(other Stats) {
 // enclose the whole bounding box and therefore have no edge inside it.
 //
 // The running time is O(k_a + k_b), where k_a and k_b are the total edge
-// counts of a and b (Theorem 1 of the paper).
+// counts of a and b (Theorem 1 of the paper). The pass is the batch
+// engine's kernel (relateFull, no MBB pruning) over a preparation of a
+// written into pooled scratch storage, so a warm call allocates nothing;
+// transcription_test.go keeps the literal Fig. 5 / Fig. 10 loops as the
+// reference both are held to bit for bit.
 func ComputeCDR(a, b geom.Region) (Relation, error) {
 	r, _, err := computeCDR(a, b)
 	return r, err
@@ -96,41 +100,28 @@ func ComputeCDRStats(a, b geom.Region) (Relation, Stats, error) {
 
 func computeCDR(a, b geom.Region) (Relation, Stats, error) {
 	var st Stats
-	if len(a) == 0 {
-		return 0, st, fmt.Errorf("core: primary region is empty")
-	}
-	if len(b) == 0 {
-		return 0, st, fmt.Errorf("core: reference region is empty")
-	}
-	grid, err := NewGrid(b.BoundingBox())
+	grid, err := oneShotGrid(a, b)
 	if err != nil {
 		return 0, st, err
 	}
-	center := grid.Box().Center()
-
-	var rel Relation
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, p := range a {
-		p = p.Clockwise() // interior-side tie-breaking needs the canonical orientation
-		for i := 0; i < p.NumEdges(); i++ {
-			st.EdgesIn++
-			st.EdgeVisits++
-			sc.buf = grid.SplitEdge(p.Edge(i), sc.buf[:0])
-			st.Intersections += len(sc.buf) - 1
-			for _, s := range sc.buf {
-				st.EdgesOut++
-				rel = rel.With(grid.ClassifySegment(s))
-			}
-		}
-		st.PointInPoly++
-		if p.Contains(center) {
-			rel = rel.With(TileB)
-		}
-	}
+	rel := sc.primary(a).relateFull(grid, &st)
 	st.Passes = 1
 	if !rel.IsValid() {
-		return 0, st, fmt.Errorf("core: primary region produced no tiles (degenerate input)")
+		return 0, st, fmt.Errorf("core: primary region produced no tiles (degenerate input): %w", ErrDegenerateRegion)
 	}
 	return rel, st, nil
+}
+
+// oneShotGrid checks the one-shot functions' arguments — both regions
+// non-empty, the reference's box a usable grid — and returns that grid.
+func oneShotGrid(a, b geom.Region) (Grid, error) {
+	if len(a) == 0 {
+		return Grid{}, fmt.Errorf("core: primary region is empty: %w", ErrDegenerateRegion)
+	}
+	if len(b) == 0 {
+		return Grid{}, fmt.Errorf("core: reference region is empty: %w", ErrDegenerateRegion)
+	}
+	return NewGrid(b.BoundingBox())
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +232,40 @@ func TestComputeCDRErrors(t *testing.T) {
 	line := geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)))
 	if _, err := ComputeCDR(b, line); err == nil {
 		t.Error("degenerate reference mbb should error")
+	}
+}
+
+// TestOneShotDegenerateSentinel pins the one-shot error contract on both
+// entry points: every degenerate input wraps ErrDegenerateRegion (which the
+// HTTP layer maps to 422), with the message text kept.
+func TestOneShotDegenerateSentinel(t *testing.T) {
+	noEdges := geom.Region{geom.Polygon{}}
+	entries := []struct {
+		name string
+		run  func(a, b geom.Region) error
+	}{
+		{"ComputeCDR", func(a, b geom.Region) error { _, err := ComputeCDR(a, b); return err }},
+		{"ComputeCDRPct", func(a, b geom.Region) error { _, _, err := ComputeCDRPct(a, b); return err }},
+	}
+	for _, tc := range []struct {
+		name   string
+		a, b   geom.Region
+		cdrMsg string
+		pctMsg string
+	}{
+		{"empty primary", nil, refB(), "primary region is empty", "primary region is empty"},
+		{"empty reference", refB(), nil, "reference region is empty", "reference region is empty"},
+		{"primary without edges", noEdges, refB(), "produced no tiles", "zero area"},
+	} {
+		for i, e := range entries {
+			err := e.run(tc.a, tc.b)
+			msg := [...]string{tc.cdrMsg, tc.pctMsg}[i]
+			if !errors.Is(err, ErrDegenerateRegion) {
+				t.Errorf("%s(%s): %v does not wrap ErrDegenerateRegion", e.name, tc.name, err)
+			} else if !strings.Contains(err.Error(), msg) {
+				t.Errorf("%s(%s): message %q lacks %q", e.name, tc.name, err, msg)
+			}
+		}
 	}
 }
 

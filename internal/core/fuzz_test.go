@@ -53,15 +53,28 @@ func FuzzParseRelationSet(f *testing.F) {
 	})
 }
 
-// fuzzSeeds are the shared seeds of FuzzMBBFastPath and FuzzMBBFastPathPct.
-func fuzzSeeds(f *testing.F) {
-	f.Add(0.0, 0.0, 2.0, 2.0, 4.0, 0.0, 6.0, 2.0, uint8(1))
-	f.Add(-3.0, 1.0, 0.0, 5.0, 0.0, 0.0, 10.0, 6.0, uint8(1))   // touching x = m1
-	f.Add(2.0, 2.0, 8.0, 4.0, 0.0, 0.0, 10.0, 6.0, uint8(3))    // contained
-	f.Add(-4.0, -2.0, -1.0, 8.0, 0.0, 0.0, 10.0, 6.0, uint8(7)) // west column
-	f.Add(1.0, -9.0, 3.0, -1.0, 0.0, 0.0, 4.0, 4.0, uint8(5))   // touching y = l1
+// mbbSeed is one input of the fast-path fuzzers: fuzzPair's arguments.
+type mbbSeed struct {
+	ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64
+	shape                                  uint8
+}
+
+// mbbSeeds are the shared seeds of FuzzMBBFastPath and FuzzMBBFastPathPct
+// (and one input of TestOneShotMatchesTranscription).
+var mbbSeeds = []mbbSeed{
+	{0, 0, 2, 2, 4, 0, 6, 2, 1},
+	{-3, 1, 0, 5, 0, 0, 10, 6, 1},   // touching x = m1
+	{2, 2, 8, 4, 0, 0, 10, 6, 3},    // contained
+	{-4, -2, -1, 8, 0, 0, 10, 6, 7}, // west column
+	{1, -9, 3, -1, 0, 0, 4, 4, 5},   // touching y = l1
 	// The 1-ulp sliver of TestSliverStagesAgree: raw coordinates, triangle.
-	f.Add(0.30000000000000004, 0.19999999999999998, 0.5, 0.4, -0.1, 0.2, 0.3, 0.6, uint8(24))
+	{0.30000000000000004, 0.19999999999999998, 0.5, 0.4, -0.1, 0.2, 0.3, 0.6, 24},
+}
+
+func fuzzSeeds(f *testing.F) {
+	for _, s := range mbbSeeds {
+		f.Add(s.ax0, s.ay0, s.ax1, s.ay1, s.bx0, s.by0, s.bx1, s.by1, s.shape)
+	}
 }
 
 // fuzzPair builds the fast-path fuzzers' pair from raw fuzz input: a
@@ -111,7 +124,8 @@ func fuzzPair(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shap
 }
 
 // FuzzMBBFastPath cross-checks the batch engine's MBB tile-pruning fast
-// path against full edge-splitting on the fuzzPair workload.
+// path against full edge-splitting on the fuzzPair workload, and Relate and
+// ComputeCDR against the transcription.
 func FuzzMBBFastPath(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) {
@@ -129,10 +143,11 @@ func FuzzMBBFastPath(f *testing.F) {
 		if ok && fast != full {
 			t.Fatalf("fast path %v != full path %v\nprimary %v\nreference grid %+v", fast, full, a, grid)
 		}
-		// End-to-end: Relate must equal the reference algorithm exactly.
-		want, err := ComputeCDR(a, b)
+		// End-to-end: Relate and ComputeCDR must equal the transcription
+		// exactly.
+		want, _, err := paperCDR(a, b)
 		if err != nil {
-			t.Fatalf("ComputeCDR: %v", err)
+			t.Fatalf("transcription: %v", err)
 		}
 		refP, err := Prepare("b", b)
 		if err != nil {
@@ -142,16 +157,17 @@ func FuzzMBBFastPath(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("Relate %v != ComputeCDR %v\nprimary %v reference %v", got, want, a, b)
+		oneShot, err := ComputeCDR(a, b)
+		if err != nil || got != want || oneShot != want {
+			t.Fatalf("Relate %v, ComputeCDR %v (%v); transcription %v\nprimary %v reference %v", got, oneShot, err, want, a, b)
 		}
 	})
 }
 
 // FuzzMBBFastPathPct is the quantitative sibling of FuzzMBBFastPath: on the
 // same workload it cross-checks the cached-area percent fast path against
-// the full Compute-CDR% accumulation, and the whole RelatePct pipeline
-// against the reference ComputeCDRPct.
+// the full Compute-CDR% accumulation, and ComputeCDRPct and the whole
+// RelatePct pipeline against the transcription.
 func FuzzMBBFastPathPct(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64, shape uint8) {
@@ -178,10 +194,14 @@ func FuzzMBBFastPathPct(f *testing.F) {
 				}
 			}
 		}
-		// End-to-end: RelatePct must match the reference algorithm.
-		wantM, wantAreas, err := ComputeCDRPct(a, b)
+		// End-to-end: ComputeCDRPct must equal the transcription bit for
+		// bit, and RelatePct (pruning on) match it within tolerance.
+		wantM, wantAreas, _, err := paperCDRPct(a, b)
 		if err != nil {
-			t.Skip("reference algorithm rejects the pair")
+			t.Skip("transcription rejects the pair")
+		}
+		if m, areas, err := ComputeCDRPct(a, b); err != nil || m != wantM || areas != wantAreas {
+			t.Fatalf("ComputeCDRPct = %v, %v, %v; transcription %v, %v\nprimary %v reference %v", m, areas, err, wantM, wantAreas, a, b)
 		}
 		refP, err := Prepare("b", b)
 		if err != nil {
@@ -193,7 +213,7 @@ func FuzzMBBFastPathPct(f *testing.F) {
 		}
 		for _, tile := range Tiles() {
 			if !areaClose(gotAreas[tile], wantAreas[tile]) || !pctClose(gotM.Get(tile), wantM.Get(tile)) {
-				t.Fatalf("RelatePct diverges from ComputeCDRPct at %v:\nareas %v vs %v\npcts %v vs %v\nprimary %v reference %v",
+				t.Fatalf("RelatePct diverges from the transcription at %v:\nareas %v vs %v\npcts %v vs %v\nprimary %v reference %v",
 					tile, gotAreas, wantAreas, gotM, wantM, a, b)
 			}
 		}

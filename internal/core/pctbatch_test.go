@@ -32,8 +32,9 @@ func maxIntTest(a, b int) int {
 	return b
 }
 
-// naivePairsPct computes the canonical answer with pairwise ComputeCDRPct
-// over name-sorted regions — the reference the batch engine must reproduce.
+// naivePairsPct computes the canonical answer with the pairwise paper
+// transcription over name-sorted regions — the reference the batch engine
+// must reproduce.
 func naivePairsPct(t *testing.T, regions []NamedRegion) []PairPercent {
 	t.Helper()
 	sorted := append([]NamedRegion{}, regions...)
@@ -50,7 +51,7 @@ func naivePairsPct(t *testing.T, regions []NamedRegion) []PairPercent {
 			if a.Name == b.Name {
 				continue
 			}
-			m, areas, err := ComputeCDRPct(a.Region, b.Region)
+			m, areas, _, err := paperCDRPct(a.Region, b.Region)
 			if err != nil {
 				t.Fatalf("naive %s vs %s: %v", a.Name, b.Name, err)
 			}
@@ -91,7 +92,7 @@ func batchPct(t testing.TB, regions []NamedRegion, opt BatchOptions) ([]PairPerc
 }
 
 // TestComputeAllPairsPctDifferential asserts the quantitative batch engine
-// reproduces pairwise ComputeCDRPct on scatter and clustered workloads, for
+// reproduces the pairwise transcription on scatter and clustered workloads, for
 // every worker count, with and without pruning.
 func TestComputeAllPairsPctDifferential(t *testing.T) {
 	workloads := []struct {

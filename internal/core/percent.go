@@ -6,23 +6,6 @@ import (
 	"cardirect/internal/geom"
 )
 
-// El is the paper's trapezoid expression E_l(AB): the signed area between
-// the edge AB and the horizontal reference line y = l (Definition 4). Its
-// absolute value is the area of the trapezoid (A B L_B L_A); the sign flips
-// with the edge direction, and summing E_l along a closed clockwise (y-up)
-// ring yields the ring's (positive) area regardless of l.
-func El(a, b geom.Point, l float64) float64 {
-	return (b.X - a.X) * (a.Y + b.Y - 2*l) / 2
-}
-
-// Em is the paper's expression E'_m(AB): the signed area between AB and the
-// vertical reference line x = m. Summing E'_m along a closed clockwise
-// (y-up) ring yields the negated ring area. (The paper's Definition 4 has a
-// typo — "2l" in the E'_m formula stands for 2m.)
-func Em(a, b geom.Point, m float64) float64 {
-	return (b.Y - a.Y) * (a.X + b.X - 2*m) / 2
-}
-
 // ComputeCDRPct implements Algorithm Compute-CDR% (Fig. 10 of the paper):
 // it returns the cardinal direction relation with percentages between the
 // primary region a and the reference region b as a PercentMatrix, together
@@ -39,7 +22,9 @@ func Em(a, b geom.Point, m float64) float64 {
 //
 //	area(B) = |area(B+N)| − |area(N)|.
 //
-// The running time is O(k_a + k_b) (Theorem 2 of the paper).
+// The running time is O(k_a + k_b) (Theorem 2 of the paper). The pass is
+// the batch engine's kernel (relatePctFullInto) over a reused preparation
+// of a — see ComputeCDR.
 func ComputeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, error) {
 	m, ta, _, err := computeCDRPct(a, b)
 	return m, ta, err
@@ -53,68 +38,20 @@ func ComputeCDRPctStats(a, b geom.Region) (PercentMatrix, TileAreas, Stats, erro
 func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 	var st Stats
 	var areas TileAreas
-	if len(a) == 0 {
-		return PercentMatrix{}, areas, st, fmt.Errorf("core: primary region is empty: %w", ErrDegenerateRegion)
-	}
-	if len(b) == 0 {
-		return PercentMatrix{}, areas, st, fmt.Errorf("core: reference region is empty: %w", ErrDegenerateRegion)
-	}
-	grid, err := NewGrid(b.BoundingBox())
+	grid, err := oneShotGrid(a, b)
 	if err != nil {
 		return PercentMatrix{}, areas, st, err
 	}
-
-	// The split buffer lives in a pooled Scratch, so repeated one-shot calls
-	// stop allocating once the pool is warm.
 	sc := getScratch()
 	defer putScratch(sc)
-	var acc [NumTiles]float64 // per-tile trapezoid accumulators
-	var accBN float64         // B∪N slab accumulator against y = l1
-
-	for _, p := range a {
-		p = p.Clockwise()
-		for i := 0; i < p.NumEdges(); i++ {
-			st.EdgesIn++
-			st.EdgeVisits++
-			sc.buf = grid.SplitEdge(p.Edge(i), sc.buf[:0])
-			st.Intersections += len(sc.buf) - 1
-			for _, s := range sc.buf {
-				st.EdgesOut++
-				t := grid.ClassifySegment(s)
-				switch t {
-				case TileNW, TileW, TileSW:
-					acc[t] += Em(s.A, s.B, grid.M1)
-				case TileNE, TileE, TileSE:
-					acc[t] += Em(s.A, s.B, grid.M2)
-				case TileS:
-					acc[t] += El(s.A, s.B, grid.L1)
-				case TileN:
-					acc[t] += El(s.A, s.B, grid.L2)
-				}
-				if t == TileN || t == TileB {
-					accBN += El(s.A, s.B, grid.L1)
-				}
-			}
-		}
-	}
+	total, err := sc.primary(a).relatePctFullInto(&areas, grid, &st)
 	st.Passes = 1
-
-	for _, t := range Tiles() {
-		if t == TileB {
-			continue
-		}
-		areas[t] = abs(acc[t])
-	}
-	// area(B) = |area(B+N)| − |area(N)|; clamp tiny negative float residue.
-	if bArea := abs(accBN) - areas[TileN]; bArea > 0 {
-		areas[TileB] = bArea
-	}
-
-	total := areas.Total()
-	if total <= 0 {
+	if err != nil { // the kernel's message names a region; this primary has no name
 		return PercentMatrix{}, areas, st, fmt.Errorf("core: primary region has zero area: %w", ErrDegenerateRegion)
 	}
-	return areas.Percent(), areas, st, nil
+	var m PercentMatrix
+	percentInto(&m, &areas, total)
+	return m, areas, st, nil
 }
 
 // RelatePct computes the cardinal direction relation with percentages of the
@@ -240,10 +177,10 @@ func (p *Prepared) relatePctPolyInto(dst *TileAreas, g Grid, st *Stats) bool {
 // An edge is split only when its coordinate span actually straddles a grid
 // line (four compares, no divisions); the no-split majority accumulates
 // straight from the raw coordinates with no Segment materialisation and no
-// buffer traffic. Accumulation order per tile matches the one-shot
-// ComputeCDRPct exactly, so results are bit-identical
-// (TestKernelsMatchPaperTranscription). It writes the per-tile areas into
-// dst and returns their total.
+// buffer traffic. Accumulation order per tile matches the paper
+// transcription (transcription_test.go) exactly, so results are
+// bit-identical (TestKernelsMatchPaperTranscription). It writes the
+// per-tile areas into dst and returns their total.
 func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, st *Stats) (float64, error) {
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
 	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by

@@ -8,50 +8,6 @@ import (
 	"cardirect/internal/geom"
 )
 
-func TestTrapezoidExpressions(t *testing.T) {
-	// E_l over the clockwise unit square against y = 0 sums to +1 (the area)
-	// regardless of the line, because the −2l terms telescope.
-	sq := geom.Poly(geom.Pt(0, 1), geom.Pt(1, 1), geom.Pt(1, 0), geom.Pt(0, 0))
-	for _, l := range []float64{0, -3, 7} {
-		var s float64
-		for i := 0; i < sq.NumEdges(); i++ {
-			e := sq.Edge(i)
-			s += El(e.A, e.B, l)
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Errorf("ΣE_%g = %v, want 1", l, s)
-		}
-	}
-	// ΣE'_m over a clockwise ring is −area.
-	for _, m := range []float64{0, 5} {
-		var s float64
-		for i := 0; i < sq.NumEdges(); i++ {
-			e := sq.Edge(i)
-			s += Em(e.A, e.B, m)
-		}
-		if math.Abs(s+1) > 1e-12 {
-			t.Errorf("ΣE'_%g = %v, want -1", m, s)
-		}
-	}
-	// Antisymmetry: E_l(AB) = −E_l(BA), E'_m(AB) = −E'_m(BA).
-	a, b := geom.Pt(1, 2), geom.Pt(4, 7)
-	if El(a, b, 1) != -El(b, a, 1) {
-		t.Error("E_l not antisymmetric")
-	}
-	if Em(a, b, 1) != -Em(b, a, 1) {
-		t.Error("E'_m not antisymmetric")
-	}
-	// Definition 4 example value: the trapezoid between AB and the line.
-	// A=(0,2), B=(4,4) against y=0: area = (2+4)/2·4 = 12.
-	if got := El(geom.Pt(0, 2), geom.Pt(4, 4), 0); got != 12 {
-		t.Errorf("E_0 = %v, want 12", got)
-	}
-	// E'_m: A=(2,0), B=(4,4) against x=0: (4−0)(2+4−0)/2 = 12.
-	if got := Em(geom.Pt(2, 0), geom.Pt(4, 4), 0); got != 12 {
-		t.Errorf("E'_0 = %v, want 12", got)
-	}
-}
-
 func TestComputeCDRPctFig1c(t *testing.T) {
 	// Fig. 1c: region c is 50% northeast and 50% east of b.
 	b := refB() // mbb [0,10]×[0,6]

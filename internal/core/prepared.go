@@ -7,9 +7,10 @@ import (
 	"cardirect/internal/geom"
 )
 
-// ErrDegenerateRegion is returned (wrapped, with the region's name) when a
-// region cannot participate in relation computation: it has no polygons, or
-// its polygons contribute no edges. Callers can test for it with errors.Is.
+// ErrDegenerateRegion is returned (wrapped, with the region's name where it
+// has one) when a region cannot participate in relation computation: it has
+// no polygons, its polygons contribute no edges, or — for percentages — it
+// has no area. Callers can test for it with errors.Is.
 var ErrDegenerateRegion = errors.New("core: degenerate region")
 
 // Prepared is a region preprocessed once for repeated cardinal direction
@@ -83,14 +84,14 @@ func Prepare(name string, r geom.Region) (*Prepared, error) {
 	return p, nil
 }
 
-// fill builds p over r (already counted by countEdges) in the storage
-// handed to it: coords holds four float64s per edge, polyOff one int32 per
-// polygon plus one, polys one entry per polygon. Each ring is written
-// straight into the coordinate block in the canonical clockwise orientation
-// — following geom.Polygon.Clockwise's rule, without materialising the
-// reversed ring — and the per-polygon facts are then computed from the block
-// in ring order, so they are bit-identical to what the geom methods return
-// for the normalised ring.
+// fill builds p over r in the storage handed to it, sized from r: coords
+// holds four float64s per edge, polyOff one int32 per polygon plus one,
+// polys one entry per polygon. Each ring is written straight into the
+// coordinate block in the canonical clockwise orientation — following
+// geom.Polygon.Clockwise's rule, without materialising the reversed ring —
+// and the per-polygon facts are then computed from the block in ring order,
+// so they are bit-identical to what the geom methods return for the
+// normalised ring.
 func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []int32, polys []preparedPoly) {
 	total := len(coords) / 4
 	p.Name = name
@@ -243,13 +244,17 @@ func (p *Prepared) gridErr() error {
 }
 
 // Scratch holds the reusable buffers of one computation thread: the
-// edge-split buffer of the one-shot ComputeCDR/ComputeCDRPct and the
-// strip-stage scratch of the LoD tier. The exact kernels behind Relate and
-// RelatePct need none. Each worker of a parallel LoD batch owns its own
-// Scratch; sharing one across goroutines is a data race. The zero value is
-// ready to use.
+// primary of the one-shot ComputeCDR/ComputeCDRPct, prepared into storage
+// that outlives the call, and the strip-stage scratch of the LoD tier. The
+// exact kernels behind Relate and RelatePct need none. Each worker of a
+// parallel LoD batch owns its own Scratch; sharing one across goroutines is
+// a data race. The zero value is ready to use.
 type Scratch struct {
-	buf []geom.Segment
+	// The one-shot primary (Scratch.primary): prim is filled over coords,
+	// prim.polyOff and prim.polys, whose capacity carries over from call to
+	// call up to putScratch's cap.
+	prim   Prepared
+	coords []float64
 
 	// Strip-stage scratch (lod_strip.go): epoch-stamped candidate
 	// de-duplication, the gathered edge ids, and per-polygon parity
@@ -499,11 +504,12 @@ func (p *Prepared) polyContains(k int, q geom.Point) bool {
 // splitEdgeInto cuts the edge (x0,y0)→(x1,y1) at its proper crossings with
 // the four grid lines and writes the resulting polyline vertices into
 // (qx,qy): entry 0 is the edge start, entry cnt is the edge end, and the cnt
-// sub-segments run between consecutive vertices. It is Grid.SplitEdge
-// working in raw coordinates — same crossing tests, same insertion order
-// and sort, same corner coalescing and degenerate-piece skipping, the same
-// exact on-line snapping — minus the Segment materialisation and buffer
-// traffic, so the SoA kernels split without leaving their register file.
+// sub-segments run between consecutive vertices. It is the paper
+// transcription's Grid.SplitEdge (transcription_test.go) working in raw
+// coordinates — same crossing tests, same insertion order and sort, same
+// corner coalescing and degenerate-piece skipping, the same exact on-line
+// snapping — minus the Segment materialisation and buffer traffic, so the
+// SoA kernels split without leaving their register file.
 // Finite coordinates assumed (the geometry layer validates them).
 func splitEdgeInto(m1, m2, l1, l2, x0, y0, x1, y1 float64, qx, qy *[6]float64) int {
 	var ts [4]float64
@@ -580,13 +586,14 @@ func splitEdgeInto(m1, m2, l1, l2, x0, y0, x1, y1 float64, qx, qy *[6]float64) i
 
 // classifyCol returns the grid column of a sub-segment known not to cross a
 // vertical grid line, from its x-span [lo, hi] and its y-direction dy — what
-// Grid.ClassifySegment decides, over raw coordinates, small enough for the
-// inliner. A segment lying on a line (lo == hi == m) goes to the side of the
-// polygon's interior, to the right of A→B under the canonical clockwise
-// orientation: on the west line that is east exactly when the segment runs
-// northbound (dy > 0), and symmetrically on the east line. Any other segment
-// is decided by its span, not its rounded midpoint: a piece reaching 1 ulp
-// across a line belongs to the far side, however small.
+// the transcription's Grid.ClassifySegment decides, over raw coordinates,
+// small enough for the inliner. A segment lying on a line (lo == hi == m)
+// goes to the side of the polygon's interior, to the right of A→B under the
+// canonical clockwise orientation: on the west line that is east exactly
+// when the segment runs northbound (dy > 0), and symmetrically on the east
+// line. Any other segment is decided by its span, not its rounded midpoint:
+// a piece reaching 1 ulp across a line belongs to the far side, however
+// small.
 func classifyCol(m1, m2, lo, hi, dy float64) int {
 	if lo == hi && dy != 0 {
 		if lo == m1 {

@@ -45,9 +45,9 @@ func soaWorlds() []struct {
 	}
 }
 
-// naivePairs computes the canonical qualitative answer with pairwise
-// ComputeCDR over name-sorted regions — the paper transcription the batch
-// engine must reproduce.
+// naivePairs computes the canonical qualitative answer with the pairwise
+// paper transcription over name-sorted regions — what the batch engine
+// must reproduce.
 func naivePairs(t *testing.T, regions []NamedRegion) []PairRelation {
 	t.Helper()
 	sorted := append([]NamedRegion{}, regions...)
@@ -58,7 +58,7 @@ func naivePairs(t *testing.T, regions []NamedRegion) []PairRelation {
 			if a.Name == b.Name {
 				continue
 			}
-			rel, err := ComputeCDR(a.Region, b.Region)
+			rel, _, err := paperCDR(a.Region, b.Region)
 			if err != nil {
 				t.Fatalf("naive %s vs %s: %v", a.Name, b.Name, err)
 			}
@@ -69,8 +69,8 @@ func naivePairs(t *testing.T, regions []NamedRegion) []PairRelation {
 }
 
 // TestSoAKernelDifferential asserts the struct-of-arrays kernels compute
-// bit-identical results to the paper transcription (ComputeCDR,
-// ComputeCDRPct) — Relations, absolute tile areas and percent matrices
+// bit-identical results to the paper transcription (paperCDR,
+// paperCDRPct) — Relations, absolute tile areas and percent matrices
 // compared with exact float equality — across scatter, cluster and
 // adversarial worlds, with pruning both on and off. The quantitative fast
 // path answers from areas cached at Prepare time, a different float sum
@@ -88,7 +88,7 @@ func TestSoAKernelDifferential(t *testing.T) {
 				t.Fatalf("%s: soa qual: %v", label, err)
 			}
 			if !reflect.DeepEqual(qualSoA.Pairs, qualRef) {
-				t.Errorf("%s: qualitative pairs diverge between the SoA kernel and ComputeCDR", label)
+				t.Errorf("%s: qualitative pairs diverge between the SoA kernel and the transcription", label)
 			}
 
 			pctSoA, err := BatchPct(nil, w.regions, &BatchOptions{Workers: 1, NoPrune: noPrune})
@@ -118,10 +118,10 @@ func TestSoAKernelDifferential(t *testing.T) {
 
 // TestSoAStatsEquivalent pins that the SoA kernels report the same edge
 // accounting as the paper transcription: the no-split fast case must count
-// like a SplitEdge call that returned one segment. The one-shot also counts
-// one pass per pair and one center test per polygon, which the batch engine
-// counts differently (Passes per pair, PointInPoly only when run), so the
-// comparison is over the edge counters.
+// like a SplitEdge call that returned one segment, and a pair is one pass.
+// PointInPoly is left out: the transcription tests every polygon's center
+// where the kernels (and so the one-shot functions) count only the tests
+// they run — none at all in Compute-CDR%.
 func TestSoAStatsEquivalent(t *testing.T) {
 	regions := clusterWorkload(11, 16)
 	soa, err := BatchPct(nil, regions, &BatchOptions{Workers: 1, NoPrune: true})
@@ -134,7 +134,7 @@ func TestSoAStatsEquivalent(t *testing.T) {
 			if a.Name == b.Name {
 				continue
 			}
-			_, _, st, err := ComputeCDRPctStats(a.Region, b.Region)
+			_, _, st, err := paperCDRPct(a.Region, b.Region)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,13 @@
 //     relation with percentages, computed through the trapezoid expressions
 //     E_l and E'_m without polygon clipping.
 //
+// Each algorithm has one implementation, the struct-of-arrays kernel over a
+// Prepared region (relateFull, relatePctFullInto): the one-shot functions
+// run it on a primary prepared into pooled scratch, and the batch engines,
+// the relation store and the huge-world tier run it behind their MBB fast
+// paths. transcription_test.go keeps the literal Fig. 5 / Fig. 10
+// transcription as the reference every stage is held to bit for bit.
+//
 // The model: the minimum bounding box of the reference region b divides the
 // plane into nine closed tiles B, S, SW, W, NW, N, NE, E, SE. A basic
 // cardinal direction relation is a non-empty subset of tiles — the tiles the

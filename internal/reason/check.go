@@ -50,8 +50,8 @@ type CheckStats struct {
 	// SolverBranches is the number of top-level branch seeds the parallel
 	// solver fanned out (1 for the sequential solver); SolverWorkers the
 	// fan width used. Zero when the solver never ran.
-	SolverBranches int `json:"solver_branches,omitempty"`
-	SolverWorkers  int `json:"solver_workers,omitempty"`
+	SolverBranches int   `json:"solver_branches,omitempty"`
+	SolverWorkers  int   `json:"solver_workers,omitempty"`
 	JointNs        int64 `json:"joint_ns,omitempty"`
 	RefineNs       int64 `json:"refine_ns,omitempty"`
 	FastPathNs     int64 `json:"fastpath_ns,omitempty"`

@@ -125,8 +125,8 @@ func TestDecodeEditsRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{0x01},
-		{0xff, 0xff, 0xff, 0xff},                         // absurd count
-		{0x01, 0x00, 0x00, 0x00},                         // count 1, no edits
+		{0xff, 0xff, 0xff, 0xff}, // absurd count
+		{0x01, 0x00, 0x00, 0x00}, // count 1, no edits
 		{0x01, 0x00, 0x00, 0x00, 0xff, 0x00, 0x00, 0x00}, // length past end
 	}
 	for i, c := range cases {
