@@ -57,7 +57,9 @@ lint: vet
 
 # Short fuzz runs, 10 s per target. Two decoders of crash-damaged or remote
 # input (WAL replay, the replication stream), the snapshot pct attribute,
-# and five differentials against a reference: the SoA kernels against the
+# the one op switch every edit goes through (config.Tracked.Apply: a refused
+# edit changes nothing, an accepted one relates like a fresh Track), and
+# five differentials against a reference: the SoA kernels against the
 # paper's transcription (relation and percent — their corpus carries the
 # 1-ulp sliver reproducer), the huge-world tier stack against the exact
 # kernel, the planner on against off, the parallel solver against the
@@ -65,6 +67,7 @@ lint: vet
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzParsePct -fuzztime=10s ./internal/config
+	$(GO) test -run='^$$' -fuzz=FuzzTrackedApply -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core

@@ -29,8 +29,9 @@
 //	           -replicas http://r1:8081,http://r2:8082   fan reads out, route writes
 //
 // A primary serves GET /v1/replication/{snapshot,wal,status}; replicas
-// bootstrap from the snapshot, apply shipped records through the store's
-// edit methods, reject writes with 421 not_primary, and honor the
+// bootstrap from the snapshot, apply shipped records through
+// config.Tracked.Apply (the op switch the primary's edits take), reject
+// writes with 421 not_primary, and honor the
 // Cardirect-Min-Generation freshness contract. The router forwards writes
 // (and replication/admin/debug traffic) to the primary and round-robins
 // reads across healthy replicas. See the Scale-out section of README.md.

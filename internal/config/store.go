@@ -8,6 +8,7 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
 	"cardirect/internal/index"
+	"cardirect/internal/wal"
 )
 
 // ErrUnknownRegion is returned (wrapped, with the offending id) by the edit
@@ -32,6 +33,8 @@ var ErrDuplicateRegion = errors.New("config: duplicate region id")
 // updates the document last. No pair is computed by an edit; relations are
 // computed when they are read. This is the paper's interactive annotation
 // loop (§4) with an edit path that does not depend on the number of regions.
+// Apply takes the same edits spelled as log records, the form every layer
+// above passes down; it is the one place a record turns into an edit.
 //
 // Concurrency: Tracked carries an RWMutex so many readers overlap one
 // writer — the contract cardirectd relies on. The edit methods take the
@@ -108,6 +111,36 @@ func (tr *Tracked) View(fn func(img *Image) error) error {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	return fn(tr.img)
+}
+
+// Apply applies one edit spelled as log records — the form the HTTP layer
+// decodes, the WAL stores and the replication stream ships. One record calls
+// the matching edit method; several must all be OpAdd and go in through
+// BulkAddRegions as one generation bump; any other batch is refused and
+// changes nothing. An empty slice is no edit.
+func (tr *Tracked) Apply(recs []wal.Record) error {
+	if len(recs) == 1 {
+		r := recs[0]
+		switch r.Op {
+		case wal.OpAdd:
+			return tr.AddRegion(r.ID, r.Name, r.Color, r.Geometry)
+		case wal.OpRemove:
+			return tr.RemoveRegion(r.ID)
+		case wal.OpRename:
+			return tr.RenameRegion(r.ID, r.NewID)
+		case wal.OpSetGeometry:
+			return tr.SetRegionGeometry(r.ID, r.Geometry)
+		}
+		return fmt.Errorf("config: unknown edit %v", r.Op)
+	}
+	bulk := make([]BulkRegion, len(recs))
+	for i, r := range recs {
+		if r.Op != wal.OpAdd {
+			return fmt.Errorf("config: edit %d of a batch of %d is %v; only adds batch", i, len(recs), r.Op)
+		}
+		bulk[i] = BulkRegion{ID: r.ID, Name: r.Name, Color: r.Color, Geometry: r.Geometry}
+	}
+	return tr.BulkAddRegions(bulk)
 }
 
 // AddRegion appends a new region: the id must be unique and non-empty

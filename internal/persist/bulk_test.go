@@ -5,17 +5,17 @@ import (
 	"reflect"
 	"testing"
 
-	"cardirect/internal/config"
 	"cardirect/internal/geom"
+	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
-// TestBulkAddRegions drives the durable bulk-ingest path end to end: one
-// BulkAddRegions call must cost one WAL fsync and one store edit
+// TestApplyBulk drives the durable bulk-ingest path end to end: one Apply
+// of k OpAdd records must cost one WAL fsync and one store edit
 // (BulkBatches == 1), and a recovery from the resulting log
 // must replay the run back through the bulk path, reproducing the exact
 // store state.
-func TestBulkAddRegions(t *testing.T) {
+func TestApplyBulk(t *testing.T) {
 	dir := t.TempDir()
 	seedWorld := workload.New(1).Scatter(4, 8)
 	s := openForTest(t, dir, buildImage(t, seedWorld))
@@ -23,12 +23,12 @@ func TestBulkAddRegions(t *testing.T) {
 	const k = 150
 	window := geom.Rect{MinX: 100, MinY: 100, MaxX: 300, MaxY: 300}
 	world := workload.New(2).Zipf(window, k, 256)
-	bulk := make([]config.BulkRegion, k)
+	bulk := make([]wal.Record, k)
 	for i, g := range world {
-		bulk[i] = config.BulkRegion{ID: fmt.Sprintf("z%03d", i), Name: fmt.Sprintf("Zipf %d", i), Geometry: g}
+		bulk[i] = wal.Record{Op: wal.OpAdd, ID: fmt.Sprintf("z%03d", i), Name: fmt.Sprintf("Zipf %d", i), Geometry: g}
 	}
 	preFsyncs := s.Status().WAL.Fsyncs
-	if err := s.BulkAddRegions(bulk); err != nil {
+	if err := s.Apply(bulk); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Status()
@@ -85,19 +85,30 @@ func TestBulkAddRegions(t *testing.T) {
 	}
 }
 
-// TestBulkAddRegionsRejected checks a failing batch leaves store and WAL
-// untouched.
-func TestBulkAddRegionsRejected(t *testing.T) {
+// TestApplyBulkRejected checks a refused batch — a duplicate id, or a
+// batch that mixes ops — leaves store and WAL untouched, and that an
+// empty edit is accepted and logs nothing.
+func TestApplyBulkRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openForTest(t, dir, buildImage(t, workload.New(3).Scatter(3, 8)))
 	defer s.Close()
 	before := s.Status()
-	bulk := []config.BulkRegion{
-		{ID: "x", Geometry: workload.BoxRegion(0, 0, 1, 1)},
-		{ID: "r000", Geometry: workload.BoxRegion(2, 2, 3, 3)}, // duplicate of seed id
+	for name, bulk := range map[string][]wal.Record{
+		"duplicate of seed id": {
+			{Op: wal.OpAdd, ID: "x", Geometry: workload.BoxRegion(0, 0, 1, 1)},
+			{Op: wal.OpAdd, ID: "r000", Geometry: workload.BoxRegion(2, 2, 3, 3)},
+		},
+		"mixed ops": {
+			{Op: wal.OpAdd, ID: "x", Geometry: workload.BoxRegion(0, 0, 1, 1)},
+			{Op: wal.OpSetGeometry, ID: "y", Geometry: workload.BoxRegion(2, 2, 3, 3)},
+		},
+	} {
+		if err := s.Apply(bulk); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
 	}
-	if err := s.BulkAddRegions(bulk); err == nil {
-		t.Fatal("duplicate id accepted")
+	if err := s.Apply(nil); err != nil {
+		t.Errorf("empty batch: %v", err)
 	}
 	after := s.Status()
 	if after.WAL.Records != before.WAL.Records {
@@ -105,8 +116,5 @@ func TestBulkAddRegionsRejected(t *testing.T) {
 	}
 	if s.Tracked().Store().Len() != 3 {
 		t.Error("rejected batch mutated the store")
-	}
-	if err := s.BulkAddRegions(nil); err != nil {
-		t.Errorf("empty batch: %v", err)
 	}
 }

@@ -21,18 +21,19 @@
 // log. Recovery loads the newest readable snapshot — the binary file when
 // it is present and passes its CRC, the XML otherwise — tracks its regions
 // (config.Track: one Prepare per region, no pair computed) and replays the
-// WAL tail through the tracked store's edit methods. Snapshots written
-// before the store stopped caching relations carry the n² Relation list;
-// they still load, and config.Track drops the list. A torn or bit-flipped WAL tail
-// is detected by the log's CRC framing and discarded with a logged
-// warning; it is never a startup failure.
+// WAL tail through config.Tracked.Apply, the one op switch live edits
+// reach too. Snapshots written before the store stopped caching relations
+// carry the n² Relation list; they still load, and config.Track drops the
+// list. A torn or bit-flipped WAL tail is detected by the log's CRC framing
+// and discarded with a logged warning; it is never a startup failure.
 //
-// Edit ordering is apply-then-log: an edit is validated and applied to the
-// in-memory store first, appended to the WAL second, and acknowledged to
-// the caller last. Under wal.SyncAlways an acknowledged edit is therefore
-// on stable storage; a crash between apply and ack loses at most that
-// unacknowledged edit, so recovery always yields a prefix of the
-// acknowledged edit stream.
+// An edit is a []wal.Record (see Store.Apply), the same value the log
+// stores. Edit ordering is apply-then-log: an edit is validated and applied
+// to the in-memory store first, appended to the WAL second, and
+// acknowledged to the caller last. Under wal.SyncAlways an acknowledged
+// edit is therefore on stable storage; a crash between apply and ack loses
+// at most that unacknowledged edit, so recovery always yields a prefix of
+// the acknowledged edit stream.
 package persist
 
 import (
@@ -71,8 +72,8 @@ type Options struct {
 }
 
 // Store owns a data directory and the tracked configuration recovered from
-// it. All edits must flow through the Store's edit methods so they are
-// write-ahead logged; reads go through Tracked() as usual.
+// it. All edits must flow through Store.Apply so they are write-ahead
+// logged; reads go through Tracked() as usual.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -267,42 +268,32 @@ func (s *Store) recover(seqs []uint64) error {
 		s.corruption = corr.String()
 		s.log.Warn("persist: discarding torn log tail", "log", walName(s.seq), "at", corr.String(), "intact_records", len(recs))
 	}
-	// Replay consecutive OpAdd runs through the bulk path, so a log written
-	// by a bulk ingest replays as the one edit it was. A failing run falls
-	// back to per-record replay so a single bad record still only loses
-	// itself.
+	// The log keeps no batch boundaries, so a run of OpAdd records replays
+	// as one edit — what a bulk ingest wrote comes back as the one edit it
+	// was. A refused run changes nothing and is replayed record by record,
+	// so a single bad record still only loses itself.
 	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].Op == wal.OpAdd {
+		j := i + 1
+		for recs[i].Op == wal.OpAdd && j < len(recs) && recs[j].Op == wal.OpAdd {
 			j++
 		}
-		if j-i > 1 {
-			bulk := make([]config.BulkRegion, j-i)
-			for k, rec := range recs[i:j] {
-				bulk[k] = config.BulkRegion{ID: rec.ID, Name: rec.Name, Color: rec.Color, Geometry: rec.Geometry}
-			}
-			if err := s.tr.BulkAddRegions(bulk); err == nil {
-				s.replayed += j - i
-				i = j
-				continue
-			}
+		if j-i > 1 && s.tr.Apply(recs[i:j]) == nil {
+			s.replayed += j - i
+			i = j
+			continue
 		}
-		if j == i {
-			j++ // single non-add record
-		}
-		for _, rec := range recs[i:j] {
-			if err := s.apply(rec); err != nil {
+		for ; i < j; i++ {
+			if err := s.tr.Apply(recs[i : i+1]); err != nil {
 				// A record that does not apply cannot arise from our own
 				// apply-then-log ordering; tolerate it anyway (version skew,
 				// a hand-edited directory) the same way as a torn tail: keep
 				// what is consistent, warn, carry on.
 				s.skipped++
-				s.log.Warn("persist: skipping unreplayable record", "op", rec.Op.String(), "id", rec.ID, "err", err)
+				s.log.Warn("persist: skipping unreplayable record", "op", recs[i].Op.String(), "id", recs[i].ID, "err", err)
 				continue
 			}
 			s.replayed++
 		}
-		i = j
 	}
 	if err := s.tr.Err(); err != nil {
 		return fmt.Errorf("persist: tracked store diverged during replay: %w", err)
@@ -316,23 +307,6 @@ func (s *Store) recover(seqs []uint64) error {
 		s.lastSnap = st.ModTime()
 	}
 	return nil
-}
-
-// apply routes one log record through the tracked store's edit methods —
-// the same path live edits take.
-func (s *Store) apply(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpAdd:
-		return s.tr.AddRegion(rec.ID, rec.Name, rec.Color, rec.Geometry)
-	case wal.OpRemove:
-		return s.tr.RemoveRegion(rec.ID)
-	case wal.OpRename:
-		return s.tr.RenameRegion(rec.ID, rec.NewID)
-	case wal.OpSetGeometry:
-		return s.tr.SetRegionGeometry(rec.ID, rec.Geometry)
-	default:
-		return fmt.Errorf("persist: unknown op %d", rec.Op)
-	}
 }
 
 // loadSnapshot parses and validates one snapshot file.
@@ -353,27 +327,28 @@ func loadSnapshot(path string) (*config.Image, error) {
 }
 
 // Tracked returns the recovered tracked configuration. Do not edit it
-// directly — route edits through the Store so they are logged.
+// directly — route edits through Store.Apply so they are logged.
 func (s *Store) Tracked() *config.Tracked { return s.tr }
 
 // Dir returns the owned data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// logged wraps one edit: apply to the tracked store, then append to the
-// WAL, then return (= acknowledge). A WAL append failure is latched — the
-// in-memory state is ahead of the durable state from that point on, so
-// every subsequent edit is refused until the operator restarts the
-// service.
-func (s *Store) logged(rec wal.Record, apply func() error) error {
+// Apply applies one edit to the tracked store (config.Tracked.Apply), then
+// appends its records to the WAL as one contiguous write with one fsync
+// (wal.Writer.AppendBatch), then returns (= acknowledges). A refused edit
+// logs nothing. A WAL append failure is latched — the in-memory state is
+// ahead of the durable state from that point on, so every subsequent edit
+// is refused until the operator restarts the service.
+func (s *Store) Apply(recs []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return fmt.Errorf("persist: store failed earlier: %w", s.err)
 	}
-	if err := apply(); err != nil {
+	if err := s.tr.Apply(recs); err != nil {
 		return err
 	}
-	if err := s.w.Append(rec); err != nil {
+	if err := s.w.AppendBatch(recs); err != nil {
 		s.err = err
 		s.log.Error("persist: WAL append failed; refusing further edits", "err", err)
 		return fmt.Errorf("persist: edit applied in memory but not logged: %w", err)
@@ -381,58 +356,24 @@ func (s *Store) logged(rec wal.Record, apply func() error) error {
 	return nil
 }
 
-// AddRegion applies and logs a region addition.
+// AddRegion applies and logs one OpAdd record.
 func (s *Store) AddRegion(id, name, color string, g geom.Region) error {
-	return s.logged(wal.Record{Op: wal.OpAdd, ID: id, Name: name, Color: color, Geometry: g},
-		func() error { return s.tr.AddRegion(id, name, color, g) })
+	return s.Apply([]wal.Record{{Op: wal.OpAdd, ID: id, Name: name, Color: color, Geometry: g}})
 }
 
-// RemoveRegion applies and logs a region removal.
+// RemoveRegion applies and logs one OpRemove record.
 func (s *Store) RemoveRegion(id string) error {
-	return s.logged(wal.Record{Op: wal.OpRemove, ID: id},
-		func() error { return s.tr.RemoveRegion(id) })
+	return s.Apply([]wal.Record{{Op: wal.OpRemove, ID: id}})
 }
 
-// RenameRegion applies and logs a region rename.
+// RenameRegion applies and logs one OpRename record.
 func (s *Store) RenameRegion(oldID, newID string) error {
-	return s.logged(wal.Record{Op: wal.OpRename, ID: oldID, NewID: newID},
-		func() error { return s.tr.RenameRegion(oldID, newID) })
+	return s.Apply([]wal.Record{{Op: wal.OpRename, ID: oldID, NewID: newID}})
 }
 
-// SetRegionGeometry applies and logs a geometry replacement.
+// SetRegionGeometry applies and logs one OpSetGeometry record.
 func (s *Store) SetRegionGeometry(id string, g geom.Region) error {
-	return s.logged(wal.Record{Op: wal.OpSetGeometry, ID: id, Geometry: g},
-		func() error { return s.tr.SetRegionGeometry(id, g) })
-}
-
-// BulkAddRegions applies and logs a streamed bulk ingest as one edit: the
-// tracked store advances by one generation
-// (config.Tracked.BulkAddRegions), and the WAL receives the whole batch as
-// one contiguous append with one fsync (wal.Writer.AppendBatch). The
-// apply-then-log ordering and the latched-failure contract match the
-// per-region edit methods.
-func (s *Store) BulkAddRegions(regions []config.BulkRegion) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return fmt.Errorf("persist: store failed earlier: %w", s.err)
-	}
-	if len(regions) == 0 {
-		return nil
-	}
-	if err := s.tr.BulkAddRegions(regions); err != nil {
-		return err
-	}
-	recs := make([]wal.Record, len(regions))
-	for i, r := range regions {
-		recs[i] = wal.Record{Op: wal.OpAdd, ID: r.ID, Name: r.Name, Color: r.Color, Geometry: r.Geometry}
-	}
-	if err := s.w.AppendBatch(recs); err != nil {
-		s.err = err
-		s.log.Error("persist: WAL batch append failed; refusing further edits", "err", err)
-		return fmt.Errorf("persist: bulk ingest applied in memory but not logged: %w", err)
-	}
-	return nil
+	return s.Apply([]wal.Record{{Op: wal.OpSetGeometry, ID: id, Geometry: g}})
 }
 
 // Snapshot writes the next snapshot generation and truncates the log:

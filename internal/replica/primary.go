@@ -15,15 +15,14 @@ import (
 	"cardirect/internal/wal"
 )
 
-// Editor is the mutation surface the primary wraps — structurally identical
-// to the serve package's Editor, redeclared here so replica does not import
-// serve (serve imports replica for the /v1/replication handlers).
+// Editor is the service's one mutation surface. An edit is a []wal.Record
+// — one record, or a bulk of OpAdd records that lands as one generation
+// bump — the same value the WAL stores and the replication stream ships.
+// config.Tracked applies it (the one op switch), persist.Store applies and
+// logs it, a Primary applies it through the editor below and ships it, and
+// the HTTP layer writes through whichever of them tops the stack.
 type Editor interface {
-	AddRegion(id, name, color string, g geom.Region) error
-	RemoveRegion(id string) error
-	RenameRegion(oldID, newID string) error
-	SetRegionGeometry(id string, g geom.Region) error
-	BulkAddRegions(regions []config.BulkRegion) error
+	Apply(recs []wal.Record) error
 }
 
 // ErrTruncated reports a follower asking for records the primary has
@@ -115,68 +114,40 @@ func (p *Primary) append(recs []wal.Record) {
 	p.notify = make(chan struct{})
 }
 
-// AddRegion implements Editor, shipping the edit on success.
+// Apply implements Editor: the edit goes through the editor below, and on
+// success the same slice ships as ONE stream record, so a follower applies
+// a bulk atomically and bumps its generation once, exactly like the
+// primary did. An empty edit ships nothing.
+func (p *Primary) Apply(recs []wal.Record) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.under.Apply(recs); err != nil {
+		return err
+	}
+	if len(recs) > 0 {
+		p.append(recs)
+	}
+	return nil
+}
+
+// AddRegion applies and ships one OpAdd record.
 func (p *Primary) AddRegion(id, name, color string, g geom.Region) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.under.AddRegion(id, name, color, g); err != nil {
-		return err
-	}
-	p.append([]wal.Record{{Op: wal.OpAdd, ID: id, Name: name, Color: color, Geometry: g}})
-	return nil
+	return p.Apply([]wal.Record{{Op: wal.OpAdd, ID: id, Name: name, Color: color, Geometry: g}})
 }
 
-// RemoveRegion implements Editor.
+// RemoveRegion applies and ships one OpRemove record.
 func (p *Primary) RemoveRegion(id string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.under.RemoveRegion(id); err != nil {
-		return err
-	}
-	p.append([]wal.Record{{Op: wal.OpRemove, ID: id}})
-	return nil
+	return p.Apply([]wal.Record{{Op: wal.OpRemove, ID: id}})
 }
 
-// RenameRegion implements Editor.
+// RenameRegion applies and ships one OpRename record.
 func (p *Primary) RenameRegion(oldID, newID string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.under.RenameRegion(oldID, newID); err != nil {
-		return err
-	}
-	p.append([]wal.Record{{Op: wal.OpRename, ID: oldID, NewID: newID}})
-	return nil
+	return p.Apply([]wal.Record{{Op: wal.OpRename, ID: oldID, NewID: newID}})
 }
 
-// SetRegionGeometry implements Editor.
+// SetRegionGeometry applies and ships one OpSetGeometry record.
 func (p *Primary) SetRegionGeometry(id string, g geom.Region) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.under.SetRegionGeometry(id, g); err != nil {
-		return err
-	}
-	p.append([]wal.Record{{Op: wal.OpSetGeometry, ID: id, Geometry: g}})
-	return nil
-}
-
-// BulkAddRegions implements Editor: the whole batch ships as ONE record, so
-// a follower applies it atomically through Tracked.BulkAddRegions and bumps
-// its generation once, exactly like the primary did.
-func (p *Primary) BulkAddRegions(regions []config.BulkRegion) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.under.BulkAddRegions(regions); err != nil {
-		return err
-	}
-	if len(regions) == 0 {
-		return nil
-	}
-	recs := make([]wal.Record, len(regions))
-	for i, r := range regions {
-		recs[i] = wal.Record{Op: wal.OpAdd, ID: r.ID, Name: r.Name, Color: r.Color, Geometry: r.Geometry}
-	}
-	p.append(recs)
-	return nil
+	return p.Apply([]wal.Record{{Op: wal.OpSetGeometry, ID: id, Geometry: g}})
 }
 
 // Snapshot encodes the current world's regions as a binary snapshot,

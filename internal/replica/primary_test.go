@@ -83,12 +83,12 @@ func TestPrimaryShipsEdits(t *testing.T) {
 func TestPrimaryBulkIsOneRecord(t *testing.T) {
 	p, tr := newTestPrimary(t, PrimaryOptions{})
 	genBefore := tr.Store().Generation()
-	regions := make([]config.BulkRegion, 8)
+	regions := make([]wal.Record, 8)
 	for i := range regions {
 		x := 600 + float64(i)*20
-		regions[i] = config.BulkRegion{ID: fmt.Sprintf("bulk%02d", i), Geometry: workload.BoxRegion(x, 600, x+10, 610)}
+		regions[i] = wal.Record{Op: wal.OpAdd, ID: fmt.Sprintf("bulk%02d", i), Geometry: workload.BoxRegion(x, 600, x+10, 610)}
 	}
-	if err := p.BulkAddRegions(regions); err != nil {
+	if err := p.Apply(regions); err != nil {
 		t.Fatal(err)
 	}
 	if p.Head() != 1 {
@@ -107,7 +107,7 @@ func TestPrimaryBulkIsOneRecord(t *testing.T) {
 	}
 	// Like AddBulk, the whole batch bumps the generation once; the record's
 	// gen is that post-batch value, so a replica applying it through
-	// BulkAddRegions lands on the same generation.
+	// Tracked.Apply lands on the same generation.
 	if got := tr.Store().Generation(); got != genBefore+1 {
 		t.Fatalf("bulk bumped generation %d→%d, want one step", genBefore, got)
 	}

@@ -19,7 +19,6 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
-	"cardirect/internal/wal"
 )
 
 // Replication HTTP headers. The primary stamps them on snapshot and wal
@@ -126,7 +125,7 @@ type tailFile interface {
 
 // Replica tails a primary's replication stream: it bootstraps a tracked
 // store from the primary's binary snapshot (or a local cache of it), then
-// applies shipped records through the store's edit methods. The tracked
+// applies shipped records through config.Tracked.Apply. The tracked
 // store it exposes is swapped wholesale when the primary's epoch changes
 // (primary restart) or the tail falls behind the retained window.
 type Replica struct {
@@ -410,57 +409,23 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 	return nil
 }
 
-// applyLocked applies one record through the tracked store's edit methods
-// and aligns the generation with the primary's.
+// applyLocked applies one shipped edit through config.Tracked.Apply — a
+// bulk record lands as one edit, exactly like the primary's — and aligns
+// the generation with the primary's.
 func (r *Replica) applyLocked(rec StreamRecord) error {
-	tr := r.tr.Load()
 	edits, err := DecodeEdits(rec.Payload)
 	if err != nil {
 		return err
 	}
-	switch {
-	case len(edits) == 0:
-		return nil
-	case len(edits) == 1:
-		if err := applyOne(tr, edits[0]); err != nil {
-			return err
-		}
-	default:
-		// Multi-edit records are bulk ingests: all adds, applied as ONE
-		// edit so the generation bumps once, exactly like the primary's
-		// AddBulk.
-		bulk := make([]config.BulkRegion, len(edits))
-		for i, e := range edits {
-			if e.Op != wal.OpAdd {
-				return fmt.Errorf("replica: unsupported op %v in multi-edit record", e.Op)
-			}
-			bulk[i] = config.BulkRegion{ID: e.ID, Name: e.Name, Color: e.Color, Geometry: e.Geometry}
-		}
-		if err := tr.BulkAddRegions(bulk); err != nil {
-			return err
-		}
+	tr := r.tr.Load()
+	if err := tr.Apply(edits); err != nil {
+		return err
 	}
 	// Edits bump the local generation by exactly the primary's stride, so
 	// this is normally a no-op; it re-aligns defensively either way because
 	// ETag agreement rides on it.
 	tr.Store().SetGeneration(rec.Gen)
 	return nil
-}
-
-// applyOne applies a single wal record to the tracked store.
-func applyOne(tr *config.Tracked, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpAdd:
-		return tr.AddRegion(rec.ID, rec.Name, rec.Color, rec.Geometry)
-	case wal.OpRemove:
-		return tr.RemoveRegion(rec.ID)
-	case wal.OpRename:
-		return tr.RenameRegion(rec.ID, rec.NewID)
-	case wal.OpSetGeometry:
-		return tr.SetRegionGeometry(rec.ID, rec.Geometry)
-	default:
-		return fmt.Errorf("replica: unknown op %v", rec.Op)
-	}
 }
 
 // bootstrap downloads the primary's snapshot and builds a fresh tracked

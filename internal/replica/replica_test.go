@@ -19,6 +19,7 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/replica"
 	"cardirect/internal/serve"
+	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
@@ -233,15 +234,15 @@ func TestReplicaDifferential(t *testing.T) {
 			}
 			live[i] = renamed
 		default:
-			batch := make([]config.BulkRegion, 5)
+			batch := make([]wal.Record, 5)
 			for j := range batch {
 				id := fmt.Sprintf("dyn%03d", nextID)
 				nextID++
 				x, y := rng.Float64()*400+500, rng.Float64()*400+500
-				batch[j] = config.BulkRegion{ID: id, Geometry: workload.BoxRegion(x, y, x+8, y+8)}
+				batch[j] = wal.Record{Op: wal.OpAdd, ID: id, Geometry: workload.BoxRegion(x, y, x+8, y+8)}
 				live = append(live, id)
 			}
-			if err := p.prim.BulkAddRegions(batch); err != nil {
+			if err := p.prim.Apply(batch); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,9 +1,12 @@
-// Package replica implements WAL-shipped read replication: a Primary wraps
-// the write path and retains every edit as a framed replication record; an
-// HTTP layer streams a binary snapshot plus the record tail to followers;
-// a Replica bootstraps from the snapshot, tails the stream, and applies
-// records through the tracked store's edit methods. A Router in front forwards writes to the
-// primary and round-robins reads across healthy replicas.
+// Package replica implements WAL-shipped read replication. An edit is a
+// []wal.Record from the HTTP edge to the store (Editor has the one method
+// Apply): a Primary applies it through the editor below and retains the
+// same slice as a framed replication record; an HTTP layer streams a
+// binary snapshot plus the record tail to followers; a Replica bootstraps
+// from the snapshot, tails the stream, and hands each record's slice to
+// config.Tracked.Apply, the op switch the primary's edits went through. A
+// Router in front forwards writes to the primary and round-robins reads
+// across healthy replicas.
 //
 // Replication stream layout (all integers little-endian):
 //

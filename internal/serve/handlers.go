@@ -15,6 +15,7 @@ import (
 	"cardirect/internal/geom"
 	"cardirect/internal/index"
 	"cardirect/internal/query"
+	"cardirect/internal/wal"
 )
 
 // boxJSON is an axis-aligned bounding box on the wire.
@@ -202,6 +203,11 @@ type regionUpsert struct {
 	geometryPayload
 }
 
+// record is the add edit of the region, with its decoded geometry g.
+func (u *regionUpsert) record(g geom.Region) wal.Record {
+	return wal.Record{Op: wal.OpAdd, ID: u.ID, Name: u.Name, Color: u.Color, Geometry: g}
+}
+
 func (s *Server) handleRegionAdd(w http.ResponseWriter, r *http.Request) error {
 	var req regionUpsert
 	if err := decodeBody(r, &req); err != nil {
@@ -214,7 +220,7 @@ func (s *Server) handleRegionAdd(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if err := s.edit.AddRegion(req.ID, req.Name, req.Color, g); err != nil {
+	if err := s.edit.Apply([]wal.Record{req.record(g)}); err != nil {
 		return err
 	}
 	return s.respondRegion(w, http.StatusCreated, req.ID)
@@ -230,7 +236,7 @@ func (s *Server) handleRegionSet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if err := s.edit.SetRegionGeometry(id, g); err != nil {
+	if err := s.edit.Apply([]wal.Record{{Op: wal.OpSetGeometry, ID: id, Geometry: g}}); err != nil {
 		return err
 	}
 	return s.respondRegion(w, http.StatusOK, id)
@@ -249,14 +255,18 @@ func (s *Server) handleRegionRename(w http.ResponseWriter, r *http.Request) erro
 	if req.NewID == "" {
 		return failf(http.StatusBadRequest, "serve: missing new_id")
 	}
-	if err := s.edit.RenameRegion(id, req.NewID); err != nil {
-		return err
+	// A self-rename is no edit: nothing is applied, logged or shipped, and
+	// the region lookup below answers it (404 for a region that is not there).
+	if req.NewID != id {
+		if err := s.edit.Apply([]wal.Record{{Op: wal.OpRename, ID: id, NewID: req.NewID}}); err != nil {
+			return err
+		}
 	}
 	return s.respondRegion(w, http.StatusOK, req.NewID)
 }
 
 func (s *Server) handleRegionDelete(w http.ResponseWriter, r *http.Request) error {
-	if err := s.edit.RemoveRegion(r.PathValue("id")); err != nil {
+	if err := s.edit.Apply([]wal.Record{{Op: wal.OpRemove, ID: r.PathValue("id")}}); err != nil {
 		return err
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -375,8 +385,8 @@ type bulkResponse struct {
 
 // handleBulk ingests a stream of regions — NDJSON, one region object per
 // line in the POST /v1/regions shape ({"id", "name", "color", "wkt" |
-// "geojson"}) — as ONE edit: the whole stream is decoded and validated,
-// then applied through Editor.BulkAddRegions, so the relation store
+// "geojson"}) — as ONE edit: the whole stream is decoded into one slice of
+// OpAdd records, then applied through the editor, so the relation store
 // advances one generation (and the durable store pays a single batched WAL
 // append with one fsync) regardless of how many regions arrive. The ingest
 // is atomic: any undecodable line, invalid geometry or duplicate id
@@ -386,7 +396,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var regions []config.BulkRegion
+	var regions []wal.Record
 	for {
 		var line regionUpsert
 		if err := dec.Decode(&line); err != nil {
@@ -406,12 +416,12 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return failf(http.StatusBadRequest, "serve: bulk line %d (%s): %v", len(regions)+1, line.ID, err)
 		}
-		regions = append(regions, config.BulkRegion{ID: line.ID, Name: line.Name, Color: line.Color, Geometry: g})
+		regions = append(regions, line.record(g))
 	}
 	if len(regions) == 0 {
 		return failf(http.StatusBadRequest, "serve: empty bulk stream")
 	}
-	if err := s.edit.BulkAddRegions(regions); err != nil {
+	if err := s.edit.Apply(regions); err != nil {
 		return err
 	}
 	return writeData(w, http.StatusOK, bulkResponse{

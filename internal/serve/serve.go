@@ -5,6 +5,12 @@
 // prepared regions, region edits re-prepare only the touched region, and
 // directional selections prune through R-tree window queries.
 //
+// Each write route decodes its request into a []wal.Record once and hands
+// it to one replica.Editor's Apply: the tracked store itself (in memory),
+// a persist.Store (write-ahead logged before acknowledgement), or the
+// replication primary stacked on either. A bulk ingest is one slice of
+// adds, one edit.
+//
 // Production posture: every handler runs under a per-endpoint expvar
 // instrument (request count, error count, latency sum, global inflight
 // gauge), request bodies are size-limited, an optional per-request timeout
@@ -25,26 +31,10 @@ import (
 	"time"
 
 	"cardirect/internal/config"
-	"cardirect/internal/geom"
 	"cardirect/internal/persist"
 	"cardirect/internal/query"
 	"cardirect/internal/replica"
 )
-
-// Editor is the mutation surface the region edit endpoints write through.
-// A bare config.Tracked satisfies it (in-memory service); a persist.Store
-// satisfies it too, write-ahead logging every edit before it is
-// acknowledged (durable service).
-type Editor interface {
-	AddRegion(id, name, color string, g geom.Region) error
-	RemoveRegion(id string) error
-	RenameRegion(oldID, newID string) error
-	SetRegionGeometry(id string, g geom.Region) error
-	// BulkAddRegions ingests many regions as ONE edit — one generation
-	// bump (and, for the durable store, one batched WAL append with a
-	// single fsync) instead of one per region.
-	BulkAddRegions(regions []config.BulkRegion) error
-}
 
 // Options configures a Server.
 type Options struct {
@@ -85,8 +75,8 @@ type Options struct {
 	PrimaryURL string
 	// Repl, when set, makes this process a replication source: GET
 	// /v1/replication/snapshot and /wal serve its retained log. Region
-	// edits must be routed THROUGH it (pass it as New's editor via
-	// Persist-like wiring in cardirectd) for followers to see them.
+	// edits must be routed THROUGH it (pass it as Editor too, as
+	// cardirectd does) for followers to see them.
 	Repl *replica.Primary
 	// Follower, when set, supplies the live tracked store of a tailing
 	// replica — reads resolve through it so a re-bootstrap (primary epoch
@@ -103,14 +93,14 @@ type Options struct {
 	// the default (Persist when set, else the tracked store itself);
 	// cardirectd passes the replication primary so edits ship to
 	// followers.
-	Editor Editor
+	Editor replica.Editor
 }
 
 // Server serves the cardirectd API over one tracked configuration.
 type Server struct {
 	tr     *config.Tracked // the tracked handed to New; replicas may swap it
 	lastTr atomic.Pointer[config.Tracked]
-	edit   Editor
+	edit   replica.Editor
 	opt    Options
 	log    *slog.Logger
 	mux    *http.ServeMux
