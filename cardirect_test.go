@@ -4,6 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cardirect/internal/baseline"
+	"cardirect/internal/clip"
+	"cardirect/internal/core"
+	"cardirect/internal/geom"
+	"cardirect/internal/query"
+	"cardirect/internal/topo"
+	"cardirect/internal/workload"
 )
 
 // TestFacadeQuickstart exercises the README's quick-start snippet.
@@ -30,13 +38,13 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeClippingAgrees(t *testing.T) {
-	g := NewGenerator(7)
+	g := workload.New(7)
 	for _, p := range g.Pairs(25, 9) {
 		want, err := ComputeCDR(p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ClipComputeCDR(p.A, p.B)
+		got, err := clip.ComputeCDR(p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +76,7 @@ func TestFacadeConfigAndQuery(t *testing.T) {
 	if err := SaveImage(img, &sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseImage([]byte(sb.String()))
+	back, err := LoadImage(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +96,7 @@ func TestFacadeConfigAndQuery(t *testing.T) {
 func TestFacadeBaselines(t *testing.T) {
 	a := BoxRegion(20, 3, 22, 5)
 	b := BoxRegion(0, 0, 10, 6)
-	if d := CentroidCone(a, b, 0); d.Tile() != TileE {
+	if d := baseline.CentroidCone(a, b, 0); d.Tile() != TileE {
 		t.Errorf("cone = %v", d)
 	}
 	r, err := MBBRelation(a, b)
@@ -110,11 +118,11 @@ func TestFacadeParsers(t *testing.T) {
 	if err != nil || s.Len() != 2 {
 		t.Fatalf("ParseRelationSet: %v, %v", s, err)
 	}
-	q, err := ParseQuery("q(x) :- color(x) = blue")
+	q, err := query.Parse("q(x) :- color(x) = blue")
 	if err != nil || len(q.Vars) != 1 {
 		t.Fatalf("ParseQuery: %v, %v", q, err)
 	}
-	if len(AllRelations()) != 511 || UniverseSet().Len() != 511 {
+	if len(core.AllRelations()) != 511 || core.Universe().Len() != 511 {
 		t.Error("D* cardinality wrong")
 	}
 }
@@ -127,16 +135,12 @@ func TestFacadeWKTAndDecompose(t *testing.T) {
 	if math.Abs(r.Area()-12) > 1e-9 {
 		t.Errorf("area = %v", r.Area())
 	}
-	back, err := ParseWKT(FormatWKT(r))
+	back, err := ParseWKT(geom.FormatWKT(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(back.Area()-r.Area()) > 1e-9 {
 		t.Error("WKT roundtrip changed area")
-	}
-	hull := HullOfRegion(r)
-	if hull == nil || hull.Area() != 16 {
-		t.Errorf("hull = %v", hull)
 	}
 	// A decomposed region works as a primary region.
 	ref := BoxRegion(10, 0, 14, 4)
@@ -193,23 +197,23 @@ func TestFacadeEntail(t *testing.T) {
 func TestFacadeTopo(t *testing.T) {
 	a := BoxRegion(0, 0, 4, 4)
 	b := BoxRegion(2, 2, 6, 6)
-	if got := ClassifyRCC8(a, b, 0); got != RccPO {
+	if got := ClassifyRCC8(a, b, 0); got != topo.PO {
 		t.Errorf("RCC8 = %v, want PO", got)
 	}
-	if got := IntersectionArea(a, b); math.Abs(got-4) > 1e-9 {
+	if got := topo.IntersectionArea(a, b); math.Abs(got-4) > 1e-9 {
 		t.Errorf("overlay area = %v, want 4", got)
 	}
 	far := BoxRegion(100, 0, 102, 2)
-	if got := ClassifyRCC8(a, far, 0); got != RccDC {
+	if got := ClassifyRCC8(a, far, 0); got != topo.DC {
 		t.Errorf("RCC8 = %v, want DC", got)
 	}
 	if got := ClassifyDistance(far, a); got != 4 { // DistFar
 		t.Errorf("distance class = %v, want far", got)
 	}
-	if !BoundariesTouch(a, BoxRegion(4, 0, 6, 4)) {
+	if !topo.BoundariesTouch(a, BoxRegion(4, 0, 6, 4)) {
 		t.Error("edge-sharing boxes should touch")
 	}
-	if got := MinDistance(a, far); math.Abs(got-96) > 1e-9 {
+	if got := topo.MinDistance(a, far); math.Abs(got-96) > 1e-9 {
 		t.Errorf("MinDistance = %v, want 96", got)
 	}
 }

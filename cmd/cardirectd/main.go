@@ -213,7 +213,6 @@ func run(args []string, stdout *os.File) error {
 		MaxNetwork:     *f.maxNetwork,
 		Repl:           prim,
 		Editor:         prim,
-		PctDisabled:    !pctOn,
 	})
 
 	if err := serveHTTP(ctx, stdout, logger, *f.addr, srv.Handler(), *f.shutdownTimeout); err != nil {
@@ -268,8 +267,6 @@ func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, f fla
 		Logger:         logger,
 		SolveWorkers:   *f.solveWorkers,
 		MaxNetwork:     *f.maxNetwork,
-		Role:           "replica",
-		PrimaryURL:     *f.follow,
 		Follower:       rep,
 	})
 	err = serveHTTP(ctx, stdout, logger, *f.addr, srv.Handler(), *f.shutdownTimeout)

@@ -81,6 +81,9 @@ type RelationStore struct {
 // cache).
 func (s *RelationStore) Generation() uint64 { return s.gen.Load() }
 
+// Pct reports whether the store answers percentages (StoreOptions.Pct).
+func (s *RelationStore) Pct() bool { return s.opt.Pct }
+
 // SetGeneration overwrites the edit counter. Replication uses it to align a
 // replica's generation with the primary's: a replica builds its store from a
 // snapshot (generation 0 locally, G on the primary) and adopts G so ETags

@@ -123,63 +123,3 @@ func (p Polygon) IsSimpleFast() bool {
 	}
 	return !HasProperIntersection(segs, adjacent)
 }
-
-// ConvexHull returns the convex hull of the points in counter-clockwise
-// order, as computed by Andrew's monotone chain, then normalised to the
-// package's canonical clockwise orientation. Duplicate and collinear
-// boundary points are dropped. Fewer than three distinct non-collinear
-// points yield nil.
-func ConvexHull(pts []Point) Polygon {
-	if len(pts) < 3 {
-		return nil
-	}
-	ps := make([]Point, len(pts))
-	copy(ps, pts)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
-	// Deduplicate.
-	uniq := ps[:1]
-	for _, p := range ps[1:] {
-		if !p.Eq(uniq[len(uniq)-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	ps = uniq
-	if len(ps) < 3 {
-		return nil
-	}
-	build := func(iter []Point) []Point {
-		var h []Point
-		for _, p := range iter {
-			for len(h) >= 2 && Orient(h[len(h)-2], h[len(h)-1], p) <= 0 {
-				h = h[:len(h)-1]
-			}
-			h = append(h, p)
-		}
-		return h
-	}
-	lower := build(ps)
-	rev := make([]Point, len(ps))
-	for i, p := range ps {
-		rev[len(ps)-1-i] = p
-	}
-	upper := build(rev)
-	hull := append(lower[:len(lower)-1], upper[:len(upper)-1]...)
-	if len(hull) < 3 {
-		return nil
-	}
-	return Polygon(hull).Clockwise()
-}
-
-// HullOfRegion returns the convex hull of all vertices of the region.
-func HullOfRegion(r Region) Polygon {
-	var pts []Point
-	for _, p := range r {
-		pts = append(pts, p...)
-	}
-	return ConvexHull(pts)
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestHasProperIntersectionBasics(t *testing.T) {
@@ -91,97 +90,6 @@ func TestIsSimpleFastAgreesProperty(t *testing.T) {
 		if got, want := p.IsSimpleFast(), p.IsSimple(); got != want {
 			t.Fatalf("trial %d: fast=%v naive=%v for %v", trial, got, want, p)
 		}
-	}
-}
-
-func TestConvexHullKnown(t *testing.T) {
-	pts := []Point{
-		Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), // square corners
-		Pt(2, 2), Pt(1, 3), Pt(3, 1), // interior points
-		Pt(2, 0), Pt(0, 2), // collinear boundary points
-	}
-	h := ConvexHull(pts)
-	if h == nil {
-		t.Fatal("nil hull")
-	}
-	if len(h) != 4 {
-		t.Fatalf("hull size = %d, want 4 (interior and collinear dropped): %v", len(h), h)
-	}
-	if !h.IsClockwise() {
-		t.Error("hull not clockwise")
-	}
-	if h.Area() != 16 {
-		t.Errorf("hull area = %v, want 16", h.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if ConvexHull([]Point{Pt(0, 0), Pt(1, 1)}) != nil {
-		t.Error("two points should have no hull")
-	}
-	if ConvexHull([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)}) != nil {
-		t.Error("collinear points should have no hull")
-	}
-	if ConvexHull([]Point{Pt(1, 1), Pt(1, 1), Pt(1, 1)}) != nil {
-		t.Error("coincident points should have no hull")
-	}
-}
-
-// Property: the hull contains every input point, is convex, and is invariant
-// under input permutation.
-func TestConvexHullProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 6 {
-			return true
-		}
-		pts := make([]Point, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			pts = append(pts, Pt(float64(raw[i]%50), float64(raw[i+1]%50)))
-		}
-		h := ConvexHull(pts)
-		if h == nil {
-			return true // collinear or degenerate input
-		}
-		for _, p := range pts {
-			if !h.Contains(p) {
-				return false
-			}
-		}
-		// Convexity: all right turns (clockwise).
-		n := len(h)
-		for i := 0; i < n; i++ {
-			if Orient(h[i], h[(i+1)%n], h[(i+2)%n]) > 0 {
-				return false
-			}
-		}
-		// Permutation invariance (reverse the input).
-		rev := make([]Point, len(pts))
-		for i, p := range pts {
-			rev[len(pts)-1-i] = p
-		}
-		h2 := ConvexHull(rev)
-		return h2 != nil && math.Abs(h2.Area()-h.Area()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHullOfRegion(t *testing.T) {
-	r := fig2RegionA() // two boxes: [0,2]×[0,3] and [5,7]×[0,2]
-	h := HullOfRegion(r)
-	if h == nil {
-		t.Fatal("nil hull")
-	}
-	for _, p := range r {
-		for _, v := range p {
-			if !h.Contains(v) {
-				t.Errorf("hull misses vertex %v", v)
-			}
-		}
-	}
-	if h.Area() <= r.Area() {
-		t.Errorf("hull area %v should exceed region area %v (disconnected input)", h.Area(), r.Area())
 	}
 }
 

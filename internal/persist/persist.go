@@ -348,12 +348,40 @@ func (s *Store) Apply(recs []wal.Record) error {
 	if err := s.tr.Apply(recs); err != nil {
 		return err
 	}
+	_, pending := s.w.SyncDue()
 	if err := s.w.AppendBatch(recs); err != nil {
 		s.err = err
 		s.log.Error("persist: WAL append failed; refusing further edits", "err", err)
 		return fmt.Errorf("persist: edit applied in memory but not logged: %w", err)
 	}
+	if d, ok := s.w.SyncDue(); ok && !pending {
+		s.syncLater(s.w, d)
+	}
 	return nil
+}
+
+// syncLater fsyncs w after d unless it is synced, rotated out by Snapshot or
+// closed by then: under wal.SyncInterval an append syncs only records that
+// are already due, so without this timer the last edits of a burst would
+// wait for the next append or Close however long that takes. Apply arms one
+// timer per run of unsynced records, so a timer that finds a younger run
+// pending leaves it to that run's own timer. A failed sync is latched like a
+// failed append.
+func (s *Store) syncLater(w *wal.Writer, d time.Duration) {
+	time.AfterFunc(d, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.w != w || s.err != nil {
+			return
+		}
+		if due, pending := w.SyncDue(); !pending || due > 0 {
+			return
+		}
+		if err := w.Sync(); err != nil {
+			s.err = err
+			s.log.Error("persist: WAL fsync failed; refusing further edits", "err", err)
+		}
+	})
 }
 
 // AddRegion applies and logs one OpAdd record.

@@ -16,6 +16,7 @@ import (
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
+	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
@@ -141,6 +142,56 @@ func TestRefusedEditLogsNothing(t *testing.T) {
 	}
 	if after := s.Status().WAL.Records; after != before {
 		t.Errorf("refused edits appended %d WAL record(s)", after-before)
+	}
+}
+
+// TestIntervalSyncAfterLastEdit: under wal.SyncInterval an edit no other
+// append follows still reaches stable storage within the interval, a synced
+// log is not synced again, and the timer of a log that Snapshot rotated out
+// or Close closed does nothing (syncing a closed file would latch an error).
+func TestIntervalSyncAfterLastEdit(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	s, err := Open(t.TempDir(), buildImage(t, workload.New(5).Scatter(4, 6)),
+		Options{Sync: wal.Options{Policy: wal.SyncInterval, Interval: interval}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	moved := [2]geom.Region{workload.BoxRegion(500, 500, 510, 510), workload.BoxRegion(600, 500, 610, 510)}
+	before := s.Status().WAL.Fsyncs
+	if err := s.SetRegionGeometry("r001", moved[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Status().WAL.Fsyncs == before; time.Sleep(interval / 4) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the edit is still unsynced 5 s after its append under a %v interval: %+v", interval, s.Status().WAL)
+		}
+	}
+	time.Sleep(3 * interval)
+	if got := s.Status().WAL.Fsyncs; got != before+1 {
+		t.Errorf("fsyncs = %d after one edit and a quiet log, want %d", got, before+1)
+	}
+
+	if err := s.SetRegionGeometry("r001", moved[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * interval)
+	if st := s.Status(); st.Err != "" {
+		t.Fatalf("the rotated-out log's timer latched an error: %s", st.Err)
+	}
+	if err := s.SetRegionGeometry("r001", moved[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := s.Status()
+	time.Sleep(3 * interval)
+	if st := s.Status(); st.WAL != closed.WAL || st.Err != closed.Err {
+		t.Errorf("a timer acted on a rotated or closed log: %+v, then %+v", closed, st)
 	}
 }
 

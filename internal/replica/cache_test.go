@@ -173,7 +173,6 @@ func TestReplicaReadsDoNotWaitForIngest(t *testing.T) {
 		}
 	})
 	answers("Lag", func() { f.rep.Lag() })
-	answers("Pct", func() { f.rep.Pct() })
 	answers("Status", func() { f.rep.Status() })
 	answers("GET /v1/relation", func() {
 		resp, err := http.Get(f.ts.URL + "/v1/relation?primary=attica&reference=peloponnesos")

@@ -137,7 +137,6 @@ type Replica struct {
 	// mu, which the tail loop holds while it applies a batch. Only the tail
 	// goroutine stores — Open before the replica is shared, Run under mu.
 	tr      atomic.Pointer[config.Tracked]
-	pct     atomic.Bool
 	applied atomic.Uint64
 	head    atomic.Uint64
 
@@ -242,8 +241,8 @@ func Open(ctx context.Context, opt Options) (*Replica, error) {
 // re-fetch it per use — it is swapped on re-bootstrap.
 func (r *Replica) Tracked() *config.Tracked { return r.tr.Load() }
 
-// Pct reports whether the replicated store answers percentages.
-func (r *Replica) Pct() bool { return r.pct.Load() }
+// PrimaryURL returns the base URL of the primary this replica follows.
+func (r *Replica) PrimaryURL() string { return r.opt.Primary }
 
 func (r *Replica) generationLocked() uint64 {
 	tr := r.tr.Load()
@@ -470,7 +469,6 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		old.Close()
 	}
 	r.epoch = meta.Epoch
-	r.pct.Store(meta.Pct)
 	r.applied.Store(meta.Seq)
 	r.head.Store(meta.Seq)
 	r.bootstraps++
@@ -660,7 +658,6 @@ func (r *Replica) bootstrapFromCache() error {
 	recs, _, _ := DecodeStream(tailData)
 	r.tr.Store(tr)
 	r.epoch = meta.Epoch
-	r.pct.Store(meta.Pct)
 	r.bootstraps++
 	applied, valid := meta.Seq, int64(len(StreamMagic))
 	for _, rec := range recs {

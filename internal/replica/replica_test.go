@@ -51,10 +51,9 @@ func newWrappedPrimaryFixture(t *testing.T, pct bool, wrap func(http.Handler) ht
 	t.Cleanup(func() { tr.Close() })
 	prim := replica.NewPrimary(tr, tr, replica.PrimaryOptions{Pct: pct})
 	srv := serve.New(tr, serve.Options{
-		Logger:      quietLogger(),
-		Repl:        prim,
-		Editor:      prim,
-		PctDisabled: !pct,
+		Logger: quietLogger(),
+		Repl:   prim,
+		Editor: prim,
 	})
 	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
@@ -90,10 +89,8 @@ func newReplicaFixture(t *testing.T, primaryURL, cacheDir string) *replicaFixtur
 		rep.Run(ctx)
 	}()
 	srv := serve.New(rep.Tracked(), serve.Options{
-		Logger:     quietLogger(),
-		Role:       "replica",
-		PrimaryURL: primaryURL,
-		Follower:   rep,
+		Logger:   quietLogger(),
+		Follower: rep,
 	})
 	h := srv.Handler()
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -583,7 +580,7 @@ func TestReplicaPctDisabled(t *testing.T) {
 			t.Fatalf("%s: qualitative query on a pct-off node: %d: %s", base, status, body)
 		}
 	}
-	if !f.rep.Pct() == false {
+	if f.rep.Tracked().Store().Pct() {
 		t.Fatal("replica did not inherit pct=off from the primary snapshot headers")
 	}
 }

@@ -65,8 +65,8 @@ func (s *Server) conditional(w http.ResponseWriter, r *http.Request) (done bool,
 		}
 		if gen < want {
 			details := map[string]any{"generation": gen, "min_generation": want}
-			if s.opt.PrimaryURL != "" {
-				details["primary"] = s.opt.PrimaryURL
+			if f := s.opt.Follower; f != nil {
+				details["primary"] = f.PrimaryURL()
 			}
 			return false, failCode(http.StatusServiceUnavailable, "replica_lagging", details,
 				"serve: generation %d is behind the requested minimum %d; retry or read the primary", gen, want)

@@ -113,13 +113,6 @@ func pctJSON(m core.PercentMatrix) map[string]float64 {
 	return out
 }
 
-// errPctDisabled is the percent surface's refusal when the store runs
-// without percentages (-pct=off, or a replica of such a primary).
-func errPctDisabled() error {
-	return failCode(http.StatusUnprocessableEntity, "pct_disabled", nil,
-		"serve: percent tracking is disabled on this node (start the primary with -pct=on)")
-}
-
 // --- endpoint handlers ---
 
 type healthResponse struct {
@@ -309,9 +302,6 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 	store := s.tracked().Store()
 	out := relationResponse{Primary: p, Reference: q}
 	if r.URL.Query().Get("pct") != "" {
-		if s.pctDisabled() {
-			return errPctDisabled()
-		}
 		// One call, so relation and matrix come from the same two regions
 		// even when an edit lands mid-request.
 		rel, m, err := store.RelationPercent(p, q)
@@ -350,9 +340,6 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) error {
 	store := s.tracked().Store()
 	var out relationsResponse
 	if r.URL.Query().Get("pct") != "" {
-		if s.pctDisabled() {
-			return errPctDisabled()
-		}
 		pairs, err := store.PctPairsCtx(r.Context())
 		if err != nil {
 			return err

@@ -184,5 +184,5 @@ func TestLegacySnapshotsServeComputedRelations(t *testing.T) {
 	if got := rep.Tracked().Store().Generation(); got != 7 {
 		t.Errorf("replica generation %d, want the snapshot's 7", got)
 	}
-	check("replica bootstrap", serve.New(rep.Tracked(), serve.Options{Logger: quiet, Role: "replica", Follower: rep}).Handler())
+	check("replica bootstrap", serve.New(rep.Tracked(), serve.Options{Logger: quiet, Follower: rep}).Handler())
 }

@@ -17,14 +17,6 @@ const maxWALWait = 60 * time.Second
 // say.
 const defaultWALBatch = 4096
 
-// effectiveRole names the server's replication role for status output.
-func (s *Server) effectiveRole() string {
-	if s.opt.Role == "" {
-		return "primary"
-	}
-	return s.opt.Role
-}
-
 // handleReplSnapshot streams the current world as a binary snapshot
 // (persist's CDSN format) plus the replication coordinates — epoch, head
 // sequence, store generation, percent mode — a follower needs to seed
@@ -120,10 +112,11 @@ type replStatusResponse struct {
 // follower's applied/lag counters — the machine-readable face of the
 // "replication" expvars.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) error {
+	store := s.tracked().Store()
 	out := replStatusResponse{
-		Role:       s.effectiveRole(),
-		Generation: s.tracked().Store().Generation(),
-		Pct:        pctMode(!s.pctDisabled()),
+		Role:       "primary",
+		Generation: store.Generation(),
+		Pct:        pctMode(store.Pct()),
 	}
 	if p := s.opt.Repl; p != nil {
 		out.Enabled = true
@@ -131,6 +124,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) error 
 		out.HeadSeq = p.Head()
 	}
 	if f := s.opt.Follower; f != nil {
+		out.Role = "replica"
 		out.Enabled = true
 		st := f.Status()
 		out.Replica = &st

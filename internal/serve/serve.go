@@ -65,30 +65,19 @@ type Options struct {
 	// the daemon refuses oversized networks with 413 instead of melting.
 	// Values ≤ 0 mean 64.
 	MaxNetwork int
-	// Role is the process's replication role: "primary" (the default, also
-	// the empty string) accepts writes; "replica" serves every read route
-	// but rejects writes with 421 not_primary carrying PrimaryURL in the
-	// error details.
-	Role string
-	// PrimaryURL is the primary's advertised base URL, surfaced to clients
-	// whose writes a replica turns away.
-	PrimaryURL string
 	// Repl, when set, makes this process a replication source: GET
 	// /v1/replication/snapshot and /wal serve its retained log. Region
 	// edits must be routed THROUGH it (pass it as Editor too, as
 	// cardirectd does) for followers to see them.
 	Repl *replica.Primary
-	// Follower, when set, supplies the live tracked store of a tailing
-	// replica — reads resolve through it so a re-bootstrap (primary epoch
-	// change) swaps the world under the server — plus the staleness
-	// surface: Cardirect-Staleness response headers and the
-	// Cardirect-Min-Generation → 503 replica_lagging contract.
+	// Follower, when set, makes this server a read replica. It supplies the
+	// live tracked store of a tailing replica — reads resolve through it so
+	// a re-bootstrap (primary epoch change) swaps the world under the server
+	// — plus the staleness surface: Cardirect-Staleness response headers
+	// and the Cardirect-Min-Generation → 503 replica_lagging contract.
+	// Writes answer 421 not_primary with the followed primary's URL in the
+	// error details.
 	Follower *replica.Replica
-	// PctDisabled turns the /v1 percent surface off: percent reads answer
-	// 422 pct_disabled. cardirectd sets it for -pct=off worlds (10^5
-	// regions make eager percent matrices prohibitive); replicas inherit
-	// it from the primary's snapshot.
-	PctDisabled bool
 	// Editor overrides the mutation surface writes go through. Nil keeps
 	// the default (Persist when set, else the tracked store itself);
 	// cardirectd passes the replication primary so edits ship to
@@ -125,22 +114,6 @@ func (s *Server) tracked() *config.Tracked {
 		}
 	}
 	return tr
-}
-
-// replicaRole reports whether this server rejects writes.
-func (s *Server) replicaRole() bool { return s.opt.Role == "replica" }
-
-// pctDisabled reports whether the percent surface is off: explicitly via
-// Options, or implicitly because the primary this replica follows runs
-// with it off.
-func (s *Server) pctDisabled() bool {
-	if s.opt.PctDisabled {
-		return true
-	}
-	if f := s.opt.Follower; f != nil {
-		return !f.Pct()
-	}
-	return false
 }
 
 // metrics is the process-wide expvar surface, published under "cardirectd":
@@ -280,12 +253,8 @@ var writeRoutes = map[string]bool{
 // primary.
 func (s *Server) gateWrites(h handlerFunc) handlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) error {
-		if s.replicaRole() {
-			details := map[string]any{}
-			if s.opt.PrimaryURL != "" {
-				details["primary"] = s.opt.PrimaryURL
-			}
-			return failCode(http.StatusMisdirectedRequest, "not_primary", details,
+		if f := s.opt.Follower; f != nil {
+			return failCode(http.StatusMisdirectedRequest, "not_primary", map[string]any{"primary": f.PrimaryURL()},
 				"serve: this node is a read replica; send writes to the primary")
 		}
 		return h(w, r)

@@ -18,9 +18,9 @@
 // encoding of the coordinates.
 //
 // Durability is configurable per Writer: SyncAlways fsyncs after every
-// append (every acked edit survives power loss), SyncInterval fsyncs at
-// most once per interval (bounded loss window, amortised cost), SyncNever
-// leaves flushing to the OS (benchmarks, bulk loads).
+// append (every acked edit survives power loss), SyncInterval fsyncs a
+// record within one interval of its append (bounded loss window, amortised
+// cost), SyncNever leaves flushing to the OS (benchmarks, bulk loads).
 package wal
 
 import (
@@ -102,8 +102,10 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs after every append: an acked edit survives a crash.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.Interval, on the first
-	// append past the deadline: bounded loss window at amortised cost.
+	// SyncInterval fsyncs a record at most Options.Interval after its
+	// append: an append syncs once the oldest unsynced record is that old,
+	// and the owner syncs a log gone quiet when SyncDue says so. Bounded
+	// loss window at amortised cost.
 	SyncInterval
 	// SyncNever never fsyncs explicitly; the OS flushes when it pleases.
 	SyncNever
@@ -165,11 +167,13 @@ func (m *Metrics) Add(m2 Metrics) {
 // Writer appends records to a log file. It is not safe for concurrent use;
 // the owning store serialises appends.
 type Writer struct {
-	f        *os.File
-	opt      Options
-	buf      []byte
-	m        Metrics
-	lastSync time.Time
+	f   *os.File
+	opt Options
+	buf []byte
+	m   Metrics
+	// unsynced is when the oldest record not yet fsynced was appended; zero
+	// when every appended record is synced.
+	unsynced time.Time
 }
 
 // Create creates (or truncates) a fresh log at path, writing the header.
@@ -222,7 +226,7 @@ func newWriter(f *os.File, opt Options) *Writer {
 	if opt.Interval <= 0 {
 		opt.Interval = time.Second
 	}
-	return &Writer{f: f, opt: opt, lastSync: time.Now()}
+	return &Writer{f: f, opt: opt}
 }
 
 // Append encodes and writes one record, fsyncing according to the policy.
@@ -266,11 +270,24 @@ func (w *Writer) AppendBatch(recs []Record) error {
 	case SyncAlways:
 		return w.Sync()
 	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opt.Interval {
+		if w.unsynced.IsZero() {
+			w.unsynced = time.Now()
+		} else if time.Since(w.unsynced) >= w.opt.Interval {
 			return w.Sync()
 		}
 	}
 	return nil
+}
+
+// SyncDue reports, under SyncInterval, how long until the oldest record not
+// yet fsynced is due for its fsync (≤ 0: overdue); ok is false when every
+// appended record is synced. An owner whose appends stop must Sync when the
+// time comes, since no later append will.
+func (w *Writer) SyncDue() (d time.Duration, ok bool) {
+	if w.opt.Policy != SyncInterval || w.unsynced.IsZero() {
+		return 0, false
+	}
+	return w.opt.Interval - time.Since(w.unsynced), true
 }
 
 // Sync flushes the log to stable storage.
@@ -279,7 +296,7 @@ func (w *Writer) Sync() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	w.m.Fsyncs++
-	w.lastSync = time.Now()
+	w.unsynced = time.Time{}
 	return nil
 }
 
