@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"cardirect/internal/core"
-	"cardirect/internal/geom"
 )
 
 // AxisInfo summarises what an Allen relation between the projections of the
@@ -152,34 +151,4 @@ func PairsOf(r core.Relation) [][2]AllenRel {
 		out[i] = [2]AllenRel{AllenRel(p / NumAllen), AllenRel(p % NumAllen)}
 	}
 	return out
-}
-
-// ConsistentRelations returns the set of tile relations realisable under the
-// Allen pair (ax, ay).
-func ConsistentRelations(ax, ay AllenRel) core.RelationSet {
-	return getTables().consistent[ax][ay]
-}
-
-// AllenPairOf abstracts a concrete configuration: the Allen relations
-// between the bounding-box projections of a and b on each axis.
-func AllenPairOf(a, b geom.Region) (ax, ay AllenRel) {
-	ba := a.BoundingBox()
-	bb := b.BoundingBox()
-	ax = ClassifyIntervals(ba.MinX, ba.MaxX, bb.MinX, bb.MaxX)
-	ay = ClassifyIntervals(ba.MinY, ba.MaxY, bb.MinY, bb.MaxY)
-	return ax, ay
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

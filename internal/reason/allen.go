@@ -14,11 +14,12 @@
 // polygon workloads in the tests.
 //
 // This file implements the Allen interval algebra substrate: the 13 base
-// relations, converse, a machine-generated composition table, and relation
-// sets.
+// relations, converse and a machine-generated composition table — the data
+// of the calculus whose relation sets and networks internal/calculus
+// implements.
 package reason
 
-import "strings"
+import "cardirect/internal/calculus"
 
 // AllenRel is one of the 13 base relations of Allen's interval algebra,
 // describing the qualitative relation between two closed intervals with
@@ -127,71 +128,21 @@ func ClassifyIntervals(a1, a2, b1, b2 float64) AllenRel {
 
 // AllenSet is a set of Allen base relations (a general interval-algebra
 // relation) as a 13-bit mask.
-type AllenSet uint16
+type AllenSet = calculus.Set[AllenRel]
 
 // AllenAll is the universal interval relation.
 const AllenAll AllenSet = 1<<NumAllen - 1
 
 // AllenOf builds a set from base relations.
-func AllenOf(rs ...AllenRel) AllenSet {
-	var s AllenSet
-	for _, r := range rs {
-		s |= 1 << r
-	}
-	return s
-}
+func AllenOf(rs ...AllenRel) AllenSet { return calculus.Of(rs...) }
 
-// Has reports whether r is in the set.
-func (s AllenSet) Has(r AllenRel) bool { return s&(1<<r) != 0 }
+// allenAlgebra is Allen's interval algebra as a calculus, built in init
+// once the composition table is.
+var allenAlgebra *calculus.Algebra
 
-// IsEmpty reports whether the set has no base relations.
-func (s AllenSet) IsEmpty() bool { return s == 0 }
-
-// Len returns the number of base relations in the set.
-func (s AllenSet) Len() int {
-	n := 0
-	for m := s; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-// Converse returns the set of converses.
-func (s AllenSet) Converse() AllenSet {
-	var out AllenSet
-	for r := AllenRel(0); r < NumAllen; r++ {
-		if s.Has(r) {
-			out |= 1 << r.Converse()
-		}
-	}
-	return out
-}
-
-// Rels returns the members in declaration order.
-func (s AllenSet) Rels() []AllenRel {
-	out := make([]AllenRel, 0, s.Len())
-	for r := AllenRel(0); r < NumAllen; r++ {
-		if s.Has(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// String renders the set as a | -separated list of base relation names.
-func (s AllenSet) String() string {
-	if s == 0 {
-		return "⊥"
-	}
-	if s == AllenAll {
-		return "⊤"
-	}
-	parts := make([]string, 0, s.Len())
-	for _, r := range s.Rels() {
-		parts = append(parts, r.String())
-	}
-	return strings.Join(parts, "|")
-}
+// Algebra returns Allen's interval algebra, the calculus AllenSet and the
+// axis networks of the solver run.
+func (AllenRel) Algebra() *calculus.Algebra { return allenAlgebra }
 
 // allenCompTable[r1][r2] is the composition r1 ∘ r2: the set of possible
 // relations between A and C given A r1 B and B r2 C. It is generated by
@@ -218,19 +169,8 @@ func init() {
 			}
 		}
 	}
+	allenAlgebra = calculus.New(NumAllen, AllenEquals, AllenRel.Converse, Compose)
 }
 
 // Compose returns r1 ∘ r2 for base relations.
 func Compose(r1, r2 AllenRel) AllenSet { return allenCompTable[r1][r2] }
-
-// ComposeSets returns the composition of two general relations: the union of
-// base-pair compositions.
-func ComposeSets(s1, s2 AllenSet) AllenSet {
-	var out AllenSet
-	for _, r1 := range s1.Rels() {
-		for _, r2 := range s2.Rels() {
-			out |= allenCompTable[r1][r2]
-		}
-	}
-	return out
-}

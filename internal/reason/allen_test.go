@@ -137,11 +137,11 @@ func ordered(a, b float64) (float64, float64) {
 }
 
 func TestComposeSets(t *testing.T) {
-	s := ComposeSets(AllenOf(AllenBefore, AllenMeets), AllenOf(AllenBefore))
+	s := AllenOf(AllenBefore, AllenMeets).Compose(AllenOf(AllenBefore))
 	if s != AllenOf(AllenBefore) {
 		t.Errorf("{b,m}∘{b} = %v", s)
 	}
-	if got := ComposeSets(0, AllenAll); got != 0 {
+	if got := AllenSet(0).Compose(AllenAll); got != 0 {
 		t.Errorf("⊥∘⊤ = %v", got)
 	}
 }

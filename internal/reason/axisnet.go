@@ -1,91 +1,27 @@
 package reason
 
+import "cardirect/internal/calculus"
+
 // axisNet is an Allen interval-algebra network over the per-axis projections
-// of the network's variables: rel[i][j] is the AllenSet allowed between
-// interval i and interval j. The diagonal holds equals; the matrix is kept
-// converse-consistent.
-type axisNet struct {
-	n   int
-	rel []AllenSet // n×n, row-major
-}
+// of the network's variables: Get(i, j) is the AllenSet allowed between
+// interval i and interval j.
+type axisNet = calculus.Net[AllenRel]
 
-func newAxisNet(n int) *axisNet {
-	a := &axisNet{n: n, rel: make([]AllenSet, n*n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				a.rel[i*n+j] = AllenOf(AllenEquals)
-			} else {
-				a.rel[i*n+j] = AllenAll
-			}
-		}
-	}
-	return a
-}
-
-func (a *axisNet) clone() *axisNet {
-	b := &axisNet{n: a.n, rel: make([]AllenSet, len(a.rel))}
-	copy(b.rel, a.rel)
-	return b
-}
-
-func (a *axisNet) get(i, j int) AllenSet { return a.rel[i*a.n+j] }
-
-// set restricts the relation between i and j to s (and the converse edge to
-// the converse set).
-func (a *axisNet) set(i, j int, s AllenSet) {
-	a.rel[i*a.n+j] &= s
-	a.rel[j*a.n+i] &= s.Converse()
-}
-
-// propagate runs path consistency to a fixpoint; it returns false when some
-// edge becomes empty (inconsistent network).
-func (a *axisNet) propagate() bool {
-	n := a.n
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				rij := a.rel[i*n+j]
-				for k := 0; k < n; k++ {
-					if k == i || k == j {
-						continue
-					}
-					comp := ComposeSets(a.rel[i*n+k], a.rel[k*n+j])
-					nij := rij & comp
-					if nij != rij {
-						rij = nij
-						changed = true
-					}
-					if rij == 0 {
-						return false
-					}
-				}
-				a.rel[i*n+j] = rij
-				a.rel[j*n+i] = rij.Converse()
-			}
-		}
-	}
-	return true
-}
+func newAxisNet(n int) *axisNet { return calculus.NewNet[AllenRel](n) }
 
 // scenarios enumerates atomic refinements (every edge a single base
 // relation) of the path-consistent network, invoking yield for each; it
 // stops when yield returns true. budget is decremented per atomic scenario;
 // when it reaches zero ErrSearchLimit is returned.
-func (a *axisNet) scenarios(budget *scenarioBudget, yield func(*axisNet) bool) error {
-	if !a.propagate() {
+func scenarios(a *axisNet, budget *scenarioBudget, yield func(*axisNet) bool) error {
+	if !a.Propagate() {
 		return nil
 	}
 	// Find the most constrained undecided edge.
 	bi, bj, best := -1, -1, 14
-	for i := 0; i < a.n; i++ {
-		for j := i + 1; j < a.n; j++ {
-			if l := a.get(i, j).Len(); l > 1 && l < best {
+	for i := 0; i < a.Len(); i++ {
+		for j := i + 1; j < a.Len(); j++ {
+			if l := a.Get(i, j).Len(); l > 1 && l < best {
 				bi, bj, best = i, j, l
 			}
 		}
@@ -98,13 +34,13 @@ func (a *axisNet) scenarios(budget *scenarioBudget, yield func(*axisNet) bool) e
 		return nil
 	}
 	stop := false
-	for _, r := range a.get(bi, bj).Rels() {
+	for _, r := range a.Get(bi, bj).Rels() {
 		if stop {
 			break
 		}
-		b := a.clone()
-		b.set(bi, bj, AllenOf(r))
-		err := b.scenarios(budget, func(s *axisNet) bool {
+		b := a.Clone()
+		b.Set(bi, bj, AllenOf(r))
+		err := scenarios(b, budget, func(s *axisNet) bool {
 			stop = yield(s)
 			return stop
 		})
@@ -119,8 +55,8 @@ func (a *axisNet) scenarios(budget *scenarioBudget, yield func(*axisNet) bool) e
 // relation decomposes into point-order constraints between the 2n endpoint
 // variables, which are totally determined in an atomic complete network;
 // endpoints are assigned integer coordinates by their rank.
-func (a *axisNet) realize() []interval {
-	n := a.n
+func realize(a *axisNet) []interval {
+	n := a.Len()
 	// Endpoint ids: 2v = lo(v), 2v+1 = hi(v).
 	var lts, eqs [][2]int
 	for v := 0; v < n; v++ {
@@ -153,7 +89,7 @@ func (a *axisNet) realize() []interval {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			rs := a.get(i, j).Rels()
+			rs := a.Get(i, j).Rels()
 			addRel(i, j, rs[0])
 		}
 	}

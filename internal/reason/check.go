@@ -49,7 +49,8 @@ type CheckStats struct {
 	FastPathDecided  bool `json:"fastpath_decided,omitempty"`
 	// SolverBranches is the number of top-level branch seeds the parallel
 	// solver fanned out (1 for the sequential solver); SolverWorkers the
-	// fan width used. Zero when the solver never ran.
+	// number of goroutines the search ran on (1 for the sequential solver,
+	// min(Workers, seeds) for the fan). Zero when the solver never ran.
 	SolverBranches int   `json:"solver_branches,omitempty"`
 	SolverWorkers  int   `json:"solver_workers,omitempty"`
 	JointNs        int64 `json:"joint_ns,omitempty"`
@@ -160,17 +161,14 @@ func (n *Network) Check(ctx context.Context, opts CheckOptions) (*CheckResult, e
 	}
 
 	sopts := SolveOptions{MaxScenarios: maxScenarios, Workers: opts.Workers}
-	start := time.Now()
-	var err error
-	branches := 1
-	if opts.NoParallel || opts.Workers == 1 {
-		w, err = m.SolveCtx(ctx, sopts)
-	} else {
-		w, branches, err = m.solveParallel(ctx, sopts)
+	if opts.NoParallel {
+		sopts.Workers = 1
 	}
+	start := time.Now()
+	w, branches, workers, err := m.solveParallel(ctx, sopts)
 	res.Stats.SolveNs = time.Since(start).Nanoseconds()
 	res.Stats.SolverBranches = branches
-	res.Stats.SolverWorkers = opts.Workers
+	res.Stats.SolverWorkers = workers
 	if err != nil {
 		return nil, err
 	}

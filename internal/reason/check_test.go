@@ -210,6 +210,45 @@ func TestCheckParallelDifferential(t *testing.T) {
 	}
 }
 
+// TestCheckSolverWorkers: the stat counts the goroutines the search ran on,
+// not the Workers the caller asked for — the seed count caps the fan, and
+// the sequential solver is one goroutine whatever Workers says.
+func TestCheckSolverWorkers(t *testing.T) {
+	// a {S,W,N,E,SE} b with b NW a: the branch edge (a, b) has four viable
+	// seeds, all under SE.
+	n := NewNetwork()
+	if err := n.Constrain("a", "b", core.NewRelationSet(core.S, core.W, core.N, core.E, core.SE)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ConstrainRel("b", "a", core.NW); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"c0", "c1"} {
+		if err := n.Constrain("a", c, core.NewRelationSet(core.N, core.S)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name                  string
+		opts                  CheckOptions
+		branches, wantWorkers int
+	}{
+		{"default fan", CheckOptions{NoFastPath: true}, 4, 4},
+		{"narrow fan", CheckOptions{NoFastPath: true, Workers: 2}, 4, 2},
+		{"workers 1", CheckOptions{NoFastPath: true, Workers: 1}, 1, 1},
+		{"no parallel", CheckOptions{NoFastPath: true, NoParallel: true, Workers: 8}, 1, 1},
+	} {
+		res := checkOK(t, n, tc.opts)
+		if !res.Satisfiable {
+			t.Fatalf("%s: hidden-witness network reported unsat", tc.name)
+		}
+		if res.Stats.SolverBranches != tc.branches || res.Stats.SolverWorkers != tc.wantWorkers {
+			t.Errorf("%s: branches %d, workers %d; want %d, %d", tc.name,
+				res.Stats.SolverBranches, res.Stats.SolverWorkers, tc.branches, tc.wantWorkers)
+		}
+	}
+}
+
 // TestCheckCancellationNoLeak: cancelling mid-solve returns the context
 // error and leaves no solver goroutines behind.
 func TestCheckCancellationNoLeak(t *testing.T) {

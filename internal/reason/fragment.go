@@ -103,11 +103,11 @@ func (n *Network) solveFragment(edges [][2]int, maxScenarios int) (w *Witness, d
 		if xs == 0 || ys == 0 {
 			return nil, true // no axis realisation exists for this edge
 		}
-		mx.set(key[0], key[1], xs)
-		my.set(key[0], key[1], ys)
+		mx.Set(key[0], key[1], xs)
+		my.Set(key[0], key[1], ys)
 		rels[key] = r
 	}
-	if !mx.propagate() || !my.propagate() {
+	if !mx.Propagate() || !my.Propagate() {
 		return nil, true // axis path consistency refutes the network
 	}
 	// Certify: first atomic scenario per axis. The greedy most-constrained
@@ -115,13 +115,13 @@ func (n *Network) solveFragment(edges [][2]int, maxScenarios int) (w *Witness, d
 	// the budget bounds it regardless.
 	budget := newScenarioBudget(maxScenarios)
 	var sx, sy *axisNet
-	if err := mx.scenarios(budget, func(s *axisNet) bool { sx = s.clone(); return true }); err != nil {
+	if err := scenarios(mx, budget, func(s *axisNet) bool { sx = s.Clone(); return true }); err != nil {
 		return nil, false // budget exhausted before certification
 	}
 	if sx == nil {
 		return nil, true // PC-consistent but no atomic scenario: unsatisfiable
 	}
-	if err := my.scenarios(budget, func(s *axisNet) bool { sy = s.clone(); return true }); err != nil {
+	if err := scenarios(my, budget, func(s *axisNet) bool { sy = s.Clone(); return true }); err != nil {
 		return nil, false
 	}
 	if sy == nil {
@@ -132,12 +132,12 @@ func (n *Network) solveFragment(edges [][2]int, maxScenarios int) (w *Witness, d
 	// choices are pair-consistent by construction.
 	chosen := make(map[[2]int]edgeChoice, len(edges))
 	for key, r := range rels {
-		ax := sx.get(key[0], key[1]).Rels()[0]
-		ay := sy.get(key[0], key[1]).Rels()[0]
+		ax := sx.Get(key[0], key[1]).Rels()[0]
+		ay := sy.Get(key[0], key[1]).Rels()[0]
 		chosen[key] = edgeChoice{rel: r, ax: ax, ay: ay}
 	}
 	s := &solver{n: n, chosen: chosen}
-	if w := s.checkOccupancy(sx.realize(), sy.realize()); w != nil {
+	if w := s.checkOccupancy(realize(sx), realize(sy)); w != nil {
 		return w, true
 	}
 	// For full rectangular blocks the occupancy check cannot fail (the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cardirect/internal/calculus"
 	"cardirect/internal/core"
 	"cardirect/internal/topo"
 )
@@ -86,7 +87,7 @@ func topoFromDir(r core.Relation) topo.RCC8Set {
 // procedure. Topology constraints over unknown variables are an error.
 func (n *Network) RefineJoint(topoCons []TopoConstraint) (bool, error) {
 	nv := len(n.names)
-	tn := topo.NewRCC8Net(nv)
+	tn := calculus.NewNet[topo.RCC8](nv)
 	for _, tc := range topoCons {
 		if tc.Rels.IsEmpty() {
 			return false, fmt.Errorf("reason: empty topology constraint between %q and %q", tc.X, tc.Y)

@@ -184,29 +184,9 @@ func (n *Network) Solve(opts SolveOptions) (*Witness, error) {
 // passes or the caller cancels — the hook that lets a server bound the
 // worst-case exponential search by wall clock as well as by scenario count.
 func (n *Network) SolveCtx(ctx context.Context, opts SolveOptions) (*Witness, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.MaxScenarios <= 0 {
-		opts.MaxScenarios = 100000
-	}
-	edges, w, done := n.prepare()
-	if done {
-		return w, nil
-	}
-	nv := len(n.names)
-	s := &solver{
-		n:      n,
-		ctx:    ctx,
-		edges:  edges,
-		chosen: make(map[[2]int]edgeChoice, len(edges)),
-		budget: newScenarioBudget(opts.MaxScenarios),
-	}
-	w, err := s.assignEdges(0, newAxisNet(nv), newAxisNet(nv))
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
+	opts.Workers = 1
+	w, _, _, err := n.solveParallel(ctx, opts)
+	return w, err
 }
 
 // prepare validates the trivial outcomes shared by every solve entry point
@@ -273,14 +253,14 @@ func (s *solver) assignEdges(i int, mx, my *axisNet) (*Witness, error) {
 		for _, pair := range PairsOf(r) {
 			ax, ay := pair[0], pair[1]
 			// The axis networks must still permit this choice.
-			if !mx.get(a, b).Has(ax) || !my.get(a, b).Has(ay) {
+			if !mx.Get(a, b).Has(ax) || !my.Get(a, b).Has(ay) {
 				continue
 			}
-			mx2 := mx.clone()
-			my2 := my.clone()
-			mx2.set(a, b, AllenOf(ax))
-			my2.set(a, b, AllenOf(ay))
-			if !mx2.propagate() || !my2.propagate() {
+			mx2 := mx.Clone()
+			my2 := my.Clone()
+			mx2.Set(a, b, AllenOf(ax))
+			my2.Set(a, b, AllenOf(ay))
+			if !mx2.Propagate() || !my2.Propagate() {
 				continue
 			}
 			s.chosen[key] = edgeChoice{rel: r, ax: ax, ay: ay}
@@ -302,18 +282,18 @@ func (s *solver) assignEdges(i int, mx, my *axisNet) (*Witness, error) {
 func (s *solver) solveScenarios(mx, my *axisNet) (*Witness, error) {
 	var werr error
 	var witness *Witness
-	err := mx.scenarios(s.budget, func(sx *axisNet) bool {
+	err := scenarios(mx, s.budget, func(sx *axisNet) bool {
 		if e := s.ctx.Err(); e != nil {
 			werr = e
 			return true
 		}
-		e := my.scenarios(s.budget, func(sy *axisNet) bool {
+		e := scenarios(my, s.budget, func(sy *axisNet) bool {
 			if ce := s.ctx.Err(); ce != nil {
 				werr = ce
 				return true
 			}
-			xs := sx.realize()
-			ys := sy.realize()
+			xs := realize(sx)
+			ys := realize(sy)
 			if w := s.checkOccupancy(xs, ys); w != nil {
 				witness = w
 				return true

@@ -23,20 +23,23 @@ import (
 // well as the hardware. Workers ≤ 0 defaults to max(8, GOMAXPROCS);
 // oversubscription is deliberate for the reason above.
 func (n *Network) SolveParallel(ctx context.Context, opts SolveOptions) (*Witness, error) {
-	w, _, err := n.solveParallel(ctx, opts)
+	w, _, _, err := n.solveParallel(ctx, opts)
 	return w, err
 }
 
-// solveParallel is SolveParallel also reporting the number of top-level
-// branch seeds explored (for Check's stats).
-func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (*Witness, int, error) {
+// solveParallel is SolveParallel also reporting, for Check's stats, the
+// number of top-level branch seeds explored and of goroutines the search
+// ran on: 1 and 1 when it ran sequentially — Workers 1, no edge to fan, or
+// a single viable seed — and the seed count and min(Workers, seeds) when it
+// fanned.
+func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (w *Witness, branches, workers int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if opts.MaxScenarios <= 0 {
 		opts.MaxScenarios = 100000
 	}
-	workers := opts.Workers
+	workers = opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 		if workers < 8 {
@@ -45,15 +48,15 @@ func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (*Witnes
 	}
 	edges, w, done := n.prepare()
 	if done {
-		return w, 0, nil
+		return w, 0, 0, nil
 	}
 	nv := len(n.names)
 	budget := newScenarioBudget(opts.MaxScenarios)
-	runSeq := func() (*Witness, int, error) {
+	runSeq := func() (*Witness, int, int, error) {
 		s := &solver{n: n, ctx: ctx, edges: edges,
 			chosen: make(map[[2]int]edgeChoice, len(edges)), budget: budget}
 		w, err := s.assignEdges(0, newAxisNet(nv), newAxisNet(nv))
-		return w, 1, err
+		return w, 1, 1, err
 	}
 	if len(edges) == 0 || workers == 1 {
 		return runSeq()
@@ -73,18 +76,18 @@ func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (*Witnes
 	for _, r := range n.cons[key].Relations() {
 		for _, pair := range PairsOf(r) {
 			ax, ay := pair[0], pair[1]
-			mx := base.clone()
-			my := base.clone()
-			mx.set(a, b, AllenOf(ax))
-			my.set(a, b, AllenOf(ay))
-			if !mx.propagate() || !my.propagate() {
+			mx := base.Clone()
+			my := base.Clone()
+			mx.Set(a, b, AllenOf(ax))
+			my.Set(a, b, AllenOf(ay))
+			if !mx.Propagate() || !my.Propagate() {
 				continue
 			}
 			seeds = append(seeds, seed{choice: edgeChoice{rel: r, ax: ax, ay: ay}, mx: mx, my: my})
 		}
 	}
 	if len(seeds) == 0 {
-		return nil, 0, nil // no viable top-level choice: unsatisfiable
+		return nil, 0, 0, nil // no viable top-level choice: unsatisfiable
 	}
 	if len(seeds) == 1 {
 		return runSeq()
@@ -97,10 +100,7 @@ func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (*Witnes
 		witness *Witness
 		werr    error
 	)
-	stripes := workers
-	if stripes > len(seeds) {
-		stripes = len(seeds)
-	}
+	stripes := min(workers, len(seeds))
 	var wg sync.WaitGroup
 	for g := 0; g < stripes; g++ {
 		wg.Add(1)
@@ -144,16 +144,16 @@ func (n *Network) solveParallel(ctx context.Context, opts SolveOptions) (*Witnes
 
 	switch {
 	case witness != nil:
-		return witness, len(seeds), nil
+		return witness, len(seeds), stripes, nil
 	case ctx.Err() != nil:
 		// The caller's context expired (parallel-internal cancellation only
 		// happens after a witness, handled above).
-		return nil, len(seeds), ctx.Err()
+		return nil, len(seeds), stripes, ctx.Err()
 	case werr != nil && errors.Is(werr, ErrSearchLimit):
-		return nil, len(seeds), ErrSearchLimit
+		return nil, len(seeds), stripes, ErrSearchLimit
 	case werr != nil && !errors.Is(werr, context.Canceled):
-		return nil, len(seeds), werr
+		return nil, len(seeds), stripes, werr
 	default:
-		return nil, len(seeds), nil // every branch refuted: unsatisfiable
+		return nil, len(seeds), stripes, nil // every branch refuted: unsatisfiable
 	}
 }

@@ -183,6 +183,22 @@ func TestReasonCheckEndpoint(t *testing.T) {
 	}
 }
 
+// TestReasonCheckRejectsAblationKnobs: the solver ablations are library
+// options, not request fields; the body decoder refuses them like any other
+// unknown field.
+func TestReasonCheckRejectsAblationKnobs(t *testing.T) {
+	ts, _ := newGreeceServer(t, serve.Options{})
+	for _, knob := range []string{"no_fast_path", "no_parallel"} {
+		req := map[string]any{
+			"constraints": []map[string]string{{"x": "a", "y": "b", "relation": "N"}},
+			knob:          true,
+		}
+		if code := doJSON(t, "POST", ts.URL+"/v1/reason/check", req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", knob, code)
+		}
+	}
+}
+
 func TestReasonNetworkTooLarge(t *testing.T) {
 	ts, _ := newGreeceServer(t, serve.Options{MaxNetwork: 4})
 	vars := make([]string, 5)

@@ -44,10 +44,6 @@ type checkRequest struct {
 	MaxScenarios int `json:"max_scenarios,omitempty"`
 	// Workers overrides the server's -solve-workers fan width.
 	Workers int `json:"workers,omitempty"`
-	// NoFastPath / NoParallel force the full sequential solver (differential
-	// clients and benchmarks).
-	NoFastPath bool `json:"no_fast_path,omitempty"`
-	NoParallel bool `json:"no_parallel,omitempty"`
 }
 
 type checkResponse struct {
@@ -148,8 +144,6 @@ func (s *Server) handleReasonCheck(w http.ResponseWriter, r *http.Request) error
 	res, err := n.Check(r.Context(), reason.CheckOptions{
 		MaxScenarios: req.MaxScenarios,
 		Workers:      workers,
-		NoFastPath:   req.NoFastPath,
-		NoParallel:   req.NoParallel,
 		Topology:     topoCons,
 	})
 	if err != nil {

@@ -3,79 +3,33 @@ package topo
 import (
 	"fmt"
 	"strings"
+
+	"cardirect/internal/calculus"
 )
 
 // RCC8Set is a set of RCC-8 base relations (a general, possibly disjunctive
-// topological relation) as an 8-bit mask — bit r set means base relation
-// RCC8(r) is possible. It is the topological counterpart of
-// core.RelationSet, and the substrate of the joint directional+topological
-// consistency check (Li & Cohn's combined theory): path consistency over
-// RCC8Set networks prunes the topological side while the cardinal-direction
-// closure prunes the directional side, with the coupling rules in
-// internal/reason translating between them.
-type RCC8Set uint8
+// topological relation) as a bitmask — bit r set means base relation RCC8(r)
+// is possible. It is the topological counterpart of core.RelationSet, and
+// the substrate of the joint directional+topological consistency check (Li
+// & Cohn's combined theory): path consistency over a calculus.Net[RCC8]
+// prunes the topological side while the cardinal-direction closure prunes
+// the directional side, with the coupling rules in internal/reason
+// translating between them.
+type RCC8Set = calculus.Set[RCC8]
 
 // RCC8All is the universal topological relation.
 const RCC8All RCC8Set = 1<<8 - 1
 
 // RCC8Of builds a set from base relations.
-func RCC8Of(rs ...RCC8) RCC8Set {
-	var s RCC8Set
-	for _, r := range rs {
-		s |= 1 << r
-	}
-	return s
-}
+func RCC8Of(rs ...RCC8) RCC8Set { return calculus.Of(rs...) }
 
-// Has reports whether r is in the set.
-func (s RCC8Set) Has(r RCC8) bool { return s&(1<<r) != 0 }
+// rcc8Algebra is RCC-8 as a calculus: the converses and the composition
+// table below.
+var rcc8Algebra = calculus.New(8, EQ, RCC8.Converse, ComposeRCC8)
 
-// IsEmpty reports whether the set has no base relations.
-func (s RCC8Set) IsEmpty() bool { return s == 0 }
-
-// Len returns the number of base relations in the set.
-func (s RCC8Set) Len() int {
-	n := 0
-	for m := s; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-// Rels returns the members in declaration order.
-func (s RCC8Set) Rels() []RCC8 {
-	out := make([]RCC8, 0, s.Len())
-	for r := DC; r <= NTPPi; r++ {
-		if s.Has(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Converse returns the set of converses.
-func (s RCC8Set) Converse() RCC8Set {
-	var out RCC8Set
-	for _, r := range s.Rels() {
-		out |= 1 << r.Converse()
-	}
-	return out
-}
-
-// String renders the set as a | -separated list of mnemonics.
-func (s RCC8Set) String() string {
-	if s == 0 {
-		return "⊥"
-	}
-	if s == RCC8All {
-		return "⊤"
-	}
-	parts := make([]string, 0, s.Len())
-	for _, r := range s.Rels() {
-		parts = append(parts, r.String())
-	}
-	return strings.Join(parts, "|")
-}
+// Algebra returns RCC-8's calculus, the one RCC8Set and the topological
+// network of the joint check run.
+func (RCC8) Algebra() *calculus.Algebra { return rcc8Algebra }
 
 // ParseRCC8Set parses a | (or comma) separated list of RCC-8 mnemonics,
 // case-insensitively; "*" or "⊤" denote the universal relation.
@@ -198,88 +152,3 @@ var rcc8CompTable = [8][8]RCC8Set{
 
 // ComposeRCC8 returns r1 ∘ r2 for base relations.
 func ComposeRCC8(r1, r2 RCC8) RCC8Set { return rcc8CompTable[r1][r2] }
-
-// ComposeRCC8Sets returns the composition of two general relations: the
-// union of base-pair compositions.
-func ComposeRCC8Sets(s1, s2 RCC8Set) RCC8Set {
-	var out RCC8Set
-	for _, r1 := range s1.Rels() {
-		for _, r2 := range s2.Rels() {
-			out |= rcc8CompTable[r1][r2]
-		}
-	}
-	return out
-}
-
-// RCC8Net is a topological constraint network: rel[i][j] is the RCC8Set
-// allowed between regions i and j. The diagonal holds EQ; the matrix is
-// kept converse-consistent by Set.
-type RCC8Net struct {
-	n   int
-	rel []RCC8Set // n×n, row-major
-}
-
-// NewRCC8Net returns the unconstrained network over n regions.
-func NewRCC8Net(n int) *RCC8Net {
-	a := &RCC8Net{n: n, rel: make([]RCC8Set, n*n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				a.rel[i*n+j] = RCC8Of(EQ)
-			} else {
-				a.rel[i*n+j] = RCC8All
-			}
-		}
-	}
-	return a
-}
-
-// Len returns the number of regions.
-func (a *RCC8Net) Len() int { return a.n }
-
-// Get returns the current relation set between i and j.
-func (a *RCC8Net) Get(i, j int) RCC8Set { return a.rel[i*a.n+j] }
-
-// Set restricts the relation between i and j to s (and the converse edge to
-// the converse set).
-func (a *RCC8Net) Set(i, j int, s RCC8Set) {
-	a.rel[i*a.n+j] &= s
-	a.rel[j*a.n+i] &= s.Converse()
-}
-
-// Propagate runs path consistency to a fixpoint; it returns false when some
-// edge becomes empty — the network is then certainly inconsistent. Like the
-// directional Refine it is a sound filter, not a complete decision
-// procedure for arbitrary RCC8Set networks.
-func (a *RCC8Net) Propagate() bool {
-	n := a.n
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				rij := a.rel[i*n+j]
-				for k := 0; k < n; k++ {
-					if k == i || k == j {
-						continue
-					}
-					comp := ComposeRCC8Sets(a.rel[i*n+k], a.rel[k*n+j])
-					nij := rij & comp
-					if nij != rij {
-						rij = nij
-						changed = true
-					}
-					if rij == 0 {
-						return false
-					}
-				}
-				a.rel[i*n+j] = rij
-				a.rel[j*n+i] = rij.Converse()
-			}
-		}
-	}
-	return true
-}

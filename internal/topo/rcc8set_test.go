@@ -3,6 +3,8 @@ package topo
 import (
 	"math/rand"
 	"testing"
+
+	"cardirect/internal/calculus"
 )
 
 func TestRCC8SetBasics(t *testing.T) {
@@ -93,7 +95,7 @@ func TestRCC8ComposeSound(t *testing.T) {
 // TestRCC8NetPropagate: the NTPP chain a⊂b⊂c forces a NTPP c; adding
 // a DC c on top is inconsistent and Propagate detects it.
 func TestRCC8NetPropagate(t *testing.T) {
-	net := NewRCC8Net(3)
+	net := calculus.NewNet[RCC8](3)
 	net.Set(0, 1, RCC8Of(NTPP))
 	net.Set(1, 2, RCC8Of(NTPP))
 	if !net.Propagate() {
@@ -106,7 +108,7 @@ func TestRCC8NetPropagate(t *testing.T) {
 		t.Errorf("entailed (c,a) = %v, want NTPPi", got)
 	}
 
-	bad := NewRCC8Net(3)
+	bad := calculus.NewNet[RCC8](3)
 	bad.Set(0, 1, RCC8Of(NTPP))
 	bad.Set(1, 2, RCC8Of(NTPP))
 	bad.Set(0, 2, RCC8Of(DC))
