@@ -55,8 +55,10 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only"; \
 	fi
 
-# Short fuzz runs, 10 s per target. Two decoders of crash-damaged or remote
-# input (WAL replay, the replication stream), the snapshot pct attribute,
+# Short fuzz runs, 10 s per target. The decoders of crash-damaged or remote
+# input: the frame reader the WAL, the replication stream and a replica's
+# cache share, under an arbitrary header; WAL replay; the replication
+# stream. Then the snapshot pct attribute,
 # the one op switch every edit goes through (config.Tracked.Apply: a refused
 # edit changes nothing, an accepted one relates like a fresh Track), and
 # five differentials against a reference: the SoA kernels against the
@@ -65,6 +67,7 @@ lint: vet
 # kernel, the planner on against off, the parallel solver against the
 # sequential one. CI runs these; locally, crank -fuzztime.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzFrames -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzParsePct -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzTrackedApply -fuzztime=10s ./internal/config

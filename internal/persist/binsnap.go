@@ -4,11 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
 
 	"cardirect/internal/config"
+	"cardirect/internal/wal"
 )
 
 // Binary snapshot format. Each snapshot generation is written in two
@@ -49,9 +48,6 @@ const (
 	binHeaderLen = 4 + 2 + 2 + 8
 )
 
-// castagnoli is the CRC-32C table shared with the WAL's framing.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 func binSnapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%08d.bin", seq) }
 
 // binWriter accumulates the payload encoding.
@@ -70,9 +66,10 @@ func (w *binWriter) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// encodeBinarySnapshot serialises the document into the framed binary
-// format.
-func encodeBinarySnapshot(img *config.Image) []byte {
+// EncodeSnapshot serialises the document into the framed binary snapshot
+// format (magic, version, length, CRC-32C). Replication streams these bytes
+// to bootstrapping replicas; DecodeSnapshot is the inverse.
+func EncodeSnapshot(img *config.Image) []byte {
 	var w binWriter
 	w.str(img.Name)
 	w.str(img.File)
@@ -109,8 +106,7 @@ func encodeBinarySnapshot(img *config.Image) []byte {
 	out = binary.LittleEndian.AppendUint16(out, 0) // flags
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
-	crc := crc32.Checksum(out[4:], castagnoli)
-	out = binary.LittleEndian.AppendUint32(out, crc)
+	out = binary.LittleEndian.AppendUint32(out, wal.Checksum(out[4:]))
 	return out
 }
 
@@ -184,11 +180,11 @@ func (r *binReader) count(what string, min int) int {
 	return n
 }
 
-// decodeBinarySnapshot verifies the framing (magic, version, length, CRC)
-// and decodes the payload into a configuration document. It does not
-// validate the document; callers run config.Image.Validate like the XML
-// path does.
-func decodeBinarySnapshot(data []byte) (*config.Image, error) {
+// DecodeSnapshot verifies the framing (magic, version, length, CRC) of a
+// binary snapshot as produced by EncodeSnapshot and decodes the payload into
+// a configuration document. It does not validate the document;
+// DecodeValidSnapshot does.
+func DecodeSnapshot(data []byte) (*config.Image, error) {
 	if len(data) < binHeaderLen+4 {
 		return nil, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
 	}
@@ -202,7 +198,7 @@ func decodeBinarySnapshot(data []byte) (*config.Image, error) {
 			payloadLen, len(data)-binHeaderLen-4)
 	}
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(data[4:len(data)-4], castagnoli); got != want {
+	if got := wal.Checksum(data[4 : len(data)-4]); got != want {
 		return nil, fmt.Errorf("persist: binary snapshot checksum mismatch: %08x != %08x", got, want)
 	}
 	if version != binVersion {
@@ -250,27 +246,11 @@ func decodeBinarySnapshot(data []byte) (*config.Image, error) {
 	return img, nil
 }
 
-// EncodeSnapshot serialises the document into the framed binary snapshot
-// format (magic, version, length, CRC-32C). Replication streams these bytes
-// to bootstrapping replicas; DecodeSnapshot is the inverse.
-func EncodeSnapshot(img *config.Image) []byte {
-	return encodeBinarySnapshot(img)
-}
-
-// DecodeSnapshot verifies and decodes a binary snapshot image as produced
-// by EncodeSnapshot. Like the recovery path it does not validate the
-// document; callers run config.Image.Validate.
-func DecodeSnapshot(data []byte) (*config.Image, error) {
-	return decodeBinarySnapshot(data)
-}
-
-// loadBinarySnapshot reads, decodes and validates one binary snapshot file.
-func loadBinarySnapshot(path string) (*config.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	img, err := decodeBinarySnapshot(data)
+// DecodeValidSnapshot decodes a binary snapshot and validates the
+// document: what recovery, a replica's bootstrap and a replica's cached
+// snapshot all load.
+func DecodeValidSnapshot(data []byte) (*config.Image, error) {
+	img, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -37,7 +36,11 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := loadBinarySnapshot(binPath)
+	data, err := os.ReadFile(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := DecodeValidSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if err := fromBin.ComputeRelations(true); err != nil {
 		t.Fatal(err)
 	}
-	again, err := decodeBinarySnapshot(encodeBinarySnapshot(fromBin))
+	again, err := DecodeSnapshot(EncodeSnapshot(fromBin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +73,12 @@ func TestBinarySnapshotFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBinarySnapshot(data); err != nil {
+	if _, err := DecodeSnapshot(data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
 	for _, cut := range []int{0, 1, binHeaderLen - 1, binHeaderLen, len(data) / 2, len(data) - 1} {
-		if _, err := decodeBinarySnapshot(data[:cut]); err == nil {
+		if _, err := DecodeSnapshot(data[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
@@ -87,7 +90,7 @@ func TestBinarySnapshotFaultInjection(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			flipped := bytes.Clone(data)
 			flipped[off] ^= bit
-			if _, err := decodeBinarySnapshot(flipped); err == nil {
+			if _, err := DecodeSnapshot(flipped); err == nil {
 				t.Errorf("bit flip %#02x at offset %d decoded successfully", bit, off)
 			}
 		}
@@ -266,7 +269,7 @@ func TestBinarySnapshotVersionGate(t *testing.T) {
 	bumped := bytes.Clone(data)
 	bumped[4] = binVersion + 1
 	recrc := encodeWithCRC(bumped)
-	if _, err := decodeBinarySnapshot(recrc); err == nil {
+	if _, err := DecodeSnapshot(recrc); err == nil {
 		t.Error("future format version decoded successfully")
 	}
 }
@@ -275,7 +278,7 @@ func TestBinarySnapshotVersionGate(t *testing.T) {
 // can trip exactly one validation gate at a time.
 func encodeWithCRC(frame []byte) []byte {
 	out := bytes.Clone(frame)
-	crc := crc32.Checksum(out[4:len(out)-4], castagnoli)
+	crc := wal.Checksum(out[4 : len(out)-4])
 	binary.LittleEndian.PutUint32(out[len(out)-4:], crc)
 	return out
 }

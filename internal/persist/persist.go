@@ -230,8 +230,11 @@ func (s *Store) recover(seqs []uint64) error {
 		// CRC) falls back to the XML of the same generation; a generation
 		// with neither readable falls back to the previous generation.
 		binPath := filepath.Join(s.dir, binSnapshotName(seq))
-		if loaded, err := loadBinarySnapshot(binPath); err == nil {
-			img = loaded
+		data, err := os.ReadFile(binPath)
+		if err == nil {
+			img, err = DecodeValidSnapshot(data)
+		}
+		if err == nil {
 			s.seq = seq
 			s.recoveredFrom = "binary"
 			break
@@ -298,7 +301,7 @@ func (s *Store) recover(seqs []uint64) error {
 	if err := s.tr.Err(); err != nil {
 		return fmt.Errorf("persist: tracked store diverged during replay: %w", err)
 	}
-	w, err := wal.OpenAppend(walPath, valid, s.opt.Sync)
+	w, err := wal.Open(walPath, wal.Magic, valid, s.opt.Sync)
 	if err != nil {
 		return fmt.Errorf("persist: opening log for append: %w", err)
 	}
@@ -333,23 +336,29 @@ func (s *Store) Tracked() *config.Tracked { return s.tr }
 // Dir returns the owned data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Apply applies one edit to the tracked store (config.Tracked.Apply), then
-// appends its records to the WAL as one contiguous write with one fsync
-// (wal.Writer.AppendBatch), then returns (= acknowledges). A refused edit
-// logs nothing. A WAL append failure is latched — the in-memory state is
-// ahead of the durable state from that point on, so every subsequent edit
-// is refused until the operator restarts the service.
+// Apply frames one edit's records (wal.Writer.Encode), applies the edit to
+// the tracked store (config.Tracked.Apply), then appends the frames to the
+// WAL as one contiguous write with one fsync, then returns (=
+// acknowledges). A refused edit logs nothing, and an edit with a record too
+// large for a frame (wal.ErrTooLarge) is refused before it is applied. A
+// WAL append failure is latched — the in-memory state is ahead of the
+// durable state from that point on, so every subsequent edit is refused
+// until the operator restarts the service.
 func (s *Store) Apply(recs []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return fmt.Errorf("persist: store failed earlier: %w", s.err)
 	}
+	frames, err := s.w.Encode(recs)
+	if err != nil {
+		return err
+	}
 	if err := s.tr.Apply(recs); err != nil {
 		return err
 	}
 	_, pending := s.w.SyncDue()
-	if err := s.w.AppendBatch(recs); err != nil {
+	if err := s.w.AppendFrames(frames, len(recs)); err != nil {
 		s.err = err
 		s.log.Error("persist: WAL append failed; refusing further edits", "err", err)
 		return fmt.Errorf("persist: edit applied in memory but not logged: %w", err)
@@ -463,41 +472,45 @@ func (s *Store) writeSnapshotFile(seq uint64) error {
 	err := s.tr.View(func(img *config.Image) error {
 		var err error
 		data, err = img.Bytes()
-		bin = encodeBinarySnapshot(img)
+		bin = EncodeSnapshot(img)
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
-	if err := s.writeFileAtomic(binSnapshotName(seq), bin); err != nil {
-		return err
+	if err := WriteFileAtomic(filepath.Join(s.dir, binSnapshotName(seq)), bin); err != nil {
+		return fmt.Errorf("persist: installing snapshot: %w", err)
 	}
-	return s.writeFileAtomic(snapshotName(seq), data)
-}
-
-// writeFileAtomic installs data as name in the data directory via temp
-// file + fsync + rename.
-func (s *Store) writeFileAtomic(name string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, "snapshot-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: creating snapshot temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: writing snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, snapshotName(seq)), data); err != nil {
 		return fmt.Errorf("persist: installing snapshot: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic installs data at path: written to path+".tmp", fsynced,
+// then renamed over path, so that a crash leaves the old file or the new
+// one and never a torn one. Making the rename durable (a directory fsync) is
+// the caller's business.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // syncDir fsyncs the data directory, making renames and file creations
@@ -525,7 +538,7 @@ func (s *Store) removeGeneration(seq uint64) {
 }
 
 // removeStale clears leftovers of interrupted rotations after recovery:
-// writeFileAtomic's temp files and the snapshot and log files of any
+// WriteFileAtomic's temp files and the snapshot and log files of any
 // generation other than the live one. Only names this package produces
 // are touched — a name must round-trip through snapshotName,
 // binSnapshotName or walName (Sscanf alone accepts a prefix match), so an

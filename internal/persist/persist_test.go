@@ -460,7 +460,11 @@ func TestRecoveryLoadsLegacySnapshots(t *testing.T) {
 		if info.Bytes*4 > int64(legacyBytes) {
 			t.Errorf("%s: rotated snapshot is %d bytes, legacy one was %d — relations still stored?", from, info.Bytes, legacyBytes)
 		}
-		rotated, err := loadBinarySnapshot(filepath.Join(dir, binSnapshotName(info.Seq)))
+		data, err := os.ReadFile(filepath.Join(dir, binSnapshotName(info.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotated, err := DecodeValidSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,13 @@ package replica_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,7 +21,8 @@ import (
 // power loss left, a restart resumes from the cache at the last intact
 // record, converges with a primary that has moved on, serves /v1/relations
 // byte-equal with it under the same ETag, and leaves a log that decodes
-// cleanly up to the head.
+// cleanly up to the head. A log in the CDRS0001 format holds nothing the
+// replica reads: it resumes at the cached snapshot and fetches the rest.
 func TestReplicaCacheTornTail(t *testing.T) {
 	p := newPrimaryFixture(t, false)
 	cache := t.TempDir()
@@ -108,33 +112,21 @@ func TestReplicaCacheTornTail(t *testing.T) {
 	for off := lastStart; off < len(golden); off++ {
 		flipped := append([]byte(nil), golden...)
 		flipped[off] ^= 0x10
-		want := base + 2
-		if field := off - lastStart; field >= 8 && field < 16 {
-			// The frame's CRC covers the payload, and the sequence is
-			// checked against its neighbours; the generation alone rides
-			// unguarded — the next record re-aligns it.
-			want = base + 3
-		}
-		reopen(fmt.Sprintf("bit flip at %d", off), flipped, want)
+		reopen(fmt.Sprintf("bit flip at %d", off), flipped, base+2)
 	}
 	// What a power loss leaves on ext4: the file grown, the new blocks zero.
 	reopen("zero-filled extension", append(append([]byte(nil), golden...), make([]byte, 4096)...), base+3)
-}
-
-// parkedTail lets writes through only once released.
-type parkedTail struct {
-	replica.TailFile
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (p *parkedTail) Write(b []byte) (int, error) {
-	select {
-	case p.entered <- struct{}{}:
-	default:
+	// The same three records as the CDRS0001 format wrote them: seq, gen,
+	// length and a CRC of the edits alone.
+	legacy := []byte("CDRS0001")
+	for _, rec := range recs {
+		legacy = binary.LittleEndian.AppendUint64(legacy, rec.Seq)
+		legacy = binary.LittleEndian.AppendUint64(legacy, rec.Gen)
+		legacy = binary.LittleEndian.AppendUint32(legacy, uint32(len(rec.Payload)))
+		legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(rec.Payload, crc32.MakeTable(crc32.Castagnoli)))
+		legacy = append(legacy, rec.Payload...)
 	}
-	<-p.release
-	return p.TailFile.Write(b)
+	reopen("CDRS0001 log", legacy, base)
 }
 
 // TestReplicaReadsDoNotWaitForIngest parks the tail loop inside its cache
@@ -143,19 +135,22 @@ func (p *parkedTail) Write(b []byte) (int, error) {
 func TestReplicaReadsDoNotWaitForIngest(t *testing.T) {
 	p := newPrimaryFixture(t, false)
 	f := newReplicaFixture(t, p.ts.URL, t.TempDir())
-	parked := &parkedTail{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	f.rep.WrapTail(func(tail replica.TailFile) replica.TailFile {
-		parked.TailFile = tail
-		return parked
-	})
+	unlock := f.rep.LockCache()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			unlock()
+		}
+	}
+	defer release()
 	if err := p.prim.AddRegion("parked", "", "", workload.BoxRegion(500, 500, 510, 510)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-parked.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the shipped record never reached the cache write")
-	}
+	waitUntil(t, "the shipped record to reach the cache write", func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Replica).cacheAppend("))
+	})
 	answers := func(what string, fn func()) {
 		t.Helper()
 		done := make(chan struct{})
@@ -163,7 +158,7 @@ func TestReplicaReadsDoNotWaitForIngest(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			close(parked.release)
+			release()
 			t.Fatalf("%s waited for the ingest parked in its cache write", what)
 		}
 	}
@@ -185,6 +180,6 @@ func TestReplicaReadsDoNotWaitForIngest(t *testing.T) {
 			t.Errorf("read during a parked ingest: %d, staleness %q", resp.StatusCode, resp.Header.Get(replica.HeaderStaleness))
 		}
 	})
-	close(parked.release)
+	release()
 	waitCaughtUp(t, p, f.rep)
 }

@@ -29,9 +29,12 @@ func FuzzReplicationStream(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte(StreamMagic))
 	f.Add([]byte{})
-	f.Add([]byte("CDRS0001garbagegarbagegarbage"))
+	f.Add([]byte("CDRS0002garbagegarbagegarbage"))
 	flipped := append([]byte(nil), valid...)
-	flipped[len(StreamMagic)+20] ^= 0xff // corrupt the first record's CRC
+	flipped[len(StreamMagic)+4] ^= 0xff // corrupt the first record's CRC
+	f.Add(flipped)
+	flipped = append([]byte(nil), valid...)
+	flipped[len(StreamMagic)+8+8] ^= 0x01 // and the first record's gen under it
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -97,14 +97,15 @@ func (p *Primary) Generation() uint64 { return p.tr.Store().Generation() }
 // Pct reports whether the primary's store answers percentages.
 func (p *Primary) Pct() bool { return p.opt.Pct }
 
-// append records one applied edit batch. Callers hold p.mu and have already
-// applied the edit, so the store generation read here is the post-apply one.
-func (p *Primary) append(recs []wal.Record) {
+// append records one applied edit batch, encoded by EncodeEdits. Callers
+// hold p.mu and have already applied the edit, so the store generation read
+// here is the post-apply one.
+func (p *Primary) append(payload []byte) {
 	p.head++
 	p.recs = append(p.recs, StreamRecord{
 		Seq:     p.head,
 		Gen:     p.tr.Store().Generation(),
-		Payload: EncodeEdits(recs),
+		Payload: payload,
 	})
 	if over := len(p.recs) - p.opt.Retain; over > 0 {
 		p.floor = p.recs[over-1].Seq
@@ -117,15 +118,21 @@ func (p *Primary) append(recs []wal.Record) {
 // Apply implements Editor: the edit goes through the editor below, and on
 // success the same slice ships as ONE stream record, so a follower applies
 // a bulk atomically and bumps its generation once, exactly like the
-// primary did. An empty edit ships nothing.
+// primary did. An edit whose record would not fit one frame is refused
+// with wal.ErrTooLarge before anything applies; an empty edit ships
+// nothing.
 func (p *Primary) Apply(recs []wal.Record) error {
+	payload := EncodeEdits(recs)
+	if err := wal.CheckPayload(recordHeaderSize + len(payload)); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.under.Apply(recs); err != nil {
 		return err
 	}
 	if len(recs) > 0 {
-		p.append(recs)
+		p.append(payload)
 	}
 	return nil
 }
@@ -192,18 +199,6 @@ func (p *Primary) Records(from uint64, max int) ([]StreamRecord, uint64, error) 
 	// Copy the slice header run so a later trim cannot alias the caller's
 	// view; payloads are append-only and safe to share.
 	return append([]StreamRecord(nil), out...), p.head, nil
-}
-
-// DecodeSnapshotImage decodes and validates a streamed binary snapshot.
-func DecodeSnapshotImage(data []byte) (*config.Image, error) {
-	img, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	return img, nil
 }
 
 // Wait blocks until the head advances past after, the timeout elapses, or

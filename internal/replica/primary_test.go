@@ -9,6 +9,7 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
 	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
@@ -201,7 +202,7 @@ func TestPrimarySnapshot(t *testing.T) {
 		t.Fatalf("snapshot coordinates seq=%d gen=%d, head=%d storeGen=%d",
 			seq, gen, p.Head(), tr.Store().Generation())
 	}
-	img, err := DecodeSnapshotImage(data)
+	img, err := persist.DecodeValidSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,8 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
+	"cardirect/internal/wal"
 )
 
 // Replication HTTP headers. The primary stamps them on snapshot and wal
@@ -44,8 +46,8 @@ const (
 	HeaderMinGeneration = "Cardirect-Min-Generation"
 )
 
-// maxFetchBytes caps one wal fetch's body.
-const maxFetchBytes = 256 << 20
+// maxFetchBytes caps one snapshot or wal fetch's body; only tests lower it.
+var maxFetchBytes int64 = 256 << 20
 
 // cacheSyncInterval is the longest a cached record waits for its fsync (the
 // default of cardirectd's -fsync-interval). The primary's WAL is the record
@@ -116,13 +118,6 @@ type Status struct {
 	CacheSyncedSeq uint64 `json:"cache_synced_seq"`
 }
 
-// tailFile is the cache's record log as the replica uses it; an *os.File
-// outside tests.
-type tailFile interface {
-	io.WriteCloser
-	Sync() error
-}
-
 // Replica tails a primary's replication stream: it bootstraps a tracked
 // store from the primary's binary snapshot (or a local cache of it), then
 // applies shipped records through config.Tracked.Apply. The tracked
@@ -155,7 +150,7 @@ type Replica struct {
 	// with work on the store: the tail goroutine appends before it takes mu,
 	// a timer syncs.
 	tailMu    sync.Mutex
-	tail      tailFile
+	tail      *wal.Writer
 	frame     []byte // framing buffer, reused between batches
 	written   uint64 // last record handed to tail
 	syncArmed bool   // a cacheSync is scheduled
@@ -481,7 +476,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 // seedTracked decodes and validates a snapshot and tracks its regions at
 // the primary's generation.
 func seedTracked(data []byte, meta cacheMeta, workers int) (*config.Tracked, error) {
-	img, err := DecodeSnapshotImage(data)
+	img, err := persist.DecodeValidSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +490,9 @@ func seedTracked(data []byte, meta cacheMeta, workers int) (*config.Tracked, err
 
 // fetchWAL asks the primary for records from the given sequence. It
 // returns the decoded records, the primary's head and epoch, and the HTTP
-// status (410 signals a trimmed window).
+// status (410 signals a trimmed window). A body cut short — at
+// maxFetchBytes, say — still yields its intact, CRC-checked prefix; only a
+// body with no intact record is an error.
 func (r *Replica) fetchWAL(ctx context.Context, from uint64) (recs []StreamRecord, head uint64, epoch string, status int, err error) {
 	u := fmt.Sprintf("%s/v1/replication/wal?%s", r.opt.Primary, url.Values{
 		"from": {strconv.FormatUint(from, 10)},
@@ -526,7 +523,7 @@ func (r *Replica) fetchWAL(ctx context.Context, from uint64) (recs []StreamRecor
 		return nil, 0, "", 0, err
 	}
 	recs, _, corr := DecodeStream(data)
-	if corr != nil {
+	if corr != nil && len(recs) == 0 {
 		return nil, 0, "", 0, fmt.Errorf("replica: corrupt stream at %s", corr)
 	}
 	return recs, head, epoch, resp.StatusCode, nil
@@ -544,35 +541,41 @@ func (r *Replica) cacheReset(snapshot []byte, meta cacheMeta) error {
 		r.tail = nil
 	}
 	dir := r.opt.CacheDir
-	if err := writeFileAtomic(filepath.Join(dir, cacheSnapshotName), snapshot); err != nil {
+	if err := persist.WriteFileAtomic(filepath.Join(dir, cacheSnapshotName), snapshot); err != nil {
 		return err
 	}
-	tailPath := filepath.Join(dir, cacheTailName)
-	f, err := os.OpenFile(tailPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tail, err := openTail(dir, 0)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(StreamMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
 		return err
 	}
 	metaData, err := json.Marshal(meta)
+	if err == nil {
+		err = persist.WriteFileAtomic(filepath.Join(dir, cacheMetaName), metaData)
+	}
 	if err != nil {
-		f.Close()
+		tail.Close()
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, cacheMetaName), metaData); err != nil {
-		f.Close()
-		return err
-	}
-	r.tail = f
+	r.tail = tail
 	r.written = meta.Seq
 	r.synced.Store(meta.Seq)
 	return nil
+}
+
+// openTail opens the cached record log for appending after its first valid
+// bytes — a fresh log when they do not cover the header — and syncs the
+// cut, so that nothing is appended after bytes a power loss could still
+// take back. The replica syncs appends itself (cacheSyncInterval).
+func openTail(dir string, valid int64) (*wal.Writer, error) {
+	tail, err := wal.Open(filepath.Join(dir, cacheTailName), StreamMagic, valid, wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		return nil, err
+	}
+	if err := tail.Sync(); err != nil {
+		tail.Close()
+		return nil, err
+	}
+	return tail, nil
 }
 
 // cacheAppend frames a batch onto the tail log with one write — what a
@@ -584,14 +587,11 @@ func (r *Replica) cacheAppend(recs []StreamRecord) {
 	if r.tail == nil {
 		return
 	}
-	frame := r.frame[:0]
-	for _, rec := range recs {
-		frame = AppendStreamRecord(frame, rec)
-	}
+	frame := appendStreamFrames(r.frame[:0], recs)
 	if cap(frame) <= maxKeptFrame {
 		r.frame = frame
 	}
-	if _, err := r.tail.Write(frame); err != nil {
+	if err := r.tail.AppendFrames(frame, len(recs)); err != nil {
 		r.cacheFailedLocked(err)
 		return
 	}
@@ -628,7 +628,10 @@ func (r *Replica) cacheFailedLocked(err error) {
 
 // bootstrapFromCache seeds the replica from the local checkpoint: decode
 // the cached snapshot, replay the intact prefix of the cached tail, and
-// leave the tail open for appending. os.ErrNotExist means no cache.
+// leave the tail open for appending after it. os.ErrNotExist means no
+// cache. A tail that does not start with StreamMagic — a damaged header, or
+// a log written in the CDRS0001 format — holds nothing intact: the replica
+// resumes at the snapshot and fetches the tail from the primary again.
 func (r *Replica) bootstrapFromCache() error {
 	dir := r.opt.CacheDir
 	metaData, err := os.ReadFile(filepath.Join(dir, cacheMetaName))
@@ -647,78 +650,37 @@ func (r *Replica) bootstrapFromCache() error {
 	if err != nil {
 		return fmt.Errorf("replica: cached snapshot: %w", err)
 	}
-	tailPath := filepath.Join(dir, cacheTailName)
-	tailData, err := os.ReadFile(tailPath)
+	tailData, err := os.ReadFile(filepath.Join(dir, cacheTailName))
 	if err != nil {
 		return err
 	}
 	// A torn tail is expected after a crash or a power loss (records are
 	// synced up to cacheSyncInterval late): keep the intact prefix, which
-	// DecodeStream ends at the first frame that fails its CRC.
-	recs, _, _ := DecodeStream(tailData)
+	// DecodeStream ends at the first frame that fails its CRC — and the CRC
+	// covers each record's seq and gen.
+	recs, valid, _ := DecodeStream(tailData)
 	r.tr.Store(tr)
 	r.epoch = meta.Epoch
 	r.bootstraps++
-	applied, valid := meta.Seq, int64(len(StreamMagic))
+	applied := meta.Seq
 	for _, rec := range recs {
 		if rec.Seq != applied+1 {
-			break // the CRC does not cover the sequence: out of order is damage too
+			return fmt.Errorf("replica: cached record %d follows %d", rec.Seq, applied)
 		}
 		if err := r.applyLocked(rec); err != nil {
 			return fmt.Errorf("replica: replaying cached record %d: %w", rec.Seq, err)
 		}
 		applied = rec.Seq
-		valid += int64(streamFrameSize + len(rec.Payload))
 		r.records++
+	}
+	if r.tail, err = openTail(dir, valid); err != nil {
+		return err
 	}
 	r.applied.Store(applied)
 	r.head.Store(applied)
-	// Cut the log to what was replayed (header included, should even that
-	// be damaged) and make it durable before appending after it.
-	f, err := os.OpenFile(tailPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if err = f.Truncate(valid); err == nil {
-		_, err = f.WriteAt([]byte(StreamMagic), 0)
-	}
-	if err == nil {
-		_, err = f.Seek(valid, io.SeekStart)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	r.tail = f
 	r.written = applied
 	r.synced.Store(applied)
 	r.caughtUpAt = time.Now()
 	r.everCaught = true
 	return nil
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

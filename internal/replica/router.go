@@ -3,7 +3,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,16 +105,12 @@ func newBackend(raw string, log *slog.Logger) (*backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: router backend %q: %w", raw, err)
 	}
-	if u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-		return nil, fmt.Errorf("replica: router backend %q: need an absolute http(s) URL", raw)
+	if u.Host == "" || u.Scheme != "http" {
+		return nil, fmt.Errorf("replica: router backend %q: need an absolute http URL (the router does not speak TLS upstream)", raw)
 	}
 	b := &backend{url: u, addr: u.Host, log: log}
 	if u.Port() == "" {
-		port := "80"
-		if u.Scheme == "https" {
-			port = "443"
-		}
-		b.addr = net.JoinHostPort(u.Hostname(), port)
+		b.addr = net.JoinHostPort(u.Hostname(), "80")
 	}
 	b.healthy.Store(true) // optimistic until the first probe says otherwise
 	return b, nil
@@ -133,14 +128,7 @@ func (b *backend) acquire(ctx context.Context) (*upstream, error) {
 	}
 	b.mu.Unlock()
 	b.dials.Add(1)
-	d := &net.Dialer{Timeout: dialTimeout}
-	var c net.Conn
-	var err error
-	if b.url.Scheme == "https" {
-		c, err = (&tls.Dialer{NetDialer: d}).DialContext(ctx, "tcp", b.addr)
-	} else {
-		c, err = d.DialContext(ctx, "tcp", b.addr)
-	}
+	c, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", b.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +371,8 @@ type Router struct {
 	next     atomic.Uint64
 }
 
-// NewRouter builds a router over the given backends. URLs must parse.
+// NewRouter builds a router over the given backends. URLs must be absolute
+// http URLs.
 func NewRouter(opt RouterOptions) (*Router, error) {
 	if opt.HealthInterval <= 0 {
 		opt.HealthInterval = 2 * time.Second

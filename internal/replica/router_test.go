@@ -777,3 +777,17 @@ func TestReplicaStoppedFailsHealth(t *testing.T) {
 		t.Fatalf("the healthy replica's healthz: %d", status)
 	}
 }
+
+// TestNewRouterRefusesHTTPS: the router forwards over plain HTTP only, so
+// an https primary or replica fails at construction — at startup for
+// cardirectd -role router — not at the first request.
+func TestNewRouterRefusesHTTPS(t *testing.T) {
+	for _, opt := range []replica.RouterOptions{
+		{Primary: "https://127.0.0.1:8443"},
+		{Primary: "http://127.0.0.1:8080", Replicas: []string{"https://127.0.0.1:8444"}},
+	} {
+		if _, err := replica.NewRouter(opt); err == nil {
+			t.Errorf("NewRouter(%+v) accepted an https upstream", opt)
+		}
+	}
+}

@@ -8,11 +8,13 @@
 // Router in front forwards writes to the primary and round-robins reads
 // across healthy replicas.
 //
-// Replication stream layout (all integers little-endian):
+// Replication stream layout (all integers little-endian). A record is one
+// wal frame, so the frame's CRC covers seq and gen as well as the edits:
 //
-//	stream := "CDRS0001" record*
-//	record := seq(uint64) gen(uint64) length(uint32) crc(uint32, CRC32C of payload) payload
-//	payload := count(uint32) (length(uint32) wal-record-payload)*
+//	stream  := "CDRS0002" frame*
+//	frame   := length(uint32) crc(uint32, CRC32C of payload) payload
+//	payload := seq(uint64) gen(uint64) edits
+//	edits   := count(uint32) (length(uint32) wal-record-payload)*
 //
 // seq is the primary's record sequence (1-based, per epoch); gen is the
 // store generation immediately AFTER applying the record, so a follower can
@@ -21,34 +23,33 @@
 // regions is ONE record with k wal payloads, applied atomically, exactly as
 // the primary applied it (and bumping the generation once, like AddBulk).
 //
-// Decoding follows the WAL's torn-tail discipline: DecodeStream returns the
-// intact prefix, the number of bytes it spans, and a diagnostic for the
-// first undecodable byte — arbitrary input never panics (FuzzReplicationStream).
+// Decoding is the WAL's own frame reader (wal.ReadFrames): DecodeStream
+// returns the intact prefix, the number of bytes it spans, and a diagnostic
+// for the first undecodable byte — arbitrary input never panics
+// (FuzzReplicationStream). A replica's cached tail.log is the same stream
+// on disk.
 package replica
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"cardirect/internal/wal"
 )
 
 // StreamMagic is the 8-byte header identifying a replication stream.
-const StreamMagic = "CDRS0001"
+// Primaries and replicas upgrade together: a stream of another version is
+// refused at its header.
+const StreamMagic = "CDRS0002"
 
-// streamFrameSize is the per-record framing overhead: seq + gen + length + crc.
-const streamFrameSize = 8 + 8 + 4 + 4
-
-// MaxStreamPayload bounds one record's payload, like wal.MaxPayload.
-const MaxStreamPayload = 64 << 20
+// recordHeaderSize is a record's seq and gen, ahead of its edits in the
+// frame's payload.
+const recordHeaderSize = 8 + 8
 
 // maxEditsPerRecord bounds the edit count inside one record payload; a bulk
 // ingest of 10^6 regions stays far below it, and it keeps a corrupt count
 // from turning into a giant allocation.
 const maxEditsPerRecord = 1 << 24
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // StreamRecord is one shipped edit batch.
 type StreamRecord struct {
@@ -65,7 +66,7 @@ type StreamRecord struct {
 func EncodeEdits(recs []wal.Record) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
 	for _, rec := range recs {
-		p := wal.EncodeRecord(rec)
+		p := wal.AppendRecord(nil, rec)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
 		buf = append(buf, p...)
 	}
@@ -110,21 +111,24 @@ func DecodeEdits(payload []byte) ([]wal.Record, error) {
 	return recs, nil
 }
 
-// AppendStreamRecord frames one record onto buf (without the stream header).
-func AppendStreamRecord(buf []byte, rec StreamRecord) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
-	buf = binary.LittleEndian.AppendUint64(buf, rec.Gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(rec.Payload, castagnoli))
-	return append(buf, rec.Payload...)
-}
-
 // EncodeStream serialises a record batch with the stream header, as served
 // by GET /v1/replication/wal.
 func EncodeStream(recs []StreamRecord) []byte {
-	buf := []byte(StreamMagic)
+	return appendStreamFrames([]byte(StreamMagic), recs)
+}
+
+// appendStreamFrames frames each record onto buf. Primary.Apply refuses an
+// edit whose record would not fit a frame, and DecodeStream accepts none,
+// so a record that does not fit is a bug.
+func appendStreamFrames(buf []byte, recs []StreamRecord) []byte {
 	for _, rec := range recs {
-		buf = AppendStreamRecord(buf, rec)
+		var head [recordHeaderSize]byte
+		binary.LittleEndian.PutUint64(head[0:], rec.Seq)
+		binary.LittleEndian.PutUint64(head[8:], rec.Gen)
+		var err error
+		if buf, err = wal.AppendFrame(buf, head[:], rec.Payload); err != nil {
+			panic(fmt.Sprintf("replica: record %d: %v", rec.Seq, err))
+		}
 	}
 	return buf
 }
@@ -136,39 +140,20 @@ func EncodeStream(recs []StreamRecord) []byte {
 // CRC-verified AND decoded as edit batches before a record is accepted, so
 // everything returned is applicable.
 func DecodeStream(data []byte) (recs []StreamRecord, validSize int64, corr *wal.Corruption) {
-	if len(data) == 0 {
-		return nil, 0, nil
-	}
-	if len(data) < len(StreamMagic) || string(data[:len(StreamMagic)]) != StreamMagic {
-		return nil, 0, &wal.Corruption{Offset: 0, Reason: "bad or truncated stream header"}
-	}
-	off := int64(len(StreamMagic))
-	rest := data[len(StreamMagic):]
-	for len(rest) > 0 {
-		if len(rest) < streamFrameSize {
-			return recs, off, &wal.Corruption{Offset: off, Reason: fmt.Sprintf("torn frame: %d trailing bytes", len(rest))}
+	validSize, corr = wal.ReadFrames(data, StreamMagic, func(payload []byte) error {
+		if len(payload) < recordHeaderSize {
+			return fmt.Errorf("replica: %d-byte record has no seq and gen", len(payload))
 		}
-		seq := binary.LittleEndian.Uint64(rest[0:8])
-		gen := binary.LittleEndian.Uint64(rest[8:16])
-		n := binary.LittleEndian.Uint32(rest[16:20])
-		sum := binary.LittleEndian.Uint32(rest[20:24])
-		if n > MaxStreamPayload {
-			return recs, off, &wal.Corruption{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit", n)}
+		edits := payload[recordHeaderSize:]
+		if _, err := DecodeEdits(edits); err != nil {
+			return err
 		}
-		if int(n) > len(rest)-streamFrameSize {
-			return recs, off, &wal.Corruption{Offset: off, Reason: fmt.Sprintf("torn record: frame wants %d bytes, %d remain", n, len(rest)-streamFrameSize)}
-		}
-		payload := rest[streamFrameSize : streamFrameSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, off, &wal.Corruption{Offset: off, Reason: "CRC mismatch"}
-		}
-		if _, err := DecodeEdits(payload); err != nil {
-			return recs, off, &wal.Corruption{Offset: off, Reason: err.Error()}
-		}
-		recs = append(recs, StreamRecord{Seq: seq, Gen: gen, Payload: payload})
-		step := int64(streamFrameSize) + int64(n)
-		off += step
-		rest = rest[step:]
-	}
-	return recs, off, nil
+		recs = append(recs, StreamRecord{
+			Seq:     binary.LittleEndian.Uint64(payload[0:]),
+			Gen:     binary.LittleEndian.Uint64(payload[8:]),
+			Payload: edits,
+		})
+		return nil
+	})
+	return recs, validSize, corr
 }

@@ -102,10 +102,12 @@ func TestDecodeStreamTruncation(t *testing.T) {
 }
 
 // TestDecodeStreamBitFlip flips every byte of a valid stream in turn: no
-// panic, and every returned record must still CRC-verify and decode (the
-// flip may only shorten the accepted prefix, never corrupt it).
+// panic, and every returned record must equal the one encoded at its
+// position in seq, gen and payload (the flip may only shorten the accepted
+// prefix, never corrupt it — the frame's CRC covers seq and gen too).
 func TestDecodeStreamBitFlip(t *testing.T) {
-	full := EncodeStream(streamFixture(t))
+	want := streamFixture(t)
+	full := EncodeStream(want)
 	for off := 0; off < len(full); off++ {
 		data := append([]byte(nil), full...)
 		data[off] ^= 0x40
@@ -114,8 +116,8 @@ func TestDecodeStreamBitFlip(t *testing.T) {
 			t.Fatalf("flip at %d: validSize %d exceeds input", off, validSize)
 		}
 		for i, rec := range recs {
-			if _, err := DecodeEdits(rec.Payload); err != nil {
-				t.Fatalf("flip at %d: accepted record %d has undecodable payload: %v", off, i, err)
+			if rec.Seq != want[i].Seq || rec.Gen != want[i].Gen || !bytes.Equal(rec.Payload, want[i].Payload) {
+				t.Fatalf("flip at %d: accepted record %d differs from the one encoded: %+v vs %+v", off, i, rec, want[i])
 			}
 		}
 	}
@@ -145,7 +147,7 @@ func TestDecodeEditsRejectsGarbage(t *testing.T) {
 }
 
 func TestDecodeStreamBadHeader(t *testing.T) {
-	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0002extra")} {
+	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0001extra")} {
 		recs, validSize, corr := DecodeStream(data)
 		if corr == nil || validSize != 0 || len(recs) != 0 {
 			t.Errorf("header %q: recs=%d valid=%d corr=%v", data, len(recs), validSize, corr)

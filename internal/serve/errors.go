@@ -11,6 +11,7 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/persist"
 	"cardirect/internal/reason"
+	"cardirect/internal/wal"
 )
 
 // statusClientClosed is nginx's non-standard 499 "client closed request":
@@ -62,6 +63,7 @@ var sentinelTable = []struct {
 	{core.ErrDegenerateRegion, http.StatusUnprocessableEntity, "degenerate_region"},
 	{core.ErrNoPct, http.StatusUnprocessableEntity, "pct_disabled"},
 	{persist.ErrEmptyWorld, http.StatusUnprocessableEntity, "empty_world"},
+	{wal.ErrTooLarge, http.StatusRequestEntityTooLarge, "too_large"},
 	{reason.ErrInconsistent, http.StatusUnprocessableEntity, "inconsistent_network"},
 	{reason.ErrSearchLimit, http.StatusGatewayTimeout, "search_limit"},
 	{context.DeadlineExceeded, http.StatusGatewayTimeout, "timeout"},

@@ -13,6 +13,7 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/persist"
 	"cardirect/internal/reason"
+	"cardirect/internal/wal"
 )
 
 // TestStatusOfSentinels pins the sentinel → (status, code) contract: every
@@ -29,6 +30,7 @@ func TestStatusOfSentinels(t *testing.T) {
 		{core.ErrDegenerateRegion, http.StatusUnprocessableEntity, "degenerate_region"},
 		{core.ErrNoPct, http.StatusUnprocessableEntity, "pct_disabled"},
 		{persist.ErrEmptyWorld, http.StatusUnprocessableEntity, "empty_world"},
+		{wal.ErrTooLarge, http.StatusRequestEntityTooLarge, "too_large"},
 		{reason.ErrInconsistent, http.StatusUnprocessableEntity, "inconsistent_network"},
 		{reason.ErrSearchLimit, http.StatusGatewayTimeout, "search_limit"},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "timeout"},
@@ -58,8 +60,8 @@ func TestStatusOfSentinels(t *testing.T) {
 		}
 	}
 	// Every sentinel-table entry is exercised above.
-	if len(sentinelTable) != 9 {
-		t.Errorf("sentinelTable has %d entries, test covers 9", len(sentinelTable))
+	if len(sentinelTable) != 10 {
+		t.Errorf("sentinelTable has %d entries, test covers 10", len(sentinelTable))
 	}
 }
 

@@ -378,7 +378,8 @@ type bulkResponse struct {
 // append with one fsync) regardless of how many regions arrive. The ingest
 // is atomic: any undecodable line, invalid geometry or duplicate id
 // rejects the whole stream with nothing applied. Oversized streams map to
-// 413 via the route's body cap (Options.MaxBulkBytes).
+// 413 via the route's body cap (Options.MaxBulkBytes), and so does a stream
+// whose edit is too large for one log frame (wal.ErrTooLarge).
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	dec := json.NewDecoder(r.Body)

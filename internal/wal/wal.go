@@ -7,9 +7,13 @@
 //
 // On-disk layout:
 //
-//	file   := header record*
+//	file   := header frame*
 //	header := "CDWAL001" (8 bytes)
-//	record := length(uint32 LE, payload bytes) crc(uint32 LE, CRC32C of payload) payload
+//	frame  := length(uint32 LE, payload bytes) crc(uint32 LE, CRC32C of payload) payload
+//
+// The frame is the module's only record framing: the replication stream and
+// a replica's cached record log are a header of their own followed by the
+// same frames (AppendFrame, ReadFrames, Open), with a payload of their own.
 //
 // The payload starts with a one-byte opcode followed by the op's fields:
 // strings are uvarint-length-prefixed UTF-8, geometries are a uvarint
@@ -42,13 +46,34 @@ const Magic = "CDWAL001"
 // frameSize is the per-record framing overhead: length + CRC.
 const frameSize = 8
 
-// MaxPayload bounds a single record's payload, protecting the reader from
+// MaxPayload bounds a single frame's payload, protecting the reader from
 // allocating garbage lengths out of a corrupt frame.
 const MaxPayload = 64 << 20
+
+// maxPayload is the cap frames are built and read under: MaxPayload, which
+// only tests lower.
+var maxPayload = MaxPayload
+
+// ErrTooLarge reports a payload over MaxPayload. Such a payload has no
+// frame, so an edit that would need one is refused before it is applied.
+var ErrTooLarge = errors.New("wal: payload exceeds the frame limit")
 
 // castagnoli is the CRC32C table (the polynomial used by iSCSI, ext4 and
 // most storage formats — better burst-error detection than IEEE).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the CRC32C of data, the checksum of every format the module
+// writes.
+func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// CheckPayload returns ErrTooLarge when n bytes cannot be one frame's
+// payload.
+func CheckPayload(n int) error {
+	if n > maxPayload {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, n, maxPayload)
+	}
+	return nil
+}
 
 // Op identifies a region edit.
 type Op uint8
@@ -180,16 +205,39 @@ type Writer struct {
 // The header and the file's existence are flushed to disk under SyncAlways;
 // directory durability (the rename dance) is the caller's business.
 func Create(path string, opt Options) (*Writer, error) {
+	return Open(path, Magic, 0, opt)
+}
+
+// Open opens the framed file at path for appending after its first
+// validSize bytes (as ReplayFile or ReadFrames reports them), cutting off
+// any torn tail. When validSize does not cover header — nothing on disk is
+// valid — the file starts afresh with header, as Create does.
+func Open(path, header string, validSize int64, opt Options) (*Writer, error) {
+	if validSize >= int64(len(header)) {
+		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if err := f.Truncate(validSize); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
+		}
+		if _, err := f.Seek(validSize, io.SeekStart); err != nil {
+			f.Close()
+			return nil, err
+		}
+		return newWriter(f, opt), nil
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(Magic)); err != nil {
+	if _, err := f.Write([]byte(header)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: writing header: %w", err)
 	}
 	w := newWriter(f, opt)
-	w.m.Bytes += int64(len(Magic))
+	w.m.Bytes += int64(len(header))
 	if opt.Policy == SyncAlways {
 		if err := w.Sync(); err != nil {
 			f.Close()
@@ -197,29 +245,6 @@ func Create(path string, opt Options) (*Writer, error) {
 		}
 	}
 	return w, nil
-}
-
-// OpenAppend opens an existing log for appending after its valid prefix:
-// the file is truncated to validSize (as reported by ReplayFile), cutting
-// off any torn tail, and subsequent appends continue from there.
-func OpenAppend(path string, validSize int64, opt Options) (*Writer, error) {
-	if validSize < int64(len(Magic)) {
-		// Nothing valid on disk (empty or headerless file): start fresh.
-		return Create(path, opt)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(validSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(validSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return newWriter(f, opt), nil
 }
 
 func newWriter(f *os.File, opt Options) *Writer {
@@ -245,27 +270,34 @@ func (w *Writer) Append(rec Record) error {
 // or none of it; on a short write the torn tail is cut off by CRC framing
 // at the next recovery.
 func (w *Writer) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
+	frames, err := w.Encode(recs)
+	if err != nil {
+		return err
+	}
+	return w.AppendFrames(frames, len(recs))
+}
+
+// Encode frames recs, one frame per record, into the writer's reused
+// buffer, for an AppendFrames that may follow; the frames stay valid until
+// the next Encode, Append or AppendBatch. A record over MaxPayload returns
+// ErrTooLarge.
+func (w *Writer) Encode(recs []Record) ([]byte, error) {
+	frames, err := appendRecords(w.buf[:0], recs)
+	w.buf = frames // reuse the grown buffer next time
+	return frames, err
+}
+
+// AppendFrames writes n frames built by AppendFrame or Encode as one write,
+// fsyncing according to the policy.
+func (w *Writer) AppendFrames(frames []byte, n int) error {
+	if len(frames) == 0 {
 		return nil
 	}
-	buf := w.buf[:0]
-	for _, rec := range recs {
-		start := len(buf)
-		buf = append(buf, make([]byte, frameSize)...)
-		buf = appendRecord(buf, rec)
-		payload := buf[start+frameSize:]
-		if len(payload) > MaxPayload {
-			w.buf = buf[:0]
-			return fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxPayload)
-		}
-		frameLen(buf[start:start+frameSize], payload)
-	}
-	w.buf = buf // reuse the grown buffer next time
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.f.Write(frames); err != nil {
 		return fmt.Errorf("wal: appending: %w", err)
 	}
-	w.m.Records += int64(len(recs))
-	w.m.Bytes += int64(len(buf))
+	w.m.Records += int64(n)
+	w.m.Bytes += int64(len(frames))
 	switch w.opt.Policy {
 	case SyncAlways:
 		return w.Sync()
@@ -303,15 +335,6 @@ func (w *Writer) Sync() error {
 // Metrics returns the writer's cumulative counters.
 func (w *Writer) Metrics() Metrics { return w.m }
 
-// Size returns the current file size (header plus appended records).
-func (w *Writer) Size() (int64, error) {
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Close fsyncs (unless SyncNever) and closes the file.
 func (w *Writer) Close() error {
 	if w.opt.Policy != SyncNever {
@@ -342,7 +365,7 @@ func (c *Corruption) String() string {
 // empty log). Corruption — a torn or bit-flipped tail — terminates the
 // replay at the last intact record and is reported in corr; err is reserved
 // for I/O failures. validSize is the offset of the end of the intact
-// prefix, suitable for OpenAppend.
+// prefix, suitable for Open.
 func ReplayFile(path string) (recs []Record, validSize int64, corr *Corruption, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -357,66 +380,103 @@ func ReplayFile(path string) (recs []Record, validSize int64, corr *Corruption, 
 
 // Replay decodes the intact prefix of a log image. See ReplayFile.
 func Replay(data []byte) (recs []Record, validSize int64, corr *Corruption) {
+	validSize, corr = ReadFrames(data, Magic, func(payload []byte) error {
+		rec, err := DecodeRecord(payload)
+		if err == nil {
+			recs = append(recs, rec)
+		}
+		return err
+	})
+	return recs, validSize, corr
+}
+
+// ReadFrames walks the frames that follow header in data and hands each
+// CRC-checked payload to accept, in order. It stops at the first frame that
+// is torn, fails its CRC or that accept refuses — the frame checksummed
+// correctly but its payload does not decode: a writer bug or version skew,
+// not a torn tail, handled the same way — and reports why in corr. validSize
+// is the byte length of the intact prefix, header included. Empty data is
+// an empty file: no frames, no corruption.
+func ReadFrames(data []byte, header string, accept func(payload []byte) error) (validSize int64, corr *Corruption) {
 	if len(data) == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, 0, &Corruption{Offset: 0, Reason: "bad or truncated header"}
+	if len(data) < len(header) || string(data[:len(header)]) != header {
+		got := data[:min(len(data), len(header))]
+		return 0, &Corruption{Offset: 0, Reason: fmt.Sprintf("header %q, want %q", got, header)}
 	}
-	off := int64(len(Magic))
-	rest := data[len(Magic):]
+	off := int64(len(header))
+	rest := data[len(header):]
 	for len(rest) > 0 {
 		if len(rest) < frameSize {
-			return recs, off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn frame: %d trailing bytes", len(rest))}
+			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn frame: %d trailing bytes", len(rest))}
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxPayload {
-			return recs, off, &Corruption{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit", n)}
+		if uint64(n) > uint64(maxPayload) {
+			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit", n)}
 		}
 		if int(n) > len(rest)-frameSize {
-			return recs, off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn record: frame wants %d bytes, %d remain", n, len(rest)-frameSize)}
+			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn record: frame wants %d bytes, %d remain", n, len(rest)-frameSize)}
 		}
 		payload := rest[frameSize : frameSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, off, &Corruption{Offset: off, Reason: "CRC mismatch"}
+		if Checksum(payload) != sum {
+			return off, &Corruption{Offset: off, Reason: "CRC mismatch"}
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			// The frame checksummed correctly but the payload does not
-			// decode — a writer bug or version skew, not a torn tail; still
-			// handled the same way: keep the intact prefix.
-			return recs, off, &Corruption{Offset: off, Reason: err.Error()}
+		if err := accept(payload); err != nil {
+			return off, &Corruption{Offset: off, Reason: err.Error()}
 		}
-		recs = append(recs, rec)
 		step := int64(frameSize) + int64(n)
 		off += step
 		rest = rest[step:]
 	}
-	return recs, off, nil
+	return off, nil
 }
 
-// EncodeRecord encodes rec's payload — the bytes between the frame header
-// and the next frame — exactly as Append frames it. Replication ships these
-// payloads over its own framing; DecodeRecord is the inverse.
-func EncodeRecord(rec Record) []byte {
-	return appendRecord(nil, rec)
+// AppendFrame appends one frame onto buf whose payload is the concatenation
+// of parts. A payload over MaxPayload appends nothing and returns
+// ErrTooLarge.
+func AppendFrame(buf []byte, parts ...[]byte) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameSize)...)
+	for _, p := range parts {
+		buf = append(buf, p...)
+	}
+	return sealFrame(buf, start)
 }
 
-// DecodeRecord decodes one payload as produced by EncodeRecord (or found
-// inside a log frame). Arbitrary input returns an error, never panics.
-func DecodeRecord(payload []byte) (Record, error) {
-	return decodeRecord(payload)
+// appendRecords appends one frame per record onto buf. A record over
+// MaxPayload returns ErrTooLarge and buf as it was passed in.
+func appendRecords(buf []byte, recs []Record) ([]byte, error) {
+	n := len(buf)
+	for _, rec := range recs {
+		start := len(buf)
+		var err error
+		if buf, err = sealFrame(AppendRecord(append(buf, make([]byte, frameSize)...), rec), start); err != nil {
+			return buf[:n], err
+		}
+	}
+	return buf, nil
 }
 
-// frameLen fills the 8-byte frame header (length + CRC32C) for payload.
-func frameLen(frame []byte, payload []byte) {
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+// sealFrame fills in the header of the frame at buf[start:], whose payload
+// runs to the end of buf, or cuts the frame off when the payload is too
+// large.
+func sealFrame(buf []byte, start int) ([]byte, error) {
+	payload := buf[start+frameSize:]
+	if err := CheckPayload(len(payload)); err != nil {
+		return buf[:start], err
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], Checksum(payload))
+	return buf, nil
 }
 
-// appendRecord encodes rec's payload onto buf.
-func appendRecord(buf []byte, rec Record) []byte {
+// AppendRecord encodes rec's payload — the bytes between the frame header
+// and the next frame — onto buf, exactly as Append frames it. Replication
+// ships these payloads inside its own frames' payloads; DecodeRecord is the
+// inverse.
+func AppendRecord(buf []byte, rec Record) []byte {
 	buf = append(buf, byte(rec.Op))
 	appendString := func(s string) {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -454,10 +514,11 @@ func appendGeometry(buf []byte, g geom.Region) []byte {
 	return buf
 }
 
-// decodeRecord decodes one payload. Every length is validated against the
-// remaining bytes before allocation, so arbitrary input cannot blow up
-// memory or panic — the contract FuzzWALReplay enforces.
-func decodeRecord(payload []byte) (Record, error) {
+// DecodeRecord decodes one payload as produced by AppendRecord (or found
+// inside a log frame). Every length is validated against the remaining
+// bytes before allocation, so arbitrary input cannot blow up memory or
+// panic — the contract FuzzWALReplay enforces.
+func DecodeRecord(payload []byte) (Record, error) {
 	d := decoder{rest: payload}
 	op, err := d.byte()
 	if err != nil {

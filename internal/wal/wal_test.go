@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,6 +67,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if valid != st.Size() {
 		t.Fatalf("validSize = %d, file size = %d", valid, st.Size())
+	}
+}
+
+// TestLogBytesGolden pins the on-disk format: the sample records, one
+// appended alone and the rest as a batch, make exactly these bytes, so that
+// logs already on disk keep replaying.
+func TestLogBytesGolden(t *testing.T) {
+	const golden = "434457414c30303159000000d8686d6c01066174746963610641747469636107236161626263630104000000000000000000000000000000000000000000000000000000000000104000000000000010400000000000001040000000000000104000000000000000007e0000003786f309010769736c616e64730000020300000000000024400000000000002440000000000000244000000000000026400000000000002640000000000000264004000000000000f8bf0000000000000240000000000000f8bf0000000000000840000000000000c03f0000000000000840000000000000c03f00000000000002404a0000005a5142a3040661747469636101049a9999999999b93f9a9999999999c93f9a9999999999b93f0000000000001e400000000000000a400000000000001e400000000000000a409a9999999999c93f12000000da62c67c030769736c616e6473086379636c616465730a0000004cace1e902086379636c61646573"
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := Create(path, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()
+	if err := w.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch(recs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("log bytes changed:\n got %s\nwant %s", got, golden)
 	}
 }
 
@@ -144,7 +174,7 @@ func TestOpenAppendContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenAppend(path, valid, Options{Policy: SyncAlways})
+	w, err := Open(path, Magic, valid, Options{Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +215,7 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 	if corr == nil {
 		t.Fatal("torn tail not reported")
 	}
-	w, err := OpenAppend(path, valid, Options{Policy: SyncAlways})
+	w, err := Open(path, Magic, valid, Options{Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +332,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 // exported payload codec replication ships over its own framing.
 func TestEncodeDecodeRecord(t *testing.T) {
 	for i, rec := range sampleRecords() {
-		got, err := DecodeRecord(EncodeRecord(rec))
+		got, err := DecodeRecord(AppendRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
