@@ -8,6 +8,7 @@ package cardirect
 // paper-vs-measured for each.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -499,6 +500,49 @@ func BenchmarkAllPairsParallel(b *testing.B) {
 // pruning disabled.
 func BenchmarkAllPairsParallelNoPrune(b *testing.B) {
 	benchmarkAllPairs(b, 200, core.BatchOptions{NoPrune: true})
+}
+
+// BenchmarkLoDBatchRows runs the third sweep, LoDWorld.BatchRows, on one
+// worker over E23's quick world: 2·10^4 zipfian regions, rows sampled as the
+// 16 giants plus an even stride through the tail. tiered answers through the
+// coarse/strip/exact stack, exact through the MBB fast path and the full
+// kernel alone — the two sides of E23's comparison.
+func BenchmarkLoDBatchRows(b *testing.B) {
+	const n = 20000
+	regions := make([]core.NamedRegion, n)
+	for i, r := range workload.New(1).Zipf(geom.Rect{MaxX: 1000, MaxY: 1000}, n, 4096) {
+		regions[i] = core.NamedRegion{Name: fmt.Sprintf("z%06d", i), Region: r}
+	}
+	w, err := core.PrepareLoDWorld(regions, core.LoDOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows []int
+	for i := 0; i < 16; i++ {
+		rows = append(rows, i)
+	}
+	for i := 16; i < n; i += n / 48 {
+		rows = append(rows, i)
+	}
+	for _, mode := range []struct {
+		name  string
+		exact bool
+	}{{"tiered", false}, {"exact", true}} {
+		// The first tiered sweep builds the giants' strip indexes; time the
+		// steady state a long-lived world serves.
+		if _, _, err := w.BatchRows(context.Background(), rows, mode.exact); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.BatchRows(context.Background(), rows, mode.exact); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(rows)*(n-1)), "pairs/op")
+		})
+	}
 }
 
 // TestE18ParallelWins asserts the direction of the headline comparison: on

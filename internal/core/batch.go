@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cardirect/internal/geom"
 )
@@ -59,23 +57,9 @@ type BatchResult struct {
 // errors.Is. Results come back sorted by (primary, reference). A nil opt
 // means defaults (GOMAXPROCS workers, pruning on).
 func BatchCDR(ctx context.Context, regions []NamedRegion, opt *BatchOptions) (*BatchResult, error) {
-	var o BatchOptions
-	if opt != nil {
-		o = *opt
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ps := o.Prepared
-	if ps == nil {
-		if len(regions) < 2 {
-			return &BatchResult{}, nil
-		}
-		var err error
-		ps, err = PrepareAll(regions)
-		if err != nil {
-			return nil, err
-		}
+	ps, o, err := batchInput(regions, opt)
+	if err != nil {
+		return nil, err
 	}
 	pairs, st, err := batchPrepared(ctx, ps, o)
 	if err != nil {
@@ -84,63 +68,70 @@ func BatchCDR(ctx context.Context, regions []NamedRegion, opt *BatchOptions) (*B
 	return &BatchResult{Pairs: pairs, Stats: st}, nil
 }
 
-// batchPrepared is the qualitative batch engine proper, over prepared
-// regions: name-sorted iteration makes out[] land directly in the canonical
-// (primary, reference) order with no final sort, and makes each worker's
-// write range a function of the claimed row alone.
-func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]PairRelation, Stats, error) {
-	n := len(ps)
-	if n < 2 {
-		return nil, Stats{}, nil
+// batchInput resolves what both batch entry points take: a nil opt means
+// the defaults, and the regions are opt.Prepared or else one PrepareAll
+// over regions (skipped below two regions, which have no pairs).
+func batchInput(regions []NamedRegion, opt *BatchOptions) ([]*Prepared, BatchOptions, error) {
+	var o BatchOptions
+	if opt != nil {
+		o = *opt
+	}
+	if o.Prepared != nil || len(regions) < 2 {
+		return o.Prepared, o, nil
+	}
+	ps, err := PrepareAll(regions)
+	return ps, o, err
+}
+
+// byName checks that every region is usable by a batch engine — as a
+// reference (non-degenerate bounding box) always, as a quantitative primary
+// (positive area) when pct — and returns them sorted by name. Name-sorted
+// rows make the output land directly in the canonical (primary, reference)
+// order with no final sort, and make each row's write range a function of
+// the row alone. Fewer than two regions have no pairs and give nil.
+func byName(ps []*Prepared, pct bool) ([]*Prepared, error) {
+	if len(ps) < 2 {
+		return nil, nil
 	}
 	for _, p := range ps {
 		if p.noGrid {
-			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
+			return nil, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
+		}
+		if pct && p.totalArea <= 0 {
+			return nil, fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
 		}
 	}
-	order := make([]*Prepared, n)
-	copy(order, ps)
+	order := append([]*Prepared(nil), ps...)
 	sort.Slice(order, func(i, j int) bool { return order[i].Name < order[j].Name })
+	return order, nil
+}
 
-	out := make([]PairRelation, n*(n-1))
-	workers := poolSize(opt.Workers, n)
-
-	var next atomic.Int64
-	var mu sync.Mutex
-	var total Stats
-	runPool(workers, func() {
-		var st Stats
-		for {
-			pi := int(next.Add(1) - 1)
-			if pi >= n {
-				break
-			}
-			// One context check per claimed row bounds the cancellation
-			// latency to a single primary's sweep without taxing the
-			// per-pair hot loop.
-			if ctx.Err() != nil {
-				break
-			}
-			a := order[pi]
-			row := out[pi*(n-1) : (pi+1)*(n-1)]
-			k := 0
-			for ri := 0; ri < n; ri++ {
-				if ri == pi {
-					continue
-				}
-				b := order[ri]
-				rel := a.relate(b.grid(), opt.NoPrune, &st)
-				st.Passes++
-				row[k] = PairRelation{Primary: a.Name, Reference: b.Name, Relation: rel}
-				k++
-			}
-		}
-		mu.Lock()
-		total.Merge(st)
-		mu.Unlock()
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, total, err
+// batchPrepared is the qualitative batch engine proper, over prepared
+// regions: one sweep whose row pi relates order[pi] to every other region.
+func batchPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]PairRelation, Stats, error) {
+	order, err := byName(ps, false)
+	if order == nil {
+		return nil, Stats{}, err
 	}
-	return out, total, nil
+	n := len(order)
+	out := make([]PairRelation, n*(n-1))
+	st, err := sweep(ctx, n, opt.Workers, func(pi int, _ *Scratch, st *Stats) error {
+		a := order[pi]
+		row := out[pi*(n-1) : (pi+1)*(n-1)]
+		k := 0
+		for ri, b := range order {
+			if ri == pi {
+				continue
+			}
+			rel := a.relate(b.grid(), opt.NoPrune, st)
+			st.Passes++
+			row[k] = PairRelation{Primary: a.Name, Reference: b.Name, Relation: rel}
+			k++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }

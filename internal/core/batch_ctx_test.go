@@ -40,6 +40,26 @@ func TestBatchCDRCancelled(t *testing.T) {
 	if _, err := BatchPct(ctx, regions, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BatchPct on cancelled ctx: err = %v, want context.Canceled", err)
 	}
+	// The other sweeps, on one worker and on a pool.
+	for _, workers := range []int{1, 4} {
+		w, err := PrepareLoDWorld(regions, LoDOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.BatchRows(ctx, []int{0, 1, 2, 3, 4, 5}, true); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: BatchRows(exact) on cancelled ctx: err = %v, want context.Canceled", workers, err)
+		}
+		s, err := NewRelationStore(regions, StoreOptions{Workers: workers, Pct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.PairsCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: PairsCtx on cancelled ctx: err = %v, want context.Canceled", workers, err)
+		}
+		if _, err := s.PctPairsCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: PctPairsCtx on cancelled ctx: err = %v, want context.Canceled", workers, err)
+		}
+	}
 }
 
 // TestBatchCDRDeadline: an already-expired deadline surfaces

@@ -76,11 +76,12 @@ func TestComputeAllPairsDifferential(t *testing.T) {
 }
 
 // TestComputeAllPairsWorkerCounts: every worker count produces the same,
-// sorted output. Run with -race this also exercises the pool for data
-// races.
+// sorted output and the same merged Stats, qualitative and quantitative.
+// Run with -race this also exercises the pool for data races.
 func TestComputeAllPairsWorkerCounts(t *testing.T) {
 	regions := batchWorkload(42, 30)
-	want, _ := batchCDR(t, regions, BatchOptions{Workers: 1})
+	want, wantSt := batchCDR(t, regions, BatchOptions{Workers: 1})
+	wantPct, wantPctSt := batchPct(t, regions, BatchOptions{Workers: 1})
 	if len(want) != 30*29 {
 		t.Fatalf("pairs = %d, want %d", len(want), 30*29)
 	}
@@ -91,9 +92,19 @@ func TestComputeAllPairsWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 4, 7, 16, 64} {
-		got, _ := batchCDR(t, regions, BatchOptions{Workers: workers})
+		got, st := batchCDR(t, regions, BatchOptions{Workers: workers})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: output differs from sequential", workers)
+		}
+		if !reflect.DeepEqual(wantSt, st) {
+			t.Fatalf("workers=%d: Stats %+v, sequential %+v", workers, st, wantSt)
+		}
+		gotPct, pctSt := batchPct(t, regions, BatchOptions{Workers: workers})
+		if !reflect.DeepEqual(wantPct, gotPct) {
+			t.Fatalf("workers=%d: percent output differs from sequential", workers)
+		}
+		if !reflect.DeepEqual(wantPctSt, pctSt) {
+			t.Fatalf("workers=%d: percent Stats %+v, sequential %+v", workers, pctSt, wantPctSt)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -96,51 +97,56 @@ func TestLoDDifferential(t *testing.T) {
 }
 
 // TestLoDBatchRows checks the row sweep against the per-pair path in both
-// LoD and exact modes, and the context-cancellation contract.
+// LoD and exact modes, at every worker count — rows and merged Stats alike
+// must not depend on it — and the context-cancellation contract.
 func TestLoDBatchRows(t *testing.T) {
-	w, exact := lodTestWorld(t, 3, 30, LoDOptions{Workers: 4})
 	rows := []int{0, 7, 29}
-	got, st, err := w.BatchRows(context.Background(), rows, false)
-	if err != nil {
-		t.Fatalf("BatchRows: %v", err)
-	}
-	gotExact, _, err := w.BatchRows(context.Background(), rows, true)
-	if err != nil {
-		t.Fatalf("BatchRows(exact): %v", err)
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	for r, pi := range rows {
-		for j := 0; j < w.Len(); j++ {
-			if j == pi {
-				if got[r][j] != 0 || gotExact[r][j] != 0 {
-					t.Fatalf("row %d: self entry not zero", pi)
-				}
-				continue
-			}
-			want, err := Relate(exact[pi], exact[j], sc)
+	var want [2][][]Relation
+	var wantSt [2]Stats
+	for _, workers := range []int{1, 2, 4, 16} {
+		w, exact := lodTestWorld(t, 3, 30, LoDOptions{Workers: workers})
+		for m, exactMode := range []bool{false, true} {
+			got, st, err := w.BatchRows(context.Background(), rows, exactMode)
 			if err != nil {
-				t.Fatalf("exact Relate: %v", err)
+				t.Fatalf("workers=%d exact=%v: BatchRows: %v", workers, exactMode, err)
 			}
-			if got[r][j] != want {
-				t.Fatalf("row %d vs %d: LoD sweep %v != exact %v", pi, j, got[r][j], want)
+			if workers == 1 {
+				want[m], wantSt[m] = got, st
+			} else if !reflect.DeepEqual(got, want[m]) || !reflect.DeepEqual(st, wantSt[m]) {
+				t.Fatalf("workers=%d exact=%v: rows or Stats %+v differ from one worker's %+v", workers, exactMode, st, wantSt[m])
 			}
-			if gotExact[r][j] != want {
-				t.Fatalf("row %d vs %d: exact sweep %v != exact %v", pi, j, gotExact[r][j], want)
+			for r, pi := range rows {
+				for j := 0; j < w.Len(); j++ {
+					if j == pi {
+						if got[r][j] != 0 {
+							t.Fatalf("exact=%v row %d: self entry not zero", exactMode, pi)
+						}
+						continue
+					}
+					rel, err := Relate(exact[pi], exact[j], sc)
+					if err != nil {
+						t.Fatalf("exact Relate: %v", err)
+					}
+					if got[r][j] != rel {
+						t.Fatalf("exact=%v row %d vs %d: sweep %v != exact %v", exactMode, pi, j, got[r][j], rel)
+					}
+				}
 			}
 		}
-	}
-	if st.CoarseSingleTile+st.LoDStrip+st.LoDExact+st.PruneSingleTile+st.PruneBand == 0 {
-		t.Error("sweep recorded no tier stats")
-	}
+		if st := wantSt[0]; st.CoarseSingleTile+st.LoDStrip+st.LoDExact+st.PruneSingleTile+st.PruneBand == 0 {
+			t.Error("sweep recorded no tier stats")
+		}
 
-	if _, _, err := w.BatchRows(context.Background(), []int{-1}, false); err == nil {
-		t.Error("negative row index accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := w.BatchRows(ctx, rows, false); err == nil {
-		t.Error("cancelled context not reported")
+		if _, _, err := w.BatchRows(context.Background(), []int{-1}, false); err == nil {
+			t.Error("negative row index accepted")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := w.BatchRows(ctx, rows, false); err == nil {
+			t.Error("cancelled context not reported")
+		}
 	}
 }
 

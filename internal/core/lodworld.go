@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cardirect/internal/geom"
 )
@@ -93,9 +92,6 @@ func (w *LoDWorld) checkIndex(i int) error {
 	return nil
 }
 
-// Coarse returns the world's coarse cell-span summary.
-func (w *LoDWorld) Coarse() *CoarseIndex { return w.coarse }
-
 // Relation answers the relation of primary i against reference j through
 // the tier stack: coarse cell spans in O(1), then the stages of relateLoD.
 // Bit-identical to Relate(exact_i, exact_j, sc) including the
@@ -160,9 +156,6 @@ func relateLoD(a *Prepared, ix *stripIndex, g Grid, sc *Scratch, st *Stats) Rela
 // out[r][j] is rows[r]'s relation to region j, with out[r][rows[r]] left
 // zero. The context is checked once per claimed row.
 func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]Relation, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := len(w.preps)
 	for _, p := range w.preps {
 		if p.noGrid {
@@ -176,66 +169,49 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 		}
 		out[r] = make([]Relation, n)
 	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var total Stats
-	runPool(poolSize(w.workers, len(rows)), func() {
-		sc := getScratch()
-		defer putScratch(sc)
-		var st Stats
-		for {
-			r := int(next.Add(1) - 1)
-			if r >= len(rows) {
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			pi := rows[r]
-			row := out[r]
-			a, ix := w.preps[pi], w.strips[int32(pi)]
-			if exact {
-				for j, b := range w.boxes {
-					if j == pi {
-						continue
-					}
-					row[j] = a.relate(boxGrid(b), false, &st)
-					st.Passes++
-				}
-				continue
-			}
-			// PairSingleTile with the primary's span hoisted out of the
-			// inner loop and the per-axis switches folded into the
-			// coarsePairLut nibble lookup: the sweep streams the 8-byte
-			// spans sequentially, the comparisons materialise as flags, and
-			// the only data-dependent branch left is the lookup hit, which
-			// the predictor learns (>99% of pairs decide here).
-			spans := w.coarse.spans
-			as := spans[pi]
-			for j := 0; j < n; j++ {
+	st, err := sweep(ctx, len(rows), w.workers, func(r int, sc *Scratch, st *Stats) error {
+		pi := rows[r]
+		row := out[r]
+		a, ix := w.preps[pi], w.strips[int32(pi)]
+		if exact {
+			for j, b := range w.boxes {
 				if j == pi {
 					continue
 				}
-				bs := spans[j]
-				xb := b2i(as.x1 < bs.x0) | b2i(as.x0 > bs.x1)<<1 |
-					b2i(as.x0 > bs.x0)<<2 | b2i(as.x1 < bs.x1)<<3
-				yb := b2i(as.y1 < bs.y0) | b2i(as.y0 > bs.y1)<<1 |
-					b2i(as.y0 > bs.y0)<<2 | b2i(as.y1 < bs.y1)<<3
-				if rel := coarsePairLut[xb|yb<<4]; rel != 0 {
-					st.CoarseSingleTile++
-					row[j] = rel
-					continue
-				}
-				row[j] = relateLoD(a, ix, boxGrid(w.boxes[j]), sc, &st)
+				row[j] = a.relate(boxGrid(b), false, st)
 				st.Passes++
 			}
+			return nil
 		}
-		mu.Lock()
-		total.Merge(st)
-		mu.Unlock()
+		// PairSingleTile with the primary's span hoisted out of the inner
+		// loop and the per-axis switches folded into the coarsePairLut
+		// nibble lookup: the sweep streams the 8-byte spans sequentially,
+		// the comparisons materialise as flags, and the only data-dependent
+		// branch left is the lookup hit, which the predictor learns (>99%
+		// of pairs decide here).
+		spans := w.coarse.spans
+		as := spans[pi]
+		for j := 0; j < n; j++ {
+			if j == pi {
+				continue
+			}
+			bs := spans[j]
+			xb := b2i(as.x1 < bs.x0) | b2i(as.x0 > bs.x1)<<1 |
+				b2i(as.x0 > bs.x0)<<2 | b2i(as.x1 < bs.x1)<<3
+			yb := b2i(as.y1 < bs.y0) | b2i(as.y0 > bs.y1)<<1 |
+				b2i(as.y0 > bs.y0)<<2 | b2i(as.y1 < bs.y1)<<3
+			if rel := coarsePairLut[xb|yb<<4]; rel != 0 {
+				st.CoarseSingleTile++
+				row[j] = rel
+				continue
+			}
+			row[j] = relateLoD(a, ix, boxGrid(w.boxes[j]), sc, st)
+			st.Passes++
+		}
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, total, err
+	if err != nil {
+		return nil, st, err
 	}
-	return out, total, nil
+	return out, st, nil
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // PairPercent is one entry of a quantitative batch result: the percent
 // matrix (and the per-tile absolute areas behind it) of primary Primary
@@ -35,23 +29,9 @@ type BatchPctResult struct {
 // once per claimed primary row and its error returned verbatim. Results
 // come back sorted by (primary, reference). A nil opt means defaults.
 func BatchPct(ctx context.Context, regions []NamedRegion, opt *BatchOptions) (*BatchPctResult, error) {
-	var o BatchOptions
-	if opt != nil {
-		o = *opt
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ps := o.Prepared
-	if ps == nil {
-		if len(regions) < 2 {
-			return &BatchPctResult{}, nil
-		}
-		var err error
-		ps, err = PrepareAll(regions)
-		if err != nil {
-			return nil, err
-		}
+	ps, o, err := batchInput(regions, opt)
+	if err != nil {
+		return nil, err
 	}
 	pairs, st, err := batchPctPrepared(ctx, ps, o)
 	if err != nil {
@@ -61,83 +41,42 @@ func BatchPct(ctx context.Context, regions []NamedRegion, opt *BatchOptions) (*B
 }
 
 // batchPctPrepared is the quantitative batch engine proper, over prepared
-// regions. Every region must be usable as a reference (non-degenerate
-// bounding box) and as a quantitative primary (positive area); a region
-// failing either yields a wrapped error up front.
+// regions: one sweep whose row pi fills order[pi]'s matrices against every
+// other region. Every region must be usable as a reference and as a
+// quantitative primary (byName).
 func batchPctPrepared(ctx context.Context, ps []*Prepared, opt BatchOptions) ([]PairPercent, Stats, error) {
-	n := len(ps)
-	if n < 2 {
-		return nil, Stats{}, nil
+	order, err := byName(ps, true)
+	if order == nil {
+		return nil, Stats{}, err
 	}
-	for _, p := range ps {
-		if p.noGrid {
-			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
-		}
-		if p.totalArea <= 0 {
-			return nil, Stats{}, fmt.Errorf("core: region %q has zero area: %w", p.Name, ErrDegenerateRegion)
-		}
-	}
-	// Name-sorted iteration: out[] lands directly in canonical (primary,
-	// reference) order, and each worker's write range is a function of the
-	// claimed row alone (same scheme as the qualitative engine).
-	order := make([]*Prepared, n)
-	copy(order, ps)
-	sort.Slice(order, func(i, j int) bool { return order[i].Name < order[j].Name })
-
+	n := len(order)
 	out := make([]PairPercent, n*(n-1))
-	workers := poolSize(opt.Workers, n)
-
-	var next atomic.Int64
-	var mu sync.Mutex
-	var total Stats
-	errs := make([]error, n)
-	runPool(workers, func() {
-		var st Stats
-		for {
-			pi := int(next.Add(1) - 1)
-			if pi >= n {
-				break
+	st, err := sweep(ctx, n, opt.Workers, func(pi int, _ *Scratch, st *Stats) error {
+		a := order[pi]
+		row := out[pi*(n-1) : (pi+1)*(n-1)]
+		k := 0
+		for ri, b := range order {
+			if ri == pi {
+				continue
 			}
-			// Per-row context check, matching the qualitative engine's
-			// cancellation granularity.
-			if ctx.Err() != nil {
-				break
+			// Fill the slot in place — areas and matrix are written
+			// straight into the output slice instead of copying 72-byte
+			// values through return paths.
+			slot := &row[k]
+			total, err := a.relatePctAreasInto(&slot.Areas, b.grid(), opt.NoPrune, st)
+			if err != nil {
+				return err
 			}
-			a := order[pi]
-			row := out[pi*(n-1) : (pi+1)*(n-1)]
-			k := 0
-			for ri := 0; ri < n; ri++ {
-				if ri == pi {
-					continue
-				}
-				b := order[ri]
-				// Fill the slot in place — areas and matrix are written
-				// straight into the output slice instead of copying 72-byte
-				// values through return paths.
-				slot := &row[k]
-				total, err := a.relatePctAreasInto(&slot.Areas, b.grid(), opt.NoPrune, &st)
-				if err != nil {
-					errs[pi] = err
-					break
-				}
-				st.Passes++
-				slot.Primary = a.Name
-				slot.Reference = b.Name
-				percentInto(&slot.Matrix, &slot.Areas, total)
-				k++
-			}
+			st.Passes++
+			slot.Primary = a.Name
+			slot.Reference = b.Name
+			percentInto(&slot.Matrix, &slot.Areas, total)
+			k++
 		}
-		mu.Lock()
-		total.Merge(st)
-		mu.Unlock()
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, total, err
+	if err != nil {
+		return nil, st, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, total, err
-		}
-	}
-	return out, total, nil
+	return out, st, nil
 }

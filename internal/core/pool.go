@@ -1,47 +1,86 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cardirect/internal/geom"
 )
 
-// runPool runs work on a pool of the given size. One worker executes on the
-// calling goroutine (no spawn, deterministic profiling); more fan out and
-// join. Every worker runs the same closure — work distribution happens inside
-// work via an atomic claim counter, the scheme shared by the batch engines
-// and the relation store's delta recomputation.
-func runPool(workers int, work func()) {
-	if workers <= 1 {
-		work()
-		return
+// sweep is the package's one worker loop: every multi-pair read (BatchCDR,
+// BatchPct, LoDWorld.BatchRows) hands it the number of rows and a function
+// computing one row. workers ≤ 0 means GOMAXPROCS, never more than rows; one
+// worker runs on the calling goroutine (no spawn, deterministic profiling),
+// more fan out and join. Workers claim rows through one atomic counter and
+// poll ctx once per claimed row, which bounds cancellation latency to one
+// row without taxing the per-pair loop inside it. Each worker owns a pooled
+// Scratch and a Stats for its whole run; the Stats are merged into the
+// returned total. A row error does not stop the sweep: the error of the
+// lowest failing row is returned, so the result does not depend on the
+// worker count, and a done ctx wins over any row error.
+func sweep(ctx context.Context, rows, workers int, row func(r int, sc *Scratch, st *Stats) error) (Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
-}
-
-// poolSize resolves a Workers option against the number of work items:
-// ≤0 means GOMAXPROCS, and never more workers than items.
-func poolSize(workers, items int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return min(workers, items)
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex
+		total  Stats
+		errRow = rows
+		rowErr error
+	)
+	work := func() {
+		sc := getScratch()
+		defer putScratch(sc)
+		var st Stats
+		firstRow, firstErr := rows, error(nil)
+		for {
+			r := int(next.Add(1) - 1)
+			if r >= rows || ctx.Err() != nil {
+				break
+			}
+			// Rows are claimed in increasing order, so a worker's first
+			// error is its lowest.
+			if err := row(r, sc, &st); err != nil && firstErr == nil {
+				firstRow, firstErr = r, err
+			}
+		}
+		mu.Lock()
+		total.Merge(st)
+		if firstRow < errRow {
+			errRow, rowErr = firstRow, firstErr
+		}
+		mu.Unlock()
+	}
+	if workers = min(workers, rows); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return total, err
+	}
+	return total, rowErr
 }
 
 // scratchPool recycles Scratch values for the one-shot paths (ComputeCDR,
-// ComputeCDRPct) and the LoD tier's strip stage, so callers stop paying for
-// a primary's preparation storage on every call. A LoD batch worker still
-// owns a private Scratch for its whole run — a pool get/put per pair would
-// be pure overhead there.
+// ComputeCDRPct), the LoD tier's strip stage and the sweep workers, so
+// callers stop paying for a primary's preparation storage on every call. A
+// sweep worker holds its Scratch for its whole run — a pool get/put per pair
+// would be pure overhead there.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // maxPooledEdges caps what the pool keeps of a one-shot primary: storage

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -107,6 +110,35 @@ func TestScratchPoolCap(t *testing.T) {
 		putScratch(sc)
 		if kept := sc.coords != nil && sc.prim.polys != nil; kept != tc.kept {
 			t.Errorf("%d edges: storage kept = %v, want %v", tc.edges, kept, tc.kept)
+		}
+	}
+}
+
+// TestSweepErrorPrecedence pins what the sweep returns besides its rows: a
+// failing row does not stop the others, the error of the lowest failing row
+// wins whatever the worker count, every row's Stats reach the total, and a
+// done context wins over any row error.
+func TestSweepErrorPrecedence(t *testing.T) {
+	const rows = 50
+	row := func(r int, _ *Scratch, st *Stats) error {
+		st.Passes++
+		if r%7 == 3 {
+			return fmt.Errorf("row %d", r)
+		}
+		return nil
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
+		st, err := sweep(context.Background(), rows, workers, row)
+		if err == nil || err.Error() != "row 3" {
+			t.Errorf("workers=%d: err = %v, want row 3", workers, err)
+		}
+		if st.Passes != rows {
+			t.Errorf("workers=%d: %d rows counted, want %d", workers, st.Passes, rows)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if st, err := sweep(ctx, rows, workers, row); !errors.Is(err, context.Canceled) || st.Passes != 0 {
+			t.Errorf("workers=%d: cancelled sweep ran %d rows, err = %v; want none, context.Canceled", workers, st.Passes, err)
 		}
 	}
 }

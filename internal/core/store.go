@@ -329,18 +329,30 @@ func (s *RelationStore) pctPair(primary, reference string) (a, b *Prepared, err 
 // StoreOptions.Pct.
 var ErrNoPct = errors.New("core: store does not answer percentages (StoreOptions.Pct)")
 
+// count adds one read's answered pairs to the stage counters: pairs
+// qualitative and pctPairs quantitative ones, each split into st's prune
+// counters and the exact rest. Only non-zero counts are added, so a
+// single-pair read is one atomic add; straight-line adds, not a loop over
+// the six counts, keep it as cheap as a switch on the deciding stage.
+func (s *RelationStore) count(st *Stats, pairs, pctPairs int) {
+	add := func(stage, v int) {
+		if v != 0 {
+			s.served[stage].Add(int64(v))
+		}
+	}
+	add(stageSingleTile, st.PruneSingleTile)
+	add(stageBand, st.PruneBand)
+	add(stageExact, pairs-st.PruneSingleTile-st.PruneBand)
+	add(stagePctTile, st.PrunePctTile)
+	add(stagePctPoly, st.PrunePctPoly)
+	add(stagePctExact, pctPairs-st.PrunePctTile-st.PrunePctPoly)
+}
+
 // relate runs Compute-CDR on one pair and counts the stage that decided it.
 func (s *RelationStore) relate(a, b *Prepared) Relation {
 	var st Stats
 	rel := a.relate(b.grid(), false, &st)
-	switch {
-	case st.PruneSingleTile != 0:
-		s.served[stageSingleTile].Add(1)
-	case st.PruneBand != 0:
-		s.served[stageBand].Add(1)
-	default:
-		s.served[stageExact].Add(1)
-	}
+	s.count(&st, 1, 0)
 	return rel
 }
 
@@ -349,14 +361,7 @@ func (s *RelationStore) relate(a, b *Prepared) Relation {
 func (s *RelationStore) relatePct(a, b *Prepared) (PercentMatrix, TileAreas, error) {
 	var st Stats
 	m, areas, err := a.relatePct(b.grid(), false, &st)
-	switch {
-	case st.PrunePctTile != 0:
-		s.served[stagePctTile].Add(1)
-	case st.PrunePctPoly != 0:
-		s.served[stagePctPoly].Add(1)
-	default:
-		s.served[stagePctExact].Add(1)
-	}
+	s.count(&st, 0, 1)
 	return m, areas, err
 }
 
@@ -456,9 +461,7 @@ func (s *RelationStore) RelateRow(ctx context.Context, pin *Prepared, pinnedIsRe
 		}
 		pairs++
 	}
-	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
-	s.served[stageBand].Add(int64(st.PruneBand))
-	s.served[stageExact].Add(int64(pairs - st.PruneSingleTile - st.PruneBand))
+	s.count(&st, pairs, 0)
 	return err
 }
 
@@ -483,9 +486,7 @@ func (s *RelationStore) Pairs() []PairRelation {
 // row and returns the context's error.
 func (s *RelationStore) PairsCtx(ctx context.Context) ([]PairRelation, error) {
 	out, st, err := batchPrepared(ctx, s.all(), BatchOptions{Workers: s.opt.Workers})
-	s.served[stageSingleTile].Add(int64(st.PruneSingleTile))
-	s.served[stageBand].Add(int64(st.PruneBand))
-	s.served[stageExact].Add(int64(st.Passes - st.PruneSingleTile - st.PruneBand))
+	s.count(&st, st.Passes, 0)
 	return out, err
 }
 
@@ -502,9 +503,7 @@ func (s *RelationStore) PctPairsCtx(ctx context.Context) ([]PairPercent, error) 
 		return nil, ErrNoPct
 	}
 	out, st, err := batchPctPrepared(ctx, s.all(), BatchOptions{Workers: s.opt.Workers})
-	s.served[stagePctTile].Add(int64(st.PrunePctTile))
-	s.served[stagePctPoly].Add(int64(st.PrunePctPoly))
-	s.served[stagePctExact].Add(int64(st.Passes - st.PrunePctTile - st.PrunePctPoly))
+	s.count(&st, 0, st.Passes)
 	return out, err
 }
 

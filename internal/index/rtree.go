@@ -55,9 +55,6 @@ func New() *RTree {
 // Len returns the number of indexed items.
 func (t *RTree) Len() int { return t.size }
 
-// Bounds returns the bounding box of everything indexed.
-func (t *RTree) Bounds() geom.Rect { return t.root.box }
-
 // Insert adds an item.
 func (t *RTree) Insert(it Item) error {
 	if it.Box.IsEmpty() {

@@ -118,3 +118,29 @@ func TestPushdownPollsContextPerStride(t *testing.T) {
 		t.Errorf("cancelled at the 4th poll: %d pairs, err %v; want a stop after %d", pairs, err, 3*stride-1)
 	}
 }
+
+// TestPlanProbeHonoursContext: planning a pinned relation condition probes
+// its selectivity through a store row, and that row runs under the request
+// context — a cancelled query fails with the context's error before any
+// kernel pair runs, instead of planning from a full row first.
+func TestPlanProbeHonoursContext(t *testing.T) {
+	img := config.Greece()
+	store, err := trackStore(t, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.UseStore(store)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := store.Stats().Passes
+	if _, err := ev.Run(ctx, "q(x, y) :- y = peloponnesos, x {N, NE, E} y", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if pairs := store.Stats().Passes - before; pairs != 0 {
+		t.Errorf("cancelled query ran %d kernel pairs, want 0", pairs)
+	}
+}

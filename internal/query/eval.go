@@ -217,10 +217,6 @@ func (e *Evaluator) SetPlanCache(c *PlanCache) {
 	e.plans = c
 }
 
-// PlanCacheHandle returns the evaluator's current plan cache (nil when
-// disabled).
-func (e *Evaluator) PlanCacheHandle() *PlanCache { return e.plans }
-
 // Relation returns the cardinal direction relation of primary p versus
 // reference q, read from the store.
 func (e *Evaluator) Relation(p, q string) (core.Relation, error) {
@@ -281,7 +277,10 @@ func (e *Evaluator) EvalCtx(ctx context.Context, q *Query) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := e.buildPlan(q)
+	plan, err := e.buildPlan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
 	ex, err := e.prepareExec(ctx, rq, plan)
 	if err != nil {
 		return nil, err

@@ -108,8 +108,9 @@ func clampSel(s float64) float64 {
 // buildPlan plans the query against the evaluator's current configuration.
 // Unresolved parameters are planned conservatively (a parameter binding
 // still pins its variable; a parameter attribute value gets a default
-// selectivity) so one plan serves every argument set.
-func (e *Evaluator) buildPlan(q *Query) *Plan {
+// selectivity) so one plan serves every argument set. The selectivity
+// probes read store rows under ctx; its error fails the plan.
+func (e *Evaluator) buildPlan(ctx context.Context, q *Query) (*Plan, error) {
 	n := len(e.snap.ids)
 	if n == 0 {
 		n = 1
@@ -156,15 +157,17 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 			if cc.Negated {
 				sel = clampSel(1 - sel)
 			}
-			free := ""
-			if pin, ok := pinnedID[cc.Right]; ok && pinnedID[cc.Left] == "" {
-				sel = e.probeSel(pin, cc, true)
-				free = cc.Left
-			} else if pin, ok := pinnedID[cc.Left]; ok && pinnedID[cc.Right] == "" {
-				sel = e.probeSel(pin, cc, false)
-				free = cc.Right
+			free, pin, pinnedIsRef := "", "", false
+			if id, ok := pinnedID[cc.Right]; ok && pinnedID[cc.Left] == "" {
+				free, pin, pinnedIsRef = cc.Left, id, true
+			} else if id, ok := pinnedID[cc.Left]; ok && pinnedID[cc.Right] == "" {
+				free, pin = cc.Right, id
 			}
 			if free != "" {
+				var err error
+				if sel, err = e.probeSel(ctx, pin, cc, pinnedIsRef); err != nil {
+					return nil, err
+				}
 				est[free] *= sel
 			}
 			conds = append(conds, planCond{rel: cc, condIdx: i, sel: sel, text: cc.String()})
@@ -259,17 +262,21 @@ func (e *Evaluator) buildPlan(q *Query) *Plan {
 			info.Conds = append(info.Conds, pc.text)
 		}
 	}
-	return &Plan{order: order, pos: pos, steps: steps, rels: rels, info: info}
+	return &Plan{order: order, pos: pos, steps: steps, rels: rels, info: info}, nil
 }
 
 // probeSel estimates the selectivity of a relation condition whose pinned
 // side is the region pin: exact through the store's row read of pin, the
 // tile-count heuristic when there is no such row (an unknown pin, a world of
-// one region).
-func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
+// one region). A done ctx is the one error it returns.
+func (e *Evaluator) probeSel(ctx context.Context, pin string, cc RelCond, pinnedIsRef bool) (float64, error) {
 	ids := e.snap.ids
 	sel := selHeuristicRel(cc.Rels)
-	if rels, err := e.storeRow(context.TODO(), pin, pinnedIsRef, ids); err == nil && len(ids) > 1 {
+	rels, err := e.storeRow(ctx, pin, pinnedIsRef, ids)
+	if err != nil && ctx.Err() != nil {
+		return 0, err
+	}
+	if err == nil && len(ids) > 1 {
 		matched := 0
 		for k, rel := range rels {
 			if ids[k] != pin && cc.Rels.Contains(rel) {
@@ -281,7 +288,7 @@ func (e *Evaluator) probeSel(pin string, cc RelCond, pinnedIsRef bool) float64 {
 	if cc.Negated {
 		sel = 1 - sel
 	}
-	return clampSel(sel)
+	return clampSel(sel), nil
 }
 
 // execState is the per-execution companion of a Plan: the post-pushdown

@@ -227,7 +227,7 @@ func (e *Evaluator) Run(ctx context.Context, input string, args map[string]strin
 		if err != nil {
 			return nil, err
 		}
-		entry = &cacheEntry{q: q, hasParams: q.hasParams(), plan: e.buildPlan(q), gen: res.Generation}
+		entry = &cacheEntry{q: q, hasParams: q.hasParams(), gen: res.Generation}
 		res.Cache = "uncached"
 	} else {
 		key := normalizeQueryText(input)
@@ -239,17 +239,23 @@ func (e *Evaluator) Run(ctx context.Context, input string, args map[string]strin
 		case ok && stale:
 			// The AST is still valid; only the plan (and any cached
 			// execution state) reflects the old generation.
-			entry = &cacheEntry{key: key, q: cached.q, hasParams: cached.hasParams,
-				plan: e.buildPlan(cached.q), gen: res.Generation}
+			entry = &cacheEntry{key: key, q: cached.q, hasParams: cached.hasParams, gen: res.Generation}
 			res.Cache = "replan"
 		default:
 			q, err := Parse(input)
 			if err != nil {
 				return nil, err
 			}
-			entry = &cacheEntry{key: key, q: q, hasParams: q.hasParams(),
-				plan: e.buildPlan(q), gen: res.Generation}
+			entry = &cacheEntry{key: key, q: q, hasParams: q.hasParams(), gen: res.Generation}
 			res.Cache = "miss"
+		}
+	}
+	if res.Cache != "hit" {
+		// Planning probes store rows, so a done ctx fails it here, before
+		// anything is cached.
+		var err error
+		if entry.plan, err = e.buildPlan(ctx, entry.q); err != nil {
+			return nil, err
 		}
 	}
 	bindings, info, err := e.execPlanned(ctx, entry, args)
