@@ -58,10 +58,13 @@ lint: vet
 # Short fuzz runs, 10 s per target. The decoders of crash-damaged or remote
 # input: the frame reader the WAL, the replication stream and a replica's
 # cache share, under an arbitrary header; WAL replay; the replication
-# stream. Then the snapshot pct attribute,
+# stream; the binary snapshot decoder (crash-damaged files, a replica's
+# bootstrap bytes); the WKT reader every geometry body goes through; the
+# POST /v1/query parser. Then the snapshot pct attribute,
 # the one op switch every edit goes through (config.Tracked.Apply: a refused
 # edit changes nothing, an accepted one relates like a fresh Track), and
-# five differentials against a reference: the SoA kernels against the
+# six differentials against a reference: the XML reader and writer against
+# encoding/xml, the SoA kernels against the
 # paper's transcription (relation and percent — their corpus carries the
 # 1-ulp sliver reproducer), the huge-world tier stack against the exact
 # kernel, the planner on against off, the parallel solver against the
@@ -69,8 +72,12 @@ lint: vet
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrames -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzParseWKT -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzParsePct -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzTrackedApply -fuzztime=10s ./internal/config
+	$(GO) test -run='^$$' -fuzz=FuzzParseImage -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core

@@ -156,10 +156,12 @@ func run(args []string, stdout *os.File) error {
 		// With a data directory the durable state is the source of truth:
 		// -config/-greece only seed a directory holding no snapshot yet,
 		// and may be omitted entirely when one does.
+		start := time.Now()
 		seed, err := loadConfigOptional(*f.configPath, *f.greece)
 		if err != nil {
 			return err
 		}
+		seedLoad := time.Since(start)
 		ps, err = persist.Open(*f.dataDir, seed, persist.Options{
 			Sync:    wal.Options{Policy: policy, Interval: *f.fsyncInterval},
 			Workers: *f.workers,
@@ -172,24 +174,30 @@ func run(args []string, stdout *os.File) error {
 		defer ps.Close()
 		tr = ps.Tracked()
 		st := ps.Status()
-		logger.Info("data dir recovered",
-			"dir", st.Dir, "seq", st.Seq, "regions", st.Regions,
+		attrs := []any{"dir", st.Dir, "seq", st.Seq, "regions", st.Regions,
 			"replayed", st.ReplayedRecords,
-			"recovery_ms", st.RecoveryNs/1e6, "fsync", policy.String())
+			"recovery_ms", st.RecoveryNs / 1e6, "fsync", policy.String()}
+		if *f.configPath != "" {
+			attrs = append(attrs, "seed_load_ms", millis(seedLoad))
+		}
+		logger.Info("data dir recovered", attrs...)
 		if st.Corruption != "" {
 			logger.Warn("recovered past a torn WAL tail", "at", st.Corruption)
 		}
 	} else {
+		start := time.Now()
 		img, err := loadConfig(*f.configPath, *f.greece)
 		if err != nil {
 			return err
 		}
+		loaded := time.Now()
 		tr, err = config.Track(img, core.StoreOptions{Workers: *f.workers, Pct: pctOn})
 		if err != nil {
 			return fmt.Errorf("building relation store: %w", err)
 		}
 		logger.Info("configuration loaded",
-			"name", img.Name, "regions", tr.Store().Len(), "pct", pctOn)
+			"name", img.Name, "regions", tr.Store().Len(), "pct", pctOn,
+			"load_ms", millis(loaded.Sub(start)), "track_ms", millis(time.Since(loaded)))
 	}
 	defer tr.Close()
 
@@ -349,6 +357,10 @@ func serveHTTP(ctx context.Context, stdout *os.File, logger *slog.Logger, addr s
 	}
 	return <-errCh
 }
+
+// millis renders a set-up step's duration for the log, in milliseconds to
+// the microsecond.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // parseOnOff parses an on/off flag value (true/false accepted for
 // compatibility with the flag's earlier boolean form).

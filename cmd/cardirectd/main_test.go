@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
 )
@@ -40,12 +41,19 @@ func buildBinary(t *testing.T) string {
 // line).
 func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
+	return startDaemonLogging(t, bin, os.Stderr, args...)
+}
+
+// startDaemonLogging is startDaemon with the daemon's log (its stderr)
+// written to stderr.
+func startDaemonLogging(t *testing.T, bin string, stderr io.Writer, args ...string) (*exec.Cmd, string) {
+	t.Helper()
 	cmd := exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +68,80 @@ func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 		t.Fatalf("unexpected stdout line: %q", line)
 	}
 	return cmd, "http://" + strings.TrimPrefix(line, prefix)
+}
+
+// TestCardirectdStartupLog: the daemon's own log splits set-up time. The
+// "configuration loaded" line carries load_ms (reading the document) and
+// track_ms (building the store); "data dir recovered" carries seed_load_ms
+// when a -config seed was parsed, and not when none was.
+func TestCardirectdStartupLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping binary smoke test in -short mode")
+	}
+	bin := buildBinary(t)
+	doc, err := config.Greece().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "greece.xml")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data := t.TempDir()
+	for _, c := range []struct {
+		args          []string
+		msg           string
+		want, without []string
+	}{
+		{[]string{"-config", path}, "configuration loaded", []string{"load_ms", "track_ms"}, nil},
+		{[]string{"-config", path, "-data", data}, "data dir recovered", []string{"seed_load_ms", "recovery_ms"}, nil},
+		{[]string{"-data", data}, "data dir recovered", []string{"recovery_ms"}, []string{"seed_load_ms"}},
+	} {
+		line := startupLogLine(t, bin, c.msg, c.args...)
+		for _, k := range c.want {
+			if v, ok := line[k].(float64); !ok || v < 0 {
+				t.Errorf("%v: %q line has %s = %v, want a duration in ms", c.args, c.msg, k, line[k])
+			}
+		}
+		for _, k := range c.without {
+			if v, ok := line[k]; ok {
+				t.Errorf("%v: %q line has %s = %v, want none", c.args, c.msg, k, v)
+			}
+		}
+	}
+}
+
+// startupLogLine runs the daemon with JSON logs until it listens, stops
+// it, and returns the fields of its first log line with message msg.
+func startupLogLine(t *testing.T, bin, msg string, args ...string) map[string]any {
+	t.Helper()
+	pr, pw := io.Pipe()
+	found := make(chan map[string]any, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			var rec map[string]any
+			if json.Unmarshal(sc.Bytes(), &rec) == nil && rec["msg"] == msg && len(found) == 0 {
+				found <- rec
+			}
+		}
+	}()
+	cmd, _ := startDaemonLogging(t, bin, pw, append(args, "-log-json")...)
+	// The line is logged before the daemon listens, so it is there now.
+	var line map[string]any
+	select {
+	case line = <-found:
+	case <-time.After(10 * time.Second):
+		t.Errorf("%v: no %q log line", args, msg)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("%v: daemon exit: %v", args, err)
+	}
+	pw.Close()
+	return line
 }
 
 // getJSON fetches path until the server answers, failing on non-200.

@@ -257,17 +257,17 @@ func ParsePct(s string) (core.PercentMatrix, error) {
 
 // Load parses a CARDIRECT XML document.
 func Load(r io.Reader) (*Image, error) {
-	var img Image
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&img); err != nil {
-		return nil, fmt.Errorf("config: decoding image: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("config: reading image: %w", err)
 	}
-	return &img, nil
+	return parseImage(data)
 }
 
-// Parse parses a CARDIRECT XML document from bytes.
+// Parse parses a CARDIRECT XML document from bytes. The image shares no
+// memory with data.
 func Parse(data []byte) (*Image, error) {
-	return Load(strings.NewReader(string(data)))
+	return parseImage(data)
 }
 
 // Save writes the image as indented XML with the standard header. Regions
@@ -276,38 +276,13 @@ func Parse(data []byte) (*Image, error) {
 // same bytes — snapshot files are byte-stable and diffable across runs
 // regardless of edit history. The in-memory document is not reordered.
 func (img *Image) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	out := Image{XMLName: img.XMLName, Name: img.Name, File: img.File}
-	out.Regions = append([]Region(nil), img.Regions...)
-	sort.SliceStable(out.Regions, func(i, j int) bool { return out.Regions[i].ID < out.Regions[j].ID })
-	out.Relations = append([]Relation(nil), img.Relations...)
-	sort.SliceStable(out.Relations, func(i, j int) bool {
-		a, b := &out.Relations[i], &out.Relations[j]
-		if a.Primary != b.Primary {
-			return a.Primary < b.Primary
-		}
-		if a.Reference != b.Reference {
-			return a.Reference < b.Reference
-		}
-		return a.Type < b.Type
-	})
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(&out); err != nil {
-		return fmt.Errorf("config: encoding image: %w", err)
-	}
-	return enc.Close()
+	_, err := w.Write(encodeImage(img))
+	return err
 }
 
-// Bytes renders the image document as XML bytes.
+// Bytes renders the image document as XML bytes (see Save).
 func (img *Image) Bytes() ([]byte, error) {
-	var sb strings.Builder
-	if err := img.Save(&sb); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
+	return encodeImage(img), nil
 }
 
 // Summary aggregates document statistics for describe-style output.

@@ -42,8 +42,10 @@ func FuzzParsePct(f *testing.F) {
 	})
 }
 
-// FuzzParseImage checks the XML loader never panics and that accepted,
-// valid documents survive a save/load roundtrip structurally.
+// FuzzParseImage is the reader-versus-reference differential: whatever
+// Parse accepts, encoding/xml accepts into the same image (reference_test.go),
+// and a valid accepted document is written byte for byte as encoding/xml
+// writes it and reads back with its structure.
 func FuzzParseImage(f *testing.F) {
 	valid, err := Greece().Bytes()
 	if err != nil {
@@ -54,17 +56,28 @@ func FuzzParseImage(f *testing.F) {
 	f.Add("<Image></Image>")
 	f.Add("not xml")
 	f.Add(`<Image><Region id="a"/><Region id="a"/></Image>`)
+	f.Add("<!DOCTYPE Image [<!ENTITY e \"v\"><!-- c -->]>\r\n<Image name='&lt;&#x41;'><!-- c --><?pi x?><![CDATA[t]]><X><Region id=\"no\"/></X><Region id=\"r\"><Polygon id=\"p\"><Edge x=\" 0x1p-2 \" y=\"1_0\"/></Polygon></Region><Relation type=\"N\" primary=\"r\" reference=\"r\" pct=\"1\"/></Image>")
 	f.Fuzz(func(t *testing.T, s string) {
-		img, err := Parse([]byte(s))
-		if err != nil {
+		if !checkAgainstReference(t, []byte(s)) {
 			return
 		}
-		if err := img.Validate(); err != nil {
-			return // parsed but structurally invalid: fine
+		img, err := Parse([]byte(s))
+		if err != nil {
+			t.Fatal(err)
 		}
 		data, err := img.Bytes()
 		if err != nil {
-			t.Fatalf("save of valid document failed: %v", err)
+			t.Fatalf("save failed: %v", err)
+		}
+		want, err := referenceBytes(img)
+		if err != nil {
+			t.Fatalf("reference save failed: %v", err)
+		}
+		if string(data) != string(want) {
+			t.Fatalf("Bytes differs from encoding/xml\n got: %q\nwant: %q", data, want)
+		}
+		if err := img.Validate(); err != nil {
+			return // parsed but structurally invalid: fine
 		}
 		back, err := Parse(data)
 		if err != nil {

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -40,7 +41,8 @@ func TestWriteRouteCosts(t *testing.T) {
 		var sb strings.Builder
 		for i, id := range ids {
 			x := 500 + 20*i
-			fmt.Fprintf(&sb, `{"id":%q,"wkt":"POLYGON ((%d 500, %d 500, %d 510, %d 510, %d 500))"}`+"\n", id, x, x+10, x+10, x, x)
+			quoted, _ := json.Marshal(id)
+			fmt.Fprintf(&sb, `{"id":%s,"wkt":"POLYGON ((%d 500, %d 500, %d 510, %d 510, %d 500))"}`+"\n", quoted, x, x+10, x+10, x, x)
 		}
 		return sb.String()
 	}
@@ -63,6 +65,13 @@ func TestWriteRouteCosts(t *testing.T) {
 		{"refused self-rename", "POST", "/v1/regions/ghost/rename", map[string]string{"new_id": "ghost"}, 404, cost{}},
 		{"refused delete", "DELETE", "/v1/regions/ghost", nil, 404, cost{}},
 		{"refused bulk", "POST", "/v1/bulk", bulk("v1", "attica", "v3"), 409, cost{}},
+		// An id, name or colour XML cannot carry would be renamed by the
+		// next XML snapshot, so it is refused at the edge.
+		{"refused control-char id", "POST", "/v1/regions", map[string]string{"id": "a\u0001b", "wkt": square}, 400, cost{}},
+		{"refused noncharacter name", "POST", "/v1/regions", map[string]string{"id": "n1", "name": "n\uFFFE", "wkt": square}, 400, cost{}},
+		{"refused escape-code color", "POST", "/v1/regions", map[string]string{"id": "c1", "color": "\u001b[31m", "wkt": square}, 400, cost{}},
+		{"refused control-char bulk line", "POST", "/v1/bulk", bulk("w1", "w\u00002", "w3"), 400, cost{}},
+		{"refused control-char rename", "POST", "/v1/regions/attica/rename", map[string]string{"new_id": "att\u0007ica"}, 400, cost{}},
 	} {
 		at := func() cost {
 			st := ps.Status()

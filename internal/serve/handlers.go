@@ -201,6 +201,30 @@ func (u *regionUpsert) record(g geom.Region) wal.Record {
 	return wal.Record{Op: wal.OpAdd, ID: u.ID, Name: u.Name, Color: u.Color, Geometry: g}
 }
 
+// checkXML refuses the region's id, name or colour if XML cannot carry it.
+func (u *regionUpsert) checkXML() error {
+	if err := xmlText("id", u.ID); err != nil {
+		return err
+	}
+	if err := xmlText("name", u.Name); err != nil {
+		return err
+	}
+	return xmlText("color", u.Color)
+}
+
+// xmlText refuses a string holding a rune outside XML 1.0's Char
+// production. Every XML snapshot and export writes such a rune as U+FFFD,
+// so a recovery from the XML would rename the region and skip the WAL
+// records that address it.
+func xmlText(field, s string) error {
+	for _, r := range s {
+		if r != 0x09 && r != 0x0A && r != 0x0D && (r < 0x20 || r > 0xD7FF && r < 0xE000 || r > 0xFFFD && r < 0x10000) {
+			return fmt.Errorf("%s %q holds %U, which XML cannot carry", field, s, r)
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleRegionAdd(w http.ResponseWriter, r *http.Request) error {
 	var req regionUpsert
 	if err := decodeBody(r, &req); err != nil {
@@ -208,6 +232,9 @@ func (s *Server) handleRegionAdd(w http.ResponseWriter, r *http.Request) error {
 	}
 	if req.ID == "" {
 		return failf(http.StatusBadRequest, "serve: missing region id")
+	}
+	if err := req.checkXML(); err != nil {
+		return failf(http.StatusBadRequest, "serve: %v", err)
 	}
 	g, err := req.geometry()
 	if err != nil {
@@ -247,6 +274,9 @@ func (s *Server) handleRegionRename(w http.ResponseWriter, r *http.Request) erro
 	}
 	if req.NewID == "" {
 		return failf(http.StatusBadRequest, "serve: missing new_id")
+	}
+	if err := xmlText("new_id", req.NewID); err != nil {
+		return failf(http.StatusBadRequest, "serve: %v", err)
 	}
 	// A self-rename is no edit: nothing is applied, logged or shipped, and
 	// the region lookup below answers it (404 for a region that is not there).
@@ -399,6 +429,9 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) error {
 		}
 		if line.ID == "" {
 			return failf(http.StatusBadRequest, "serve: bulk line %d: missing region id", len(regions)+1)
+		}
+		if err := line.checkXML(); err != nil {
+			return failf(http.StatusBadRequest, "serve: bulk line %d: %v", len(regions)+1, err)
 		}
 		g, err := line.geometry()
 		if err != nil {
