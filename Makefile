@@ -96,10 +96,12 @@ bench-short:
 
 # bench/ is a module of its own (replace cardirect => ../) that `go build
 # ./...` and `go test ./...` at the root never compile, yet it imports
-# internal/query, serve, config, core, ...: vet and test it here so an API
-# change cannot break the repo's benchmark silently (< 1 s: fake clock, no
-# daemons).
+# internal/query, serve, config, core, ...: check its formatting (fmt-check
+# skips it), vet and test it here so an API change cannot break the repo's
+# benchmark silently (< 1 s: fake clock, no daemons).
 bench-check:
+	@out=$$(gofmt -l bench); \
+	if [ -n "$$out" ]; then echo "bench-check: gofmt -w these files:"; echo "$$out"; exit 1; fi
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The repo's benchmark (BENCHMARK.json): all four workloads on the real

@@ -220,8 +220,8 @@ var (
 	// PrepareLoDWorld builds the huge-world tier over a named region set:
 	// one slab of prepared regions and a coarse-tile summary. It copies
 	// what it needs; the caller's rings are not referenced afterwards.
-	// Answers through LoDWorld.Relation / BatchRows are bit-identical to
-	// the exact kernel (fuzzed: FuzzLoDDifferential).
+	// Answers through LoDWorld.BatchRows are bit-identical to the exact
+	// kernel (fuzzed: FuzzLoDDifferential).
 	PrepareLoDWorld = core.PrepareLoDWorld
 )
 

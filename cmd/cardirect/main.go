@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
@@ -39,32 +40,37 @@ func main() {
 	}
 }
 
+// subcommands is the one list run dispatches on and names when the
+// subcommand is missing.
+var subcommands = []struct {
+	name string
+	run  func(args []string, stdin io.Reader, stdout io.Writer) error
+}{
+	{"compute", cmdCompute},
+	{"query", cmdQuery},
+	{"validate", cmdValidate},
+	{"describe", cmdDescribe},
+	{"greece", cmdGreece},
+	{"relation", cmdRelation},
+	{"inverse", cmdInverse},
+	{"compose", cmdCompose},
+	{"topo", cmdTopo},
+}
+
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (compute | query | validate | describe | greece)")
+		names := make([]string, len(subcommands))
+		for i, c := range subcommands {
+			names[i] = c.name
+		}
+		return fmt.Errorf("missing subcommand (%s)", strings.Join(names, " | "))
 	}
-	switch args[0] {
-	case "compute":
-		return cmdCompute(args[1:], stdin, stdout)
-	case "query":
-		return cmdQuery(args[1:], stdin, stdout)
-	case "validate":
-		return cmdValidate(args[1:], stdin, stdout)
-	case "describe":
-		return cmdDescribe(args[1:], stdin, stdout)
-	case "greece":
-		return cmdGreece(args[1:], stdout)
-	case "relation":
-		return cmdRelation(args[1:], stdin, stdout)
-	case "inverse":
-		return cmdInverse(args[1:], stdout)
-	case "compose":
-		return cmdCompose(args[1:], stdout)
-	case "topo":
-		return cmdTopo(args[1:], stdin, stdout)
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.run(args[1:], stdin, stdout)
+		}
 	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
 // loadInput reads the configuration named by -in ("-" or "" = stdin).
@@ -209,7 +215,7 @@ func cmdDescribe(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-func cmdGreece(args []string, stdout io.Writer) error {
+func cmdGreece(args []string, _ io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("greece", flag.ContinueOnError)
 	out := fs.String("out", "", "output file (default stdout)")
 	pct := fs.Bool("pct", false, "include percentage matrices")
@@ -265,7 +271,7 @@ func cmdRelation(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-func cmdInverse(args []string, stdout io.Writer) error {
+func cmdInverse(args []string, _ io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("inverse", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -282,7 +288,7 @@ func cmdInverse(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func cmdCompose(args []string, stdout io.Writer) error {
+func cmdCompose(args []string, _ io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compose", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,32 @@ func TestCLINoArgs(t *testing.T) {
 	}
 	if _, err := runCLI(t, "", "frobnicate"); err == nil {
 		t.Error("unknown subcommand should fail")
+	}
+}
+
+// TestCLINoArgsNamesEverySubcommand checks that the message for a missing
+// subcommand names every subcommand the package documentation lists, and
+// that each of them dispatches.
+func TestCLINoArgsNamesEverySubcommand(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := regexp.MustCompile(`(?m)^//\tcardirect (\w+)`).FindAllStringSubmatch(string(src), -1)
+	if len(documented) != 9 {
+		t.Fatalf("package documentation lists %d subcommands, want 9", len(documented))
+	}
+	_, err = runCLI(t, "")
+	if err == nil {
+		t.Fatal("missing subcommand should fail")
+	}
+	for _, m := range documented {
+		if !regexp.MustCompile(`\b` + m[1] + `\b`).MatchString(err.Error()) {
+			t.Errorf("missing-subcommand message %q does not name %s", err, m[1])
+		}
+		if _, err := runCLI(t, "", m[1]); err != nil && strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("documented subcommand %s does not dispatch: %v", m[1], err)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"cardirect/internal/experiments"
@@ -54,21 +55,35 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := experiments.Options{Quick: *quick, Seed: *seed}
-	matched := false
-	for _, e := range experiments.Entries(o) {
-		if *only != "" && !strings.EqualFold(e.ID, *only) {
-			continue
+	entries := experiments.Entries(experiments.Options{Quick: *quick, Seed: *seed})
+	if *only != "" {
+		entries = selectEntries(entries, *only)
+		if len(entries) == 0 {
+			return fmt.Errorf("unknown experiment %q (known: %s)", *only, strings.Join(experiments.IDs(), ", "))
 		}
-		matched = true
+	}
+	for _, e := range entries {
 		r, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		fmt.Fprintf(stdout, "== %s: %s ==\n%s\n", r.ID, r.Title, r.Body)
 	}
-	if *only != "" && !matched {
-		return fmt.Errorf("unknown experiment %q (known: %s)", *only, strings.Join(experiments.IDs(), ", "))
-	}
 	return nil
+}
+
+// selectEntries returns the entries -only names: the one whose id is only,
+// or whose range ("E4-E5") holds it ("E5"), ignoring case.
+func selectEntries(entries []experiments.Entry, only string) []experiments.Entry {
+	n, err := strconv.Atoi(strings.TrimPrefix(strings.ToUpper(only), "E"))
+	var out []experiments.Entry
+	for _, e := range entries {
+		lo, hi, ranged := strings.Cut(e.ID, "-")
+		a, _ := strconv.Atoi(strings.TrimPrefix(lo, "E"))
+		b, _ := strconv.Atoi(strings.TrimPrefix(hi, "E"))
+		if strings.EqualFold(e.ID, only) || (ranged && err == nil && a <= n && n <= b) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cardirect/internal/experiments"
 )
 
 func TestOnlySelectsOneExperiment(t *testing.T) {
@@ -44,5 +47,43 @@ func TestBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Error("bad flag should fail")
+	}
+}
+
+// TestOnlySelectsEveryExperimentID checks, without running anything, that
+// each experiment id, also one inside a range entry such as E5 of E4-E5,
+// selects exactly the entry that runs it, and so does the entry's own id.
+func TestOnlySelectsEveryExperimentID(t *testing.T) {
+	entries := experiments.Entries(experiments.Options{})
+	for _, e := range entries {
+		ids := []string{e.ID}
+		if lo, hi, ok := strings.Cut(e.ID, "-"); ok {
+			a, _ := strconv.Atoi(strings.TrimPrefix(lo, "E"))
+			b, _ := strconv.Atoi(strings.TrimPrefix(hi, "E"))
+			if a >= b {
+				t.Fatalf("entry %s is not a range", e.ID)
+			}
+			for n := a; n <= b; n++ {
+				ids = append(ids, "E"+strconv.Itoa(n))
+			}
+		}
+		for _, id := range ids {
+			got := selectEntries(entries, id)
+			if len(got) != 1 || got[0].ID != e.ID {
+				var names []string
+				for _, g := range got {
+					names = append(names, g.ID)
+				}
+				t.Errorf("-only %s selects %v, want [%s]", id, names, e.ID)
+			}
+		}
+	}
+	if got := selectEntries(entries, "e5"); len(got) != 1 || got[0].ID != "E4-E5" {
+		t.Errorf("-only e5 does not select E4-E5")
+	}
+	for _, id := range []string{"E21", "E99", "E", "E4-", "x"} {
+		if got := selectEntries(entries, id); len(got) != 0 {
+			t.Errorf("-only %s selects %d entries, want none", id, len(got))
+		}
 	}
 }

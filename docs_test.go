@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -103,6 +104,196 @@ func TestFacadeSurface(t *testing.T) {
 		}
 	}
 	t.Logf("cardirect.go exports %d names", len(declared))
+}
+
+// unlinkedAllowed names the functions of the module that no program links,
+// each with the reason it stays in production code: the tests of more than
+// one package call it, so it cannot move into one package's tests.
+var unlinkedAllowed = map[string]string{
+	"cardirect/internal/config.(*Image).RegionIDs":    "the document's ids in order, read by the tests of config and serve",
+	"cardirect/internal/core.(*RelationStore).Names":  "the held names, read by the tests of core, config and serve",
+	"cardirect/internal/core.PercentMatrix.Sum":       "the matrices-sum-to-100 check of the root and core tests",
+	"cardirect/internal/geom.Seg":                     "builds the segments of core's Fig. 5 transcription and grid tests",
+	"cardirect/internal/geom.Segment.CrossVertical":   "the edge splitting of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Segment.CrossHorizontal": "the edge splitting of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Segment.At":              "the edge splitting of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Segment.AtOnVertical":    "the edge splitting of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Segment.AtOnHorizontal":  "the edge splitting of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Segment.Mid":             "the midpoint rule of core's Fig. 5 transcription, the kernels' reference",
+	"cardirect/internal/geom.Point.Mid":               "Segment.Mid's arithmetic, also called by core's ablation tests",
+	"cardirect/internal/geom.Region.Clone":            "a fixture copy in the tests of geom and core",
+	"cardirect/internal/geom.Region.Translate":        "a fixture transform in the tests of geom, core, baseline, query and serve",
+	"cardirect/internal/geom.Region.Scale":            "a fixture transform in the tests of geom and core",
+	"cardirect/internal/geom.Polygon.Clone":           "the per-ring step of Region.Clone",
+	"cardirect/internal/geom.Polygon.Translate":       "the per-ring step of Region.Translate",
+	"cardirect/internal/geom.Polygon.Scale":           "the per-ring step of Region.Scale",
+	"cardirect/internal/geom.Region.ValidateStrict":   "the strict REG* check the tests of geom, core, config and workload hold fixtures to",
+	"cardirect/internal/geom.polygonsProperlyOverlap": "the pairwise step of Region.ValidateStrict",
+	"cardirect/internal/geom.interiorWitness":         "the containment probe of Region.ValidateStrict",
+}
+
+// TestEveryFunctionIsLinked holds "production code is what a program runs":
+// it links the ten programs the repository builds (cmd/*, examples/* and the
+// bench/ harness) with inlining off, and fails on every function declared in
+// a non-test file of the module that none of them contains, unless
+// unlinkedAllowed names it; it also fails on an allowlist entry that is
+// linked or no longer declared. The linker keeps some methods no call
+// reaches (an exported method of a type converted to an interface), so the
+// check can miss dead code, but it never flags code a binary runs.
+func TestEveryFunctionIsLinked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ten binaries")
+	}
+	dir := t.TempDir()
+	goBuild := func(cwd string, args ...string) {
+		cmd := exec.Command("go", append([]string{"build", "-gcflags=all=-l", "-o"}, args...)...)
+		cmd.Dir = cwd
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go build %v: %v\n%s", args, err, out)
+		}
+	}
+	goBuild(".", dir+string(filepath.Separator), "./cmd/...", "./examples/...")
+	goBuild("bench", filepath.Join(dir, "bench"), ".")
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bins) != 10 {
+		t.Fatalf("built %d programs, want the ten of cmd/, examples/ and bench/", len(bins))
+	}
+
+	linked := map[string]bool{}
+	generic := regexp.MustCompile(`\[[^\[\]]*\]`)
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 3 || f[1] != "T" || !strings.HasPrefix(f[2], "cardirect") {
+				continue
+			}
+			sym := f[2]
+			for generic.MatchString(sym) {
+				sym = generic.ReplaceAllString(sym, "")
+			}
+			linked[sym] = true
+		}
+	}
+
+	declared := map[string]bool{}   // function → linked
+	unlinked := map[string]string{} // function → where it is declared
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil || f.Name.Name == "main" {
+			return err
+		}
+		pkg := "cardirect"
+		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+			pkg += "/" + d
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
+				continue
+			}
+			if fn.Recv != nil && fn.Name.Name == "String" && len(fn.Type.Params.List) == 0 &&
+				fn.Type.Results != nil && len(fn.Type.Results.List) == 1 {
+				if res, ok := fn.Type.Results.List[0].Type.(*ast.Ident); ok && res.Name == "string" {
+					continue
+				}
+			}
+			names := []string{pkg + "." + fn.Name.Name}
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				star, ptr := recv.(*ast.StarExpr)
+				if ptr {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				typ := recv.(*ast.Ident).Name
+				names = []string{pkg + ".(*" + typ + ")." + fn.Name.Name}
+				if !ptr {
+					names = append([]string{pkg + "." + typ + "." + fn.Name.Name}, names...)
+				}
+			}
+			found := false
+			for _, n := range names {
+				found = found || linked[n]
+			}
+			declared[names[0]] = found
+			if !found {
+				unlinked[names[0]] = fset.Position(fn.Pos()).String()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing []string
+	for name, where := range unlinked {
+		if _, ok := unlinkedAllowed[name]; !ok {
+			missing = append(missing, name+" ("+where+")")
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("no program links %s: delete it, move it into the tests that use it, or allowlist it with a reason", m)
+	}
+	for name := range unlinkedAllowed {
+		if isLinked, ok := declared[name]; !ok {
+			t.Errorf("unlinkedAllowed names %s, which is not declared", name)
+		} else if isLinked {
+			t.Errorf("unlinkedAllowed names %s, which a program links", name)
+		}
+	}
+	t.Logf("%d functions declared, %d of them unlinked", len(declared), len(unlinked))
+}
+
+// TestInventoryDocumented checks that DESIGN.md §2's inventory names every
+// package directory under internal/ and cmd/ in some row's Package cell.
+func TestInventoryDocumented(t *testing.T) {
+	section := docSection(t, readDoc(t, "DESIGN.md"), "## 2. System inventory")
+	pkg := regexp.MustCompile("`((?:internal|cmd)/[a-z0-9_]+)`")
+	named := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 4 {
+			for _, m := range pkg.FindAllStringSubmatch(cells[3], -1) {
+				named[m[1]] = true
+			}
+		}
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		dirs, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if d.IsDir() && !named[root+"/"+d.Name()] {
+				t.Errorf("no Package cell of DESIGN.md §2 names %s/%s", root, d.Name())
+			}
+		}
+	}
 }
 
 // TestModuleMapDocumented checks that DESIGN.md §4's module map lists

@@ -9,9 +9,6 @@
 //   - MBBModel — the rectangle model in the style of Papadias et al. [13]:
 //     both regions replaced by their bounding boxes; the resulting relation
 //     is the set of tiles of mbb(b)'s grid that mbb(a) overlaps.
-//   - PeuquetModel — in the style of Peuquet & Ci-Xiang [15]: MBB
-//     containment/intersection cases resolved first, otherwise the centroid
-//     cone direction.
 //
 // These models are cheap (O(k) for the bounding box scan, O(1) after that)
 // but lose information; the expressiveness experiment (E14) measures how
@@ -167,23 +164,6 @@ func MBB(a, b geom.Region) (core.Relation, error) {
 		return 0, fmt.Errorf("baseline: degenerate primary bounding box %v", ba)
 	}
 	return rel, nil
-}
-
-// PeuquetDirection resolves the direction of a with respect to b in the
-// style of Peuquet & Ci-Xiang: bounding-box containment and overlap are
-// reported as Same (no meaningful azimuth), otherwise the centroid cone
-// decides.
-func PeuquetDirection(a, b geom.Region) Direction {
-	ba, bb := a.BoundingBox(), b.BoundingBox()
-	if ba.ContainsRect(bb) || bb.ContainsRect(ba) {
-		return DirSame
-	}
-	if ba.Intersects(bb) {
-		// Overlapping boxes: direction judged by centroids, as the original
-		// algorithm falls back to the dominant axis azimuth.
-		return CentroidCone(a, b, 0)
-	}
-	return CentroidCone(a, b, 0)
 }
 
 // Agreement classifies how a coarse model's answer relates to the exact tile

@@ -120,19 +120,6 @@ func TestMBBUpperApproximation(t *testing.T) {
 	}
 }
 
-func TestPeuquetDirection(t *testing.T) {
-	b := boxRegion(0, 0, 10, 6)
-	if got := PeuquetDirection(boxRegion(20, 3, 22, 5), b); got != DirE {
-		t.Errorf("east blob: %v", got)
-	}
-	if got := PeuquetDirection(boxRegion(-10, -10, 20, 16), b); got != DirSame {
-		t.Errorf("containing box: %v, want same", got)
-	}
-	if got := PeuquetDirection(boxRegion(4, 2, 6, 4), b); got != DirSame {
-		t.Errorf("contained box: %v, want same", got)
-	}
-}
-
 func TestAgreementClassification(t *testing.T) {
 	exact, _ := core.ParseRelation("NE:E")
 	if got := CompareMBB(exact, exact); got != AgreeExact {

@@ -111,11 +111,6 @@ func (s Set[B]) Rels() []B {
 // Converse returns the set of converses.
 func (s Set[B]) Converse() Set[B] { return Set[B](algebraOf[B]().conv(uint16(s))) }
 
-// Compose returns s ∘ t: the union of the compositions of every base pair.
-func (s Set[B]) Compose(t Set[B]) Set[B] {
-	return Set[B](algebraOf[B]().compose(uint16(s), uint16(t)))
-}
-
 // String renders the set as a | -separated list of base relation names, ⊥
 // for the empty set and ⊤ for the universal one.
 func (s Set[B]) String() string {

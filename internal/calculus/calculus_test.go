@@ -8,9 +8,9 @@ import (
 	"cardirect/internal/topo"
 )
 
-// TestCalculusAllocs: set composition and converse in both calculi, and one
-// path-consistency pass over a preallocated 16-variable network, run on the
-// bitmasks alone — no per-call slice of base relations.
+// TestCalculusAllocs: set converse in both calculi, and one path-consistency
+// pass (the composition of sets) over a preallocated 16-variable network, run
+// on the bitmasks alone — no per-call slice of base relations.
 func TestCalculusAllocs(t *testing.T) {
 	a := reason.AllenOf(reason.AllenBefore, reason.AllenMeets, reason.AllenDuring)
 	r := topo.RCC8Of(topo.DC, topo.TPP, topo.NTPPi)
@@ -25,9 +25,7 @@ func TestCalculusAllocs(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"Allen compose", func() { _ = a.Compose(reason.AllenAll) }},
 		{"Allen converse", func() { _ = a.Converse() }},
-		{"RCC-8 compose", func() { _ = r.Compose(topo.RCC8All) }},
 		{"RCC-8 converse", func() { _ = r.Converse() }},
 		{"Propagate, 16 variables", func() { net.Propagate() }},
 	} {

@@ -5,8 +5,7 @@
 // clipping methods").
 //
 // The package provides Sutherland–Hodgman half-plane clipping (which handles
-// the unbounded tiles directly), Liang–Barsky line clipping against
-// rectangles (the paper's reference [7]), and clipping-based equivalents of
+// the unbounded tiles directly) and clipping-based equivalents of
 // Compute-CDR and Compute-CDR% that segment the primary region into one
 // piece set per tile — scanning the edge list once per tile, nine times in
 // total, exactly the cost profile the paper attributes to this method.
@@ -59,19 +58,13 @@ func (h HalfPlane) intersect(a, b geom.Point) geom.Point {
 	return p
 }
 
-// ClipPolygon clips a simple polygon to the closed half-plane with the
-// Sutherland–Hodgman rule, returning the clipped ring (possibly empty).
-// For concave subjects the single output ring may contain coincident
-// "bridge" vertices where the clip line cuts the subject into several
-// pieces; the ring's signed area is still exact, which is all the
+// clipPolygonCounting clips a simple polygon to the closed half-plane with
+// the Sutherland–Hodgman rule, returning the clipped ring (possibly empty),
+// and adds the intersection points it computes (each costs a division) to
+// *nIntersect. For concave subjects the single output ring may contain
+// coincident "bridge" vertices where the clip line cuts the subject into
+// several pieces; the ring's signed area is still exact, which is all the
 // clipping-based relation computation needs.
-func (h HalfPlane) ClipPolygon(p geom.Polygon) geom.Polygon {
-	return h.clipPolygonCounting(p, nil)
-}
-
-// clipPolygonCounting is ClipPolygon with an optional counter of
-// intersection-point computations (each costs a division), used by the
-// experiment instrumentation.
 func (h HalfPlane) clipPolygonCounting(p geom.Polygon, nIntersect *int) geom.Polygon {
 	if len(p) == 0 {
 		return nil
@@ -86,25 +79,17 @@ func (h HalfPlane) clipPolygonCounting(p geom.Polygon, nIntersect *int) geom.Pol
 			out = append(out, cur)
 		case prevIn && !curIn:
 			out = append(out, h.intersect(prev, cur))
-			if nIntersect != nil {
-				*nIntersect++
-			}
+			*nIntersect++
 		case !prevIn && curIn:
 			out = append(out, h.intersect(prev, cur), cur)
-			if nIntersect != nil {
-				*nIntersect++
-			}
+			*nIntersect++
 		}
 		prev, prevIn = cur, curIn
 	}
 	return dedupeRing(out)
 }
 
-// ClipPolygonAll clips p to the intersection of the given half-planes.
-func ClipPolygonAll(p geom.Polygon, hs ...HalfPlane) geom.Polygon {
-	return clipPolygonAllCounting(p, hs, nil)
-}
-
+// clipPolygonAllCounting clips p to the intersection of the half-planes hs.
 func clipPolygonAllCounting(p geom.Polygon, hs []HalfPlane, nIntersect *int) geom.Polygon {
 	out := p
 	for _, h := range hs {
@@ -158,9 +143,4 @@ func TileHalfPlanes(g core.Grid, t core.Tile) []HalfPlane {
 		hs = append(hs, YGE(g.L2))
 	}
 	return hs
-}
-
-// ClipToTile clips a polygon to one tile of the grid.
-func ClipToTile(g core.Grid, t core.Tile, p geom.Polygon) geom.Polygon {
-	return ClipPolygonAll(p, TileHalfPlanes(g, t)...)
 }

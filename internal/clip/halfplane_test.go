@@ -42,7 +42,7 @@ func TestHalfPlaneContains(t *testing.T) {
 func TestClipPolygonSquare(t *testing.T) {
 	s := sq(0, 0, 4, 4)
 	// Clip to x ≥ 2: right half.
-	right := XGE(2).ClipPolygon(s)
+	right := XGE(2).clipPolygonCounting(s, new(int))
 	if got := right.Area(); got != 8 {
 		t.Errorf("right half area = %v, want 8", got)
 	}
@@ -52,22 +52,22 @@ func TestClipPolygonSquare(t *testing.T) {
 		}
 	}
 	// Clip away entirely.
-	if got := XGE(10).ClipPolygon(s); got != nil {
+	if got := XGE(10).clipPolygonCounting(s, new(int)); got != nil {
 		t.Errorf("fully-outside clip = %v, want nil", got)
 	}
 	// Clip that keeps everything returns the full area.
-	if got := XGE(-10).ClipPolygon(s); got.Area() != 16 {
+	if got := XGE(-10).clipPolygonCounting(s, new(int)); got.Area() != 16 {
 		t.Errorf("no-op clip area = %v", got.Area())
 	}
 	// Clip exactly on an edge keeps the polygon.
-	if got := XGE(0).ClipPolygon(s); got.Area() != 16 {
+	if got := XGE(0).clipPolygonCounting(s, new(int)); got.Area() != 16 {
 		t.Errorf("edge clip area = %v", got.Area())
 	}
 }
 
 func TestClipPolygonTriangleSnap(t *testing.T) {
 	tri := geom.Poly(geom.Pt(0, 0), geom.Pt(2, 4), geom.Pt(4, 0))
-	half := XLE(2).ClipPolygon(tri.Clockwise())
+	half := XLE(2).clipPolygonCounting(tri.Clockwise(), new(int))
 	if math.Abs(half.Area()-4) > 1e-12 {
 		t.Errorf("half triangle area = %v, want 4", half.Area())
 	}
@@ -85,11 +85,11 @@ func TestClipPolygonTriangleSnap(t *testing.T) {
 
 func TestClipPolygonAll(t *testing.T) {
 	s := sq(0, 0, 10, 10)
-	piece := ClipPolygonAll(s, XGE(2), XLE(6), YGE(1), YLE(9))
+	piece := clipPolygonAllCounting(s, []HalfPlane{XGE(2), XLE(6), YGE(1), YLE(9)}, new(int))
 	if math.Abs(piece.Area()-32) > 1e-12 {
 		t.Errorf("boxed clip area = %v, want 32", piece.Area())
 	}
-	if got := ClipPolygonAll(s, XGE(4), XLE(2)); got != nil {
+	if got := clipPolygonAllCounting(s, []HalfPlane{XGE(4), XLE(2)}, new(int)); got != nil {
 		t.Errorf("empty intersection = %v", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestClipToTilePartition(t *testing.T) {
 	p := geom.Poly(geom.Pt(-5, 9), geom.Pt(14, 11), geom.Pt(12, -3), geom.Pt(-3, -4)).Clockwise()
 	var sum float64
 	for _, tile := range core.Tiles() {
-		piece := ClipToTile(g, tile, p)
+		piece := clipPolygonAllCounting(p, TileHalfPlanes(g, tile), new(int))
 		sum += piece.Area()
 	}
 	if math.Abs(sum-p.Area()) > 1e-9 {
@@ -162,7 +162,7 @@ func TestFig3bEdgeInflation(t *testing.T) {
 	edges := 0
 	pieces := 0
 	for _, tile := range core.Tiles() {
-		piece := ClipToTile(g, tile, quad.Clockwise())
+		piece := clipPolygonAllCounting(quad.Clockwise(), TileHalfPlanes(g, tile), new(int))
 		if piece.Area() > 0 {
 			pieces++
 			edges += piece.NumEdges()

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -283,42 +282,4 @@ func (img *Image) Save(w io.Writer) error {
 // Bytes renders the image document as XML bytes (see Save).
 func (img *Image) Bytes() ([]byte, error) {
 	return encodeImage(img), nil
-}
-
-// Summary aggregates document statistics for describe-style output.
-type Summary struct {
-	Regions      int
-	Polygons     int
-	Edges        int
-	Relations    int
-	Colors       []string // distinct colors, sorted
-	TotalArea    float64
-	BoundingBox  geom.Rect
-	MultiPolygon int // regions with more than one polygon (REG* composites)
-}
-
-// Summarize computes the document statistics.
-func (img *Image) Summarize() Summary {
-	s := Summary{Relations: len(img.Relations), BoundingBox: geom.EmptyRect()}
-	colors := map[string]bool{}
-	for i := range img.Regions {
-		r := &img.Regions[i]
-		g := r.Geometry()
-		s.Regions++
-		s.Polygons += len(r.Polygons)
-		s.Edges += g.NumEdges()
-		s.TotalArea += g.Area()
-		s.BoundingBox = s.BoundingBox.Union(g.BoundingBox())
-		if len(r.Polygons) > 1 {
-			s.MultiPolygon++
-		}
-		if r.Color != "" {
-			colors[r.Color] = true
-		}
-	}
-	for c := range colors {
-		s.Colors = append(s.Colors, c)
-	}
-	sort.Strings(s.Colors)
-	return s
 }

@@ -148,29 +148,3 @@ func TestSetRegionGeometry(t *testing.T) {
 		t.Error("invalid geometry should fail")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	img := Greece()
-	if err := img.ComputeRelations(false); err != nil {
-		t.Fatal(err)
-	}
-	s := img.Summarize()
-	if s.Regions != 11 {
-		t.Errorf("Regions = %d", s.Regions)
-	}
-	if s.Relations != 11*10 {
-		t.Errorf("Relations = %d", s.Relations)
-	}
-	if s.MultiPolygon != 2 { // peloponnesos (2 halves) and islands (3)
-		t.Errorf("MultiPolygon = %d, want 2", s.MultiPolygon)
-	}
-	if len(s.Colors) != 3 {
-		t.Errorf("Colors = %v", s.Colors)
-	}
-	if s.TotalArea <= 0 || s.Edges == 0 || s.Polygons < s.Regions {
-		t.Errorf("degenerate summary: %+v", s)
-	}
-	if s.BoundingBox.IsEmpty() {
-		t.Error("empty bounding box")
-	}
-}

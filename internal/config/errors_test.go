@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -73,7 +74,7 @@ func TestTrackedConcurrentViewAndEdit(t *testing.T) {
 					if _, err := tr.Store().Relation("attica", "peloponnesos"); err != nil {
 						return err
 					}
-					_, _, err := tr.Index().SelectStats(ref.Geometry(), core.NewRelationSet(core.N, core.NE))
+					_, _, err := tr.Index().SelectStatsCtx(context.Background(), ref.Geometry(), core.NewRelationSet(core.N, core.NE))
 					return err
 				})
 				if err != nil {

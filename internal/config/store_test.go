@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,7 +44,7 @@ func checkInStep(t *testing.T, stage string, tr *Tracked) {
 		t.Fatalf("%s: document ids %v != store names %v", stage, ids, tr.Store().Names())
 	}
 	ref := doc.Regions[0].Geometry()
-	all, err := tr.Index().Select(ref, core.Universe())
+	all, _, err := tr.Index().SelectStatsCtx(context.Background(), ref, core.Universe())
 	if err != nil {
 		t.Fatalf("%s: %v", stage, err)
 	}
@@ -55,11 +56,11 @@ func checkInStep(t *testing.T, stage string, tr *Tracked) {
 		t.Fatalf("%s: %v", stage, err)
 	}
 	allowed := core.NewRelationSet(core.N, core.NE, core.NW, core.W, core.E)
-	live, err := tr.Index().Select(ref, allowed)
+	live, _, err := tr.Index().SelectStatsCtx(context.Background(), ref, allowed)
 	if err != nil {
 		t.Fatalf("%s: %v", stage, err)
 	}
-	want, err := fresh.Index().Select(ref, allowed)
+	want, _, err := fresh.Index().SelectStatsCtx(context.Background(), ref, allowed)
 	if err != nil {
 		t.Fatalf("%s: %v", stage, err)
 	}

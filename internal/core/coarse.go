@@ -95,47 +95,15 @@ func (ci *CoarseIndex) cellY(v float64) uint16 {
 // Len returns the number of summarised regions.
 func (ci *CoarseIndex) Len() int { return len(ci.spans) }
 
-// PairSingleTile answers the relation of primary i against reference j
-// from cell spans alone when both the column and row are decided by the
-// monotone cell rules — the coarse tier's O(1) "clearly single-tile"
-// answer, bit-identical to the exact kernel's single-tile fast path. ok is
-// false when the spans share cells on either axis and the pair needs
-// geometry.
-func (ci *CoarseIndex) PairSingleTile(i, j int) (Relation, bool) {
-	a, b := ci.spans[i], ci.spans[j]
-	var col int
-	switch {
-	case a.x1 < b.x0:
-		col = 0
-	case a.x0 > b.x1:
-		col = 2
-	case a.x0 > b.x0 && a.x1 < b.x1:
-		col = 1
-	default:
-		return 0, false
-	}
-	var row int
-	switch {
-	case a.y1 < b.y0:
-		row = 0
-	case a.y0 > b.y1:
-		row = 2
-	case a.y0 > b.y0 && a.y1 < b.y1:
-		row = 1
-	default:
-		return 0, false
-	}
-	return Rel(TileAt(col, row)), true
-}
-
 // coarsePairLut maps the eight monotone cell-span comparisons of a pair —
 // packed four per axis as (a.hi < b.lo) | (a.lo > b.hi)<<1 |
 // (a.lo > b.lo)<<2 | (a.hi < b.hi)<<3, x in the low nibble, y in the high —
 // to the pair's single-tile relation, or 0 (never a valid relation) when
 // either axis is undecided. Precomputing the full 256-entry table lets the
-// huge-world row sweep turn PairSingleTile's six data-dependent branches
-// into flag materialisations plus one load and a single almost-always-taken
-// branch — the coarse tier decides >99% of pairs, so that branch predicts.
+// huge-world row sweep decide a pair with flag materialisations plus one
+// load and a single almost-always-taken branch instead of six
+// data-dependent ones — the coarse tier decides >99% of pairs, so that
+// branch predicts.
 var coarsePairLut [256]Relation
 
 // b2i materialises a comparison flag without a branch (the compiler emits
@@ -147,9 +115,10 @@ func b2i(b bool) int {
 	return 0
 }
 
-// coarseAxisCode resolves one axis nibble to a column/row index, mirroring
-// PairSingleTile's rule order exactly: before (0), after (2), strictly
-// inside (1), else undecided (-1).
+// coarseAxisCode resolves one axis nibble to a column/row index by the
+// monotone cell rules, in this order: a's span before b's (0), after it
+// (2), strictly inside it (1), else undecided (-1). When it decides both
+// axes, the pair's relation is the exact kernel's single tile.
 func coarseAxisCode(bits int) int {
 	switch {
 	case bits&1 != 0:

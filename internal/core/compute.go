@@ -23,7 +23,7 @@ type Stats struct {
 	PruneBand       int // mbb(primary) strictly inside one row/column → per-polygon boxes
 
 	// Quantitative prune counters: percent matrices answered from areas
-	// cached at Prepare time with zero edge splits (see relatePctFast).
+	// cached at Prepare time with zero edge splits (see relatePctAreasInto).
 	PrunePctTile int // mbb(primary) strictly inside one tile → O(1) matrix
 	PrunePctPoly int // every polygon box strictly inside one tile → O(#polygons)
 

@@ -180,13 +180,16 @@ func FuzzMBBFastPathPct(f *testing.F) {
 		if err != nil {
 			t.Skip("no grid")
 		}
-		fastAreas, ok := prep.relatePctFast(grid, nil)
-		var fullAreas TileAreas
+		// The pruned entry point production runs; a fast stage fired when
+		// it moved a prune counter.
+		var st Stats
+		var fastAreas, fullAreas TileAreas
+		prep.relatePctAreasInto(&fastAreas, grid, false, &st)
 		_, err = prep.relatePctFullInto(&fullAreas, grid, nil)
 		if err != nil {
 			t.Skip("zero-area primary")
 		}
-		if ok {
+		if st.PrunePctTile+st.PrunePctPoly > 0 {
 			for _, tile := range Tiles() {
 				if !areaClose(fastAreas[tile], fullAreas[tile]) {
 					t.Fatalf("fast areas %v != full areas %v at %v\nprimary %v\nreference grid %+v",

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -55,32 +56,47 @@ func lodTestWorld(t testing.TB, seed int64, n int, opt LoDOptions) (*LoDWorld, [
 	return w, exact
 }
 
+// allRows returns the row indexes 0..n-1: a BatchRows request for every pair.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// checkRowsExact holds BatchRows output against the exact kernel: out[r][j]
+// must be Relate(exact[rows[r]], exact[j]) bit for bit, and the self entry
+// zero.
+func checkRowsExact(t *testing.T, label string, out [][]Relation, rows []int, exact []*Prepared) {
+	t.Helper()
+	for r, pi := range rows {
+		for j := range exact {
+			want := Relation(0)
+			if j != pi {
+				var err error
+				if want, err = Relate(exact[pi], exact[j], nil); err != nil {
+					t.Fatalf("%s: exact Relate(%d,%d): %v", label, pi, j, err)
+				}
+			}
+			if out[r][j] != want {
+				t.Fatalf("%s: pair (%d,%d): BatchRows %v != exact %v", label, pi, j, out[r][j], want)
+			}
+		}
+	}
+}
+
 // TestLoDDifferential is the tier's core guarantee: every pair answered by
 // the LoD world — whether by the coarse summary, the strip stage, or the
 // full kernel — is bit-identical to the exact engine.
 func TestLoDDifferential(t *testing.T) {
 	w, exact := lodTestWorld(t, 1, 40, LoDOptions{})
-	sc := getScratch()
-	defer putScratch(sc)
-	var st Stats
-	for i := 0; i < w.Len(); i++ {
-		for j := 0; j < w.Len(); j++ {
-			if i == j {
-				continue
-			}
-			want, err := Relate(exact[i], exact[j], sc)
-			if err != nil {
-				t.Fatalf("exact Relate(%d,%d): %v", i, j, err)
-			}
-			got, err := w.Relation(i, j, sc, &st)
-			if err != nil {
-				t.Fatalf("LoD Relation(%d,%d): %v", i, j, err)
-			}
-			if got != want {
-				t.Fatalf("pair (%d,%d): LoD %v != exact %v", i, j, got, want)
-			}
-		}
+	rows := allRows(w.Len())
+	out, st, err := w.BatchRows(context.Background(), rows, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkRowsExact(t, "LoD", out, rows, exact)
 	// The world must actually exercise all three tiers; a silent all-exact
 	// degrade would vacuously pass the identity check.
 	if st.CoarseSingleTile == 0 {
@@ -96,13 +112,11 @@ func TestLoDDifferential(t *testing.T) {
 		st.CoarseSingleTile, st.LoDStrip, st.LoDExact, st.PruneSingleTile+st.PruneBand)
 }
 
-// TestLoDBatchRows checks the row sweep against the per-pair path in both
+// TestLoDBatchRows checks the row sweep against the exact kernel in both
 // LoD and exact modes, at every worker count — rows and merged Stats alike
 // must not depend on it — and the context-cancellation contract.
 func TestLoDBatchRows(t *testing.T) {
 	rows := []int{0, 7, 29}
-	sc := getScratch()
-	defer putScratch(sc)
 	var want [2][][]Relation
 	var wantSt [2]Stats
 	for _, workers := range []int{1, 2, 4, 16} {
@@ -117,23 +131,7 @@ func TestLoDBatchRows(t *testing.T) {
 			} else if !reflect.DeepEqual(got, want[m]) || !reflect.DeepEqual(st, wantSt[m]) {
 				t.Fatalf("workers=%d exact=%v: rows or Stats %+v differ from one worker's %+v", workers, exactMode, st, wantSt[m])
 			}
-			for r, pi := range rows {
-				for j := 0; j < w.Len(); j++ {
-					if j == pi {
-						if got[r][j] != 0 {
-							t.Fatalf("exact=%v row %d: self entry not zero", exactMode, pi)
-						}
-						continue
-					}
-					rel, err := Relate(exact[pi], exact[j], sc)
-					if err != nil {
-						t.Fatalf("exact Relate: %v", err)
-					}
-					if got[r][j] != rel {
-						t.Fatalf("exact=%v row %d vs %d: sweep %v != exact %v", exactMode, pi, j, got[r][j], rel)
-					}
-				}
-			}
+			checkRowsExact(t, fmt.Sprintf("workers=%d exact=%v", workers, exactMode), got, rows, exact)
 		}
 		if st := wantSt[0]; st.CoarseSingleTile+st.LoDStrip+st.LoDExact+st.PruneSingleTile+st.PruneBand == 0 {
 			t.Error("sweep recorded no tier stats")
@@ -150,8 +148,10 @@ func TestLoDBatchRows(t *testing.T) {
 	}
 }
 
-// TestCoarsePairSingleTile differentially checks the O(1) coarse answers
-// against the exact kernel on dense random box layouts.
+// TestCoarsePairSingleTile differentially checks the O(1) coarse answers —
+// the coarsePairLut entry of a pair's packed cell-span comparisons, as the
+// BatchRows sweep reads it — against the exact kernel on dense random box
+// layouts.
 func TestCoarsePairSingleTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
@@ -181,8 +181,13 @@ func TestCoarsePairSingleTile(t *testing.T) {
 				if i == j {
 					continue
 				}
-				rel, ok := ci.PairSingleTile(i, j)
-				if !ok {
+				as, bs := ci.spans[i], ci.spans[j]
+				xb := b2i(as.x1 < bs.x0) | b2i(as.x0 > bs.x1)<<1 |
+					b2i(as.x0 > bs.x0)<<2 | b2i(as.x1 < bs.x1)<<3
+				yb := b2i(as.y1 < bs.y0) | b2i(as.y0 > bs.y1)<<1 |
+					b2i(as.y0 > bs.y0)<<2 | b2i(as.y1 < bs.y1)<<3
+				rel := coarsePairLut[xb|yb<<4]
+				if rel == 0 {
 					continue
 				}
 				fired++
@@ -204,7 +209,9 @@ func TestCoarsePairSingleTile(t *testing.T) {
 
 // TestLoDZeroEpsDegrade checks tiny regions get no strip side and still
 // answer correctly, that a strip-sized region gets exactly one and it answers
-// for the world's own preparation, and the name and index lookups.
+// for the world's own preparation, and the error paths of BatchRows: a row
+// index outside the world, and a world holding a region too flat to serve
+// as a reference.
 func TestLoDZeroEpsDegrade(t *testing.T) {
 	ring := make(geom.Polygon, stripMinEdges)
 	for i := range ring {
@@ -225,23 +232,27 @@ func TestLoDZeroEpsDegrade(t *testing.T) {
 	if w.strips[2].p != w.preps[2] {
 		t.Error("the strip side should answer for the world's own preparation")
 	}
-	rel, err := w.Relation(0, 1, nil, nil)
+	out, _, err := w.BatchRows(context.Background(), []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Rel(TileSW); rel != want {
-		t.Fatalf("Relation(tri, ref) = %v, want %v", rel, want)
+	if want := Rel(TileSW); out[0][1] != want {
+		t.Fatalf("BatchRows: tri vs ref = %v, want %v", out[0][1], want)
 	}
-	if got, want := w.Index("disc"), 2; got != want {
-		t.Errorf("Index(disc) = %d, want %d", got, want)
-	}
-	if got := w.Index("nope"); got != -1 {
-		t.Errorf("Index(nope) = %d, want -1", got)
-	}
-	for _, ij := range [][2]int{{w.Index("nope"), 0}, {0, w.Index("nope")}, {3, 0}, {0, 3}} {
-		if _, err := w.Relation(ij[0], ij[1], nil, nil); err == nil {
-			t.Errorf("Relation(%d, %d): out-of-range index accepted", ij[0], ij[1])
+	for _, row := range []int{-1, 3} {
+		if _, _, err := w.BatchRows(context.Background(), []int{0, row}, false); err == nil {
+			t.Errorf("BatchRows: out-of-range row %d accepted", row)
 		}
+	}
+	flat, err := PrepareLoDWorld([]NamedRegion{
+		{Name: "tri", Region: geom.Rgn(geom.Poly(geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(1, 0)))},
+		{Name: "flat", Region: geom.Rgn(geom.Poly(geom.Pt(2, 2), geom.Pt(3, 2), geom.Pt(4, 2)))},
+	}, LoDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flat.BatchRows(context.Background(), []int{0}, false); err == nil || !strings.Contains(err.Error(), `"flat"`) {
+		t.Errorf("BatchRows over a flat reference: err = %v, want one naming the region", err)
 	}
 }
 
@@ -326,25 +337,11 @@ func FuzzLoDDifferential(f *testing.F) {
 				}
 			}
 		}
-		sc := getScratch()
-		defer putScratch(sc)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				want, err := Relate(exact[i], exact[j], sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := w.Relation(i, j, sc, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("seed %d pair (%d,%d): LoD %v != exact %v", seed, i, j, got, want)
-				}
-			}
+		rows := allRows(n)
+		out, _, err := w.BatchRows(context.Background(), rows, false)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkRowsExact(t, fmt.Sprintf("seed %d", seed), out, rows, exact)
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"cardirect/internal/geom"
 )
@@ -25,7 +24,7 @@ type LoDOptions struct {
 // regions of at least stripMinEdges edges, a strip index that classifies
 // only the edges near the reference's four lines. At 10^5 regions an eagerly
 // materialised relation matrix is off the table (10^10 cells), so the world
-// answers pairs and row sweeps on demand instead; every answer is
+// answers row sweeps (BatchRows) on demand instead; every answer is
 // bit-identical to the exact kernel's (differential-tested, fuzzed).
 //
 // The world copies what it needs out of the caller's regions and keeps no
@@ -42,9 +41,6 @@ type LoDWorld struct {
 	// quarter of the pairs get past the coarse tier, ran 35% slower
 	// without it).
 	boxes []geom.Rect
-
-	namesOnce sync.Once
-	names     nameIndex // built by the first Index call
 }
 
 // PrepareLoDWorld builds the huge-world tier: names must be non-empty and
@@ -73,55 +69,12 @@ func PrepareLoDWorld(regions []NamedRegion, opt LoDOptions) (*LoDWorld, error) {
 // Len returns the number of regions.
 func (w *LoDWorld) Len() int { return len(w.preps) }
 
-// Index returns the index of the named region, or -1. The name index is
-// built by the first call.
-func (w *LoDWorld) Index(name string) int {
-	nameAt := func(i int) string { return w.preps[i].Name }
-	w.namesOnce.Do(func() {
-		// Cannot fail: PrepareLoDWorld checked these names.
-		w.names, _ = indexNames(len(w.preps), nameAt)
-	})
-	return w.names.lookup(name, nameAt)
-}
-
 // checkIndex rejects a region index outside the world.
 func (w *LoDWorld) checkIndex(i int) error {
 	if i < 0 || i >= len(w.preps) {
 		return fmt.Errorf("core: row index %d out of range [0,%d)", i, len(w.preps))
 	}
 	return nil
-}
-
-// Relation answers the relation of primary i against reference j through
-// the tier stack: coarse cell spans in O(1), then the stages of relateLoD.
-// Bit-identical to Relate(exact_i, exact_j, sc) including the
-// degenerate-reference error. sc may be nil.
-func (w *LoDWorld) Relation(i, j int, sc *Scratch, st *Stats) (Relation, error) {
-	if err := w.checkIndex(i); err != nil {
-		return 0, err
-	}
-	if err := w.checkIndex(j); err != nil {
-		return 0, err
-	}
-	b := w.preps[j]
-	if b.noGrid {
-		return 0, b.gridErr()
-	}
-	if rel, ok := w.coarse.PairSingleTile(i, j); ok {
-		if st != nil {
-			st.CoarseSingleTile++
-		}
-		return rel, nil
-	}
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
-	var discard Stats
-	if st == nil {
-		st = &discard
-	}
-	return relateLoD(w.preps[i], w.strips[int32(i)], b.grid(), sc, st), nil
 }
 
 // relateLoD computes the relation of a primary — its Prepared a and its
@@ -183,8 +136,8 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 			}
 			return nil
 		}
-		// PairSingleTile with the primary's span hoisted out of the inner
-		// loop and the per-axis switches folded into the coarsePairLut
+		// The coarse tier, with the primary's span hoisted out of the inner
+		// loop and the per-axis cell rules folded into the coarsePairLut
 		// nibble lookup: the sweep streams the 8-byte spans sequentially,
 		// the comparisons materialise as flags, and the only data-dependent
 		// branch left is the lookup hit, which the predictor learns (>99%

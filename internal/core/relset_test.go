@@ -42,9 +42,6 @@ func TestRelationSetOps(t *testing.T) {
 	if got := a.Intersect(b); got.Len() != 2 || !got.Contains(S) || !got.Contains(E) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Minus(b); got.Len() != 1 || !got.Contains(N) {
-		t.Errorf("Minus = %v", got)
-	}
 	if !a.Equal(NewRelationSet(E, N, S)) {
 		t.Error("Equal should ignore insertion order")
 	}
@@ -129,12 +126,7 @@ func TestRelationSetAlgebraProperty(t *testing.T) {
 		u := a.Union(b)
 		i := a.Intersect(b)
 		// |A∪B| + |A∩B| = |A| + |B|
-		if u.Len()+i.Len() != a.Len()+b.Len() {
-			return false
-		}
-		// A \ B ⊆ A and disjoint from B.
-		d := a.Minus(b)
-		return d.Intersect(b).IsEmpty() && d.Union(i).Union(b.Minus(a)).Equal(u)
+		return u.Len()+i.Len() == a.Len()+b.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

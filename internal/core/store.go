@@ -386,17 +386,6 @@ func (s *RelationStore) Percent(primary, reference string) (PercentMatrix, error
 	return m, err
 }
 
-// Areas returns the per-tile areas of primary against reference. The store
-// must have been built with StoreOptions.Pct.
-func (s *RelationStore) Areas(primary, reference string) (TileAreas, error) {
-	a, b, err := s.pctPair(primary, reference)
-	if err != nil {
-		return TileAreas{}, err
-	}
-	_, areas, err := s.relatePct(a, b)
-	return areas, err
-}
-
 // RelationPercent returns the relation and the percent matrix of one pair
 // computed from the same two Prepared forms, fetched once: an edit landing
 // between a Relation and a Percent call cannot pair one generation's

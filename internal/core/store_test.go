@@ -410,7 +410,7 @@ func TestRelationStoreErrors(t *testing.T) {
 		func() error { _, err := s.Relation("nope", w[0].Name); return err }(),
 		func() error { _, err := s.Relation(w[0].Name, "nope"); return err }(),
 		func() error { _, err := s.Percent("nope", w[0].Name); return err }(),
-		func() error { _, err := s.Areas(w[0].Name, "nope"); return err }(),
+		func() error { _, err := s.Percent(w[0].Name, "nope"); return err }(),
 	} {
 		if !errors.Is(err, ErrUnknownRegion) {
 			t.Errorf("err = %v, want ErrUnknownRegion", err)
@@ -493,13 +493,6 @@ func TestRelationStoreLookups(t *testing.T) {
 			}
 			if !m.ApproxEqual(wantM, 1e-9) {
 				t.Fatalf("%s vs %s: store matrix diverged from ComputeCDRPct", a.Name, b.Name)
-			}
-			areas, err := s.Areas(a.Name, b.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !m.ApproxEqual(areas.Percent(), 1e-9) {
-				t.Fatalf("%s vs %s: Areas and Percent inconsistent", a.Name, b.Name)
 			}
 		}
 	}

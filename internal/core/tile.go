@@ -57,9 +57,6 @@ func (t Tile) String() string {
 	return fmt.Sprintf("Tile(%d)", uint8(t))
 }
 
-// Valid reports whether t names one of the nine tiles.
-func (t Tile) Valid() bool { return t < NumTiles }
-
 // Col returns the tile's column in the 3×3 grid: 0 = west of mbb(b),
 // 1 = within the x-span of mbb(b), 2 = east of it.
 func (t Tile) Col() int { return tileCols[t] }

@@ -13,15 +13,9 @@ func TestTileNamesAndGrid(t *testing.T) {
 		t.Error("out-of-range tile String")
 	}
 	for _, tl := range Tiles() {
-		if !tl.Valid() {
-			t.Errorf("tile %v invalid", tl)
-		}
 		if TileAt(tl.Col(), tl.Row()) != tl {
 			t.Errorf("grid roundtrip failed for %v", tl)
 		}
-	}
-	if Tile(9).Valid() {
-		t.Error("tile 9 should be invalid")
 	}
 	if TileAt(1, 1) != TileB || TileAt(0, 2) != TileNW || TileAt(2, 0) != TileSE {
 		t.Error("TileAt mapping wrong")

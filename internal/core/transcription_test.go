@@ -597,7 +597,7 @@ func TestOneShotMatchesTranscription(t *testing.T) {
 				label, got, gotSt, err, want, wantSt, wantErr, a, b)
 		}
 		wantM, wantAreas, wantSt, wantErr := paperCDRPct(a, b)
-		m, areas, gotSt, err := ComputeCDRPctStats(a, b)
+		m, areas, gotSt, err := computeCDRPct(a, b)
 		if m != wantM || areas != wantAreas || gotSt != wantSt || !sameErr(err, wantErr) {
 			t.Fatalf("%s: ComputeCDRPct = %v, %v, %+v, %v; transcription %v, %v, %+v, %v\na %v\nb %v",
 				label, m, areas, gotSt, err, wantM, wantAreas, wantSt, wantErr, a, b)

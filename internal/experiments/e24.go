@@ -15,15 +15,14 @@ import (
 // e24Adversarial builds the hidden-witness network the parallel solver
 // exists for. Edge (a, b) — the branch edge, first in the solver's sorted
 // edge order — carries the disjunction {S, W, N, E, SE}, while (b, a) pins
-// NW. Only SE on (a, b) is converse-compatible with NW (checked by
-// TestMutuallyInverse-style reasoning: the other four contradict NW on one
-// axis), and SE is iterated LAST by the relation-set enumeration, so the
-// sequential solver exhausts four barren top-level branches — each inflated
-// by the decoy edges (a, c_i) ∈ {N, S}, whose contradiction with (b, a)
-// only surfaces at the final edge assignment — before reaching the witness.
-// The parallel solver fans every (relation, Allen-pair) seed of (a, b) at
-// once; the SE seeds decide almost immediately and cancel the barren
-// branches.
+// NW. Only SE on (a, b) is converse-compatible with NW (see reason.Inverse:
+// the other four contradict NW on one axis), and SE is iterated LAST by the
+// relation-set enumeration, so the sequential solver exhausts four barren
+// top-level branches — each inflated by the decoy edges (a, c_i) ∈ {N, S},
+// whose contradiction with (b, a) only surfaces at the final edge
+// assignment — before reaching the witness. The parallel solver fans every
+// (relation, Allen-pair) seed of (a, b) at once; the SE seeds decide almost
+// immediately and cancel the barren branches.
 func e24Adversarial(decoys int) *reason.Network {
 	n := reason.NewNetwork()
 	n.AddVariable("a")

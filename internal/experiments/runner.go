@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -914,20 +913,6 @@ func Entries(o Options) []Entry {
 	}
 }
 
-// All runs every experiment in order.
-func All(o Options) ([]Report, error) {
-	entries := Entries(o)
-	out := make([]Report, 0, len(entries))
-	for _, e := range entries {
-		r, err := e.Run()
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // IDs lists the experiment identifiers in canonical order.
 func IDs() []string {
 	entries := Entries(Options{})
@@ -935,6 +920,5 @@ func IDs() []string {
 	for i, e := range entries {
 		ids[i] = e.ID
 	}
-	sort.Strings(ids)
 	return ids
 }

@@ -299,11 +299,12 @@ func TestEntriesAndIDs(t *testing.T) {
 	}
 	ids := IDs()
 	if len(ids) != len(entries) {
-		t.Errorf("IDs = %d", len(ids))
+		t.Fatalf("IDs = %d", len(ids))
 	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Errorf("IDs not sorted: %v", ids)
+	for i, e := range entries {
+		if ids[i] != e.ID {
+			t.Errorf("IDs = %v, not in suite order", ids)
+			break
 		}
 	}
 }

@@ -30,15 +30,6 @@ func (p Polygon) Edge(i int) Segment {
 	return Segment{A: p[i], B: p[j]}
 }
 
-// Edges returns all directed edges in ring order.
-func (p Polygon) Edges() []Segment {
-	es := make([]Segment, len(p))
-	for i := range p {
-		es[i] = p.Edge(i)
-	}
-	return es
-}
-
 // SignedArea returns Σ (x_B−x_A)(y_A+y_B)/2 over the polygon's edges — the
 // paper's expression E_0(AB) summed along the ring. It is positive when the
 // ring is clockwise (y-up) and negative when counter-clockwise.

@@ -18,17 +18,8 @@ func (s Segment) Reverse() Segment { return Segment{A: s.B, B: s.A} }
 // Mid returns the segment midpoint.
 func (s Segment) Mid() Point { return s.A.Mid(s.B) }
 
-// Len returns the Euclidean length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
 // IsDegenerate reports whether the segment has coincident endpoints.
 func (s Segment) IsDegenerate() bool { return s.A.Eq(s.B) }
-
-// IsVertical reports whether the segment lies on a vertical line x = const.
-func (s Segment) IsVertical() bool { return s.A.X == s.B.X }
-
-// IsHorizontal reports whether the segment lies on a horizontal line y = const.
-func (s Segment) IsHorizontal() bool { return s.A.Y == s.B.Y }
 
 // String renders the segment as "A→B".
 func (s Segment) String() string { return fmt.Sprintf("%v→%v", s.A, s.B) }

@@ -7,9 +7,6 @@ import (
 
 func TestSegmentBasics(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(4, 3))
-	if got := s.Len(); got != 5 {
-		t.Errorf("Len = %v", got)
-	}
 	if got := s.Mid(); !got.Eq(Pt(2, 1.5)) {
 		t.Errorf("Mid = %v", got)
 	}
@@ -21,12 +18,6 @@ func TestSegmentBasics(t *testing.T) {
 	}
 	if !Seg(Pt(1, 1), Pt(1, 1)).IsDegenerate() {
 		t.Error("degenerate segment not detected")
-	}
-	if !Seg(Pt(2, 0), Pt(2, 9)).IsVertical() {
-		t.Error("vertical not detected")
-	}
-	if !Seg(Pt(0, 3), Pt(9, 3)).IsHorizontal() {
-		t.Error("horizontal not detected")
 	}
 }
 

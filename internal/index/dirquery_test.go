@@ -108,7 +108,7 @@ func TestDirectionalSelectErrors(t *testing.T) {
 	// Missing geometry for an indexed id: the ghost's box sits inside the
 	// reference's bounding box so it survives the MBB stages and forces the
 	// geometry lookup.
-	bad := New()
+	bad := newTree(t)
 	refBox := ref.BoundingBox()
 	c := refBox.Center()
 	bad.Insert(Item{Box: geom.Rect{MinX: c.X - 0.5, MinY: c.Y - 0.5, MaxX: c.X + 0.5, MaxY: c.Y + 0.5}, ID: "ghost"})

@@ -160,21 +160,11 @@ func (l *Live) SetPrepared(p *core.Prepared) error {
 	return nil
 }
 
-// Select runs the three-stage directional selection plan over the
-// maintained index: window queries per constraint tile, MBB refinement,
-// exact Compute-CDR refinement. Results are sorted ids.
-func (l *Live) Select(reference geom.Region, allowed core.RelationSet) ([]string, error) {
-	out, _, err := l.SelectStatsCtx(context.Background(), reference, allowed)
-	return out, err
-}
-
-// SelectStats is Select with instrumentation.
-func (l *Live) SelectStats(reference geom.Region, allowed core.RelationSet) ([]string, SelectStats, error) {
-	return l.SelectStatsCtx(context.Background(), reference, allowed)
-}
-
-// SelectStatsCtx is SelectStats honoring a context: cancellation aborts the
-// selection at the next candidate refinement.
+// SelectStatsCtx runs the three-stage directional selection plan over the
+// maintained index — window queries per constraint tile, MBB refinement,
+// exact Compute-CDR refinement — and returns the sorted matching ids with
+// the work it did. Cancelling ctx aborts the selection at the next
+// candidate refinement.
 func (l *Live) SelectStatsCtx(ctx context.Context, reference geom.Region, allowed core.RelationSet) ([]string, SelectStats, error) {
 	return directionalSelect(ctx, l.tree, nil, reference, allowed)
 }

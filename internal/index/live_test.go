@@ -19,7 +19,7 @@ import (
 func TestRTreeDeleteRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 42, 20040314} {
 		rng := rand.New(rand.NewSource(seed))
-		tree := New()
+		tree := newTree(t)
 		shadow := map[string]geom.Rect{}
 		nextID := 0
 		ops := 600
@@ -62,7 +62,7 @@ func TestRTreeDeleteRandomized(t *testing.T) {
 			// Search equivalence on a random window.
 			window := randBox()
 			var got []string
-			for _, it := range tree.Search(window, nil) {
+			for _, it := range search(tree.root, window, nil) {
 				got = append(got, it.ID)
 			}
 			sort.Strings(got)
@@ -86,7 +86,7 @@ func TestRTreeDeleteRandomized(t *testing.T) {
 				t.Fatalf("drain: %v", err)
 			}
 		}
-		if tree.Len() != 0 || len(tree.Search(geom.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, nil)) != 0 {
+		if tree.Len() != 0 || len(search(tree.root, geom.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, nil)) != 0 {
 			t.Fatal("tree not empty after draining")
 		}
 		// And remain usable afterwards.
@@ -99,7 +99,7 @@ func TestRTreeDeleteRandomized(t *testing.T) {
 // TestRTreeDeleteMisses: deleting absent items (wrong id, wrong box, empty
 // box) leaves the tree untouched.
 func TestRTreeDeleteMisses(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	box := geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
 	if err := tree.Insert(Item{ID: "a", Box: box}); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestLiveMatchesBulkLoad(t *testing.T) {
 		if err := l.tree.checkInvariants(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
-		got, err := l.Select(ref, allowed)
+		got, _, err := l.SelectStatsCtx(context.Background(), ref, allowed)
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -157,7 +157,7 @@ func TestLiveMatchesBulkLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
-		want, err := fresh.Select(ref, allowed)
+		want, _, err := fresh.SelectStatsCtx(context.Background(), ref, allowed)
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -290,7 +290,7 @@ func TestLiveSelectPreparesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, gotSt, err := l.SelectStats(ref, allowed)
+	gotIDs, gotSt, err := l.SelectStatsCtx(context.Background(), ref, allowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLiveSelectPreparesNothing(t *testing.T) {
 	if wantSt.Exact == 0 {
 		t.Fatal("no candidate reached exact refinement; the test is vacuous")
 	}
-	live := testing.AllocsPerRun(10, func() { _, _, _ = l.SelectStats(ref, allowed) })
+	live := testing.AllocsPerRun(10, func() { _, _, _ = l.SelectStatsCtx(context.Background(), ref, allowed) })
 	preparing := testing.AllocsPerRun(10, func() { _, _, _ = DirectionalSelectStats(plain, geoms, ref, allowed) })
 	if live > preparing-float64(wantSt.Exact) {
 		t.Errorf("live select allocates %v objects, the preparing plan %v for %d refinements: the index still prepares",

@@ -47,11 +47,6 @@ type node struct {
 	children []*node // internal children
 }
 
-// New returns an empty tree.
-func New() *RTree {
-	return &RTree{root: &node{leaf: true, box: geom.EmptyRect()}}
-}
-
 // Len returns the number of indexed items.
 func (t *RTree) Len() int { return t.size }
 
@@ -293,30 +288,6 @@ func pickGroup(boxA, boxB, box geom.Rect, lenA, lenB, remaining int) int {
 	}
 }
 
-// Search appends to dst the items whose boxes intersect the query window
-// and returns the extended slice.
-func (t *RTree) Search(window geom.Rect, dst []Item) []Item {
-	return searchNode(t.root, window, dst)
-}
-
-func searchNode(n *node, window geom.Rect, dst []Item) []Item {
-	if !n.box.Intersects(window) {
-		return dst
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.Box.Intersects(window) {
-				dst = append(dst, it)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = searchNode(c, window, dst)
-	}
-	return dst
-}
-
 // BulkLoad builds a tree from scratch with sort-tile-recursive packing —
 // the right way to index a whole configuration at once.
 func BulkLoad(items []Item) (*RTree, error) {
@@ -410,63 +381,3 @@ func stripSize(n int) int {
 }
 
 func center(r geom.Rect) geom.Point { return r.Center() }
-
-// Depth returns the height of the tree (1 for a single leaf); useful for
-// structural assertions in tests.
-func (t *RTree) Depth() int {
-	d := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		d++
-	}
-	return d
-}
-
-// checkInvariants walks the tree validating structural invariants; it
-// returns an error describing the first violation. Exposed for tests.
-func (t *RTree) checkInvariants() error {
-	return checkNode(t.root, true)
-}
-
-func checkNode(n *node, isRoot bool) error {
-	if n.leaf {
-		box := geom.EmptyRect()
-		for _, it := range n.items {
-			box = box.Union(it.Box)
-		}
-		if len(n.items) > 0 && box != n.box {
-			return fmt.Errorf("index: leaf box %v != union of items %v", n.box, box)
-		}
-		if !isRoot && len(n.items) == 0 {
-			return fmt.Errorf("index: empty non-root leaf")
-		}
-		return nil
-	}
-	if len(n.children) == 0 {
-		return fmt.Errorf("index: internal node with no children")
-	}
-	box := geom.EmptyRect()
-	depths := map[int]bool{}
-	for _, c := range n.children {
-		box = box.Union(c.box)
-		if err := checkNode(c, false); err != nil {
-			return err
-		}
-		depths[subDepth(c)] = true
-	}
-	if box != n.box {
-		return fmt.Errorf("index: internal box %v != union of children %v", n.box, box)
-	}
-	if len(depths) != 1 {
-		return fmt.Errorf("index: unbalanced subtree depths")
-	}
-	return nil
-}
-
-func subDepth(n *node) int {
-	d := 1
-	for !n.leaf {
-		n = n.children[0]
-		d++
-	}
-	return d
-}

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -13,12 +12,92 @@ func boxAt(x, y, w, h float64) geom.Rect {
 	return geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 }
 
+// newTree returns an empty tree, built the way Live starts over no regions.
+func newTree(t testing.TB) *RTree {
+	t.Helper()
+	tr, err := BulkLoad(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// search appends to dst the items under n whose boxes intersect window: a
+// plain descent, so tests read what a tree holds without the selection plan.
+func search(n *node, window geom.Rect, dst []Item) []Item {
+	if !n.box.Intersects(window) {
+		return dst
+	}
+	if n.leaf {
+		for _, it := range n.items {
+			if it.Box.Intersects(window) {
+				dst = append(dst, it)
+			}
+		}
+		return dst
+	}
+	for _, c := range n.children {
+		dst = search(c, window, dst)
+	}
+	return dst
+}
+
+// depth returns the height of the subtree at n (1 for a leaf).
+func depth(n *node) int {
+	d := 1
+	for ; !n.leaf; n = n.children[0] {
+		d++
+	}
+	return d
+}
+
+// checkInvariants walks the tree validating structural invariants; it
+// returns an error describing the first violation.
+func (t *RTree) checkInvariants() error {
+	return checkNode(t.root, true)
+}
+
+func checkNode(n *node, isRoot bool) error {
+	if n.leaf {
+		box := geom.EmptyRect()
+		for _, it := range n.items {
+			box = box.Union(it.Box)
+		}
+		if len(n.items) > 0 && box != n.box {
+			return fmt.Errorf("index: leaf box %v != union of items %v", n.box, box)
+		}
+		if !isRoot && len(n.items) == 0 {
+			return fmt.Errorf("index: empty non-root leaf")
+		}
+		return nil
+	}
+	if len(n.children) == 0 {
+		return fmt.Errorf("index: internal node with no children")
+	}
+	box := geom.EmptyRect()
+	depths := map[int]bool{}
+	for _, c := range n.children {
+		box = box.Union(c.box)
+		if err := checkNode(c, false); err != nil {
+			return err
+		}
+		depths[depth(c)] = true
+	}
+	if box != n.box {
+		return fmt.Errorf("index: internal box %v != union of children %v", n.box, box)
+	}
+	if len(depths) != 1 {
+		return fmt.Errorf("index: unbalanced subtree depths")
+	}
+	return nil
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := newTree(t)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if got := tr.Search(boxAt(0, 0, 100, 100), nil); len(got) != 0 {
+	if got := search(tr.root, boxAt(0, 0, 100, 100), nil); len(got) != 0 {
 		t.Errorf("search on empty tree = %v", got)
 	}
 	if err := tr.checkInvariants(); err != nil {
@@ -27,7 +106,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertAndSearch(t *testing.T) {
-	tr := New()
+	tr := newTree(t)
 	for i := 0; i < 100; i++ {
 		x := float64(i%10) * 10
 		y := float64(i/10) * 10
@@ -42,18 +121,18 @@ func TestInsertAndSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A window covering exactly one cell.
-	got := tr.Search(boxAt(21, 21, 2, 2), nil)
+	got := search(tr.root, boxAt(21, 21, 2, 2), nil)
 	if len(got) != 1 || got[0].ID != "r022" {
 		t.Errorf("point-ish search = %v", got)
 	}
 	// A window covering a 2×2 block of cells (touching counts: closed
 	// rectangles).
-	got = tr.Search(boxAt(0, 0, 15, 15), nil)
+	got = search(tr.root, boxAt(0, 0, 15, 15), nil)
 	if len(got) != 4 {
 		t.Errorf("block search returned %d items", len(got))
 	}
 	// A window outside everything.
-	if got := tr.Search(boxAt(500, 500, 10, 10), nil); len(got) != 0 {
+	if got := search(tr.root, boxAt(500, 500, 10, 10), nil); len(got) != 0 {
 		t.Errorf("far search = %v", got)
 	}
 	if err := tr.Insert(Item{Box: geom.EmptyRect(), ID: "bad"}); err == nil {
@@ -80,7 +159,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	if err := bulk.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	incr := New()
+	incr := newTree(t)
 	for _, it := range items {
 		if err := incr.Insert(it); err != nil {
 			t.Fatal(err)
@@ -99,7 +178,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 			}
 		}
 		for name, tree := range map[string]*RTree{"bulk": bulk, "incr": incr} {
-			got := tree.Search(w, nil)
+			got := search(tree.root, w, nil)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: %d hits, want %d", trial, name, len(got), len(want))
 			}
@@ -118,8 +197,8 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 		t.Fatalf("empty bulk load: %v, %d", err, tr.Len())
 	}
 	one, err := BulkLoad([]Item{{Box: boxAt(0, 0, 1, 1), ID: "x"}})
-	if err != nil || one.Depth() != 1 {
-		t.Fatalf("single-item bulk load: %v depth=%d", err, one.Depth())
+	if err != nil || depth(one.root) != 1 {
+		t.Fatalf("single-item bulk load: %v depth=%d", err, depth(one.root))
 	}
 	if _, err := BulkLoad([]Item{{Box: geom.EmptyRect(), ID: "bad"}}); err == nil {
 		t.Error("empty box should fail bulk load")
@@ -127,66 +206,20 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 }
 
 func TestTreeGrowsInDepth(t *testing.T) {
-	tr := New()
+	tr := newTree(t)
 	for i := 0; i < maxEntries+1; i++ {
 		tr.Insert(Item{Box: boxAt(float64(i)*10, 0, 5, 5), ID: fmt.Sprintf("%d", i)})
 	}
-	if tr.Depth() != 2 {
-		t.Errorf("depth after first split = %d, want 2", tr.Depth())
+	if depth(tr.root) != 2 {
+		t.Errorf("depth after first split = %d, want 2", depth(tr.root))
 	}
 	for i := 0; i < 500; i++ {
 		tr.Insert(Item{Box: boxAt(float64(i%50)*7, float64(i/50)*7, 3, 3), ID: fmt.Sprintf("g%d", i)})
 	}
-	if tr.Depth() < 3 {
-		t.Errorf("depth after 500 inserts = %d", tr.Depth())
+	if depth(tr.root) < 3 {
+		t.Errorf("depth after 500 inserts = %d", depth(tr.root))
 	}
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSearchAppendsToDst(t *testing.T) {
-	tr := New()
-	tr.Insert(Item{Box: boxAt(0, 0, 1, 1), ID: "a"})
-	dst := make([]Item, 0, 8)
-	dst = append(dst, Item{ID: "existing"})
-	got := tr.Search(boxAt(0, 0, 2, 2), dst)
-	ids := []string{got[0].ID, got[1].ID}
-	sort.Strings(ids)
-	if len(got) != 2 || ids[0] != "a" || ids[1] != "existing" {
-		t.Errorf("append semantics broken: %v", got)
-	}
-}
-
-func BenchmarkRTreeSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	items := make([]Item, 10000)
-	for i := range items {
-		items[i] = Item{
-			Box: boxAt(rng.Float64()*1000, rng.Float64()*1000, 1+rng.Float64()*5, 1+rng.Float64()*5),
-			ID:  fmt.Sprintf("it%05d", i),
-		}
-	}
-	tr, err := BulkLoad(items)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := boxAt(400, 400, 50, 50)
-	b.Run("rtree", func(b *testing.B) {
-		var dst []Item
-		for i := 0; i < b.N; i++ {
-			dst = tr.Search(w, dst[:0])
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		var dst []Item
-		for i := 0; i < b.N; i++ {
-			dst = dst[:0]
-			for _, it := range items {
-				if it.Box.Intersects(w) {
-					dst = append(dst, it)
-				}
-			}
-		}
-	})
 }

@@ -333,9 +333,6 @@ func loadSnapshot(path string) (*config.Image, error) {
 // directly — route edits through Store.Apply so they are logged.
 func (s *Store) Tracked() *config.Tracked { return s.tr }
 
-// Dir returns the owned data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Apply frames one edit's records (wal.Writer.Encode), applies the edit to
 // the tracked store (config.Tracked.Apply), then appends the frames to the
 // WAL as one contiguous write with one fsync, then returns (=

@@ -92,52 +92,6 @@ func TestAttrIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestAttrIndexRegisterInvalidates checks that re-registering an attribute
-// accessor drops the memoised index so the new accessor takes effect.
-func TestAttrIndexRegisterInvalidates(t *testing.T) {
-	img := attrWorld(t, 6)
-	e, err := NewEvaluator(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RegisterAttr("zone", func(r *config.Region) string { return "east" })
-	if got := len(e.attrIndex("zone")["east"]); got != 6 {
-		t.Fatalf("zone=east bucket = %d ids, want 6", got)
-	}
-	e.RegisterAttr("zone", func(r *config.Region) string { return "west" })
-	if got := len(e.attrIndex("zone")["east"]); got != 0 {
-		t.Errorf("stale index survived re-registration: zone=east holds %d ids", got)
-	}
-	if got := len(e.attrIndex("zone")["west"]); got != 6 {
-		t.Errorf("zone=west bucket = %d ids, want 6", got)
-	}
-}
-
-// TestRegisterAttrStaysOnTheShell: evaluators sharing one snapshot do not see
-// each other's RegisterAttr — including an override of a built-in, which
-// must not touch the snapshot's own index.
-func TestRegisterAttrStaysOnTheShell(t *testing.T) {
-	snap := NewSnapshot(attrWorld(t, 6))
-	a, b := snap.Evaluator(), snap.Evaluator()
-	if got := len(a.attrIndex("color")["red"]); got != 2 {
-		t.Fatalf("color=red bucket = %d ids, want 2", got)
-	}
-	a.RegisterAttr("zone", func(r *config.Region) string { return "east" })
-	a.RegisterAttr("color", func(r *config.Region) string { return "red" })
-	if got := len(a.attrIndex("color")["red"]); got != 6 {
-		t.Errorf("overridden color=red bucket = %d ids, want 6", got)
-	}
-	if b.attrIndex("zone") != nil {
-		t.Error("RegisterAttr leaked through the shared snapshot")
-	}
-	if got := len(b.attrIndex("color")["red"]); got != 2 {
-		t.Errorf("sibling evaluator sees the color override: red bucket = %d ids, want 2", got)
-	}
-	if _, err := b.EvalString("q(x) :- zone(x) = east"); err == nil {
-		t.Error("sibling evaluator accepts an attribute it never registered")
-	}
-}
-
 // TestAttrIndexQueryEquivalence runs attribute-heavy queries — positive,
 // negated, and mixed with relation conditions — through the planner (which
 // counts selectivity and filters candidates via the index) and written-order

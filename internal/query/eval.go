@@ -79,13 +79,12 @@ type Evaluator struct {
 	prepsGen  uint64              // store generation preps was fetched at
 	plans     *PlanCache
 	noPlanner bool
-	attrs     map[string]*attr // RegisterAttr overlay; never the snapshot's map
 }
 
 // NewEvaluator validates the configuration and prepares a one-shot evaluator
 // (snapshot + shell + a private 64-entry plan cache) for it. The built-in
 // thematic attributes are "color" and "name" (the paper's model allows any
-// attribute set C; RegisterAttr adds more).
+// attribute set C).
 func NewEvaluator(img *config.Image) (*Evaluator, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
@@ -95,29 +94,15 @@ func NewEvaluator(img *config.Image) (*Evaluator, error) {
 	return e, nil
 }
 
-// RegisterAttr adds a thematic attribute accessor usable in attribute
-// conditions. The accessor must be a pure function of the region (the
-// secondary attribute index memoises its values); re-registering a name
-// starts a fresh index so the new accessor takes effect. It writes to this
-// evaluator only — evaluators sharing the snapshot are unaffected.
-func (e *Evaluator) RegisterAttr(name string, fn func(*config.Region) string) {
-	if e.attrs == nil {
-		e.attrs = make(map[string]*attr)
-	}
-	e.attrs[name] = &attr{fn: fn}
-}
-
 // attrIndex returns the secondary hash index for one thematic attribute —
 // value ↦ sorted region ids — or nil for an unknown attribute. The index is
 // built on first use (one pass over the snapshot, then every attribute filter
 // and planner selectivity count is a map lookup) and, the snapshot being
 // immutable, never goes stale.
 func (e *Evaluator) attrIndex(name string) map[string][]string {
-	a := e.attrs[name]
+	a := e.snap.attrs[name]
 	if a == nil {
-		if a = e.snap.attrs[name]; a == nil {
-			return nil
-		}
+		return nil
 	}
 	a.once.Do(func() {
 		a.idx = make(map[string][]string)

@@ -17,7 +17,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -173,15 +172,4 @@ func describe(t token) string {
 		return fmt.Sprintf("%q", t.text)
 	}
 	return t.kind.String()
-}
-
-// upperTileName reports whether the identifier names a tile (B, S, SW, …),
-// which lets the parser distinguish the start of a relation condition from
-// an attribute condition.
-func upperTileName(s string) bool {
-	switch strings.ToUpper(s) {
-	case "B", "S", "SW", "W", "NW", "N", "NE", "E", "SE":
-		return true
-	}
-	return false
 }

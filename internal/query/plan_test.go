@@ -249,8 +249,8 @@ func TestPlanCacheLRU(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.put(&cacheEntry{key: fmt.Sprintf("k%d", i)})
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if n := c.ll.Len(); n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
 	if _, _, ok := c.get("k0", 0); ok {
 		t.Error("k0 should have been evicted")

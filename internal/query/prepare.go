@@ -129,13 +129,6 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Reset drops every cached plan, keeping the counters. Generation
 // validation assumes one store behind the cache; a server that swaps its
 // store wholesale (a replica re-bootstrapping from a new primary epoch)

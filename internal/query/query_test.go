@@ -351,31 +351,6 @@ func TestStaleMaterialisedRelationsIgnored(t *testing.T) {
 	}
 }
 
-func TestRegisterAttr(t *testing.T) {
-	img := config.Greece()
-	e, err := NewEvaluator(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RegisterAttr("alliance", func(r *config.Region) string {
-		switch r.Color {
-		case "blue":
-			return "athens"
-		case "red":
-			return "sparta"
-		default:
-			return "other"
-		}
-	})
-	got, err := e.EvalString("q(x) :- alliance(x) = other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0]["x"] != "macedonia" {
-		t.Errorf("alliance=other → %v", got)
-	}
-}
-
 func TestQueryStringContainsConditions(t *testing.T) {
 	q, err := Parse("q(a, b) :- color(a) = red, a {N, S} b")
 	if err != nil {

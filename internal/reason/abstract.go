@@ -68,9 +68,6 @@ func stripOfHi(v float64, b interval) int {
 	}
 }
 
-// AxisInfoOf returns the axis information for an Allen base relation.
-func AxisInfoOf(r AllenRel) AxisInfo { return axisInfoTable[r] }
-
 // colsMask returns the bitmask of grid columns used by the relation's tiles.
 func colsMask(r core.Relation) uint8 {
 	var m uint8

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cardirect/internal/calculus"
 )
 
 func TestClassifyIntervalsAllThirteen(t *testing.T) {
@@ -136,13 +138,23 @@ func ordered(a, b float64) (float64, float64) {
 	return a, b
 }
 
+// TestComposeSets composes relation sets the way the solver does, through
+// path consistency: x {b,m} y and y {b} z narrow x ⊤ z to {b,m}∘{b} = {b},
+// and an empty edge composes to ⊥, which Propagate reports as inconsistent.
 func TestComposeSets(t *testing.T) {
-	s := AllenOf(AllenBefore, AllenMeets).Compose(AllenOf(AllenBefore))
-	if s != AllenOf(AllenBefore) {
-		t.Errorf("{b,m}∘{b} = %v", s)
+	net := calculus.NewNet[AllenRel](3)
+	net.Set(0, 1, AllenOf(AllenBefore, AllenMeets))
+	net.Set(1, 2, AllenOf(AllenBefore))
+	if !net.Propagate() {
+		t.Fatal("a before/meets chain is consistent")
 	}
-	if got := AllenSet(0).Compose(AllenAll); got != 0 {
-		t.Errorf("⊥∘⊤ = %v", got)
+	if got := net.Get(0, 2); got != AllenOf(AllenBefore) {
+		t.Errorf("{b,m}∘{b} = %v", got)
+	}
+	net = calculus.NewNet[AllenRel](3)
+	net.Set(0, 1, AllenSet(0))
+	if net.Propagate() {
+		t.Error("⊥∘⊤ propagates as consistent")
 	}
 }
 

@@ -36,23 +36,3 @@ func InverseSet(s core.RelationSet) core.RelationSet {
 	}
 	return out
 }
-
-// MutuallyInverse reports whether the ordered pair (R1, R2) can
-// simultaneously hold as a R1 b and b R2 a — the paper's §2 condition for a
-// pair to "fully characterise the relative position" of two regions:
-// R1 must be a disjunct of inv(R2) and R2 a disjunct of inv(R1).
-func MutuallyInverse(r1, r2 core.Relation) bool {
-	if !r1.IsValid() || !r2.IsValid() {
-		return false
-	}
-	// A single joint Allen pair must support both directions.
-	t := getTables()
-	for _, p := range t.pairs[r1] {
-		ax := AllenRel(p / NumAllen)
-		ay := AllenRel(p % NumAllen)
-		if PairConsistent(r2, ax.Converse(), ay.Converse()) {
-			return true
-		}
-	}
-	return false
-}

@@ -91,9 +91,6 @@ func (p *Primary) Head() uint64 {
 	return p.head
 }
 
-// Generation returns the primary store's current generation.
-func (p *Primary) Generation() uint64 { return p.tr.Store().Generation() }
-
 // Pct reports whether the primary's store answers percentages.
 func (p *Primary) Pct() bool { return p.opt.Pct }
 

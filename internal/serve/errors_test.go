@@ -82,3 +82,16 @@ func TestWriteDataEncodeFailure(t *testing.T) {
 		t.Errorf("encode failure answered %d %s, want 500 internal", rec.Code, rec.Body)
 	}
 }
+
+// Routes returns the mounted API routes, including the debug surface.
+func (s *Server) Routes() []Route {
+	var out []Route
+	for _, e := range s.routeTable() {
+		out = append(out, e.Route)
+	}
+	out = append(out,
+		Route{Method: "GET", Path: "/debug/vars", Name: "debug.vars"},
+		Route{Method: "GET", Path: "/debug/pprof/", Name: "debug.pprof"},
+	)
+	return out
+}

@@ -29,11 +29,6 @@ import (
 // costs the client one extra revalidation; the reverse order could validate
 // stale data as current, which would be wrong.
 
-// storeETag renders the current store generation as a strong entity tag.
-func (s *Server) storeETag() string {
-	return fmt.Sprintf("\"g%d\"", s.tracked().Store().Generation())
-}
-
 // etagMatch implements the If-None-Match comparison: a comma-separated
 // list of entity tags, "*" matching anything, weak prefixes compared
 // weakly (RFC 9110 §8.8.3.2).

@@ -261,19 +261,6 @@ func (s *Server) gateWrites(h handlerFunc) handlerFunc {
 	}
 }
 
-// Routes returns the mounted API routes, including the debug surface.
-func (s *Server) Routes() []Route {
-	var out []Route
-	for _, e := range s.routeTable() {
-		out = append(out, e.Route)
-	}
-	out = append(out,
-		Route{Method: "GET", Path: "/debug/vars", Name: "debug.vars"},
-		Route{Method: "GET", Path: "/debug/pprof/", Name: "debug.pprof"},
-	)
-	return out
-}
-
 func (s *Server) routes() {
 	for _, e := range s.routeTable() {
 		limit := e.limit

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -340,7 +341,7 @@ func TestSelectEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIDs, _, err := tr.Index().SelectStats(config.Greece().FindRegion("attica").Geometry(), allowed)
+	wantIDs, _, err := tr.Index().SelectStatsCtx(context.Background(), config.Greece().FindRegion("attica").Geometry(), allowed)
 	if err != nil {
 		t.Fatal(err)
 	}

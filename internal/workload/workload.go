@@ -1,10 +1,9 @@
 // Package workload generates synthetic REG* regions for tests, examples and
-// the experiment harness: random star-shaped and convex polygons with exact
-// edge counts (for the linear-scaling experiments E4–E7), multi-component
-// regions, country-like regions with islands and enclave holes (the
-// motivating shapes of the paper's §2: "countries are made up of separations
-// … and holes"), and reference/primary region pairs at controlled relative
-// placements.
+// the experiment harness: random star-shaped polygons with exact edge counts
+// (for the linear-scaling experiments E4–E7), multi-component regions,
+// country-like regions with islands and enclave holes (the motivating shapes
+// of the paper's §2: "countries are made up of separations … and holes"), and
+// reference/primary region pairs at controlled relative placements.
 //
 // All generation is driven by an explicit seed, so every experiment is
 // reproducible run-to-run.
@@ -90,20 +89,6 @@ func (g *Generator) smoothStar(cx, cy, r float64, n int) geom.Polygon {
 		}
 		rad += g.uniform(-0.001, 0.001)
 		p[i] = geom.Pt(cx+r*rad*math.Cos(th), cy+r*rad*math.Sin(th))
-	}
-	return p.Clockwise()
-}
-
-// ConvexPolygon returns a convex polygon with exactly n ≥ 3 edges inscribed
-// in the circle of radius r around (cx, cy): jittered angles, fixed radius.
-func (g *Generator) ConvexPolygon(cx, cy, r float64, n int) geom.Polygon {
-	if n < 3 {
-		panic(fmt.Sprintf("workload: ConvexPolygon needs n ≥ 3, got %d", n))
-	}
-	p := make(geom.Polygon, n)
-	for i := 0; i < n; i++ {
-		th := 2 * math.Pi * (float64(i) + 0.05 + 0.9*g.rng.Float64()) / float64(n)
-		p[i] = geom.Pt(cx+r*math.Cos(th), cy+r*math.Sin(th))
 	}
 	return p.Clockwise()
 }

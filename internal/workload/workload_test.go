@@ -62,7 +62,6 @@ func TestStarPolygonPanics(t *testing.T) {
 		func() { g.StarPolygon(0, 0, 1, 2, 2) },
 		func() { g.StarPolygon(0, 0, 0, 2, 5) },
 		func() { g.StarPolygon(0, 0, 3, 2, 5) },
-		func() { g.ConvexPolygon(0, 0, 1, 2) },
 		func() { g.Region(geom.Rect{MaxX: 1, MaxY: 1}, 0, 5) },
 	} {
 		func() {
@@ -73,27 +72,6 @@ func TestStarPolygonPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestConvexPolygon(t *testing.T) {
-	g := New(9)
-	for _, n := range []int{3, 5, 10, 40} {
-		p := g.ConvexPolygon(1, 2, 5, n)
-		if p.NumEdges() != n {
-			t.Errorf("n=%d: got %d edges", n, p.NumEdges())
-		}
-		if err := p.Validate(); err != nil {
-			t.Errorf("n=%d: %v", n, err)
-		}
-		// Convexity: every turn is the same direction (clockwise ⇒ right
-		// turns everywhere).
-		for i := 0; i < n; i++ {
-			a, b, c := p[i], p[(i+1)%n], p[(i+2)%n]
-			if geom.Orient(a, b, c) > 0 {
-				t.Errorf("n=%d: left turn at vertex %d — not convex clockwise", n, i)
-			}
-		}
 	}
 }
 
