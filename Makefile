@@ -63,12 +63,15 @@ lint: vet
 # POST /v1/query parser. Then the snapshot pct attribute,
 # the one op switch every edit goes through (config.Tracked.Apply: a refused
 # edit changes nothing, an accepted one relates like a fresh Track), and
-# six differentials against a reference: the XML reader and writer against
-# encoding/xml, the SoA kernels against the
-# paper's transcription (relation and percent — their corpus carries the
-# 1-ulp sliver reproducer), the huge-world tier stack against the exact
-# kernel, the planner on against off, the parallel solver against the
-# sequential one. CI runs these; locally, crank -fuzztime.
+# seven differentials against a reference: the XML reader and writer against
+# encoding/xml, the one-pass preparation against its three-pass
+# reference, the SoA kernels against the paper's transcription (relation
+# and percent — their corpus carries the 1-ulp sliver reproducer), the
+# huge-world tier stack against the exact kernel, the planner on against
+# off, the parallel solver against the sequential one. FuzzMBBFastPathPct
+# still fails on the open 1-ulp reproducer ROADMAP.md records, which stops the
+# list: a target placed after it never runs. CI runs these; locally, crank
+# -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrames -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTrackedApply -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzParseImage -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
+	$(GO) test -run='^$$' -fuzz=FuzzFill -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPathPct$$' -fuzztime=10s ./internal/core

@@ -345,17 +345,3 @@ const (
 	negInf = -1e308
 	posInf = 1e308
 )
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -95,10 +95,15 @@ func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // putScratch returns a Scratch to the pool. Storage within maxPooledEdges
 // keeps its grown capacity, so steady-state callers converge on zero
-// allocations.
+// allocations. The cap holds for the strip stage's buffers too: they grow
+// with the largest strip-indexed primary a sweep worker met (4 B per edge
+// for the de-duplication stamps alone).
 func putScratch(sc *Scratch) {
 	if cap(sc.coords) > 4*maxPooledEdges || cap(sc.prim.polys) > maxPooledEdges {
 		sc.prim, sc.coords = Prepared{}, nil
+	}
+	if max(cap(sc.stripSeen), cap(sc.stripIDs), cap(sc.polyMark), cap(sc.polyTouched)) > maxPooledEdges {
+		sc.stripSeen, sc.stripEpoch, sc.stripIDs, sc.polyMark, sc.polyTouched = nil, 0, nil, nil, nil
 	}
 	scratchPool.Put(sc)
 }

@@ -92,8 +92,8 @@ func TestOneShotPooledAllocs(t *testing.T) {
 }
 
 // TestScratchPoolCap pins the pool's retention rule: a Scratch keeps its
-// one-shot storage up to maxPooledEdges edges and drops anything larger on
-// the way back to the pool.
+// one-shot storage, and the strip stage's buffers, up to maxPooledEdges
+// edges and drops anything larger on the way back to the pool.
 func TestScratchPoolCap(t *testing.T) {
 	for _, tc := range []struct {
 		edges int
@@ -110,6 +110,25 @@ func TestScratchPoolCap(t *testing.T) {
 		putScratch(sc)
 		if kept := sc.coords != nil && sc.prim.polys != nil; kept != tc.kept {
 			t.Errorf("%d edges: storage kept = %v, want %v", tc.edges, kept, tc.kept)
+		}
+
+		// The strip stage over the same primary, against a grid around its
+		// center: the band meets a few edges, so every buffer is grown.
+		p, err := Prepare("a", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc = new(Scratch)
+		if _, ok := (&stripIndex{p: p}).relateStrip(Grid{M1: -0.01, M2: 0.01, L1: -0.01, L2: 0.01}, sc); !ok {
+			t.Fatalf("%d edges: strip stage declined", tc.edges)
+		}
+		if len(sc.stripSeen) != tc.edges || sc.stripEpoch == 0 || sc.stripIDs == nil || sc.polyMark == nil || sc.polyTouched == nil {
+			t.Fatalf("%d edges: strip buffers not grown", tc.edges)
+		}
+		putScratch(sc)
+		kept := sc.stripSeen != nil && sc.stripIDs != nil && sc.polyMark != nil && sc.polyTouched != nil
+		if dropped := sc.stripSeen == nil && sc.stripEpoch == 0 && sc.stripIDs == nil && sc.polyMark == nil && sc.polyTouched == nil; kept != tc.kept || dropped == tc.kept {
+			t.Errorf("%d edges: strip buffers kept = %v, dropped = %v, want kept %v", tc.edges, kept, dropped, tc.kept)
 		}
 	}
 }

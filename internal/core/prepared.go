@@ -89,9 +89,13 @@ func Prepare(name string, r geom.Region) (*Prepared, error) {
 // polys one entry per polygon. Each ring is written straight into the
 // coordinate block in the canonical clockwise orientation — following
 // geom.Polygon.Clockwise's rule, without materialising the reversed ring —
-// and the per-polygon facts are then computed from the block in ring order,
-// so they are bit-identical to what the geom methods return for the
-// normalised ring.
+// and its per-polygon facts are bit-identical to what the geom methods
+// return for the normalised ring.
+//
+// A clockwise ring is read once: copyRing writes it forward and sums its
+// signed area in ring order, which is geom.Polygon.SignedArea term for
+// term, so the orientation is decided after the copy. A counter-clockwise
+// ring is read once more, copied backwards over the forward copy.
 func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []int32, polys []preparedPoly) {
 	total := len(coords) / 4
 	p.Name = name
@@ -112,33 +116,17 @@ func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []
 		polyOff[pi] = int32(k)
 		n := len(poly)
 		ax, ay, bx, by := p.ax[k:k+n], p.ay[k:k+n], p.bx[k:k+n], p.by[k:k+n]
-		if sa := poly.SignedArea(); n < 3 || sa > 0 || sa == 0 {
-			for i, v := range poly {
-				ax[i], ay[i] = v.X, v.Y
-			}
-		} else {
-			for i, v := range poly {
-				ax[n-1-i], ay[n-1-i] = v.X, v.Y
-			}
+		sum, pb, zeroEdge := copyRing(poly, false, ax, ay, bx, by)
+		if !(n < 3 || sum > 0 || sum == 0) {
+			// Counter-clockwise: the backward copy derives the facts in the
+			// normalised ring's order, which the box's tie rule depends on.
+			sum, pb, zeroEdge = copyRing(poly, true, ax, ay, bx, by)
 		}
-		var area float64
-		pb := geom.EmptyRect()
-		for i := range ax {
-			j := i + 1
-			if j == n {
-				j = 0
-			}
-			bx[i], by[i] = ax[j], ay[j]
-			if ax[i] == bx[i] && ay[i] == by[i] {
-				p.fastOK = false // zero-length edges break the band derivation
-			}
-			area += (bx[i] - ax[i]) * (ay[i] + by[i]) / 2
-			pb = pb.ExtendPoint(geom.Point{X: ax[i], Y: ay[i]})
-		}
-		area = abs(area)
-		if area == 0 || pb.MinX == pb.MaxX || pb.MinY == pb.MaxY {
-			// Degenerate rings violate the orientation invariant; a flat
-			// ring is one whatever float residue its area sum carries.
+		area := abs(sum)
+		if zeroEdge || area == 0 || pb.MinX == pb.MaxX || pb.MinY == pb.MaxY {
+			// Zero-length edges break the band derivation; degenerate rings
+			// violate the orientation invariant, and a flat ring is one
+			// whatever float residue its area sum carries.
 			p.fastOK = false
 		}
 		box = box.Union(pb)
@@ -150,6 +138,63 @@ func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []
 	p.Box = box
 	_, err := NewGrid(box)
 	p.noGrid = err != nil
+}
+
+// copyRing writes poly's edges into the four streams, each sized
+// len(poly) — forward, or backwards from the last vertex when reverse is
+// set — and returns the written ring's signed area (summed in
+// geom.Polygon.SignedArea's order and expression), its bounding box (with
+// geom.Rect.ExtendPoint's tie semantics: on equal coordinates, such as
+// +0 and −0, the later vertex wins) and whether any edge has zero length.
+func copyRing(poly geom.Polygon, reverse bool, ax, ay, bx, by []float64) (sum float64, box geom.Rect, zeroEdge bool) {
+	n := len(poly)
+	if n == 0 {
+		return 0, geom.EmptyRect(), false
+	}
+	ax, ay, bx, by = ax[:n], ay[:n], bx[:n], by[:n]
+	a := poly[0]
+	if reverse {
+		a = poly[n-1]
+	}
+	minX, minY, maxX, maxY := a.X, a.Y, a.X, a.Y
+	edge := func(i int, b geom.Point) {
+		ax[i], ay[i], bx[i], by[i] = a.X, a.Y, b.X, b.Y
+		if a == b {
+			zeroEdge = true
+		}
+		sum += (b.X - a.X) * (a.Y + b.Y) / 2
+		minX, minY = min2(minX, a.X), min2(minY, a.Y)
+		maxX, maxY = max2(maxX, a.X), max2(maxY, a.Y)
+		a = b
+	}
+	if reverse {
+		for i := n - 2; i >= 0; i-- {
+			edge(n-2-i, poly[i])
+		}
+		edge(n-1, poly[n-1]) // the closing edge
+	} else {
+		for i, b := range poly[1:] {
+			edge(i, b)
+		}
+		edge(n-1, poly[0]) // the closing edge, the only one that wraps
+	}
+	return sum, geom.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, zeroEdge
+}
+
+// min2 and max2 are geom's: on a tie (or a NaN) they return b, so a box
+// grown through them matches geom.Rect.ExtendPoint bit for bit.
+func min2(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func max2(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // PrepareAll preprocesses a batch of named regions, enforcing the batch
