@@ -57,21 +57,21 @@ lint: vet
 
 # Short fuzz runs, 10 s per target. The decoders of crash-damaged or remote
 # input: the frame reader the WAL, the replication stream and a replica's
-# cache share, under an arbitrary header; WAL replay; the replication
-# stream; the binary snapshot decoder (crash-damaged files, a replica's
-# bootstrap bytes); the WKT reader every geometry body goes through; the
-# POST /v1/query parser. Then the snapshot pct attribute,
-# the one op switch every edit goes through (config.Tracked.Apply: a refused
-# edit changes nothing, an accepted one relates like a fresh Track), and
-# seven differentials against a reference: the XML reader and writer against
-# encoding/xml, the one-pass preparation against its three-pass
-# reference, the SoA kernels against the paper's transcription (relation
-# and percent — their corpus carries the 1-ulp sliver reproducer), the
-# huge-world tier stack against the exact kernel, the planner on against
-# off, the parallel solver against the sequential one. FuzzMBBFastPathPct
-# still fails on the open 1-ulp reproducer ROADMAP.md records, which stops the
-# list: a target placed after it never runs. CI runs these; locally, crank
-# -fuzztime.
+# cache share, under an arbitrary header; WAL replay; the binary snapshot
+# decoder (crash-damaged files, a replica's bootstrap bytes); the WKT reader
+# every geometry body goes through; the POST /v1/query parser. Then the
+# snapshot pct attribute, the one op switch every edit goes through
+# (config.Tracked.Apply: a refused edit changes nothing, an accepted one
+# relates like a fresh Track), five of the seven differentials against a
+# reference (the XML reader and writer against encoding/xml, the one-pass
+# preparation against its three-pass reference, the huge-world tier stack
+# against the exact kernel, the planner on against off, the parallel solver
+# against the sequential one) and the replication stream decoder. Last come
+# the other two differentials, the SoA kernels against the paper's
+# transcription (relation and percent — their corpus carries the 1-ulp
+# sliver reproducer): FuzzMBBFastPathPct still fails on the open reproducer
+# ROADMAP.md records, which stops the list, so nothing may follow it. CI
+# runs these; locally, crank -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrames -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
@@ -84,10 +84,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzFill -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPathPct$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolverDifferential -fuzztime=10s ./internal/reason
 	$(GO) test -run='^$$' -fuzz=FuzzReplicationStream -fuzztime=10s ./internal/replica
+	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPath$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzMBBFastPathPct$$' -fuzztime=10s ./internal/core
 
 # The paper-shaped benchmark tables (see EXPERIMENTS.md).
 bench:

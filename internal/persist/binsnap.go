@@ -182,8 +182,8 @@ func (r *binReader) count(what string, min int) int {
 
 // DecodeSnapshot verifies the framing (magic, version, length, CRC) of a
 // binary snapshot as produced by EncodeSnapshot and decodes the payload into
-// a configuration document. It does not validate the document;
-// DecodeValidSnapshot does.
+// a configuration document. It does not validate the document; config.Track
+// does, when recovery or a replica tracks it.
 func DecodeSnapshot(data []byte) (*config.Image, error) {
 	if len(data) < binHeaderLen+4 {
 		return nil, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
@@ -242,20 +242,6 @@ func DecodeSnapshot(data []byte) (*config.Image, error) {
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("persist: binary snapshot has %d trailing payload bytes", len(r.buf)-r.off)
-	}
-	return img, nil
-}
-
-// DecodeValidSnapshot decodes a binary snapshot and validates the
-// document: what recovery, a replica's bootstrap and a replica's cached
-// snapshot all load.
-func DecodeValidSnapshot(data []byte) (*config.Image, error) {
-	img, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := img.Validate(); err != nil {
-		return nil, err
 	}
 	return img, nil
 }

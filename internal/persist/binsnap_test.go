@@ -41,7 +41,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeValidSnapshot(data)
+	fromBin, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,10 @@ func TestBinarySnapshotFaultInjection(t *testing.T) {
 }
 
 // TestRecoveryPrefersBinaryFallsBackToXML pins the recovery preference
-// order: an intact binary snapshot is loaded and reported, a corrupt or
-// missing one falls back to the XML of the same generation with identical
-// recovered state, and the admin status surfaces which format won.
+// order: an intact binary snapshot is loaded and reported, a corrupt,
+// untrackable or missing one falls back to the XML of the same generation
+// with identical recovered state, and the admin status surfaces which
+// format won.
 func TestRecoveryPrefersBinaryFallsBackToXML(t *testing.T) {
 	dir, _, binPath := snapshotFiles(t, 6)
 
@@ -132,6 +133,25 @@ func TestRecoveryPrefersBinaryFallsBackToXML(t *testing.T) {
 		t.Error("XML fallback recovered different state than the binary path")
 	}
 	r2.Close()
+
+	// A binary that passes its CRC but does not track — two regions with
+	// one id — falls back to the XML the same way.
+	dup, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup.Regions = append(dup.Regions, dup.Regions[0])
+	if err := os.WriteFile(binPath, EncodeSnapshot(dup), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r4 := openForTest(t, dir, nil)
+	if got := r4.Status().RecoveredFrom; got != "xml" {
+		t.Errorf("recovered_from beside an untrackable binary = %q, want xml", got)
+	}
+	if gotPairs, _ := statePairs(t, r4.Tracked()); !reflect.DeepEqual(gotPairs, wantPairs) {
+		t.Error("XML fallback from an untrackable binary recovered different state")
+	}
+	r4.Close()
 
 	// A directory with no binary at all (pre-binary-format data dirs)
 	// recovers from XML alone.

@@ -19,10 +19,10 @@
 // Exactly one (snapshot, wal) generation is live at a time; Snapshot()
 // writes generation seq+1 and removes generation seq, which truncates the
 // log. Recovery loads the newest readable snapshot — the binary file when
-// it is present and passes its CRC, the XML otherwise — tracks its regions
-// (config.Track: one Prepare per region, no pair computed) and replays the
-// WAL tail through config.Tracked.Apply, the one op switch live edits
-// reach too. Snapshots written before the store stopped caching relations
+// it is present, passes its CRC and tracks, the XML otherwise — tracks its
+// regions (config.Track: validation, one Prepare per region, no pair
+// computed) and replays the WAL tail through config.Tracked.Apply, the one
+// op switch live edits reach too. Snapshots written before the store stopped caching relations
 // carry the n² Relation list; they still load, and config.Track drops the
 // list. A torn or bit-flipped WAL tail is detected by the log's CRC framing
 // and discarded with a logged warning; it is never a startup failure.
@@ -197,11 +197,9 @@ func (s *Store) scanSnapshots() ([]uint64, error) {
 // initialise writes generation 1 from the seed document: tracked store,
 // snapshot, fresh log.
 func (s *Store) initialise(seed *config.Image) error {
-	tr, err := config.Track(seed, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
-	if err != nil {
+	if err := s.track(seed, nil); err != nil {
 		return fmt.Errorf("persist: building store from seed: %w", err)
 	}
-	s.tr = tr
 	s.seq = 1
 	if err := s.writeSnapshotFile(s.seq); err != nil {
 		return err
@@ -222,45 +220,35 @@ func (s *Store) initialise(seed *config.Image) error {
 // tail. Unreadable snapshots (half-written by a crashed rotation, or
 // damaged on disk) fall back to the previous generation with a warning.
 func (s *Store) recover(seqs []uint64) error {
-	var img *config.Image
+	var err error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		seq := seqs[i]
 		// Prefer the binary snapshot: same document, no XML decode. A
-		// missing or corrupt binary (torn rotation, bit rot caught by the
-		// CRC) falls back to the XML of the same generation; a generation
-		// with neither readable falls back to the previous generation.
+		// binary that is missing, fails its CRC (torn rotation, bit rot) or
+		// does not track falls back to the XML of the same generation; a
+		// generation with neither falls back to the previous generation.
 		binPath := filepath.Join(s.dir, binSnapshotName(seq))
-		data, err := os.ReadFile(binPath)
-		if err == nil {
-			img, err = DecodeValidSnapshot(data)
+		var data []byte
+		if data, err = os.ReadFile(binPath); err == nil {
+			err = s.track(DecodeSnapshot(data))
 		}
 		if err == nil {
-			s.seq = seq
-			s.recoveredFrom = "binary"
+			s.seq, s.recoveredFrom = seq, "binary"
 			break
 		} else if !os.IsNotExist(err) {
 			s.log.Warn("persist: binary snapshot unreadable; falling back to XML", "path", binPath, "err", err)
 		}
 		path := filepath.Join(s.dir, snapshotName(seq))
-		loaded, err := loadSnapshot(path)
-		if err != nil {
+		if err = s.track(loadSnapshot(path)); err != nil {
 			s.log.Warn("persist: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
-		img = loaded
-		s.seq = seq
-		s.recoveredFrom = "xml"
+		s.seq, s.recoveredFrom = seq, "xml"
 		break
 	}
-	if img == nil {
-		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates)", s.dir, len(seqs))
+	if s.tr == nil {
+		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates): %w", s.dir, len(seqs), err)
 	}
-
-	tr, err := config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
-	if err != nil {
-		return fmt.Errorf("persist: building store from %s: %w", snapshotName(s.seq), err)
-	}
-	s.tr = tr
 
 	walPath := filepath.Join(s.dir, walName(s.seq))
 	recs, valid, corr, err := wal.ReplayFile(walPath)
@@ -312,21 +300,24 @@ func (s *Store) recover(seqs []uint64) error {
 	return nil
 }
 
-// loadSnapshot parses and validates one snapshot file.
+// loadSnapshot parses one XML snapshot file.
 func loadSnapshot(path string) (*config.Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	img, err := config.Load(f)
-	if err != nil {
-		return nil, err
+	return config.Load(f)
+}
+
+// track builds the tracked store from a decoded document, or passes on the
+// error that decoding it returned. config.Track validates the document, so
+// a snapshot is validated once.
+func (s *Store) track(img *config.Image, err error) error {
+	if err == nil {
+		s.tr, err = config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
 	}
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	return img, nil
+	return err
 }
 
 // Tracked returns the recovered tracked configuration. Do not edit it

@@ -464,7 +464,7 @@ func TestRecoveryLoadsLegacySnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rotated, err := DecodeValidSnapshot(data)
+		rotated, err := DecodeSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cardirect/internal/core"
@@ -55,6 +56,7 @@ type planCond struct {
 	condIdx int     // index into Query.Conds, keys execState.enforced
 	sel     float64 // estimated fraction of pairs passing
 	text    string  // the condition as written; parameters never reach it
+	l, r    int     // plan positions of the left and right variables
 }
 
 // Plan is the reusable result of planning one query against one store
@@ -226,10 +228,8 @@ func (e *Evaluator) buildPlan(ctx context.Context, q *Query) (*Plan, error) {
 		} else {
 			l, r = pc.rel.Left, pc.rel.Right
 		}
-		d := pos[l]
-		if pos[r] > d {
-			d = pos[r]
-		}
+		pc.l, pc.r = pos[l], pos[r]
+		d := max(pc.l, pc.r)
 		steps[d] = append(steps[d], pc)
 	}
 	for d := range steps {
@@ -429,31 +429,36 @@ func (e *Evaluator) pushCond(ctx context.Context, rc RelCond, pinID string, pinn
 // region is B of itself (100% in tile B), and bindings are returned sorted
 // by the head variables.
 func (e *Evaluator) runJoin(ctx context.Context, q *Query, plan *Plan, ex *execState) ([]Binding, error) {
-	var out []Binding
-	assign := make(map[string]string, len(plan.order))
+	// vals[d] is the region bound to plan.order[d]; conditions carry their
+	// variables' positions, so the loop reads no map. Answers are appended
+	// to flat as rows in head order and become Bindings once sorted.
+	vals := make([]string, len(plan.order))
+	head := make([]int, len(q.Vars))
+	for k, v := range q.Vars {
+		head[k] = plan.pos[v]
+	}
+	var flat []string
 	var rec func(i int) error
 	rec = func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if i == len(plan.order) {
-			b := make(Binding, len(assign))
-			for k, v := range assign {
-				b[k] = v
+		if i == len(vals) {
+			for _, d := range head {
+				flat = append(flat, vals[d])
 			}
-			out = append(out, b)
 			return nil
 		}
-		v := plan.order[i]
-		for _, id := range ex.cand[v] {
-			assign[v] = id
+		for _, id := range ex.cand[plan.order[i]] {
+			vals[i] = id
 			ok := true
-			for _, pc := range plan.steps[i] {
+			for j := range plan.steps[i] {
+				pc := &plan.steps[i][j]
 				if ex.enforced[pc.condIdx] {
 					continue
 				}
+				l, r := vals[pc.l], vals[pc.r]
 				if pc.isPct {
-					l, r := assign[pc.pct.Left], assign[pc.pct.Right]
 					var pct float64
 					if l == r {
 						if pc.pct.Tile == core.TileB {
@@ -470,7 +475,6 @@ func (e *Evaluator) runJoin(ctx context.Context, q *Query, plan *Plan, ex *execS
 						ok = false
 					}
 				} else {
-					l, r := assign[pc.rel.Left], assign[pc.rel.Right]
 					var rel core.Relation
 					if l == r {
 						rel = core.B // a region is only B of itself
@@ -494,14 +498,28 @@ func (e *Evaluator) runJoin(ctx context.Context, q *Query, plan *Plan, ex *execS
 					return err
 				}
 			}
-			delete(assign, v)
 		}
 		return nil
 	}
 	if err := rec(0); err != nil {
 		return nil, err
 	}
-	sortBindings(out, q.Vars)
+	if len(flat) == 0 {
+		return nil, nil
+	}
+	rows := make([][]string, len(flat)/len(head))
+	for n := range rows {
+		rows[n] = flat[n*len(head) : (n+1)*len(head)]
+	}
+	slices.SortFunc(rows, slices.Compare)
+	out := make([]Binding, len(rows))
+	for n, row := range rows {
+		b := make(Binding, len(row))
+		for k, v := range q.Vars {
+			b[v] = row[k]
+		}
+		out[n] = b
+	}
 	return out, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cardirect/internal/replica"
+	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
@@ -21,8 +22,9 @@ import (
 // power loss left, a restart resumes from the cache at the last intact
 // record, converges with a primary that has moved on, serves /v1/relations
 // byte-equal with it under the same ETag, and leaves a log that decodes
-// cleanly up to the head. A log in the CDRS0001 format holds nothing the
-// replica reads: it resumes at the cached snapshot and fetches the rest.
+// cleanly up to the head. A log in the CDRS0001 or CDRS0002 format holds
+// nothing the replica reads: it resumes at the cached snapshot and fetches
+// the rest.
 func TestReplicaCacheTornTail(t *testing.T) {
 	p := newPrimaryFixture(t, false)
 	cache := t.TempDir()
@@ -58,7 +60,7 @@ func TestReplicaCacheTornTail(t *testing.T) {
 	// ends[i] is the byte length of the log through record i.
 	ends := []int{len(replica.StreamMagic)}
 	for _, rec := range recs {
-		ends = append(ends, ends[len(ends)-1]+24+len(rec.Payload))
+		ends = append(ends, ends[len(ends)-1]+len(rec.Frame))
 	}
 	lastStart := ends[len(ends)-2]
 
@@ -116,17 +118,37 @@ func TestReplicaCacheTornTail(t *testing.T) {
 	}
 	// What a power loss leaves on ext4: the file grown, the new blocks zero.
 	reopen("zero-filled extension", append(append([]byte(nil), golden...), make([]byte, 4096)...), base+3)
-	// The same three records as the CDRS0001 format wrote them: seq, gen,
-	// length and a CRC of the edits alone.
-	legacy := []byte("CDRS0001")
+	// The same three records as the two earlier formats wrote them. Both
+	// carried a record's edits as a count, then each edit's wal payload
+	// behind its length. CDRS0001 put seq, gen, length and a CRC of the
+	// edits alone ahead of them; CDRS0002 framed seq, gen and edits as one
+	// wal frame.
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	v1, v2 := []byte("CDRS0001"), []byte("CDRS0002")
 	for _, rec := range recs {
-		legacy = binary.LittleEndian.AppendUint64(legacy, rec.Seq)
-		legacy = binary.LittleEndian.AppendUint64(legacy, rec.Gen)
-		legacy = binary.LittleEndian.AppendUint32(legacy, uint32(len(rec.Payload)))
-		legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(rec.Payload, crc32.MakeTable(crc32.Castagnoli)))
-		legacy = append(legacy, rec.Payload...)
+		if len(rec.Edits) != 1 {
+			t.Fatalf("record %d carries %d edits, want 1", rec.Seq, len(rec.Edits))
+		}
+		// The one edit's payload: after the record's frame header, seq, gen
+		// and the edit's frame header.
+		walPayload := rec.Frame[wal.FrameSize+16+wal.FrameSize:]
+		edits := binary.LittleEndian.AppendUint32(nil, 1)
+		edits = binary.LittleEndian.AppendUint32(edits, uint32(len(walPayload)))
+		edits = append(edits, walPayload...)
+		v1 = binary.LittleEndian.AppendUint64(v1, rec.Seq)
+		v1 = binary.LittleEndian.AppendUint64(v1, rec.Gen)
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(edits)))
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(edits, castagnoli))
+		v1 = append(v1, edits...)
+		payload := binary.LittleEndian.AppendUint64(nil, rec.Seq)
+		payload = binary.LittleEndian.AppendUint64(payload, rec.Gen)
+		payload = append(payload, edits...)
+		v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(payload)))
+		v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(payload, castagnoli))
+		v2 = append(v2, payload...)
 	}
-	reopen("CDRS0001 log", legacy, base)
+	reopen("CDRS0001 log", v1, base)
+	reopen("CDRS0002 log", v2, base)
 }
 
 // TestReplicaReadsDoNotWaitForIngest parks the tail loop inside its cache

@@ -1,5 +1,7 @@
 package replica
 
+import "cardirect/internal/wal"
+
 // LockCache takes the lock of the cache's record log, so that the tail loop
 // parks in its next cache write; the returned func releases it.
 func (r *Replica) LockCache() (unlock func()) {
@@ -14,4 +16,14 @@ func SetMaxFetchBytes(n int64) (restore func()) {
 	old := maxFetchBytes
 	maxFetchBytes = n
 	return func() { maxFetchBytes = old }
+}
+
+// NewStreamRecord builds record seq as a primary ships it: edits framed as
+// the log frames them, then seq and gen in one stream frame.
+func NewStreamRecord(seq, gen uint64, edits ...wal.Record) StreamRecord {
+	frames, err := wal.AppendRecords(nil, edits)
+	if err != nil {
+		panic(err)
+	}
+	return StreamRecord{Seq: seq, Gen: gen, Edits: edits, Frame: frameRecord(seq, gen, frames)}
 }

@@ -55,26 +55,29 @@ func TestReplicaAppliesCutFetch(t *testing.T) {
 	waitCaughtUp(t, p, f.rep)
 }
 
-// TestReplicaNamesStreamHeader: a primary still speaking the CDRS0001
-// stream (primaries and replicas upgrade together) gets nothing applied,
-// and the replica's last_error names the header it was sent.
+// TestReplicaNamesStreamHeader: a primary still speaking the CDRS0001 or
+// CDRS0002 stream (primaries and replicas upgrade together) gets nothing
+// applied, and the replica's last_error names the header it was sent.
 func TestReplicaNamesStreamHeader(t *testing.T) {
 	p := newPrimaryFixture(t, false)
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/replication/wal" {
-			p.ts.Config.Handler.ServeHTTP(w, r)
-			return
+	for _, header := range []string{"CDRS0001", "CDRS0002"} {
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/replication/wal" {
+				p.ts.Config.Handler.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set(replica.HeaderEpoch, p.prim.Epoch())
+			w.Header().Set(replica.HeaderHead, fmt.Sprint(p.prim.Head()+1))
+			w.Write([]byte(header))
+		}))
+		f := newReplicaFixture(t, old.URL, "")
+		waitUntil(t, "last_error to name the "+header+" header", func() bool {
+			return strings.Contains(f.rep.Status().LastError, `"`+header+`"`)
+		})
+		if st := f.rep.Status(); st.RecordsApplied != 0 {
+			t.Fatalf("applied %d records from a %s stream", st.RecordsApplied, header)
 		}
-		w.Header().Set(replica.HeaderEpoch, p.prim.Epoch())
-		w.Header().Set(replica.HeaderHead, fmt.Sprint(p.prim.Head()+1))
-		w.Write([]byte("CDRS0001"))
-	}))
-	defer old.Close()
-	f := newReplicaFixture(t, old.URL, "")
-	waitUntil(t, "last_error to name the CDRS0001 header", func() bool {
-		return strings.Contains(f.rep.Status().LastError, `"CDRS0001"`)
-	})
-	if st := f.rep.Status(); st.RecordsApplied != 0 {
-		t.Fatalf("applied %d records from a CDRS0001 stream", st.RecordsApplied)
+		f.shutdown()
+		old.Close()
 	}
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"cardirect/internal/geom"
@@ -10,32 +11,38 @@ import (
 
 // FuzzReplicationStream feeds arbitrary bytes to the replication frame
 // decoder. Invariants (the wal.Replay contract, lifted to streams): no
-// panic; validSize never exceeds the input; every accepted record's payload
-// decodes as an edit batch; and the accepted prefix re-encodes to exactly
-// the bytes it spans — so a replica that fsyncs a torn tail.log recovers
-// precisely the records DecodeStream reports.
+// panic; validSize never exceeds the input; every accepted record carries
+// the seq and gen its frame holds; and the accepted prefix re-encodes to
+// exactly the bytes it spans — so a replica that fsyncs a torn tail.log
+// recovers precisely the records DecodeStream reports.
 func FuzzReplicationStream(f *testing.F) {
 	box := geom.Rgn(geom.Poly(geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}.Vertices()...))
+	first := NewStreamRecord(1, 2, wal.Record{Op: wal.OpAdd, ID: "a", Name: "Alpha", Color: "#ff0000", Geometry: box})
 	valid := EncodeStream([]StreamRecord{
-		{Seq: 1, Gen: 2, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpAdd, ID: "a", Name: "Alpha", Color: "#ff0000", Geometry: box},
-		})},
-		{Seq: 2, Gen: 3, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpRemove, ID: "a"},
-			{Op: wal.OpRename, ID: "b", NewID: "c"},
-		})},
+		first,
+		NewStreamRecord(2, 3,
+			wal.Record{Op: wal.OpRemove, ID: "a"},
+			wal.Record{Op: wal.OpRename, ID: "b", NewID: "c"},
+		),
 	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte(StreamMagic))
 	f.Add([]byte{})
-	f.Add([]byte("CDRS0002garbagegarbagegarbage"))
+	f.Add([]byte("CDRS0003garbagegarbagegarbage"))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(StreamMagic)+4] ^= 0xff // corrupt the first record's CRC
 	f.Add(flipped)
 	flipped = append([]byte(nil), valid...)
 	flipped[len(StreamMagic)+8+8] ^= 0x01 // and the first record's gen under it
 	f.Add(flipped)
+	// An edit frame that fails its own CRC inside a record whose frame
+	// passes: the record is refused.
+	inner := bytes.Clone(first.Frame[wal.FrameSize+recordHeaderSize:])
+	inner[len(inner)-1] ^= 0x01
+	f.Add(append([]byte(StreamMagic), frameRecord(1, 2, inner)...))
+	// The same records under the previous version's header.
+	f.Add(append([]byte("CDRS0002"), valid[len(StreamMagic):]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validSize, corr := DecodeStream(data)
@@ -43,8 +50,9 @@ func FuzzReplicationStream(f *testing.F) {
 			t.Fatalf("validSize %d out of range for %d input bytes", validSize, len(data))
 		}
 		for i, rec := range recs {
-			if _, err := DecodeEdits(rec.Payload); err != nil {
-				t.Fatalf("accepted record %d has undecodable payload: %v", i, err)
+			if binary.LittleEndian.Uint64(rec.Frame[wal.FrameSize:]) != rec.Seq ||
+				binary.LittleEndian.Uint64(rec.Frame[wal.FrameSize+8:]) != rec.Gen {
+				t.Fatalf("accepted record %d reports seq %d gen %d, not its frame's", i, rec.Seq, rec.Gen)
 			}
 		}
 		if validSize > 0 {

@@ -42,7 +42,7 @@ type PrimaryOptions struct {
 }
 
 // Primary wraps the write path of a serving process: every successful edit
-// is encoded as a replication record and retained in a bounded in-memory
+// is framed once as a replication record and retained in a bounded in-memory
 // log that followers tail over HTTP. Sequence numbers are scoped to an
 // epoch — a random token chosen at construction — so a restarted primary
 // (whose in-memory log is empty again) is never confused with its previous
@@ -54,10 +54,10 @@ type Primary struct {
 	under  Editor
 	opt    PrimaryOptions
 	epoch  string
-	recs   []StreamRecord // retained window; recs[0].Seq == floor+1
-	floor  uint64         // highest trimmed sequence (0: nothing trimmed)
-	head   uint64         // last assigned sequence
-	notify chan struct{}  // closed and replaced on every append
+	frames [][]byte      // retained window of stream frames; frames[0] is record floor+1
+	floor  uint64        // highest trimmed sequence (0: nothing trimmed)
+	head   uint64        // last assigned sequence
+	notify chan struct{} // closed and replaced on every append
 }
 
 // NewPrimary wraps an editor (the Tracked itself, or a persist.Store in
@@ -94,19 +94,18 @@ func (p *Primary) Head() uint64 {
 // Pct reports whether the primary's store answers percentages.
 func (p *Primary) Pct() bool { return p.opt.Pct }
 
-// append records one applied edit batch, encoded by EncodeEdits. Callers
-// hold p.mu and have already applied the edit, so the store generation read
-// here is the post-apply one.
-func (p *Primary) append(payload []byte) {
+// append retains one applied edit batch, framed by wal.AppendRecords, as
+// the next stream record's frame. Callers hold p.mu and have already
+// applied the edit, so the store generation read here is the post-apply
+// one. A full window drops its oldest frames by reslicing: append then
+// reallocates at amortised cost, and the dropped frames are released.
+func (p *Primary) append(edits []byte) {
 	p.head++
-	p.recs = append(p.recs, StreamRecord{
-		Seq:     p.head,
-		Gen:     p.tr.Store().Generation(),
-		Payload: payload,
-	})
-	if over := len(p.recs) - p.opt.Retain; over > 0 {
-		p.floor = p.recs[over-1].Seq
-		p.recs = append(p.recs[:0], p.recs[over:]...)
+	p.frames = append(p.frames, frameRecord(p.head, p.tr.Store().Generation(), edits))
+	if over := len(p.frames) - p.opt.Retain; over > 0 {
+		p.floor += uint64(over)
+		clear(p.frames[:over])
+		p.frames = p.frames[over:]
 	}
 	close(p.notify)
 	p.notify = make(chan struct{})
@@ -115,12 +114,16 @@ func (p *Primary) append(payload []byte) {
 // Apply implements Editor: the edit goes through the editor below, and on
 // success the same slice ships as ONE stream record, so a follower applies
 // a bulk atomically and bumps its generation once, exactly like the
-// primary did. An edit whose record would not fit one frame is refused
-// with wal.ErrTooLarge before anything applies; an empty edit ships
-// nothing.
+// primary did. The record carries the edit's wal frames, the bytes a
+// durable editor below logs for it. An edit whose record would not fit one
+// frame is refused with wal.ErrTooLarge before anything applies; an empty
+// edit ships nothing.
 func (p *Primary) Apply(recs []wal.Record) error {
-	payload := EncodeEdits(recs)
-	if err := wal.CheckPayload(recordHeaderSize + len(payload)); err != nil {
+	edits, err := wal.AppendRecords(nil, recs)
+	if err != nil {
+		return err
+	}
+	if err := wal.CheckPayload(recordHeaderSize + len(edits)); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -129,7 +132,7 @@ func (p *Primary) Apply(recs []wal.Record) error {
 		return err
 	}
 	if len(recs) > 0 {
-		p.append(payload)
+		p.append(edits)
 	}
 	return nil
 }
@@ -186,16 +189,19 @@ func (p *Primary) Records(from uint64, max int) ([]StreamRecord, uint64, error) 
 		return nil, p.head, fmt.Errorf("%w (floor %d, requested %d)", ErrTruncated, p.floor, from)
 	}
 	i := int(from - p.floor - 1)
-	if i >= len(p.recs) {
+	if i >= len(p.frames) {
 		return nil, p.head, nil
 	}
-	out := p.recs[i:]
+	out := p.frames[i:]
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
-	// Copy the slice header run so a later trim cannot alias the caller's
-	// view; payloads are append-only and safe to share.
-	return append([]StreamRecord(nil), out...), p.head, nil
+	// Frames are never written again, so the records share them.
+	recs := make([]StreamRecord, len(out))
+	for j, frame := range out {
+		recs[j] = StreamRecord{Seq: from + uint64(j), Gen: frameGen(frame), Frame: frame}
+	}
+	return recs, p.head, nil
 }
 
 // Wait blocks until the head advances past after, the timeout elapses, or

@@ -1,14 +1,21 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/geom"
 	"cardirect/internal/persist"
 	"cardirect/internal/wal"
 	"cardirect/internal/workload"
@@ -49,17 +56,17 @@ func TestPrimaryShipsEdits(t *testing.T) {
 	if head != 4 || len(recs) != 4 {
 		t.Fatalf("Records: %d recs, head %d", len(recs), head)
 	}
+	recs, _, corr := DecodeStream(EncodeStream(recs))
+	if corr != nil || len(recs) != 4 {
+		t.Fatalf("shipped stream: %d recs, corruption %v", len(recs), corr)
+	}
 	wantOps := []wal.Op{wal.OpAdd, wal.OpSetGeometry, wal.OpRename, wal.OpRemove}
 	for i, rec := range recs {
 		if rec.Seq != uint64(i+1) {
 			t.Fatalf("record %d has seq %d", i, rec.Seq)
 		}
-		edits, err := DecodeEdits(rec.Payload)
-		if err != nil || len(edits) != 1 {
-			t.Fatalf("record %d: edits=%d err=%v", i, len(edits), err)
-		}
-		if edits[0].Op != wantOps[i] {
-			t.Fatalf("record %d op = %v, want %v", i, edits[0].Op, wantOps[i])
+		if len(rec.Edits) != 1 || rec.Edits[0].Op != wantOps[i] {
+			t.Fatalf("record %d carries %+v, want one %v", i, rec.Edits, wantOps[i])
 		}
 	}
 	// Each single edit bumps the store generation by exactly one, and the
@@ -99,12 +106,9 @@ func TestPrimaryBulkIsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edits, err := DecodeEdits(recs[0].Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edits) != 8 {
-		t.Fatalf("bulk record carries %d edits, want 8", len(edits))
+	recs, _, corr := DecodeStream(EncodeStream(recs))
+	if corr != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0].Edits, regions) {
+		t.Fatalf("the bulk record does not carry the 8 edits applied (corruption %v)", corr)
 	}
 	// Like AddBulk, the whole batch bumps the generation once; the record's
 	// gen is that post-batch value, so a replica applying it through
@@ -202,7 +206,7 @@ func TestPrimarySnapshot(t *testing.T) {
 		t.Fatalf("snapshot coordinates seq=%d gen=%d, head=%d storeGen=%d",
 			seq, gen, p.Head(), tr.Store().Generation())
 	}
-	img, err := persist.DecodeValidSnapshot(data)
+	img, err := persist.DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,3 +239,96 @@ func TestPrimarySnapshot(t *testing.T) {
 }
 
 var _ Editor = (*Primary)(nil) // a Primary chains as another Primary's editor
+
+// TestWireCarriesLogBytes: on a durable primary, each shipped record's edit
+// frames are byte for byte what the edit appended to the log, and the
+// stream decodes to the edits that were applied.
+func TestWireCarriesLogBytes(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := persist.Open(dir, config.Greece(), persist.Options{
+		Sync:    wal.Options{Policy: wal.SyncNever},
+		Workers: 1,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("data dir holds logs %v (%v), want one", logs, err)
+	}
+	p := NewPrimary(ps.Tracked(), ps, PrimaryOptions{})
+	bulk := make([]wal.Record, 3)
+	for i := range bulk {
+		x := 600 + float64(i)*20
+		bulk[i] = wal.Record{Op: wal.OpAdd, ID: fmt.Sprintf("bulk%d", i), Geometry: workload.BoxRegion(x, 600, x+10, 610)}
+	}
+	applied := [][]wal.Record{
+		{{Op: wal.OpAdd, ID: "w", Name: "Wire", Color: "#123456", Geometry: workload.BoxRegion(500, 500, 510, 510)}},
+		{{Op: wal.OpSetGeometry, ID: "w", Geometry: workload.BoxRegion(520, 520, 530, 530)}},
+		{{Op: wal.OpRename, ID: "w", NewID: "w2"}},
+		{{Op: wal.OpRemove, ID: "w2"}},
+		bulk,
+	}
+	for i, edit := range applied {
+		before, err := os.ReadFile(logs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Apply(edit); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(logs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := p.Records(uint64(i+1), 1)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("edit %d: %d records shipped, %v", i, len(recs), err)
+		}
+		if shipped := recs[0].Frame[wal.FrameSize+recordHeaderSize:]; !bytes.Equal(shipped, after[len(before):]) {
+			t.Fatalf("edit %d (%v): shipped edit frames %x, log appended %x", i, edit[0].Op, shipped, after[len(before):])
+		}
+	}
+	retained, _, err := p.Records(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, corr := DecodeStream(EncodeStream(retained))
+	if corr != nil || len(recs) != len(applied) {
+		t.Fatalf("stream decodes to %d records (corruption %v), want %d", len(recs), corr, len(applied))
+	}
+	for i, rec := range recs {
+		if rec.Seq != uint64(i+1) || !reflect.DeepEqual(rec.Edits, applied[i]) {
+			t.Fatalf("record %d: seq %d carries %+v, applied %+v", i, rec.Seq, rec.Edits, applied[i])
+		}
+	}
+}
+
+// BenchmarkPrimaryApplyFullWindow times one set-geometry edit through an
+// in-memory Primary whose retained window is full, so that every edit trims
+// the oldest record.
+func BenchmarkPrimaryApplyFullWindow(b *testing.B) {
+	tr, err := config.Track(config.Greece(), core.StoreOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	p := NewPrimary(tr, tr, PrimaryOptions{})
+	boxes := []geom.Region{workload.BoxRegion(500, 500, 510, 510), workload.BoxRegion(520, 520, 530, 530)}
+	if err := p.AddRegion("win", "", "", boxes[0]); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; p.Head() < uint64(p.opt.Retain); i++ {
+		if err := p.SetRegionGeometry("win", boxes[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.SetRegionGeometry("win", boxes[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

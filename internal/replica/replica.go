@@ -56,8 +56,8 @@ var maxFetchBytes int64 = 256 << 20
 // off the tail is cut at restart and fetched again.
 const cacheSyncInterval = time.Second
 
-// maxKeptFrame is the largest framing buffer ingest keeps between batches.
-const maxKeptFrame = 1 << 20
+// maxKeptFrames is the largest write buffer the cache keeps between batches.
+const maxKeptFrames = 1 << 20
 
 // Cache file names under Options.CacheDir.
 const (
@@ -151,7 +151,7 @@ type Replica struct {
 	// a timer syncs.
 	tailMu    sync.Mutex
 	tail      *wal.Writer
-	frame     []byte // framing buffer, reused between batches
+	frames    []byte // write buffer, reused between batches
 	written   uint64 // last record handed to tail
 	syncArmed bool   // a cacheSync is scheduled
 	synced    atomic.Uint64
@@ -407,12 +407,8 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 // bulk record lands as one edit, exactly like the primary's — and aligns
 // the generation with the primary's.
 func (r *Replica) applyLocked(rec StreamRecord) error {
-	edits, err := DecodeEdits(rec.Payload)
-	if err != nil {
-		return err
-	}
 	tr := r.tr.Load()
-	if err := tr.Apply(edits); err != nil {
+	if err := tr.Apply(rec.Edits); err != nil {
 		return err
 	}
 	// Edits bump the local generation by exactly the primary's stride, so
@@ -473,10 +469,10 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// seedTracked decodes and validates a snapshot and tracks its regions at
-// the primary's generation.
+// seedTracked decodes a snapshot and tracks its regions (config.Track
+// validates them) at the primary's generation.
 func seedTracked(data []byte, meta cacheMeta, workers int) (*config.Tracked, error) {
-	img, err := persist.DecodeValidSnapshot(data)
+	img, err := persist.DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -578,20 +574,24 @@ func openTail(dir string, valid int64) (*wal.Writer, error) {
 	return tail, nil
 }
 
-// cacheAppend frames a batch onto the tail log with one write — what a
-// SIGKILLed replica finds again at restart — and schedules the sync that a
-// power loss would want, unless one is already on its way.
+// cacheAppend appends a batch's frames, as they arrived, onto the tail log
+// with one write — what a SIGKILLed replica finds again at restart — and
+// schedules the sync that a power loss would want, unless one is already
+// on its way.
 func (r *Replica) cacheAppend(recs []StreamRecord) {
 	r.tailMu.Lock()
 	defer r.tailMu.Unlock()
 	if r.tail == nil {
 		return
 	}
-	frame := appendStreamFrames(r.frame[:0], recs)
-	if cap(frame) <= maxKeptFrame {
-		r.frame = frame
+	frames := r.frames[:0]
+	for _, rec := range recs {
+		frames = append(frames, rec.Frame...)
 	}
-	if err := r.tail.AppendFrames(frame, len(recs)); err != nil {
+	if cap(frames) <= maxKeptFrames {
+		r.frames = frames
+	}
+	if err := r.tail.AppendFrames(frames, len(recs)); err != nil {
 		r.cacheFailedLocked(err)
 		return
 	}
@@ -630,7 +630,7 @@ func (r *Replica) cacheFailedLocked(err error) {
 // the cached snapshot, replay the intact prefix of the cached tail, and
 // leave the tail open for appending after it. os.ErrNotExist means no
 // cache. A tail that does not start with StreamMagic — a damaged header, or
-// a log written in the CDRS0001 format — holds nothing intact: the replica
+// a log written in an earlier format — holds nothing intact: the replica
 // resumes at the snapshot and fetches the tail from the primary again.
 func (r *Replica) bootstrapFromCache() error {
 	dir := r.opt.CacheDir

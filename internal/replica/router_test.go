@@ -733,10 +733,10 @@ func TestReplicaStoppedFailsHealth(t *testing.T) {
 		}
 		var from uint64
 		fmt.Sscan(r.URL.Query().Get("from"), &from)
-		dup := replica.EncodeEdits([]wal.Record{{Op: wal.OpAdd, ID: "attica", Geometry: workload.BoxRegion(0, 0, 1, 1)}})
+		dup := replica.NewStreamRecord(from, 1<<20, wal.Record{Op: wal.OpAdd, ID: "attica", Geometry: workload.BoxRegion(0, 0, 1, 1)})
 		w.Header().Set(replica.HeaderEpoch, p.prim.Epoch())
 		w.Header().Set(replica.HeaderHead, fmt.Sprint(from))
-		w.Write(replica.EncodeStream([]replica.StreamRecord{{Seq: from, Gen: 1 << 20, Payload: dup}}))
+		w.Write(replica.EncodeStream([]replica.StreamRecord{dup}))
 	}))
 	defer stub.Close()
 	good := newReplicaFixture(t, p.ts.URL, "")

@@ -9,25 +9,28 @@
 // across healthy replicas.
 //
 // Replication stream layout (all integers little-endian). A record is one
-// wal frame, so the frame's CRC covers seq and gen as well as the edits:
+// wal frame, so the frame's CRC covers seq and gen as well as the edits,
+// and the edits are the edit's wal frames, byte for byte what a durable
+// primary appends to its log for it:
 //
-//	stream  := "CDRS0002" frame*
+//	stream  := "CDRS0003" frame*
 //	frame   := length(uint32) crc(uint32, CRC32C of payload) payload
-//	payload := seq(uint64) gen(uint64) edits
-//	edits   := count(uint32) (length(uint32) wal-record-payload)*
+//	payload := seq(uint64) gen(uint64) frame*
 //
 // seq is the primary's record sequence (1-based, per epoch); gen is the
 // store generation immediately AFTER applying the record, so a follower can
 // align its own generation — and therefore its ETags — byte-for-byte with
 // the primary. One record carries one logical edit: a bulk ingest of k
-// regions is ONE record with k wal payloads, applied atomically, exactly as
+// regions is ONE record with k wal frames, applied atomically, exactly as
 // the primary applied it (and bumping the generation once, like AddBulk).
 //
-// Decoding is the WAL's own frame reader (wal.ReadFrames): DecodeStream
-// returns the intact prefix, the number of bytes it spans, and a diagnostic
-// for the first undecodable byte — arbitrary input never panics
-// (FuzzReplicationStream). A replica's cached tail.log is the same stream
-// on disk.
+// A record is framed once, when the primary applies its edit, and decoded
+// once, by DecodeStream on the follower; serving a fetch and caching it
+// copy the frames. Decoding is the WAL's own frame reader (wal.ReadFrames):
+// DecodeStream returns the intact prefix, the number of bytes it spans, and
+// a diagnostic for the first undecodable byte — arbitrary input never
+// panics (FuzzReplicationStream). A replica's cached tail.log is the same
+// stream on disk.
 package replica
 
 import (
@@ -40,16 +43,11 @@ import (
 // StreamMagic is the 8-byte header identifying a replication stream.
 // Primaries and replicas upgrade together: a stream of another version is
 // refused at its header.
-const StreamMagic = "CDRS0002"
+const StreamMagic = "CDRS0003"
 
 // recordHeaderSize is a record's seq and gen, ahead of its edits in the
 // frame's payload.
 const recordHeaderSize = 8 + 8
-
-// maxEditsPerRecord bounds the edit count inside one record payload; a bulk
-// ingest of 10^6 regions stays far below it, and it keeps a corrupt count
-// from turning into a giant allocation.
-const maxEditsPerRecord = 1 << 24
 
 // StreamRecord is one shipped edit batch.
 type StreamRecord struct {
@@ -57,78 +55,40 @@ type StreamRecord struct {
 	Seq uint64
 	// Gen is the primary's store generation after applying this record.
 	Gen uint64
-	// Payload is the encoded edit batch (EncodeEdits).
-	Payload []byte
+	// Edits is the decoded edit batch. DecodeStream fills it; the records
+	// a Primary serves leave it nil, since only Frame is shipped.
+	Edits []wal.Record
+	// Frame is the record's stream frame as it travels and is cached.
+	Frame []byte
 }
 
-// EncodeEdits packs a batch of WAL records into one replication payload:
-// a count followed by length-prefixed wal record payloads.
-func EncodeEdits(recs []wal.Record) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
-	for _, rec := range recs {
-		p := wal.AppendRecord(nil, rec)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
+// frameRecord builds the stream frame of record seq, whose edit batch,
+// framed by wal.AppendRecords, left the store at generation gen.
+func frameRecord(seq, gen uint64, edits []byte) []byte {
+	var head [recordHeaderSize]byte
+	binary.LittleEndian.PutUint64(head[0:], seq)
+	binary.LittleEndian.PutUint64(head[8:], gen)
+	// The one error, ErrTooLarge, cannot arise: Primary.Apply refuses an
+	// edit whose record would not fit before it applies the edit.
+	frame, _ := wal.AppendFrame(make([]byte, 0, wal.FrameSize+len(head)+len(edits)), head[:], edits)
+	return frame
 }
 
-// DecodeEdits is the inverse of EncodeEdits. Arbitrary input returns an
-// error, never panics: every length is validated before allocation.
-func DecodeEdits(payload []byte) ([]wal.Record, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("replica: edit batch truncated (%d bytes)", len(payload))
-	}
-	count := binary.LittleEndian.Uint32(payload)
-	rest := payload[4:]
-	if count > maxEditsPerRecord {
-		return nil, fmt.Errorf("replica: edit count %d exceeds limit", count)
-	}
-	// Each edit costs at least 4 length bytes + 1 payload byte.
-	if uint64(count)*5 > uint64(len(rest)) {
-		return nil, fmt.Errorf("replica: edit count %d cannot fit in %d bytes", count, len(rest))
-	}
-	recs := make([]wal.Record, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("replica: edit %d length truncated", i)
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("replica: edit %d wants %d bytes, %d remain", i, n, len(rest))
-		}
-		rec, err := wal.DecodeRecord(rest[:n])
-		if err != nil {
-			return nil, fmt.Errorf("replica: edit %d: %w", i, err)
-		}
-		recs = append(recs, rec)
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("replica: %d trailing bytes after edit batch", len(rest))
-	}
-	return recs, nil
+// frameGen reads the generation out of a record's stream frame.
+func frameGen(frame []byte) uint64 {
+	return binary.LittleEndian.Uint64(frame[wal.FrameSize+8:])
 }
 
 // EncodeStream serialises a record batch with the stream header, as served
-// by GET /v1/replication/wal.
+// by GET /v1/replication/wal: the header, then each record's frame.
 func EncodeStream(recs []StreamRecord) []byte {
-	return appendStreamFrames([]byte(StreamMagic), recs)
-}
-
-// appendStreamFrames frames each record onto buf. Primary.Apply refuses an
-// edit whose record would not fit a frame, and DecodeStream accepts none,
-// so a record that does not fit is a bug.
-func appendStreamFrames(buf []byte, recs []StreamRecord) []byte {
+	n := len(StreamMagic)
 	for _, rec := range recs {
-		var head [recordHeaderSize]byte
-		binary.LittleEndian.PutUint64(head[0:], rec.Seq)
-		binary.LittleEndian.PutUint64(head[8:], rec.Gen)
-		var err error
-		if buf, err = wal.AppendFrame(buf, head[:], rec.Payload); err != nil {
-			panic(fmt.Sprintf("replica: record %d: %v", rec.Seq, err))
-		}
+		n += len(rec.Frame)
+	}
+	buf := append(make([]byte, 0, n), StreamMagic...)
+	for _, rec := range recs {
+		buf = append(buf, rec.Frame...)
 	}
 	return buf
 }
@@ -136,23 +96,27 @@ func appendStreamFrames(buf []byte, recs []StreamRecord) []byte {
 // DecodeStream decodes the intact prefix of a stream image. Like
 // wal.Replay, corruption — a torn or bit-flipped tail — terminates the
 // decode at the last intact record and is reported as a diagnostic, and
-// validSize is the byte length of the intact prefix. Record payloads are
-// CRC-verified AND decoded as edit batches before a record is accepted, so
-// everything returned is applicable.
+// validSize is the byte length of the intact prefix. A record is accepted
+// only once its frame passes its CRC and its edits decode, so everything
+// returned is applicable; each record's Frame aliases data.
 func DecodeStream(data []byte) (recs []StreamRecord, validSize int64, corr *wal.Corruption) {
+	off := len(StreamMagic)
 	validSize, corr = wal.ReadFrames(data, StreamMagic, func(payload []byte) error {
 		if len(payload) < recordHeaderSize {
 			return fmt.Errorf("replica: %d-byte record has no seq and gen", len(payload))
 		}
-		edits := payload[recordHeaderSize:]
-		if _, err := DecodeEdits(edits); err != nil {
+		edits, err := wal.DecodeRecords(payload[recordHeaderSize:])
+		if err != nil {
 			return err
 		}
+		end := off + wal.FrameSize + len(payload)
 		recs = append(recs, StreamRecord{
-			Seq:     binary.LittleEndian.Uint64(payload[0:]),
-			Gen:     binary.LittleEndian.Uint64(payload[8:]),
-			Payload: edits,
+			Seq:   binary.LittleEndian.Uint64(payload[0:]),
+			Gen:   binary.LittleEndian.Uint64(payload[8:]),
+			Edits: edits,
+			Frame: data[off:end:end],
 		})
+		off = end
 		return nil
 	})
 	return recs, validSize, corr

@@ -3,36 +3,39 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cardirect/internal/geom"
 	"cardirect/internal/wal"
 )
 
-// streamFixture builds a small stream of records: single edits plus one
-// multi-edit bulk batch, matching what a primary ships.
+// streamFixture builds a small stream of records: single edits, one
+// multi-edit bulk batch, matching what a primary ships, and a record with
+// no edits, which frames and decodes like any other.
 func streamFixture(t *testing.T) []StreamRecord {
 	t.Helper()
 	box := func(x float64) geom.Region {
 		return geom.Rgn(geom.Poly(geom.Rect{MinX: x, MinY: 0, MaxX: x + 5, MaxY: 5}.Vertices()...))
 	}
-	recs := []StreamRecord{
-		{Seq: 1, Gen: 4, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpAdd, ID: "a", Name: "Alpha", Color: "#ff0000", Geometry: box(0)},
-		})},
-		{Seq: 2, Gen: 5, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpAdd, ID: "b", Geometry: box(10)},
-			{Op: wal.OpAdd, ID: "c", Geometry: box(20)},
-			{Op: wal.OpAdd, ID: "d", Geometry: box(30)},
-		})},
-		{Seq: 3, Gen: 6, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpRemove, ID: "a"},
-		})},
-		{Seq: 4, Gen: 7, Payload: EncodeEdits([]wal.Record{
-			{Op: wal.OpRename, ID: "b", NewID: "beta"},
-		})},
+	return []StreamRecord{
+		NewStreamRecord(1, 4, wal.Record{Op: wal.OpAdd, ID: "a", Name: "Alpha", Color: "#ff0000", Geometry: box(0)}),
+		NewStreamRecord(2, 5,
+			wal.Record{Op: wal.OpAdd, ID: "b", Geometry: box(10)},
+			wal.Record{Op: wal.OpAdd, ID: "c", Geometry: box(20)},
+			wal.Record{Op: wal.OpAdd, ID: "d", Geometry: box(30)},
+		),
+		NewStreamRecord(3, 6, wal.Record{Op: wal.OpRemove, ID: "a"}),
+		NewStreamRecord(4, 7, wal.Record{Op: wal.OpRename, ID: "b", NewID: "beta"}),
+		NewStreamRecord(5, 7),
 	}
-	return recs
+}
+
+// sameRecord reports whether a decoded record is the one encoded: seq, gen,
+// the frame's bytes and the edits.
+func sameRecord(got, want StreamRecord) bool {
+	return got.Seq == want.Seq && got.Gen == want.Gen && bytes.Equal(got.Frame, want.Frame) &&
+		reflect.DeepEqual(got.Edits, want.Edits)
 }
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -49,15 +52,8 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i, rec := range got {
-		if rec.Seq != recs[i].Seq || rec.Gen != recs[i].Gen || !bytes.Equal(rec.Payload, recs[i].Payload) {
+		if !sameRecord(rec, recs[i]) {
 			t.Fatalf("record %d differs: %+v vs %+v", i, rec, recs[i])
-		}
-		edits, err := DecodeEdits(rec.Payload)
-		if err != nil {
-			t.Fatalf("record %d payload undecodable: %v", i, err)
-		}
-		if i == 1 && len(edits) != 3 {
-			t.Fatalf("bulk record decoded to %d edits, want 3", len(edits))
 		}
 	}
 	if _, _, corr := DecodeStream(nil); corr != nil {
@@ -81,7 +77,7 @@ func TestDecodeStreamTruncation(t *testing.T) {
 			t.Fatalf("cut %d: more records than the intact stream", cut)
 		}
 		for i, rec := range recs {
-			if rec.Seq != want[i].Seq || !bytes.Equal(rec.Payload, want[i].Payload) {
+			if !sameRecord(rec, want[i]) {
 				t.Fatalf("cut %d: record %d is not a prefix of the intact decode", cut, i)
 			}
 		}
@@ -103,7 +99,7 @@ func TestDecodeStreamTruncation(t *testing.T) {
 
 // TestDecodeStreamBitFlip flips every byte of a valid stream in turn: no
 // panic, and every returned record must equal the one encoded at its
-// position in seq, gen and payload (the flip may only shorten the accepted
+// position in seq, gen, frame and edits (the flip may only shorten the accepted
 // prefix, never corrupt it — the frame's CRC covers seq and gen too).
 func TestDecodeStreamBitFlip(t *testing.T) {
 	want := streamFixture(t)
@@ -116,38 +112,15 @@ func TestDecodeStreamBitFlip(t *testing.T) {
 			t.Fatalf("flip at %d: validSize %d exceeds input", off, validSize)
 		}
 		for i, rec := range recs {
-			if rec.Seq != want[i].Seq || rec.Gen != want[i].Gen || !bytes.Equal(rec.Payload, want[i].Payload) {
+			if !sameRecord(rec, want[i]) {
 				t.Fatalf("flip at %d: accepted record %d differs from the one encoded: %+v vs %+v", off, i, rec, want[i])
 			}
 		}
 	}
 }
 
-func TestDecodeEditsRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0x01},
-		{0xff, 0xff, 0xff, 0xff}, // absurd count
-		{0x01, 0x00, 0x00, 0x00}, // count 1, no edits
-		{0x01, 0x00, 0x00, 0x00, 0xff, 0x00, 0x00, 0x00}, // length past end
-	}
-	for i, c := range cases {
-		if _, err := DecodeEdits(c); err == nil {
-			t.Errorf("case %d: garbage decoded without error", i)
-		}
-	}
-	// Trailing bytes after a well-formed batch are an error, not ignored.
-	ok := EncodeEdits([]wal.Record{{Op: wal.OpRemove, ID: "x"}})
-	if _, err := DecodeEdits(append(ok, 0x00)); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	if _, err := DecodeEdits(ok); err != nil {
-		t.Errorf("clean batch rejected: %v", err)
-	}
-}
-
 func TestDecodeStreamBadHeader(t *testing.T) {
-	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0001extra")} {
+	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0001extra"), []byte("CDRS0002extra")} {
 		recs, validSize, corr := DecodeStream(data)
 		if corr == nil || validSize != 0 || len(recs) != 0 {
 			t.Errorf("header %q: recs=%d valid=%d corr=%v", data, len(recs), validSize, corr)
@@ -155,26 +128,9 @@ func TestDecodeStreamBadHeader(t *testing.T) {
 	}
 }
 
-func TestEncodeEditsEmpty(t *testing.T) {
-	payload := EncodeEdits(nil)
-	recs, err := DecodeEdits(payload)
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty batch: recs=%v err=%v", recs, err)
-	}
-	// An empty-batch record still frames and round-trips.
-	data := EncodeStream([]StreamRecord{{Seq: 9, Gen: 9, Payload: payload}})
-	got, _, corr := DecodeStream(data)
-	if corr != nil || len(got) != 1 || got[0].Seq != 9 {
-		t.Fatalf("empty-batch record: got=%v corr=%v", got, corr)
-	}
-}
-
 func ExampleEncodeStream() {
-	data := EncodeStream([]StreamRecord{
-		{Seq: 1, Gen: 12, Payload: EncodeEdits([]wal.Record{{Op: wal.OpRemove, ID: "attica"}})},
-	})
+	data := EncodeStream([]StreamRecord{NewStreamRecord(1, 12, wal.Record{Op: wal.OpRemove, ID: "attica"})})
 	recs, _, _ := DecodeStream(data)
-	edits, _ := DecodeEdits(recs[0].Payload)
-	fmt.Println(recs[0].Seq, recs[0].Gen, len(edits), edits[0].ID)
+	fmt.Println(recs[0].Seq, recs[0].Gen, len(recs[0].Edits), recs[0].Edits[0].ID)
 	// Output: 1 12 1 attica
 }

@@ -12,7 +12,7 @@ import (
 // that were written (checked by re-encoding every decoded record).
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a real log image and mutations of it.
-	full, err := appendRecords([]byte(Magic), sampleRecords())
+	full, err := AppendRecords([]byte(Magic), sampleRecords())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func FuzzWALReplay(f *testing.F) {
 		// valid prefix byte for byte — the reader accepts nothing the
 		// writer would not have produced... except non-canonical uvarints,
 		// so compare through a decode of the re-encoding instead.
-		re, err := appendRecords([]byte(Magic), recs)
+		re, err := AppendRecords([]byte(Magic), recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,14 +52,18 @@ func FuzzWALReplay(f *testing.F) {
 // panic, the valid prefix stays inside the input, a clean read consumed all
 // of it, and the accepted payloads re-frame to exactly the prefix's bytes.
 func FuzzFrames(f *testing.F) {
-	frames, err := AppendFrame([]byte("CDRS0002"), []byte("seq|gen|"), []byte("edits"))
+	edits, err := AppendRecords(nil, sampleRecords()[:2])
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames, err := AppendFrame([]byte("CDRS0003"), []byte("seq|gen|"), edits)
 	if err != nil {
 		f.Fatal(err)
 	}
 	frames, _ = AppendFrame(frames)
+	f.Add("CDRS0003", frames)
+	f.Add("CDRS0003", frames[:len(frames)-3])
 	f.Add("CDRS0002", frames)
-	f.Add("CDRS0002", frames[:len(frames)-3])
-	f.Add("CDRS0001", frames)
 	f.Add("", frames[8:])
 	f.Add(Magic, []byte(Magic+"\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, header string, data []byte) {

@@ -13,7 +13,9 @@
 //
 // The frame is the module's only record framing: the replication stream and
 // a replica's cached record log are a header of their own followed by the
-// same frames (AppendFrame, ReadFrames, Open), with a payload of their own.
+// same frames (AppendFrame, ReadFrames, Open), whose payload carries an
+// edit's record frames exactly as the log holds them (AppendRecords,
+// DecodeRecords).
 //
 // The payload starts with a one-byte opcode followed by the op's fields:
 // strings are uvarint-length-prefixed UTF-8, geometries are a uvarint
@@ -43,8 +45,8 @@ import (
 // Magic is the 8-byte file header identifying a cardirect WAL.
 const Magic = "CDWAL001"
 
-// frameSize is the per-record framing overhead: length + CRC.
-const frameSize = 8
+// FrameSize is the per-record framing overhead: length + CRC.
+const FrameSize = 8
 
 // MaxPayload bounds a single frame's payload, protecting the reader from
 // allocating garbage lengths out of a corrupt frame.
@@ -282,7 +284,7 @@ func (w *Writer) AppendBatch(recs []Record) error {
 // the next Encode, Append or AppendBatch. A record over MaxPayload returns
 // ErrTooLarge.
 func (w *Writer) Encode(recs []Record) ([]byte, error) {
-	frames, err := appendRecords(w.buf[:0], recs)
+	frames, err := AppendRecords(w.buf[:0], recs)
 	w.buf = frames // reuse the grown buffer next time
 	return frames, err
 }
@@ -380,8 +382,26 @@ func ReplayFile(path string) (recs []Record, validSize int64, corr *Corruption, 
 
 // Replay decodes the intact prefix of a log image. See ReplayFile.
 func Replay(data []byte) (recs []Record, validSize int64, corr *Corruption) {
-	validSize, corr = ReadFrames(data, Magic, func(payload []byte) error {
-		rec, err := DecodeRecord(payload)
+	return readRecords(data, Magic)
+}
+
+// DecodeRecords decodes a headerless run of record frames as AppendRecords
+// builds them. It is strict where Replay is forgiving: a torn frame, a CRC
+// mismatch or an undecodable payload is an error, not the end of an intact
+// prefix.
+func DecodeRecords(frames []byte) ([]Record, error) {
+	recs, _, corr := readRecords(frames, "")
+	if corr != nil {
+		return nil, fmt.Errorf("wal: record frames: %s", corr)
+	}
+	return recs, nil
+}
+
+// readRecords decodes the record frames that follow header in data, up to
+// the first one that is torn, fails its CRC or does not decode.
+func readRecords(data []byte, header string) (recs []Record, validSize int64, corr *Corruption) {
+	validSize, corr = ReadFrames(data, header, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
 		if err == nil {
 			recs = append(recs, rec)
 		}
@@ -408,7 +428,7 @@ func ReadFrames(data []byte, header string, accept func(payload []byte) error) (
 	off := int64(len(header))
 	rest := data[len(header):]
 	for len(rest) > 0 {
-		if len(rest) < frameSize {
+		if len(rest) < FrameSize {
 			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn frame: %d trailing bytes", len(rest))}
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
@@ -416,17 +436,17 @@ func ReadFrames(data []byte, header string, accept func(payload []byte) error) (
 		if uint64(n) > uint64(maxPayload) {
 			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit", n)}
 		}
-		if int(n) > len(rest)-frameSize {
-			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn record: frame wants %d bytes, %d remain", n, len(rest)-frameSize)}
+		if int(n) > len(rest)-FrameSize {
+			return off, &Corruption{Offset: off, Reason: fmt.Sprintf("torn record: frame wants %d bytes, %d remain", n, len(rest)-FrameSize)}
 		}
-		payload := rest[frameSize : frameSize+int(n)]
+		payload := rest[FrameSize : FrameSize+int(n)]
 		if Checksum(payload) != sum {
 			return off, &Corruption{Offset: off, Reason: "CRC mismatch"}
 		}
 		if err := accept(payload); err != nil {
 			return off, &Corruption{Offset: off, Reason: err.Error()}
 		}
-		step := int64(frameSize) + int64(n)
+		step := int64(FrameSize) + int64(n)
 		off += step
 		rest = rest[step:]
 	}
@@ -438,21 +458,22 @@ func ReadFrames(data []byte, header string, accept func(payload []byte) error) (
 // ErrTooLarge.
 func AppendFrame(buf []byte, parts ...[]byte) ([]byte, error) {
 	start := len(buf)
-	buf = append(buf, make([]byte, frameSize)...)
+	buf = append(buf, make([]byte, FrameSize)...)
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
 	return sealFrame(buf, start)
 }
 
-// appendRecords appends one frame per record onto buf. A record over
+// AppendRecords appends one frame per record onto buf: the bytes Append
+// writes to the log, and what a replication record carries. A record over
 // MaxPayload returns ErrTooLarge and buf as it was passed in.
-func appendRecords(buf []byte, recs []Record) ([]byte, error) {
+func AppendRecords(buf []byte, recs []Record) ([]byte, error) {
 	n := len(buf)
 	for _, rec := range recs {
 		start := len(buf)
 		var err error
-		if buf, err = sealFrame(AppendRecord(append(buf, make([]byte, frameSize)...), rec), start); err != nil {
+		if buf, err = sealFrame(appendRecord(append(buf, make([]byte, FrameSize)...), rec), start); err != nil {
 			return buf[:n], err
 		}
 	}
@@ -463,7 +484,7 @@ func appendRecords(buf []byte, recs []Record) ([]byte, error) {
 // runs to the end of buf, or cuts the frame off when the payload is too
 // large.
 func sealFrame(buf []byte, start int) ([]byte, error) {
-	payload := buf[start+frameSize:]
+	payload := buf[start+FrameSize:]
 	if err := CheckPayload(len(payload)); err != nil {
 		return buf[:start], err
 	}
@@ -472,11 +493,9 @@ func sealFrame(buf []byte, start int) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendRecord encodes rec's payload — the bytes between the frame header
-// and the next frame — onto buf, exactly as Append frames it. Replication
-// ships these payloads inside its own frames' payloads; DecodeRecord is the
-// inverse.
-func AppendRecord(buf []byte, rec Record) []byte {
+// appendRecord encodes rec's payload — the bytes between the frame header
+// and the next frame — onto buf; decodeRecord is the inverse.
+func appendRecord(buf []byte, rec Record) []byte {
 	buf = append(buf, byte(rec.Op))
 	appendString := func(s string) {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -514,11 +533,11 @@ func appendGeometry(buf []byte, g geom.Region) []byte {
 	return buf
 }
 
-// DecodeRecord decodes one payload as produced by AppendRecord (or found
+// decodeRecord decodes one payload as produced by appendRecord (or found
 // inside a log frame). Every length is validated against the remaining
 // bytes before allocation, so arbitrary input cannot blow up memory or
 // panic — the contract FuzzWALReplay enforces.
-func DecodeRecord(payload []byte) (Record, error) {
+func decodeRecord(payload []byte) (Record, error) {
 	d := decoder{rest: payload}
 	op, err := d.byte()
 	if err != nil {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -329,10 +330,10 @@ func TestOversizeRecordRejected(t *testing.T) {
 }
 
 // TestEncodeDecodeRecord round-trips every sample record through the
-// exported payload codec replication ships over its own framing.
+// payload codec inside every frame.
 func TestEncodeDecodeRecord(t *testing.T) {
 	for i, rec := range sampleRecords() {
-		got, err := DecodeRecord(AppendRecord(nil, rec))
+		got, err := decodeRecord(appendRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -340,10 +341,53 @@ func TestEncodeDecodeRecord(t *testing.T) {
 			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got, rec)
 		}
 	}
-	if _, err := DecodeRecord(nil); err == nil {
+	if _, err := decodeRecord(nil); err == nil {
 		t.Fatal("empty payload decoded without error")
 	}
-	if _, err := DecodeRecord([]byte{0xff, 0x01, 0x02}); err == nil {
+	if _, err := decodeRecord([]byte{0xff, 0x01, 0x02}); err == nil {
 		t.Fatal("garbage payload decoded without error")
+	}
+}
+
+// TestDecodeRecordsRoundTrip: DecodeRecords reads back exactly the records
+// AppendRecords framed, an empty run included.
+func TestDecodeRecordsRoundTrip(t *testing.T) {
+	for _, want := range [][]Record{nil, sampleRecords()} {
+		frames, err := AppendRecords(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecords(frames)
+		if err != nil || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%d records: got %d, err %v", len(want), len(got), err)
+		}
+	}
+}
+
+// TestDecodeRecordsRejectsGarbage: where Replay keeps the intact prefix,
+// DecodeRecords refuses the whole run on any damage, trailing bytes after
+// whole frames included.
+func TestDecodeRecordsRejectsGarbage(t *testing.T) {
+	ok, err := AppendRecords(nil, []Record{{Op: OpRemove, ID: "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(ok)
+	flipped[len(flipped)-1] ^= 0x01
+	unknownOp, _ := AppendFrame(nil, []byte{0xff})
+	empty, _ := AppendFrame(nil)
+	for name, data := range map[string][]byte{
+		"torn frame header":     ok[:5],
+		"torn payload":          ok[:len(ok)-1],
+		"CRC mismatch":          flipped,
+		"length over the limit": {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
+		"unknown opcode":        unknownOp,
+		"empty payload":         empty,
+		"trailing byte":         append(bytes.Clone(ok), 0x00),
+		"whole frame then torn": append(bytes.Clone(ok), ok[:FrameSize+1]...),
+	} {
+		if recs, err := DecodeRecords(data); err == nil {
+			t.Errorf("%s: decoded %d records without error", name, len(recs))
+		}
 	}
 }
