@@ -68,10 +68,12 @@ lint: vet
 # against the exact kernel, the planner on against off, the parallel solver
 # against the sequential one) and the replication stream decoder. Last come
 # the other two differentials, the SoA kernels against the paper's
-# transcription (relation and percent — their corpus carries the 1-ulp
-# sliver reproducer): FuzzMBBFastPathPct still fails on the open reproducer
-# ROADMAP.md records, which stops the list, so nothing may follow it. CI
-# runs these; locally, crank -fuzztime.
+# transcription (relation and percent; their seeds carry the fixed 1-ulp
+# triangle sliver). FuzzMBBFastPathPct still fails on the open reproducer
+# ROADMAP.md records, which no committed seed carries (the fuzzer finds it
+# within about a second; TestSliverReproducerExact decides it exactly), and
+# that stops the list, so nothing may follow it. CI runs these; locally,
+# crank -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrames -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal

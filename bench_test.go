@@ -14,10 +14,10 @@ import (
 	"testing"
 
 	"cardirect/internal/baseline"
-	"cardirect/internal/clip"
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/experiments"
+	"cardirect/internal/experiments/clip"
 	"cardirect/internal/geom"
 	"cardirect/internal/index"
 	"cardirect/internal/query"
@@ -222,6 +222,32 @@ func TestE6Wins(t *testing.T) {
 	}
 }
 
+// TestE6Counts is TestE6Wins' count twin on the same 4 096-edge case: what
+// makes Compute-CDR the cheaper method, counted rather than timed. It reads
+// the edges in one pass, clipping reads them once per tile; and it ends
+// with fewer edges (E1–E3's inflation) for fewer intersections (E15).
+func TestE6Counts(t *testing.T) {
+	c := workload.New(20040314).ScalingSweep([]int{4096})[0]
+	_, stCDR, err := core.ComputeCDRStats(c.A, c.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stClip, err := clip.ComputeCDRStats(c.A, c.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stCDR.Passes != 1 || stClip.Passes != 9 {
+		t.Errorf("passes = %d vs %d, want 1 vs 9", stCDR.Passes, stClip.Passes)
+	}
+	if stCDR.EdgeVisits != c.Edges || stClip.EdgeVisits != 9*c.Edges {
+		t.Errorf("edge visits = %d vs %d, want %d vs %d", stCDR.EdgeVisits, stClip.EdgeVisits, c.Edges, 9*c.Edges)
+	}
+	if stCDR.EdgesOut >= stClip.EdgesOut || stCDR.Intersections >= stClip.Intersections {
+		t.Errorf("Compute-CDR ends with %d edges from %d intersections, clipping %d from %d; want fewer of both",
+			stCDR.EdgesOut, stCDR.Intersections, stClip.EdgesOut, stClip.Intersections)
+	}
+}
+
 // --- E8: single pass vs nine passes ---
 
 func TestE8ScanCounts(t *testing.T) {
@@ -397,7 +423,7 @@ func BenchmarkE14Expressiveness(b *testing.B) {
 	b.Run("Cone", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			baseline.CentroidCone(p.A, p.B, 0)
+			experiments.CentroidCone(p.A, p.B, 0)
 		}
 	})
 }

@@ -3,9 +3,9 @@
 // Sellis, Koubarakis — EDBT 2004): the cardinal direction relation model
 // for composite regions (REG*), the paper's two linear-time computation
 // algorithms, the reasoning operations built on the model (inverse,
-// composition, consistency of constraint networks), polygon-clipping and
-// point/MBB-approximation baselines, and the CARDIRECT tool's XML
-// configuration store and query language.
+// composition, consistency of constraint networks), the MBB-approximation
+// baseline, and the CARDIRECT tool's XML configuration store and query
+// language.
 //
 // # Quick start
 //
@@ -16,14 +16,16 @@
 //
 // # What this package exports
 //
-// The implementation lives in the internal packages (geom, core, clip,
-// baseline, reason, config, query, index, topo, workload, and the service
-// layers behind cmd/cardirectd). This package exports the paper's model —
-// the geometry, the tiles, relations, relation sets and percent matrices,
-// Compute-CDR and Compute-CDR% — plus NamedRegion, and otherwise exactly
-// the names that a program under examples/ or a Go block of README.md
-// calls as cardirect.X. A name with no such caller is not re-exported;
-// TestFacadeSurface holds the rule in both directions.
+// The implementation lives in the internal packages (geom, core, baseline,
+// reason, config, query, index, topo, workload, and the service layers
+// behind cmd/cardirectd). The comparators only the experiments measure the
+// system against, polygon clipping (experiments/clip) and the centroid-cone
+// model, live under internal/experiments. This package exports the paper's
+// model — the geometry, the tiles, relations, relation sets and percent
+// matrices, Compute-CDR and Compute-CDR% — plus NamedRegion, and otherwise
+// exactly the names that a program under examples/ or a Go block of
+// README.md calls as cardirect.X. A name with no such caller is not
+// re-exported; TestFacadeSurface holds the rule in both directions.
 package cardirect
 
 import (

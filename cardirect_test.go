@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"cardirect/internal/baseline"
-	"cardirect/internal/clip"
 	"cardirect/internal/core"
+	"cardirect/internal/experiments"
+	"cardirect/internal/experiments/clip"
 	"cardirect/internal/geom"
 	"cardirect/internal/query"
 	"cardirect/internal/topo"
@@ -96,7 +96,7 @@ func TestFacadeConfigAndQuery(t *testing.T) {
 func TestFacadeBaselines(t *testing.T) {
 	a := BoxRegion(20, 3, 22, 5)
 	b := BoxRegion(0, 0, 10, 6)
-	if d := baseline.CentroidCone(a, b, 0); d.Tile() != TileE {
+	if d := experiments.CentroidCone(a, b, 0); d.Tile() != TileE {
 		t.Errorf("cone = %v", d)
 	}
 	r, err := MBBRelation(a, b)

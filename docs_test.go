@@ -132,14 +132,102 @@ var unlinkedAllowed = map[string]string{
 	"cardirect/internal/geom.interiorWitness":         "the containment probe of Region.ValidateStrict",
 }
 
-// TestEveryFunctionIsLinked holds "production code is what a program runs":
-// it links the ten programs the repository builds (cmd/*, examples/* and the
-// bench/ harness) with inlining off, and fails on every function declared in
-// a non-test file of the module that none of them contains, unless
-// unlinkedAllowed names it; it also fails on an allowlist entry that is
-// linked or no longer declared. The linker keeps some methods no call
-// reaches (an exported method of a type converted to an interface), so the
-// check can miss dead code, but it never flags code a binary runs.
+// harnesses are the two programs that measure the system rather than run it:
+// the experiment printer and the bench/ load harness. The other eight (the
+// CLI, the daemon, the generator and the five examples) are a user's.
+var harnesses = map[string]bool{"cdrbench": true, "bench": true}
+
+// harnessOnly names the functions declared outside internal/experiments that
+// a harness links and no user's program does, grouped by the reason each
+// stays where it is: the ROADMAP item that will move or delete it, or the
+// tests that share it.
+var harnessOnly = map[string][]string{
+	"ROADMAP item 1: bench/ calls these internals directly, so they stay until item 1(a) drops or reroutes the call": {
+		"cardirect/internal/config.Parse",
+		"cardirect/internal/config.(*Tracked).WithMaterialized",
+		"cardirect/internal/core.(*RelationStore).Pairs",
+		"cardirect/internal/core.(*RelationStore).PctPairs",
+		"cardirect/internal/core.Relate",
+		"cardirect/internal/core.RelatePct",
+		"cardirect/internal/index.NewLive",
+		"cardirect/internal/index.(*Live).Add",
+		"cardirect/internal/index.(*Live).SetGeometry",
+		"cardirect/internal/persist.(*Store).AddRegion",
+		"cardirect/internal/persist.(*Store).RemoveRegion",
+		"cardirect/internal/persist.(*Store).RenameRegion",
+		"cardirect/internal/persist.(*Store).SetRegionGeometry",
+		"cardirect/internal/replica.(*Primary).AddRegion",
+		"cardirect/internal/replica.(*Primary).RemoveRegion",
+		"cardirect/internal/replica.(*Primary).RenameRegion",
+		"cardirect/internal/replica.(*Primary).SetRegionGeometry",
+		"cardirect/internal/query.(*Evaluator).SetPlanCache",
+		"cardirect/internal/query.(*Evaluator).UseIndex",
+		"cardirect/internal/query.(*Evaluator).UseStore",
+		"cardirect/internal/wal.(*Writer).Append",
+		"cardirect/internal/wal.(*Writer).AppendBatch",
+	},
+	"ROADMAP item 8: the huge-world tier, which E23 and bench/ run and item 8 joins to the store": {
+		"cardirect/internal/core.PrepareLoDWorld",
+		"cardirect/internal/core.(*LoDWorld).BatchRows",
+		"cardirect/internal/core.(*LoDWorld).Len",
+		"cardirect/internal/core.(*LoDWorld).checkIndex",
+		"cardirect/internal/core.relateLoD",
+		"cardirect/internal/core.NewCoarseIndex",
+		"cardirect/internal/core.(*CoarseIndex).cellX",
+		"cardirect/internal/core.(*CoarseIndex).cellY",
+		"cardirect/internal/core.b2i",
+		"cardirect/internal/core.(*stripIndex).build",
+		"cardirect/internal/core.(*stripIndex).collect",
+		"cardirect/internal/core.(*stripIndex).relateStrip",
+		"cardirect/internal/core.(*stripIndex).addCenterTileStrip",
+		"cardirect/internal/core.buildIntervalBuckets",
+		"cardirect/internal/core.bucketSpan",
+	},
+	"a reference the experiments share with the tests of other packages, which cannot import internal/experiments without a cycle": {
+		"cardirect/internal/core.ComputeCDRStats",           // E1–E3, E8, E15; the root and core tests
+		"cardirect/internal/core.AllRelations",              // E10; the root, core, index and reason tests
+		"cardirect/internal/core.TileAreas.Percent",         // the clipping comparator; the core tests
+		"cardirect/internal/core.TileAreas.Relation",        // the clipping comparator; the root and core tests
+		"cardirect/internal/core.PercentMatrix.Relation",    // bench/; the core tests
+		"cardirect/internal/core.PercentMatrix.ApproxEqual", // bench/; the core and query tests
+		"cardirect/internal/query.(*Evaluator).SetPlanner",  // E22's written order; the query and serve tests
+		"cardirect/internal/geom.Polygon.Centroid",          // the cone model; geom's interiorWitness
+	},
+	"ROADMAP item 1: the workload generators bench/ and cdrbench draw their worlds from; Pairs is also drawn by the root, reason and workload tests, UrbanRural by the workload tests": {
+		"cardirect/internal/workload.(*Generator).Scatter",
+		"cardirect/internal/workload.(*Generator).Cluster",
+		"cardirect/internal/workload.(*Generator).Zipf",
+		"cardirect/internal/workload.(*Generator).ScalingSweep",
+		"cardirect/internal/workload.(*Generator).Pairs",
+		"cardirect/internal/workload.(*Generator).UrbanRural",
+		"cardirect/internal/workload.(*Generator).smoothStar",
+		"cardirect/internal/workload.maxInt",
+	},
+	"ROADMAP item 10: E24's parallel fan on an unrefined network; Network.Check refines first, which settles E24's adversarial branch edge before any search": {
+		"cardirect/internal/reason.(*Network).SolveParallel",
+	},
+}
+
+// linkage is the widest kind of program that contains a function.
+type linkage uint8
+
+const (
+	unlinkedKind linkage = iota
+	byHarness
+	byUser
+)
+
+// TestEveryFunctionIsLinked holds "production code is what a user's program
+// runs": it links the ten programs the repository builds (cmd/*, examples/*
+// and the bench/ harness) with inlining off, and fails on every function
+// declared in a non-test file of the module that none of them contains,
+// unless unlinkedAllowed names it, and on every function outside
+// internal/experiments that only a harness contains, unless harnessOnly
+// names it. It also fails on an entry of either list that no longer says
+// what the list claims: not declared, or linked more widely. The linker keeps
+// some methods no call reaches (an exported method of a type converted to an
+// interface), so the check can miss dead code, but it never flags code a
+// binary runs.
 func TestEveryFunctionIsLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds ten binaries")
@@ -161,13 +249,23 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	if len(bins) != 10 {
 		t.Fatalf("built %d programs, want the ten of cmd/, examples/ and bench/", len(bins))
 	}
+	for name := range harnesses {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("harness %s was not built: %v", name, err)
+		}
+	}
 
-	linked := map[string]bool{}
+	// linked maps a symbol to the widest kind of program that contains it.
+	linked := map[string]linkage{}
 	generic := regexp.MustCompile(`\[[^\[\]]*\]`)
 	for _, bin := range bins {
 		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, bin.Name())).Output()
 		if err != nil {
 			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		kind := byUser
+		if harnesses[bin.Name()] {
+			kind = byHarness
 		}
 		for _, line := range strings.Split(string(out), "\n") {
 			f := strings.Fields(line)
@@ -178,12 +276,13 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 			for generic.MatchString(sym) {
 				sym = generic.ReplaceAllString(sym, "")
 			}
-			linked[sym] = true
+			linked[sym] = max(linked[sym], kind)
 		}
 	}
 
-	declared := map[string]bool{}   // function → linked
-	unlinked := map[string]string{} // function → where it is declared
+	declared := map[string]linkage{} // function → the widest program kind linking it
+	unlinked := map[string]string{}  // function → where it is declared
+	harnessed := map[string]string{} // function → where it is declared
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -236,13 +335,16 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 					names = append([]string{pkg + "." + typ + "." + fn.Name.Name}, names...)
 				}
 			}
-			found := false
+			found := unlinkedKind
 			for _, n := range names {
-				found = found || linked[n]
+				found = max(found, linked[n])
 			}
 			declared[names[0]] = found
-			if !found {
+			switch {
+			case found == unlinkedKind:
 				unlinked[names[0]] = fset.Position(fn.Pos()).String()
+			case found == byHarness && !strings.HasPrefix(pkg, "cardirect/internal/experiments"):
+				harnessed[names[0]] = fset.Position(fn.Pos()).String()
 			}
 		}
 		return nil
@@ -261,13 +363,40 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 		t.Errorf("no program links %s: delete it, move it into the tests that use it, or allowlist it with a reason", m)
 	}
 	for name := range unlinkedAllowed {
-		if isLinked, ok := declared[name]; !ok {
+		if kind, ok := declared[name]; !ok {
 			t.Errorf("unlinkedAllowed names %s, which is not declared", name)
-		} else if isLinked {
+		} else if kind != unlinkedKind {
 			t.Errorf("unlinkedAllowed names %s, which a program links", name)
 		}
 	}
-	t.Logf("%d functions declared, %d of them unlinked", len(declared), len(unlinked))
+
+	allowed := map[string]bool{}
+	for _, names := range harnessOnly {
+		for _, name := range names {
+			allowed[name] = true
+		}
+	}
+	missing = missing[:0]
+	for name, where := range harnessed {
+		if !allowed[name] {
+			missing = append(missing, name+" ("+where+")")
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("only a harness links %s: move it into internal/experiments, or allowlist it in harnessOnly with the ROADMAP item that moves it", m)
+	}
+	for name := range allowed {
+		switch kind, ok := declared[name]; {
+		case !ok:
+			t.Errorf("harnessOnly names %s, which is not declared", name)
+		case kind == byUser:
+			t.Errorf("harnessOnly names %s, which a user's program links", name)
+		case kind == unlinkedKind:
+			t.Errorf("harnessOnly names %s, which no program links", name)
+		}
+	}
+	t.Logf("%d functions declared, %d of them unlinked, %d linked by a harness alone", len(declared), len(unlinked), len(harnessed))
 }
 
 // TestInventoryDocumented checks that DESIGN.md §2's inventory names every

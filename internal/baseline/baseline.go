@@ -1,18 +1,11 @@
-// Package baseline implements the coarser direction models the paper
-// positions itself against in §1–§2: models that approximate one or both
-// regions by points or minimum bounding boxes instead of using the primary
-// region's exact shape.
-//
-//   - CentroidCone — the cone-based point model in the style of Frank [3,4]:
-//     the direction between the two centroids, quantised into eight 45°
-//     cones plus a neutral "same position" case.
-//   - MBBModel — the rectangle model in the style of Papadias et al. [13]:
-//     both regions replaced by their bounding boxes; the resulting relation
-//     is the set of tiles of mbb(b)'s grid that mbb(a) overlaps.
-//
-// These models are cheap (O(k) for the bounding box scan, O(1) after that)
-// but lose information; the expressiveness experiment (E14) measures how
-// often they disagree with the exact tile relation of the paper's model.
+// Package baseline implements the rectangle model the paper positions
+// itself against in §1–§2, in the style of Papadias et al. [13]: both
+// regions replaced by their minimum bounding boxes, the resulting relation
+// the set of tiles of mbb(b)'s grid that mbb(a) overlaps. It is cheap (O(k)
+// for the bounding box scan, O(1) after that) but loses information; the
+// expressiveness experiment (E14) measures how often it, and the
+// centroid-cone point model of internal/experiments, disagree with the exact
+// tile relation of the paper's model.
 package baseline
 
 import (
@@ -22,113 +15,6 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
 )
-
-// Direction is the result of a point-based direction model: one of the
-// eight cardinal cones, or Same when the two points (or boxes) coincide too
-// closely to call.
-type Direction uint8
-
-// The eight cone directions plus the neutral case.
-const (
-	DirSame Direction = iota
-	DirN
-	DirNE
-	DirE
-	DirSE
-	DirS
-	DirSW
-	DirW
-	DirNW
-)
-
-var dirNames = [...]string{"same", "N", "NE", "E", "SE", "S", "SW", "W", "NW"}
-
-// String returns the direction's conventional name.
-func (d Direction) String() string {
-	if int(d) < len(dirNames) {
-		return dirNames[d]
-	}
-	return fmt.Sprintf("Direction(%d)", uint8(d))
-}
-
-// Tile maps a cone direction to the corresponding grid tile (Same maps to
-// the B tile). It is the bridge used when comparing point models with the
-// exact tile model.
-func (d Direction) Tile() core.Tile {
-	switch d {
-	case DirN:
-		return core.TileN
-	case DirNE:
-		return core.TileNE
-	case DirE:
-		return core.TileE
-	case DirSE:
-		return core.TileSE
-	case DirS:
-		return core.TileS
-	case DirSW:
-		return core.TileSW
-	case DirW:
-		return core.TileW
-	case DirNW:
-		return core.TileNW
-	default:
-		return core.TileB
-	}
-}
-
-// CentroidCone returns the cone direction of the primary region a seen from
-// the reference region b, comparing area centroids: the angle from b's
-// centroid to a's centroid is quantised into eight 45° cones centred on the
-// axes (N covers [67.5°, 112.5°) and so on). Centroids closer than eps are
-// reported as Same.
-func CentroidCone(a, b geom.Region, eps float64) Direction {
-	ca := regionCentroid(a)
-	cb := regionCentroid(b)
-	dx := ca.X - cb.X
-	dy := ca.Y - cb.Y
-	if math.Hypot(dx, dy) <= eps {
-		return DirSame
-	}
-	ang := math.Atan2(dy, dx) // (−π, π], 0 = east
-	// Quantise into 8 sectors of 45°, centred on E.
-	sector := int(math.Floor((ang + math.Pi/8) / (math.Pi / 4)))
-	switch ((sector % 8) + 8) % 8 {
-	case 0:
-		return DirE
-	case 1:
-		return DirNE
-	case 2:
-		return DirN
-	case 3:
-		return DirNW
-	case 4:
-		return DirW
-	case 5:
-		return DirSW
-	case 6:
-		return DirS
-	default:
-		return DirSE
-	}
-}
-
-// regionCentroid returns the area-weighted centroid of a region.
-func regionCentroid(r geom.Region) geom.Point {
-	var cx, cy, total float64
-	for _, p := range r {
-		a := p.Area()
-		c := p.Centroid()
-		cx += c.X * a
-		cy += c.Y * a
-		total += a
-	}
-	if total == 0 {
-		// Degenerate: fall back to the box centre.
-		return r.BoundingBox().Center()
-	}
-	return geom.Pt(cx/total, cy/total)
-}
 
 // MBB computes the tile relation between the bounding-box approximations:
 // the tiles of mbb(b)'s grid that mbb(a) overlaps with positive area. It is
@@ -195,21 +81,6 @@ func CompareMBB(mbbRel, exact core.Relation) Agreement {
 		return AgreeExact
 	}
 	if exact.Intersect(mbbRel) == exact {
-		return AgreeSubsumed
-	}
-	return AgreeContradict
-}
-
-// CompareCone measures a cone-model answer against the exact relation: it is
-// exact when the exact relation is the single matching tile, subsumed when
-// the matching tile is one of the exact relation's tiles, and contradictory
-// otherwise.
-func CompareCone(d Direction, exact core.Relation) Agreement {
-	t := d.Tile()
-	if exact == core.Rel(t) {
-		return AgreeExact
-	}
-	if exact.Has(t) {
 		return AgreeSubsumed
 	}
 	return AgreeContradict

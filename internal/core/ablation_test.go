@@ -8,8 +8,8 @@ package core_test
 import (
 	"testing"
 
-	"cardirect/internal/clip"
 	"cardirect/internal/core"
+	"cardirect/internal/experiments/clip"
 	"cardirect/internal/workload"
 )
 

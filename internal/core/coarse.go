@@ -92,9 +92,6 @@ func (ci *CoarseIndex) cellY(v float64) uint16 {
 	return uint16(c)
 }
 
-// Len returns the number of summarised regions.
-func (ci *CoarseIndex) Len() int { return len(ci.spans) }
-
 // coarsePairLut maps the eight monotone cell-span comparisons of a pair —
 // packed four per axis as (a.hi < b.lo) | (a.lo > b.hi)<<1 |
 // (a.lo > b.lo)<<2 | (a.hi < b.hi)<<3, x in the low nibble, y in the high —

@@ -11,24 +11,61 @@ import (
 	"cardirect/internal/workload"
 )
 
-// e22World builds a tracked 500-region configuration (store with percent
+const e22N = 500 // the acceptance bar is pinned to a 500-region world
+
+// e22World is one of E22's worlds: a name, the prefix of its region ids and
+// its geometries.
+type e22World struct {
+	name   string
+	prefix string
+	geoms  []geom.Region
+}
+
+// e22Worlds returns E22's scatter and cluster worlds.
+func e22Worlds(o Options) []e22World {
+	g := workload.New(o.Seed)
+	return []e22World{
+		{"scatter", "s", g.Scatter(e22N, 8)},
+		{"cluster", "c", g.Cluster(e22N, e22N/8, 8)},
+	}
+}
+
+// track builds the world's tracked configuration (store with percent
 // matrices, one worker, live R-tree) with a small color palette so
-// attribute conditions have something to filter on.
-func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Image, []string, error) {
-	img := &config.Image{Name: "e22-" + prefix}
-	ids := make([]string, len(regions))
-	for i, r := range regions {
-		id := fmt.Sprintf("%s%04d", prefix, i)
-		ids[i] = id
+// attribute conditions have something to filter on, and returns it with
+// an evaluator of E22's adversarial query over its store, written order
+// (planner false) or planned.
+//
+// The ordering is adversarial: the expensive percent condition leads, the
+// pinning bind trails, and both relation conditions pin their primary side
+// (z, the middle region). The shape is satisfiable: z north of x and south
+// of y puts x south of y, so x lands in y's SW tile for the western half of
+// the pairs.
+func (w e22World) track() (*config.Tracked, func(planner bool) ([]query.Binding, error), error) {
+	img := &config.Image{Name: "e22-" + w.prefix}
+	for i, r := range w.geoms {
+		id := fmt.Sprintf("%s%04d", w.prefix, i)
 		reg := config.Region{ID: id, Name: id, Color: fmt.Sprintf("c%d", i%6)}
 		reg.SetGeometry(r)
 		img.Regions = append(img.Regions, reg)
 	}
 	tr, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return tr, img, ids, nil
+	adversarial := fmt.Sprintf(
+		"q(x, y, z) :- pct(x SW y) >= 40, z {N, N:NE, NE} x, z {S, S:SW, SW} y, z = %s",
+		img.Regions[len(w.geoms)/2].ID)
+	eval := func(planner bool) ([]query.Binding, error) {
+		ev, err := query.NewEvaluator(img)
+		if err != nil {
+			return nil, err
+		}
+		ev.UseStore(tr.Store())
+		ev.SetPlanner(planner)
+		return ev.EvalString(adversarial)
+	}
+	return tr, eval, nil
 }
 
 // E22QueryPlanner measures the cost-based query planner (plan.go) against
@@ -48,18 +85,8 @@ func e22World(prefix string, regions []geom.Region) (*config.Tracked, *config.Im
 //   - planner_speedup: the smaller of the two worlds' ratios — the
 //     regression-gated floor behind TestE22PlannerWins (≥5x).
 func E22QueryPlanner(o Options) (Report, error) {
-	g := workload.New(o.Seed)
-	const n = 500 // the acceptance bar is pinned to a 500-region world
-	metrics := map[string]float64{"n": float64(n)}
-
-	worlds := []struct {
-		name   string
-		prefix string
-		geoms  []geom.Region
-	}{
-		{"scatter", "s", g.Scatter(n, 8)},
-		{"cluster", "c", g.Cluster(n, n/8, 8)},
-	}
+	worlds := e22Worlds(o)
+	metrics := map[string]float64{"n": float64(e22N)}
 
 	// benchBest times written and planned evaluation in alternating rounds,
 	// so a burst of load on the machine lands on both sides of the ratio,
@@ -79,29 +106,11 @@ func E22QueryPlanner(o Options) (Report, error) {
 	var rows [][]string
 	plannerSpeedup := 0.0
 	for _, w := range worlds {
-		tr, img, ids, err := e22World(w.prefix, w.geoms)
+		tr, eval, err := w.track()
 		if err != nil {
 			return Report{}, err
 		}
 		defer tr.Close()
-		mid := ids[n/2]
-		// Adversarial ordering: the expensive percent condition leads, the
-		// pinning bind trails, and both relation conditions pin their
-		// primary side (z). The shape is satisfiable: z north of x and south
-		// of y puts x south of y, so x lands in y's SW tile for the western
-		// half of the pairs.
-		adversarial := fmt.Sprintf(
-			"q(x, y, z) :- pct(x SW y) >= 40, z {N, N:NE, NE} x, z {S, S:SW, SW} y, z = %s", mid)
-
-		eval := func(planner bool) ([]query.Binding, error) {
-			ev, err := query.NewEvaluator(img)
-			if err != nil {
-				return nil, err
-			}
-			ev.UseStore(tr.Store())
-			ev.SetPlanner(planner)
-			return ev.EvalString(adversarial)
-		}
 		// Result equality first: the planner must be a pure optimisation.
 		want, err := eval(false)
 		if err != nil {
@@ -141,7 +150,7 @@ func E22QueryPlanner(o Options) (Report, error) {
 	}
 	metrics["planner_speedup"] = plannerSpeedup
 
-	body := fmt.Sprintf("adversarially-ordered 3-variable query, %d-region worlds, store on one worker:\n", n)
+	body := fmt.Sprintf("adversarially-ordered 3-variable query, %d-region worlds, store on one worker:\n", e22N)
 	body += Table(
 		[]string{"world", "written order", "planner", "speedup", "bindings"},
 		rows,

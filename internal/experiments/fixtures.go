@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"strings"
 
-	"cardirect/internal/clip"
 	"cardirect/internal/core"
+	"cardirect/internal/experiments/clip"
 	"cardirect/internal/geom"
 )
 

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"cardirect/internal/baseline"
-	"cardirect/internal/clip"
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/experiments/clip"
 	"cardirect/internal/geom"
 	"cardirect/internal/index"
 	"cardirect/internal/query"
@@ -397,7 +397,7 @@ func E14Expressiveness(o Options) (Report, error) {
 			return Report{}, err
 		}
 		mbbCounts[baseline.CompareMBB(mr, exact)]++
-		coneCounts[baseline.CompareCone(baseline.CentroidCone(p.A, p.B, 0), exact)]++
+		coneCounts[CompareCone(CentroidCone(p.A, p.B, 0), exact)]++
 	}
 	n := float64(len(pairs))
 	pct := func(c int) string { return fmt.Sprintf("%.1f%%", 100*float64(c)/n) }

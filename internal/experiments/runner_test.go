@@ -211,6 +211,32 @@ func TestE22PlannerWins(t *testing.T) {
 	}
 }
 
+// TestE22PlannerCounts is TestE22PlannerWins' count twin: on the same quick
+// worlds the planner reads at most a fifth of the pairs written order reads
+// from the store (its stage counters: every pair a kernel stage answered),
+// the same 5x bar, counted rather than timed.
+func TestE22PlannerCounts(t *testing.T) {
+	for _, w := range e22Worlds(quickOpts) {
+		tr, eval, err := w.track()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		pairs := func(planner bool) int {
+			before := tr.Store().Stats().Passes
+			if _, err := eval(planner); err != nil {
+				t.Fatal(err)
+			}
+			return tr.Store().Stats().Passes - before
+		}
+		written, planned := pairs(false), pairs(true)
+		t.Logf("%s: written order reads %d pairs, the planner %d", w.name, written, planned)
+		if planned == 0 || 5*planned > written {
+			t.Errorf("%s: the planner reads %d pairs, written order %d; want at most a fifth", w.name, planned, written)
+		}
+	}
+}
+
 // TestE23LoDWins runs the huge-world experiment in quick mode (2·10^4
 // regions) and enforces the tier's acceptance bars at a noise-robust quick
 // floor: the LoD stack must beat the exact-only sweep by ≥6x (the full

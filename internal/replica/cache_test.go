@@ -151,6 +151,44 @@ func TestReplicaCacheTornTail(t *testing.T) {
 	reopen("CDRS0002 log", v2, base)
 }
 
+// TestReplicaCacheGapLeavesNoCounters hands a replica a cached tail whose
+// second record does not follow the first. The cache is refused and the
+// replica bootstraps from the primary; its status then counts that one
+// bootstrap and no replayed record, as if the cache had not been there.
+func TestReplicaCacheGapLeavesNoCounters(t *testing.T) {
+	p := newPrimaryFixture(t, false)
+	cache := t.TempDir()
+	f := newReplicaFixture(t, p.ts.URL, cache)
+	for i := 0; i < 3; i++ {
+		x := 500 + float64(i)*20
+		if err := p.prim.AddRegion(fmt.Sprintf("gap%d", i), "", "", workload.BoxRegion(x, 500, x+10, 510)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, p, f.rep)
+	f.shutdown()
+	path := filepath.Join(cache, "tail.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, corr := replica.DecodeStream(data)
+	if corr != nil || len(recs) != 3 {
+		t.Fatalf("cached tail: %d records, corruption %v", len(recs), corr)
+	}
+	gap := append(append([]byte(replica.StreamMagic), recs[0].Frame...), recs[2].Frame...)
+	if err := os.WriteFile(path, gap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := newReplicaFixture(t, p.ts.URL, cache)
+	defer g.shutdown()
+	if st := g.rep.Status(); st.Bootstraps != 1 || st.RecordsApplied != 0 || st.ResumedFromCache {
+		t.Fatalf("after a refused cache: bootstraps=%d records_applied=%d resumed_from_cache=%v, want 1, 0, false",
+			st.Bootstraps, st.RecordsApplied, st.ResumedFromCache)
+	}
+	waitCaughtUp(t, p, g.rep)
+}
+
 // TestReplicaReadsDoNotWaitForIngest parks the tail loop inside its cache
 // write and reads the replica meanwhile: the accessors every served read
 // goes through, the status, and a read over HTTP all answer.

@@ -388,7 +388,7 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 	defer r.mu.Unlock()
 	r.head.Store(head)
 	for _, rec := range recs {
-		if err := r.applyLocked(rec); err != nil {
+		if err := applyRecord(r.tr.Load(), rec); err != nil {
 			r.lastErr = err.Error()
 			r.failed = fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)
 			return r.failed
@@ -403,11 +403,10 @@ func (r *Replica) ingest(recs []StreamRecord, head uint64) error {
 	return nil
 }
 
-// applyLocked applies one shipped edit through config.Tracked.Apply — a
-// bulk record lands as one edit, exactly like the primary's — and aligns
+// applyRecord applies one shipped edit to tr through config.Tracked.Apply —
+// a bulk record lands as one edit, exactly like the primary's — and aligns
 // the generation with the primary's.
-func (r *Replica) applyLocked(rec StreamRecord) error {
-	tr := r.tr.Load()
+func applyRecord(tr *config.Tracked, rec StreamRecord) error {
 	if err := tr.Apply(rec.Edits); err != nil {
 		return err
 	}
@@ -658,24 +657,26 @@ func (r *Replica) bootstrapFromCache() error {
 	// synced up to cacheSyncInterval late): keep the intact prefix, which
 	// DecodeStream ends at the first frame that fails its CRC — and the CRC
 	// covers each record's seq and gen.
+	// The replay goes into tr alone: a cache refused halfway leaves the
+	// replica as it found it, for the bootstrap from the primary.
 	recs, valid, _ := DecodeStream(tailData)
-	r.tr.Store(tr)
-	r.epoch = meta.Epoch
-	r.bootstraps++
 	applied := meta.Seq
 	for _, rec := range recs {
 		if rec.Seq != applied+1 {
 			return fmt.Errorf("replica: cached record %d follows %d", rec.Seq, applied)
 		}
-		if err := r.applyLocked(rec); err != nil {
+		if err := applyRecord(tr, rec); err != nil {
 			return fmt.Errorf("replica: replaying cached record %d: %w", rec.Seq, err)
 		}
 		applied = rec.Seq
-		r.records++
 	}
 	if r.tail, err = openTail(dir, valid); err != nil {
 		return err
 	}
+	r.tr.Store(tr)
+	r.epoch = meta.Epoch
+	r.bootstraps++
+	r.records += applied - meta.Seq
 	r.applied.Store(applied)
 	r.head.Store(applied)
 	r.written = applied
