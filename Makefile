@@ -39,9 +39,10 @@ race:
 # restart recovers a prefix of the acknowledged edits with relations
 # identical to a from-scratch computation. The replication shape rides
 # along: SIGKILL a tailing replica mid-stream, restart it on the same
-# cache, assert it resumes from its last applied sequence and converges
-# to the primary's generation — plus a 3-process primary/replica/router
-# round-trip.
+# -replica-data directory, assert it resumes from its last applied
+# sequence and converges to the primary's generation, then open that
+# directory as a primary's -data and read the same relations — plus a
+# 3-process primary/replica/router round-trip.
 smoke:
 	$(GO) test -count=1 -run 'TestCardirectdSmoke|TestCardirectdCrashRecovery|TestCardirectdReplicaResume|TestCardirectdRouter' ./cmd/cardirectd
 
@@ -56,13 +57,14 @@ lint: vet
 	fi
 
 # Short fuzz runs, 10 s per target. The decoders of crash-damaged or remote
-# input: the frame reader the WAL, the replication stream and a replica's
-# cache share, under an arbitrary header; WAL replay; the binary snapshot
-# decoder (crash-damaged files, a replica's bootstrap bytes); the WKT reader
+# input: the frame reader the WAL and the replication stream share, under an
+# arbitrary header; WAL replay, a replica's edit boundaries (wal.OpEdit)
+# included; the binary snapshot decoder (crash-damaged files, a replica's
+# bootstrap bytes and the position they record); the WKT reader
 # every geometry body goes through; the POST /v1/query parser. Then the
 # snapshot pct attribute, the one op switch every edit goes through
 # (config.Tracked.Apply: a refused edit changes nothing, an accepted one
-# relates like a fresh Track), five of the seven differentials against a
+# relates like a fresh Track, a boundary record is no edit), five of the seven differentials against a
 # reference (the XML reader and writer against encoding/xml, the one-pass
 # preparation against its three-pass reference, the huge-world tier stack
 # against the exact kernel, the planner on against off, the parallel solver

@@ -163,6 +163,31 @@ func TestE4LinearityShape(t *testing.T) {
 	}
 }
 
+// TestE4Counts is TestE4LinearityShape's count twin on the same sweep: the
+// kernel's steps per input edge — edges read, intersections computed and
+// segments classified (core.ComputeCDRStats) — stay under a constant at
+// every size, and grow by less than the timing test's 3x from 256 to
+// 16 384 edges. An edge crosses at most four grid lines, so it costs at
+// most one read, four intersections and five segments.
+func TestE4Counts(t *testing.T) {
+	var perEdge []float64
+	for _, c := range workload.New(20040314).ScalingSweep([]int{256, 16384}) {
+		_, st, err := core.ComputeCDRStats(c.A, c.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := st.EdgeVisits + st.Intersections + st.EdgesOut
+		perEdge = append(perEdge, float64(steps)/float64(c.Edges))
+		t.Logf("%d edges: %d steps (%d read, %d intersections, %d segments)", c.Edges, steps, st.EdgeVisits, st.Intersections, st.EdgesOut)
+		if steps > 10*c.Edges {
+			t.Errorf("%d edges took %d kernel steps, over the 10 an edge can cost", c.Edges, steps)
+		}
+	}
+	if ratio := perEdge[1] / perEdge[0]; ratio > 3 {
+		t.Errorf("kernel steps per edge grew %.2fx from 256 to 16384 edges — not linear", ratio)
+	}
+}
+
 // --- E6–E7: versus clipping (the paper's future-work experiment) ---
 
 func BenchmarkE6CDRvsClipping(b *testing.B) {

@@ -105,7 +105,7 @@ func newFlagSet() (*flag.FlagSet, flags) {
 		maxNetwork:      fs.Int("max-network", 64, "max variables a /v1/reason request may declare (oversized networks get 413)"),
 		replRetain:      fs.Int("repl-retain", 0, "replication records the primary retains in memory (0 = 65536); lagging followers re-bootstrap"),
 		follow:          fs.String("follow", "", "with -role replica: the primary's base URL to tail"),
-		replicaData:     fs.String("replica-data", "", "with -role replica: cache directory so a restart resumes from the last applied sequence"),
+		replicaData:     fs.String("replica-data", "", "with -role replica: data directory (snapshot + write-ahead log, as -data keeps) so a restart resumes from the last logged record"),
 		primaryURL:      fs.String("primary", "", "with -role router: the primary's base URL (writes go here)"),
 		replicaURLs:     fs.String("replicas", "", "with -role router: comma-separated replica base URLs (reads round-robin across healthy ones)"),
 	}
@@ -184,6 +184,9 @@ func run(args []string, stdout *os.File) error {
 		if st.Corruption != "" {
 			logger.Warn("recovered past a torn WAL tail", "at", st.Corruption)
 		}
+		if tr.Store().Pct() != pctOn {
+			logger.Warn("data dir is a replica's: percent mode is its primary's until an edit of this store's, then -pct's from the next restart", "pct", tr.Store().Pct())
+		}
 	} else {
 		start := time.Now()
 		img, err := loadConfig(*f.configPath, *f.greece)
@@ -209,7 +212,7 @@ func run(args []string, stdout *os.File) error {
 	if ps != nil {
 		under = ps
 	}
-	prim := replica.NewPrimary(tr, under, replica.PrimaryOptions{Retain: *f.replRetain, Pct: pctOn})
+	prim := replica.NewPrimary(tr, under, replica.PrimaryOptions{Retain: *f.replRetain, Pct: tr.Store().Pct()})
 
 	srv := serve.New(tr, serve.Options{
 		MaxBodyBytes:   *f.maxBody,
@@ -239,8 +242,8 @@ func run(args []string, stdout *os.File) error {
 	return nil
 }
 
-// runReplica bootstraps from the primary (or the local cache), starts the
-// tail loop, and serves the read surface; writes answer 421 not_primary.
+// runReplica resumes from -replica-data or bootstraps from the primary,
+// starts the tail loop, and serves reads; writes answer 421 not_primary.
 func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, f flags) error {
 	if *f.follow == "" {
 		return fmt.Errorf("-role replica requires -follow <primary-url>")

@@ -530,7 +530,9 @@ func addRegion(t *testing.T, base, id string, x, y float64) {
 // (make smoke): a tailing replica is SIGKILLed mid-stream, restarted over
 // the same -replica-data directory, and must resume from its last applied
 // sequence (not a fresh snapshot) and converge to the primary's generation
-// with byte-identical reads.
+// with byte-identical reads. Stopped, its -replica-data directory is a
+// primary's -data directory: a daemon started on it serves the same
+// relations.
 func TestCardirectdReplicaResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary replication test in -short mode")
@@ -589,7 +591,7 @@ func TestCardirectdReplicaResume(t *testing.T) {
 	}
 
 	// Restart over the same cache: it must resume, not re-snapshot.
-	_, repBase2 := startDaemon(t, bin, "-role", "replica", "-follow", primBase, "-replica-data", cacheDir)
+	repCmd2, repBase2 := startDaemon(t, bin, "-role", "replica", "-follow", primBase, "-replica-data", cacheDir)
 	st := waitApplied(repBase2, firstBatch+10)
 	if st.Replica.BootSeq < firstBatch {
 		t.Fatalf("boot seq %d: replica re-bootstrapped instead of resuming past %d", st.Replica.BootSeq, firstBatch)
@@ -623,6 +625,41 @@ func TestCardirectdReplicaResume(t *testing.T) {
 	}
 	if pe, re := pHdr.Get("ETag"), rHdr.Get("ETag"); pe == "" || pe != re {
 		t.Fatalf("ETags diverged: primary %q, replica %q", pe, re)
+	}
+
+	// Stop the replica and open its directory as a primary's.
+	repCmd2.Process.Signal(syscall.SIGTERM)
+	if err := repCmd2.Wait(); err != nil {
+		t.Fatalf("replica shutdown: %v", err)
+	}
+	dataCmd, dataBase := startDaemon(t, bin, "-data", cacheDir)
+	dStatus, _, dBody := getRaw(t, dataBase, "/v1/relations")
+	if dStatus != http.StatusOK || !bytes.Equal(dBody, pBody) {
+		t.Fatalf("a daemon on the replica's directory answers %d with %d bytes; the primary served %d", dStatus, len(dBody), len(pBody))
+	}
+	stop := func(cmd *exec.Cmd) {
+		t.Helper()
+		cmd.Process.Signal(syscall.SIGTERM)
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}
+
+	// Its exit snapshot keeps the position, as no edit of its own moved the
+	// world: a replica resumes from it. Once it has taken an edit of its
+	// own, its world is a primary's, which a replica refuses to sweep away.
+	stop(dataCmd)
+	repCmd3, repBase3 := startDaemon(t, bin, "-role", "replica", "-follow", primBase, "-replica-data", cacheDir)
+	if st := waitApplied(repBase3, primSt.HeadSeq); !st.Replica.ResumedFromCache {
+		t.Fatal("a replica did not resume from a directory a primary snapshotted unedited")
+	}
+	stop(repCmd3)
+	dataCmd, dataBase = startDaemon(t, bin, "-data", cacheDir)
+	addRegion(t, dataBase, "own", 900, 900)
+	stop(dataCmd)
+	out, err := exec.Command(bin, "-role", "replica", "-follow", primBase, "-replica-data", cacheDir, "-addr", "127.0.0.1:0").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "holds a primary's world") {
+		t.Fatalf("a replica on an edited primary's directory: %v\n%s", err, out)
 	}
 }
 

@@ -156,6 +156,8 @@ var harnessOnly = map[string][]string{
 		"cardirect/internal/persist.(*Store).RemoveRegion",
 		"cardirect/internal/persist.(*Store).RenameRegion",
 		"cardirect/internal/persist.(*Store).SetRegionGeometry",
+		"cardirect/internal/persist.EncodeSnapshot",
+		"cardirect/internal/persist.DecodeSnapshot",
 		"cardirect/internal/replica.(*Primary).AddRegion",
 		"cardirect/internal/replica.(*Primary).RemoveRegion",
 		"cardirect/internal/replica.(*Primary).RenameRegion",

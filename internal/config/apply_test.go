@@ -124,7 +124,8 @@ func logImage(tb testing.TB, recs ...wal.Record) []byte {
 // its intact records (at most four) are applied as one edit to a tracked
 // world of two regions. A refused edit must change nothing; an accepted one
 // must latch nothing and leave a document whose fresh Track relates every
-// pair exactly as the edited store does.
+// pair exactly as the edited store does. A replicated edit's boundary
+// record (wal.OpEdit) is no edit of its own: an edit holding one is refused.
 func FuzzTrackedApply(f *testing.F) {
 	box := sqRegion(10, 10, 11, 11)
 	for _, recs := range [][]wal.Record{
@@ -134,6 +135,8 @@ func FuzzTrackedApply(f *testing.F) {
 		{{Op: wal.OpSetGeometry, ID: "b", Geometry: box}},
 		{{Op: wal.OpAdd, ID: "c", Geometry: box}, {Op: wal.OpAdd, ID: "d", Geometry: sqRegion(-3, -3, -2, -2)}},
 		{{Op: wal.OpAdd, ID: "c", Geometry: box}, {Op: wal.OpSetGeometry, ID: "d", Geometry: sqRegion(-3, -3, -2, -2)}},
+		{{Op: wal.OpEdit, Seq: 1, Gen: 1, Edits: []wal.Record{{Op: wal.OpAdd, ID: "c", Geometry: box}}}},
+		{{Op: wal.OpAdd, ID: "c", Geometry: box}, {Op: wal.OpEdit, Seq: 1, Gen: 1}},
 	} {
 		f.Add(logImage(f, recs...))
 	}
@@ -148,7 +151,13 @@ func FuzzTrackedApply(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := stateOf(t, tr)
-		if err := tr.Apply(recs); err != nil {
+		err = tr.Apply(recs)
+		for _, r := range recs {
+			if r.Op == wal.OpEdit && err == nil {
+				t.Fatal("an edit holding a boundary record applied")
+			}
+		}
+		if err != nil {
 			if !stateOf(t, tr).equal(before) || tr.Err() != nil {
 				t.Fatalf("refused edit (%v) changed the world or latched %v", err, tr.Err())
 			}

@@ -38,19 +38,15 @@ import (
 // build's allocation count and the per-region footprint are informational.
 func E23HugeWorld(o Options) (Report, error) {
 	g := workload.New(o.Seed)
-	n := 100000
 	nBulk := 2000
 	if o.Quick {
-		n = 20000
 		nBulk = 600
 	}
 	window := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	regions, rows := e23Zipf(g, window, o.Quick)
+	n := len(regions)
 	metrics := map[string]float64{"n": float64(n), "bulk_regions": float64(nBulk)}
 
-	regions := make([]core.NamedRegion, n)
-	for i, r := range g.Zipf(window, n, 4096) {
-		regions[i] = core.NamedRegion{Name: fmt.Sprintf("z%06d", i), Region: r}
-	}
 	// What the world costs to build and to keep: allocations during the
 	// build, and the live heap it retains beyond its input (after a forced
 	// collection on both sides of the build).
@@ -74,16 +70,6 @@ func E23HugeWorld(o Options) (Report, error) {
 	// above would credit it with freeing the rings.
 	runtime.KeepAlive(regions)
 
-	// Sampled rows: every giant (zipf rank order puts them first) plus an
-	// even stride through the tail. The giants are where all-pairs cost
-	// concentrates; the stride keeps the tail honest.
-	var rows []int
-	for i := 0; i < 16 && i < n; i++ {
-		rows = append(rows, i)
-	}
-	for i := 16; i < n; i += n / 48 {
-		rows = append(rows, i)
-	}
 	metrics["rows"] = float64(len(rows))
 
 	// Result equality first: the tier stack must be a pure optimisation.
@@ -226,4 +212,24 @@ func E23HugeWorld(o Options) (Report, error) {
 		Body:    body,
 		Metrics: metrics,
 	}, nil
+}
+
+// e23Zipf is E23's zipfian world and the rows it sweeps: every giant, where
+// all-pairs cost concentrates, plus an even stride through the tail.
+func e23Zipf(g *workload.Generator, window geom.Rect, quick bool) (regions []core.NamedRegion, rows []int) {
+	n := 100000
+	if quick {
+		n = 20000
+	}
+	regions = make([]core.NamedRegion, n)
+	for i, r := range g.Zipf(window, n, 4096) {
+		regions[i] = core.NamedRegion{Name: fmt.Sprintf("z%06d", i), Region: r}
+	}
+	for i := 0; i < 16 && i < n; i++ {
+		rows = append(rows, i)
+	}
+	for i := 16; i < n; i += n / 48 {
+		rows = append(rows, i)
+	}
+	return regions, rows
 }

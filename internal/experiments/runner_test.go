@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"strings"
 	"testing"
+
+	"cardirect/internal/core"
+	"cardirect/internal/geom"
+	"cardirect/internal/workload"
 )
 
 // TestMain shortens every testing.Benchmark call the experiments make from
@@ -273,6 +278,43 @@ func TestE23LoDWins(t *testing.T) {
 	}
 	if r.Metrics["pairs_strip"] == 0 {
 		t.Error("strip stage decided no pairs — the localised exact tier is vacuous")
+	}
+}
+
+// TestE23Counts is TestE23LoDWins' count twin on the same quick world and
+// rows: the LoD stack decides every pair once — in its coarse, strip or
+// exact tier, or by the MBB fast path — with the coarse and strip tiers
+// each deciding some, and its exact kernel reads at most a sixth of the
+// edges the exact-only sweep's kernel reads, the timing floor's 6x,
+// counted rather than timed.
+func TestE23Counts(t *testing.T) {
+	regions, rows := e23Zipf(workload.New(quickOpts.Seed), geom.Rect{MaxX: 1000, MaxY: 1000}, true)
+	w, err := core.PrepareLoDWorld(regions, core.LoDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, exact, err := w.BatchRows(context.Background(), rows, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lod, err := w.BatchRows(context.Background(), rows, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("exact sweep: %d pairs, %d edges read; LoD stack: %d coarse, %d strip, %d exact, %d MBB fast path, %d edges read",
+		exact.Passes, exact.EdgeVisits, lod.CoarseSingleTile, lod.LoDStrip, lod.LoDExact, lod.PruneSingleTile+lod.PruneBand, lod.EdgeVisits)
+	pairs := len(rows) * (len(regions) - 1)
+	if exact.Passes != pairs {
+		t.Fatalf("the exact sweep decided %d pairs, want %d", exact.Passes, pairs)
+	}
+	if got := lod.CoarseSingleTile + lod.LoDStrip + lod.LoDExact + lod.PruneSingleTile + lod.PruneBand; got != pairs {
+		t.Errorf("the LoD stack's tiers decided %d pairs, want each of the %d once", got, pairs)
+	}
+	if lod.CoarseSingleTile == 0 || lod.LoDStrip == 0 {
+		t.Errorf("coarse tier decided %d pairs, strip tier %d; want both at work", lod.CoarseSingleTile, lod.LoDStrip)
+	}
+	if 6*lod.EdgeVisits > exact.EdgeVisits {
+		t.Errorf("the LoD stack's kernel reads %d edges, the exact sweep's %d; want at most a sixth", lod.EdgeVisits, exact.EdgeVisits)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // File layout (all integers little-endian):
 //
 //	magic   [4]byte  "CDSN"
-//	version uint16   format version (currently 1)
+//	version uint16   format version (currently 2; 1 still decodes)
 //	flags   uint16   reserved, zero
 //	length  uint64   payload length in bytes
 //	payload [length]byte
@@ -35,15 +35,19 @@ import (
 // against the XML writer's output), and coordinates are IEEE-754 bit
 // patterns via math.Float64bits — no decimal formatting round-trip.
 //
-//	payload := str(name) str(file)
+//	payload := position str(name) str(file)
 //	           u32(#regions)   region*
 //	           u32(#relations) relation*
+//	position := str(epoch) u64(seq) u64(gen) u32(pct)
 //	region   := str(id) str(name) str(color) u32(#polygons) polygon*
 //	polygon  := str(id) u32(#vertices) (u64(xbits) u64(ybits))*
 //	relation := str(type) str(primary) str(reference) str(pct)
+//
+// The position (version 2, see Position) is empty in a primary's own
+// snapshots and absent from a version 1 file.
 const (
 	binMagic   = "CDSN"
-	binVersion = 1
+	binVersion = 2
 	// binHeaderLen is magic + version + flags + payload length.
 	binHeaderLen = 4 + 2 + 2 + 8
 )
@@ -66,11 +70,33 @@ func (w *binWriter) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// Position is where a replica's world stands in its primary's stream: the
+// epoch, the last edit's seq, the generation after it, and the primary's
+// StoreOptions.Pct. Recorded in the snapshot a replica installs, it lands
+// in one rename with the world it describes. An empty Epoch is no position.
+type Position struct {
+	Epoch    string
+	Seq, Gen uint64
+	Pct      bool
+}
+
 // EncodeSnapshot serialises the document into the framed binary snapshot
-// format (magic, version, length, CRC-32C). Replication streams these bytes
-// to bootstrapping replicas; DecodeSnapshot is the inverse.
-func EncodeSnapshot(img *config.Image) []byte {
+// format (magic, version, length, CRC-32C) with no position;
+// DecodeSnapshot is the inverse.
+func EncodeSnapshot(img *config.Image) []byte { return EncodeSnapshotAt(img, Position{}) }
+
+// EncodeSnapshotAt is EncodeSnapshot for a world at pos, as a primary
+// streams it to a bootstrapping replica.
+func EncodeSnapshotAt(img *config.Image, pos Position) []byte {
 	var w binWriter
+	w.str(pos.Epoch)
+	w.u64(pos.Seq)
+	w.u64(pos.Gen)
+	var pct uint32
+	if pos.Pct {
+		pct = 1
+	}
+	w.u32(pct)
 	w.str(img.Name)
 	w.str(img.File)
 	w.u32(uint32(len(img.Regions)))
@@ -185,27 +211,40 @@ func (r *binReader) count(what string, min int) int {
 // a configuration document. It does not validate the document; config.Track
 // does, when recovery or a replica tracks it.
 func DecodeSnapshot(data []byte) (*config.Image, error) {
+	img, _, err := decodeSnapshot(data)
+	return img, err
+}
+
+// decodeSnapshot is DecodeSnapshot, returning the snapshot's position too.
+func decodeSnapshot(data []byte) (*config.Image, Position, error) {
+	var pos Position
 	if len(data) < binHeaderLen+4 {
-		return nil, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
+		return nil, pos, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
 	}
 	if string(data[:4]) != binMagic {
-		return nil, fmt.Errorf("persist: bad binary snapshot magic %q", data[:4])
+		return nil, pos, fmt.Errorf("persist: bad binary snapshot magic %q", data[:4])
 	}
 	version := binary.LittleEndian.Uint16(data[4:])
 	payloadLen := binary.LittleEndian.Uint64(data[8:])
 	if uint64(len(data)) != binHeaderLen+payloadLen+4 {
-		return nil, fmt.Errorf("persist: binary snapshot length mismatch: header says %d payload bytes, file has %d",
+		return nil, pos, fmt.Errorf("persist: binary snapshot length mismatch: header says %d payload bytes, file has %d",
 			payloadLen, len(data)-binHeaderLen-4)
 	}
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := wal.Checksum(data[4 : len(data)-4]); got != want {
-		return nil, fmt.Errorf("persist: binary snapshot checksum mismatch: %08x != %08x", got, want)
+		return nil, pos, fmt.Errorf("persist: binary snapshot checksum mismatch: %08x != %08x", got, want)
 	}
-	if version != binVersion {
-		return nil, fmt.Errorf("persist: unsupported binary snapshot version %d", version)
+	if version != 1 && version != binVersion {
+		return nil, pos, fmt.Errorf("persist: unsupported binary snapshot version %d", version)
 	}
 
 	r := &binReader{buf: data[binHeaderLen : len(data)-4]}
+	if version == binVersion {
+		pos.Epoch = r.str("position epoch")
+		pos.Seq = r.u64("position seq")
+		pos.Gen = r.u64("position generation")
+		pos.Pct = r.u32("position pct") != 0
+	}
 	img := &config.Image{XMLName: xml.Name{Local: "Image"}}
 	img.Name = r.str("image name")
 	img.File = r.str("image file")
@@ -238,10 +277,10 @@ func DecodeSnapshot(data []byte) (*config.Image, error) {
 		rel.Pct = r.str("relation pct")
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, pos, r.err
 	}
 	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("persist: binary snapshot has %d trailing payload bytes", len(r.buf)-r.off)
+		return nil, pos, fmt.Errorf("persist: binary snapshot has %d trailing payload bytes", len(r.buf)-r.off)
 	}
-	return img, nil
+	return img, pos, nil
 }

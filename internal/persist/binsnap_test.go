@@ -170,7 +170,7 @@ func TestRecoveryPrefersBinaryFallsBackToXML(t *testing.T) {
 }
 
 // TestStaleTempSweep plants leftovers of a crashed rotation — a snapshot
-// temp file and an orphaned higher-generation binary whose XML never landed
+// temp file and a damaged higher-generation binary whose XML never landed
 // — and asserts Open removes both while leaving every live generation file
 // untouched.
 func TestStaleTempSweep(t *testing.T) {
@@ -179,9 +179,8 @@ func TestStaleTempSweep(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial write from a crashed rotation"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A rotation that crashed between installing the .bin and the .xml:
-	// generation 2 does not exist (scanSnapshots keys off the XML), so its
-	// orphaned binary must be swept.
+	// A generation 2 whose binary is damaged and whose XML never landed:
+	// recovery falls back to generation 1, and the sweep removes it.
 	orphan := filepath.Join(dir, binSnapshotName(2))
 	if err := os.WriteFile(orphan, []byte("orphaned binary snapshot"), 0o644); err != nil {
 		t.Fatal(err)
@@ -320,6 +319,33 @@ func TestBinarySnapshotVersionGate(t *testing.T) {
 	recrc := encodeWithCRC(bumped)
 	if _, err := DecodeSnapshot(recrc); err == nil {
 		t.Error("future format version decoded successfully")
+	}
+}
+
+// TestBinarySnapshotPosition: a snapshot records the position it was
+// encoded at, and a version 1 file — no position in it — still decodes, to
+// the same image and no position.
+func TestBinarySnapshotPosition(t *testing.T) {
+	img := config.Greece()
+	pos := Position{Epoch: "0123456789abcdef", Seq: 7, Gen: 9, Pct: true}
+	want, err := DecodeSnapshot(EncodeSnapshot(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotPos, err := decodeSnapshot(EncodeSnapshotAt(img, pos))
+	if err != nil || gotPos != pos || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v (err %v), want %+v and the same image", gotPos, err, pos)
+	}
+	// Version 1: the same header, no position ahead of the document.
+	v2 := EncodeSnapshot(img)
+	const noPosition = 4 + 8 + 8 + 4 // empty epoch, seq, gen, pct
+	v1 := bytes.Clone(v2[:binHeaderLen])
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	binary.LittleEndian.PutUint64(v1[8:], uint64(len(v2)-binHeaderLen-4-noPosition))
+	v1 = append(v1, v2[binHeaderLen+noPosition:]...)
+	got, gotPos, err = decodeSnapshot(encodeWithCRC(v1))
+	if err != nil || gotPos != (Position{}) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("version 1 decoded to %+v (err %v), want no position and the same image", gotPos, err)
 	}
 }
 

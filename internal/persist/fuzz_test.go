@@ -17,6 +17,7 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	greece := EncodeSnapshot(config.Greece())
 	f.Add(greece)
+	f.Add(EncodeSnapshotAt(config.Greece(), Position{Epoch: "0123456789abcdef", Seq: 7, Gen: 9, Pct: true}))
 	for _, n := range []int{0, 4, binHeaderLen, binHeaderLen + 4, len(greece) / 2, len(greece) - 1} {
 		f.Add(greece[:n])
 	}

@@ -34,15 +34,25 @@
 // edit is therefore on stable storage; a crash between apply and ack loses
 // at most that unacknowledged edit, so recovery always yields a prefix of
 // the acknowledged edit stream.
+//
+// A replica keeps the same directory with binary snapshots alone: Install
+// puts the snapshot it bootstrapped from in place as it came, with the
+// Position it records, and Follow logs the stream's wal.OpEdit frames as
+// they arrived, so each replays as one whole edit at its primary's
+// generation. A replica's log is a convenience, not a record: Install can
+// keep the world in memory instead, and Follow applies what it could not
+// log.
 package persist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,6 +93,9 @@ type Store struct {
 	tr  *config.Tracked
 	w   *wal.Writer
 	seq uint64
+	pos Position
+	// diverged is the replicated edit Follow refused; nothing follows it.
+	diverged error
 
 	// walCum accumulates metrics of rotated-out log writers, so Status
 	// reports totals across the store's lifetime.
@@ -144,21 +157,14 @@ func walName(seq uint64) string      { return fmt.Sprintf("wal-%08d.log", seq) }
 // is ignored (with a logged note): the durable state wins, so a service
 // restarted with its bootstrap flags recovers instead of resetting.
 func Open(dir string, seed *config.Image, opt Options) (*Store, error) {
-	if opt.Logger == nil {
-		opt.Logger = slog.Default()
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: creating data dir: %w", err)
-	}
-	s := &Store{dir: dir, opt: opt, log: opt.Logger}
-	seqs, err := s.scanSnapshots()
+	s, seqs, err := openDir(dir, opt)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	if len(seqs) == 0 {
 		if seed == nil {
-			return nil, fmt.Errorf("persist: data dir %s holds no snapshot and no seed configuration was given", dir)
+			return nil, fmt.Errorf("persist: data dir %s holds no snapshot and no seed configuration was given: %w", dir, fs.ErrNotExist)
 		}
 		if err := s.initialise(seed); err != nil {
 			return nil, err
@@ -176,8 +182,18 @@ func Open(dir string, seed *config.Image, opt Options) (*Store, error) {
 	return s, nil
 }
 
+// openDir makes dir if need be and lists the generations it holds.
+func openDir(dir string, opt Options) (*Store, []uint64, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("persist: creating data dir: %w", err)
+	}
+	s := &Store{dir: dir, opt: opt, log: cmp.Or(opt.Logger, slog.Default())}
+	seqs, err := s.scanSnapshots()
+	return s, seqs, err
+}
+
 // scanSnapshots lists the snapshot generations present in the directory,
-// ascending.
+// ascending: every seq with a snapshot file in either format.
 func (s *Store) scanSnapshots() ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -186,12 +202,13 @@ func (s *Store) scanSnapshots() ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range entries {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snapshot-%d.xml", &seq); n == 1 && e.Name() == snapshotName(seq) {
+		if n, _ := fmt.Sscanf(e.Name(), "snapshot-%d.", &seq); n == 1 &&
+			(e.Name() == snapshotName(seq) || e.Name() == binSnapshotName(seq)) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	slices.Sort(seqs)
+	return slices.Compact(seqs), nil
 }
 
 // initialise writes generation 1 from the seed document: tracked store,
@@ -221,24 +238,28 @@ func (s *Store) initialise(seed *config.Image) error {
 // damaged on disk) fall back to the previous generation with a warning.
 func (s *Store) recover(seqs []uint64) error {
 	var err error
+	var path string
 	for i := len(seqs) - 1; i >= 0; i-- {
 		seq := seqs[i]
 		// Prefer the binary snapshot: same document, no XML decode. A
 		// binary that is missing, fails its CRC (torn rotation, bit rot) or
 		// does not track falls back to the XML of the same generation; a
 		// generation with neither falls back to the previous generation.
-		binPath := filepath.Join(s.dir, binSnapshotName(seq))
+		path = filepath.Join(s.dir, binSnapshotName(seq))
 		var data []byte
-		if data, err = os.ReadFile(binPath); err == nil {
-			err = s.track(DecodeSnapshot(data))
+		if data, err = os.ReadFile(path); err == nil {
+			var img *config.Image
+			img, s.pos, err = decodeSnapshot(data)
+			err = s.track(img, err)
 		}
 		if err == nil {
 			s.seq, s.recoveredFrom = seq, "binary"
 			break
 		} else if !os.IsNotExist(err) {
-			s.log.Warn("persist: binary snapshot unreadable; falling back to XML", "path", binPath, "err", err)
+			s.log.Warn("persist: binary snapshot unreadable; falling back to XML", "path", path, "err", err)
 		}
-		path := filepath.Join(s.dir, snapshotName(seq))
+		s.pos = Position{}
+		path = filepath.Join(s.dir, snapshotName(seq))
 		if err = s.track(loadSnapshot(path)); err != nil {
 			s.log.Warn("persist: skipping unreadable snapshot", "path", path, "err", err)
 			continue
@@ -247,7 +268,7 @@ func (s *Store) recover(seqs []uint64) error {
 		break
 	}
 	if s.tr == nil {
-		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates): %w", s.dir, len(seqs), err)
+		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates): %v", s.dir, len(seqs), err)
 	}
 
 	walPath := filepath.Join(s.dir, walName(s.seq))
@@ -259,14 +280,18 @@ func (s *Store) recover(seqs []uint64) error {
 		s.corruption = corr.String()
 		s.log.Warn("persist: discarding torn log tail", "log", walName(s.seq), "at", corr.String(), "intact_records", len(recs))
 	}
-	// The log keeps no batch boundaries, so a run of OpAdd records replays
-	// as one edit — what a bulk ingest wrote comes back as the one edit it
-	// was. A refused run changes nothing and is replayed record by record,
-	// so a single bad record still only loses itself.
+	// A primary's log keeps no edit boundaries, so a run of OpAdd records
+	// replays as one edit — what a bulk ingest wrote comes back as the one
+	// edit it was. A refused run changes nothing and is replayed record by
+	// record, so a single bad record still only loses itself. A replica's
+	// OpEdit is one edit; any other record leaves the world no position.
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for recs[i].Op == wal.OpAdd && j < len(recs) && recs[j].Op == wal.OpAdd {
 			j++
+		}
+		if recs[i].Op != wal.OpEdit {
+			s.pos = Position{}
 		}
 		if j-i > 1 && s.tr.Apply(recs[i:j]) == nil {
 			s.replayed += j - i
@@ -274,11 +299,17 @@ func (s *Store) recover(seqs []uint64) error {
 			continue
 		}
 		for ; i < j; i++ {
-			if err := s.tr.Apply(recs[i : i+1]); err != nil {
+			var err error
+			if recs[i].Op == wal.OpEdit {
+				err = s.applyEdit(recs[i])
+			} else {
+				err = s.tr.Apply(recs[i : i+1])
+			}
+			if err != nil {
 				// A record that does not apply cannot arise from our own
-				// apply-then-log ordering; tolerate it anyway (version skew,
-				// a hand-edited directory) the same way as a torn tail: keep
-				// what is consistent, warn, carry on.
+				// ordering (on a replica, only from a divergence Follow
+				// latched); tolerate it anyway the same way as a torn tail:
+				// keep what is consistent, warn, carry on.
 				s.skipped++
 				s.log.Warn("persist: skipping unreplayable record", "op", recs[i].Op.String(), "id", recs[i].ID, "err", err)
 				continue
@@ -289,12 +320,12 @@ func (s *Store) recover(seqs []uint64) error {
 	if err := s.tr.Err(); err != nil {
 		return fmt.Errorf("persist: tracked store diverged during replay: %w", err)
 	}
-	w, err := wal.Open(walPath, wal.Magic, valid, s.opt.Sync)
+	w, err := wal.Open(walPath, valid, s.opt.Sync)
 	if err != nil {
 		return fmt.Errorf("persist: opening log for append: %w", err)
 	}
 	s.w = w
-	if st, err := os.Stat(filepath.Join(s.dir, snapshotName(s.seq))); err == nil {
+	if st, err := os.Stat(path); err == nil {
 		s.lastSnap = st.ModTime()
 	}
 	return nil
@@ -312,10 +343,18 @@ func loadSnapshot(path string) (*config.Image, error) {
 
 // track builds the tracked store from a decoded document, or passes on the
 // error that decoding it returned. config.Track validates the document, so
-// a snapshot is validated once.
+// a snapshot is validated once. A world with a position takes its
+// primary's generation and percent option, which decides what it accepts.
 func (s *Store) track(img *config.Image, err error) error {
+	pct := s.opt.Pct
+	if s.pos.Epoch != "" {
+		pct = s.pos.Pct
+	}
 	if err == nil {
-		s.tr, err = config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
+		s.tr, err = config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: pct})
+	}
+	if err == nil && s.pos.Epoch != "" {
+		s.tr.Store().SetGeneration(s.pos.Gen)
 	}
 	return err
 }
@@ -331,7 +370,8 @@ func (s *Store) Tracked() *config.Tracked { return s.tr }
 // large for a frame (wal.ErrTooLarge) is refused before it is applied. A
 // WAL append failure is latched — the in-memory state is ahead of the
 // durable state from that point on, so every subsequent edit is refused
-// until the operator restarts the service.
+// until the operator restarts the service. An applied edit leaves the world
+// no position: it is this store's own, in no primary's stream.
 func (s *Store) Apply(recs []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,16 +385,105 @@ func (s *Store) Apply(recs []wal.Record) error {
 	if err := s.tr.Apply(recs); err != nil {
 		return err
 	}
-	_, pending := s.w.SyncDue()
-	if err := s.w.AppendFrames(frames, len(recs)); err != nil {
-		s.err = err
-		s.log.Error("persist: WAL append failed; refusing further edits", "err", err)
+	s.pos = Position{}
+	if err := s.append(frames, len(recs)); err != nil {
 		return fmt.Errorf("persist: edit applied in memory but not logged: %w", err)
+	}
+	return nil
+}
+
+// Follow logs a batch of replicated edits, each a wal.OpEdit record, with
+// one write of frames — their frames as the stream carried them — and then
+// applies each (applyEdit). It logs first, as the primary has acknowledged
+// these edits already. Once the log has failed (a latched append or sync
+// error) or when the store has none, Follow applies without logging: a
+// restart resumes from what the log holds and fetches the rest again. An
+// edit the store refuses means the replica diverged; it is latched, and
+// nothing follows it.
+func (s *Store) Follow(frames []byte, edits []wal.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.diverged != nil {
+		return s.diverged
+	}
+	if s.err == nil {
+		s.append(frames, len(edits))
+	}
+	for _, e := range edits {
+		if err := s.applyEdit(e); err != nil {
+			s.diverged = fmt.Errorf("persist: replicated edit %d: %w", e.Seq, err)
+			return s.diverged
+		}
+	}
+	return nil
+}
+
+// applyEdit applies a replicated edit, which must follow the position, as
+// one edit, and leaves the store at its primary's generation: normally a
+// no-op, the edit moving it by the primary's stride, but ETags ride on it.
+func (s *Store) applyEdit(e wal.Record) error {
+	if e.Seq != s.pos.Seq+1 {
+		return fmt.Errorf("persist: replicated edit %d does not follow %d", e.Seq, s.pos.Seq)
+	}
+	if err := s.tr.Apply(e.Edits); err != nil {
+		return err
+	}
+	s.tr.Store().SetGeneration(e.Gen)
+	s.pos.Seq, s.pos.Gen = e.Seq, e.Gen
+	return nil
+}
+
+// append writes n frames to the log as one write and arms the interval
+// sync (syncLater). A failure is latched.
+func (s *Store) append(frames []byte, n int) error {
+	_, pending := s.w.SyncDue()
+	if err := s.w.AppendFrames(frames, n); err != nil {
+		s.err = err
+		s.log.Error("persist: WAL append failed; the log takes no further edit", "err", err)
+		return err
 	}
 	if d, ok := s.w.SyncDue(); ok && !pending {
 		s.syncLater(s.w, d)
 	}
 	return nil
+}
+
+// Position reports where the world stands in the replication stream it
+// follows; a primary's world has none (an empty Epoch).
+func (s *Store) Position() Position {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pos
+}
+
+// Install makes snapshot, bytes EncodeSnapshotAt wrote, the newest
+// generation of dir as they are — no XML — and opens the store, whose stale
+// sweep retires the older ones. A replica bootstraps this way. With dir ""
+// the world stays in memory: nothing is written, and Follow only applies.
+func Install(dir string, snapshot []byte, opt Options) (*Store, error) {
+	if dir == "" {
+		img, pos, err := decodeSnapshot(snapshot)
+		s := &Store{opt: opt, log: cmp.Or(opt.Logger, slog.Default()), pos: pos, err: errors.New("persist: the store keeps no data directory")}
+		if err := s.track(img, err); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	s, seqs, err := openDir(dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	var last uint64
+	if len(seqs) > 0 {
+		last = seqs[len(seqs)-1]
+	}
+	if err := writeFileAtomic(filepath.Join(dir, binSnapshotName(last+1)), snapshot); err != nil {
+		return nil, fmt.Errorf("persist: installing snapshot: %w", err)
+	}
+	if err := s.syncDir(); err != nil {
+		return nil, err
+	}
+	return Open(dir, nil, opt)
 }
 
 // syncLater fsyncs w after d unless it is synced, rotated out by Snapshot or
@@ -376,7 +505,7 @@ func (s *Store) syncLater(w *wal.Writer, d time.Duration) {
 		}
 		if err := w.Sync(); err != nil {
 			s.err = err
-			s.log.Error("persist: WAL fsync failed; refusing further edits", "err", err)
+			s.log.Error("persist: WAL fsync failed; the log takes no further edit", "err", err)
 		}
 	})
 }
@@ -447,11 +576,11 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 // writeSnapshotFile writes the tracked document as snapshot-<seq> in both
 // formats, each atomically (temp file, fsync, rename). The document is
 // encoded under the tracked read lock — s.mu already keeps edits out, and
-// reads carry on beside the encode. The binary file is installed first and
-// the XML second:
-// scanSnapshots keys generations off the XML name, so a generation only
-// becomes visible once both files are in place, and a crash between the two
-// renames leaves an orphaned .bin that the stale sweep removes.
+// reads carry on beside the encode. Either file is the whole world as of
+// the generation, so a crash between the two renames leaves a generation
+// that recovers from the binary file alone. The binary file records the
+// world's position, so a replica's world written out before any edit of
+// its own keeps its primary's generation and percent mode.
 func (s *Store) writeSnapshotFile(seq uint64) error {
 	if s.tr.Store().Len() == 0 {
 		return ErrEmptyWorld
@@ -460,26 +589,26 @@ func (s *Store) writeSnapshotFile(seq uint64) error {
 	err := s.tr.View(func(img *config.Image) error {
 		var err error
 		data, err = img.Bytes()
-		bin = EncodeSnapshot(img)
+		bin = EncodeSnapshotAt(img, s.pos)
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(s.dir, binSnapshotName(seq)), bin); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, binSnapshotName(seq)), bin); err != nil {
 		return fmt.Errorf("persist: installing snapshot: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(s.dir, snapshotName(seq)), data); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, snapshotName(seq)), data); err != nil {
 		return fmt.Errorf("persist: installing snapshot: %w", err)
 	}
 	return nil
 }
 
-// WriteFileAtomic installs data at path: written to path+".tmp", fsynced,
+// writeFileAtomic installs data at path: written to path+".tmp", fsynced,
 // then renamed over path, so that a crash leaves the old file or the new
 // one and never a torn one. Making the rename durable (a directory fsync) is
 // the caller's business.
-func WriteFileAtomic(path string, data []byte) error {
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -526,7 +655,7 @@ func (s *Store) removeGeneration(seq uint64) {
 }
 
 // removeStale clears leftovers of interrupted rotations after recovery:
-// WriteFileAtomic's temp files and the snapshot and log files of any
+// writeFileAtomic's temp files and the snapshot and log files of any
 // generation other than the live one. Only names this package produces
 // are touched — a name must round-trip through snapshotName,
 // binSnapshotName or walName (Sscanf alone accepts a prefix match), so an

@@ -68,43 +68,22 @@ func stripOfHi(v float64, b interval) int {
 	}
 }
 
-// colsMask returns the bitmask of grid columns used by the relation's tiles.
-func colsMask(r core.Relation) uint8 {
-	var m uint8
-	for _, t := range r.Tiles() {
-		m |= 1 << t.Col()
+// masks returns the bitmasks of the grid columns and rows the relation's
+// tiles use.
+func masks(r core.Relation) (cols, rows uint8) {
+	for t := core.Tile(0); t < core.NumTiles; t++ {
+		if r.Has(t) {
+			cols |= 1 << t.Col()
+			rows |= 1 << t.Row()
+		}
 	}
-	return m
+	return cols, rows
 }
 
-// rowsMask returns the bitmask of grid rows used by the relation's tiles.
-func rowsMask(r core.Relation) uint8 {
-	var m uint8
-	for _, t := range r.Tiles() {
-		m |= 1 << t.Row()
-	}
-	return m
-}
-
-// PairConsistent reports whether the tile set R is realisable by a REG*
-// primary region whose bounding-box projections relate to the reference's by
-// ax on the x-axis and ay on the y-axis: R's columns must be allowed by ax,
-// R's rows by ay, and the mandatory extreme strips must be occupied. For
-// REG* these conditions are also sufficient — disconnected blobs realise any
-// such tile set.
-func PairConsistent(r core.Relation, ax, ay AllenRel) bool {
-	if !r.IsValid() {
-		return false
-	}
-	cm := colsMask(r)
-	rm := rowsMask(r)
-	xi := axisInfoTable[ax]
-	yi := axisInfoTable[ay]
-	if cm&^xi.Allowed != 0 || rm&^yi.Allowed != 0 {
-		return false
-	}
-	return cm&(1<<xi.MandLo) != 0 && cm&(1<<xi.MandHi) != 0 &&
-		rm&(1<<yi.MandLo) != 0 && rm&(1<<yi.MandHi) != 0
+// axisConsistent reports whether strips m — a relation's columns or rows —
+// are all allowed by info and hold both of its mandatory strips.
+func axisConsistent(m uint8, info AxisInfo) bool {
+	return m&^info.Allowed == 0 && m&(1<<info.MandLo) != 0 && m&(1<<info.MandHi) != 0
 }
 
 // pairTables holds the precomputed correspondence between Allen pairs and
@@ -122,12 +101,22 @@ var (
 	tables     pairTables
 )
 
+// getTables builds the tables on first use. A tile set R is realisable by a
+// REG* primary whose projections relate to the reference's by (ax, ay) when
+// R's columns are allowed by ax, its rows by ay, and the mandatory extreme
+// strips are occupied; disconnected blobs realise any such set. Each
+// relation's columns and rows are worked out once, not once per pair.
 func getTables() *pairTables {
 	tablesOnce.Do(func() {
+		var cols, rows [core.NumRelations + 1]uint8
+		for r := core.Relation(1); r <= core.RelationMask; r++ {
+			cols[r], rows[r] = masks(r)
+		}
 		for ax := AllenRel(0); ax < NumAllen; ax++ {
 			for ay := AllenRel(0); ay < NumAllen; ay++ {
+				xi, yi := axisInfoTable[ax], axisInfoTable[ay]
 				for r := core.Relation(1); r <= core.RelationMask; r++ {
-					if PairConsistent(r, ax, ay) {
+					if axisConsistent(cols[r], xi) && axisConsistent(rows[r], yi) {
 						tables.consistent[ax][ay].Add(r)
 						tables.pairs[r] = append(tables.pairs[r], uint8(ax)*NumAllen+uint8(ay))
 					}

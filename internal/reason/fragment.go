@@ -30,7 +30,7 @@ func contiguousStrips(m uint8) bool {
 // rectangularBlock reports whether the relation's tiles are exactly the
 // product of its column strips and row strips, both contiguous.
 func rectangularBlock(r core.Relation) bool {
-	cm, rm := colsMask(r), rowsMask(r)
+	cm, rm := masks(r)
 	if !contiguousStrips(cm) || !contiguousStrips(rm) {
 		return false
 	}
@@ -69,15 +69,14 @@ func (n *Network) fragmentEligible(edges [][2]int) bool {
 // axisAllenSets returns the Allen relations realising the relation's column
 // mask on the x axis and row mask on the y axis. For any relation the
 // realisable Allen pairs are exactly the product of these two sets
-// (PairConsistent decomposes per axis).
+// (the consistency test, axisConsistent, decomposes per axis).
 func axisAllenSets(r core.Relation) (xs, ys AllenSet) {
-	cm, rm := colsMask(r), rowsMask(r)
+	cm, rm := masks(r)
 	for ar := AllenRel(0); ar < NumAllen; ar++ {
-		info := axisInfoTable[ar]
-		if cm&^info.Allowed == 0 && cm&(1<<info.MandLo) != 0 && cm&(1<<info.MandHi) != 0 {
+		if axisConsistent(cm, axisInfoTable[ar]) {
 			xs |= 1 << ar
 		}
-		if rm&^info.Allowed == 0 && rm&(1<<info.MandLo) != 0 && rm&(1<<info.MandHi) != 0 {
+		if axisConsistent(rm, axisInfoTable[ar]) {
 			ys |= 1 << ar
 		}
 	}

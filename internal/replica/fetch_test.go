@@ -55,12 +55,12 @@ func TestReplicaAppliesCutFetch(t *testing.T) {
 	waitCaughtUp(t, p, f.rep)
 }
 
-// TestReplicaNamesStreamHeader: a primary still speaking the CDRS0001 or
-// CDRS0002 stream (primaries and replicas upgrade together) gets nothing
+// TestReplicaNamesStreamHeader: a primary still speaking the CDRS0001,
+// CDRS0002 or CDRS0003 stream (primaries and replicas upgrade together) gets nothing
 // applied, and the replica's last_error names the header it was sent.
 func TestReplicaNamesStreamHeader(t *testing.T) {
 	p := newPrimaryFixture(t, false)
-	for _, header := range []string{"CDRS0001", "CDRS0002"} {
+	for _, header := range []string{"CDRS0001", "CDRS0002", "CDRS0003"} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/v1/replication/wal" {
 				p.ts.Config.Handler.ServeHTTP(w, r)

@@ -123,7 +123,7 @@ func (p *Primary) Apply(recs []wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := wal.CheckPayload(recordHeaderSize + len(edits)); err != nil {
+	if err := wal.CheckPayload(wal.EditHeaderSize + len(edits)); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -161,18 +161,20 @@ func (p *Primary) SetRegionGeometry(id string, g geom.Region) error {
 // returning it with the replication coordinates a follower needs to build
 // its store and resume the tail: the head sequence and the store generation
 // — captured atomically with the snapshot under the edit lock, so "snapshot
-// at seq S, gen G" is exact, not racy. Reads carry on beside the encode.
+// at seq S, gen G" is exact, not racy; the snapshot records them too
+// (persist.Position). Reads carry on beside the encode.
 func (p *Primary) Snapshot() (data []byte, seq, gen uint64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tr.Store().Len() == 0 {
 		return nil, 0, 0, persist.ErrEmptyWorld
 	}
+	pos := persist.Position{Epoch: p.epoch, Seq: p.head, Gen: p.tr.Store().Generation(), Pct: p.opt.Pct}
 	err = p.tr.View(func(img *config.Image) error {
-		data = persist.EncodeSnapshot(img)
+		data = persist.EncodeSnapshotAt(img, pos)
 		return nil
 	})
-	return data, p.head, p.tr.Store().Generation(), err
+	return data, pos.Seq, pos.Gen, err
 }
 
 // Records returns the retained records with sequence ≥ from, plus the

@@ -287,7 +287,7 @@ func TestWireCarriesLogBytes(t *testing.T) {
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("edit %d: %d records shipped, %v", i, len(recs), err)
 		}
-		if shipped := recs[0].Frame[wal.FrameSize+recordHeaderSize:]; !bytes.Equal(shipped, after[len(before):]) {
+		if shipped := recs[0].Frame[wal.FrameSize+wal.EditHeaderSize:]; !bytes.Equal(shipped, after[len(before):]) {
 			t.Fatalf("edit %d (%v): shipped edit frames %x, log appended %x", i, edit[0].Op, shipped, after[len(before):])
 		}
 	}

@@ -9,13 +9,13 @@
 // across healthy replicas.
 //
 // Replication stream layout (all integers little-endian). A record is one
-// wal frame, so the frame's CRC covers seq and gen as well as the edits,
-// and the edits are the edit's wal frames, byte for byte what a durable
-// primary appends to its log for it:
+// wal OpEdit frame — the frame's CRC covers seq and gen as well as the
+// edits, and the edits are the edit's wal frames, byte for byte what a
+// durable primary appends to its log for it:
 //
-//	stream  := "CDRS0003" frame*
+//	stream  := "CDRS0004" frame*
 //	frame   := length(uint32) crc(uint32, CRC32C of payload) payload
-//	payload := seq(uint64) gen(uint64) frame*
+//	payload := wal.OpEdit(uint8) seq(uint64) gen(uint64) frame*
 //
 // seq is the primary's record sequence (1-based, per epoch); gen is the
 // store generation immediately AFTER applying the record, so a follower can
@@ -25,12 +25,10 @@
 // the primary applied it (and bumping the generation once, like AddBulk).
 //
 // A record is framed once, when the primary applies its edit, and decoded
-// once, by DecodeStream on the follower; serving a fetch and caching it
-// copy the frames. Decoding is the WAL's own frame reader (wal.ReadFrames):
-// DecodeStream returns the intact prefix, the number of bytes it spans, and
-// a diagnostic for the first undecodable byte — arbitrary input never
-// panics (FuzzReplicationStream). A replica's cached tail.log is the same
-// stream on disk.
+// once, by DecodeStream (wal.ReadFrames: the intact prefix, the bytes it
+// spans, a diagnostic for the first undecodable byte; arbitrary input
+// never panics, FuzzReplicationStream). A replica with a data directory
+// logs the frames as they arrived (persist.Store.Follow).
 package replica
 
 import (
@@ -43,11 +41,7 @@ import (
 // StreamMagic is the 8-byte header identifying a replication stream.
 // Primaries and replicas upgrade together: a stream of another version is
 // refused at its header.
-const StreamMagic = "CDRS0003"
-
-// recordHeaderSize is a record's seq and gen, ahead of its edits in the
-// frame's payload.
-const recordHeaderSize = 8 + 8
+const StreamMagic = "CDRS0004"
 
 // StreamRecord is one shipped edit batch.
 type StreamRecord struct {
@@ -58,25 +52,22 @@ type StreamRecord struct {
 	// Edits is the decoded edit batch. DecodeStream fills it; the records
 	// a Primary serves leave it nil, since only Frame is shipped.
 	Edits []wal.Record
-	// Frame is the record's stream frame as it travels and is cached.
+	// Frame is the record's stream frame as it travels and is logged.
 	Frame []byte
 }
 
 // frameRecord builds the stream frame of record seq, whose edit batch,
 // framed by wal.AppendRecords, left the store at generation gen.
 func frameRecord(seq, gen uint64, edits []byte) []byte {
-	var head [recordHeaderSize]byte
-	binary.LittleEndian.PutUint64(head[0:], seq)
-	binary.LittleEndian.PutUint64(head[8:], gen)
 	// The one error, ErrTooLarge, cannot arise: Primary.Apply refuses an
 	// edit whose record would not fit before it applies the edit.
-	frame, _ := wal.AppendFrame(make([]byte, 0, wal.FrameSize+len(head)+len(edits)), head[:], edits)
+	frame, _ := wal.AppendEdit(make([]byte, 0, wal.FrameSize+wal.EditHeaderSize+len(edits)), seq, gen, edits)
 	return frame
 }
 
 // frameGen reads the generation out of a record's stream frame.
 func frameGen(frame []byte) uint64 {
-	return binary.LittleEndian.Uint64(frame[wal.FrameSize+8:])
+	return binary.LittleEndian.Uint64(frame[wal.FrameSize+1+8:])
 }
 
 // EncodeStream serialises a record batch with the stream header, as served
@@ -102,20 +93,15 @@ func EncodeStream(recs []StreamRecord) []byte {
 func DecodeStream(data []byte) (recs []StreamRecord, validSize int64, corr *wal.Corruption) {
 	off := len(StreamMagic)
 	validSize, corr = wal.ReadFrames(data, StreamMagic, func(payload []byte) error {
-		if len(payload) < recordHeaderSize {
-			return fmt.Errorf("replica: %d-byte record has no seq and gen", len(payload))
+		if len(payload) == 0 || wal.Op(payload[0]) != wal.OpEdit {
+			return fmt.Errorf("replica: a stream record is not an edit")
 		}
-		edits, err := wal.DecodeRecords(payload[recordHeaderSize:])
+		rec, err := wal.DecodeRecord(payload)
 		if err != nil {
 			return err
 		}
 		end := off + wal.FrameSize + len(payload)
-		recs = append(recs, StreamRecord{
-			Seq:   binary.LittleEndian.Uint64(payload[0:]),
-			Gen:   binary.LittleEndian.Uint64(payload[8:]),
-			Edits: edits,
-			Frame: data[off:end:end],
-		})
+		recs = append(recs, StreamRecord{Seq: rec.Seq, Gen: rec.Gen, Edits: rec.Edits, Frame: data[off:end:end]})
 		off = end
 		return nil
 	})

@@ -120,7 +120,7 @@ func TestDecodeStreamBitFlip(t *testing.T) {
 }
 
 func TestDecodeStreamBadHeader(t *testing.T) {
-	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0001extra"), []byte("CDRS0002extra")} {
+	for _, data := range [][]byte{[]byte("CDRS"), []byte("XXXXXXXX"), []byte("CDRS0001extra"), []byte("CDRS0002extra"), []byte("CDRS0003extra")} {
 		recs, validSize, corr := DecodeStream(data)
 		if corr == nil || validSize != 0 || len(recs) != 0 {
 			t.Errorf("header %q: recs=%d valid=%d corr=%v", data, len(recs), validSize, corr)

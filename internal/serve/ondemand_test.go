@@ -173,7 +173,7 @@ func TestLegacySnapshotsServeComputedRelations(t *testing.T) {
 		w.Header().Set(replica.HeaderSeq, "7")
 		w.Header().Set(replica.HeaderGeneration, "7")
 		w.Header().Set(replica.HeaderPct, "on")
-		w.Write(snapshot)
+		w.Write(persist.EncodeSnapshotAt(img, persist.Position{Epoch: "legacy", Seq: 7, Gen: 7, Pct: true}))
 	}))
 	defer primary.Close()
 	rep, err := replica.Open(context.Background(), replica.Options{Primary: primary.URL, Logger: quiet})

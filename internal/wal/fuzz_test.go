@@ -21,6 +21,18 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Add([]byte("CDWAL001\x05\x00\x00\x00\xde\xad\xbe\xef\x01"))
+	// A replica's log: a plain record, then edits with their boundaries,
+	// the second torn; and an edit nested inside an edit.
+	edits, err := AppendRecords([]byte(Magic), append(sampleRecords()[:1], sampleEdit(), sampleEdit()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edits[:len(edits)-5])
+	nested, err := AppendRecords([]byte(Magic), []Record{{Op: OpEdit, Edits: []Record{sampleEdit()}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nested)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, corr := Replay(data)
 		if valid < 0 || valid > int64(len(data)) {
@@ -48,7 +60,7 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzFrames feeds an arbitrary header and arbitrary bytes to the frame
-// reader the log, the replication stream and a replica's cache share: no
+// reader the log and the replication stream share: no
 // panic, the valid prefix stays inside the input, a clean read consumed all
 // of it, and the accepted payloads re-frame to exactly the prefix's bytes.
 func FuzzFrames(f *testing.F) {
@@ -56,14 +68,14 @@ func FuzzFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frames, err := AppendFrame([]byte("CDRS0003"), []byte("seq|gen|"), edits)
+	frames, err := AppendEdit([]byte("CDRS0004"), 1, 2, edits)
 	if err != nil {
 		f.Fatal(err)
 	}
-	frames, _ = AppendFrame(frames)
+	frames, _ = appendFrame(frames)
+	f.Add("CDRS0004", frames)
+	f.Add("CDRS0004", frames[:len(frames)-3])
 	f.Add("CDRS0003", frames)
-	f.Add("CDRS0003", frames[:len(frames)-3])
-	f.Add("CDRS0002", frames)
 	f.Add("", frames[8:])
 	f.Add(Magic, []byte(Magic+"\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, header string, data []byte) {
@@ -84,7 +96,7 @@ func FuzzFrames(f *testing.F) {
 		re := []byte(header)
 		for _, p := range payloads {
 			var err error
-			if re, err = AppendFrame(re, p); err != nil {
+			if re, err = appendFrame(re, p); err != nil {
 				t.Fatal(err)
 			}
 		}

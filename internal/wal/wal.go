@@ -11,11 +11,10 @@
 //	header := "CDWAL001" (8 bytes)
 //	frame  := length(uint32 LE, payload bytes) crc(uint32 LE, CRC32C of payload) payload
 //
-// The frame is the module's only record framing: the replication stream and
-// a replica's cached record log are a header of their own followed by the
-// same frames (AppendFrame, ReadFrames, Open), whose payload carries an
-// edit's record frames exactly as the log holds them (AppendRecords,
-// DecodeRecords).
+// The frame is the module's only record framing: the replication stream is
+// a header of its own followed by OpEdit frames (AppendEdit), whose payload
+// carries an edit's record frames exactly as a primary's log holds them,
+// and a replica's log holds those OpEdit frames as they arrived.
 //
 // The payload starts with a one-byte opcode followed by the op's fields:
 // strings are uvarint-length-prefixed UTF-8, geometries are a uvarint
@@ -89,8 +88,14 @@ const (
 	OpRename
 	// OpSetGeometry replaces a region's geometry.
 	OpSetGeometry
+	// OpEdit is one replicated edit with its boundary: stream seq, the
+	// generation after it, and its records. Edits do not nest.
+	OpEdit
 	opEnd // first invalid opcode
 )
+
+// EditHeaderSize is an OpEdit payload's opcode, seq and gen.
+const EditHeaderSize = 1 + 8 + 8
 
 // String names the op for logs.
 func (o Op) String() string {
@@ -103,6 +108,8 @@ func (o Op) String() string {
 		return "rename"
 	case OpSetGeometry:
 		return "set-geometry"
+	case OpEdit:
+		return "edit"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -114,6 +121,7 @@ func (o Op) String() string {
 //	OpRemove:      ID
 //	OpRename:      ID (old), NewID
 //	OpSetGeometry: ID, Geometry
+//	OpEdit:        Seq, Gen, Edits
 type Record struct {
 	Op       Op
 	ID       string
@@ -121,6 +129,8 @@ type Record struct {
 	Name     string
 	Color    string
 	Geometry geom.Region
+	Seq, Gen uint64
+	Edits    []Record
 }
 
 // SyncPolicy selects when appends reach stable storage.
@@ -207,15 +217,15 @@ type Writer struct {
 // The header and the file's existence are flushed to disk under SyncAlways;
 // directory durability (the rename dance) is the caller's business.
 func Create(path string, opt Options) (*Writer, error) {
-	return Open(path, Magic, 0, opt)
+	return Open(path, 0, opt)
 }
 
-// Open opens the framed file at path for appending after its first
-// validSize bytes (as ReplayFile or ReadFrames reports them), cutting off
-// any torn tail. When validSize does not cover header — nothing on disk is
-// valid — the file starts afresh with header, as Create does.
-func Open(path, header string, validSize int64, opt Options) (*Writer, error) {
-	if validSize >= int64(len(header)) {
+// Open opens the log at path for appending after its first validSize bytes
+// (as ReplayFile reports them), cutting off any torn tail. When validSize
+// does not cover the header — nothing on disk is valid — the log starts
+// afresh, as Create does.
+func Open(path string, validSize int64, opt Options) (*Writer, error) {
+	if validSize >= int64(len(Magic)) {
 		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, err
@@ -234,12 +244,12 @@ func Open(path, header string, validSize int64, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(header)); err != nil {
+	if _, err := f.Write([]byte(Magic)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: writing header: %w", err)
 	}
 	w := newWriter(f, opt)
-	w.m.Bytes += int64(len(header))
+	w.m.Bytes += int64(len(Magic))
 	if opt.Policy == SyncAlways {
 		if err := w.Sync(); err != nil {
 			f.Close()
@@ -289,8 +299,8 @@ func (w *Writer) Encode(recs []Record) ([]byte, error) {
 	return frames, err
 }
 
-// AppendFrames writes n frames built by AppendFrame or Encode as one write,
-// fsyncing according to the policy.
+// AppendFrames writes n frames built by AppendRecords, AppendEdit or
+// Encode as one write, fsyncing according to the policy.
 func (w *Writer) AppendFrames(frames []byte, n int) error {
 	if len(frames) == 0 {
 		return nil
@@ -382,15 +392,15 @@ func ReplayFile(path string) (recs []Record, validSize int64, corr *Corruption, 
 
 // Replay decodes the intact prefix of a log image. See ReplayFile.
 func Replay(data []byte) (recs []Record, validSize int64, corr *Corruption) {
-	return readRecords(data, Magic)
+	return readRecords(data, Magic, false)
 }
 
-// DecodeRecords decodes a headerless run of record frames as AppendRecords
-// builds them. It is strict where Replay is forgiving: a torn frame, a CRC
-// mismatch or an undecodable payload is an error, not the end of an intact
-// prefix.
+// DecodeRecords decodes an edit's records: a headerless run of record frames
+// as AppendRecords builds them, none of them an OpEdit. It is strict where
+// Replay is forgiving: a torn frame, a CRC mismatch or an undecodable
+// payload is an error, not the end of an intact prefix.
 func DecodeRecords(frames []byte) ([]Record, error) {
-	recs, _, corr := readRecords(frames, "")
+	recs, _, corr := readRecords(frames, "", true)
 	if corr != nil {
 		return nil, fmt.Errorf("wal: record frames: %s", corr)
 	}
@@ -398,10 +408,14 @@ func DecodeRecords(frames []byte) ([]Record, error) {
 }
 
 // readRecords decodes the record frames that follow header in data, up to
-// the first one that is torn, fails its CRC or does not decode.
-func readRecords(data []byte, header string) (recs []Record, validSize int64, corr *Corruption) {
+// the first one that is torn, fails its CRC or does not decode, or — inside
+// an edit — is an OpEdit.
+func readRecords(data []byte, header string, inEdit bool) (recs []Record, validSize int64, corr *Corruption) {
 	validSize, corr = ReadFrames(data, header, func(payload []byte) error {
-		rec, err := decodeRecord(payload)
+		if inEdit && len(payload) > 0 && Op(payload[0]) == OpEdit {
+			return errors.New("wal: an edit inside an edit")
+		}
+		rec, err := DecodeRecord(payload)
 		if err == nil {
 			recs = append(recs, rec)
 		}
@@ -453,10 +467,10 @@ func ReadFrames(data []byte, header string, accept func(payload []byte) error) (
 	return off, nil
 }
 
-// AppendFrame appends one frame onto buf whose payload is the concatenation
+// appendFrame appends one frame onto buf whose payload is the concatenation
 // of parts. A payload over MaxPayload appends nothing and returns
 // ErrTooLarge.
-func AppendFrame(buf []byte, parts ...[]byte) ([]byte, error) {
+func appendFrame(buf []byte, parts ...[]byte) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, make([]byte, FrameSize)...)
 	for _, p := range parts {
@@ -473,11 +487,24 @@ func AppendRecords(buf []byte, recs []Record) ([]byte, error) {
 	for _, rec := range recs {
 		start := len(buf)
 		var err error
-		if buf, err = sealFrame(appendRecord(append(buf, make([]byte, FrameSize)...), rec), start); err != nil {
+		if buf, err = appendRecord(append(buf, make([]byte, FrameSize)...), rec); err == nil {
+			buf, err = sealFrame(buf, start)
+		}
+		if err != nil {
 			return buf[:n], err
 		}
 	}
 	return buf, nil
+}
+
+// AppendEdit appends the OpEdit frame of edit seq, which left the store at
+// generation gen, onto buf; frames are its records as AppendRecords framed
+// them. A payload over MaxPayload appends nothing (ErrTooLarge).
+func AppendEdit(buf []byte, seq, gen uint64, frames []byte) ([]byte, error) {
+	head := [EditHeaderSize]byte{byte(OpEdit)}
+	binary.LittleEndian.PutUint64(head[1:], seq)
+	binary.LittleEndian.PutUint64(head[9:], gen)
+	return appendFrame(buf, head[:], frames)
 }
 
 // sealFrame fills in the header of the frame at buf[start:], whose payload
@@ -494,8 +521,9 @@ func sealFrame(buf []byte, start int) ([]byte, error) {
 }
 
 // appendRecord encodes rec's payload — the bytes between the frame header
-// and the next frame — onto buf; decodeRecord is the inverse.
-func appendRecord(buf []byte, rec Record) []byte {
+// and the next frame — onto buf; DecodeRecord is the inverse. Only an
+// OpEdit, whose records are frames of their own, can fail (ErrTooLarge).
+func appendRecord(buf []byte, rec Record) ([]byte, error) {
 	buf = append(buf, byte(rec.Op))
 	appendString := func(s string) {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -515,8 +543,12 @@ func appendRecord(buf []byte, rec Record) []byte {
 	case OpSetGeometry:
 		appendString(rec.ID)
 		buf = appendGeometry(buf, rec.Geometry)
+	case OpEdit:
+		buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
+		buf = binary.LittleEndian.AppendUint64(buf, rec.Gen)
+		return AppendRecords(buf, rec.Edits)
 	}
-	return buf
+	return buf, nil
 }
 
 // appendGeometry encodes a region: polygon count, then per polygon the
@@ -533,11 +565,11 @@ func appendGeometry(buf []byte, g geom.Region) []byte {
 	return buf
 }
 
-// decodeRecord decodes one payload as produced by appendRecord (or found
-// inside a log frame). Every length is validated against the remaining
-// bytes before allocation, so arbitrary input cannot blow up memory or
-// panic — the contract FuzzWALReplay enforces.
-func decodeRecord(payload []byte) (Record, error) {
+// DecodeRecord decodes one frame's payload as appendRecord produced it. Every
+// length is validated against the remaining bytes before allocation, so
+// arbitrary input cannot blow up memory or panic — the contract
+// FuzzWALReplay enforces.
+func DecodeRecord(payload []byte) (Record, error) {
 	d := decoder{rest: payload}
 	op, err := d.byte()
 	if err != nil {
@@ -566,6 +598,14 @@ func decodeRecord(payload []byte) (Record, error) {
 		if rec.ID, err = d.string(); err == nil {
 			rec.Geometry, err = d.geometry()
 		}
+	case OpEdit:
+		if len(d.rest) < EditHeaderSize-1 {
+			return Record{}, errShort
+		}
+		rec.Seq = binary.LittleEndian.Uint64(d.rest)
+		rec.Gen = binary.LittleEndian.Uint64(d.rest[8:])
+		rec.Edits, err = DecodeRecords(d.rest[16:])
+		d.rest = nil
 	}
 	if err != nil {
 		return Record{}, err

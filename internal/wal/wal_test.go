@@ -175,7 +175,7 @@ func TestOpenAppendContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Open(path, Magic, valid, Options{Policy: SyncAlways})
+	w, err := Open(path, valid, Options{Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 	if corr == nil {
 		t.Fatal("torn tail not reported")
 	}
-	w, err := Open(path, Magic, valid, Options{Policy: SyncAlways})
+	w, err := Open(path, valid, Options{Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +332,12 @@ func TestOversizeRecordRejected(t *testing.T) {
 // TestEncodeDecodeRecord round-trips every sample record through the
 // payload codec inside every frame.
 func TestEncodeDecodeRecord(t *testing.T) {
-	for i, rec := range sampleRecords() {
-		got, err := decodeRecord(appendRecord(nil, rec))
+	for i, rec := range append(sampleRecords(), sampleEdit()) {
+		payload, err := appendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecord(payload)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -341,10 +345,10 @@ func TestEncodeDecodeRecord(t *testing.T) {
 			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got, rec)
 		}
 	}
-	if _, err := decodeRecord(nil); err == nil {
+	if _, err := DecodeRecord(nil); err == nil {
 		t.Fatal("empty payload decoded without error")
 	}
-	if _, err := decodeRecord([]byte{0xff, 0x01, 0x02}); err == nil {
+	if _, err := DecodeRecord([]byte{0xff, 0x01, 0x02}); err == nil {
 		t.Fatal("garbage payload decoded without error")
 	}
 }
@@ -374,8 +378,8 @@ func TestDecodeRecordsRejectsGarbage(t *testing.T) {
 	}
 	flipped := bytes.Clone(ok)
 	flipped[len(flipped)-1] ^= 0x01
-	unknownOp, _ := AppendFrame(nil, []byte{0xff})
-	empty, _ := AppendFrame(nil)
+	unknownOp, _ := appendFrame(nil, []byte{0xff})
+	empty, _ := appendFrame(nil)
 	for name, data := range map[string][]byte{
 		"torn frame header":     ok[:5],
 		"torn payload":          ok[:len(ok)-1],
