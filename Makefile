@@ -37,14 +37,17 @@ race:
 # an ephemeral port, hit the API over the wire, SIGTERM to a clean exit —
 # then the durable shape: SIGKILL a daemon mid-edit-stream and assert the
 # restart recovers a prefix of the acknowledged edits with relations
-# identical to a from-scratch computation. The replication shape rides
+# identical to a from-scratch computation, and exports its world as the
+# paper's XML (its /v1/replication/snapshot through cardirect compute, then
+# cardirect validate); a second daemon or a replica given the held data
+# directory exits naming it. The replication shape rides
 # along: SIGKILL a tailing replica mid-stream, restart it on the same
 # -replica-data directory, assert it resumes from its last applied
 # sequence and converges to the primary's generation, then open that
 # directory as a primary's -data and read the same relations — plus a
 # 3-process primary/replica/router round-trip.
 smoke:
-	$(GO) test -count=1 -run 'TestCardirectdSmoke|TestCardirectdCrashRecovery|TestCardirectdReplicaResume|TestCardirectdRouter' ./cmd/cardirectd
+	$(GO) test -count=1 -run 'TestCardirectdSmoke|TestCardirectdCrashRecovery|TestCardirectdDataDirOwner|TestCardirectdReplicaResume|TestCardirectdRouter' ./cmd/cardirectd
 
 # Static analysis beyond vet. staticcheck is optional tooling: run it when
 # the binary is on PATH, skip with a note when it is not (CI images and the
@@ -59,10 +62,11 @@ lint: vet
 # Short fuzz runs, 10 s per target. The decoders of crash-damaged or remote
 # input: the frame reader the WAL and the replication stream share, under an
 # arbitrary header; WAL replay, a replica's edit boundaries (wal.OpEdit)
-# included; the binary snapshot decoder (crash-damaged files, a replica's
-# bootstrap bytes and the position they record); the WKT reader
+# included; the binary snapshot decoder, the one durable snapshot format
+# (crash-damaged files, a replica's bootstrap bytes and the position they
+# record, cardirect's export input); the WKT reader
 # every geometry body goes through; the POST /v1/query parser. Then the
-# snapshot pct attribute, the one op switch every edit goes through
+# XML pct attribute, the one op switch every edit goes through
 # (config.Tracked.Apply: a refused edit changes nothing, an accepted one
 # relates like a fresh Track, a boundary record is no edit), five of the seven differentials against a
 # reference (the XML reader and writer against encoding/xml, the one-pass

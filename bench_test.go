@@ -724,7 +724,7 @@ func clusterPairsWorkload(n int) []core.NamedRegion {
 // pairwise ComputeCDRPct double loop, rebuilding grids and edge tables for
 // every ordered pair and materialising the same []core.PairPercent a caller
 // replacing the batch engine would produce.
-func naiveAllPairsPct(b *testing.B, regions []core.NamedRegion) []core.PairPercent {
+func naiveAllPairsPct(b testing.TB, regions []core.NamedRegion) []core.PairPercent {
 	b.Helper()
 	n := len(regions)
 	out := make([]core.PairPercent, 0, n*(n-1))
@@ -826,6 +826,47 @@ func TestE19PctBatchWins(t *testing.T) {
 			speedup, naive.NsPerOp(), batch.NsPerOp(), want)
 	} else {
 		t.Logf("percent batch speedup = %.2fx", speedup)
+	}
+}
+
+// TestE19Counts is TestE19PctBatchWins' count twin on the same 200-region
+// scatter world: what makes the prepared percent batch the cheaper way to
+// fill the matrix, counted rather than timed. The naive loop runs
+// Compute-CDR% on every pair and splits every edge of every primary; the
+// batch decides over 90% of the pairs from the areas cached at Prepare
+// time (PrunePctTile + PrunePctPoly, no edge read) and splits edges only
+// for the rest — under a third of the naive loop's segments, the timing
+// floor's 3x. The naive loop's counts are BatchPct's with NoPrune, which
+// runs the kernel ComputeCDRPct runs on every pair: the loop's answers
+// equal it exactly, and the batch's to rounding.
+func TestE19Counts(t *testing.T) {
+	regions := allPairsWorkload(200)
+	pairs := len(regions) * (len(regions) - 1)
+	batch, err := core.BatchPct(nil, regions, &core.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := core.BatchPct(nil, regions, &core.BatchOptions{NoPrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := naiveAllPairsPct(t, regions)
+	for i, p := range loop {
+		if p != naive.Pairs[i] || p.Primary != batch.Pairs[i].Primary || !p.Matrix.ApproxEqual(batch.Pairs[i].Matrix, 1e-9) {
+			t.Fatalf("pair %s/%s: the naive loop, the unpruned and the pruned batch disagree", p.Primary, p.Reference)
+		}
+	}
+	fast := batch.Stats.PrunePctTile + batch.Stats.PrunePctPoly
+	t.Logf("batch: %d of %d pairs from cached areas, %d segments; naive: %d from cached areas, %d segments",
+		fast, pairs, batch.Stats.EdgesOut, naive.Stats.PrunePctTile+naive.Stats.PrunePctPoly, naive.Stats.EdgesOut)
+	if naive.Stats.PrunePctTile+naive.Stats.PrunePctPoly != 0 {
+		t.Errorf("the naive loop's counts decided pairs from cached areas: %+v", naive.Stats)
+	}
+	if 10*fast < 9*pairs {
+		t.Errorf("the batch decided %d of %d pairs from cached areas, want over 90%%", fast, pairs)
+	}
+	if 3*batch.Stats.EdgesOut > naive.Stats.EdgesOut {
+		t.Errorf("the batch split edges into %d segments, the naive loop %d: not a third", batch.Stats.EdgesOut, naive.Stats.EdgesOut)
 	}
 }
 

@@ -16,10 +16,13 @@
 //	cardirect topo     [-in file] <p> <q>              topology + distance
 //
 // With -in omitted (or "-") the document is read from stdin; with -out
-// omitted results go to stdout.
+// omitted results go to stdout. -in also takes a cardirectd binary snapshot
+// (a data directory's snapshot-<seq>.bin, or GET /v1/replication/snapshot),
+// so compute exports a service's world as the paper's XML.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +31,7 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
 	"cardirect/internal/query"
 	"cardirect/internal/reason"
 	"cardirect/internal/topo"
@@ -73,18 +77,23 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
-// loadInput reads the configuration named by -in ("-" or "" = stdin).
+// loadInput reads the configuration named by -in ("-" or "" = stdin): the
+// paper's XML, or a binary snapshot, told apart by its magic.
 func loadInput(path string, stdin io.Reader) (*config.Image, error) {
-	var r io.Reader = stdin
-	if path != "" && path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
+	var data []byte
+	var err error
+	if path == "" || path == "-" {
+		data, err = io.ReadAll(stdin)
+	} else {
+		data, err = os.ReadFile(path)
 	}
-	return config.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(data, []byte(persist.Magic)) {
+		return persist.DecodeSnapshot(data)
+	}
+	return config.Parse(data)
 }
 
 // openOutput resolves -out ("" or "-" = the provided stdout writer).
@@ -101,7 +110,7 @@ func openOutput(path string, stdout io.Writer) (io.Writer, func() error, error) 
 
 func cmdCompute(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compute", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	out := fs.String("out", "", "output file (default stdout)")
 	pct := fs.Bool("pct", false, "also compute percentage matrices")
 	if err := fs.Parse(args); err != nil {
@@ -130,7 +139,7 @@ func cmdCompute(args []string, stdin io.Reader, stdout io.Writer) error {
 
 func cmdQuery(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -168,7 +177,7 @@ func cmdQuery(args []string, stdin io.Reader, stdout io.Writer) error {
 
 func cmdValidate(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -185,7 +194,7 @@ func cmdValidate(args []string, stdin io.Reader, stdout io.Writer) error {
 
 func cmdDescribe(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("describe", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -239,7 +248,7 @@ func cmdGreece(args []string, _ io.Reader, stdout io.Writer) error {
 
 func cmdRelation(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("relation", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	pct := fs.Bool("pct", false, "also print the percentage matrix")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -311,7 +320,7 @@ func cmdCompose(args []string, _ io.Reader, stdout io.Writer) error {
 
 func cmdTopo(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
-	in := fs.String("in", "", "input configuration (default stdin)")
+	in := fs.String("in", "", "input configuration: XML or a binary snapshot (default stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"cardirect/internal/config"
+	"cardirect/internal/persist"
 )
 
 // runCLI drives the command with the given args and stdin, returning stdout.
@@ -224,6 +229,63 @@ func TestCLIGarbageInput(t *testing.T) {
 	}
 	if _, err := runCLI(t, "<<<not xml", "compute"); err == nil {
 		t.Error("garbage stdin should fail compute")
+	}
+	// A damaged binary snapshot is refused by its framing, cleanly.
+	bin := persist.EncodeSnapshot(config.Greece())
+	flipped := bytes.Clone(bin)
+	flipped[len(flipped)/2] ^= 0x10
+	for what, data := range map[string][]byte{"truncated": bin[:len(bin)/2], "bit-flipped": flipped} {
+		for _, sub := range []string{"validate", "compute"} {
+			if _, err := runCLI(t, string(data), sub); err == nil || !strings.Contains(err.Error(), "binary snapshot") {
+				t.Errorf("%s with a %s binary snapshot: %v, want the snapshot's refusal", sub, what, err)
+			}
+		}
+	}
+}
+
+// TestCLIExportSnapshot: compute reads a binary snapshot, from a file or
+// from stdin, and writes the paper's XML — the document DecodeSnapshot
+// returns, with its relations computed — which validates.
+func TestCLIExportSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	bin := persist.EncodeSnapshot(config.Greece())
+	binPath := filepath.Join(dir, "snapshot-00000001.bin")
+	if err := os.WriteFile(binPath, bin, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := persist.DecodeSnapshot(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.ComputeRelations(false); err != nil {
+		t.Fatal(err)
+	}
+	// The XML writer emits regions in id order.
+	slices.SortFunc(want.Regions, func(a, b config.Region) int { return strings.Compare(a.ID, b.ID) })
+	xmlPath := filepath.Join(dir, "world.xml")
+	if _, err := runCLI(t, "", "compute", "-in", binPath, "-out", xmlPath); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := os.ReadFile(xmlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStdin, err := runCLI(t, string(bin), "compute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromStdin != string(fromFile) {
+		t.Error("exporting from stdin and from the file differ")
+	}
+	got, err := config.Parse(fromFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the exported XML parses to a different document than DecodeSnapshot returns")
+	}
+	if out, err := runCLI(t, "", "validate", "-in", xmlPath); err != nil || !strings.Contains(out, "OK: 11 region(s)") {
+		t.Errorf("validate of the export: %q, %v", out, err)
 	}
 }
 

@@ -76,7 +76,7 @@ type flags struct {
 	addr, role, configPath, pct, dataDir, fsyncPolicy, follow, replicaData *string
 	primaryURL, replicaURLs                                                *string
 	greece, jsonLogs, snapOnExit                                           *bool
-	workers, solveWorkers, maxNetwork, replRetain                          *int
+	workers, maxNetwork, replRetain                                        *int
 	maxBody, maxBulk                                                       *int64
 	requestTimeout, shutdownTimeout, fsyncInterval                         *time.Duration
 }
@@ -101,7 +101,6 @@ func newFlagSet() (*flag.FlagSet, flags) {
 		fsyncPolicy:     fs.String("fsync", "always", "WAL fsync policy with -data: always, interval or never"),
 		fsyncInterval:   fs.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval"),
 		snapOnExit:      fs.Bool("snapshot-on-exit", true, "with -data, write a final snapshot during graceful shutdown"),
-		solveWorkers:    fs.Int("solve-workers", 0, "parallel consistency-solver fan width for /v1/reason/check (0 = reason default)"),
 		maxNetwork:      fs.Int("max-network", 64, "max variables a /v1/reason request may declare (oversized networks get 413)"),
 		replRetain:      fs.Int("repl-retain", 0, "replication records the primary retains in memory (0 = 65536); lagging followers re-bootstrap"),
 		follow:          fs.String("follow", "", "with -role replica: the primary's base URL to tail"),
@@ -220,7 +219,6 @@ func run(args []string, stdout *os.File) error {
 		RequestTimeout: *f.requestTimeout,
 		Logger:         logger,
 		Persist:        ps,
-		SolveWorkers:   *f.solveWorkers,
 		MaxNetwork:     *f.maxNetwork,
 		Repl:           prim,
 		Editor:         prim,
@@ -276,7 +274,6 @@ func runReplica(ctx context.Context, stdout *os.File, logger *slog.Logger, f fla
 		MaxBulkBytes:   *f.maxBulk,
 		RequestTimeout: *f.requestTimeout,
 		Logger:         logger,
-		SolveWorkers:   *f.solveWorkers,
 		MaxNetwork:     *f.maxNetwork,
 		Follower:       rep,
 	})

@@ -143,7 +143,7 @@ var harnesses = map[string]bool{"cdrbench": true, "bench": true}
 // tests that share it.
 var harnessOnly = map[string][]string{
 	"ROADMAP item 1: bench/ calls these internals directly, so they stay until item 1(a) drops or reroutes the call": {
-		"cardirect/internal/config.Parse",
+		"cardirect/internal/config.(*Image).Bytes",
 		"cardirect/internal/config.(*Tracked).WithMaterialized",
 		"cardirect/internal/core.(*RelationStore).Pairs",
 		"cardirect/internal/core.(*RelationStore).PctPairs",
@@ -157,7 +157,6 @@ var harnessOnly = map[string][]string{
 		"cardirect/internal/persist.(*Store).RenameRegion",
 		"cardirect/internal/persist.(*Store).SetRegionGeometry",
 		"cardirect/internal/persist.EncodeSnapshot",
-		"cardirect/internal/persist.DecodeSnapshot",
 		"cardirect/internal/replica.(*Primary).AddRegion",
 		"cardirect/internal/replica.(*Primary).RemoveRegion",
 		"cardirect/internal/replica.(*Primary).RenameRegion",

@@ -10,13 +10,12 @@ import (
 	"cardirect/internal/wal"
 )
 
-// Binary snapshot format. Each snapshot generation is written in two
-// formats: the paper's XML (the durable interchange format, always the
-// fallback) and this binary encoding, which recovery prefers because it
-// decodes faster than the XML attributes. The format encodes a whole
-// document, Relation elements included; the snapshots persist and
-// replication write carry none (the relation count is 0), but files from
-// before the store computed relations on demand do, and still decode.
+// Binary snapshot format: the one durable form of a snapshot generation,
+// and the body a primary serves a bootstrapping replica. The paper's XML is
+// what `cardirect` exports from it. The format encodes a whole document,
+// Relation elements included; the snapshots persist and replication write
+// carry none (the relation count is 0), but files from before the store
+// computed relations on demand do, and still decode.
 //
 // File layout (all integers little-endian):
 //
@@ -46,7 +45,9 @@ import (
 // The position (version 2, see Position) is empty in a primary's own
 // snapshots and absent from a version 1 file.
 const (
-	binMagic   = "CDSN"
+	// Magic opens every binary snapshot, so a reader can tell one from the
+	// paper's XML.
+	Magic      = "CDSN"
 	binVersion = 2
 	// binHeaderLen is magic + version + flags + payload length.
 	binHeaderLen = 4 + 2 + 2 + 8
@@ -127,7 +128,7 @@ func EncodeSnapshotAt(img *config.Image, pos Position) []byte {
 
 	payload := w.buf
 	out := make([]byte, 0, binHeaderLen+len(payload)+4)
-	out = append(out, binMagic...)
+	out = append(out, Magic...)
 	out = binary.LittleEndian.AppendUint16(out, binVersion)
 	out = binary.LittleEndian.AppendUint16(out, 0) // flags
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
@@ -221,7 +222,7 @@ func decodeSnapshot(data []byte) (*config.Image, Position, error) {
 	if len(data) < binHeaderLen+4 {
 		return nil, pos, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
 	}
-	if string(data[:4]) != binMagic {
+	if string(data[:4]) != Magic {
 		return nil, pos, fmt.Errorf("persist: bad binary snapshot magic %q", data[:4])
 	}
 	version := binary.LittleEndian.Uint16(data[4:])

@@ -6,8 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/wal"
@@ -15,8 +15,8 @@ import (
 )
 
 // snapshotFiles builds a store with percent matrices, closes it and returns
-// the directory plus the generation-1 snapshot paths in both formats.
-func snapshotFiles(t *testing.T, n int) (dir, xmlPath, binPath string) {
+// the directory plus the path of its generation-1 snapshot.
+func snapshotFiles(t *testing.T, n int) (dir, binPath string) {
 	t.Helper()
 	dir = t.TempDir()
 	gen := workload.New(29)
@@ -24,19 +24,16 @@ func snapshotFiles(t *testing.T, n int) (dir, xmlPath, binPath string) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, filepath.Join(dir, snapshotName(1)), filepath.Join(dir, binSnapshotName(1))
+	return dir, filepath.Join(dir, binSnapshotName(1))
 }
 
-// TestBinarySnapshotRoundTrip asserts the binary format is full-fidelity:
-// the document decoded from snapshot-<seq>.bin is deep-equal to the one
-// parsed from snapshot-<seq>.xml — region ids, names, colors, polygon ids,
+// TestBinarySnapshotRoundTrip asserts the binary format is full-fidelity
+// against the paper's XML, which is what a snapshot is exported as: the
+// document decoded from snapshot-<seq>.bin, written as XML and parsed
+// back, is deep-equal to itself — region ids, names, colors, polygon ids,
 // bit-exact vertices, and verbatim relation type and pct strings.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
-	_, xmlPath, binPath := snapshotFiles(t, 8)
-	fromXML, err := loadSnapshot(xmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, binPath := snapshotFiles(t, 8)
 	data, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +42,21 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromBin, fromXML) {
-		t.Errorf("binary snapshot decodes differently from the XML:\nbin %+v\nxml %+v", fromBin, fromXML)
+	exportAgrees := func(what string, img *config.Image) {
+		t.Helper()
+		xml, err := img.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromXML, err := config.Parse(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromXML, img) {
+			t.Errorf("%s: the XML export parses differently:\nxml %+v\nbin %+v", what, fromXML, img)
+		}
 	}
+	exportAgrees("snapshot", fromBin)
 	// And a pure in-memory round-trip is the identity — Relation elements
 	// included, which snapshots no longer carry but documents (and data
 	// directories written before) do.
@@ -61,6 +70,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(again, fromBin) {
 		t.Error("encode/decode round-trip is not the identity")
 	}
+	exportAgrees("with relations", again)
 }
 
 // TestBinarySnapshotFaultInjection corrupts the binary snapshot at
@@ -69,7 +79,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 // decoder (the CRC detects all single-bit errors) rather than decoded into
 // a wrong document.
 func TestBinarySnapshotFaultInjection(t *testing.T) {
-	_, _, binPath := snapshotFiles(t, 5)
+	_, binPath := snapshotFiles(t, 5)
 	data, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
@@ -98,89 +108,128 @@ func TestBinarySnapshotFaultInjection(t *testing.T) {
 	}
 }
 
-// TestRecoveryPrefersBinaryFallsBackToXML pins the recovery preference
-// order: an intact binary snapshot is loaded and reported, a corrupt,
-// untrackable or missing one falls back to the XML of the same generation
-// with identical recovered state, and the admin status surfaces which
-// format won.
-func TestRecoveryPrefersBinaryFallsBackToXML(t *testing.T) {
-	dir, _, binPath := snapshotFiles(t, 6)
+// TestRecoveryRefusesDamagedSnapshot pins what recovery does with a live
+// snapshot it cannot load — one that fails its CRC, or passes it and does
+// not track: Open fails with an error that names the file and leaves the
+// directory as it was, as a flipped log byte has no second copy either.
+// The intact snapshot recovers the same world before and after.
+func TestRecoveryRefusesDamagedSnapshot(t *testing.T) {
+	dir, binPath := snapshotFiles(t, 6)
 
 	r := openForTest(t, dir, nil)
-	if got := r.Status().RecoveredFrom; got != "binary" {
-		t.Errorf("recovered_from = %q, want binary", got)
-	}
-	wantPairs, wantPcts := statePairs(t, r.Tracked())
+	wantPairs, _ := statePairs(t, r.Tracked())
 	r.Close()
-
-	// Bit-flip the binary payload: recovery must reject it on CRC and fall
-	// back to the XML, losing nothing.
 	data, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flipped := bytes.Clone(data)
 	flipped[len(flipped)/2] ^= 0x04
-	if err := os.WriteFile(binPath, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2 := openForTest(t, dir, nil)
-	if got := r2.Status().RecoveredFrom; got != "xml" {
-		t.Errorf("recovered_from after corruption = %q, want xml", got)
-	}
-	gotPairs, gotPcts := statePairs(t, r2.Tracked())
-	if !reflect.DeepEqual(gotPairs, wantPairs) || len(gotPcts) != len(wantPcts) {
-		t.Error("XML fallback recovered different state than the binary path")
-	}
-	r2.Close()
-
-	// A binary that passes its CRC but does not track — two regions with
-	// one id — falls back to the XML the same way.
 	dup, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup.Regions = append(dup.Regions, dup.Regions[0])
-	if err := os.WriteFile(binPath, EncodeSnapshot(dup), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r4 := openForTest(t, dir, nil)
-	if got := r4.Status().RecoveredFrom; got != "xml" {
-		t.Errorf("recovered_from beside an untrackable binary = %q, want xml", got)
-	}
-	if gotPairs, _ := statePairs(t, r4.Tracked()); !reflect.DeepEqual(gotPairs, wantPairs) {
-		t.Error("XML fallback from an untrackable binary recovered different state")
-	}
-	r4.Close()
+	dup.Regions = append(dup.Regions, dup.Regions[0]) // two regions, one id
+	bumped := bytes.Clone(data)
+	bumped[4] = binVersion + 1
 
-	// A directory with no binary at all (pre-binary-format data dirs)
-	// recovers from XML alone.
-	if err := os.Remove(binPath); err != nil {
+	for what, damaged := range map[string][]byte{
+		"a bit flip":        flipped,
+		"an untrackable":    EncodeSnapshot(dup),
+		"a future version":  encodeWithCRC(bumped),
+		"a truncated tail":  data[:len(data)-3],
+		"an empty snapshot": nil,
+	} {
+		if err := os.WriteFile(binPath, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirFiles(t, dir)
+		if s, err := Open(dir, nil, Options{}); err == nil {
+			s.Close()
+			t.Errorf("%s: Open recovered from a damaged snapshot", what)
+		} else if !strings.Contains(err.Error(), binPath) {
+			t.Errorf("%s: the refusal does not name %s: %v", what, binPath, err)
+		}
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused Open changed the directory", what)
+		}
+	}
+
+	if err := os.WriteFile(binPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r3 := openForTest(t, dir, nil)
-	defer r3.Close()
-	if got := r3.Status().RecoveredFrom; got != "xml" {
-		t.Errorf("recovered_from without binary = %q, want xml", got)
-	}
-	gotPairs, _ = statePairs(t, r3.Tracked())
-	if !reflect.DeepEqual(gotPairs, wantPairs) {
-		t.Error("XML-only recovery lost state")
+	r = openForTest(t, dir, nil)
+	defer r.Close()
+	if gotPairs, _ := statePairs(t, r.Tracked()); !reflect.DeepEqual(gotPairs, wantPairs) {
+		t.Error("the restored snapshot recovered a different world")
 	}
 }
 
+// TestRecoveryRefusesXMLSnapshot: a directory whose newest snapshot is
+// XML — one written before the binary format — is refused with the file's
+// name and the -config seed that starts from it, and is left as it was.
+func TestRecoveryRefusesXMLSnapshot(t *testing.T) {
+	xml, err := config.Greece().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		bin  bool
+		seq  uint64
+	}{
+		{"an XML-only generation", false, 1},
+		{"an XML generation above a binary one", true, 2},
+	} {
+		dir := t.TempDir()
+		if c.bin {
+			openForTest(t, dir, config.Greece()).Close()
+		}
+		xmlPath := filepath.Join(dir, xmlSnapshotName(c.seq))
+		if err := os.WriteFile(xmlPath, xml, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirFiles(t, dir)
+		if _, err := Open(dir, nil, Options{}); err == nil || !strings.Contains(err.Error(), "-config "+xmlPath) {
+			t.Errorf("%s: Open = %v, want a refusal naming %s as a -config seed", c.what, err, xmlPath)
+		}
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused Open changed the directory", c.what)
+		}
+	}
+}
+
+// dirFiles returns every file in dir by name, but the lock file.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if e.Name() == "LOCK" {
+			continue
+		}
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
 // TestStaleTempSweep plants leftovers of a crashed rotation — a snapshot
-// temp file and a damaged higher-generation binary whose XML never landed
-// — and asserts Open removes both while leaving every live generation file
-// untouched.
+// temp file and a damaged higher-generation binary whose log was never
+// created — and asserts Open removes both while leaving every live
+// generation file untouched.
 func TestStaleTempSweep(t *testing.T) {
-	dir, xmlPath, binPath := snapshotFiles(t, 4)
+	dir, binPath := snapshotFiles(t, 4)
 	tmp := filepath.Join(dir, "snapshot-1234567.tmp")
 	if err := os.WriteFile(tmp, []byte("partial write from a crashed rotation"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A generation 2 whose binary is damaged and whose XML never landed:
-	// recovery falls back to generation 1, and the sweep removes it.
+	// A generation 2 whose binary is damaged and whose log was never
+	// created: recovery falls back to generation 1, and the sweep removes it.
 	orphan := filepath.Join(dir, binSnapshotName(2))
 	if err := os.WriteFile(orphan, []byte("orphaned binary snapshot"), 0o644); err != nil {
 		t.Fatal(err)
@@ -209,7 +258,7 @@ func TestStaleTempSweep(t *testing.T) {
 			t.Errorf("foreign file swept: %v", err)
 		}
 	}
-	for _, live := range []string{xmlPath, binPath, filepath.Join(dir, walName(1))} {
+	for _, live := range []string{binPath, filepath.Join(dir, walName(1)), filepath.Join(dir, "LOCK")} {
 		if _, err := os.Stat(live); err != nil {
 			t.Errorf("live generation file disturbed: %s: %v", live, err)
 		}
@@ -219,96 +268,11 @@ func TestStaleTempSweep(t *testing.T) {
 	}
 }
 
-// TestBinaryRecoveryBeatsXML is the acceptance gate of the binary snapshot
-// format, analogous to TestSeededRecoveryBeatsRecompute one layer down: on
-// a 500-region world, decoding a generation's binary snapshot must be at
-// least 2x faster than decoding the same generation's XML. The floor is on
-// the decoders, the one step the format decides; the rest of an end-to-end
-// recovery (validation, the store build) is the same work on either path,
-// so both full recoveries are timed and logged, and must agree on the
-// relation matrix.
-func TestBinaryRecoveryBeatsXML(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf comparison skipped in -short")
-	}
-	const n = 500
-	gen := workload.New(31)
-	regions := gen.Cluster(n, 1, 96)
-	dir := t.TempDir()
-	s, err := Open(dir, buildImage(t, regions), Options{Pct: true, Sync: wal.Options{Policy: wal.SyncNever}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	binData, err := os.ReadFile(filepath.Join(dir, binSnapshotName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xmlData, err := os.ReadFile(filepath.Join(dir, snapshotName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Best of three, so one descheduled run does not decide the ratio.
-	best := func(decode func() error) time.Duration {
-		var min time.Duration
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if err := decode(); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); i == 0 || d < min {
-				min = d
-			}
-		}
-		return min
-	}
-	binDecode := best(func() error { _, err := DecodeSnapshot(binData); return err })
-	xmlDecode := best(func() error { _, err := config.Parse(xmlData); return err })
-
-	start := time.Now()
-	rBin, err := Open(dir, nil, Options{Pct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binElapsed := time.Since(start)
-	if got := rBin.Status().RecoveredFrom; got != "binary" {
-		t.Fatalf("recovered_from = %q, want binary", got)
-	}
-	wantPairs := rBin.Tracked().Store().Pairs()
-	rBin.Close()
-
-	// Force the XML path by removing the binary file.
-	if err := os.Remove(filepath.Join(dir, binSnapshotName(1))); err != nil {
-		t.Fatal(err)
-	}
-	start = time.Now()
-	rXML, err := Open(dir, nil, Options{Pct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xmlElapsed := time.Since(start)
-	defer rXML.Close()
-	if got := rXML.Status().RecoveredFrom; got != "xml" {
-		t.Fatalf("recovered_from = %q, want xml", got)
-	}
-	if !reflect.DeepEqual(rXML.Tracked().Store().Pairs(), wantPairs) {
-		t.Fatal("XML and binary recovery disagree on the relation matrix")
-	}
-
-	t.Logf("decode: binary %v vs XML %v (%.1fx); full recovery: binary %v vs XML %v (%.2fx)",
-		binDecode, xmlDecode, float64(xmlDecode)/float64(binDecode),
-		binElapsed, xmlElapsed, float64(xmlElapsed)/float64(binElapsed))
-	if xmlDecode < 2*binDecode {
-		t.Errorf("binary snapshot decode (%v) not 2x faster than XML decode (%v)", binDecode, xmlDecode)
-	}
-}
-
 // TestBinarySnapshotVersionGate: a future-versioned file must be refused
-// (and recovery falls back to XML) rather than misdecoded.
+// rather than misdecoded (and recovery refuses it:
+// TestRecoveryRefusesDamagedSnapshot).
 func TestBinarySnapshotVersionGate(t *testing.T) {
-	_, _, binPath := snapshotFiles(t, 3)
+	_, binPath := snapshotFiles(t, 3)
 	data, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)

@@ -1,31 +1,31 @@
 // Package persist is the durability subsystem of the cardirect service: it
-// owns a data directory holding the paper's XML configuration format as
-// point-in-time snapshots plus a write-ahead log of the region edits since
-// the last snapshot, and recovers the tracked store from them after a
-// crash or restart.
+// owns a data directory holding point-in-time snapshots of the
+// configuration plus a write-ahead log of the region edits since the last
+// snapshot, and recovers the tracked store from them after a crash or
+// restart.
 //
 // Data directory layout:
 //
-//	snapshot-<seq>.xml   the regions of the configuration, written by the
-//	                     DTD writer in sorted-id order via temp file +
-//	                     atomic rename; no Relation elements — relations
+//	snapshot-<seq>.bin   the regions of the configuration in the checksummed
+//	                     binary format (see binsnap.go), written via temp
+//	                     file + fsync + atomic rename; no relations — they
 //	                     are computed from geometry, never stored
-//	snapshot-<seq>.bin   the same document in the checksummed binary
-//	                     format (see binsnap.go), which recovery prefers
-//	                     because it decodes faster than the XML
 //	wal-<seq>.log        region edits applied after snapshot <seq>
 //	                     (see internal/wal for the framing)
+//	LOCK                 flocked by the one Store that owns the directory
 //
 // Exactly one (snapshot, wal) generation is live at a time; Snapshot()
 // writes generation seq+1 and removes generation seq, which truncates the
-// log. Recovery loads the newest readable snapshot — the binary file when
-// it is present, passes its CRC and tracks, the XML otherwise — tracks its
+// log. Recovery loads the newest snapshot (see recover), tracks its
 // regions (config.Track: validation, one Prepare per region, no pair
 // computed) and replays the WAL tail through config.Tracked.Apply, the one
-// op switch live edits reach too. Snapshots written before the store stopped caching relations
-// carry the n² Relation list; they still load, and config.Track drops the
-// list. A torn or bit-flipped WAL tail is detected by the log's CRC framing
-// and discarded with a logged warning; it is never a startup failure.
+// op switch live edits reach too. Snapshots written before the store
+// stopped caching relations carry the n² Relation list; they still load,
+// and config.Track drops the list. A torn or bit-flipped WAL tail is
+// detected by the log's CRC framing and discarded with a logged warning;
+// it is never a startup failure. The paper's XML is a seed and what
+// `cardirect compute -in snapshot-<seq>.bin` exports, never durable state
+// (see scanSnapshots and removeStale for the XML older releases wrote).
 //
 // An edit is a []wal.Record (see Store.Apply), the same value the log
 // stores. Edit ordering is apply-then-log: an edit is validated and applied
@@ -35,13 +35,12 @@
 // at most that unacknowledged edit, so recovery always yields a prefix of
 // the acknowledged edit stream.
 //
-// A replica keeps the same directory with binary snapshots alone: Install
-// puts the snapshot it bootstrapped from in place as it came, with the
-// Position it records, and Follow logs the stream's wal.OpEdit frames as
-// they arrived, so each replays as one whole edit at its primary's
-// generation. A replica's log is a convenience, not a record: Install can
-// keep the world in memory instead, and Follow applies what it could not
-// log.
+// A replica keeps the same directory: Install puts the snapshot it
+// bootstrapped from in place as it came, with the Position it records, and
+// Follow logs the stream's wal.OpEdit frames as they arrived, so each
+// replays as one whole edit at its primary's generation. A replica's log is
+// a convenience, not a record: Install can keep the world in memory
+// instead, and Follow applies what it could not log.
 package persist
 
 import (
@@ -54,6 +53,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"cardirect/internal/config"
@@ -66,6 +66,10 @@ import (
 // regions: the paper's DTD requires Region+, so an empty world has no
 // snapshot representation.
 var ErrEmptyWorld = errors.New("persist: cannot snapshot an empty configuration (the DTD requires Region+)")
+
+// ErrLocked is returned by Open and Install when another Store, in this
+// process or another, holds the data directory.
+var ErrLocked = errors.New("held by another store")
 
 // Options configures a Store.
 type Options struct {
@@ -85,10 +89,11 @@ type Options struct {
 // it. All edits must flow through Store.Apply so they are write-ahead
 // logged; reads go through Tracked() as usual.
 type Store struct {
-	mu  sync.Mutex
-	dir string
-	opt Options
-	log *slog.Logger
+	mu   sync.Mutex
+	dir  string
+	opt  Options
+	log  *slog.Logger
+	lock *os.File // flocked dir/LOCK, held until Close
 
 	tr  *config.Tracked
 	w   *wal.Writer
@@ -101,13 +106,12 @@ type Store struct {
 	// reports totals across the store's lifetime.
 	walCum wal.Metrics
 
-	recoveryNs    int64
-	replayed      int
-	skipped       int
-	recoveredFrom string
-	corruption    string
-	lastSnap      time.Time
-	err           error
+	recoveryNs int64
+	replayed   int
+	skipped    int
+	corruption string
+	lastSnap   time.Time
+	err        error
 }
 
 // Status is a point-in-time view of the store for the admin surface.
@@ -126,10 +130,6 @@ type Status struct {
 	// SkippedRecords counts WAL records that failed to apply during
 	// recovery and were dropped with a warning.
 	SkippedRecords int `json:"skipped_records"`
-	// RecoveredFrom names the snapshot format recovery loaded: "binary"
-	// when the checksummed binary file was used, "xml" when recovery fell
-	// back to (or only found) the XML, "" for a fresh initialisation.
-	RecoveredFrom string `json:"recovered_from,omitempty"`
 	// Corruption describes a discarded WAL tail ("" when the log was
 	// intact).
 	Corruption string `json:"corruption,omitempty"`
@@ -149,66 +149,108 @@ type SnapshotInfo struct {
 	DurationNs int64  `json:"duration_ns"`
 }
 
-func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%08d.xml", seq) }
-func walName(seq uint64) string      { return fmt.Sprintf("wal-%08d.log", seq) }
+func walName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
+
+// xmlSnapshotName is the XML snapshot older releases wrote.
+func xmlSnapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%08d.xml", seq) }
 
 // Open recovers a store from dir, or initialises dir from seed when it
 // holds no snapshot yet. A non-nil seed alongside an initialised directory
 // is ignored (with a logged note): the durable state wins, so a service
-// restarted with its bootstrap flags recovers instead of resetting.
+// restarted with its bootstrap flags recovers instead of resetting. The
+// store owns dir until Close; a second Open fails with ErrLocked.
 func Open(dir string, seed *config.Image, opt Options) (*Store, error) {
 	s, seqs, err := openDir(dir, opt)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if len(seqs) == 0 {
-		if seed == nil {
-			return nil, fmt.Errorf("persist: data dir %s holds no snapshot and no seed configuration was given: %w", dir, fs.ErrNotExist)
-		}
-		if err := s.initialise(seed); err != nil {
-			return nil, err
-		}
-	} else {
-		if seed != nil {
-			s.log.Info("persist: data dir already initialised; ignoring seed configuration", "dir", dir)
-		}
-		if err := s.recover(seqs); err != nil {
-			return nil, err
-		}
+	if err := s.load(seqs, seed); err != nil {
+		s.Close()
+		return nil, err
 	}
-	s.recoveryNs = time.Since(start).Nanoseconds()
-	s.removeStale()
 	return s, nil
 }
 
-// openDir makes dir if need be and lists the generations it holds.
+// openDir makes dir if need be, takes its lock and lists its generations.
+// The flock belongs to the open file: a process that dies drops it.
 func openDir(dir string, opt Options) (*Store, []uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: creating data dir: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt, log: cmp.Or(opt.Logger, slog.Default())}
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: opening lock file: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			err = ErrLocked
+		}
+		return nil, nil, fmt.Errorf("persist: data dir %s: %w", dir, err)
+	}
+	s := &Store{dir: dir, opt: opt, log: cmp.Or(opt.Logger, slog.Default()), lock: lock}
 	seqs, err := s.scanSnapshots()
-	return s, seqs, err
+	if err != nil {
+		s.Close()
+		return nil, nil, err
+	}
+	return s, seqs, nil
 }
 
-// scanSnapshots lists the snapshot generations present in the directory,
-// ascending: every seq with a snapshot file in either format.
+// scanSnapshots lists the generations with a binary snapshot, ascending. A
+// newer XML snapshot — a directory written before the binary format — is
+// refused, naming the file and the way to start from it.
 func (s *Store) scanSnapshots() ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading data dir: %w", err)
 	}
 	var seqs []uint64
+	var xmlSeq uint64
 	for _, e := range entries {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snapshot-%d.", &seq); n == 1 &&
-			(e.Name() == snapshotName(seq) || e.Name() == binSnapshotName(seq)) {
+		if n, _ := fmt.Sscanf(e.Name(), "snapshot-%d.", &seq); n != 1 {
+			continue
+		}
+		switch e.Name() {
+		case binSnapshotName(seq):
 			seqs = append(seqs, seq)
+		case xmlSnapshotName(seq):
+			xmlSeq = max(xmlSeq, seq)
 		}
 	}
 	slices.Sort(seqs)
-	return slices.Compact(seqs), nil
+	if xmlSeq > 0 && (len(seqs) == 0 || xmlSeq > seqs[len(seqs)-1]) {
+		path := filepath.Join(s.dir, xmlSnapshotName(xmlSeq))
+		return nil, fmt.Errorf("persist: %s is an XML snapshot, which is not recovered: snapshot it with the release "+
+			"that wrote it, or seed a new data dir from it (cardirectd -data NEWDIR -config %s) without %s", path, path, walName(xmlSeq))
+	}
+	return seqs, nil
+}
+
+// load recovers the newest of seqs, or initialises the directory from seed
+// when it holds no generation, then sweeps what the live generation does
+// not use.
+func (s *Store) load(seqs []uint64, seed *config.Image) error {
+	start := time.Now()
+	var err error
+	switch {
+	case len(seqs) > 0:
+		if seed != nil {
+			s.log.Info("persist: data dir already initialised; ignoring seed configuration", "dir", s.dir)
+		}
+		err = s.recover(seqs)
+	case seed == nil:
+		err = fmt.Errorf("persist: data dir %s holds no snapshot and no seed configuration was given: %w", s.dir, fs.ErrNotExist)
+	default:
+		err = s.initialise(seed)
+	}
+	if err != nil {
+		return err
+	}
+	s.recoveryNs = time.Since(start).Nanoseconds()
+	s.removeStale()
+	return nil
 }
 
 // initialise writes generation 1 from the seed document: tracked store,
@@ -218,7 +260,7 @@ func (s *Store) initialise(seed *config.Image) error {
 		return fmt.Errorf("persist: building store from seed: %w", err)
 	}
 	s.seq = 1
-	if err := s.writeSnapshotFile(s.seq); err != nil {
+	if _, err := s.writeSnapshotFile(s.seq); err != nil {
 		return err
 	}
 	w, err := wal.Create(filepath.Join(s.dir, walName(s.seq)), s.opt.Sync)
@@ -233,42 +275,29 @@ func (s *Store) initialise(seed *config.Image) error {
 	return nil
 }
 
-// recover loads the newest readable snapshot generation and replays its WAL
-// tail. Unreadable snapshots (half-written by a crashed rotation, or
-// damaged on disk) fall back to the previous generation with a warning.
+// recover loads the newest generation's snapshot and replays its log
+// tail. A snapshot that does not load (CRC, version, config.Track) fails
+// recovery, naming the file: no other file holds its world, as the log
+// has no second copy either. Only a generation with no log yet — a
+// rotation or install that never finished — falls back to the one before.
 func (s *Store) recover(seqs []uint64) error {
-	var err error
 	var path string
-	for i := len(seqs) - 1; i >= 0; i-- {
-		seq := seqs[i]
-		// Prefer the binary snapshot: same document, no XML decode. A
-		// binary that is missing, fails its CRC (torn rotation, bit rot) or
-		// does not track falls back to the XML of the same generation; a
-		// generation with neither falls back to the previous generation.
-		path = filepath.Join(s.dir, binSnapshotName(seq))
-		var data []byte
-		if data, err = os.ReadFile(path); err == nil {
+	for i := len(seqs) - 1; ; i-- {
+		s.seq, s.pos = seqs[i], Position{}
+		path = filepath.Join(s.dir, binSnapshotName(s.seq))
+		data, err := os.ReadFile(path)
+		if err == nil {
 			var img *config.Image
 			img, s.pos, err = decodeSnapshot(data)
 			err = s.track(img, err)
 		}
 		if err == nil {
-			s.seq, s.recoveredFrom = seq, "binary"
 			break
-		} else if !os.IsNotExist(err) {
-			s.log.Warn("persist: binary snapshot unreadable; falling back to XML", "path", path, "err", err)
 		}
-		s.pos = Position{}
-		path = filepath.Join(s.dir, snapshotName(seq))
-		if err = s.track(loadSnapshot(path)); err != nil {
-			s.log.Warn("persist: skipping unreadable snapshot", "path", path, "err", err)
-			continue
+		if _, serr := os.Stat(filepath.Join(s.dir, walName(s.seq))); serr == nil || i == 0 {
+			return fmt.Errorf("persist: snapshot %s does not load: %w", path, err)
 		}
-		s.seq, s.recoveredFrom = seq, "xml"
-		break
-	}
-	if s.tr == nil {
-		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates): %v", s.dir, len(seqs), err)
+		s.log.Warn("persist: skipping the snapshot of an unfinished rotation", "path", path, "err", err)
 	}
 
 	walPath := filepath.Join(s.dir, walName(s.seq))
@@ -329,16 +358,6 @@ func (s *Store) recover(seqs []uint64) error {
 		s.lastSnap = st.ModTime()
 	}
 	return nil
-}
-
-// loadSnapshot parses one XML snapshot file.
-func loadSnapshot(path string) (*config.Image, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return config.Load(f)
 }
 
 // track builds the tracked store from a decoded document, or passes on the
@@ -457,9 +476,9 @@ func (s *Store) Position() Position {
 }
 
 // Install makes snapshot, bytes EncodeSnapshotAt wrote, the newest
-// generation of dir as they are — no XML — and opens the store, whose stale
-// sweep retires the older ones. A replica bootstraps this way. With dir ""
-// the world stays in memory: nothing is written, and Follow only applies.
+// generation of dir as they are and opens the store, whose stale sweep
+// retires the older ones. A replica bootstraps this way. With dir "" the
+// world stays in memory: nothing is written, and Follow only applies.
 func Install(dir string, snapshot []byte, opt Options) (*Store, error) {
 	if dir == "" {
 		img, pos, err := decodeSnapshot(snapshot)
@@ -473,17 +492,20 @@ func Install(dir string, snapshot []byte, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var last uint64
+	next := uint64(1)
 	if len(seqs) > 0 {
-		last = seqs[len(seqs)-1]
+		next = seqs[len(seqs)-1] + 1
 	}
-	if err := writeFileAtomic(filepath.Join(dir, binSnapshotName(last+1)), snapshot); err != nil {
-		return nil, fmt.Errorf("persist: installing snapshot: %w", err)
+	if err = writeFileAtomic(filepath.Join(dir, binSnapshotName(next)), snapshot); err != nil {
+		err = fmt.Errorf("persist: installing snapshot: %w", err)
+	} else if err = s.syncDir(); err == nil {
+		err = s.load(append(seqs, next), nil)
 	}
-	if err := s.syncDir(); err != nil {
+	if err != nil {
+		s.Close()
 		return nil, err
 	}
-	return Open(dir, nil, opt)
+	return s, nil
 }
 
 // syncLater fsyncs w after d unless it is synced, rotated out by Snapshot or
@@ -531,7 +553,7 @@ func (s *Store) SetRegionGeometry(id string, g geom.Region) error {
 }
 
 // Snapshot writes the next snapshot generation and truncates the log:
-// write snapshot-<seq+1> via temp file + fsync + atomic rename, start
+// write snapshot-<seq+1>.bin via temp file + fsync + atomic rename, start
 // wal-<seq+1>.log, then delete generation seq. A crash at any point leaves
 // either generation seq intact or generation seq+1 complete — never a
 // state recovery cannot load.
@@ -543,7 +565,8 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}
 	start := time.Now()
 	next := s.seq + 1
-	if err := s.writeSnapshotFile(next); err != nil {
+	n, err := s.writeSnapshotFile(next)
+	if err != nil {
 		return SnapshotInfo{}, err
 	}
 	w, err := wal.Create(filepath.Join(s.dir, walName(next)), s.opt.Sync)
@@ -560,48 +583,28 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}
 	s.walCum.Add(s.w.Metrics())
 	s.w = w
-	prev := s.seq
 	s.seq = next
 	s.lastSnap = time.Now()
-	s.removeGeneration(prev)
-	path := filepath.Join(s.dir, snapshotName(next))
-	info := SnapshotInfo{Seq: next, Path: path, DurationNs: time.Since(start).Nanoseconds()}
-	if st, err := os.Stat(path); err == nil {
-		info.Bytes = st.Size()
-	}
-	info.Regions = s.tr.Store().Len()
-	return info, nil
+	s.removeStale()
+	return SnapshotInfo{Seq: next, Path: filepath.Join(s.dir, binSnapshotName(next)), Bytes: int64(n),
+		Regions: s.tr.Store().Len(), DurationNs: time.Since(start).Nanoseconds()}, nil
 }
 
-// writeSnapshotFile writes the tracked document as snapshot-<seq> in both
-// formats, each atomically (temp file, fsync, rename). The document is
-// encoded under the tracked read lock — s.mu already keeps edits out, and
-// reads carry on beside the encode. Either file is the whole world as of
-// the generation, so a crash between the two renames leaves a generation
-// that recovers from the binary file alone. The binary file records the
-// world's position, so a replica's world written out before any edit of
-// its own keeps its primary's generation and percent mode.
-func (s *Store) writeSnapshotFile(seq uint64) error {
+// writeSnapshotFile writes the tracked document as snapshot-<seq>.bin
+// atomically (temp file, fsync, rename) and returns its size. It encodes
+// under the tracked read lock: s.mu keeps edits out, reads carry on. The
+// file records the world's position, so a replica's world written out
+// before any edit of its own keeps its primary's generation and pct.
+func (s *Store) writeSnapshotFile(seq uint64) (int, error) {
 	if s.tr.Store().Len() == 0 {
-		return ErrEmptyWorld
+		return 0, ErrEmptyWorld
 	}
-	var data, bin []byte
-	err := s.tr.View(func(img *config.Image) error {
-		var err error
-		data, err = img.Bytes()
-		bin = EncodeSnapshotAt(img, s.pos)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("persist: encoding snapshot: %w", err)
-	}
+	var bin []byte
+	s.tr.View(func(img *config.Image) error { bin = EncodeSnapshotAt(img, s.pos); return nil })
 	if err := writeFileAtomic(filepath.Join(s.dir, binSnapshotName(seq)), bin); err != nil {
-		return fmt.Errorf("persist: installing snapshot: %w", err)
+		return 0, fmt.Errorf("persist: installing snapshot: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, snapshotName(seq)), data); err != nil {
-		return fmt.Errorf("persist: installing snapshot: %w", err)
-	}
-	return nil
+	return len(bin), nil
 }
 
 // writeFileAtomic installs data at path: written to path+".tmp", fsynced,
@@ -644,23 +647,12 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// removeGeneration deletes generation seq's snapshots (both formats) and
-// log.
-func (s *Store) removeGeneration(seq uint64) {
-	for _, name := range []string{snapshotName(seq), binSnapshotName(seq), walName(seq)} {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("persist: removing retired file", "file", name, "err", err)
-		}
-	}
-}
-
-// removeStale clears leftovers of interrupted rotations after recovery:
-// writeFileAtomic's temp files and the snapshot and log files of any
-// generation other than the live one. Only names this package produces
-// are touched — a name must round-trip through snapshotName,
-// binSnapshotName or walName (Sscanf alone accepts a prefix match), so an
-// operator's snapshot-00000001.xml.bak or notes.tmp in the directory
-// survives a restart.
+// removeStale sweeps the temp files of interrupted writes and every file
+// of other generations, the XML twins older releases wrote included; so
+// Snapshot retires the previous generation with it. Only names this
+// package produces are touched — a name must round-trip through a name
+// function (Sscanf alone accepts a prefix match), so LOCK and an
+// operator's snapshot-00000001.xml.bak or notes.tmp survive.
 func (s *Store) removeStale() {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -670,8 +662,8 @@ func (s *Store) removeStale() {
 		format string
 		name   func(uint64) string
 	}{
-		{"snapshot-%d.xml", snapshotName},
 		{"snapshot-%d.bin", binSnapshotName},
+		{"snapshot-%d.xml", xmlSnapshotName},
 		{"wal-%d.log", walName},
 	}
 	for _, e := range entries {
@@ -689,7 +681,7 @@ func (s *Store) removeStale() {
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 			s.log.Warn("persist: removing stale file", "file", name, "err", err)
 		} else {
-			s.log.Info("persist: removed stale file", "file", name)
+			s.log.Debug("persist: removed stale file", "file", name)
 		}
 	}
 }
@@ -706,7 +698,6 @@ func (s *Store) Status() Status {
 		RecoveryNs:      s.recoveryNs,
 		ReplayedRecords: s.replayed,
 		SkippedRecords:  s.skipped,
-		RecoveredFrom:   s.recoveredFrom,
 		Corruption:      s.corruption,
 		LastSnapshot:    s.lastSnap,
 	}
@@ -719,10 +710,15 @@ func (s *Store) Status() Status {
 	return st
 }
 
-// Close flushes and closes the log. The tracked store stays readable.
+// Close flushes and closes the log, then gives up the data directory. The
+// tracked store stays readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.lock != nil {
+		defer s.lock.Close() // drops the flock, once the log is closed
+		s.lock = nil
+	}
 	if s.w == nil {
 		return nil
 	}

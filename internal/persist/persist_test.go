@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,6 +119,7 @@ func TestFreshInitAndRecovery(t *testing.T) {
 	// A seed given alongside an initialised directory is ignored.
 	r2 := openForTest(t, t.TempDir(), buildImage(t, regions[:2]))
 	r2.Close()
+	r.Close()
 	r3 := openForTest(t, dir, buildImage(t, regions[:2]))
 	defer r3.Close()
 	if got := r3.Tracked().Store().Len(); got != len(wantPairsRegions(wantPairs)) {
@@ -235,7 +237,7 @@ func TestSnapshotRotation(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	want := []string{"snapshot-00000002.bin", "snapshot-00000002.xml", "wal-00000002.log"}
+	want := []string{"LOCK", "snapshot-00000002.bin", "wal-00000002.log"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("directory after rotation: %v, want %v", names, want)
 	}
@@ -330,10 +332,10 @@ func TestRecoverySkipsUnreadableSnapshot(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A rotation that crashed after renaming the snapshot but before
-	// anything else: half-written XML at a higher generation.
-	bad := filepath.Join(dir, "snapshot-00000002.xml")
-	if err := os.WriteFile(bad, []byte("<Image name=\"x\""), 0o644); err != nil {
+	// A higher generation that does not load and has no log: a rotation
+	// that never finished.
+	bad := filepath.Join(dir, binSnapshotName(2))
+	if err := os.WriteFile(bad, []byte("CDSN half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(dir, "snapshot-12345.tmp")
@@ -358,17 +360,67 @@ func TestRecoverySkipsUnreadableSnapshot(t *testing.T) {
 }
 
 // TestOpenErrors covers the refusal cases: no snapshot and no seed, and a
-// directory whose only snapshot is unreadable.
+// directory whose only snapshot is unreadable, in either format. A
+// refused Open leaves the directory to the next opener.
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open(t.TempDir(), nil, Options{}); err == nil {
+	empty := t.TempDir()
+	if _, err := Open(empty, nil, Options{}); err == nil {
 		t.Error("Open of an empty dir without a seed succeeded")
 	}
+	for _, name := range []string{xmlSnapshotName(1), binSnapshotName(1)} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, nil, Options{}); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Open with only an unreadable %s: %v, want a refusal naming it", name, err)
+		}
+	}
+	s := openForTest(t, empty, buildImage(t, workload.New(3).Scatter(2, 6)))
+	s.Close()
+}
+
+// TestSecondOpenRefused: a data directory has one owner. While a store
+// holds it, a second Open or Install of it fails with ErrLocked, naming the
+// directory, and the first store's edits carry on and recover whole; once
+// the owner closes, the directory opens again.
+func TestSecondOpenRefused(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000001.xml"), []byte("junk"), 0o644); err != nil {
+	gen := workload.New(41)
+	first := openForTest(t, dir, buildImage(t, gen.Scatter(4, 8)))
+	adds := gen.Scatter(2, 8)
+	if err := first.AddRegion("a0", "", "", adds[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, nil, Options{}); err == nil {
-		t.Error("Open with only an unreadable snapshot succeeded")
+	snap := EncodeSnapshotAt(buildImage(t, gen.Scatter(3, 8)), Position{Epoch: "e", Seq: 1, Gen: 1})
+	for what, open := range map[string]func() (*Store, error){
+		"Open":    func() (*Store, error) { return Open(dir, nil, Options{}) },
+		"Install": func() (*Store, error) { return Install(dir, snap, Options{}) },
+	} {
+		second, err := open()
+		if err == nil {
+			second.Close()
+			t.Fatalf("a second %s of a held directory succeeded", what)
+		}
+		if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), dir) {
+			t.Errorf("second %s: %v, want ErrLocked naming %s", what, err, dir)
+		}
+	}
+	if err := first.AddRegion("a1", "", "", adds[1]); err != nil {
+		t.Fatalf("the owner's edit after a refused open: %v", err)
+	}
+	if _, err := first.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := statePairs(t, first.Tracked())
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openForTest(t, dir, nil)
+	defer r.Close()
+	if got, _ := statePairs(t, r.Tracked()); r.Tracked().Store().Len() != 6 || !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened after the owner closed: %d regions, want the owner's 6", r.Tracked().Store().Len())
 	}
 }
 
@@ -386,32 +438,11 @@ func TestSnapshotRefusesEmptyWorld(t *testing.T) {
 	}
 }
 
-// legacyDir writes generation 1 the way the store did before relations
-// were computed on demand: both snapshot formats carry the full n²
-// Relation list with pct attributes, and there is no log yet.
-func legacyDir(t *testing.T, img *config.Image) string {
-	t.Helper()
-	if err := img.ComputeRelations(true); err != nil {
-		t.Fatal(err)
-	}
-	xml, err := img.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for name, data := range map[string][]byte{snapshotName(1): xml, binSnapshotName(1): EncodeSnapshot(img)} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// TestRecoveryLoadsLegacySnapshots: a data directory whose snapshots carry
-// the n² relation payload recovers, from either format, to a world that
-// answers exactly what a from-scratch batch over the regions answers — the
-// stored relations are dropped, not served — and the next rotation writes
-// regions only.
+// TestRecoveryLoadsLegacySnapshots: a data directory whose snapshot
+// carries the n² relation payload, as the store wrote it before relations
+// were computed on demand, recovers to a world that answers exactly what a
+// from-scratch batch over the regions answers — the stored relations are
+// dropped, not served — and the next rotation writes regions only.
 func TestRecoveryLoadsLegacySnapshots(t *testing.T) {
 	regions := workload.New(23).Cluster(40, 5, 12)
 	named := make([]core.NamedRegion, len(regions))
@@ -422,57 +453,99 @@ func TestRecoveryLoadsLegacySnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, from := range []string{"binary", "xml"} {
-		img := buildImage(t, regions)
-		dir := legacyDir(t, img)
-		// Poison the stored answers: serving them would show.
-		for i := range img.Relations {
-			img.Relations[i].Type, img.Relations[i].Pct = "B", "100;0;0;0;0;0;0;0;0"
-		}
-		xml, err := img.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if from == "xml" {
-			if err := os.Remove(filepath.Join(dir, binSnapshotName(1))); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), xml, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := os.WriteFile(filepath.Join(dir, binSnapshotName(1)), EncodeSnapshot(img), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		legacyBytes := len(xml)
-
-		s := openForTest(t, dir, nil)
-		if got := s.Status().RecoveredFrom; got != from {
-			t.Errorf("recovered_from = %q, want %q", got, from)
-		}
-		_, pcts := statePairs(t, s.Tracked())
-		if !reflect.DeepEqual(pcts, want.Pairs) {
-			t.Errorf("%s: recovered world differs from a from-scratch BatchPct", from)
-		}
-		info, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Bytes*4 > int64(legacyBytes) {
-			t.Errorf("%s: rotated snapshot is %d bytes, legacy one was %d — relations still stored?", from, info.Bytes, legacyBytes)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, binSnapshotName(info.Seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rotated, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rotated.Relations) != 0 {
-			t.Errorf("%s: rotated snapshot carries %d relations", from, len(rotated.Relations))
-		}
-		s.Close()
+	img := buildImage(t, regions)
+	if err := img.ComputeRelations(true); err != nil {
+		t.Fatal(err)
 	}
+	// Poison the stored answers: serving them would show.
+	for i := range img.Relations {
+		img.Relations[i].Type, img.Relations[i].Pct = "B", "100;0;0;0;0;0;0;0;0"
+	}
+	legacy := EncodeSnapshot(img)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, binSnapshotName(1)), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openForTest(t, dir, nil)
+	defer s.Close()
+	if _, pcts := statePairs(t, s.Tracked()); !reflect.DeepEqual(pcts, want.Pairs) {
+		t.Error("recovered world differs from a from-scratch BatchPct")
+	}
+	info, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Bytes*4 > int64(len(legacy)) {
+		t.Errorf("rotated snapshot is %d bytes, legacy one was %d — relations still stored?", info.Bytes, len(legacy))
+	}
+	data, err := os.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rotated.Relations) != 0 {
+		t.Errorf("rotated snapshot carries %d relations", len(rotated.Relations))
+	}
+}
+
+// TestRecoveryReadsParentLayout: a directory as releases that wrote an XML
+// twin beside each binary snapshot left it — snapshot-<n>.xml,
+// snapshot-<n>.bin and wal-<n>.log — recovers the same world from the
+// binary file and its log, never reading the XML, and the twin goes with
+// its generation at the next rotation. Snapshot and first-start
+// initialisation write the binary snapshot, the log and LOCK only.
+func TestRecoveryReadsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	gen := workload.New(43)
+	s := openForTest(t, dir, buildImage(t, gen.Scatter(5, 8)))
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"LOCK", binSnapshotName(1), walName(1)}) {
+		t.Fatalf("first start wrote %v", got)
+	}
+	if err := s.AddRegion("x", "", "", gen.Scatter(1, 8)[0]); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := statePairs(t, s.Tracked())
+	s.Close()
+	// The twins: the live generation's, and a retired one a crashed
+	// rotation left. Garbage, so that reading either would show.
+	for _, seq := range []uint64{0, 1} {
+		if err := os.WriteFile(filepath.Join(dir, xmlSnapshotName(seq)), []byte("<Image"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := openForTest(t, dir, nil)
+	defer r.Close()
+	if got, _ := statePairs(t, r.Tracked()); !reflect.DeepEqual(got, want) || r.Status().ReplayedRecords != 1 {
+		t.Fatalf("the parent's layout recovered a different world (%d records replayed)", r.Status().ReplayedRecords)
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"LOCK", binSnapshotName(1), xmlSnapshotName(1), walName(1)}) {
+		t.Fatalf("after recovery: %v, want the retired twin swept and the live one kept", got)
+	}
+	if _, err := r.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"LOCK", binSnapshotName(2), walName(2)}) {
+		t.Fatalf("after a rotation: %v, want generation 2's snapshot, log and LOCK only", got)
+	}
+}
+
+// dirNames lists dir's file names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestSnapshotSizeIsLinear: the bytes a snapshot spends per region do not

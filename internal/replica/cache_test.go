@@ -277,7 +277,8 @@ func TestReplicaInstallCrash(t *testing.T) {
 	}
 }
 
-// readDir returns every file in dir by name.
+// readDir returns every file in dir by name, but persist's LOCK, which
+// any opener creates.
 func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -286,6 +287,9 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	}
 	files := map[string][]byte{}
 	for _, e := range entries {
+		if e.Name() == "LOCK" {
+			continue
+		}
 		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
@@ -295,9 +299,11 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 
 // TestReplicaRefusesPrimaryDir points a replica at directories whose world
 // has no position — a primary's own, a bare binary snapshot, and a
-// replica's directory that took an edit of its own as a primary's. The
-// replica refuses to start, naming the directory, and leaves every file as
-// it was: a bootstrap would have swept those acknowledged edits away.
+// replica's directory that took an edit of its own as a primary's — and at
+// a replica's directory another store holds open. The replica refuses to
+// start, naming the directory, and leaves every file as it was: a
+// bootstrap would have swept those acknowledged edits away, or written
+// under another store's feet.
 func TestReplicaRefusesPrimaryDir(t *testing.T) {
 	p := newPrimaryFixture(t, false)
 	quiet := persist.Options{Logger: quietLogger()}
@@ -325,8 +331,16 @@ func TestReplicaRefusesPrimaryDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps.Close()
+	heldDir := t.TempDir()
+	newReplicaFixture(t, p.ts.URL, heldDir).shutdown()
+	held, err := persist.Open(heldDir, nil, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
 
-	for what, dir := range map[string]string{"a primary's directory": primaryDir, "a bare snapshot": bareDir, "an edited replica's directory": editedDir} {
+	for what, dir := range map[string]string{"a primary's directory": primaryDir, "a bare snapshot": bareDir,
+		"an edited replica's directory": editedDir, "a held replica's directory": heldDir} {
 		before := readDir(t, dir)
 		_, err := replica.Open(context.Background(), replica.Options{Primary: p.ts.URL, CacheDir: dir, Workers: 1, Logger: quietLogger()})
 		if err == nil || !strings.Contains(err.Error(), dir) {

@@ -141,8 +141,9 @@ func publishExpvars() {
 
 // Open bootstraps a replica: from CacheDir when it holds a replica's
 // world, otherwise from the primary's snapshot endpoint (retrying
-// briefly); a CacheDir holding a primary's world is an error. The
-// returned replica serves reads immediately; call Run to start tailing.
+// briefly); a CacheDir held by another store or holding a primary's world
+// is an error. The returned replica serves reads immediately; call Run to
+// start tailing.
 func Open(ctx context.Context, opt Options) (*Replica, error) {
 	if opt.PollWait <= 0 {
 		opt.PollWait = 10 * time.Second
@@ -372,16 +373,18 @@ func (r *Replica) install(data []byte) (*persist.Store, error) {
 }
 
 // resume recovers the replica from its data directory, where persist.Open
-// leaves it at the position the tail goes on from. It refuses a directory
-// whose world has no position — a primary's, whose edits a bootstrap would
-// sweep away. A directory holding no generation, or whose log did not
-// replay whole, is bootstrapped over; one persist cannot open is left as it
-// is, and the replica follows in memory.
+// leaves it at the position the tail goes on from. It refuses one another
+// store holds, and one whose world has no position — a primary's, whose
+// edits a bootstrap would sweep away. A directory holding no generation, or
+// whose log did not replay whole, is bootstrapped over; any other one
+// persist cannot open is left as it is, and the replica follows in memory.
 func (r *Replica) resume() error {
 	ps, err := persist.Open(r.opt.CacheDir, nil, r.storeOptions())
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return nil
+	case errors.Is(err, persist.ErrLocked):
+		return err
 	case err != nil:
 		r.log.Error("replica: data directory unreadable; following in memory", "dir", r.opt.CacheDir, "err", err)
 		r.opt.CacheDir = ""

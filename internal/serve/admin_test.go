@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"io"
 	"log/slog"
 	"net/http"
@@ -106,64 +107,85 @@ func TestAdminStatusAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestAdminStatusRecoveredFrom asserts the admin surface reports which
-// snapshot format recovery loaded: "binary" when the checksummed binary
-// file is intact, "xml" after falling back, and nothing for a fresh
-// initialisation.
-func TestAdminStatusRecoveredFrom(t *testing.T) {
+// TestAdminParentLayoutUpgrade: a data directory as releases that wrote an
+// XML twin beside each binary snapshot left it recovers from the binary
+// snapshot and its log, serving byte-equal /v1/relations under the same
+// ETag, and the twin goes at the next rotation. The status names no
+// snapshot format (there is one). (A directory whose newest snapshot is
+// XML alone is refused: persist's TestRecoveryRefusesXMLSnapshot.)
+func TestAdminParentLayoutUpgrade(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	dir := t.TempDir()
 	opts := persist.Options{Pct: true, Logger: logger, Sync: wal.Options{Policy: wal.SyncNever}}
 
-	serveStatus := func(ps *persist.Store) map[string]any {
+	type served struct {
+		status   map[string]any
+		etag     string
+		relation []byte
+	}
+	serveFrom := func(ps *persist.Store, snapshot bool) served {
 		t.Helper()
 		srv := serve.New(ps.Tracked(), serve.Options{Logger: logger, Persist: ps})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		var raw map[string]any
-		if got := doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &raw); got != http.StatusOK {
+		var out served
+		if got := doJSON(t, "GET", ts.URL+"/v1/admin/status", nil, &out.status); got != http.StatusOK {
 			t.Fatalf("GET /v1/admin/status: %d", got)
 		}
-		return raw
+		resp, err := http.Get(ts.URL + "/v1/relations?pct=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out.etag = resp.Header.Get("ETag")
+		if out.relation, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			if got := doJSON(t, "POST", ts.URL+"/v1/admin/snapshot", nil, nil); got != http.StatusOK {
+				t.Fatalf("POST /v1/admin/snapshot: %d", got)
+			}
+		}
+		return out
 	}
 
 	ps, err := persist.Open(dir, config.Greece(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw := serveStatus(ps); raw["recovered_from"] != nil {
-		t.Errorf("fresh initialisation reports recovered_from = %v", raw["recovered_from"])
+	if err := ps.RenameRegion("crete", "kriti"); err != nil {
+		t.Fatal(err)
+	}
+	want := serveFrom(ps, false)
+	if _, ok := want.status["recovered_from"]; ok {
+		t.Errorf("the status still names a snapshot format: %v", want.status)
+	}
+	// An XML twin as the parent wrote it, holding the seed before the
+	// rename: a recovery that read it would serve crete, not kriti.
+	xml, err := config.Greece().Bytes()
+	if err != nil {
+		t.Fatal(err)
 	}
 	ps.Close()
 	ps.Tracked().Close()
+	twin := filepath.Join(dir, "snapshot-00000001.xml")
+	if err := os.WriteFile(twin, xml, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ps2, err := persist.Open(dir, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw := serveStatus(ps2); raw["recovered_from"] != "binary" {
-		t.Errorf("recovered_from = %v, want binary", raw["recovered_from"])
-	}
+	got := serveFrom(ps2, true)
 	ps2.Close()
 	ps2.Tracked().Close()
-
-	// Remove the binary snapshot: the status must report the XML fallback.
-	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.bin"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no binary snapshot written: %v, %v", matches, err)
+	if got.etag != want.etag || !bytes.Equal(got.relation, want.relation) {
+		t.Errorf("the parent's layout serves %d bytes under %s, before %d under %s",
+			len(got.relation), got.etag, len(want.relation), want.etag)
 	}
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps3, err := persist.Open(dir, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { ps3.Close(); ps3.Tracked().Close() }()
-	if raw := serveStatus(ps3); raw["recovered_from"] != "xml" {
-		t.Errorf("recovered_from = %v, want xml", raw["recovered_from"])
+	if _, err := os.Stat(twin); !os.IsNotExist(err) {
+		t.Errorf("the retired generation's XML twin survived the rotation: %v", err)
 	}
 }
 

@@ -42,7 +42,7 @@ type checkRequest struct {
 	Topology    []topoJSON       `json:"topology,omitempty"`
 	// MaxScenarios caps the scenario search; 0 means the solver default.
 	MaxScenarios int `json:"max_scenarios,omitempty"`
-	// Workers overrides the server's -solve-workers fan width.
+	// Workers is the solver's fan width; 0 means reason's default.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -137,13 +137,9 @@ func (s *Server) handleReasonCheck(w http.ResponseWriter, r *http.Request) error
 		}
 		topoCons = append(topoCons, reason.TopoConstraint{X: t.X, Y: t.Y, Rels: ts})
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opt.SolveWorkers
-	}
 	res, err := n.Check(r.Context(), reason.CheckOptions{
 		MaxScenarios: req.MaxScenarios,
-		Workers:      workers,
+		Workers:      req.Workers,
 		Topology:     topoCons,
 	})
 	if err != nil {

@@ -56,10 +56,6 @@ type Options struct {
 	// be the same tr handed to New. Nil serves the in-memory shape and the
 	// admin endpoints answer 404.
 	Persist *persist.Store
-	// SolveWorkers is the parallel consistency solver's default fan width
-	// for /v1/reason/check; values ≤ 0 mean the reason package default
-	// (max(8, GOMAXPROCS)).
-	SolveWorkers int
 	// MaxNetwork caps the number of region variables a reasoning request
 	// may declare — the consistency search is worst-case exponential, so
 	// the daemon refuses oversized networks with 413 instead of melting.
