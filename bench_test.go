@@ -624,6 +624,49 @@ func TestE18ParallelWins(t *testing.T) {
 	}
 }
 
+// TestE18Counts is TestE18ParallelWins' count twin on the same 200-region
+// workload: what makes the pruned batch the cheaper one, counted rather
+// than timed. Both runs make one pass per ordered pair. The unpruned run
+// streams every primary's edges through the kernel; the pruned one
+// answers nearly every pair from the MBB fast paths (39 622 of 39 800)
+// and streams the edges of the rest alone. The worker count moves no
+// counter, so GOMAXPROCS workers and one worker report equal Stats.
+func TestE18Counts(t *testing.T) {
+	regions := allPairsWorkload(200)
+	const edges = 8 // each Scatter region is one 8-vertex ring
+	for _, r := range regions {
+		if r.Region.NumEdges() != edges {
+			t.Fatalf("%s has %d edges, want %d", r.Name, r.Region.NumEdges(), edges)
+		}
+	}
+	run := func(opt core.BatchOptions) core.Stats {
+		res, err := core.BatchCDR(nil, regions, &opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	full := run(core.BatchOptions{Workers: 1, NoPrune: true})
+	seq := run(core.BatchOptions{Workers: 1})
+	pairs := len(regions) * (len(regions) - 1)
+	if full.Passes != pairs || seq.Passes != pairs {
+		t.Errorf("passes = %d unpruned, %d pruned, want %d each", full.Passes, seq.Passes, pairs)
+	}
+	if full.EdgesIn != pairs*edges || full.PruneSingleTile+full.PruneBand != 0 {
+		t.Errorf("unpruned run: %d edges in, %d pruned, want %d and 0", full.EdgesIn, full.PruneSingleTile+full.PruneBand, pairs*edges)
+	}
+	pruned := seq.PruneSingleTile + seq.PruneBand
+	if pruned < 99*pairs/100 {
+		t.Errorf("the fast paths decided %d of %d pairs, want ≥ 99%%", pruned, pairs)
+	}
+	if seq.EdgesIn != (pairs-pruned)*edges {
+		t.Errorf("pruned run: %d edges in, want %d (the %d undecided pairs × %d)", seq.EdgesIn, (pairs-pruned)*edges, pairs-pruned, edges)
+	}
+	if par := run(core.BatchOptions{Workers: 0}); par != seq {
+		t.Errorf("Workers 0 Stats %+v differ from Workers 1 %+v", par, seq)
+	}
+}
+
 // --- E16 (extension): R-tree-accelerated directional selection ---
 
 func TestE16IndexedMatchesNaive(t *testing.T) {

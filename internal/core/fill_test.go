@@ -16,23 +16,18 @@ import (
 // ring is copied forward or reversed, and a derive loop links the edges and
 // sums the area and box. fill reads each ring once and must reproduce every
 // field of it bit for bit (TestFillMatchesReference, FuzzFill).
-func (p *Prepared) fillReference(name string, r geom.Region, coords []float64, polyOff []int32, polys []preparedPoly) {
-	total := len(coords) / 4
+func (p *Prepared) fillReference(name string, r geom.Region, coords []float64, polys []preparedPoly) {
 	p.Name = name
 	p.fastOK = true
-	p.ax = coords[0:total:total]
-	p.ay = coords[total : 2*total : 2*total]
-	p.bx = coords[2*total : 3*total : 3*total]
-	p.by = coords[3*total : 4*total : 4*total]
-	p.polyOff = polyOff
+	p.c = coords
 	p.polys = polys
+	sax, say, sbx, sby := p.streams()
 
 	box := geom.EmptyRect()
 	k := 0
 	for pi, poly := range r {
-		polyOff[pi] = int32(k)
 		n := len(poly)
-		ax, ay, bx, by := p.ax[k:k+n], p.ay[k:k+n], p.bx[k:k+n], p.by[k:k+n]
+		ax, ay, bx, by := sax[k:k+n], say[k:k+n], sbx[k:k+n], sby[k:k+n]
 		if sa := poly.SignedArea(); n < 3 || sa > 0 || sa == 0 {
 			for i, v := range poly {
 				ax[i], ay[i] = v.X, v.Y
@@ -63,11 +58,10 @@ func (p *Prepared) fillReference(name string, r geom.Region, coords []float64, p
 			p.fastOK = false
 		}
 		box = box.Union(pb)
-		polys[pi] = preparedPoly{box: pb, area: area}
-		p.totalArea += area
 		k += n
+		polys[pi] = preparedPoly{box: pb, area: area, end: int32(k)}
+		p.totalArea += area
 	}
-	polyOff[len(r)] = int32(k)
 	p.Box = box
 	_, err := NewGrid(box)
 	p.noGrid = err != nil
@@ -77,7 +71,7 @@ func (p *Prepared) fillReference(name string, r geom.Region, coords []float64, p
 func prepareReference(name string, r geom.Region) *Prepared {
 	n := r.NumEdges()
 	p := new(Prepared)
-	p.fillReference(name, r, make([]float64, 4*n), make([]int32, len(r)+1), make([]preparedPoly, len(r)))
+	p.fillReference(name, r, make([]float64, 4*n), make([]preparedPoly, len(r)))
 	return p
 }
 
@@ -113,7 +107,9 @@ func checkSamePrepared(t *testing.T, label string, got, want *Prepared) {
 	if !sameRect(got.Box, want.Box) {
 		fail("Box %v, want %v", got.Box, want.Box)
 	}
-	for s, pair := range [][2][]float64{{got.ax, want.ax}, {got.ay, want.ay}, {got.bx, want.bx}, {got.by, want.by}} {
+	gax, gay, gbx, gby := got.streams()
+	wax, way, wbx, wby := want.streams()
+	for s, pair := range [][2][]float64{{gax, wax}, {gay, way}, {gbx, wbx}, {gby, wby}} {
 		g, w := pair[0], pair[1]
 		if len(g) != len(w) {
 			fail("stream %d has %d edges, want %d", s, len(g), len(w))
@@ -124,16 +120,13 @@ func checkSamePrepared(t *testing.T, label string, got, want *Prepared) {
 			}
 		}
 	}
-	if !slices.Equal(got.polyOff, want.polyOff) {
-		fail("polyOff %v, want %v", got.polyOff, want.polyOff)
-	}
 	if len(got.polys) != len(want.polys) {
 		fail("%d polygons, want %d", len(got.polys), len(want.polys))
 	}
 	for k := range got.polys {
 		g, w := got.polys[k], want.polys[k]
-		if !sameRect(g.box, w.box) || !sameSum(g.area, w.area) {
-			fail("polygon %d: box %v area %v, want box %v area %v", k, g.box, g.area, w.box, w.area)
+		if !sameRect(g.box, w.box) || !sameSum(g.area, w.area) || g.end != w.end {
+			fail("polygon %d: box %v area %v end %d, want box %v area %v end %d", k, g.box, g.area, g.end, w.box, w.area, w.end)
 		}
 	}
 	if got.noGrid != want.noGrid || got.fastOK != want.fastOK {

@@ -86,11 +86,12 @@ type stripIndex struct {
 // build fills the index from ix.p; relateStrip runs it once.
 func (ix *stripIndex) build() {
 	p := ix.p
-	ne := len(p.ax)
+	ax, ay, bx, by := p.streams()
+	ne := len(ax)
 	ix.nbX, ix.xorg, ix.invXW, ix.xoff, ix.xids =
-		buildIntervalBuckets(p.ax, p.bx, p.Box.MinX, p.Box.MaxX)
+		buildIntervalBuckets(ax, bx, p.Box.MinX, p.Box.MaxX)
 	ix.nbY, ix.yorg, ix.invYW, ix.yoff, ix.yids =
-		buildIntervalBuckets(p.ay, p.by, p.Box.MinY, p.Box.MaxY)
+		buildIntervalBuckets(ay, by, p.Box.MinY, p.Box.MaxY)
 
 	// Vertices: every edge start is a ring vertex and every ring vertex
 	// starts exactly one edge.
@@ -98,12 +99,12 @@ func (ix *stripIndex) build() {
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	sort.Slice(ord, func(a, b int) bool { return p.ax[ord[a]] < p.ax[ord[b]] })
+	sort.Slice(ord, func(a, b int) bool { return ax[ord[a]] < ax[ord[b]] })
 	ix.vx = make([]float64, ne)
 	vy := make([]float64, ne)
 	for i, id := range ord {
-		ix.vx[i] = p.ax[id]
-		vy[i] = p.ay[id]
+		ix.vx[i] = ax[id]
+		vy[i] = ay[id]
 	}
 	ix.preMaxY = make([]float64, ne)
 	ix.preMinY = make([]float64, ne)
@@ -137,10 +138,11 @@ func (ix *stripIndex) build() {
 	ix.polyOf = make([]int32, ne)
 	for pi := range p.polys {
 		id := int32(pi)
-		if p.polyOff[pi+1]-p.polyOff[pi] < 3 {
+		lo, hi := p.polyEdges(pi)
+		if hi-lo < 3 {
 			id = -1
 		}
-		for e := p.polyOff[pi]; e < p.polyOff[pi+1]; e++ {
+		for e := lo; e < hi; e++ {
 			ix.polyOf[e] = id
 		}
 	}
@@ -153,13 +155,7 @@ func (ix *stripIndex) build() {
 // in the region size no matter the shape.
 func buildIntervalBuckets(a, b []float64, lo, hi float64) (nb int, org, invW float64, off, ids []int32) {
 	ne := len(a)
-	nb = ne
-	if nb > 4096 {
-		nb = 4096
-	}
-	if nb < 1 {
-		nb = 1
-	}
+	nb = min(max(ne, 1), 4096)
 	for {
 		w := (hi - lo) / float64(nb)
 		if !(w > 0) {
@@ -195,10 +191,7 @@ func buildIntervalBuckets(a, b []float64, lo, hi float64) (nb int, org, invW flo
 			}
 			return nb, lo, invW, off, ids
 		}
-		nb = nb * 8 * ne / total
-		if nb < 1 {
-			nb = 1
-		}
+		nb = max(nb*8*ne/total, 1)
 	}
 }
 
@@ -208,35 +201,23 @@ func bucketSpan(u, v, org, invW float64, nb int) (int, int) {
 	if u > v {
 		u, v = v, u
 	}
-	b0 := int((u - org) * invW)
-	b1 := int((v - org) * invW)
-	if b0 < 0 {
-		b0 = 0
-	}
-	if b1 >= nb {
-		b1 = nb - 1
-	}
-	if b1 < b0 {
-		b1 = b0
-	}
-	return b0, b1
+	b0 := max(int((u-org)*invW), 0)
+	return b0, max(min(int((v-org)*invW), nb-1), b0)
 }
 
 // relateStrip answers the pair from the strip index, or reports !ok when
 // the candidate set exceeds half the edges (the full kernel wins there).
 func (ix *stripIndex) relateStrip(g Grid, sc *Scratch) (Relation, bool) {
 	ix.once.Do(ix.build)
-	p := ix.p
-	ne := len(p.ax)
+	ax, ay, bx, by := ix.p.streams()
+	ne := len(ax)
 	if len(sc.stripSeen) < ne {
 		sc.stripSeen = make([]uint32, ne)
 		sc.stripEpoch = 0
 	}
 	sc.stripEpoch++
 	if sc.stripEpoch == 0 { // epoch wrapped: stale stamps could collide
-		for i := range sc.stripSeen {
-			sc.stripSeen[i] = 0
-		}
+		clear(sc.stripSeen)
 		sc.stripEpoch = 1
 	}
 	ids := sc.stripIDs[:0]
@@ -250,7 +231,6 @@ func (ix *stripIndex) relateStrip(g Grid, sc *Scratch) (Relation, bool) {
 	// The kernel's own split-and-classify loop, over E* alone.
 	var rel Relation
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
-	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
 	var qx, qy [6]float64
 	for _, id := range ids {
 		x0, y0, x1, y1 := ax[id], ay[id], bx[id], by[id]
@@ -302,6 +282,7 @@ func (ix *stripIndex) relateStrip(g Grid, sc *Scratch) (Relation, bool) {
 // once more than budget ids accumulate.
 func (ix *stripIndex) collect(ids []int32, seen []uint32, epoch uint32, g Grid, budget int) ([]int32, bool) {
 	p := ix.p
+	ax, ay, bx, by := p.streams()
 	if g.M2 >= p.Box.MinX && g.M1 <= p.Box.MaxX {
 		b0, b1 := bucketSpan(g.M1, g.M2, ix.xorg, ix.invXW, ix.nbX)
 		for bk := b0; bk <= b1; bk++ {
@@ -309,7 +290,7 @@ func (ix *stripIndex) collect(ids []int32, seen []uint32, epoch uint32, g Grid, 
 				if seen[id] == epoch {
 					continue
 				}
-				lo, hi := p.ax[id], p.bx[id]
+				lo, hi := ax[id], bx[id]
 				if lo > hi {
 					lo, hi = hi, lo
 				}
@@ -331,7 +312,7 @@ func (ix *stripIndex) collect(ids []int32, seen []uint32, epoch uint32, g Grid, 
 				if seen[id] == epoch {
 					continue
 				}
-				lo, hi := p.ay[id], p.by[id]
+				lo, hi := ay[id], by[id]
 				if lo > hi {
 					lo, hi = hi, lo
 				}
@@ -368,6 +349,7 @@ func (ix *stripIndex) addCenterTileStrip(rel Relation, g Grid, sc *Scratch) Rela
 	mark := sc.polyMark
 	touched := sc.polyTouched[:0]
 	cx, cy := center.X, center.Y
+	ax, ay, bx, by := p.streams()
 	bk, _ := bucketSpan(cy, cy, ix.yorg, ix.invYW, ix.nbY)
 	for _, id := range ix.yids[ix.yoff[bk]:ix.yoff[bk+1]] {
 		pi := ix.polyOf[id]
@@ -382,7 +364,7 @@ func (ix *stripIndex) addCenterTileStrip(rel Relation, g Grid, sc *Scratch) Rela
 			mark[pi] = 1
 			touched = append(touched, pi)
 		}
-		x0, y0, x1, y1 := p.ax[id], p.ay[id], p.bx[id], p.by[id]
+		x0, y0, x1, y1 := ax[id], ay[id], bx[id], by[id]
 		if geom.Orient(geom.Pt(x0, y0), geom.Pt(x1, y1), center) == 0 &&
 			min(x0, x1) <= cx && cx <= max(x0, x1) &&
 			min(y0, y1) <= cy && cy <= max(y0, y1) {

@@ -229,7 +229,7 @@ func TestLoDZeroEpsDegrade(t *testing.T) {
 	if len(w.strips) != 1 || w.strips[2] == nil {
 		t.Fatalf("strip sides = %v, want exactly one, for the disc", w.strips)
 	}
-	if w.strips[2].p != w.preps[2] {
+	if w.strips[2].p != &w.preps[2] {
 		t.Error("the strip side should answer for the world's own preparation")
 	}
 	out, _, err := w.BatchRows(context.Background(), []int{0}, false)
@@ -259,7 +259,7 @@ func TestLoDZeroEpsDegrade(t *testing.T) {
 // TestLoDWorldFootprint pins what a huge world retains beyond its input:
 // the live-heap delta of PrepareLoDWorld over a 2·10^4-region zipfian world
 // (≈3 edges per region in the tail, so the fixed per-region cost dominates)
-// must stay within 500 bytes per region.
+// must stay within 360 bytes per region (318 with the 112-byte header).
 func TestLoDWorldFootprint(t *testing.T) {
 	const n = 20000
 	rs := workload.New(1).Zipf(geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}, n, 4096)
@@ -278,8 +278,8 @@ func TestLoDWorldFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRegion := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	t.Logf("%.0f B/region retained beyond the input", perRegion)
-	if perRegion > 500 {
-		t.Errorf("LoD world retains %.0f B/region beyond its input, want ≤ 500", perRegion)
+	if perRegion > 360 {
+		t.Errorf("LoD world retains %.0f B/region beyond its input, want ≤ 360", perRegion)
 	}
 	runtime.KeepAlive(w)
 	runtime.KeepAlive(regions)

@@ -18,20 +18,22 @@ type LoDOptions struct {
 }
 
 // LoDWorld is a world prepared for huge-scale relation computation (10^5+
-// regions with zipfian edge counts): one exact Prepared per region, all
-// carved from one exact-size slab (see PrepareAll); the coarse cell-span
-// summary answering clearly single-tile pairs in O(1); and, for the few
-// regions of at least stripMinEdges edges, a strip index that classifies
-// only the edges near the reference's four lines. At 10^5 regions an eagerly
-// materialised relation matrix is off the table (10^10 cells), so the world
-// answers row sweeps (BatchRows) on demand instead; every answer is
-// bit-identical to the exact kernel's (differential-tested, fuzzed).
+// regions with zipfian edge counts): the exact kernel's form of every
+// region, held as one slab of Prepared values over two exact-size blocks
+// (see PrepareAll) with no per-region pointer beside it; the coarse
+// cell-span summary answering clearly single-tile pairs in O(1); and, for
+// the few regions of at least stripMinEdges edges, a strip index that
+// classifies only the edges near the reference's four lines. At 10^5
+// regions an eagerly materialised relation matrix is off the table (10^10
+// cells), so the world answers row sweeps (BatchRows) on demand instead;
+// every answer is bit-identical to the exact kernel's (differential-tested,
+// fuzzed).
 //
 // The world copies what it needs out of the caller's regions and keeps no
 // reference to them. Immutable after construction except for the lazily
 // built strip indexes; safe for concurrent use.
 type LoDWorld struct {
-	preps   []*Prepared
+	preps   []Prepared
 	strips  map[int32]*stripIndex // only the regions of ≥ stripMinEdges edges
 	coarse  *CoarseIndex
 	workers int
@@ -46,7 +48,7 @@ type LoDWorld struct {
 // PrepareLoDWorld builds the huge-world tier: names must be non-empty and
 // unique (the batch naming contract).
 func PrepareLoDWorld(regions []NamedRegion, opt LoDOptions) (*LoDWorld, error) {
-	preps, err := PrepareAll(regions)
+	preps, err := prepareSlab(regions)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +58,10 @@ func PrepareLoDWorld(regions []NamedRegion, opt LoDOptions) (*LoDWorld, error) {
 		workers: opt.Workers,
 		boxes:   make([]geom.Rect, len(preps)),
 	}
-	for i, p := range preps {
+	for i := range preps {
+		p := &preps[i]
 		w.boxes[i] = p.Box
-		if len(p.ax) >= stripMinEdges {
+		if len(p.c) >= 4*stripMinEdges {
 			w.strips[int32(i)] = &stripIndex{p: p}
 		}
 	}
@@ -110,8 +113,8 @@ func relateLoD(a *Prepared, ix *stripIndex, g Grid, sc *Scratch, st *Stats) Rela
 // zero. The context is checked once per claimed row.
 func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]Relation, Stats, error) {
 	n := len(w.preps)
-	for _, p := range w.preps {
-		if p.noGrid {
+	for i := range w.preps {
+		if p := &w.preps[i]; p.noGrid {
 			return nil, Stats{}, fmt.Errorf("core: region %q: %w", p.Name, p.gridErr())
 		}
 	}
@@ -125,7 +128,7 @@ func (w *LoDWorld) BatchRows(ctx context.Context, rows []int, exact bool) ([][]R
 	st, err := sweep(ctx, len(rows), w.workers, func(r int, sc *Scratch, st *Stats) error {
 		pi := rows[r]
 		row := out[r]
-		a, ix := w.preps[pi], w.strips[int32(pi)]
+		a, ix := &w.preps[pi], w.strips[int32(pi)]
 		if exact {
 			for j, b := range w.boxes {
 				if j == pi {

@@ -150,7 +150,7 @@ func (p *Prepared) relatePctPolyInto(dst *TileAreas, g Grid, st *Stats) bool {
 // per-tile areas into dst and returns their total.
 func (p *Prepared) relatePctFullInto(dst *TileAreas, g Grid, st *Stats) (float64, error) {
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
-	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
+	ax, ay, bx, by := p.streams()
 	var accS, accSW, accW, accNW, accN, accNE, accE, accSE, accBN float64
 	var qx, qy [6]float64
 	outCount := 0

@@ -99,8 +99,8 @@ func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // with the largest strip-indexed primary a sweep worker met (4 B per edge
 // for the de-duplication stamps alone).
 func putScratch(sc *Scratch) {
-	if cap(sc.coords) > 4*maxPooledEdges || cap(sc.prim.polys) > maxPooledEdges {
-		sc.prim, sc.coords = Prepared{}, nil
+	if cap(sc.prim.c) > 4*maxPooledEdges || cap(sc.prim.polys) > maxPooledEdges {
+		sc.prim = Prepared{}
 	}
 	if max(cap(sc.stripSeen), cap(sc.stripIDs), cap(sc.polyMark), cap(sc.polyTouched)) > maxPooledEdges {
 		sc.stripSeen, sc.stripEpoch, sc.stripIDs, sc.polyMark, sc.polyTouched = nil, 0, nil, nil, nil
@@ -114,17 +114,14 @@ func putScratch(sc *Scratch) {
 // the next call on sc.
 func (sc *Scratch) primary(r geom.Region) *Prepared {
 	nc, np := 4*r.NumEdges(), len(r)
-	if cap(sc.coords) < nc {
-		sc.coords = make([]float64, nc)
-	}
-	offs, polys := sc.prim.polyOff, sc.prim.polys
-	if cap(offs) < np+1 {
-		offs = make([]int32, np+1)
+	coords, polys := sc.prim.c, sc.prim.polys
+	if cap(coords) < nc {
+		coords = make([]float64, nc)
 	}
 	if cap(polys) < np {
 		polys = make([]preparedPoly, np)
 	}
 	sc.prim = Prepared{}
-	sc.prim.fill("", r, sc.coords[:nc], offs[:np+1], polys[:np])
+	sc.prim.fill("", r, coords[:nc], polys[:np])
 	return &sc.prim
 }

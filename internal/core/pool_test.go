@@ -108,7 +108,7 @@ func TestScratchPoolCap(t *testing.T) {
 			t.Fatalf("primary has %d edges, want %d", p.NumEdges(), tc.edges)
 		}
 		putScratch(sc)
-		if kept := sc.coords != nil && sc.prim.polys != nil; kept != tc.kept {
+		if kept := sc.prim.c != nil && sc.prim.polys != nil; kept != tc.kept {
 			t.Errorf("%d edges: storage kept = %v, want %v", tc.edges, kept, tc.kept)
 		}
 

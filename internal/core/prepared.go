@@ -16,11 +16,10 @@ var ErrDegenerateRegion = errors.New("core: degenerate region")
 // Prepared is a region preprocessed once for repeated cardinal direction
 // computation. It holds each fact Compute-CDR needs on either side of a
 // relation exactly once: the edges of the canonical clockwise orientation,
-// flattened into a struct-of-arrays coordinate layout (four flat float64
-// slices the split and trapezoid kernels stream through), per-polygon
-// bounding boxes and areas (the MBB fast paths), and the region box — whose
-// four numbers ARE the reference-side grid. The input rings are not
-// retained: polygon k's vertices are ax/ay[polyOff[k]:polyOff[k+1]], and
+// flattened into a struct-of-arrays coordinate block (four float64 streams
+// the split and trapezoid kernels walk), per-polygon bounding boxes, areas
+// and edge ranges (the MBB fast paths), and the region box — whose four
+// numbers ARE the reference-side grid. The input rings are not retained;
 // Region materialises them on demand. The O(n²) all-pairs batch thus pays
 // the per-region preprocessing exactly once per region instead of once per
 // pair. A Prepared value is immutable after construction and safe to share
@@ -31,27 +30,38 @@ type Prepared struct {
 	// Box is the region's minimum bounding box.
 	Box geom.Rect
 
-	// Struct-of-arrays edge layout: edge i runs from (ax[i], ay[i]) to
-	// (bx[i], by[i]), in polygon ring order. Splitting and trapezoid
-	// accumulation iterate these flat slices instead of a []geom.Segment,
-	// which keeps the hot loops in registers and lets one cache line carry
-	// eight coordinates of the same stream. The four slices are sub-slices
-	// of one backing block, so a whole region's edges are one allocation —
-	// and a whole PrepareAll batch's are one, too.
-	ax, ay, bx, by []float64
-	// polyOff delimits each polygon's edges: polygon k owns edge indices
-	// polyOff[k] up to polyOff[k+1]. len(polyOff) == len(polys)+1.
-	polyOff []int32
+	// c holds the streams ax, ay, bx, by back to back (see streams): edge
+	// i runs from (ax[i], ay[i]) to (bx[i], by[i]), in polygon ring order.
+	// The kernels iterate flat streams instead of a []geom.Segment, which
+	// keeps the hot loops in registers; one slice header for all four
+	// keeps the Prepared header at 112 bytes (TestPreparedSize).
+	c []float64
 
 	polys     []preparedPoly // per-polygon metadata, in input order
+	totalArea float64        // summed polygon areas, for the percent fast path
 	noGrid    bool           // Box is degenerate: unusable as a reference
 	fastOK    bool           // polygons are sound enough for the band fast path
-	totalArea float64        // summed polygon areas, for the percent fast path
 }
 
 type preparedPoly struct {
 	box  geom.Rect
 	area float64 // the polygon's area, cached for the percent fast path
+	end  int32   // one past the polygon's last edge index (see polyEdges)
+}
+
+// streams returns the four coordinate streams of c, capped so an append on
+// one cannot bleed into the next or into a neighbouring region's block.
+func (p *Prepared) streams() (ax, ay, bx, by []float64) {
+	c, n := p.c, len(p.c)/4
+	return c[0:n:n], c[n : 2*n : 2*n], c[2*n : 3*n : 3*n], c[3*n : 4*n : 4*n]
+}
+
+// polyEdges returns polygon k's edge index range [lo, hi).
+func (p *Prepared) polyEdges(k int) (lo, hi int32) {
+	if k > 0 {
+		lo = p.polys[k-1].end
+	}
+	return lo, p.polys[k].end
 }
 
 // countEdges returns r's total edge count — the size of the coordinate
@@ -80,42 +90,33 @@ func Prepare(name string, r geom.Region) (*Prepared, error) {
 		return nil, err
 	}
 	p := new(Prepared)
-	p.fill(name, r, make([]float64, 4*total), make([]int32, len(r)+1), make([]preparedPoly, len(r)))
+	p.fill(name, r, make([]float64, 4*total), make([]preparedPoly, len(r)))
 	return p, nil
 }
 
 // fill builds p over r in the storage handed to it, sized from r: coords
-// holds four float64s per edge, polyOff one int32 per polygon plus one,
-// polys one entry per polygon. Each ring is written straight into the
-// coordinate block in the canonical clockwise orientation — following
-// geom.Polygon.Clockwise's rule, without materialising the reversed ring —
-// and its per-polygon facts are bit-identical to what the geom methods
-// return for the normalised ring.
+// holds four float64s per edge, polys one entry per polygon. Each ring is
+// written straight into the coordinate block in the canonical clockwise
+// orientation — following geom.Polygon.Clockwise's rule, without
+// materialising the reversed ring — and its per-polygon facts are
+// bit-identical to what the geom methods return for the normalised ring.
 //
 // A clockwise ring is read once: copyRing writes it forward and sums its
 // signed area in ring order, which is geom.Polygon.SignedArea term for
 // term, so the orientation is decided after the copy. A counter-clockwise
 // ring is read once more, copied backwards over the forward copy.
-func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []int32, polys []preparedPoly) {
-	total := len(coords) / 4
+func (p *Prepared) fill(name string, r geom.Region, coords []float64, polys []preparedPoly) {
 	p.Name = name
 	p.fastOK = true
-	// The capped three-index slices keep an append on one stream from
-	// bleeding into the next (and into a neighbouring region's block when
-	// the storage is a shared slab).
-	p.ax = coords[0:total:total]
-	p.ay = coords[total : 2*total : 2*total]
-	p.bx = coords[2*total : 3*total : 3*total]
-	p.by = coords[3*total : 4*total : 4*total]
-	p.polyOff = polyOff
+	p.c = coords
 	p.polys = polys
+	sax, say, sbx, sby := p.streams()
 
 	box := geom.EmptyRect()
 	k := 0
 	for pi, poly := range r {
-		polyOff[pi] = int32(k)
 		n := len(poly)
-		ax, ay, bx, by := p.ax[k:k+n], p.ay[k:k+n], p.bx[k:k+n], p.by[k:k+n]
+		ax, ay, bx, by := sax[k:k+n], say[k:k+n], sbx[k:k+n], sby[k:k+n]
 		sum, pb, zeroEdge := copyRing(poly, false, ax, ay, bx, by)
 		if !(n < 3 || sum > 0 || sum == 0) {
 			// Counter-clockwise: the backward copy derives the facts in the
@@ -130,11 +131,10 @@ func (p *Prepared) fill(name string, r geom.Region, coords []float64, polyOff []
 			p.fastOK = false
 		}
 		box = box.Union(pb)
-		polys[pi] = preparedPoly{box: pb, area: area}
-		p.totalArea += area
 		k += n
+		polys[pi] = preparedPoly{box: pb, area: area, end: int32(k)}
+		p.totalArea += area
 	}
-	polyOff[len(r)] = int32(k)
 	p.Box = box
 	_, err := NewGrid(box)
 	p.noGrid = err != nil
@@ -199,12 +199,25 @@ func max2(a, b float64) float64 {
 
 // PrepareAll preprocesses a batch of named regions, enforcing the batch
 // naming contract (non-empty, unique names). The batch is counted first and
-// built in four exact-size blocks — the Prepared values, the coordinates,
-// the polygon metadata, the offsets — so a 10^5-region world costs a
-// constant number of allocations and not a byte of slack. The flip side:
-// the batch is reclaimed only as a whole, once every Prepared of it is
-// unreachable; prepare regions with independent lifetimes through Prepare.
+// built in three exact-size blocks — the Prepared values, the coordinates,
+// the polygon metadata — so a 10^5-region world costs a constant number of
+// allocations and not a byte of slack. The flip side: the batch is
+// reclaimed only as a whole, once every Prepared of it is unreachable;
+// prepare regions with independent lifetimes through Prepare.
 func PrepareAll(regions []NamedRegion) ([]*Prepared, error) {
+	preps, err := prepareSlab(regions)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Prepared, len(preps))
+	for i := range preps {
+		out[i] = &preps[i]
+	}
+	return out, nil
+}
+
+// prepareSlab is PrepareAll's builder; LoDWorld keeps the slab itself.
+func prepareSlab(regions []NamedRegion) ([]Prepared, error) {
 	if _, err := indexNames(len(regions), func(i int) string { return regions[i].Name }); err != nil {
 		return nil, err
 	}
@@ -217,18 +230,15 @@ func PrepareAll(regions []NamedRegion) ([]*Prepared, error) {
 		nPolys += len(r.Region)
 		nEdges += edges
 	}
-	out := make([]*Prepared, len(regions))
 	preps := make([]Prepared, len(regions))
 	coords := make([]float64, 4*nEdges)
 	polys := make([]preparedPoly, nPolys)
-	offs := make([]int32, nPolys+len(regions))
 	for i, r := range regions {
 		np, nc := len(r.Region), 4*r.Region.NumEdges()
-		out[i] = &preps[i]
-		out[i].fill(r.Name, r.Region, coords[:nc:nc], offs[:np+1:np+1], polys[:np:np])
-		coords, offs, polys = coords[nc:], offs[np+1:], polys[np:]
+		preps[i].fill(r.Name, r.Region, coords[:nc:nc], polys[:np:np])
+		coords, polys = coords[nc:], polys[np:]
 	}
-	return out, nil
+	return preps, nil
 }
 
 // grid is the reference-side grid. Meaningful only when noGrid is unset.
@@ -257,11 +267,10 @@ func (p *Prepared) gridErr() error {
 // parallel LoD batch owns its own Scratch; sharing one across goroutines is
 // a data race. The zero value is ready to use.
 type Scratch struct {
-	// The one-shot primary (Scratch.primary): prim is filled over coords,
-	// prim.polyOff and prim.polys, whose capacity carries over from call to
-	// call up to putScratch's cap.
-	prim   Prepared
-	coords []float64
+	// The one-shot primary (Scratch.primary): prim is filled over its own
+	// coordinate block and polygon metadata, whose capacity carries over
+	// from call to call up to putScratch's cap.
+	prim Prepared
 
 	// Strip-stage scratch (lod_strip.go): epoch-stamped candidate
 	// de-duplication, the gathered edge ids, and per-polygon parity
@@ -416,7 +425,7 @@ func (p *Prepared) relateFast(g Grid, st *Stats) (Relation, bool) {
 func (p *Prepared) relateFull(g Grid, st *Stats) Relation {
 	var rel Relation
 	m1, m2, l1, l2 := g.M1, g.M2, g.L1, g.L2
-	ax, ay, bx, by := p.ax, p.ay, p.bx, p.by
+	ax, ay, bx, by := p.streams()
 	var qx, qy [6]float64
 	outCount := 0
 	for i := range ax {
@@ -485,13 +494,14 @@ func (p *Prepared) addCenterTile(rel Relation, g Grid, st *Stats) Relation {
 // Every expression mirrors the geom method, so the two agree bit for bit
 // (TestPolyContainsDifferential).
 func (p *Prepared) polyContains(k int, q geom.Point) bool {
-	lo, hi := p.polyOff[k], p.polyOff[k+1]
+	lo, hi := p.polyEdges(k)
 	if hi-lo < 3 {
 		return false
 	}
+	ax, ay, bx, by := p.streams()
 	inside := false
 	for i := lo; i < hi; i++ {
-		x0, y0, x1, y1 := p.ax[i], p.ay[i], p.bx[i], p.by[i]
+		x0, y0, x1, y1 := ax[i], ay[i], bx[i], by[i]
 		// Boundary first: collinear and within the edge's box.
 		if geom.Orient(geom.Point{X: x0, Y: y0}, geom.Point{X: x1, Y: y1}, q) == 0 &&
 			min(x0, x1) <= q.X && q.X <= max(x0, x1) &&

@@ -224,25 +224,33 @@ func TestFastPathDegenerateGuard(t *testing.T) {
 
 // TestPreparedSize pins the Prepared header: 10^5 of them are the largest
 // single block of a huge world, so a new field is a decision, not an
-// accident.
+// accident. Name, Box, one coordinate header, one polygon header, the
+// total area and two flags make 112 bytes.
 func TestPreparedSize(t *testing.T) {
-	if got := unsafe.Sizeof(Prepared{}); got > 224 {
-		t.Errorf("unsafe.Sizeof(Prepared{}) = %d, want ≤ 224", got)
+	if got := unsafe.Sizeof(Prepared{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(Prepared{}) = %d, want ≤ 112", got)
 	}
 }
 
-// TestPrepareAllAllocs pins the slab build: a batch costs a constant
-// number of allocations (the name table, the result slice and four
-// blocks), not a few per region.
+// TestPrepareAllAllocs pins how many blocks a preparation costs: Prepare
+// makes the header, the coordinate block and the polygon metadata; a
+// PrepareAll batch makes the name table, the result slice and three exact
+// blocks, whatever its length.
 func TestPrepareAllAllocs(t *testing.T) {
-	regions := clusterWorkload(7, 1000)
-	allocs := testing.AllocsPerRun(5, func() {
+	regions := clusterWorkload(7, 50)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Prepare(regions[0].Name, regions[0].Region); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 3 {
+		t.Errorf("Prepare: %v allocations, want 3", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := PrepareAll(regions); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 8 {
-		t.Errorf("PrepareAll over %d regions: %v allocations, want ≤ 8", len(regions), allocs)
+	}); allocs != 5 {
+		t.Errorf("PrepareAll over %d regions: %v allocations, want 5", len(regions), allocs)
 	}
 }
 
@@ -324,12 +332,13 @@ func TestPolyContainsDifferential(t *testing.T) {
 // Region materialises the region in the canonical clockwise orientation
 // from the coordinate streams, as fresh slices.
 func (p *Prepared) Region() geom.Region {
+	ax, ay, _, _ := p.streams()
 	out := make(geom.Region, len(p.polys))
 	for k := range out {
-		lo, hi := p.polyOff[k], p.polyOff[k+1]
+		lo, hi := p.polyEdges(k)
 		ring := make(geom.Polygon, hi-lo)
 		for i := range ring {
-			ring[i] = geom.Point{X: p.ax[int(lo)+i], Y: p.ay[int(lo)+i]}
+			ring[i] = geom.Point{X: ax[int(lo)+i], Y: ay[int(lo)+i]}
 		}
 		out[k] = ring
 	}
@@ -337,4 +346,4 @@ func (p *Prepared) Region() geom.Region {
 }
 
 // NumEdges returns the region's total edge count (k in the paper's bounds).
-func (p *Prepared) NumEdges() int { return len(p.ax) }
+func (p *Prepared) NumEdges() int { return len(p.c) / 4 }

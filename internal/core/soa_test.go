@@ -220,12 +220,13 @@ func TestPrepareAllEquivalence(t *testing.T) {
 				t.Fatalf("%s polygon %d: area/box differ from the geom methods", r.Name, k)
 			}
 		}
-		for _, st := range [][]float64{p.ax, p.ay, p.bx, p.by} {
+		ax, ay, bx, by := p.streams()
+		for _, st := range [][]float64{p.c, ax, ay, bx, by} {
 			if cap(st) != len(st) {
 				t.Fatalf("%s: stream len %d cap %d, want equal", r.Name, len(st), cap(st))
 			}
 		}
-		if cap(p.polyOff) != len(p.polyOff) || cap(p.polys) != len(p.polys) {
+		if cap(p.polys) != len(p.polys) {
 			t.Fatalf("%s: metadata blocks not capped", r.Name)
 		}
 		b := slab[(i+1)%len(slab)]

@@ -213,9 +213,9 @@ func (u *regionUpsert) checkXML() error {
 }
 
 // xmlText refuses a string holding a rune outside XML 1.0's Char
-// production. Every XML snapshot and export writes such a rune as U+FFFD,
-// so a recovery from the XML would rename the region and skip the WAL
-// records that address it.
+// production. The XML writer puts such a rune out as U+FFFD, so an export
+// would name a different region; refusing it keeps every world exportable
+// in the paper's format under the names the daemon holds.
 func xmlText(field, s string) error {
 	for _, r := range s {
 		if r != 0x09 && r != 0x0A && r != 0x0D && (r < 0x20 || r > 0xD7FF && r < 0xE000 || r > 0xFFFD && r < 0x10000) {
