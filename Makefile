@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments loc
+.PHONY: check fmt-check vet build cross-build test race smoke lint fuzz-smoke bench bench-short bench-check bench-run experiments loc
 
 check: fmt-check vet build race smoke bench-check
 
@@ -24,6 +24,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The tree is Unix-only (a data directory's lock is flock(2)); building it
+# for darwin checks that nothing Linux-specific crept in. Windows does not
+# build.
+cross-build:
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -64,15 +70,17 @@ lint: vet
 # arbitrary header; WAL replay, a replica's edit boundaries (wal.OpEdit)
 # included; the binary snapshot decoder, the one durable snapshot format
 # (crash-damaged files, a replica's bootstrap bytes and the position they
-# record, cardirect's export input); the WKT reader
+# record, a -config seed, cardirect's export input); the WKT reader
 # every geometry body goes through; the POST /v1/query parser. Then the
 # XML pct attribute, the one op switch every edit goes through
 # (config.Tracked.Apply: a refused edit changes nothing, an accepted one
-# relates like a fresh Track, a boundary record is no edit), five of the seven differentials against a
-# reference (the XML reader and writer against encoding/xml, the one-pass
-# preparation against its three-pass reference, the huge-world tier stack
-# against the exact kernel, the planner on against off, the parallel solver
-# against the sequential one) and the replication stream decoder. Last come
+# relates like a fresh Track, a boundary record is no edit), five of the
+# seven differentials against a reference (the hand-written XML reader
+# against encoding/xml, whose indented Encode is the writer and has no
+# reference of its own, the one-pass preparation against its three-pass
+# reference, the huge-world tier stack against the exact kernel, the
+# planner on against off, the parallel solver against the sequential one)
+# and the replication stream decoder. Last come
 # the other two differentials, the SoA kernels against the paper's
 # transcription (relation and percent; their seeds carry the fixed 1-ulp
 # triangle sliver). FuzzMBBFastPathPct still fails on the open reproducer

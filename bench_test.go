@@ -985,8 +985,9 @@ func BenchmarkStoreFullRecompute(b *testing.B) {
 	b.ReportMetric(float64(500*499), "pairs/op")
 }
 
-// BenchmarkStoreDeltaEdit is the store's edit path: re-prepare one region,
-// recompute its row and column (2(n−1) pairs) on one core.
+// BenchmarkStoreDeltaEdit is the store's edit path: re-prepare one region
+// and swap it in, on one core. No pair is recomputed: the store computes
+// pairs when they are read.
 func BenchmarkStoreDeltaEdit(b *testing.B) {
 	regions, editID, alts := storeEditWorkload(500)
 	s, err := core.NewRelationStore(regions, core.StoreOptions{Workers: 1})
@@ -1000,11 +1001,10 @@ func BenchmarkStoreDeltaEdit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(2*499), "pairs/op")
 }
 
-// BenchmarkStoreDeltaEditPct is the quantitative store's edit path (percent
-// matrices maintained too).
+// BenchmarkStoreDeltaEditPct is the quantitative store's edit path: the
+// same Prepare and swap, plus the zero-area check percent mode adds.
 func BenchmarkStoreDeltaEditPct(b *testing.B) {
 	regions, editID, alts := storeEditWorkload(500)
 	s, err := core.NewRelationStore(regions, core.StoreOptions{Workers: 1, Pct: true})
@@ -1018,7 +1018,6 @@ func BenchmarkStoreDeltaEditPct(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(2*499), "pairs/op")
 }
 
 // BenchmarkOneShotPooledScratch measures the scratch-pool satellite: the
@@ -1079,5 +1078,37 @@ func TestE20StoreDeltaWins(t *testing.T) {
 	} else {
 		t.Logf("store delta speedup = %.1fx (full %.2f ms, delta %.1f µs)",
 			speedup, float64(full.NsPerOp())/1e6, float64(delta.NsPerOp())/1e3)
+	}
+}
+
+// TestE20Counts is TestE20StoreDeltaWins' count twin on the same 500-region
+// world: what makes an edit cheap, counted rather than timed. An edit
+// relates no pair: N SetGeometry edits move the generation by exactly N and
+// leave every read counter where it was, and one Relation read afterwards
+// makes exactly one pass.
+func TestE20Counts(t *testing.T) {
+	regions, editID, alts := storeEditWorkload(500)
+	s, err := core.NewRelationStore(regions, core.StoreOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const edits = 10
+	gen, before := s.Generation(), s.Stats()
+	for i := 0; i < edits; i++ {
+		if err := s.SetGeometry(editID, alts[i&1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Generation() - gen; got != edits {
+		t.Errorf("%d edits moved the generation by %d", edits, got)
+	}
+	if after := s.Stats(); after != before {
+		t.Errorf("%d edits moved the read counters: %+v, then %+v", edits, before, after)
+	}
+	if _, err := s.Relation(editID, regions[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Passes - before.Passes; got != 1 {
+		t.Errorf("one Relation read made %d passes, want 1", got)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
 	"cardirect/internal/index"
+	"cardirect/internal/persist"
 	"cardirect/internal/query"
 	"cardirect/internal/reason"
 	"cardirect/internal/topo"
@@ -156,8 +157,6 @@ var (
 type Image = config.Image
 
 var (
-	// LoadImage parses a CARDIRECT XML document from a reader.
-	LoadImage = config.Load
 	// Greece is the paper's Fig. 11 Peloponnesian-war configuration.
 	Greece = config.Greece
 	// ParsePct decodes a pct attribute into a PercentMatrix.
@@ -172,6 +171,17 @@ var (
 	// NewGenerator returns a seeded generator of synthetic regions.
 	NewGenerator = workload.New
 )
+
+// LoadImage reads a configuration from a reader: a CARDIRECT XML document,
+// or a cardirectd binary snapshot (a data directory's snapshot-<n>.bin, or
+// the body of GET /v1/replication/snapshot).
+func LoadImage(r io.Reader) (*Image, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return persist.Load(data)
+}
 
 // SaveImage writes a configuration as XML.
 func SaveImage(img *Image, w io.Writer) error { return img.Save(w) }

@@ -1,7 +1,9 @@
 package cardirect
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"cardirect/internal/experiments"
 	"cardirect/internal/experiments/clip"
 	"cardirect/internal/geom"
+	"cardirect/internal/persist"
 	"cardirect/internal/query"
 	"cardirect/internal/topo"
 	"cardirect/internal/workload"
@@ -67,6 +70,29 @@ func TestFacadeReasoning(t *testing.T) {
 	w, err := n.Solve(SolveOptions{})
 	if err != nil || w == nil {
 		t.Fatalf("consistent network rejected: %v, %v", w, err)
+	}
+}
+
+// TestLoadImageReadsBothFormats: LoadImage reads a binary snapshot into the
+// image it reads from the same world's XML.
+func TestLoadImageReadsBothFormats(t *testing.T) {
+	var sb strings.Builder
+	if err := SaveImage(Greece(), &sb); err != nil {
+		t.Fatal(err)
+	}
+	fromXML, err := LoadImage(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := LoadImage(bytes.NewReader(persist.EncodeSnapshot(fromXML)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromBin, fromXML) {
+		t.Error("LoadImage reads the snapshot and the XML of one world into different images")
+	}
+	if _, err := LoadImage(strings.NewReader("CDSN")); err == nil || !strings.Contains(err.Error(), "binary snapshot") {
+		t.Errorf("a truncated snapshot: %v, want the snapshot's refusal", err)
 	}
 }
 

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +77,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // loadInput reads the configuration named by -in ("-" or "" = stdin): the
-// paper's XML, or a binary snapshot, told apart by its magic.
+// paper's XML or a binary snapshot (persist.Load).
 func loadInput(path string, stdin io.Reader) (*config.Image, error) {
 	var data []byte
 	var err error
@@ -90,10 +89,7 @@ func loadInput(path string, stdin io.Reader) (*config.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(data, []byte(persist.Magic)) {
-		return persist.DecodeSnapshot(data)
-	}
-	return config.Parse(data)
+	return persist.Load(data)
 }
 
 // openOutput resolves -out ("" or "-" = the provided stdout writer).

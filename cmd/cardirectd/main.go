@@ -1,15 +1,15 @@
 // Command cardirectd serves a CARDIRECT configuration over HTTP/JSON: the
 // paper's interactive tool (§4) as a long-running service. It loads an
-// annotated image (the XML format of the paper's DTD, or the built-in
-// Fig. 11 Greece fixture), builds the relation store and live R-tree
-// behind it, and answers pair relations, directional
+// annotated image (the XML format of the paper's DTD or a binary snapshot,
+// or the built-in Fig. 11 Greece fixture), builds the relation store and
+// live R-tree behind it, and answers pair relations, directional
 // selections, conjunctive queries and region edits concurrently — see
 // internal/serve for the endpoint surface and API.md for schemas.
 //
 // Usage:
 //
 //	cardirectd -greece                        serve the Fig. 11 fixture
-//	cardirectd -config hellas.xml             serve an XML document
+//	cardirectd -config hellas.xml             serve an XML document (or a .bin)
 //	cardirectd -greece -data /var/lib/cardirect   durable: snapshot + WAL
 //	cardirectd -data /var/lib/cardirect           recover, no seed needed
 //	cardirectd -addr :8080 -request-timeout 30s -workers 8 ...
@@ -88,7 +88,7 @@ func newFlagSet() (*flag.FlagSet, flags) {
 	return fs, flags{
 		addr:            fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)"),
 		role:            fs.String("role", "primary", "process role: primary, replica or router"),
-		configPath:      fs.String("config", "", "CARDIRECT XML configuration to serve"),
+		configPath:      fs.String("config", "", "configuration to serve: the paper's XML or a binary snapshot"),
 		greece:          fs.Bool("greece", false, "serve the built-in Fig. 11 Greece configuration"),
 		pct:             fs.String("pct", "on", "percent answers: on or off (on rejects zero-area regions at edit time; off makes pct endpoints answer 422; neither stores anything)"),
 		workers:         fs.Int("workers", 0, "worker-pool size for all-pairs reads (0 = GOMAXPROCS)"),
@@ -391,12 +391,11 @@ func loadConfig(path string, greece bool) (*config.Image, error) {
 	case greece:
 		return config.Greece(), nil
 	case path != "":
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return config.Load(f)
+		return persist.Load(data)
 	default:
 		return nil, fmt.Errorf("no configuration: pass -config <file> or -greece")
 	}

@@ -25,6 +25,7 @@ import (
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
+	"cardirect/internal/persist"
 )
 
 // buildBinary compiles cardirectd once per test into a temp dir.
@@ -534,6 +535,65 @@ func getRaw(t *testing.T, base, path string) (int, http.Header, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header, body
+}
+
+// TestCardirectdConfigTakesSnapshot: -config reads a binary snapshot as it
+// reads the paper's XML. A daemon seeded from a primary's
+// /v1/replication/snapshot body and one seeded from that snapshot's XML
+// export serve byte-equal /v1/relations?pct=1 under the same ETag: the
+// snapshot's recorded position is dropped, so each is a new world at g0.
+func TestCardirectdConfigTakesSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping binary test in -short mode")
+	}
+	bin := buildBinary(t)
+	_, primBase := startDaemon(t, bin, "-greece")
+	addRegion(t, primBase, "delos", 310, 180)
+	addRegion(t, primBase, "naxos", 330, 150)
+	code, _, snapshot := getRaw(t, primBase, "/v1/replication/snapshot")
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/replication/snapshot: %d", code)
+	}
+	img, err := persist.DecodeSnapshot(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	export, err := img.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	binPath, xmlPath := filepath.Join(dir, "snapshot-00000001.bin"), filepath.Join(dir, "world.xml")
+	if err := os.WriteFile(binPath, snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(xmlPath, export, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, fromBin := startDaemon(t, bin, "-config", binPath)
+	_, fromXML := startDaemon(t, bin, "-config", xmlPath)
+	codeBin, hBin, bodyBin := getRaw(t, fromBin, "/v1/relations?pct=1")
+	codeXML, hXML, bodyXML := getRaw(t, fromXML, "/v1/relations?pct=1")
+	if codeBin != http.StatusOK || codeXML != http.StatusOK {
+		t.Fatalf("GET /v1/relations?pct=1: %d from the snapshot seed, %d from the XML seed", codeBin, codeXML)
+	}
+	if !bytes.Equal(bodyBin, bodyXML) {
+		t.Fatalf("the snapshot seed and the XML seed serve different relations:\n%.300s\n%.300s", bodyBin, bodyXML)
+	}
+	if eBin, eXML := hBin.Get("ETag"), hXML.Get("ETag"); eBin != `"g0"` || eXML != eBin {
+		t.Fatalf("ETag %s from the snapshot seed, %s from the XML seed; want both \"g0\"", eBin, eXML)
+	}
+	var served struct {
+		Data struct {
+			Pairs []json.RawMessage `json:"pairs"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal(bodyBin, &served); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(img.Regions); n != 13 || len(served.Data.Pairs) != n*(n-1) {
+		t.Fatalf("%d regions, %d pairs served; want 13 regions and every ordered pair", n, len(served.Data.Pairs))
+	}
 }
 
 // TestCardirectdPctDisabled runs the daemon with -pct off: percent routes

@@ -143,7 +143,6 @@ var harnesses = map[string]bool{"cdrbench": true, "bench": true}
 // tests that share it.
 var harnessOnly = map[string][]string{
 	"ROADMAP item 1: bench/ calls these internals directly, so they stay until item 1(a) drops or reroutes the call": {
-		"cardirect/internal/config.(*Image).Bytes",
 		"cardirect/internal/config.(*Tracked).WithMaterialized",
 		"cardirect/internal/core.(*RelationStore).Pairs",
 		"cardirect/internal/core.(*RelationStore).PctPairs",

@@ -23,11 +23,14 @@
 package config
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -254,32 +257,37 @@ func ParsePct(s string) (core.PercentMatrix, error) {
 	return m, nil
 }
 
-// Load parses a CARDIRECT XML document.
-func Load(r io.Reader) (*Image, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("config: reading image: %w", err)
-	}
-	return parseImage(data)
-}
-
-// Parse parses a CARDIRECT XML document from bytes. The image shares no
-// memory with data.
-func Parse(data []byte) (*Image, error) {
-	return parseImage(data)
-}
-
-// Save writes the image as indented XML with the standard header. Regions
-// are emitted in sorted-id order and relations sorted by (primary,
-// reference, type), so saving the same logical document always produces the
-// same bytes — snapshot files are byte-stable and diffable across runs
-// regardless of edit history. The in-memory document is not reordered.
+// Save writes the image as indented XML with the standard header (see
+// Bytes).
 func (img *Image) Save(w io.Writer) error {
-	_, err := w.Write(encodeImage(img))
+	data, err := img.Bytes()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
 	return err
 }
 
-// Bytes renders the image document as XML bytes (see Save).
+// Bytes renders the image document as encoding/xml's indented Encode writes
+// it, after the standard header. Regions are emitted in sorted-id order and
+// relations sorted by (primary, reference, type), so saving the same
+// logical document always produces the same bytes, whatever the edit
+// history. The in-memory document is not reordered.
 func (img *Image) Bytes() ([]byte, error) {
-	return encodeImage(img), nil
+	out := Image{Name: img.Name, File: img.File, Regions: slices.Clone(img.Regions), Relations: slices.Clone(img.Relations)}
+	slices.SortStableFunc(out.Regions, func(x, y Region) int { return strings.Compare(x.ID, y.ID) })
+	slices.SortStableFunc(out.Relations, func(x, y Relation) int {
+		return cmp.Or(strings.Compare(x.Primary, y.Primary), strings.Compare(x.Reference, y.Reference), strings.Compare(x.Type, y.Type))
+	})
+	var buf bytes.Buffer
+	buf.WriteString(xml.Header)
+	enc := xml.NewEncoder(&buf)
+	enc.Indent("", "  ")
+	if err := enc.Encode(&out); err != nil {
+		return nil, err
+	}
+	if err := enc.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

@@ -44,8 +44,8 @@ func FuzzParsePct(f *testing.F) {
 
 // FuzzParseImage is the reader-versus-reference differential: whatever
 // Parse accepts, encoding/xml accepts into the same image (reference_test.go),
-// and a valid accepted document is written byte for byte as encoding/xml
-// writes it and reads back with its structure.
+// and a valid accepted document is written and reads back with its
+// structure.
 func FuzzParseImage(f *testing.F) {
 	valid, err := Greece().Bytes()
 	if err != nil {
@@ -68,13 +68,6 @@ func FuzzParseImage(f *testing.F) {
 		data, err := img.Bytes()
 		if err != nil {
 			t.Fatalf("save failed: %v", err)
-		}
-		want, err := referenceBytes(img)
-		if err != nil {
-			t.Fatalf("reference save failed: %v", err)
-		}
-		if string(data) != string(want) {
-			t.Fatalf("Bytes differs from encoding/xml\n got: %q\nwant: %q", data, want)
 		}
 		if err := img.Validate(); err != nil {
 			return // parsed but structurally invalid: fine

@@ -2,25 +2,20 @@ package config
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/xml"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// The codec of the paper's DTD, written by hand: the reader walks the
-// document bytes once and picks out the five elements, the writer appends
-// the sorted document into one []byte. Both are held to encoding/xml by
-// reference_test.go: whatever the reader accepts, encoding/xml's Decode
-// accepts into a reflect.DeepEqual *Image, and the writer's bytes are the
-// ones encoding/xml's indented Encode gives. The reader refuses two classes
-// of document encoding/xml accepts: names with a namespace prefix (any ':'
-// in an element or attribute name) and names holding non-ASCII bytes.
-
-const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+// The reader of the paper's DTD, written by hand: it walks the document
+// bytes once and picks out the five elements. It is held to encoding/xml by
+// reference_test.go: whatever it accepts, encoding/xml's Decode accepts
+// into a reflect.DeepEqual *Image. It refuses two classes of document
+// encoding/xml accepts: names with a namespace prefix (any ':' in an
+// element or attribute name) and names holding non-ASCII bytes. The writer
+// is encoding/xml itself (Image.Bytes).
 
 // Token kinds decoder.next stops at.
 const (
@@ -49,13 +44,14 @@ type decoder struct {
 	edges []Edge    // the vertices of the polygon being read
 }
 
-// parseImage reads one CARDIRECT document. Like encoding/xml's Decode it
-// stops at the end of the root element and ignores what follows.
-func parseImage(data []byte) (*Image, error) {
+// Parse reads one CARDIRECT XML document. Like encoding/xml's Decode it
+// stops at the end of the root element and ignores what follows. The image
+// shares no memory with data.
+func Parse(data []byte) (*Image, error) {
 	d := decoder{data: data}
 	img, err := d.image()
 	if err != nil {
-		return nil, fmt.Errorf("config: decoding image: %w", err)
+		return nil, fmt.Errorf("config: decoding XML image: %w", err)
 	}
 	return img, nil
 }
@@ -693,139 +689,4 @@ func (d *decoder) directive() error {
 		}
 	}
 	return d.eof()
-}
-
-// encodeImage writes the document after the standard header as
-// encoding/xml's Encode, indenting by two spaces, writes it: regions sorted
-// by id, relations by (primary, reference, type), the in-memory order
-// untouched.
-func encodeImage(img *Image) []byte {
-	regions := make([]*Region, len(img.Regions))
-	for i := range img.Regions {
-		regions[i] = &img.Regions[i]
-	}
-	slices.SortStableFunc(regions, func(x, y *Region) int { return strings.Compare(x.ID, y.ID) })
-	rels := make([]*Relation, len(img.Relations))
-	for i := range img.Relations {
-		rels[i] = &img.Relations[i]
-	}
-	slices.SortStableFunc(rels, func(x, y *Relation) int {
-		return cmp.Or(strings.Compare(x.Primary, y.Primary), strings.Compare(x.Reference, y.Reference), strings.Compare(x.Type, y.Type))
-	})
-
-	b := make([]byte, 0, encodedSize(img))
-	b = append(b, xmlHeader...)
-	b = append(b, "<Image"...)
-	b = appendAttr(b, "name", img.Name, true)
-	b = appendAttr(b, "file", img.File, true)
-	b = append(b, '>')
-	for _, r := range regions {
-		b = append(b, "\n  <Region"...)
-		b = appendAttr(b, "id", r.ID, false)
-		b = appendAttr(b, "name", r.Name, true)
-		b = appendAttr(b, "color", r.Color, true)
-		b = append(b, '>')
-		for _, p := range r.Polygons {
-			b = append(b, "\n    <Polygon"...)
-			b = appendAttr(b, "id", p.ID, false)
-			b = append(b, '>')
-			for _, e := range p.Edges {
-				b = append(b, "\n      <Edge x=\""...)
-				b = strconv.AppendFloat(b, e.X, 'g', -1, 64)
-				b = append(b, `" y="`...)
-				b = strconv.AppendFloat(b, e.Y, 'g', -1, 64)
-				b = append(b, `"></Edge>`...)
-			}
-			if len(p.Edges) > 0 {
-				b = append(b, "\n    "...)
-			}
-			b = append(b, "</Polygon>"...)
-		}
-		if len(r.Polygons) > 0 {
-			b = append(b, "\n  "...)
-		}
-		b = append(b, "</Region>"...)
-	}
-	for _, rel := range rels {
-		b = append(b, "\n  <Relation"...)
-		b = appendAttr(b, "type", rel.Type, false)
-		b = appendAttr(b, "primary", rel.Primary, false)
-		b = appendAttr(b, "reference", rel.Reference, false)
-		b = appendAttr(b, "pct", rel.Pct, true)
-		b = append(b, "></Relation>"...)
-	}
-	if len(regions)+len(rels) > 0 {
-		b = append(b, '\n')
-	}
-	return append(b, "</Image>"...)
-}
-
-// encodedSize is about the length of img's document, so that encodeImage
-// allocates once: the fixed markup of each element, its attribute values
-// unescaped, and 72 bytes a vertex (two shortest-form float64s and the Edge
-// markup around them).
-func encodedSize(img *Image) int {
-	n := len(xmlHeader) + 32 + len(img.Name) + len(img.File)
-	for i := range img.Regions {
-		r := &img.Regions[i]
-		n += 48 + len(r.ID) + len(r.Name) + len(r.Color)
-		for j := range r.Polygons {
-			n += 34 + len(r.Polygons[j].ID) + 72*len(r.Polygons[j].Edges)
-		}
-	}
-	for i := range img.Relations {
-		rel := &img.Relations[i]
-		n += 64 + len(rel.Type) + len(rel.Primary) + len(rel.Reference) + len(rel.Pct)
-	}
-	return n
-}
-
-// appendAttr appends ` name="value"`, escaped as encoding/xml escapes it;
-// an omitEmpty attribute with an empty value is left out.
-func appendAttr(b []byte, name, value string, omitEmpty bool) []byte {
-	if omitEmpty && value == "" {
-		return b
-	}
-	b = append(b, ' ')
-	b = append(b, name...)
-	b = append(b, `="`...)
-	last := 0
-	for i := 0; i < len(value); {
-		if c := value[i]; c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>' {
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRuneInString(value[i:])
-		i += n
-		var esc string
-		switch r {
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
-			if isXMLChar(r) && !(r == utf8.RuneError && n == 1) {
-				continue
-			}
-			// What XML cannot carry is written as U+FFFD.
-			esc = "\uFFFD"
-		}
-		b = append(b, value[last:i-n]...)
-		b = append(b, esc...)
-		last = i
-	}
-	b = append(b, value[last:]...)
-	return append(b, '"')
 }

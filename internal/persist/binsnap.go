@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
@@ -45,9 +46,9 @@ import (
 // The position (version 2, see Position) is empty in a primary's own
 // snapshots and absent from a version 1 file.
 const (
-	// Magic opens every binary snapshot, so a reader can tell one from the
-	// paper's XML.
-	Magic      = "CDSN"
+	// magic opens every binary snapshot, so Load tells one from the paper's
+	// XML.
+	magic      = "CDSN"
 	binVersion = 2
 	// binHeaderLen is magic + version + flags + payload length.
 	binHeaderLen = 4 + 2 + 2 + 8
@@ -128,7 +129,7 @@ func EncodeSnapshotAt(img *config.Image, pos Position) []byte {
 
 	payload := w.buf
 	out := make([]byte, 0, binHeaderLen+len(payload)+4)
-	out = append(out, Magic...)
+	out = append(out, magic...)
 	out = binary.LittleEndian.AppendUint16(out, binVersion)
 	out = binary.LittleEndian.AppendUint16(out, 0) // flags
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
@@ -216,13 +217,25 @@ func DecodeSnapshot(data []byte) (*config.Image, error) {
 	return img, err
 }
 
+// Load reads a configuration in either of its two forms, told apart by
+// the magic: a binary snapshot, decoded as DecodeSnapshot does (a
+// replica's recorded Position is dropped, so what it seeds is a new
+// world), or else the paper's XML. cardirectd -config, cardirect -in and
+// the facade's LoadImage read through it.
+func Load(data []byte) (*config.Image, error) {
+	if bytes.HasPrefix(data, []byte(magic)) {
+		return DecodeSnapshot(data)
+	}
+	return config.Parse(data)
+}
+
 // decodeSnapshot is DecodeSnapshot, returning the snapshot's position too.
 func decodeSnapshot(data []byte) (*config.Image, Position, error) {
 	var pos Position
 	if len(data) < binHeaderLen+4 {
 		return nil, pos, fmt.Errorf("persist: binary snapshot too short (%d bytes)", len(data))
 	}
-	if string(data[:4]) != Magic {
+	if string(data[:4]) != magic {
 		return nil, pos, fmt.Errorf("persist: bad binary snapshot magic %q", data[:4])
 	}
 	version := binary.LittleEndian.Uint16(data[4:])

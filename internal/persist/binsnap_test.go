@@ -73,6 +73,46 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	exportAgrees("with relations", again)
 }
 
+// TestLoadTellsFormats: Load reads the paper's XML and a binary snapshot,
+// with or without a recorded position, into the same image, and refuses
+// garbage, empty and truncated input with an error naming the format it
+// tried.
+func TestLoadTellsFormats(t *testing.T) {
+	doc, err := config.Greece().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromXML, err := Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range []Position{{}, {Epoch: "e1", Seq: 3, Gen: 5, Pct: true}} {
+		fromBin, err := Load(EncodeSnapshotAt(fromXML, pos))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromBin, fromXML) {
+			t.Errorf("position %+v: the snapshot loads a different image than its XML", pos)
+		}
+	}
+	bin := EncodeSnapshot(fromXML)
+	for name, c := range map[string]struct {
+		data   []byte
+		format string
+	}{
+		"garbage":        {[]byte("not a configuration"), "XML"},
+		"empty":          {nil, "XML"},
+		"wrong root":     {[]byte("<Config/>"), "XML"},
+		"magic only":     {[]byte(magic), "binary snapshot"},
+		"truncated CDSN": {bin[:len(bin)/2], "binary snapshot"},
+		"CDSN tail cut":  {bin[:len(bin)-1], "binary snapshot"},
+	} {
+		if _, err := Load(c.data); err == nil || !strings.Contains(err.Error(), c.format) {
+			t.Errorf("%s: %v, want an error naming the %s", name, err, c.format)
+		}
+	}
+}
+
 // TestBinarySnapshotFaultInjection corrupts the binary snapshot at
 // arbitrary offsets — truncations and single-bit flips across the header,
 // payload and trailer — and asserts every damaged file is rejected by the
